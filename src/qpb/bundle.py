@@ -3,8 +3,9 @@
 The total space is {0, ..., N-1} with a right action of a finite group;
 the base is the orbit set.  The coaction dualizes the action, the
 canonical map decides freeness by an exact rank, and trivializations
-(when present) give the product picture and the convolution algebra of
-maps from the group function algebra into the total-space algebra.
+(when present) give the product picture through psi and the section.
+Densities over the bundle, frame maps included, live in the connection
+layer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .scalars import ONE, ZERO, Scalar
 __all__ = [
     "BaseSpace",
     "BundleSpec",
-    "HPMap",
     "make_product",
     "coaction",
     "check_comodule_algebra",
@@ -30,10 +30,6 @@ __all__ = [
     "synthesize_trivialization",
     "psi_apply",
     "psi_inverse",
-    "star",
-    "conv_unit",
-    "phi_hom",
-    "conv_inverse",
 ]
 
 
@@ -369,124 +365,6 @@ def psi_inverse(b: BundleSpec, f: Func) -> Func:
             for x in range(b.base.size)
             for a in range(b.group.order)
         ],
-    )
-
-
-class HPMap:
-    """A linear map from the group function algebra into the total-space
-    algebra, stored as its density: value(p, a) weighting alpha(a)."""
-
-    __slots__ = ("group", "total_size", "density")
-
-    def __init__(self, group: FiniteGroup, total_size: int, density: list[Scalar]):
-        if len(density) != total_size * group.order:
-            raise ValueError(
-                f"density has {len(density)} entries, expected {total_size * group.order}"
-            )
-        self.group = group
-        self.total_size = total_size
-        self.density = density
-
-    @classmethod
-    def build(cls, group: FiniteGroup, total_size: int, fn) -> HPMap:
-        m = group.order
-        return cls(
-            group,
-            total_size,
-            [fn(p, a) for p in range(total_size) for a in range(m)],
-        )
-
-    def value_at(self, p: int, a: int) -> Scalar:
-        return self.density[p * self.group.order + a]
-
-    def apply(self, alpha: Func) -> Func:
-        if alpha.shape != (self.group.order,):
-            raise ValueError(f"expected a group table, got shape {alpha.shape}")
-        m = self.group.order
-        out = []
-        for p in range(self.total_size):
-            acc = ZERO
-            base = p * m
-            for a in range(m):
-                d = self.density[base + a]
-                v = alpha.values[a]
-                if d and v:
-                    acc = acc + d * v
-            out.append(acc)
-        return Func((self.total_size,), out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HPMap)
-            and self.group == other.group
-            and self.total_size == other.total_size
-            and self.density == other.density
-        )
-
-    def __repr__(self):
-        return f"HPMap(total_size={self.total_size}, group_order={self.group.order})"
-
-
-def conv_unit(group: FiniteGroup, total_size: int) -> HPMap:
-    """Unit of convolution: the counit followed by the unit, density d(e, a)."""
-    e = group.identity
-    if e is None:
-        raise ValueError("group has no identity")
-    return HPMap.build(group, total_size, lambda p, a: ONE if a == e else ZERO)
-
-
-def star(u: HPMap, v: HPMap) -> HPMap:
-    """Convolution: multiply after applying both factors to the coproduct."""
-    if u.group != v.group or u.total_size != v.total_size:
-        raise ValueError("convolution factors live on different bundles")
-    g = u.group
-    m = g.order
-    out = [ZERO] * (u.total_size * m)
-    for p in range(u.total_size):
-        base = p * m
-        for a in range(m):
-            ua = u.density[base + a]
-            if not ua:
-                continue
-            row = g.table[a]
-            for bb in range(m):
-                vb = v.density[base + bb]
-                if vb:
-                    c = row[bb]
-                    out[base + c] = out[base + c] + ua * vb
-    return HPMap(g, u.total_size, out)
-
-
-def phi_hom(b: BundleSpec) -> HPMap:
-    """The trivialization as a map of algebras: density d(phi(p), a)."""
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    return HPMap.build(
-        b.group, b.total_size, lambda p, a: ONE if b.phi[p] == a else ZERO
-    )
-
-
-def conv_inverse(h: HPMap) -> HPMap:
-    """Convolution inverse of an algebra map: precompose with inversion.
-
-    Only densities that are delta tables (one unit entry per point) come
-    from algebra maps; anything else is rejected.
-    """
-    g = h.group
-    m = g.order
-    if g.inv_table is None:
-        raise ValueError("group has no inverses")
-    w = []
-    for p in range(h.total_size):
-        row = h.density[p * m : (p + 1) * m]
-        hits = [a for a in range(m) if row[a]]
-        if len(hits) != 1 or row[hits[0]] != ONE:
-            raise ValueError(
-                f"density row {p} is not a delta table; convolution inverse undefined"
-            )
-        w.append(hits[0])
-    return HPMap.build(
-        g, h.total_size, lambda p, a: ONE if g.inv_table[w[p]] == a else ZERO
     )
 
 

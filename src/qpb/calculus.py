@@ -203,11 +203,6 @@ def offdiag_pairs(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(n) for q in range(n) if p != q]
 
 
-def form1_vector(f1: Form) -> list[Scalar]:
-    """Flatten a 1-form to its full size*size coordinate vector."""
-    return list(f1.values)
-
-
 def restricted_canonical_matrix(b: BundleSpec) -> tuple[list[list[Scalar]], list[tuple[int, int]]]:
     """Matrix of the canonical map on 1-forms, in map form.
 
@@ -255,7 +250,7 @@ def horizontal_basis(b: BundleSpec) -> SubspaceBasis:
 def is_horizontal(b: BundleSpec, f1: Form) -> bool:
     if f1.degree != 1 or f1.size != b.total_size:
         raise ValueError("expected a 1-form on the total space")
-    return horizontal_basis(b).contains(form1_vector(f1))
+    return horizontal_basis(b).contains(list(f1.values))
 
 
 def is_strongly_horizontal(b: BundleSpec, f: Form) -> bool:

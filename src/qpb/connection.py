@@ -1,15 +1,20 @@
 """Connections on a trivialized bundle: splittings, connection one-forms,
-potentials, transition maps, and curvature.
+potentials, transition maps, curvature, and the convolution algebra.
 
-A connection is a right-splitting of the canonical map on universal
-one-forms; equivalently a form-valued map on the group algebra whose
-density satisfies four pointwise invariants.  Potentials describe a
-connection relative to the trivial one; transition maps give the
-classical case.  Curvature is computed along independent routes that
-must agree exactly.
+Every connection, potential, frame map and curvature is a FormValuedMap:
+a density over (point tuple) x (group element) whose degree is the form
+degree and whose size is the number of points, total space or base.  A
+connection is a right-splitting of the canonical map on universal
+one-forms; equivalently a degree-1 map whose density satisfies four
+pointwise invariants.  Potentials describe a connection relative to the
+trivial one; transition maps give the classical case.  Curvature is
+computed along independent routes that must agree exactly.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable
 
 from .bundle import BundleSpec
 from .calculus import Form, canonical_map_forms, differential, offdiag_pairs
@@ -22,9 +27,6 @@ from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "Splitting",
-    "ConnectionForm",
-    "Potential",
-    "BasePotential",
     "TransitionMap",
     "FormValuedMap",
     "tilde_coaction",
@@ -44,6 +46,9 @@ __all__ = [
     "connection_from_potential",
     "classical_connection",
     "star_delta",
+    "conv_unit",
+    "phi_hom",
+    "conv_inverse",
     "curvature",
     "curvature_from_potential",
     "curvature_classical",
@@ -236,511 +241,29 @@ def vertical_projection(f1: Form, sigma: Splitting, b: BundleSpec) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# connection one-forms and their densities
-
-
-class _Density3:
-    """Shared storage for densities indexed by (point, point, group element)."""
-
-    __slots__ = ("group", "size", "density")
-
-    def __init__(self, group: FiniteGroup, size: int, density: list[Scalar]):
-        m = group.order
-        guard_table_size(size * size * m)
-        if len(density) != size * size * m:
-            raise ValueError(
-                f"density has {len(density)} entries, expected {size * size * m}"
-            )
-        self.group = group
-        self.size = size
-        self.density = density
-
-    @classmethod
-    def build(cls, group: FiniteGroup, size: int, fn):
-        m = group.order
-        return cls(
-            group,
-            size,
-            [
-                fn(p, q, c)
-                for p in range(size)
-                for q in range(size)
-                for c in range(m)
-            ],
-        )
-
-    def value_at(self, p: int, q: int, c: int) -> Scalar:
-        m = self.group.order
-        return self.density[(p * self.size + q) * m + c]
-
-    def apply(self, alpha: Func) -> Form:
-        """The associated form-valued map evaluated on a group-algebra element."""
-        m = self.group.order
-        if alpha.shape != (m,):
-            raise ValueError(f"expected a group table, got shape {alpha.shape}")
-        n = self.size
-        values = []
-        for pq in range(n * n):
-            acc = ZERO
-            base = pq * m
-            for c in range(m):
-                d = self.density[base + c]
-                v = alpha.values[c]
-                if d and v:
-                    acc = acc + d * v
-            values.append(acc)
-        return Form(n, 1, values)
-
-    def as_form_valued(self) -> FormValuedMap:
-        return FormValuedMap(self.group, self.size, 1, list(self.density))
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.group == other.group
-            and self.size == other.size
-            and self.density == other.density
-        )
-
-
-class ConnectionForm(_Density3):
-    """Form-valued map on the group algebra cutting out a connection."""
-
-    def __repr__(self):
-        return f"ConnectionForm(size={self.size}, group_order={self.group.order})"
-
-
-class Potential(_Density3):
-    """The part of a connection relative to the trivial one, over the total space."""
-
-    def __repr__(self):
-        return f"Potential(size={self.size}, group_order={self.group.order})"
-
-
-class BasePotential:
-    """A potential with base-point arguments: density on B x B x G."""
-
-    __slots__ = ("group", "base_size", "density")
-
-    def __init__(self, group: FiniteGroup, base_size: int, density: list[Scalar]):
-        m = group.order
-        if len(density) != base_size * base_size * m:
-            raise ValueError(
-                f"density has {len(density)} entries, expected {base_size * base_size * m}"
-            )
-        self.group = group
-        self.base_size = base_size
-        self.density = density
-
-    @classmethod
-    def build(cls, group: FiniteGroup, base_size: int, fn):
-        m = group.order
-        return cls(
-            group,
-            base_size,
-            [
-                fn(x, y, c)
-                for x in range(base_size)
-                for y in range(base_size)
-                for c in range(m)
-            ],
-        )
-
-    def value_at(self, x: int, y: int, c: int) -> Scalar:
-        m = self.group.order
-        return self.density[(x * self.base_size + y) * m + c]
-
-    def as_form_valued(self) -> FormValuedMap:
-        return FormValuedMap(self.group, self.base_size, 1, list(self.density))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasePotential)
-            and self.group == other.group
-            and self.base_size == other.base_size
-            and self.density == other.density
-        )
-
-    def __repr__(self):
-        return f"BasePotential(base_size={self.base_size}, group_order={self.group.order})"
-
-
-class TransitionMap:
-    """A group element for every ordered pair of base points."""
-
-    def __init__(self, group: FiniteGroup, table: list[list[int]]):
-        nb = len(table)
-        for x, row in enumerate(table):
-            if len(row) != nb:
-                raise ValueError(f"transition row {x} has length {len(row)}, expected {nb}")
-            for y, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < group.order:
-                    raise ValueError(
-                        f"transition entry out of range at ({x}, {y}): {v!r}"
-                    )
-        self.group = group
-        self.base_size = nb
-        self.table = [list(row) for row in table]
-
-    def value(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TransitionMap)
-            and self.group == other.group
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"TransitionMap(base_size={self.base_size})"
-
-
-def validate_connection_form(theta: ConnectionForm, b: BundleSpec) -> Report:
-    """The four density invariants of a connection one-form."""
-    report = Report()
-    g = b.group
-    n, m = theta.size, g.order
-    if n != b.total_size or g != b.group:
-        raise ValueError("connection form does not match the bundle")
-    e = g.identity
-
-    diag_witness = next(
-        (
-            (p, c)
-            for p in range(n)
-            for c in range(m)
-            if theta.value_at(p, p, c)
-        ),
-        None,
-    )
-    report.add(
-        CheckResult("connection.vanishing_on_diagonal", diag_witness is None, diag_witness)
-    )
-
-    norm_witness = None
-    for p in range(n):
-        for q in range(n):
-            acc = ZERO
-            for c in range(m):
-                acc = acc + theta.value_at(p, q, c)
-            if acc:
-                norm_witness = (p, q)
-                break
-        if norm_witness:
-            break
-    report.add(
-        CheckResult("connection.unit_normalization", norm_witness is None, norm_witness)
-    )
-
-    split_witness = next(
-        (
-            (p, a, c)
-            for p in range(n)
-            for a in range(m)
-            for c in range(m)
-            if theta.value_at(p, b.act(p, a), c)
-            != (ONE if a == c else ZERO) - (ONE if c == e else ZERO)
-        ),
-        None,
-    )
-    report.add(
-        CheckResult("connection.splitting_property", split_witness is None, split_witness)
-    )
-
-    cov_witness = None
-    for p in range(n):
-        for q in range(n):
-            for bb in range(m):
-                pb, qb = b.act(p, bb), b.act(q, bb)
-                inv_b = g.inv(bb)
-                for c in range(m):
-                    # translate both points, conjugate the group argument
-                    if theta.value_at(pb, qb, c) != theta.value_at(
-                        p, q, g.conj(c, inv_b)
-                    ):
-                        cov_witness = (p, q, bb, c)
-                        break
-                if cov_witness:
-                    break
-            if cov_witness:
-                break
-        if cov_witness:
-            break
-    report.add(CheckResult("connection.ad_covariance", cov_witness is None, cov_witness))
-    return report
-
-
-def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> ConnectionForm:
-    """Assemble the density from splitting columns; reject invalid splittings."""
-    check = validate_splitting(sigma, b)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"splitting rejected: {w.describe()}")
-    g = b.group
-    n, m = b.total_size, g.order
-    e = g.identity
-    density = [ZERO] * (n * n * m)
-    for k, (p0, a) in enumerate(sigma.cols):
-        for r, (p, q) in enumerate(sigma.pairs):
-            v = sigma.matrix[r][k]
-            if v:
-                density[(p * n + q) * m + a] = density[(p * n + q) * m + a] + v
-    # the identity slice balances the unit normalization
-    for pq in range(n * n):
-        acc = ZERO
-        for c in range(m):
-            if c != e:
-                acc = acc + density[pq * m + c]
-        density[pq * m + e] = -acc
-    return ConnectionForm(g, n, density)
-
-
-def splitting_from_theta(theta: ConnectionForm, b: BundleSpec) -> Splitting:
-    """Columns localize the density at the first point argument."""
-    check = validate_connection_form(theta, b)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"connection form rejected: {w.describe()}")
-    n = b.total_size
-
-    def column(p0: int, a: int) -> Form:
-        values = [ZERO] * (n * n)
-        for q in range(n):
-            if q != p0:
-                values[p0 * n + q] = theta.value_at(p0, q, a)
-        return Form(n, 1, values)
-
-    return Splitting.from_columns(b, column)
-
-
-def trivial_connection(b: BundleSpec) -> ConnectionForm:
-    """Connection of a trivialized bundle, via the convolution route."""
-    phi_fv, phi_inv_fv = _phi_form_valued(b)
-    theta_fv = star_delta(phi_inv_fv, phi_fv.d_slicewise())
-    return ConnectionForm(b.group, b.total_size, theta_fv.density)
-
-
-# ---------------------------------------------------------------------------
-# potentials and transition maps
-
-
-def validate_potential(gamma: Potential, b: BundleSpec) -> Report:
-    """Unit normalization, vanishing on orbit pairs, translation invariance."""
-    report = Report()
-    g = b.group
-    n, m = gamma.size, g.order
-    if n != b.total_size or g != b.group:
-        raise ValueError("potential does not match the bundle")
-
-    norm_witness = None
-    for p in range(n):
-        for q in range(n):
-            acc = ZERO
-            for c in range(m):
-                acc = acc + gamma.value_at(p, q, c)
-            if acc:
-                norm_witness = (p, q)
-                break
-        if norm_witness:
-            break
-    report.add(
-        CheckResult("potential.unit_normalization", norm_witness is None, norm_witness)
-    )
-
-    orbit_witness = next(
-        (
-            (p, a, c)
-            for p in range(n)
-            for a in range(m)
-            for c in range(m)
-            if gamma.value_at(p, b.act(p, a), c)
-        ),
-        None,
-    )
-    report.add(
-        CheckResult("potential.vanishing_on_orbit_pairs", orbit_witness is None, orbit_witness)
-    )
-
-    inv_witness = next(
-        (
-            (p, q, a, c)
-            for p in range(n)
-            for q in range(n)
-            for a in range(m)
-            for c in range(m)
-            if gamma.value_at(b.act(p, a), b.act(q, a), c) != gamma.value_at(p, q, c)
-        ),
-        None,
-    )
-    report.add(
-        CheckResult("potential.translation_invariance", inv_witness is None, inv_witness)
-    )
-    return report
-
-
-def validate_base_potential(gh: BasePotential) -> Report:
-    """Diagonal vanishing and unit normalization on the base."""
-    report = Report()
-    nb, m = gh.base_size, gh.group.order
-    diag_witness = next(
-        ((x, c) for x in range(nb) for c in range(m) if gh.value_at(x, x, c)),
-        None,
-    )
-    report.add(
-        CheckResult("base_potential.vanishing_on_diagonal", diag_witness is None, diag_witness)
-    )
-    norm_witness = None
-    for x in range(nb):
-        for y in range(nb):
-            acc = ZERO
-            for c in range(m):
-                acc = acc + gh.value_at(x, y, c)
-            if acc:
-                norm_witness = (x, y)
-                break
-        if norm_witness:
-            break
-    report.add(
-        CheckResult("base_potential.unit_normalization", norm_witness is None, norm_witness)
-    )
-    return report
-
-
-def validate_transition(tm: TransitionMap) -> Report:
-    """Diagonal entries must be the group identity."""
-    report = Report()
-    e = tm.group.identity
-    witness = next(
-        ((x,) for x in range(tm.base_size) if e is None or tm.table[x][x] != e), None
-    )
-    report.add(CheckResult("transition.diagonal_identity", witness is None, witness))
-    return report
-
-
-def is_cocycle(tm: TransitionMap) -> tuple[bool, tuple | None]:
-    """Whether the two-step composition collapses to the one-step table."""
-    g = tm.group
-    nb = tm.base_size
-    witness = next(
-        (
-            (x, y, z)
-            for x in range(nb)
-            for y in range(nb)
-            for z in range(nb)
-            if g.table[tm.table[x][y]][tm.table[y][z]] != tm.table[x][z]
-        ),
-        None,
-    )
-    return witness is None, witness
-
-
-def lift_base_potential(gh: BasePotential, b: BundleSpec) -> Potential:
-    """Pull the density back along the orbit projection in both points."""
-    check = validate_base_potential(gh)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"base potential rejected: {w.describe()}")
-    if gh.base_size != b.base.size or gh.group != b.group:
-        raise ValueError("base potential does not match the bundle")
-    proj = b.base.projection
-    return Potential.build(
-        b.group,
-        b.total_size,
-        lambda p, q, c: gh.value_at(proj[p], proj[q], c),
-    )
-
-
-def potential_from_transition(tm: TransitionMap) -> BasePotential:
-    """Delta density of the transition table, with the unit part removed."""
-    check = validate_transition(tm)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"transition map rejected: {w.describe()}")
-    g = tm.group
-    e = g.identity
-    return BasePotential.build(
-        g,
-        tm.base_size,
-        lambda x, y, c: (ONE if tm.table[x][y] == c else ZERO)
-        - (ONE if c == e else ZERO),
-    )
-
-
-def connection_from_potential(gamma: Potential, b: BundleSpec) -> ConnectionForm:
-    """Trivial connection plus the potential conjugated into the bundle frame."""
-    check = validate_potential(gamma, b)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"potential rejected: {w.describe()}")
-    phi_fv, phi_inv_fv = _phi_form_valued(b)
-    theta_fv = star_delta(phi_inv_fv, phi_fv.d_slicewise()) + star_delta(
-        star_delta(phi_inv_fv, gamma.as_form_valued()), phi_fv
-    )
-    return ConnectionForm(b.group, b.total_size, theta_fv.density)
-
-
-def classical_connection(tm: TransitionMap, b: BundleSpec) -> ConnectionForm:
-    """Connection of a transition table: group words in the closed form."""
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    if tm.base_size != b.base.size or tm.group != b.group:
-        raise ValueError("transition map does not match the bundle")
-    check = validate_transition(tm)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"transition map rejected: {w.describe()}")
-    g = b.group
-    e = g.identity
-    proj = b.base.projection
-    phi = b.phi
-
-    def fn(p, q, c):
-        word = g.table[g.table[g.inv(phi[p])][tm.table[proj[p]][proj[q]]]][phi[q]]
-        return (ONE if word == c else ZERO) - (ONE if c == e else ZERO)
-
-    return ConnectionForm.build(g, b.total_size, fn)
-
-
-def strong_connection_direct(gh: BasePotential, b: BundleSpec) -> ConnectionForm:
-    """Trivial connection plus the base potential read through the frame.
-
-    Closed form of connection_from_potential applied to the lift of gh;
-    the two routes must agree and the runner checks that they do.
-    """
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    if gh.base_size != b.base.size or gh.group != b.group:
-        raise ValueError("base potential does not match the bundle")
-    g = b.group
-    e = g.identity
-    proj = b.base.projection
-    phi = b.phi
-
-    def fn(p, q, c):
-        flat = ONE if g.table[g.inv(phi[p])][phi[q]] == c else ZERO
-        if c == e:
-            flat = flat - ONE
-        word = g.table[g.table[phi[p]][c]][g.inv(phi[q])]
-        return flat + gh.value_at(proj[p], proj[q], word)
-
-    return ConnectionForm.build(g, b.total_size, fn)
-
-
-# ---------------------------------------------------------------------------
-# form-valued maps and curvature
+# form-valued maps: the one density type
 
 
 class FormValuedMap:
-    """A map from the group algebra into forms of a fixed degree,
-    stored as a density over (points tuple) x (group element)."""
+    """A linear map from the group function algebra into degree-n forms,
+    stored as its density over (point tuple) x (group element).
+
+    `size` counts the points the forms live on and `degree` fixes the
+    tuple length at degree + 1.  Degree 0 holds frame maps and their
+    convolution algebra; degree 1 holds connection forms and potentials,
+    on the total space or on the base; degree 2 holds curvature.
+    """
 
     __slots__ = ("group", "size", "degree", "density")
 
-    def __init__(self, group: FiniteGroup, size: int, degree: int, density: list[Scalar]):
-        m = group.order
-        entries = size ** (degree + 1) * m
+    def __init__(
+        self, group: FiniteGroup, size: int, degree: int, density: Iterable[Scalar]
+    ):
+        """The density is read only after the size guard, so a generator
+        passed in never runs past the table cap."""
+        entries = size ** (degree + 1) * group.order
         guard_table_size(entries)
+        density = list(density)
         if len(density) != entries:
             raise ValueError(
                 f"density has {len(density)} entries, expected {entries}"
@@ -752,27 +275,26 @@ class FormValuedMap:
 
     @classmethod
     def build(cls, group: FiniteGroup, size: int, degree: int, fn) -> FormValuedMap:
-        m = group.order
-        guard_table_size(size ** (degree + 1) * m)
-        density = [
-            fn(idx, c)
-            for idx in indices((size,) * (degree + 1))
-            for c in range(m)
-        ]
-        return cls(group, size, degree, density)
+        """Density from fn(*points, c), points varying slowest-first."""
+        shape = (size,) * (degree + 1) + (group.order,)
+        return cls(group, size, degree, (fn(*idx) for idx in indices(shape)))
 
     @classmethod
     def from_point_table(cls, group: FiniteGroup, table: list[int]) -> FormValuedMap:
         """Degree-0 delta density of a point -> group table."""
         m = group.order
-        density = [
-            ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)
-        ]
-        return cls(group, len(table), 0, density)
+        return cls(
+            group,
+            len(table),
+            0,
+            (ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)),
+        )
 
-    def value_at(self, idx: tuple[int, ...], c: int) -> Scalar:
+    def value_at(self, *idx: int) -> Scalar:
+        """Density at (points..., group element)."""
+        *points, c = idx
         flat = 0
-        for i in idx:
+        for i in points:
             flat = flat * self.size + i
         return self.density[flat * self.group.order + c]
 
@@ -781,6 +303,7 @@ class FormValuedMap:
         return Form(self.size, self.degree, self.density[c::m])
 
     def apply(self, alpha: Func) -> Form:
+        """The form paired with a group-algebra element."""
         m = self.group.order
         if alpha.shape != (m,):
             raise ValueError(f"expected a group table, got shape {alpha.shape}")
@@ -802,7 +325,7 @@ class FormValuedMap:
         m = self.group.order
         slices = [differential(self.slice_form(c)) for c in range(m)]
         npts = self.size ** (self.degree + 2)
-        density = [slices[c].values[t] for t in range(npts) for c in range(m)]
+        density = (slices[c].values[t] for t in range(npts) for c in range(m))
         return FormValuedMap(self.group, self.size, self.degree + 1, density)
 
     def __add__(self, other: FormValuedMap) -> FormValuedMap:
@@ -853,7 +376,8 @@ class FormValuedMap:
 def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
     """Convolution against the coproduct, concatenating the form parts.
 
-    Degrees add; the two point tuples share their junction point.
+    Degrees add; the two point tuples share their junction point.  At
+    degree 0 this is the convolution product of frame maps.
     """
     if a_map.group != c_map.group or a_map.size != c_map.size:
         raise ValueError("form-valued maps live on different spaces")
@@ -861,9 +385,8 @@ def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
     m = g.order
     size = a_map.size
     na, nc = a_map.degree, c_map.degree
-    out_degree = na + nc
-    guard_table_size(size ** (out_degree + 1) * m)
-    out = [ZERO] * (size ** (out_degree + 1) * m)
+    result = FormValuedMap(g, size, na + nc, itertools.repeat(ZERO, size ** (na + nc + 1) * m))
+    out = result.density
     mul = g.table
     a_pts = size ** (na + 1)
     c_tail = size**nc
@@ -885,21 +408,393 @@ def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
                     if vc:
                         k = obase + row[cc]
                         out[k] = out[k] + va * vc
-    return FormValuedMap(g, size, out_degree, out)
+    return result
 
 
-def curvature(theta: ConnectionForm) -> FormValuedMap:
+def conv_unit(group: FiniteGroup, size: int) -> FormValuedMap:
+    """Unit of convolution: the counit followed by the unit, density d(e, a)."""
+    e = group.identity
+    if e is None:
+        raise ValueError("group has no identity")
+    return FormValuedMap.build(group, size, 0, lambda p, a: ONE if a == e else ZERO)
+
+
+def phi_hom(b: BundleSpec) -> FormValuedMap:
+    """The trivialization as a map of algebras: density d(phi(p), a)."""
+    if b.phi is None:
+        raise ValueError("bundle has no trivialization")
+    return FormValuedMap.from_point_table(b.group, b.phi)
+
+
+def conv_inverse(h: FormValuedMap) -> FormValuedMap:
+    """Convolution inverse of an algebra map: precompose with inversion.
+
+    Only degree-0 densities that are delta tables (one unit entry per
+    point) come from algebra maps; anything else is rejected.
+    """
+    g = h.group
+    m = g.order
+    if g.inv_table is None:
+        raise ValueError("group has no inverses")
+    if h.degree != 0:
+        raise ValueError("convolution inverse needs a degree-0 map")
+    w = []
+    for p in range(h.size):
+        row = h.density[p * m : (p + 1) * m]
+        hits = [a for a in range(m) if row[a]]
+        if len(hits) != 1 or row[hits[0]] != ONE:
+            raise ValueError(
+                f"density row {p} is not a delta table; convolution inverse undefined"
+            )
+        w.append(g.inv_table[hits[0]])
+    return FormValuedMap.from_point_table(g, w)
+
+
+def _unit_normalization_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
+    """First point pair whose degree-1 density does not sum to zero over the group."""
+    n, m = gamma.size, gamma.group.order
+    for t in range(n * n):
+        acc = ZERO
+        for c in range(m):
+            acc = acc + gamma.density[t * m + c]
+        if acc:
+            return divmod(t, n)
+    return None
+
+
+def _diagonal_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
+    """First (point, group element) where a degree-1 density is nonzero on the diagonal."""
+    return next(
+        (
+            (p, c)
+            for p in range(gamma.size)
+            for c in range(gamma.group.order)
+            if gamma.value_at(p, p, c)
+        ),
+        None,
+    )
+
+
+class TransitionMap:
+    """A group element for every ordered pair of base points."""
+
+    def __init__(self, group: FiniteGroup, table: list[list[int]]):
+        nb = len(table)
+        for x, row in enumerate(table):
+            if len(row) != nb:
+                raise ValueError(f"transition row {x} has length {len(row)}, expected {nb}")
+            for y, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < group.order:
+                    raise ValueError(
+                        f"transition entry out of range at ({x}, {y}): {v!r}"
+                    )
+        self.group = group
+        self.base_size = nb
+        self.table = [list(row) for row in table]
+
+    def value(self, x: int, y: int) -> int:
+        return self.table[x][y]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TransitionMap)
+            and self.group == other.group
+            and self.table == other.table
+        )
+
+    def __repr__(self):
+        return f"TransitionMap(base_size={self.base_size})"
+
+
+def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
+    """The four density invariants of a connection one-form."""
+    report = Report()
+    g = b.group
+    n, m = theta.size, g.order
+    if n != b.total_size or g != b.group:
+        raise ValueError("connection form does not match the bundle")
+    e = g.identity
+
+    diag_witness = _diagonal_witness(theta)
+    report.add(
+        CheckResult("connection.vanishing_on_diagonal", diag_witness is None, diag_witness)
+    )
+
+    norm_witness = _unit_normalization_witness(theta)
+    report.add(
+        CheckResult("connection.unit_normalization", norm_witness is None, norm_witness)
+    )
+
+    split_witness = next(
+        (
+            (p, a, c)
+            for p in range(n)
+            for a in range(m)
+            for c in range(m)
+            if theta.value_at(p, b.act(p, a), c)
+            != (ONE if a == c else ZERO) - (ONE if c == e else ZERO)
+        ),
+        None,
+    )
+    report.add(
+        CheckResult("connection.splitting_property", split_witness is None, split_witness)
+    )
+
+    cov_witness = None
+    for p in range(n):
+        for q in range(n):
+            for bb in range(m):
+                pb, qb = b.act(p, bb), b.act(q, bb)
+                inv_b = g.inv(bb)
+                for c in range(m):
+                    # translate both points, conjugate the group argument
+                    if theta.value_at(pb, qb, c) != theta.value_at(
+                        p, q, g.conj(c, inv_b)
+                    ):
+                        cov_witness = (p, q, bb, c)
+                        break
+                if cov_witness:
+                    break
+            if cov_witness:
+                break
+        if cov_witness:
+            break
+    report.add(CheckResult("connection.ad_covariance", cov_witness is None, cov_witness))
+    return report
+
+
+def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
+    """Assemble the density from splitting columns; reject invalid splittings."""
+    check = validate_splitting(sigma, b)
+    if not check.passed:
+        w = check.first_failure()
+        raise ValueError(f"splitting rejected: {w.describe()}")
+    g = b.group
+    n, m = b.total_size, g.order
+    e = g.identity
+    density = [ZERO] * (n * n * m)
+    for k, (p0, a) in enumerate(sigma.cols):
+        for r, (p, q) in enumerate(sigma.pairs):
+            v = sigma.matrix[r][k]
+            if v:
+                density[(p * n + q) * m + a] = density[(p * n + q) * m + a] + v
+    # the identity slice balances the unit normalization
+    for pq in range(n * n):
+        acc = ZERO
+        for c in range(m):
+            if c != e:
+                acc = acc + density[pq * m + c]
+        density[pq * m + e] = -acc
+    return FormValuedMap(g, n, 1, density)
+
+
+def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
+    """Columns localize the density at the first point argument."""
+    check = validate_connection_form(theta, b)
+    if not check.passed:
+        w = check.first_failure()
+        raise ValueError(f"connection form rejected: {w.describe()}")
+    n = b.total_size
+
+    def column(p0: int, a: int) -> Form:
+        values = [ZERO] * (n * n)
+        for q in range(n):
+            if q != p0:
+                values[p0 * n + q] = theta.value_at(p0, q, a)
+        return Form(n, 1, values)
+
+    return Splitting.from_columns(b, column)
+
+
+def trivial_connection(b: BundleSpec) -> FormValuedMap:
+    """Connection of a trivialized bundle, via the convolution route."""
+    phi_fv, phi_inv_fv = _phi_form_valued(b)
+    return star_delta(phi_inv_fv, phi_fv.d_slicewise())
+
+
+# ---------------------------------------------------------------------------
+# potentials and transition maps
+
+
+def validate_potential(gamma: FormValuedMap, b: BundleSpec) -> Report:
+    """Unit normalization, vanishing on orbit pairs, translation invariance."""
+    report = Report()
+    g = b.group
+    n, m = gamma.size, g.order
+    if n != b.total_size or g != b.group:
+        raise ValueError("potential does not match the bundle")
+
+    norm_witness = _unit_normalization_witness(gamma)
+    report.add(
+        CheckResult("potential.unit_normalization", norm_witness is None, norm_witness)
+    )
+
+    orbit_witness = next(
+        (
+            (p, a, c)
+            for p in range(n)
+            for a in range(m)
+            for c in range(m)
+            if gamma.value_at(p, b.act(p, a), c)
+        ),
+        None,
+    )
+    report.add(
+        CheckResult("potential.vanishing_on_orbit_pairs", orbit_witness is None, orbit_witness)
+    )
+
+    inv_witness = next(
+        (
+            (p, q, a, c)
+            for p in range(n)
+            for q in range(n)
+            for a in range(m)
+            for c in range(m)
+            if gamma.value_at(b.act(p, a), b.act(q, a), c) != gamma.value_at(p, q, c)
+        ),
+        None,
+    )
+    report.add(
+        CheckResult("potential.translation_invariance", inv_witness is None, inv_witness)
+    )
+    return report
+
+
+def validate_base_potential(gh: FormValuedMap) -> Report:
+    """Diagonal vanishing and unit normalization on the base."""
+    report = Report()
+    diag_witness = _diagonal_witness(gh)
+    report.add(
+        CheckResult("base_potential.vanishing_on_diagonal", diag_witness is None, diag_witness)
+    )
+    norm_witness = _unit_normalization_witness(gh)
+    report.add(
+        CheckResult("base_potential.unit_normalization", norm_witness is None, norm_witness)
+    )
+    return report
+
+
+def validate_transition(tm: TransitionMap) -> Report:
+    """Diagonal entries must be the group identity."""
+    report = Report()
+    e = tm.group.identity
+    witness = next(
+        ((x,) for x in range(tm.base_size) if e is None or tm.table[x][x] != e), None
+    )
+    report.add(CheckResult("transition.diagonal_identity", witness is None, witness))
+    return report
+
+
+def is_cocycle(tm: TransitionMap) -> tuple[bool, tuple | None]:
+    """Whether the two-step composition collapses to the one-step table."""
+    g = tm.group
+    nb = tm.base_size
+    witness = next(
+        (
+            (x, y, z)
+            for x in range(nb)
+            for y in range(nb)
+            for z in range(nb)
+            if g.table[tm.table[x][y]][tm.table[y][z]] != tm.table[x][z]
+        ),
+        None,
+    )
+    return witness is None, witness
+
+
+def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
+    """Pull the density back along the orbit projection in both points."""
+    check = validate_base_potential(gh)
+    if not check.passed:
+        w = check.first_failure()
+        raise ValueError(f"base potential rejected: {w.describe()}")
+    if gh.size != b.base.size or gh.group != b.group:
+        raise ValueError("base potential does not match the bundle")
+    proj = b.base.projection
+    return FormValuedMap.build(
+        b.group,
+        b.total_size,
+        1,
+        lambda p, q, c: gh.value_at(proj[p], proj[q], c),
+    )
+
+
+def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
+    """Delta density of the transition table on the base, with the unit part removed."""
+    check = validate_transition(tm)
+    if not check.passed:
+        w = check.first_failure()
+        raise ValueError(f"transition map rejected: {w.describe()}")
+    g = tm.group
+    e = g.identity
+    return FormValuedMap.build(
+        g,
+        tm.base_size,
+        1,
+        lambda x, y, c: (ONE if tm.table[x][y] == c else ZERO)
+        - (ONE if c == e else ZERO),
+    )
+
+
+def connection_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
+    """Trivial connection plus the potential conjugated into the bundle frame."""
+    check = validate_potential(gamma, b)
+    if not check.passed:
+        w = check.first_failure()
+        raise ValueError(f"potential rejected: {w.describe()}")
+    return _conjugate_by_convolution(*_phi_form_valued(b), gamma)
+
+
+def classical_connection(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
+    """Connection of a transition table: group words in the closed form."""
+    if b.phi is None:
+        raise ValueError("bundle has no trivialization")
+    if tm.base_size != b.base.size or tm.group != b.group:
+        raise ValueError("transition map does not match the bundle")
+    check = validate_transition(tm)
+    if not check.passed:
+        w = check.first_failure()
+        raise ValueError(f"transition map rejected: {w.describe()}")
+    g = b.group
+    e = g.identity
+    proj = b.base.projection
+    phi = b.phi
+
+    def fn(p, q, c):
+        word = g.table[g.table[g.inv(phi[p])][tm.table[proj[p]][proj[q]]]][phi[q]]
+        return (ONE if word == c else ZERO) - (ONE if c == e else ZERO)
+
+    return FormValuedMap.build(g, b.total_size, 1, fn)
+
+
+def strong_connection_direct(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
+    """Trivial connection plus a potential read through the frame.
+
+    Closed form of connection_from_potential, evaluated pointwise.  A
+    potential on the base is read through the orbit projection, one on
+    the total space directly; the runner checks that the routes agree.
+    """
+    if b.phi is None:
+        raise ValueError("bundle has no trivialization")
+    if gamma.group != b.group or gamma.size not in (b.base.size, b.total_size):
+        raise ValueError("potential does not match the bundle")
+    read = b.base.projection if gamma.size == b.base.size else range(b.total_size)
+    return _conjugate_closed_form(gamma, b.phi, read)
+
+
+# ---------------------------------------------------------------------------
+# curvature
+
+
+def curvature(theta: FormValuedMap) -> FormValuedMap:
     """Differential of the connection plus its convolution square."""
-    fv = theta.as_form_valued()
-    return fv.d_slicewise() + star_delta(fv, fv)
+    return theta.d_slicewise() + star_delta(theta, theta)
 
 
-def curvature_from_potential(gamma: Potential, b: BundleSpec) -> FormValuedMap:
+def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Conjugate the potential's differential and square into the bundle frame."""
     phi_fv, phi_inv_fv = _phi_form_valued(b)
-    gfv = gamma.as_form_valued()
-    inner = gfv.d_slicewise() + star_delta(gfv, gfv)
-    return star_delta(star_delta(phi_inv_fv, inner), phi_fv)
+    return star_delta(star_delta(phi_inv_fv, curvature(gamma)), phi_fv)
 
 
 def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
@@ -912,8 +807,7 @@ def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
     proj = b.base.projection
     phi = b.phi
 
-    def fn(idx, c):
-        p, q, r = idx
+    def fn(p, q, r, c):
         x, y, z = proj[p], proj[q], proj[r]
         two = g.table[g.table[g.inv(phi[p])][g.table[tm.table[x][y]][tm.table[y][z]]]][
             phi[r]
@@ -928,58 +822,29 @@ def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
 # gauge transformations of potentials
 
 
-def gauge_transform_base_potential(gh: BasePotential, tau: GaugeMap) -> BasePotential:
-    """Transform by a gauge map, via the density formula and the
-    convolution formula; the two routes must agree."""
+def gauge_transform_base_potential(gh: FormValuedMap, tau: GaugeMap) -> FormValuedMap:
+    """Transform by a table of group elements, one per point argument, via
+    the closed form and the convolution formula; the two routes must agree."""
     g = gh.group
-    if tau.group != g or tau.base_size != gh.base_size:
+    if tau.group != g or tau.base_size != gh.size:
         raise ValueError("gauge map does not match the potential")
-    e = g.identity
-    t = tau.table
-
-    def fn(x, y, c):
-        shifted = g.table[g.table[t[x]][c]][g.inv(t[y])]
-        out = gh.value_at(x, y, shifted)
-        out = out + (ONE if g.table[g.inv(t[x])][t[y]] == c else ZERO)
-        return out - (ONE if c == e else ZERO)
-
-    direct = BasePotential.build(g, gh.base_size, fn)
-
-    tau_fv = FormValuedMap.from_point_table(g, t)
-    tau_inv_fv = FormValuedMap.from_point_table(g, [g.inv(a) for a in t])
-    abstract = star_delta(tau_inv_fv, tau_fv.d_slicewise()) + star_delta(
-        star_delta(tau_inv_fv, gh.as_form_valued()), tau_fv
-    )
-    if abstract.density != direct.density:
+    direct = _conjugate_closed_form(gh, tau.table, range(gh.size))
+    tau_fv = FormValuedMap.from_point_table(g, tau.table)
+    tau_inv_fv = FormValuedMap.from_point_table(g, [g.inv(a) for a in tau.table])
+    if _conjugate_by_convolution(tau_fv, tau_inv_fv, gh) != direct:
         raise RuntimeError("gauge transformation routes disagree")
     return direct
 
 
-def gauge_transform_potential(gamma: Potential, b: BundleSpec, tau: GaugeMap) -> Potential:
+def gauge_transform_potential(
+    gamma: FormValuedMap, b: BundleSpec, tau: GaugeMap
+) -> FormValuedMap:
     """Same transformation with the gauge map pulled up to the total space."""
-    g = gamma.group
-    if tau.group != g or tau.base_size != b.base.size or gamma.size != b.total_size:
+    if tau.base_size != b.base.size:
         raise ValueError("gauge map does not match the bundle")
-    e = g.identity
-    proj = b.base.projection
-    lifted = [tau.table[proj[p]] for p in range(b.total_size)]
-
-    def fn(p, q, c):
-        shifted = g.table[g.table[lifted[p]][c]][g.inv(lifted[q])]
-        out = gamma.value_at(p, q, shifted)
-        out = out + (ONE if g.table[g.inv(lifted[p])][lifted[q]] == c else ZERO)
-        return out - (ONE if c == e else ZERO)
-
-    direct = Potential.build(g, b.total_size, fn)
-
-    tau_fv = FormValuedMap.from_point_table(g, lifted)
-    tau_inv_fv = FormValuedMap.from_point_table(g, [g.inv(a) for a in lifted])
-    abstract = star_delta(tau_inv_fv, tau_fv.d_slicewise()) + star_delta(
-        star_delta(tau_inv_fv, gamma.as_form_valued()), tau_fv
+    return gauge_transform_base_potential(
+        gamma, GaugeMap(tau.group, [tau.table[x] for x in b.base.projection])
     )
-    if abstract.density != direct.density:
-        raise RuntimeError("gauge transformation routes disagree")
-    return direct
 
 
 def gauge_transform_transition(tm: TransitionMap, tau: GaugeMap) -> TransitionMap:
@@ -997,10 +862,36 @@ def gauge_transform_transition(tm: TransitionMap, tau: GaugeMap) -> TransitionMa
     )
 
 
+# ---------------------------------------------------------------------------
+# the two routes of a frame change t^-1 d t + t^-1 gamma t
+
+
+def _conjugate_closed_form(gamma: FormValuedMap, table: list[int], read) -> FormValuedMap:
+    """The frame change of a point -> group table, pointwise; gamma's
+    point arguments are read through `read`."""
+    g = gamma.group
+    e = g.identity
+
+    def fn(p, q, c):
+        flat = ONE if g.table[g.inv(table[p])][table[q]] == c else ZERO
+        if c == e:
+            flat = flat - ONE
+        word = g.table[g.table[table[p]][c]][g.inv(table[q])]
+        return flat + gamma.value_at(read[p], read[q], word)
+
+    return FormValuedMap.build(g, len(table), 1, fn)
+
+
+def _conjugate_by_convolution(
+    t_fv: FormValuedMap, t_inv_fv: FormValuedMap, gamma: FormValuedMap
+) -> FormValuedMap:
+    """The frame change of a delta density and its inverse, by convolution."""
+    return star_delta(t_inv_fv, t_fv.d_slicewise()) + star_delta(
+        star_delta(t_inv_fv, gamma), t_fv
+    )
+
+
 def _phi_form_valued(b: BundleSpec) -> tuple[FormValuedMap, FormValuedMap]:
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
+    phi_fv = phi_hom(b)
     g = b.group
-    phi_fv = FormValuedMap.from_point_table(g, b.phi)
-    phi_inv_fv = FormValuedMap.from_point_table(g, [g.inv(a) for a in b.phi])
-    return phi_fv, phi_inv_fv
+    return phi_fv, FormValuedMap.from_point_table(g, [g.inv(a) for a in b.phi])

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .bundle import BundleSpec, make_product
-from .connection import BasePotential, ConnectionForm, Potential, TransitionMap
+from .connection import FormValuedMap, TransitionMap
 from .gauge import GaugeMap
 from .groups import FiniteGroup, RightAction
 from .scalars import Scalar, parse_scalar
@@ -36,7 +36,7 @@ class SpecError(ValueError):
 class ConnectionDecl:
     name: str
     kind: str
-    payload: ConnectionForm | Potential | BasePotential | TransitionMap
+    payload: FormValuedMap | TransitionMap
 
 
 @dataclass
@@ -267,17 +267,13 @@ def _parse_connections(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> lis
                 for y, v in enumerate(row):
                     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < group.order:
                         raise SpecError("index out of range", f"{path}.transition[{x}][{y}]")
-            payload: ConnectionForm | Potential | BasePotential | TransitionMap
+            payload: FormValuedMap | TransitionMap
             payload = TransitionMap(group, [list(r) for r in table])
-        elif kind == "gamma_hat":
-            flat = _parse_density(spec, path, bundle.base.size, group.order)
-            payload = BasePotential(group, bundle.base.size, flat)
-        elif kind == "gamma":
-            flat = _parse_density(spec, path, bundle.total_size, group.order)
-            payload = Potential(group, bundle.total_size, flat)
         else:
-            flat = _parse_density(spec, path, bundle.total_size, group.order)
-            payload = ConnectionForm(group, bundle.total_size, flat)
+            # gamma_hat lives on the base; gamma and theta on the total space
+            size = bundle.base.size if kind == "gamma_hat" else bundle.total_size
+            flat = _parse_density(spec, path, size, group.order)
+            payload = FormValuedMap(group, size, 1, flat)
         out.append(ConnectionDecl(cname, kind, payload))
     return out
 

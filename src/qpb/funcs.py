@@ -18,7 +18,6 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
     "set_max_table_entries",
     "guard_table_size",
-    "pointwise_mul",
     "tensor_identify",
 ]
 
@@ -127,10 +126,6 @@ class Func:
 
 def indices(shape: tuple[int, ...]):
     return itertools.product(*(range(n) for n in shape))
-
-
-def pointwise_mul(f: Func, g: Func) -> Func:
-    return f * g
 
 
 def tensor_identify(f: Func, g: Func) -> Func:

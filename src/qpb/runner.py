@@ -17,20 +17,18 @@ from .bundle import (
     BundleSpec,
     check_comodule_algebra,
     check_freeness,
-    conv_inverse,
-    conv_unit,
-    phi_hom,
     psi_apply,
     psi_inverse,
-    star,
     synthesize_trivialization,
     validate_trivialization,
 )
 from .calculus import check_exactness, validate_form
 from .connection import (
-    ConnectionForm,
+    FormValuedMap,
     classical_connection,
     connection_from_potential,
+    conv_inverse,
+    conv_unit,
     curvature,
     curvature_classical,
     curvature_from_potential,
@@ -39,8 +37,10 @@ from .connection import (
     gauge_transform_transition,
     is_cocycle,
     lift_base_potential,
+    phi_hom,
     potential_from_transition,
     splitting_from_theta,
+    star_delta,
     strong_connection_direct,
     theta_from_splitting,
     validate_base_potential,
@@ -54,7 +54,7 @@ from .funcs import Func
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult
-from .scalars import ONE, ZERO, Scalar
+from .scalars import Scalar
 
 __all__ = ["RunReport", "ConfigError", "run_checks", "emit_report", "curvature_payload"]
 
@@ -101,18 +101,18 @@ class _Context:
             else:
                 self.synthesized_phi = phi
                 self.bundle = self.bundle.with_phi(phi)
-        self._theta: dict[str, tuple[ConnectionForm | None, str | None]] = {}
+        self._theta: dict[str, tuple[FormValuedMap | None, str | None]] = {}
 
     @property
     def framed(self) -> bool:
         return self.bundle.phi is not None
 
-    def theta_for(self, decl: ConnectionDecl) -> tuple[ConnectionForm | None, str | None]:
+    def theta_for(self, decl: ConnectionDecl) -> tuple[FormValuedMap | None, str | None]:
         if decl.name not in self._theta:
             self._theta[decl.name] = self._build_theta(decl)
         return self._theta[decl.name]
 
-    def _build_theta(self, decl: ConnectionDecl) -> tuple[ConnectionForm | None, str | None]:
+    def _build_theta(self, decl: ConnectionDecl) -> tuple[FormValuedMap | None, str | None]:
         try:
             if decl.kind == "theta":
                 return decl.payload, None
@@ -290,27 +290,11 @@ def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
         ph = phi_hom(b)
         ph_inv = conv_inverse(ph)
         unit = conv_unit(b.group, n)
-        ok = star(ph, ph_inv) == unit and star(ph_inv, ph) == unit
+        ok = star_delta(ph, ph_inv) == unit and star_delta(ph_inv, ph) == unit
         out.append(CheckResult("trivialization.conv_inverse", ok))
     except ValueError as exc:
         out.append(CheckResult("trivialization.conv_inverse", False, data={"reason": str(exc)}))
     return out
-
-
-def _conjugated_potential_form(gamma, b: BundleSpec) -> ConnectionForm:
-    # closed form of the convolution route, evaluated pointwise
-    g = b.group
-    e = g.identity
-    phi = b.phi
-
-    def fn(p, q, c):
-        flat = ONE if g.table[g.inv(phi[p])][phi[q]] == c else ZERO
-        if c == e:
-            flat = flat - ONE
-        word = g.table[g.table[phi[p]][c]][g.inv(phi[q])]
-        return flat + gamma.value_at(p, q, word)
-
-    return ConnectionForm.build(g, b.total_size, fn)
 
 
 def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
@@ -359,14 +343,10 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
         return out
 
-    if decl.kind == "gamma":
-        direct = _conjugated_potential_form(decl.payload, b)
-        out.append(CheckResult(f"{suite}.route_agreement", direct.density == theta.density))
-    elif decl.kind == "gamma_hat":
+    if decl.kind in ("gamma", "gamma_hat"):
+        check = "route_agreement" if decl.kind == "gamma" else "strong_route_agreement"
         direct = strong_connection_direct(decl.payload, b)
-        out.append(
-            CheckResult(f"{suite}.strong_route_agreement", direct.density == theta.density)
-        )
+        out.append(CheckResult(f"{suite}.{check}", direct.density == theta.density))
     elif decl.kind == "classical":
         gh = potential_from_transition(decl.payload)
         via_potential = connection_from_potential(lift_base_potential(gh, b), b)

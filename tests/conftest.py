@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from qpb.bundle import BundleSpec, HPMap
+from qpb.bundle import BundleSpec
 from qpb.calculus import Form
-from qpb.connection import BasePotential
+from qpb.connection import FormValuedMap
 from qpb.funcs import indices
 from qpb.groups import FiniteGroup
 from qpb.scalars import ZERO, Scalar
@@ -44,13 +44,13 @@ def random_form(size: int, degree: int, rng: Random) -> Form:
     return Form(size, degree, values)
 
 
-def random_hpmap(group: FiniteGroup, total_size: int, rng: Random) -> HPMap:
-    return HPMap(
-        group, total_size, [random_scalar(rng) for _ in range(total_size * group.order)]
+def random_degree0_map(group: FiniteGroup, size: int, rng: Random) -> FormValuedMap:
+    return FormValuedMap(
+        group, size, 0, [random_scalar(rng) for _ in range(size * group.order)]
     )
 
 
-def random_base_potential(group: FiniteGroup, base_size: int, rng: Random) -> BasePotential:
+def random_base_potential(group: FiniteGroup, base_size: int, rng: Random) -> FormValuedMap:
     """A valid base potential: zero on the diagonal, zero-sum group rows."""
     m = group.order
     density: list[Scalar] = []
@@ -65,7 +65,7 @@ def random_base_potential(group: FiniteGroup, base_size: int, rng: Random) -> Ba
                 total = total + v
             row.append(-total)
             density.extend(row)
-    return BasePotential(group, base_size, density)
+    return FormValuedMap(group, base_size, 1, density)
 
 
 def all_transition_maps(group: FiniteGroup, base_size: int):

@@ -2,27 +2,23 @@ from random import Random
 
 import pytest
 
-from conftest import random_hpmap
+from conftest import random_degree0_map
 from qpb.bundle import (
     BundleSpec,
-    HPMap,
     canonical_map,
     check_comodule_algebra,
     check_freeness,
     coaction,
-    conv_inverse,
-    conv_unit,
     inject_base,
     invariants_basis,
     make_product,
-    phi_hom,
     psi_apply,
     psi_inverse,
     section_table,
-    star,
     synthesize_trivialization,
     validate_trivialization,
 )
+from qpb.connection import FormValuedMap, conv_inverse, conv_unit, phi_hom, star_delta
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import Func, tensor_identify
 from qpb.groups import RightAction, cyclic
@@ -203,9 +199,9 @@ def test_psi_on_z2_hand_values():
 
 def test_star_hand_example():
     g = cyclic(2)
-    u = HPMap(g, 1, [Scalar(1), Scalar(2)])
-    v = HPMap(g, 1, [Scalar(3), Scalar(5)])
-    assert star(u, v).density == [Scalar(13), Scalar(11)]
+    u = FormValuedMap(g, 1, 0, [Scalar(1), Scalar(2)])
+    v = FormValuedMap(g, 1, 0, [Scalar(3), Scalar(5)])
+    assert star_delta(u, v).density == [Scalar(13), Scalar(11)]
 
 
 def test_star_unit_and_associativity_random():
@@ -213,12 +209,12 @@ def test_star_unit_and_associativity_random():
     b = fix_prod()
     unit = conv_unit(b.group, b.total_size)
     for _ in range(10):
-        u = random_hpmap(b.group, b.total_size, rng)
-        v = random_hpmap(b.group, b.total_size, rng)
-        w = random_hpmap(b.group, b.total_size, rng)
-        assert star(unit, u) == u
-        assert star(u, unit) == u
-        assert star(star(u, v), w) == star(u, star(v, w))
+        u = random_degree0_map(b.group, b.total_size, rng)
+        v = random_degree0_map(b.group, b.total_size, rng)
+        w = random_degree0_map(b.group, b.total_size, rng)
+        assert star_delta(unit, u) == u
+        assert star_delta(u, unit) == u
+        assert star_delta(star_delta(u, v), w) == star_delta(u, star_delta(v, w))
 
 
 def test_phi_hom_and_inverse():
@@ -226,13 +222,13 @@ def test_phi_hom_and_inverse():
         ph = phi_hom(b)
         ph_inv = conv_inverse(ph)
         unit = conv_unit(b.group, b.total_size)
-        assert star(ph, ph_inv) == unit
-        assert star(ph_inv, ph) == unit
+        assert star_delta(ph, ph_inv) == unit
+        assert star_delta(ph_inv, ph) == unit
 
 
 def test_conv_inverse_rejects_non_delta():
     g = cyclic(2)
-    h = HPMap(g, 1, [Scalar(1), Scalar(1)])
+    h = FormValuedMap(g, 1, 0, [Scalar(1), Scalar(1)])
     with pytest.raises(ValueError, match="not a delta table"):
         conv_inverse(h)
 
@@ -246,7 +242,7 @@ def test_phi_coaction_identities_on_basis():
         ph_inv = conv_inverse(ph)
         for c in range(m):
             alpha = Func.indicator((m,), (c,))
-            lhs = coaction(b, ph.apply(alpha))
+            lhs = coaction(b, ph.apply(alpha).to_func())
             rhs = Func(
                 (n, m),
                 [
@@ -256,7 +252,7 @@ def test_phi_coaction_identities_on_basis():
                 ],
             )
             assert lhs == rhs
-            lhs_inv = coaction(b, ph_inv.apply(alpha))
+            lhs_inv = coaction(b, ph_inv.apply(alpha).to_func())
             rhs_inv = Func(
                 (n, m),
                 [

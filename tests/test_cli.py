@@ -390,6 +390,11 @@ def test_cli_max_entries_cap(tmp_path, capsys):
         assert main(["check", path, "--max-entries", "10"]) == 2
         assert "exceeds" in capsys.readouterr().err
         assert main(["check", path, "--max-entries", "0"]) == 2
+        capsys.readouterr()
+        # the parsed gamma_hat density holds 2 x 2 x 3 = 12 entries
+        prod = write_fixture(tmp_path, "fix_prod.json")
+        assert main(["check", prod, "--suite", "group", "--max-entries", "11"]) == 2
+        assert capsys.readouterr().err == "qpb: table of 12 entries exceeds the cap of 11\n"
     finally:
         funcs.set_max_table_entries(saved)
     assert main(["check", path]) == 0

@@ -12,10 +12,7 @@ from conftest import (
 )
 from qpb.calculus import canonical_map_forms, is_horizontal
 from qpb.connection import (
-    BasePotential,
-    ConnectionForm,
     FormValuedMap,
-    Potential,
     Splitting,
     TransitionMap,
     classical_connection,
@@ -59,7 +56,7 @@ FORM_CHECKS = [
 
 
 def zero_base_potential(group, base_size):
-    return BasePotential.build(group, base_size, lambda x, y, c: ZERO)
+    return FormValuedMap.build(group, base_size, 1, lambda x, y, c: ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +68,8 @@ def test_from_point_table_and_apply():
     g = b.group
     fv = FormValuedMap.from_point_table(g, b.phi)
     assert fv.degree == 0 and fv.size == 4
-    assert fv.value_at((2,), 1) == ONE
-    assert fv.value_at((2,), 0) == ZERO
+    assert fv.value_at(2, 1) == ONE
+    assert fv.value_at(2, 0) == ZERO
     assert fv.slice_form(1).values == [ZERO, ZERO, ONE, ONE]
     # pairing against a group table evaluates the frame pointwise
     out = fv.apply(Func((2,), [Scalar(3), Scalar(5)]))
@@ -89,7 +86,7 @@ def test_star_of_inverse_frames_is_unit():
     for p in range(4):
         for c in range(2):
             expected = ONE if c == g.identity else ZERO
-            assert unit.value_at((p,), c) == expected
+            assert unit.value_at(p, c) == expected
 
 
 def test_star_degrees_add_and_share_junction():
@@ -98,9 +95,9 @@ def test_star_degrees_add_and_share_junction():
     s = star_delta(a, a.d_slicewise())
     assert s.degree == 1
     # hand value: sum over products lands on the frame word at each end
-    assert s.value_at((0, 1), 1) == ONE
-    assert s.value_at((0, 1), 0) == -ONE
-    assert s.value_at((0, 0), 0) == ZERO
+    assert s.value_at(0, 1, 1) == ONE
+    assert s.value_at(0, 1, 0) == -ONE
+    assert s.value_at(0, 0, 0) == ZERO
 
 
 def test_star_associativity_random():
@@ -159,7 +156,7 @@ def test_trivial_connection_hand_values():
     for c in range(2):
         assert theta.value_at(0, 1, c) == ZERO
     ind_g = Func.indicator((2,), (1,))
-    assert theta.as_form_valued().apply(ind_g).value_at(0, 3) == ONE
+    assert theta.apply(ind_g).value_at(0, 3) == ONE
 
 
 @pytest.mark.parametrize("make", FRAMED)
@@ -197,15 +194,17 @@ def test_potential_route_matches_closed_form(make):
         assert validate_potential(gamma, b).passed
         theta = connection_from_potential(gamma, b)
         assert theta == strong_connection_direct(gh, b)
+        assert theta == strong_connection_direct(gamma, b)
         assert validate_connection_form(theta, b).passed
 
 
 def test_connection_from_potential_rejects_invalid():
     b = fix_z2()
     # value on an orbit pair: (0, 2) lie over the same base point
-    bad = Potential.build(
+    bad = FormValuedMap.build(
         b.group,
         4,
+        1,
         lambda p, q, c: ONE if (p, q, c) == (0, 2, 0) else
         (-ONE if (p, q, c) == (0, 2, 1) else ZERO),
     )
@@ -216,16 +215,17 @@ def test_connection_from_potential_rejects_invalid():
 def test_validate_potential_witnesses():
     b = fix_z2()
 
-    unbalanced = Potential.build(
-        b.group, 4, lambda p, q, c: ONE if (p, q, c) == (0, 1, 0) else ZERO
+    unbalanced = FormValuedMap.build(
+        b.group, 4, 1, lambda p, q, c: ONE if (p, q, c) == (0, 1, 0) else ZERO
     )
     r = validate_potential(unbalanced, b)
     assert not r["potential.unit_normalization"].passed
     assert r["potential.unit_normalization"].witness == (0, 1)
 
-    on_orbit = Potential.build(
+    on_orbit = FormValuedMap.build(
         b.group,
         4,
+        1,
         lambda p, q, c: ONE if (p, q, c) == (0, 2, 0) else
         (-ONE if (p, q, c) == (0, 2, 1) else ZERO),
     )
@@ -234,9 +234,10 @@ def test_validate_potential_witnesses():
     assert not r["potential.vanishing_on_orbit_pairs"].passed
     assert r["potential.vanishing_on_orbit_pairs"].witness == (0, 1, 0)
 
-    lopsided = Potential.build(
+    lopsided = FormValuedMap.build(
         b.group,
         4,
+        1,
         lambda p, q, c: ONE if (p, q, c) == (0, 1, 0) else
         (-ONE if (p, q, c) == (0, 1, 1) else ZERO),
     )
@@ -253,13 +254,13 @@ def test_validate_base_potential_random_and_witnesses():
     for _ in range(5):
         assert validate_base_potential(random_base_potential(g, 3, rng)).passed
 
-    diag = BasePotential.build(g, 2, lambda x, y, c: ONE if (x, y, c) == (1, 1, 1) else ZERO)
+    diag = FormValuedMap.build(g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (1, 1, 1) else ZERO)
     r = validate_base_potential(diag)
     assert not r["base_potential.vanishing_on_diagonal"].passed
     assert r["base_potential.vanishing_on_diagonal"].witness == (1, 1)
 
-    unbalanced = BasePotential.build(
-        g, 2, lambda x, y, c: ONE if (x, y, c) == (0, 1, 0) else ZERO
+    unbalanced = FormValuedMap.build(
+        g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 1, 0) else ZERO
     )
     r = validate_base_potential(unbalanced)
     assert r["base_potential.vanishing_on_diagonal"].passed
@@ -270,7 +271,7 @@ def test_validate_base_potential_random_and_witnesses():
 def test_lift_base_potential_guards():
     b = fix_z2()
     g = b.group
-    bad = BasePotential.build(g, 2, lambda x, y, c: ONE if (x, y, c) == (0, 0, 1) else ZERO)
+    bad = FormValuedMap.build(g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 0, 1) else ZERO)
     with pytest.raises(ValueError, match="base potential rejected"):
         lift_base_potential(bad, b)
     with pytest.raises(ValueError, match="does not match"):
@@ -401,7 +402,7 @@ def test_theta_from_splitting_rejects_corrupt_matrix():
 
 def test_splitting_from_theta_rejects_invalid_form():
     b = fix_z2()
-    flat_zero = ConnectionForm(b.group, 4, [ZERO] * 32)
+    flat_zero = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
     with pytest.raises(ValueError, match="connection form rejected"):
         splitting_from_theta(flat_zero, b)
 
@@ -435,9 +436,9 @@ def test_curvature_hand_values_classical():
     tm = TransitionMap(b.group, [[0, 1], [0, 0]])
     f = curvature(classical_connection(tm, b))
     assert not f.is_zero()
-    assert f.value_at((0, 1, 0), 1) == ONE
-    assert f.value_at((0, 1, 0), 0) == -ONE
-    assert f.value_at((0, 3, 0), 1) == ONE
+    assert f.value_at(0, 1, 0, 1) == ONE
+    assert f.value_at(0, 1, 0, 0) == -ONE
+    assert f.value_at(0, 3, 0, 1) == ONE
     ind_g = Func.indicator((2,), (1,))
     assert f.apply(ind_g).value_at(0, 1, 0) == ONE
 
@@ -585,4 +586,4 @@ def test_bundle_mismatch_guards():
     with pytest.raises(ValueError, match="does not match"):
         validate_connection_form(theta, b)
     with pytest.raises(ValueError, match="does not match"):
-        validate_potential(Potential.build(other.group, 6, lambda p, q, c: ZERO), b)
+        validate_potential(FormValuedMap.build(other.group, 6, 1, lambda p, q, c: ZERO), b)

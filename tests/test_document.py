@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qpb.connection import BasePotential, TransitionMap
+from qpb.connection import FormValuedMap, TransitionMap
 from qpb.document import SpecError, parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.scalars import parse_scalar
@@ -54,7 +54,7 @@ def test_product_bundle_document():
     rational = prod.connection("rational")
     assert rational.kind == "gamma_hat"
     gh = rational.payload
-    assert isinstance(gh, BasePotential)
+    assert isinstance(gh, FormValuedMap) and (gh.size, gh.degree) == (2, 1)
     assert gh.value_at(0, 1, 0) == parse_scalar("1")
     assert gh.value_at(0, 1, 1) == parse_scalar("-1/2")
     assert gh.value_at(1, 0, 1) == parse_scalar("1/3")

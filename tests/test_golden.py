@@ -1,0 +1,102 @@
+"""Byte-level goldens: sha256 of CLI output on fixed documents.
+
+Each case writes a document exactly as `qpb fixtures` would, runs the
+command line tool in-process, and compares the digest of its standard
+output with a pinned value.  A refactor that changes any byte of a
+report or curvature dump fails here.
+"""
+
+import copy
+import hashlib
+import json
+
+import pytest
+
+from qpb.cli import main
+from qpb.fixtures import fixture_documents
+
+
+def _broken_row_sum(doc: dict) -> dict:
+    # the base density at (0, 1) no longer sums to zero over the group
+    doc["connections"][1]["density"][0][1] = ["1", "-1/2", "0"]
+    return doc
+
+
+def _non_identity_diagonal(doc: dict) -> dict:
+    doc["connections"][0]["transition"][0][0] = 1
+    return doc
+
+
+def _with_gamma(doc: dict) -> dict:
+    # the classical connection's base potential lifted to the total space
+    density = [
+        [["-1", "1"] if p % 2 == 0 and q % 2 == 1 else ["0", "0"] for q in range(4)]
+        for p in range(4)
+    ]
+    doc["connections"].append({"name": "lifted", "kind": "gamma", "density": density})
+    return doc
+
+
+CASES = {
+    "check-z2": ("fix_z2.json", None, ["check", "--format", "json"]),
+    "check-s3": ("fix_s3.json", None, ["check", "--format", "json"]),
+    "check-prod": ("fix_prod.json", None, ["check", "--format", "json"]),
+    "check-nonfree": ("fix_nonfree.json", None, ["check", "--format", "json"]),
+    "curvature-z2-cls": ("fix_z2.json", None, ["curvature", "--connection", "cls"]),
+    "curvature-prod-cls": ("fix_prod.json", None, ["curvature", "--connection", "cls"]),
+    "curvature-prod-rational": (
+        "fix_prod.json",
+        None,
+        ["curvature", "--connection", "rational"],
+    ),
+    "check-prod-broken-row-sum": (
+        "fix_prod.json",
+        _broken_row_sum,
+        ["check", "--format", "json"],
+    ),
+    "check-z2-bad-diagonal": (
+        "fix_z2.json",
+        _non_identity_diagonal,
+        ["check", "--format", "json"],
+    ),
+    "check-z2-gamma": ("fix_z2.json", _with_gamma, ["check", "--format", "json"]),
+}
+
+# (exit status, sha256 of stdout)
+GOLDEN = {
+    "check-nonfree": (1, "d5e84f58474a784d25b3d8df5ad0cf6fcd42a53ad191cc94a6f2351acb461ba8"),
+    "check-prod": (0, "80b04694c2c0f4516a860cc7ef3bf23587964cb84a2c51eef09c866c4bf0043e"),
+    "check-prod-broken-row-sum": (
+        1,
+        "e38d5af3dfea60bb046a68f938d918a8c0b0fe49729ac8bdf88ea4304702969b",
+    ),
+    "check-s3": (0, "2b2af167ad96d6227d4fb0120973e84ead4a6f8e6cfbcb072866cda9a5cd3063"),
+    "check-z2": (0, "a751ada0d958bb94f1bdb4c8fb2c9a9b4a40df2fe1ea114937696f44490aea7b"),
+    "check-z2-bad-diagonal": (
+        1,
+        "793a44593c8ffaff21322d1f19d61bacc2e95f147147558ebd4ce289ee6809a1",
+    ),
+    "check-z2-gamma": (0, "eaedcebfd18481276e219f96e9fed3f2c2ba2296cd5706fa6ecf940900b61ae7"),
+    "curvature-prod-cls": (
+        0,
+        "70768bc800842fbfb8209ac6b949a08b23cef1c6f55669790fa346d8fa95b649",
+    ),
+    "curvature-prod-rational": (
+        0,
+        "5809bdcb260e6f4e3563dcb077d8710ab36f0e7e6bd66e0f3852c2daf536805e",
+    ),
+    "curvature-z2-cls": (0, "c22111b91c5e4e30ddd256f1cc029ab34aab3a39d1071db44eb74fb10871bea4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_digest(case, tmp_path, capsys):
+    key, mutate, args = CASES[case]
+    doc = copy.deepcopy(fixture_documents()[key])
+    if mutate is not None:
+        doc = mutate(doc)
+    path = tmp_path / key
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    status = main([args[0], str(path), *args[1:]])
+    out = capsys.readouterr().out
+    assert (status, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[case]
