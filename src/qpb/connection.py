@@ -21,7 +21,6 @@ from .calculus import Form, canonical_map_forms, differential, offdiag_pairs
 from .funcs import Func, guard_table_size, indices
 from .groups import FiniteGroup
 from .gauge import GaugeMap
-from .linalg import identity_matrix, mat_mul
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar
 
@@ -35,6 +34,7 @@ __all__ = [
     "vertical_projection",
     "theta_from_splitting",
     "splitting_from_theta",
+    "rejection",
     "validate_connection_form",
     "trivial_connection",
     "validate_potential",
@@ -89,6 +89,20 @@ def prime_coaction(b: BundleSpec, f1: Form) -> Func:
 # splittings of the canonical map on one-forms
 
 
+def _splitting_index(b: BundleSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Rows (off-diagonal pairs) and columns (point, group element !=
+    identity) of a splitting matrix, after the guard on its entry count."""
+    g = b.group
+    if g.identity is None:
+        raise ValueError("group has no identity")
+    pairs = offdiag_pairs(b.total_size)
+    cols = [
+        (p, a) for p in range(b.total_size) for a in range(g.order) if a != g.identity
+    ]
+    guard_table_size(len(pairs) * len(cols))
+    return pairs, cols
+
+
 class Splitting:
     """Right inverse of the canonical map, as a matrix on indicator bases.
 
@@ -97,17 +111,8 @@ class Splitting:
     """
 
     def __init__(self, b: BundleSpec, matrix: list[list[Scalar]]):
-        g = b.group
-        if g.identity is None:
-            raise ValueError("group has no identity")
         self.bundle = b
-        self.pairs = offdiag_pairs(b.total_size)
-        self.cols = [
-            (p, a)
-            for p in range(b.total_size)
-            for a in range(g.order)
-            if a != g.identity
-        ]
+        self.pairs, self.cols = _splitting_index(b)
         if len(matrix) != len(self.pairs) or any(
             len(row) != len(self.cols) for row in matrix
         ):
@@ -118,23 +123,17 @@ class Splitting:
         self._col_of = {pa: k for k, pa in enumerate(self.cols)}
         self._row_of = {pq: k for k, pq in enumerate(self.pairs)}
 
-    @classmethod
-    def from_columns(cls, b: BundleSpec, column_fn) -> Splitting:
-        """column_fn(p, a) returns the image 1-form as a Form."""
-        g = b.group
-        pairs = offdiag_pairs(b.total_size)
-        cols = [
-            (p, a)
-            for p in range(b.total_size)
-            for a in range(g.order)
-            if a != g.identity
-        ]
-        columns = []
-        for p, a in cols:
-            f1 = column_fn(p, a)
-            columns.append([f1.value_at(*pq) for pq in pairs])
-        matrix = [[columns[k][r] for k in range(len(cols))] for r in range(len(pairs))]
-        return cls(b, matrix)
+    def column_values(self) -> list[list[Scalar]]:
+        """Every column as its n*n form values, zero on the diagonal."""
+        n = self.bundle.total_size
+        flat = [p * n + q for p, q in self.pairs]
+        out = []
+        for column in zip(*self.matrix):
+            values = [ZERO] * (n * n)
+            for i, v in zip(flat, column):
+                values[i] = v
+            out.append(values)
+        return out
 
     def column_form(self, p: int, a: int) -> Form:
         k = self._col_of[(p, a)]
@@ -178,29 +177,27 @@ class Splitting:
 
 def validate_splitting(sigma: Splitting, b: BundleSpec) -> Report:
     """Section property, left module property, right covariance."""
-    from .calculus import restricted_canonical_matrix
-
     report = Report()
     g = b.group
     n, m = b.total_size, g.order
+    cols = sigma.cols
 
-    canon, _pairs = restricted_canonical_matrix(b)
-    product = mat_mul(canon, sigma.matrix)
-    section_ok = product == identity_matrix(len(sigma.cols))
+    # Row (p, a) of canon * sigma: the canonical map sends the indicator of
+    # (p, q) to (p, a) with q = p.a, so each row of canon holds at most one
+    # unit and the product row is sigma's row (p, p.a), or zero if p.a = p.
+    zero_row = [ZERO] * len(cols)
     section_witness = None
-    if not section_ok:
-        for r in range(len(sigma.cols)):
-            for c in range(len(sigma.cols)):
-                expected = ONE if r == c else ZERO
-                if product[r][c] != expected:
-                    section_witness = sigma.cols[r] + sigma.cols[c]
-                    break
-            if section_witness:
-                break
-    report.add(CheckResult("splitting.section", section_ok, section_witness))
+    for r, (p, a) in enumerate(cols):
+        q = b.act(p, a)
+        row = sigma.matrix[sigma._row_of[(p, q)]] if q != p else zero_row
+        c = next((c for c, v in enumerate(row) if v != (ONE if c == r else ZERO)), None)
+        if c is not None:
+            section_witness = cols[r] + cols[c]
+            break
+    report.add(CheckResult("splitting.section", section_witness is None, section_witness))
 
     module_witness = None
-    for k, (p1, a) in enumerate(sigma.cols):
+    for k, (p1, a) in enumerate(cols):
         for r, (p0, q0) in enumerate(sigma.pairs):
             if sigma.matrix[r][k] and p0 != p1:
                 module_witness = (p0, p1, a)
@@ -209,25 +206,21 @@ def validate_splitting(sigma: Splitting, b: BundleSpec) -> Report:
             break
     report.add(CheckResult("splitting.module", module_witness is None, module_witness))
 
+    # the column of (p1.b^-1, b a1 b^-1) at (p, q) must equal the column of
+    # (p1, a1) at (p.b, q.b); each translate is compared as one list
+    columns = sigma.column_values()
+    translate = [
+        [b.act(p, bb) * n + b.act(q, bb) for p in range(n) for q in range(n)]
+        for bb in range(m)
+    ]
     cov_witness = None
-    for p1, a1 in sigma.cols:
-        lhs_base = sigma.column_form(p1, a1)
+    for k, (p1, a1) in enumerate(cols):
+        base = columns[k]
         for bb in range(m):
-            # translated source basis vector: indicator moves along the action
-            p2 = b.act(p1, g.inv(bb))
-            a2 = g.conj(a1, g.inv(bb))
-            lhs = sigma.column_form(p2, a2)
-            ok = True
-            for p in range(n):
-                pb = b.act(p, bb)
-                for q in range(n):
-                    if lhs.value_at(p, q) != lhs_base.value_at(pb, b.act(q, bb)):
-                        cov_witness = (p1, a1, bb)
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            inv_b = g.inv(bb)
+            moved = columns[sigma._col_of[(b.act(p1, inv_b), g.conj(a1, inv_b))]]
+            if moved != [base[i] for i in translate[bb]]:
+                cov_witness = (p1, a1, bb)
                 break
         if cov_witness:
             break
@@ -563,12 +556,23 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
     return report
 
 
+def rejection(what: str, report: Report) -> str | None:
+    """The reason a guard refuses an input: its first failed check, or
+    None when every check passed."""
+    bad = report.first_failure()
+    return None if bad is None else f"{what} rejected: {bad.describe()}"
+
+
 def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
     """Assemble the density from splitting columns; reject invalid splittings."""
-    check = validate_splitting(sigma, b)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"splitting rejected: {w.describe()}")
+    reason = rejection("splitting", validate_splitting(sigma, b))
+    if reason:
+        raise ValueError(reason)
+    return _theta_of(sigma, b)
+
+
+def _theta_of(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
+    """theta_from_splitting for a splitting already validated."""
     g = b.group
     n, m = b.total_size, g.order
     e = g.identity
@@ -590,20 +594,19 @@ def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
 
 def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
     """Columns localize the density at the first point argument."""
-    check = validate_connection_form(theta, b)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"connection form rejected: {w.describe()}")
-    n = b.total_size
+    reason = rejection("connection form", validate_connection_form(theta, b))
+    if reason:
+        raise ValueError(reason)
+    return _splitting_of(theta, b)
 
-    def column(p0: int, a: int) -> Form:
-        values = [ZERO] * (n * n)
-        for q in range(n):
-            if q != p0:
-                values[p0 * n + q] = theta.value_at(p0, q, a)
-        return Form(n, 1, values)
 
-    return Splitting.from_columns(b, column)
+def _splitting_of(theta: FormValuedMap, b: BundleSpec) -> Splitting:
+    """splitting_from_theta for a connection form already validated."""
+    pairs, cols = _splitting_index(b)
+    return Splitting(
+        b,
+        [[theta.value_at(p, q, a) if p == p0 else ZERO for p0, a in cols] for p, q in pairs],
+    )
 
 
 def trivial_connection(b: BundleSpec) -> FormValuedMap:
@@ -704,10 +707,9 @@ def is_cocycle(tm: TransitionMap) -> tuple[bool, tuple | None]:
 
 def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Pull the density back along the orbit projection in both points."""
-    check = validate_base_potential(gh)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"base potential rejected: {w.describe()}")
+    reason = rejection("base potential", validate_base_potential(gh))
+    if reason:
+        raise ValueError(reason)
     if gh.size != b.base.size or gh.group != b.group:
         raise ValueError("base potential does not match the bundle")
     proj = b.base.projection
@@ -721,10 +723,9 @@ def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
 
 def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
     """Delta density of the transition table on the base, with the unit part removed."""
-    check = validate_transition(tm)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"transition map rejected: {w.describe()}")
+    reason = rejection("transition map", validate_transition(tm))
+    if reason:
+        raise ValueError(reason)
     g = tm.group
     e = g.identity
     return FormValuedMap.build(
@@ -738,10 +739,9 @@ def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
 
 def connection_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Trivial connection plus the potential conjugated into the bundle frame."""
-    check = validate_potential(gamma, b)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"potential rejected: {w.describe()}")
+    reason = rejection("potential", validate_potential(gamma, b))
+    if reason:
+        raise ValueError(reason)
     return _conjugate_by_convolution(*_phi_form_valued(b), gamma)
 
 
@@ -751,10 +751,9 @@ def classical_connection(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
         raise ValueError("bundle has no trivialization")
     if tm.base_size != b.base.size or tm.group != b.group:
         raise ValueError("transition map does not match the bundle")
-    check = validate_transition(tm)
-    if not check.passed:
-        w = check.first_failure()
-        raise ValueError(f"transition map rejected: {w.describe()}")
+    reason = rejection("transition map", validate_transition(tm))
+    if reason:
+        raise ValueError(reason)
     g = b.group
     e = g.identity
     proj = b.base.projection

@@ -17,7 +17,6 @@ __all__ = [
     "rank_of",
     "rank_and_kernel",
     "span_basis",
-    "mat_mul",
     "identity_matrix",
 ]
 
@@ -128,23 +127,6 @@ def rank_and_kernel(matrix: list[list[Scalar]], ncols: int | None = None) -> tup
                 v[pc] = -coeff
         kernel.append(v)
     return rank, span_basis(kernel, ncols)
-
-
-def mat_mul(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
-    out = []
-    bt = list(zip(*b))
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = ZERO
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 def identity_matrix(n: int) -> list[list[Scalar]]:

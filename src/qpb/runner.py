@@ -39,15 +39,16 @@ from .connection import (
     lift_base_potential,
     phi_hom,
     potential_from_transition,
-    splitting_from_theta,
+    rejection,
     star_delta,
     strong_connection_direct,
-    theta_from_splitting,
     validate_base_potential,
     validate_connection_form,
     validate_potential,
     validate_splitting,
     validate_transition,
+    _splitting_of,
+    _theta_of,
 )
 from .document import ConnectionDecl, SpecDocument
 from .funcs import Func
@@ -359,18 +360,20 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
     rep = validate_connection_form(theta, b)
     out.extend(_renamed(rep.checks, suite, {"connection": "form"}))
-    if rep.passed:
-        try:
-            sp = splitting_from_theta(theta, b)
-            out.extend(_renamed(validate_splitting(sp, b).checks, suite))
-            back = theta_from_splitting(sp, b)
-            out.append(
-                CheckResult(f"{suite}.splitting_roundtrip", back.density == theta.density)
-            )
-        except ValueError as exc:
-            out.append(
-                CheckResult(f"{suite}.splitting_roundtrip", False, data={"reason": str(exc)})
-            )
+    if not rep.passed:
+        return out
+    # theta passed validate_connection_form above and the splitting is
+    # validated here, so the builders run without their public guards
+    try:
+        sp = _splitting_of(theta, b)
+        srep = validate_splitting(sp, b)
+        out.extend(_renamed(srep.checks, suite))
+        reason = rejection("splitting", srep)
+        ok = reason is None and _theta_of(sp, b).density == theta.density
+    except ValueError as exc:
+        reason, ok = str(exc), False
+    data = None if reason is None else {"reason": reason}
+    out.append(CheckResult(f"{suite}.splitting_roundtrip", ok, data=data))
     return out
 
 

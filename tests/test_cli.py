@@ -6,11 +6,13 @@ import json
 import pytest
 
 import qpb.funcs as funcs
+import qpb.runner as runner
 from qpb.cli import main
-from qpb.connection import trivial_connection
+from qpb.connection import Splitting, theta_from_splitting, trivial_connection
 from qpb.document import parse_spec
 from qpb.fixtures import fix_z2, fixture_documents
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
+from qpb.scalars import ZERO
 
 Z2_CHECKS = [
     "group.associativity",
@@ -182,6 +184,24 @@ def test_non_equivariant_phi_fails_and_skips_downstream():
     names = [c.name for c in report.checks]
     assert "trivialization.equivariance" in names
     assert not any(n.startswith("trivialization.psi") for n in names)
+
+
+def test_rejected_splitting_reason_matches_theta_from_splitting(monkeypatch):
+    # a valid connection form always yields a valid splitting, so the
+    # runner's rejection path is reached by substituting a zero matrix
+    def zero_splitting(theta, b):
+        return Splitting(b, [[ZERO] * 4 for _ in range(12)])
+
+    monkeypatch.setattr(runner, "_splitting_of", zero_splitting)
+    report = run_checks(load_fixture("fix_z2.json"), ["connection:cls"])
+    with pytest.raises(ValueError) as info:
+        theta_from_splitting(zero_splitting(None, fix_z2()), fix_z2())
+    assert report.first_failure().name == "connection:cls.splitting.section"
+    roundtrip = report.checks[-1]
+    assert roundtrip.name == "connection:cls.splitting_roundtrip"
+    assert not roundtrip.passed
+    assert roundtrip.data == {"reason": str(info.value)}
+    assert str(info.value).startswith("splitting rejected: splitting.section: FAIL")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Connection forms, potentials, splittings, curvature, gauge action."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -9,8 +10,9 @@ from conftest import (
     all_transition_maps,
     random_base_potential,
     random_form,
+    random_scalar,
 )
-from qpb.calculus import canonical_map_forms, is_horizontal
+from qpb.calculus import canonical_map_forms, is_horizontal, restricted_canonical_matrix
 from qpb.connection import (
     FormValuedMap,
     Splitting,
@@ -43,6 +45,7 @@ from qpb.connection import (
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse, gauge_neutral
+from qpb.linalg import identity_matrix
 from qpb.scalars import ONE, ZERO, Scalar
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
@@ -53,6 +56,10 @@ FORM_CHECKS = [
     "connection.splitting_property",
     "connection.ad_covariance",
 ]
+
+
+def S(x):
+    return Scalar(Fraction(x))
 
 
 def zero_base_potential(group, base_size):
@@ -405,6 +412,133 @@ def test_splitting_from_theta_rejects_invalid_form():
     flat_zero = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
     with pytest.raises(ValueError, match="connection form rejected"):
         splitting_from_theta(flat_zero, b)
+
+
+# the dense route validate_splitting replaced, kept as its reference
+
+
+def mat_mul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
+    out = []
+    bt = list(zip(*b))
+    for row in a:
+        out_row = []
+        for col in bt:
+            acc = ZERO
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def test_mat_mul_and_identity():
+    m = [[S(1), S(2)], [S(3), S(4)]]
+    assert mat_mul(m, identity_matrix(2)) == m
+    assert mat_mul(identity_matrix(2), m) == m
+    sq = mat_mul(m, m)
+    assert sq == [[S(7), S(10)], [S(15), S(22)]]
+
+
+def reference_splitting_checks(sigma, b):
+    """(name, passed, witness) of each splitting check, from the dense
+    product canon * sigma and a column_form scan of every translate."""
+    g = b.group
+    n, m = b.total_size, g.order
+
+    canon, _pairs = restricted_canonical_matrix(b)
+    product = mat_mul(canon, sigma.matrix)
+    section_witness = None
+    if product != identity_matrix(len(sigma.cols)):
+        section_witness = next(
+            sigma.cols[r] + sigma.cols[c]
+            for r in range(len(sigma.cols))
+            for c in range(len(sigma.cols))
+            if product[r][c] != (ONE if r == c else ZERO)
+        )
+
+    module_witness = next(
+        (
+            (p0, p1, a)
+            for k, (p1, a) in enumerate(sigma.cols)
+            for r, (p0, _q0) in enumerate(sigma.pairs)
+            if sigma.matrix[r][k] and p0 != p1
+        ),
+        None,
+    )
+
+    cov_witness = None
+    for p1, a1 in sigma.cols:
+        lhs_base = sigma.column_form(p1, a1)
+        for bb in range(m):
+            lhs = sigma.column_form(b.act(p1, g.inv(bb)), g.conj(a1, g.inv(bb)))
+            if any(
+                lhs.value_at(p, q) != lhs_base.value_at(b.act(p, bb), b.act(q, bb))
+                for p in range(n)
+                for q in range(n)
+            ):
+                cov_witness = (p1, a1, bb)
+                break
+        if cov_witness:
+            break
+
+    return [
+        ("splitting.section", section_witness is None, section_witness),
+        ("splitting.module", module_witness is None, module_witness),
+        ("splitting.covariance", cov_witness is None, cov_witness),
+    ]
+
+
+def splitting_checks(sigma, b):
+    return [(c.name, c.passed, c.witness) for c in validate_splitting(sigma, b).checks]
+
+
+@pytest.mark.parametrize("make, potentials, sample", [
+    (fix_z2, 2, None),
+    (fix_prod, 1, None),
+    (fix_s3, 0, 150),
+])
+def test_validate_splitting_matches_dense_reference(make, potentials, sample):
+    b = make()
+    rng = Random(29)
+    thetas = [trivial_connection(b)] + [
+        strong_connection_direct(random_base_potential(b.group, b.base.size, rng), b)
+        for _ in range(potentials)
+    ]
+    failed = set()
+    for theta in thetas:
+        sigma = splitting_from_theta(theta, b)
+        assert splitting_checks(sigma, b) == reference_splitting_checks(sigma, b)
+        assert validate_splitting(sigma, b).passed
+        cells = [(r, k) for r in range(len(sigma.pairs)) for k in range(len(sigma.cols))]
+        if sample is not None:
+            cells = rng.sample(cells, sample)
+        for r, k in cells:
+            matrix = [list(row) for row in sigma.matrix]
+            matrix[r][k] = matrix[r][k] + ONE
+            mutant = Splitting(b, matrix)
+            got = splitting_checks(mutant, b)
+            assert got == reference_splitting_checks(mutant, b)
+            assert not all(ok for _name, ok, _w in got)
+            failed.update(name for name, ok, _w in got if not ok)
+    assert failed == {"splitting.section", "splitting.module", "splitting.covariance"}
+
+
+def test_validate_splitting_matches_dense_reference_without_free_action():
+    # p.a = p for every a, so every row of the canonical map is zero and
+    # no matrix is a section, not even the identity
+    b = fix_nonfree()
+    rng = Random(31)
+    matrices = [[[ONE, ZERO], [ZERO, ONE]]] + [
+        [[random_scalar(rng) for _ in range(2)] for _ in range(2)] for _ in range(10)
+    ]
+    for matrix in matrices:
+        sigma = Splitting(b, matrix)
+        got = splitting_checks(sigma, b)
+        assert got == reference_splitting_checks(sigma, b)
+        assert got[0] == ("splitting.section", False, (0, 1, 0, 1))
 
 
 def test_vertical_projection_properties():

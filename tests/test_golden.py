@@ -12,8 +12,40 @@ import json
 
 import pytest
 
+from qpb import funcs
 from qpb.cli import main
 from qpb.fixtures import fixture_documents
+
+# S3 x 2 base points: a non-abelian product bundle with a classical
+# transition that is not a cocycle (t01 t10 != e), a rational gamma_hat
+# whose group rows sum to zero, and one gauge
+S3X2 = {
+    "format_version": 1,
+    "name": "s3x2",
+    "group": {
+        "mul": [
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 3, 2, 5, 4],
+            [2, 4, 0, 5, 1, 3],
+            [3, 5, 1, 4, 0, 2],
+            [4, 2, 5, 0, 3, 1],
+            [5, 3, 4, 1, 2, 0],
+        ]
+    },
+    "product_bundle": {"base_size": 2},
+    "connections": [
+        {"name": "cls", "kind": "classical", "transition": [[0, 3], [2, 0]]},
+        {
+            "name": "rat",
+            "kind": "gamma_hat",
+            "density": [
+                [["0"] * 6, ["0", "1/2", "-1/3", "0", "-1/6", "0"]],
+                [["1", "0", "0", "-1/2", "0", "-1/2"], ["0"] * 6],
+            ],
+        },
+    ],
+    "gauges": [{"name": "tau", "tau_hat": [1, 4]}],
+}
 
 
 def _broken_row_sum(doc: dict) -> dict:
@@ -60,6 +92,13 @@ CASES = {
         ["check", "--format", "json"],
     ),
     "check-z2-gamma": ("fix_z2.json", _with_gamma, ["check", "--format", "json"]),
+    # 30 off-diagonal pairs x 12 columns: the splitting matrix is one entry over the cap
+    "check-prod-splitting-cap": (
+        "fix_prod.json",
+        None,
+        ["check", "--suite", "connection:cls", "--max-entries", "359", "--format", "json"],
+    ),
+    "check-s3x2": ("s3x2.json", None, ["check", "--format", "json"]),
 }
 
 # (exit status, sha256 of stdout)
@@ -70,7 +109,12 @@ GOLDEN = {
         1,
         "e38d5af3dfea60bb046a68f938d918a8c0b0fe49729ac8bdf88ea4304702969b",
     ),
+    "check-prod-splitting-cap": (
+        1,
+        "c9b16609bbee0d8d208c10d08421731a3a1b11e6fa94dbbd9526fd4e8fd81e5a",
+    ),
     "check-s3": (0, "2b2af167ad96d6227d4fb0120973e84ead4a6f8e6cfbcb072866cda9a5cd3063"),
+    "check-s3x2": (0, "8704482ee802f577bc653e3cd63182fe380dc4a340e81bec52f6da61de166af3"),
     "check-z2": (0, "a751ada0d958bb94f1bdb4c8fb2c9a9b4a40df2fe1ea114937696f44490aea7b"),
     "check-z2-bad-diagonal": (
         1,
@@ -92,11 +136,15 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_digest(case, tmp_path, capsys):
     key, mutate, args = CASES[case]
-    doc = copy.deepcopy(fixture_documents()[key])
+    doc = copy.deepcopy({**fixture_documents(), "s3x2.json": S3X2}[key])
     if mutate is not None:
         doc = mutate(doc)
     path = tmp_path / key
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    status = main([args[0], str(path), *args[1:]])
+    saved = funcs.MAX_TABLE_ENTRIES
+    try:
+        status = main([args[0], str(path), *args[1:]])
+    finally:
+        funcs.set_max_table_entries(saved)
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[case]

@@ -2,8 +2,6 @@ from fractions import Fraction
 
 from qpb.linalg import (
     SubspaceBasis,
-    identity_matrix,
-    mat_mul,
     rank_and_kernel,
     rank_of,
     rref,
@@ -73,14 +71,6 @@ def test_subspace_membership():
     assert basis.contains([S(2), S(2), S(-3)])
     assert not basis.contains([ONE, ZERO, ZERO])
     assert basis.contains_all([[ONE, ONE, ONE], [ZERO, ZERO, ZERO]])
-
-
-def test_mat_mul_and_identity():
-    m = [[S(1), S(2)], [S(3), S(4)]]
-    assert mat_mul(m, identity_matrix(2)) == m
-    assert mat_mul(identity_matrix(2), m) == m
-    sq = mat_mul(m, m)
-    assert sq == [[S(7), S(10)], [S(15), S(22)]]
 
 
 def test_complex_entries():
