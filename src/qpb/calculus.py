@@ -152,22 +152,49 @@ def concat_product(f: Form, g: Form) -> Form:
     return Form.build(size, n + m, fn)
 
 
-def differential(f: Form) -> Form:
-    """Alternating sum over one omitted argument; raises degree by one."""
-    size = f.size
-    guard_table_size(size ** (f.degree + 2))
+def _nonzero_rows(values: list[Scalar], width: int) -> list[list[tuple[int, Scalar]]]:
+    """The nonzero (column, value) pairs of each row of a flat table."""
+    return [
+        [(c, v) for c, v in enumerate(values[base : base + width]) if v]
+        for base in range(0, len(values), width)
+    ]
 
-    def fn(idx):
-        acc = ZERO
-        sign = 1
-        for j in range(len(idx)):
-            v = f.values[f.flat_index(idx[:j] + idx[j + 1 :])]
-            if v:
-                acc = acc + v if sign > 0 else acc - v
-            sign = -sign
-        return acc
 
-    return Form.build(size, f.degree + 1, fn)
+def differential(f):
+    """Alternating sum over one omitted argument; raises degree by one.
+
+    `f` is a Form, or a FormValuedMap: a flat table of one value per
+    group element per point tuple, each group slice differentiated on
+    its own.  The result has the same kind as `f`.
+    """
+    size, degree = f.size, f.degree
+    npts = size ** (degree + 2)
+    guard_table_size(npts)
+    form = isinstance(f, Form)
+    width = 1 if form else f.group.order
+    if not form:
+        guard_table_size(npts * width)
+    rows = _nonzero_rows(f.values, width)
+    out = [ZERO] * (npts * width)
+    for j in range(degree + 2):
+        # omitting argument j of t reads (t // hi) * lo + t % lo
+        hi, lo = size ** (degree + 2 - j), size ** (degree + 1 - j)
+        odd = j % 2
+        for t in range(npts):
+            row = rows[t // hi * lo + t % lo]
+            if not row:
+                continue
+            base = t * width
+            for c, v in row:
+                k = base + c
+                acc = out[k]
+                if acc is ZERO:
+                    out[k] = -v if odd else v
+                else:
+                    out[k] = acc - v if odd else acc + v
+    if form:
+        return Form(size, degree + 1, out)
+    return type(f)(f.group, size, degree + 1, out)
 
 
 def lift_base_form(b: BundleSpec, base_form: Form) -> Form:

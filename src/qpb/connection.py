@@ -17,7 +17,7 @@ import itertools
 from collections.abc import Iterable
 
 from .bundle import BundleSpec
-from .calculus import Form, canonical_map_forms, differential, offdiag_pairs
+from .calculus import Form, _nonzero_rows, canonical_map_forms, differential, offdiag_pairs
 from .funcs import Func, guard_table_size, indices
 from .groups import FiniteGroup
 from .gauge import GaugeMap
@@ -291,6 +291,12 @@ class FormValuedMap:
             flat = flat * self.size + i
         return self.density[flat * self.group.order + c]
 
+    @property
+    def values(self) -> list[Scalar]:
+        """The density under the name Form uses, so a table kernel such as
+        `differential` reads either kind."""
+        return self.density
+
     def slice_form(self, c: int) -> Form:
         m = self.group.order
         return Form(self.size, self.degree, self.density[c::m])
@@ -315,11 +321,7 @@ class FormValuedMap:
 
     def d_slicewise(self) -> FormValuedMap:
         """Apply the universal differential to every group slice."""
-        m = self.group.order
-        slices = [differential(self.slice_form(c)) for c in range(m)]
-        npts = self.size ** (self.degree + 2)
-        density = (slices[c].values[t] for t in range(npts) for c in range(m))
-        return FormValuedMap(self.group, self.size, self.degree + 1, density)
+        return differential(self)
 
     def __add__(self, other: FormValuedMap) -> FormValuedMap:
         self._check_match(other)
@@ -327,7 +329,7 @@ class FormValuedMap:
             self.group,
             self.size,
             self.degree,
-            [a + b for a, b in zip(self.density, other.density)],
+            [b if not a else a if not b else a + b for a, b in zip(self.density, other.density)],
         )
 
     def __sub__(self, other: FormValuedMap) -> FormValuedMap:
@@ -336,7 +338,7 @@ class FormValuedMap:
             self.group,
             self.size,
             self.degree,
-            [a - b for a, b in zip(self.density, other.density)],
+            [-b if not a else a if not b else a - b for a, b in zip(self.density, other.density)],
         )
 
     def is_zero(self) -> bool:
@@ -381,26 +383,23 @@ def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
     result = FormValuedMap(g, size, na + nc, itertools.repeat(ZERO, size ** (na + nc + 1) * m))
     out = result.density
     mul = g.table
-    a_pts = size ** (na + 1)
     c_tail = size**nc
-
-    for ta in range(a_pts):
-        abase = ta * m
+    c_rows = _nonzero_rows(c_map.density, m)
+    for ta, a_row in enumerate(_nonzero_rows(a_map.density, m)):
+        if not a_row:
+            continue
         junction = ta % size
         for tc_rest in range(c_tail):
-            tc = junction * c_tail + tc_rest
-            cbase = tc * m
+            c_row = c_rows[junction * c_tail + tc_rest]
+            if not c_row:
+                continue
             obase = (ta * c_tail + tc_rest) * m
-            for aa in range(m):
-                va = a_map.density[abase + aa]
-                if not va:
-                    continue
+            for aa, va in a_row:
                 row = mul[aa]
-                for cc in range(m):
-                    vc = c_map.density[cbase + cc]
-                    if vc:
-                        k = obase + row[cc]
-                        out[k] = out[k] + va * vc
+                for cc, vc in c_row:
+                    k = obase + row[cc]
+                    acc = out[k]
+                    out[k] = va * vc if acc is ZERO else acc + va * vc
     return result
 
 
@@ -563,11 +562,17 @@ def rejection(what: str, report: Report) -> str | None:
     return None if bad is None else f"{what} rejected: {bad.describe()}"
 
 
-def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
-    """Assemble the density from splitting columns; reject invalid splittings."""
-    reason = rejection("splitting", validate_splitting(sigma, b))
+def _require(what: str, report: Report) -> None:
+    """The guards' refusal: raise ValueError naming the report's first
+    failed check, if any."""
+    reason = rejection(what, report)
     if reason:
         raise ValueError(reason)
+
+
+def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
+    """Assemble the density from splitting columns; reject invalid splittings."""
+    _require("splitting", validate_splitting(sigma, b))
     return _theta_of(sigma, b)
 
 
@@ -594,9 +599,7 @@ def _theta_of(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
 
 def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
     """Columns localize the density at the first point argument."""
-    reason = rejection("connection form", validate_connection_form(theta, b))
-    if reason:
-        raise ValueError(reason)
+    _require("connection form", validate_connection_form(theta, b))
     return _splitting_of(theta, b)
 
 
@@ -707,11 +710,14 @@ def is_cocycle(tm: TransitionMap) -> tuple[bool, tuple | None]:
 
 def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Pull the density back along the orbit projection in both points."""
-    reason = rejection("base potential", validate_base_potential(gh))
-    if reason:
-        raise ValueError(reason)
+    _require("base potential", validate_base_potential(gh))
     if gh.size != b.base.size or gh.group != b.group:
         raise ValueError("base potential does not match the bundle")
+    return _lift_of(gh, b)
+
+
+def _lift_of(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
+    """lift_base_potential for a base potential already validated."""
     proj = b.base.projection
     return FormValuedMap.build(
         b.group,
@@ -723,9 +729,12 @@ def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
 
 def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
     """Delta density of the transition table on the base, with the unit part removed."""
-    reason = rejection("transition map", validate_transition(tm))
-    if reason:
-        raise ValueError(reason)
+    _require("transition map", validate_transition(tm))
+    return _potential_of(tm)
+
+
+def _potential_of(tm: TransitionMap) -> FormValuedMap:
+    """potential_from_transition for a transition map already validated."""
     g = tm.group
     e = g.identity
     return FormValuedMap.build(
@@ -739,9 +748,12 @@ def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
 
 def connection_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Trivial connection plus the potential conjugated into the bundle frame."""
-    reason = rejection("potential", validate_potential(gamma, b))
-    if reason:
-        raise ValueError(reason)
+    _require("potential", validate_potential(gamma, b))
+    return _connection_of(gamma, b)
+
+
+def _connection_of(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
+    """connection_from_potential for a potential already validated."""
     return _conjugate_by_convolution(*_phi_form_valued(b), gamma)
 
 
@@ -751,9 +763,12 @@ def classical_connection(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
         raise ValueError("bundle has no trivialization")
     if tm.base_size != b.base.size or tm.group != b.group:
         raise ValueError("transition map does not match the bundle")
-    reason = rejection("transition map", validate_transition(tm))
-    if reason:
-        raise ValueError(reason)
+    _require("transition map", validate_transition(tm))
+    return _classical_of(tm, b)
+
+
+def _classical_of(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
+    """classical_connection for a transition map already validated."""
     g = b.group
     e = g.identity
     proj = b.base.projection

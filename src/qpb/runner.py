@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bundle import (
     BundleSpec,
@@ -25,7 +26,6 @@ from .bundle import (
 from .calculus import check_exactness, validate_form
 from .connection import (
     FormValuedMap,
-    classical_connection,
     connection_from_potential,
     conv_inverse,
     conv_unit,
@@ -36,9 +36,7 @@ from .connection import (
     gauge_transform_potential,
     gauge_transform_transition,
     is_cocycle,
-    lift_base_potential,
     phi_hom,
-    potential_from_transition,
     rejection,
     star_delta,
     strong_connection_direct,
@@ -47,6 +45,11 @@ from .connection import (
     validate_potential,
     validate_splitting,
     validate_transition,
+    _classical_of,
+    _connection_of,
+    _lift_of,
+    _potential_of,
+    _require,
     _splitting_of,
     _theta_of,
 )
@@ -54,7 +57,7 @@ from .document import ConnectionDecl, SpecDocument
 from .funcs import Func
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
-from .report import CheckResult
+from .report import CheckResult, Report
 from .scalars import Scalar
 
 __all__ = ["RunReport", "ConfigError", "run_checks", "emit_report", "curvature_payload"]
@@ -103,10 +106,14 @@ class _Context:
                 self.synthesized_phi = phi
                 self.bundle = self.bundle.with_phi(phi)
         self._theta: dict[str, tuple[FormValuedMap | None, str | None]] = {}
+        self._inputs: dict[str, _Inputs] = {}
 
     @property
     def framed(self) -> bool:
         return self.bundle.phi is not None
+
+    def inputs_for(self, decl: ConnectionDecl) -> _Inputs:
+        return self._inputs.setdefault(decl.name, _Inputs(decl, self.bundle))
 
     def theta_for(self, decl: ConnectionDecl) -> tuple[FormValuedMap | None, str | None]:
         if decl.name not in self._theta:
@@ -119,14 +126,66 @@ class _Context:
                 return decl.payload, None
             if not self.framed:
                 return None, "bundle has no trivialization and none could be synthesized"
-            if decl.kind == "gamma":
-                return connection_from_potential(decl.payload, self.bundle), None
-            if decl.kind == "gamma_hat":
-                lifted = lift_base_potential(decl.payload, self.bundle)
-                return connection_from_potential(lifted, self.bundle), None
-            return classical_connection(decl.payload, self.bundle), None
+            inputs = self.inputs_for(decl)
+            if decl.kind == "classical":
+                _require("transition map", inputs.report)
+                return _classical_of(decl.payload, self.bundle), None
+            _require("potential", inputs.potential_report)
+            return _connection_of(inputs.potential, self.bundle), None
         except ValueError as exc:
             return None, str(exc)
+
+
+class _Inputs:
+    """One connection's inputs, each validated once per run.
+
+    Every value is computed on first use and kept; one that raises is
+    not kept, so the next use raises the same error again.  A builder
+    runs only after the report it relies on has passed, and a failed
+    report raises the reason the public guard would give.
+    """
+
+    def __init__(self, decl: ConnectionDecl, b: BundleSpec):
+        self.decl = decl
+        self.bundle = b
+
+    @cached_property
+    def report(self) -> Report:
+        """The declared input's own checks."""
+        kind, payload = self.decl.kind, self.decl.payload
+        if kind == "classical":
+            return validate_transition(payload)
+        if kind == "gamma_hat":
+            return validate_base_potential(payload)
+        return validate_potential(payload, self.bundle)
+
+    @cached_property
+    def base(self) -> FormValuedMap:
+        """The base potential: declared, or derived from the transition map."""
+        if self.decl.kind == "gamma_hat":
+            return self.decl.payload
+        _require("transition map", self.report)
+        return _potential_of(self.decl.payload)
+
+    @cached_property
+    def base_report(self) -> Report:
+        if self.decl.kind == "gamma_hat":
+            return self.report
+        return validate_base_potential(self.base)
+
+    @cached_property
+    def potential(self) -> FormValuedMap:
+        """The potential on the total space: declared, or the base one lifted."""
+        if self.decl.kind == "gamma":
+            return self.decl.payload
+        _require("base potential", self.base_report)
+        return _lift_of(self.base, self.bundle)
+
+    @cached_property
+    def potential_report(self) -> Report:
+        if self.decl.kind == "gamma":
+            return self.report
+        return validate_potential(self.potential, self.bundle)
 
 
 def run_checks(
@@ -304,28 +363,18 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     b = ctx.bundle
 
     ok_inputs = True
-    if decl.kind == "classical":
-        rep = validate_transition(decl.payload)
-        out.extend(_renamed(rep.checks, suite))
-        ok_inputs = rep.passed
-        if ok_inputs:
-            gh = potential_from_transition(decl.payload)
-            rep2 = validate_base_potential(gh)
-            out.extend(_renamed(rep2.checks, suite, {"base_potential": "derived_potential"}))
-            ok_inputs = rep2.passed
-    elif decl.kind == "gamma_hat":
-        rep = validate_base_potential(decl.payload)
-        out.extend(_renamed(rep.checks, suite))
-        ok_inputs = rep.passed
-        if ok_inputs and ctx.framed:
-            lifted = lift_base_potential(decl.payload, b)
-            rep2 = validate_potential(lifted, b)
-            out.extend(_renamed(rep2.checks, suite, {"potential": "lifted_potential"}))
-            ok_inputs = rep2.passed
-    elif decl.kind == "gamma":
-        rep = validate_potential(decl.payload, b)
-        out.extend(_renamed(rep.checks, suite))
-        ok_inputs = rep.passed
+    if decl.kind != "theta":
+        inputs = ctx.inputs_for(decl)
+        out.extend(_renamed(inputs.report.checks, suite))
+        ok_inputs = inputs.report.passed
+        if ok_inputs and decl.kind == "classical":
+            rep = inputs.base_report
+            out.extend(_renamed(rep.checks, suite, {"base_potential": "derived_potential"}))
+            ok_inputs = rep.passed
+        elif ok_inputs and decl.kind == "gamma_hat" and ctx.framed:
+            rep = inputs.potential_report
+            out.extend(_renamed(rep.checks, suite, {"potential": "lifted_potential"}))
+            ok_inputs = rep.passed
 
     if decl.kind != "theta" and not ctx.framed:
         out.append(
@@ -349,8 +398,7 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         direct = strong_connection_direct(decl.payload, b)
         out.append(CheckResult(f"{suite}.{check}", direct.density == theta.density))
     elif decl.kind == "classical":
-        gh = potential_from_transition(decl.payload)
-        via_potential = connection_from_potential(lift_base_potential(gh, b), b)
+        via_potential = connection_from_potential(ctx.inputs_for(decl).potential, b)
         out.append(
             CheckResult(
                 f"{suite}.classical_route_agreement",
@@ -397,17 +445,11 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     out.append(CheckResult(f"{suite}.form_validity", wit is None, wit))
 
     try:
-        if decl.kind == "gamma":
-            other = curvature_from_potential(decl.payload, b)
+        if decl.kind != "theta":
+            other = curvature_from_potential(ctx.inputs_for(decl).potential, b)
             out.append(CheckResult(f"{suite}.route_agreement", f == other))
-        elif decl.kind == "gamma_hat":
-            other = curvature_from_potential(lift_base_potential(decl.payload, b), b)
-            out.append(CheckResult(f"{suite}.route_agreement", f == other))
-        elif decl.kind == "classical":
+        if decl.kind == "classical":
             tm = decl.payload
-            lifted = lift_base_potential(potential_from_transition(tm), b)
-            other = curvature_from_potential(lifted, b)
-            out.append(CheckResult(f"{suite}.route_agreement", f == other))
             out.append(
                 CheckResult(f"{suite}.classical_agreement", f == curvature_classical(tm, b))
             )
@@ -464,9 +506,7 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
         else:
             transformed_tm = gauge_transform_transition(cdecl.payload, tau)
             val = validate_transition(transformed_tm)
-            transformed = gauge_transform_base_potential(
-                potential_from_transition(cdecl.payload), tau
-            )
+            transformed = gauge_transform_base_potential(ctx.inputs_for(cdecl).base, tau)
         out.append(CheckResult(f"{suite}.transform_routes", True))
     except (ValueError, RuntimeError) as exc:
         out.append(CheckResult(f"{suite}.transform_routes", False, data={"reason": str(exc)}))
@@ -481,7 +521,9 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
         )
     )
     if cdecl.kind == "classical":
-        agree = potential_from_transition(transformed_tm) == transformed
+        # val is the transformed table's one validation
+        _require("transition map", val)
+        agree = _potential_of(transformed_tm) == transformed
         out.append(CheckResult(f"{suite}.classical_agreement", agree))
     return out
 

@@ -38,6 +38,8 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return Scalar._make(self.re + other.re, _F0)
         return Scalar._make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -46,6 +48,8 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return Scalar._make(self.re - other.re, _F0)
         return Scalar._make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):

@@ -1,10 +1,12 @@
 """Suite orchestration, report emission, and the command line tool."""
 
+import collections
 import copy
 import json
 
 import pytest
 
+import qpb.connection as connection
 import qpb.funcs as funcs
 import qpb.runner as runner
 from qpb.cli import main
@@ -202,6 +204,76 @@ def test_rejected_splitting_reason_matches_theta_from_splitting(monkeypatch):
     assert not roundtrip.passed
     assert roundtrip.data == {"reason": str(info.value)}
     assert str(info.value).startswith("splitting rejected: splitting.section: FAIL")
+
+
+INPUT_VALIDATORS = ("validate_transition", "validate_base_potential", "validate_potential")
+
+
+@pytest.mark.parametrize("key", ["fix_z2.json", "fix_prod.json"])
+def test_each_connection_input_validated_once(monkeypatch, key):
+    seen = []
+
+    def counting(name, validate):
+        def wrapper(table, *args):
+            seen.append((name, table))
+            return validate(table, *args)
+
+        return wrapper
+
+    for name in INPUT_VALIDATORS:
+        wrapped = counting(name, getattr(connection, name))
+        for module in (connection, runner):
+            monkeypatch.setattr(module, name, wrapped)
+    doc = load_fixture(key)
+    assert run_checks(doc).passed
+    counts = collections.Counter((name, id(table)) for name, table in seen)
+    assert counts and max(counts.values()) == 1
+    for decl in doc.connections:
+        if decl.kind != "theta":
+            assert any(table is decl.payload for _, table in seen)
+
+
+def _broken_inputs() -> dict:
+    payload = mutated_payload("fix_prod.json")
+    payload["connections"][0]["transition"][0][0] = 1
+    payload["connections"][1]["density"][0][1] = ["1", "-1/2", "0"]
+    return payload
+
+
+def test_curvature_suite_alone_gives_the_guard_reason():
+    doc = parse_spec(json.dumps(_broken_inputs()))
+    b = runner._Context(doc).bundle
+    guards = {
+        "classical": lambda payload: connection.classical_connection(payload, b),
+        "gamma_hat": lambda payload: connection.connection_from_potential(
+            connection.lift_base_potential(payload, b), b
+        ),
+    }
+    for decl in doc.connections:
+        with pytest.raises(ValueError) as info:
+            guards[decl.kind](decl.payload)
+        for suites in ([f"curvature:{decl.name}"], None):
+            report = run_checks(doc, suites)
+            name = f"curvature:{decl.name}.canonicalized"
+            check = next(c for c in report.checks if c.name == name)
+            assert not check.passed
+            assert check.data == {"reason": str(info.value)}
+
+
+def test_curvature_suite_alone_gives_the_potential_guard_reason():
+    payload = mutated_payload("fix_z2.json")
+    # a total-space potential with one group row that does not sum to zero
+    density = [[["0", "0"] for _ in range(4)] for _ in range(4)]
+    density[0][1] = ["1", "0"]
+    payload["connections"].append({"name": "bad", "kind": "gamma", "density": density})
+    doc = parse_spec(json.dumps(payload))
+    decl = doc.connection("bad")
+    with pytest.raises(ValueError) as info:
+        connection.connection_from_potential(decl.payload, runner._Context(doc).bundle)
+    report = run_checks(doc, ["curvature:bad"])
+    assert report.checks[0].name == "curvature:bad.canonicalized"
+    assert report.checks[0].data == {"reason": str(info.value)}
+    assert str(info.value).startswith("potential rejected: potential.unit_normalization")
 
 
 # ---------------------------------------------------------------------------

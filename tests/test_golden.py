@@ -54,6 +54,15 @@ def _broken_row_sum(doc: dict) -> dict:
     return doc
 
 
+def _gaussian(doc: dict) -> dict:
+    # complex entries in the rational gamma_hat; each group row still sums to zero
+    doc["name"] = "s3x2-gauss"
+    density = doc["connections"][1]["density"]
+    density[0][1] = ["1/3+2/5i", "-1/3", "0", "-2/5i", "0", "0"]
+    density[1][0] = ["i", "0", "-1/2-i", "0", "1/2", "0"]
+    return doc
+
+
 def _non_identity_diagonal(doc: dict) -> dict:
     doc["connections"][0]["transition"][0][0] = 1
     return doc
@@ -99,6 +108,12 @@ CASES = {
         ["check", "--suite", "connection:cls", "--max-entries", "359", "--format", "json"],
     ),
     "check-s3x2": ("s3x2.json", None, ["check", "--format", "json"]),
+    "check-s3x2-gauss": ("s3x2.json", _gaussian, ["check", "--format", "json"]),
+    "curvature-s3x2-gauss-rat": (
+        "s3x2.json",
+        _gaussian,
+        ["curvature", "--connection", "rat"],
+    ),
 }
 
 # (exit status, sha256 of stdout)
@@ -115,6 +130,10 @@ GOLDEN = {
     ),
     "check-s3": (0, "2b2af167ad96d6227d4fb0120973e84ead4a6f8e6cfbcb072866cda9a5cd3063"),
     "check-s3x2": (0, "8704482ee802f577bc653e3cd63182fe380dc4a340e81bec52f6da61de166af3"),
+    "check-s3x2-gauss": (
+        0,
+        "a998222010d635e9636baea5681ef9272e14c47d0d34df629a3a617833396e38",
+    ),
     "check-z2": (0, "a751ada0d958bb94f1bdb4c8fb2c9a9b4a40df2fe1ea114937696f44490aea7b"),
     "check-z2-bad-diagonal": (
         1,
@@ -128,6 +147,10 @@ GOLDEN = {
     "curvature-prod-rational": (
         0,
         "5809bdcb260e6f4e3563dcb077d8710ab36f0e7e6bd66e0f3852c2daf536805e",
+    ),
+    "curvature-s3x2-gauss-rat": (
+        0,
+        "7be2497c562b1e2f3d4a6eda23c1ee9caa12d048cd7af9029bcd19362dee64f8",
     ),
     "curvature-z2-cls": (0, "c22111b91c5e4e30ddd256f1cc029ab34aab3a39d1071db44eb74fb10871bea4"),
 }

@@ -73,3 +73,49 @@ def test_bool_and_conjugate():
     assert ONE
     assert Scalar(0, Fraction(1, 7))
     assert Scalar(1, 2).conjugate() == Scalar(1, -2)
+
+
+def test_real_sum_and_difference_stay_real():
+    half, third = Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3))
+    for value, expected in ((half + third, Fraction(5, 6)), (half - third, Fraction(1, 6))):
+        assert value == Scalar(expected)
+        assert value.im == 0
+        assert hash(value) == hash(expected)
+        assert str(value) == str(expected)
+
+
+def test_real_plus_complex():
+    z = Scalar(1) + Scalar(0, Fraction(2, 5))
+    assert z == Scalar(1, Fraction(2, 5))
+    assert str(z) == "1+2/5i"
+    assert str(Scalar(1) - Scalar(0, Fraction(2, 5))) == "1-2/5i"
+    assert str(Scalar(0, 1) - Scalar(Fraction(1, 3))) == "-1/3+1i"
+
+
+def test_imaginary_parts_that_cancel():
+    for value in (Scalar(1, 1) + Scalar(0, -1), Scalar(1, 1) - Scalar(0, 1)):
+        assert value == Scalar(1)
+        assert hash(value) == hash(Scalar(1)) == hash(1)
+        assert str(value) == "1"
+    assert not Scalar(0, 1) - Scalar(0, 1)
+    assert str(Scalar(0, 1) - Scalar(0, 1)) == "0"
+
+
+def test_int_and_fraction_operands():
+    assert Scalar(1, 2) + 3 == Scalar(4, 2)
+    assert Scalar(Fraction(1, 2)) + Fraction(1, 3) == Scalar(Fraction(5, 6))
+    assert Scalar(1, 2) - Fraction(1, 2) == Scalar(Fraction(1, 2), 2)
+    assert str(Scalar(2) - 2) == "0"
+    # reflected forms
+    assert 3 + Scalar(1) == Scalar(4)
+    assert Fraction(1, 2) + Scalar(0, 1) == Scalar(Fraction(1, 2), 1)
+    assert 3 - Scalar(1) == Scalar(2)
+    assert str(1 - Scalar(0, 1)) == "1-1i"
+    assert str(Fraction(1, 2) - Scalar(Fraction(1, 2))) == "0"
+
+
+def test_unsupported_operands():
+    with pytest.raises(TypeError):
+        Scalar(1) + 1.5
+    with pytest.raises(TypeError):
+        1.5 - Scalar(1)
