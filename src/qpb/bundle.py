@@ -11,7 +11,7 @@ layer.
 from __future__ import annotations
 
 from .funcs import Func, guard_table_size, indices
-from .groups import FiniteGroup, RightAction, validate_action
+from .groups import FiniteGroup, RightAction, fixed_point_witness
 from .linalg import SubspaceBasis, rank_of
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar
@@ -210,22 +210,8 @@ def _canonical_matrix(b: BundleSpec) -> list[list[Scalar]]:
 def check_freeness(b: BundleSpec) -> Report:
     """Freeness two ways: fixed-point scan and rank of the canonical map."""
     report = Report()
-    g = b.group
-    n, m = b.total_size, g.order
-    e = g.identity
-    direct_witness = None
-    if e is None:
-        direct_witness = ()
-    else:
-        direct_witness = next(
-            (
-                (p, a)
-                for p in range(n)
-                for a in range(m)
-                if a != e and b.act(p, a) == p
-            ),
-            None,
-        )
+    n, m = b.total_size, b.group.order
+    direct_witness = () if b.group.identity is None else fixed_point_witness(b.action)
     report.add(CheckResult("freeness.direct", direct_witness is None, direct_witness))
 
     rank = rank_of(_canonical_matrix(b))

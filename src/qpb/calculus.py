@@ -8,8 +8,11 @@ arguments.  On a bundle, horizontality is decided by exact spans.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
+
 from .bundle import BundleSpec
-from .funcs import Func, guard_table_size, indices
+from .funcs import Func, Table, guard_table_size, indices
 from .linalg import SubspaceBasis, rank_and_kernel, span_basis
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar
@@ -30,28 +33,33 @@ __all__ = [
 ]
 
 
-class Form:
+class Form(Table):
     """A degree-n form: exact values on (n+1)-tuples, zero on adjacent repeats."""
 
-    __slots__ = ("size", "degree", "values")
+    __slots__ = ("size", "degree")
 
-    def __init__(self, size: int, degree: int, values: list[Scalar]):
+    def __init__(self, size: int, degree: int, values: Iterable[Scalar]):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        entries = size ** (degree + 1)
-        guard_table_size(entries)
-        if len(values) != entries:
-            raise ValueError(
-                f"got {len(values)} values for a degree-{degree} form on {size} points"
-            )
         self.size = size
         self.degree = degree
-        self.values = values
+        super().__init__(size ** (degree + 1), values)
+
+    def _layout(self) -> tuple:
+        return (self.size, self.degree)
+
+    def _length_error(self, got: int, need: int) -> str:
+        return f"got {got} values for a degree-{self.degree} form on {self.size} points"
+
+    def _mismatch_error(self, other) -> str:
+        return (
+            f"form mismatch: degree {self.degree} on {self.size} points"
+            f" vs degree {other.degree} on {other.size}"
+        )
 
     @classmethod
     def zero(cls, size: int, degree: int) -> Form:
-        guard_table_size(size ** (degree + 1))
-        return cls(size, degree, [ZERO] * size ** (degree + 1))
+        return cls(size, degree, itertools.repeat(ZERO, size ** (degree + 1)))
 
     @classmethod
     def from_func(cls, f: Func) -> Form:
@@ -61,9 +69,8 @@ class Form:
 
     @classmethod
     def build(cls, size: int, degree: int, fn) -> Form:
-        guard_table_size(size ** (degree + 1))
         shape = (size,) * (degree + 1)
-        return cls(size, degree, [fn(idx) for idx in indices(shape)])
+        return cls(size, degree, (fn(idx) for idx in indices(shape)))
 
     def shape(self) -> tuple[int, ...]:
         return (self.size,) * (self.degree + 1)
@@ -81,38 +88,6 @@ class Form:
 
     def to_func(self) -> Func:
         return Func(self.shape(), list(self.values))
-
-    def __add__(self, other: Form) -> Form:
-        self._check_match(other)
-        return Form(self.size, self.degree, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: Form) -> Form:
-        self._check_match(other)
-        return Form(self.size, self.degree, [a - b for a, b in zip(self.values, other.values)])
-
-    def __neg__(self) -> Form:
-        return Form(self.size, self.degree, [-a for a in self.values])
-
-    def scale(self, s: Scalar) -> Form:
-        return Form(self.size, self.degree, [s * a for a in self.values])
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Form)
-            and self.size == other.size
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
-    def _check_match(self, other: Form) -> None:
-        if self.size != other.size or self.degree != other.degree:
-            raise ValueError(
-                f"form mismatch: degree {self.degree} on {self.size} points"
-                f" vs degree {other.degree} on {other.size}"
-            )
 
     def __repr__(self):
         return f"Form(size={self.size}, degree={self.degree})"
@@ -138,7 +113,6 @@ def concat_product(f: Form, g: Form) -> Form:
         raise ValueError(f"forms live on different sets: {f.size} vs {g.size}")
     n, m = f.degree, g.degree
     size = f.size
-    guard_table_size(size ** (n + m + 1))
 
     def fn(idx):
         a = f.values[f.flat_index(idx[: n + 1])]
@@ -260,18 +234,18 @@ def horizontal_basis(b: BundleSpec) -> SubspaceBasis:
     """Span of products (function) * lifted base 1-form * (function).
 
     On indicator bases the products reduce to indicators of cross-orbit
-    pairs, so those are the generators.
+    pairs.  Distinct indicator rows in ascending pivot order are already
+    reduced, so they are the canonical basis as they stand.
     """
     n = b.total_size
     proj = b.base.projection
+    pivots = [p * n + q for p in range(n) for q in range(n) if proj[p] != proj[q]]
     vectors = []
-    for p in range(n):
-        for q in range(n):
-            if proj[p] != proj[q]:
-                v = [ZERO] * (n * n)
-                v[p * n + q] = ONE
-                vectors.append(v)
-    return span_basis(vectors, n * n)
+    for k in pivots:
+        v = [ZERO] * (n * n)
+        v[k] = ONE
+        vectors.append(v)
+    return SubspaceBasis(n * n, vectors, pivots)
 
 
 def is_horizontal(b: BundleSpec, f1: Form) -> bool:

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 
 from .bundle import BundleSpec
 from .calculus import Form, _nonzero_rows, canonical_map_forms, differential, offdiag_pairs
-from .funcs import Func, guard_table_size, indices
+from .funcs import Func, Table, guard_table_size, indices
 from .groups import FiniteGroup
 from .gauge import GaugeMap
 from .report import CheckResult, Report
@@ -237,7 +237,7 @@ def vertical_projection(f1: Form, sigma: Splitting, b: BundleSpec) -> Form:
 # form-valued maps: the one density type
 
 
-class FormValuedMap:
+class FormValuedMap(Table):
     """A linear map from the group function algebra into degree-n forms,
     stored as its density over (point tuple) x (group element).
 
@@ -247,24 +247,27 @@ class FormValuedMap:
     on the total space or on the base; degree 2 holds curvature.
     """
 
-    __slots__ = ("group", "size", "degree", "density")
+    __slots__ = ("group", "size", "degree")
+
+    # the density is the table's values, read through the same slot
+    density = Table.values
 
     def __init__(
         self, group: FiniteGroup, size: int, degree: int, density: Iterable[Scalar]
     ):
-        """The density is read only after the size guard, so a generator
-        passed in never runs past the table cap."""
-        entries = size ** (degree + 1) * group.order
-        guard_table_size(entries)
-        density = list(density)
-        if len(density) != entries:
-            raise ValueError(
-                f"density has {len(density)} entries, expected {entries}"
-            )
         self.group = group
         self.size = size
         self.degree = degree
-        self.density = density
+        super().__init__(size ** (degree + 1) * group.order, density)
+
+    def _layout(self) -> tuple:
+        return (self.group, self.size, self.degree)
+
+    def _length_error(self, got: int, need: int) -> str:
+        return f"density has {got} entries, expected {need}"
+
+    def _mismatch_error(self, other) -> str:
+        return "form-valued maps do not match"
 
     @classmethod
     def build(cls, group: FiniteGroup, size: int, degree: int, fn) -> FormValuedMap:
@@ -291,12 +294,6 @@ class FormValuedMap:
             flat = flat * self.size + i
         return self.density[flat * self.group.order + c]
 
-    @property
-    def values(self) -> list[Scalar]:
-        """The density under the name Form uses, so a table kernel such as
-        `differential` reads either kind."""
-        return self.density
-
     def slice_form(self, c: int) -> Form:
         m = self.group.order
         return Form(self.size, self.degree, self.density[c::m])
@@ -322,44 +319,6 @@ class FormValuedMap:
     def d_slicewise(self) -> FormValuedMap:
         """Apply the universal differential to every group slice."""
         return differential(self)
-
-    def __add__(self, other: FormValuedMap) -> FormValuedMap:
-        self._check_match(other)
-        return FormValuedMap(
-            self.group,
-            self.size,
-            self.degree,
-            [b if not a else a if not b else a + b for a, b in zip(self.density, other.density)],
-        )
-
-    def __sub__(self, other: FormValuedMap) -> FormValuedMap:
-        self._check_match(other)
-        return FormValuedMap(
-            self.group,
-            self.size,
-            self.degree,
-            [-b if not a else a if not b else a - b for a, b in zip(self.density, other.density)],
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.density)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormValuedMap)
-            and self.group == other.group
-            and self.size == other.size
-            and self.degree == other.degree
-            and self.density == other.density
-        )
-
-    def _check_match(self, other: FormValuedMap) -> None:
-        if (
-            self.group != other.group
-            or self.size != other.size
-            or self.degree != other.degree
-        ):
-            raise ValueError("form-valued maps do not match")
 
     def __repr__(self):
         return (

@@ -1,19 +1,25 @@
 """Dense exact-valued function tables over products of finite sets.
 
-A Func of shape (n1, ..., nk) is the algebra element assigning a Scalar
-to every index tuple; the algebra operations are pointwise.  Tables are
-flat row-major lists, guarded by a configurable entry cap so degree
-blowups fail loudly instead of exhausting memory.
+Every object qpb computes with is a function on a finite set, stored as
+a flat row-major list of exact values.  The three table types, Func
+(a shape), calculus.Form (points and degree) and
+connection.FormValuedMap (group, points and degree), share one guarded
+base, Table: it checks the entry cap before it reads an input, and it
+owns the pointwise sums, negation, scaling, the zero test, the operand
+check and equality, so each type only states its layout.  The entry cap
+makes degree blowups fail loudly instead of exhausting memory.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from math import prod
 
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
+    "Table",
     "Func",
     "MAX_TABLE_ENTRIES",
     "set_max_table_entries",
@@ -38,28 +44,89 @@ def guard_table_size(entries: int) -> None:
         )
 
 
-class Func:
+class Table:
+    """A flat row-major table of exact values; a subclass fixes its layout.
+
+    A subclass sets its layout attributes, then calls this constructor.
+    It defines `_layout()`, those attributes in its own constructor's
+    order, so a table of the same kind is `type(t)(*t._layout(), values)`,
+    and the messages `_length_error(got, need)` and `_mismatch_error(other)`.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, entries: int, values: Iterable[Scalar]):
+        """The values are read only after the size guard, so a generator
+        never runs past the table cap; a list is kept without a copy."""
+        guard_table_size(entries)
+        if not isinstance(values, list):
+            values = list(values)
+        if len(values) != entries:
+            raise ValueError(self._length_error(len(values), entries))
+        self.values = values
+
+    def _like(self, values: list[Scalar]):
+        """A table of the same kind and layout holding `values`."""
+        return type(self)(*self._layout(), values)
+
+    def _check_match(self, other) -> None:
+        if type(other) is not type(self) or other._layout() != self._layout():
+            raise ValueError(self._mismatch_error(other))
+
+    def __add__(self, other):
+        self._check_match(other)
+        return self._like(
+            [b if not a else a if not b else a + b for a, b in zip(self.values, other.values)]
+        )
+
+    def __sub__(self, other):
+        self._check_match(other)
+        return self._like(
+            [-b if not a else a if not b else a - b for a, b in zip(self.values, other.values)]
+        )
+
+    def __neg__(self):
+        return self._like([-a for a in self.values])
+
+    def scale(self, s: Scalar):
+        return self._like([s * a for a in self.values])
+
+    def is_zero(self) -> bool:
+        return not any(self.values)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other._layout() == self._layout()
+            and self.values == other.values
+        )
+
+
+class Func(Table):
     """An exact-valued function on a product of index ranges."""
 
-    __slots__ = ("shape", "values")
+    __slots__ = ("shape",)
 
-    def __init__(self, shape: tuple[int, ...], values: list[Scalar]):
-        size = prod(shape)
-        guard_table_size(size)
-        if len(values) != size:
-            raise ValueError(f"got {len(values)} values for shape {shape} (need {size})")
+    def __init__(self, shape: tuple[int, ...], values: Iterable[Scalar]):
         self.shape = tuple(shape)
-        self.values = values
+        super().__init__(prod(shape), values)
+
+    def _layout(self) -> tuple:
+        return (self.shape,)
+
+    def _length_error(self, got: int, need: int) -> str:
+        return f"got {got} values for shape {self.shape} (need {need})"
+
+    def _mismatch_error(self, other) -> str:
+        return f"shape mismatch: {self.shape} vs {other.shape}"
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> Func:
-        guard_table_size(prod(shape))
-        return cls(shape, [ZERO] * prod(shape))
+        return cls(shape, itertools.repeat(ZERO, prod(shape)))
 
     @classmethod
     def ones(cls, shape: tuple[int, ...]) -> Func:
-        guard_table_size(prod(shape))
-        return cls(shape, [ONE] * prod(shape))
+        return cls(shape, itertools.repeat(ONE, prod(shape)))
 
     @classmethod
     def indicator(cls, shape: tuple[int, ...], idx: tuple[int, ...]) -> Func:
@@ -69,8 +136,7 @@ class Func:
 
     @classmethod
     def build(cls, shape: tuple[int, ...], fn) -> Func:
-        guard_table_size(prod(shape))
-        return cls(shape, [fn(idx) for idx in indices(shape)])
+        return cls(shape, (fn(idx) for idx in indices(shape)))
 
     def flat_index(self, idx: tuple[int, ...]) -> int:
         if len(idx) != len(self.shape):
@@ -85,40 +151,12 @@ class Func:
     def value_at(self, *idx: int) -> Scalar:
         return self.values[self.flat_index(idx)]
 
-    def __add__(self, other: Func) -> Func:
-        self._check_shape(other)
-        return Func(self.shape, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: Func) -> Func:
-        self._check_shape(other)
-        return Func(self.shape, [a - b for a, b in zip(self.values, other.values)])
-
-    def __neg__(self) -> Func:
-        return Func(self.shape, [-a for a in self.values])
-
     def __mul__(self, other: Func) -> Func:
-        self._check_shape(other)
-        return Func(self.shape, [a * b for a, b in zip(self.values, other.values)])
-
-    def scale(self, s: Scalar) -> Func:
-        return Func(self.shape, [s * a for a in self.values])
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Func)
-            and self.shape == other.shape
-            and self.values == other.values
-        )
+        self._check_match(other)
+        return self._like([a * b for a, b in zip(self.values, other.values)])
 
     def support(self) -> list[tuple[int, ...]]:
         return [idx for idx, v in zip(indices(self.shape), self.values) if v]
-
-    def _check_shape(self, other: Func) -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __repr__(self):
         return f"Func(shape={self.shape})"
@@ -130,6 +168,4 @@ def indices(shape: tuple[int, ...]):
 
 def tensor_identify(f: Func, g: Func) -> Func:
     """C(X) tensor C(Y) = C(X x Y): the elementary tensor as a table."""
-    guard_table_size(prod(f.shape) * prod(g.shape))
-    values = [a * b for a in f.values for b in g.values]
-    return Func(f.shape + g.shape, values)
+    return Func(f.shape + g.shape, (a * b for a in f.values for b in g.values))

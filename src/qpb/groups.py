@@ -19,6 +19,7 @@ __all__ = [
     "symmetric",
     "validate_group",
     "validate_action",
+    "fixed_point_witness",
 ]
 
 
@@ -75,9 +76,6 @@ class FiniteGroup:
     def conj(self, a: int, b: int) -> int:
         """b^-1 a b."""
         return self.mul(self.mul(self.inv(b), a), b)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels else str(a)
@@ -244,14 +242,22 @@ def validate_action(action: RightAction) -> Report:
             break
     report.add(CheckResult("action.compatibility", compat_witness is None, compat_witness))
 
-    free_witness = next(
+    free_witness = fixed_point_witness(action)
+    report.add(CheckResult("action.freeness", free_witness is None, free_witness))
+    return report
+
+
+def fixed_point_witness(action: RightAction) -> tuple[int, int] | None:
+    """The first (point, group element != identity) that fixes the point,
+    points varying slowest; None for a free action.  The group must have
+    an identity."""
+    e = action.group.identity
+    return next(
         (
             (p, a)
-            for p in range(action.total_size)
-            for a in range(g.order)
-            if a != e and action.table[p][a] == p
+            for p, row in enumerate(action.table)
+            for a, q in enumerate(row)
+            if a != e and q == p
         ),
         None,
     )
-    report.add(CheckResult("action.freeness", free_witness is None, free_witness))
-    return report

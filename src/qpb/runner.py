@@ -105,7 +105,6 @@ class _Context:
             else:
                 self.synthesized_phi = phi
                 self.bundle = self.bundle.with_phi(phi)
-        self._theta: dict[str, tuple[FormValuedMap | None, str | None]] = {}
         self._inputs: dict[str, _Inputs] = {}
 
     @property
@@ -115,34 +114,16 @@ class _Context:
     def inputs_for(self, decl: ConnectionDecl) -> _Inputs:
         return self._inputs.setdefault(decl.name, _Inputs(decl, self.bundle))
 
-    def theta_for(self, decl: ConnectionDecl) -> tuple[FormValuedMap | None, str | None]:
-        if decl.name not in self._theta:
-            self._theta[decl.name] = self._build_theta(decl)
-        return self._theta[decl.name]
-
-    def _build_theta(self, decl: ConnectionDecl) -> tuple[FormValuedMap | None, str | None]:
-        try:
-            if decl.kind == "theta":
-                return decl.payload, None
-            if not self.framed:
-                return None, "bundle has no trivialization and none could be synthesized"
-            inputs = self.inputs_for(decl)
-            if decl.kind == "classical":
-                _require("transition map", inputs.report)
-                return _classical_of(decl.payload, self.bundle), None
-            _require("potential", inputs.potential_report)
-            return _connection_of(inputs.potential, self.bundle), None
-        except ValueError as exc:
-            return None, str(exc)
-
 
 class _Inputs:
-    """One connection's inputs, each validated once per run.
+    """One connection's inputs and its connection form, each validated
+    or built once per run.
 
     Every value is computed on first use and kept; one that raises is
     not kept, so the next use raises the same error again.  A builder
     runs only after the report it relies on has passed, and a failed
-    report raises the reason the public guard would give.
+    report raises the reason the public guard would give; `theta` turns
+    that reason into its second element instead of raising.
     """
 
     def __init__(self, decl: ConnectionDecl, b: BundleSpec):
@@ -187,50 +168,63 @@ class _Inputs:
             return self.report
         return validate_potential(self.potential, self.bundle)
 
+    @cached_property
+    def theta(self) -> tuple[FormValuedMap | None, str | None]:
+        """The connection-form density, or None and the reason it cannot
+        be built."""
+        kind = self.decl.kind
+        if kind == "theta":
+            return self.decl.payload, None
+        if self.bundle.phi is None:
+            return None, "bundle has no trivialization and none could be synthesized"
+        try:
+            if kind == "classical":
+                _require("transition map", self.report)
+                return _classical_of(self.decl.payload, self.bundle), None
+            _require("potential", self.potential_report)
+            return _connection_of(self.potential, self.bundle), None
+        except ValueError as exc:
+            return None, str(exc)
+
 
 def run_checks(
     doc: SpecDocument, suites: list[str] | None = None, tool_version: str = "0"
 ) -> RunReport:
     ctx = _Context(doc)
+    order = _suite_order(ctx)
     if suites is None:
-        selected = _default_suites(ctx)
+        selected = [name for name, default in order if default]
     else:
-        selected = _resolve_suites(ctx, suites)
+        selected = _resolve_suites(doc, order, suites)
     report = RunReport(tool_version, doc.digest, doc.name, selected)
     for suite in selected:
         report.checks.extend(_run_suite(ctx, suite))
     return report
 
 
-def _default_suites(ctx: _Context) -> list[str]:
-    out = ["group", "action", "comodule", "freeness", "exactness"]
-    if ctx.doc.bundle.phi is not None or ctx.synthesized_phi is not None:
-        out.append("trivialization")
-    for c in ctx.doc.connections:
-        out.append(f"connection:{c.name}")
-        out.append(f"curvature:{c.name}")
-    for gd in ctx.doc.gauges:
-        for c in ctx.doc.connections:
-            if c.kind != "theta":
-                out.append(f"gauge:{gd.name}:{c.name}")
-    return out
-
-
-def _resolve_suites(ctx: _Context, requested: list[str]) -> list[str]:
+def _suite_order(ctx: _Context) -> list[tuple[str, bool]]:
+    """Every suite the document names, in run order, with whether a
+    default run includes it: trivialization only with a frame, given or
+    synthesized, and gauge suites only for connections not of kind theta."""
     doc = ctx.doc
-    order: dict[str, int] = {}
-    for name in BASE_SUITES:
-        order[name] = len(order)
+    order = [(name, name != "trivialization" or ctx.framed) for name in BASE_SUITES]
     for c in doc.connections:
-        order[f"connection:{c.name}"] = len(order)
-        order[f"curvature:{c.name}"] = len(order)
+        order += [(f"connection:{c.name}", True), (f"curvature:{c.name}", True)]
     for gd in doc.gauges:
-        for c in doc.connections:
-            order[f"gauge:{gd.name}:{c.name}"] = len(order)
+        order += [(f"gauge:{gd.name}:{c.name}", c.kind != "theta") for c in doc.connections]
+    return order
+
+
+def _resolve_suites(
+    doc: SpecDocument, order: list[tuple[str, bool]], requested: list[str]
+) -> list[str]:
+    rank: dict[str, int] = {}
+    for name, _default in order:
+        rank[name] = len(rank)
 
     seen: set[str] = set()
     for name in requested:
-        if name not in order:
+        if name not in rank:
             raise ConfigError(_explain_unknown_suite(doc, name))
         if name.startswith("gauge:"):
             cname = name.split(":", 2)[2]
@@ -241,7 +235,7 @@ def _resolve_suites(ctx: _Context, requested: list[str]) -> list[str]:
                     f" {cname!r} has kind theta"
                 )
         seen.add(name)
-    return sorted(seen, key=order.__getitem__)
+    return sorted(seen, key=rank.__getitem__)
 
 
 def _explain_unknown_suite(doc: SpecDocument, name: str) -> str:
@@ -388,7 +382,7 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     if not ok_inputs:
         return out
 
-    theta, reason = ctx.theta_for(decl)
+    theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
         out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
         return out
@@ -429,7 +423,7 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     suite = f"curvature:{decl.name}"
     out: list[CheckResult] = []
     b = ctx.bundle
-    theta, reason = ctx.theta_for(decl)
+    theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
         out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
         return out
@@ -600,7 +594,7 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     if decl is None:
         raise ConfigError(f"no connection named {connection_name!r} in the document")
     ctx = _Context(doc)
-    theta, reason = ctx.theta_for(decl)
+    theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
         raise ValueError(reason)
     f = curvature(theta)

@@ -15,8 +15,11 @@ from qpb.calculus import (
     lift_base_form,
     validate_form,
 )
+from qpb.bundle import BundleSpec, make_product
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import Func
+from qpb.groups import RightAction, symmetric
+from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar
 
 
@@ -139,6 +142,42 @@ def test_horizontal_basis_dimension():
     assert horizontal_basis(fix_z2()).dim == 8
     assert horizontal_basis(fix_s3()).dim == 0
     assert horizontal_basis(fix_prod()).dim == 18
+
+
+def _relabelled(b: BundleSpec, perm: list[int]) -> BundleSpec:
+    """The same bundle with point p renamed perm[p]."""
+    table = [None] * b.total_size
+    for p, row in enumerate(b.action.table):
+        table[perm[p]] = [perm[q] for q in row]
+    return BundleSpec(b.group, RightAction(b.group, table))
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        fix_z2(),
+        fix_s3(),
+        fix_prod(),
+        fix_nonfree(),
+        make_product(1, symmetric(3)),
+        _relabelled(make_product(2, symmetric(3)), [(5 * p + 3) % 12 for p in range(12)]),
+    ],
+)
+def test_horizontal_basis_is_the_reduced_span_of_cross_orbit_indicators(bundle):
+    # orbits from the action table, rows in a scrambled order, reduced by rref
+    n = bundle.total_size
+    orbit = [set(row) for row in bundle.action.table]
+    rows = []
+    for p in reversed(range(n)):
+        for q in range(n):
+            if q not in orbit[p]:
+                v = [ZERO] * (n * n)
+                v[p * n + q] = ONE
+                rows.append(v)
+    expected = span_basis(rows, n * n)
+    hor = horizontal_basis(bundle)
+    assert hor.equals(expected)
+    assert hor.dim == len(rows)
 
 
 def test_is_horizontal():

@@ -233,6 +233,25 @@ def test_each_connection_input_validated_once(monkeypatch, key):
             assert any(table is decl.payload for _, table in seen)
 
 
+def test_wrong_gauge_transformed_transition_fails_classical_agreement(
+    tmp_path, capsys, monkeypatch
+):
+    # the wrong table keeps an identity diagonal, so it passes its own
+    # validation and only the comparison with the potential route sees it
+    def wrong_transform(tm, tau):
+        table = [list(row) for row in connection.gauge_transform_transition(tm, tau).table]
+        e = tm.group.identity
+        table[0][1] = tm.group.table[table[0][1]][next(a for a in range(tm.group.order) if a != e)]
+        return connection.TransitionMap(tm.group, table)
+
+    monkeypatch.setattr(runner, "gauge_transform_transition", wrong_transform)
+    path = write_fixture(tmp_path, "fix_z2.json")
+    assert main(["check", path, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
+    assert failed == ["gauge:flip:cls.classical_agreement"]
+
+
 def _broken_inputs() -> dict:
     payload = mutated_payload("fix_prod.json")
     payload["connections"][0]["transition"][0][0] = 1

@@ -1,6 +1,12 @@
+from fractions import Fraction
+from random import Random
+
 import pytest
 
+from qpb.calculus import Form, concat_product
+from qpb.connection import FormValuedMap
 from qpb.funcs import Func, guard_table_size, indices, set_max_table_entries, tensor_identify
+from qpb.groups import cyclic
 from qpb.scalars import ONE, ZERO, Scalar
 
 
@@ -67,3 +73,111 @@ def test_entry_cap_guard():
 def test_entry_cap_must_be_positive():
     with pytest.raises(ValueError):
         set_max_table_entries(0)
+
+
+# ---------------------------------------------------------------------------
+# the shared table base: Func, Form and FormValuedMap
+
+
+@pytest.fixture
+def cap():
+    import qpb.funcs as funcs
+
+    old = funcs.MAX_TABLE_ENTRIES
+    yield set_max_table_entries
+    set_max_table_entries(old)
+
+
+def _unread():
+    pytest.fail("values were read before the entry cap was checked")
+    yield
+
+
+def _never(*args):
+    pytest.fail("a table builder ran before the entry cap was checked")
+
+
+def test_cap_checked_before_values_are_read(cap):
+    g = cyclic(2)
+    cap(8)
+    attempts = [
+        lambda: Func((3, 3), _unread()),
+        lambda: Form(3, 1, _unread()),
+        lambda: FormValuedMap(g, 3, 1, _unread()),
+        lambda: Func.build((3, 3), _never),
+        lambda: Form.build(3, 1, _never),
+        lambda: FormValuedMap.build(g, 3, 1, _never),
+        lambda: Func.zeros((9,)),
+        lambda: Func.ones((9,)),
+        lambda: Form.zero(3, 1),
+        lambda: concat_product(Form.zero(2, 1), Form.zero(2, 2)),
+        lambda: tensor_identify(Func((3,), [ONE] * 3), Func((3,), [ONE] * 3)),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError, match=r"^table of \d+ entries exceeds the cap of 8$"):
+            attempt()
+
+
+def test_each_table_keeps_its_messages():
+    g = cyclic(2)
+    with pytest.raises(ValueError, match=r"^got 3 values for shape \(2, 2\) \(need 4\)$"):
+        Func((2, 2), [ONE] * 3)
+    with pytest.raises(ValueError, match="^got 3 values for a degree-1 form on 2 points$"):
+        Form(2, 1, [ONE] * 3)
+    with pytest.raises(ValueError, match="^density has 3 entries, expected 8$"):
+        FormValuedMap(g, 2, 1, [ONE] * 3)
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        Form(2, -1, [])
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(2,\) vs \(3,\)$"):
+        Func.zeros((2,)) - Func.zeros((3,))
+    with pytest.raises(
+        ValueError, match="^form mismatch: degree 1 on 2 points vs degree 0 on 4$"
+    ):
+        Form.zero(2, 1) + Form.zero(4, 0)
+    with pytest.raises(ValueError, match="^form-valued maps do not match$"):
+        FormValuedMap(g, 2, 0, [ZERO] * 4) + FormValuedMap(cyclic(4), 1, 0, [ZERO] * 4)
+
+
+def _tables(rng: Random):
+    """Pairs of same-layout tables of each kind, many entries zero."""
+    pool = [ZERO, ZERO, ZERO, ONE, -ONE, Scalar(Fraction(3, 2)), Scalar(0, 1)]
+    g = cyclic(2)
+    draw = lambda k: [rng.choice(pool) for _ in range(k)]
+    return [
+        (Func((3, 4), draw(12)), Func((3, 4), draw(12))),
+        (Form(3, 1, draw(9)), Form(3, 1, draw(9))),
+        (FormValuedMap(g, 3, 1, draw(18)), FormValuedMap(g, 3, 1, draw(18))),
+    ]
+
+
+def test_zero_skipping_sums_match_plain_pointwise_results():
+    rng = Random(5)
+    for _ in range(20):
+        for a, b in _tables(rng):
+            for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+                plain = [op(x, y) for x, y in zip(a.values, b.values)]
+                assert type(got) is type(a)
+                assert got._layout() == a._layout()
+                assert got.values == plain
+                assert [str(v) for v in got.values] == [str(v) for v in plain]
+            assert (-a).values == [-x for x in a.values]
+            assert (a - a).is_zero() and (a + (-a)).is_zero()
+
+
+def test_equality_is_type_exact():
+    values = [ONE, ZERO, ZERO, ONE]
+    form, func = Form(2, 1, list(values)), Func((2, 2), list(values))
+    fv = FormValuedMap(cyclic(1), 2, 1, list(values))
+    assert form != func and func != form
+    assert fv != form and form != fv
+    assert form == Form(2, 1, list(values))
+    assert func == Func((2, 2), list(values))
+    assert fv == FormValuedMap(cyclic(1), 2, 1, list(values))
+    assert fv.density is fv.values
+
+
+def test_a_list_is_kept_without_a_copy():
+    values = [ONE, ZERO]
+    assert Func((2,), values).values is values
+    assert Form(2, 0, values).values is values
+    assert FormValuedMap(cyclic(2), 1, 0, values).density is values
