@@ -22,7 +22,6 @@ __all__ = [
     "make_product",
     "coaction",
     "check_comodule_algebra",
-    "canonical_map",
     "check_freeness",
     "invariants_basis",
     "inject_base",
@@ -177,20 +176,6 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     unit_ok = coaction(b, Func.ones((n,))) == Func.ones((n, m))
     report.add(CheckResult("comodule.unit", unit_ok))
     return report
-
-
-def canonical_map(b: BundleSpec, big_f: Func) -> Func:
-    """Send F on P x P to (p, a) -> F(p, p acted by a)."""
-    if big_f.shape != (b.total_size, b.total_size):
-        raise ValueError(
-            f"expected a table on P x P, got shape {big_f.shape}"
-        )
-    act = b.action.table
-    n, m = b.total_size, b.group.order
-    return Func(
-        (n, m),
-        [big_f.value_at(p, act[p][a]) for p in range(n) for a in range(m)],
-    )
 
 
 def _canonical_matrix(b: BundleSpec) -> list[list[Scalar]]:

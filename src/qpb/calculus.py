@@ -3,7 +3,9 @@
 An n-form is a function on (n+1)-tuples of points vanishing whenever two
 adjacent points coincide.  The product concatenates argument tuples over
 a shared endpoint; the differential is the alternating sum over omitted
-arguments.  On a bundle, horizontality is decided by exact spans.
+arguments.  On a bundle, the horizontal 1-forms are the span of the
+cross-orbit indicators, and exactness compares that span with the
+kernel of the canonical map.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections.abc import Iterable
 
 from .bundle import BundleSpec
 from .funcs import Func, Table, guard_table_size, indices
-from .linalg import SubspaceBasis, rank_and_kernel, span_basis
+from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar
 
@@ -22,12 +24,8 @@ __all__ = [
     "validate_form",
     "concat_product",
     "differential",
-    "lift_base_form",
-    "canonical_map_forms",
     "restricted_canonical_matrix",
     "horizontal_basis",
-    "is_horizontal",
-    "is_strongly_horizontal",
     "check_exactness",
     "offdiag_pairs",
 ]
@@ -171,35 +169,6 @@ def differential(f):
     return type(f)(f.group, size, degree + 1, out)
 
 
-def lift_base_form(b: BundleSpec, base_form: Form) -> Form:
-    """Pull a form on the base back along the orbit projection."""
-    if base_form.size != b.base.size:
-        raise ValueError(
-            f"base form lives on {base_form.size} points, base has {b.base.size}"
-        )
-    proj = b.base.projection
-    return Form.build(
-        b.total_size,
-        base_form.degree,
-        lambda idx: base_form.values[base_form.flat_index(tuple(proj[p] for p in idx))],
-    )
-
-
-def canonical_map_forms(b: BundleSpec, f1: Form) -> Func:
-    """Restrict the canonical map to 1-forms: (p, a) -> f1(p, p acted by a).
-
-    The image vanishes at the group identity, landing in the counit kernel.
-    """
-    if f1.degree != 1 or f1.size != b.total_size:
-        raise ValueError("expected a 1-form on the total space")
-    act = b.action.table
-    n, m = b.total_size, b.group.order
-    return Func(
-        (n, m),
-        [f1.value_at(p, act[p][a]) for p in range(n) for a in range(m)],
-    )
-
-
 def offdiag_pairs(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(n) for q in range(n) if p != q]
 
@@ -246,41 +215,6 @@ def horizontal_basis(b: BundleSpec) -> SubspaceBasis:
         v[k] = ONE
         vectors.append(v)
     return SubspaceBasis(n * n, vectors, pivots)
-
-
-def is_horizontal(b: BundleSpec, f1: Form) -> bool:
-    if f1.degree != 1 or f1.size != b.total_size:
-        raise ValueError("expected a 1-form on the total space")
-    return horizontal_basis(b).contains(list(f1.values))
-
-
-def is_strongly_horizontal(b: BundleSpec, f: Form) -> bool:
-    """Membership in (lifted base forms) * (functions on the total space)."""
-    if f.size != b.total_size:
-        raise ValueError("form does not live on the total space")
-    if f.degree == 0:
-        return True
-    n, deg = b.total_size, f.degree
-    proj = b.base.projection
-    ambient = n ** (deg + 1)
-    guard_table_size(ambient)
-    base_shape = (b.base.size,) * (deg + 1)
-    vectors = []
-    for xs in indices(base_shape):
-        if any(xs[j] == xs[j + 1] for j in range(deg)):
-            continue
-        for q in range(n):
-            if proj[q] != xs[-1]:
-                continue
-            v = [ZERO] * ambient
-            hit = False
-            for flat, idx in enumerate(indices((n,) * (deg + 1))):
-                if idx[-1] == q and all(proj[p] == x for p, x in zip(idx, xs)):
-                    v[flat] = ONE
-                    hit = True
-            if hit:
-                vectors.append(v)
-    return span_basis(vectors, ambient).contains(list(f.values))
 
 
 def check_exactness(b: BundleSpec) -> Report:

@@ -7,10 +7,9 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, funcs
 from .document import SpecError, parse_spec
 from .fixtures import fixture_documents
-from .funcs import set_max_table_entries
 from .runner import ConfigError, curvature_payload, emit_report, run_checks
 
 
@@ -46,10 +45,11 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    saved_cap = funcs.MAX_TABLE_ENTRIES
     try:
         cap = getattr(args, "max_entries", None)
         if cap is not None:
-            set_max_table_entries(cap)
+            funcs.set_max_table_entries(cap)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "fixtures":
@@ -62,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         # table caps and other usage limits surface here
         print(f"qpb: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the cap is for this call only; the next in-process call starts afresh
+        funcs.MAX_TABLE_ENTRIES = saved_cap
 
 
 def _load_document(path: str):

@@ -17,7 +17,7 @@ import itertools
 from collections.abc import Iterable
 
 from .bundle import BundleSpec
-from .calculus import Form, _nonzero_rows, canonical_map_forms, differential, offdiag_pairs
+from .calculus import Form, _nonzero_rows, differential, offdiag_pairs
 from .funcs import Func, Table, guard_table_size, indices
 from .groups import FiniteGroup
 from .gauge import GaugeMap
@@ -28,10 +28,7 @@ __all__ = [
     "Splitting",
     "TransitionMap",
     "FormValuedMap",
-    "tilde_coaction",
-    "prime_coaction",
     "validate_splitting",
-    "vertical_projection",
     "theta_from_splitting",
     "splitting_from_theta",
     "rejection",
@@ -56,33 +53,6 @@ __all__ = [
     "gauge_transform_potential",
     "gauge_transform_transition",
 ]
-
-
-# ---------------------------------------------------------------------------
-# coactions entering the covariance conditions
-
-
-def tilde_coaction(b: BundleSpec, a_table: Func) -> Func:
-    """Coaction on (total space) x (group): (p, c, b) -> A(p acted by b, b^-1 c b)."""
-    n, m = b.total_size, b.group.order
-    if a_table.shape != (n, m):
-        raise ValueError(f"expected shape {(n, m)}, got {a_table.shape}")
-    g = b.group
-    return Func.build(
-        (n, m, m),
-        lambda i: a_table.value_at(b.act(i[0], i[2]), g.conj(i[1], i[2])),
-    )
-
-
-def prime_coaction(b: BundleSpec, f1: Form) -> Func:
-    """Diagonal coaction on one-forms: (p, q, a) -> F(p acted by a, q acted by a)."""
-    if f1.degree != 1 or f1.size != b.total_size:
-        raise ValueError("expected a 1-form on the total space")
-    n, m = b.total_size, b.group.order
-    return Func.build(
-        (n, n, m),
-        lambda i: f1.value_at(b.act(i[0], i[2]), b.act(i[1], i[2])),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,30 +111,6 @@ class Splitting:
         values = [ZERO] * (n * n)
         for r, (p0, q0) in enumerate(self.pairs):
             values[p0 * n + q0] = self.matrix[r][k]
-        return Form(n, 1, values)
-
-    def apply(self, a_table: Func) -> Form:
-        """Apply to an element of (total space) x (counit kernel)."""
-        b = self.bundle
-        n, m = b.total_size, b.group.order
-        if a_table.shape != (n, m):
-            raise ValueError(f"expected shape {(n, m)}, got {a_table.shape}")
-        e = b.group.identity
-        for p in range(n):
-            if a_table.value_at(p, e):
-                raise ValueError(
-                    f"input does not vanish at the group identity (point {p})"
-                )
-        values = [ZERO] * (n * n)
-        for k, (p, a) in enumerate(self.cols):
-            coeff = a_table.value_at(p, a)
-            if not coeff:
-                continue
-            for r, (p0, q0) in enumerate(self.pairs):
-                entry = self.matrix[r][k]
-                if entry:
-                    idx = p0 * n + q0
-                    values[idx] = values[idx] + coeff * entry
         return Form(n, 1, values)
 
     def __eq__(self, other):
@@ -226,11 +172,6 @@ def validate_splitting(sigma: Splitting, b: BundleSpec) -> Report:
             break
     report.add(CheckResult("splitting.covariance", cov_witness is None, cov_witness))
     return report
-
-
-def vertical_projection(f1: Form, sigma: Splitting, b: BundleSpec) -> Form:
-    """Project a one-form onto its vertical part through the splitting."""
-    return sigma.apply(canonical_map_forms(b, f1))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +383,6 @@ class TransitionMap:
         self.group = group
         self.base_size = nb
         self.table = [list(row) for row in table]
-
-    def value(self, x: int, y: int) -> int:
-        return self.table[x][y]
 
     def __eq__(self, other):
         return (

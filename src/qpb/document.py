@@ -227,6 +227,20 @@ def _parse_density(spec: dict, path: str, size: int, order: int) -> list[Scalar]
     return flat
 
 
+def _declared_name(spec: dict, path: str, what: str, seen: set[str]) -> str:
+    """A non-empty name, unique among its kind, without the ':' that
+    separates the parts of a suite name such as gauge:<g>:<c>."""
+    name = spec.get("name")
+    if not isinstance(name, str) or not name:
+        raise SpecError(f"{what} needs a name", f"{path}.name")
+    if ":" in name:
+        raise SpecError(f"{what} name must not contain ':'", f"{path}.name")
+    if name in seen:
+        raise SpecError(f"duplicate name {name!r}", f"{path}.name")
+    seen.add(name)
+    return name
+
+
 def _parse_connections(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> list[ConnectionDecl]:
     specs = raw.get("connections")
     if specs is None:
@@ -239,12 +253,7 @@ def _parse_connections(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> lis
         path = f"connections[{k}]"
         if not isinstance(spec, dict):
             raise SpecError("connection must be an object", path)
-        cname = spec.get("name")
-        if not isinstance(cname, str) or not cname:
-            raise SpecError("connection needs a name", f"{path}.name")
-        if cname in seen:
-            raise SpecError(f"duplicate name {cname!r}", f"{path}.name")
-        seen.add(cname)
+        cname = _declared_name(spec, path, "connection", seen)
         kind = spec.get("kind")
         if kind not in CONNECTION_KINDS:
             raise SpecError(
@@ -290,12 +299,7 @@ def _parse_gauges(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> list[Gau
         path = f"gauges[{k}]"
         if not isinstance(spec, dict):
             raise SpecError("gauge must be an object", path)
-        gname = spec.get("name")
-        if not isinstance(gname, str) or not gname:
-            raise SpecError("gauge needs a name", f"{path}.name")
-        if gname in seen:
-            raise SpecError(f"duplicate name {gname!r}", f"{path}.name")
-        seen.add(gname)
+        gname = _declared_name(spec, path, "gauge", seen)
         table = spec.get("tau_hat")
         nb = bundle.base.size
         if not isinstance(table, list) or len(table) != nb:

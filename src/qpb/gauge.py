@@ -8,22 +8,17 @@ gauge group laws hold for nonabelian structure groups as well.
 
 from __future__ import annotations
 
-from .bundle import BundleSpec, section_table
-from .funcs import Func
 from .groups import FiniteGroup
 from .report import CheckResult, Report
 
 __all__ = [
     "GaugeMap",
     "BundleAutomorphism",
-    "gauge_neutral",
     "gauge_compose",
     "gauge_inverse",
     "xi_from_tau",
     "tau_extract",
-    "xi_from_trivializations",
     "validate_automorphism",
-    "shift_trivialization",
 ]
 
 
@@ -47,12 +42,6 @@ class GaugeMap:
 
     def __repr__(self):
         return f"GaugeMap({self.table})"
-
-
-def gauge_neutral(group: FiniteGroup, base_size: int) -> GaugeMap:
-    if group.identity is None:
-        raise ValueError("group has no identity")
-    return GaugeMap(group, [group.identity] * base_size)
 
 
 def gauge_compose(t1: GaugeMap, t2: GaugeMap) -> GaugeMap:
@@ -115,23 +104,6 @@ class BundleAutomorphism:
             out.append(row)
         return BundleAutomorphism(self.group, out)
 
-    def pullback(self, f: Func) -> Func:
-        """Precompose a table on B x G with the point map."""
-        if f.shape != (self.base_size, self.group.order):
-            raise ValueError(
-                f"expected a table on B x G of shape {(self.base_size, self.group.order)},"
-                f" got {f.shape}"
-            )
-        m = self.group.order
-        return Func(
-            f.shape,
-            [
-                f.value_at(x, self.trans[x][a])
-                for x in range(self.base_size)
-                for a in range(m)
-            ],
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, BundleAutomorphism)
@@ -192,51 +164,6 @@ def tau_extract(xi: BundleAutomorphism) -> GaugeMap:
                     f" (mismatch at fiber coordinate {a})"
                 )
     return GaugeMap(g, table)
-
-
-def xi_from_trivializations(b: BundleSpec, phi_prime: list[int]) -> BundleAutomorphism:
-    """Automorphism comparing two trivializations of the same bundle.
-
-    Computed as the product-picture map induced by passing through the
-    total space, then cross-checked against the left-translation by
-    phi_prime(s(x)); disagreement or a non-equivariant phi_prime is an
-    error.
-    """
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    g = b.group
-    b.with_phi(phi_prime)  # structural validation of the second table
-    for p in range(b.total_size):
-        for a in range(g.order):
-            if phi_prime[b.act(p, a)] != g.table[phi_prime[p]][a]:
-                raise ValueError(f"phi_prime is not equivariant at ({p}, {a})")
-    sec = section_table(b)
-    m = g.order
-    trans = [
-        [phi_prime[b.act(sec[x], a)] for a in range(m)]
-        for x in range(b.base.size)
-    ]
-    # same map from the gauge-table route; the two must agree everywhere
-    for x in range(b.base.size):
-        t = phi_prime[sec[x]]
-        for a in range(m):
-            if trans[x][a] != g.table[t][a]:
-                raise RuntimeError(
-                    f"trivialization comparison routes disagree at ({x}, {a})"
-                )
-    return BundleAutomorphism(g, trans)
-
-
-def shift_trivialization(b: BundleSpec, tau: GaugeMap) -> BundleSpec:
-    """New trivialization phi'(p) = tau(base(p)) * phi(p)."""
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    if tau.base_size != b.base.size or tau.group != b.group:
-        raise ValueError("gauge map does not match the bundle")
-    g = b.group
-    proj = b.base.projection
-    phi2 = [g.table[tau.table[proj[p]]][b.phi[p]] for p in range(b.total_size)]
-    return b.with_phi(phi2)
 
 
 def _check_same(t1: GaugeMap, t2: GaugeMap) -> None:

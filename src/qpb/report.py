@@ -35,9 +35,6 @@ class Report:
     def add(self, result: CheckResult) -> None:
         self.checks.append(result)
 
-    def extend(self, other: Report) -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -5,7 +5,6 @@ import pytest
 from conftest import random_degree0_map
 from qpb.bundle import (
     BundleSpec,
-    canonical_map,
     check_comodule_algebra,
     check_freeness,
     coaction,
@@ -71,15 +70,6 @@ def test_comodule_algebra_corrupted_action_fails():
     bad = rep.first_failure()
     assert bad.name == "comodule.coassociativity"
     assert bad.witness is not None
-
-
-def test_canonical_map_values():
-    b = fix_z2()
-    big = tensor_identify(Func.indicator((4,), (0,)), Func.indicator((4,), (2,)))
-    cm = canonical_map(b, big)
-    # F(p, q) = ind(p=0)ind(q=2); the image reads F(p, p acted by a)
-    assert cm.shape == (4, 2)
-    assert cm.support() == [(0, 1)]
 
 
 def test_freeness_ranks():

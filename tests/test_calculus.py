@@ -5,14 +5,10 @@ import pytest
 from conftest import random_form
 from qpb.calculus import (
     Form,
-    canonical_map_forms,
     check_exactness,
     concat_product,
     differential,
     horizontal_basis,
-    is_horizontal,
-    is_strongly_horizontal,
-    lift_base_form,
     validate_form,
 )
 from qpb.bundle import BundleSpec, make_product
@@ -111,33 +107,6 @@ def test_concat_associativity_random():
         )
 
 
-def test_lift_base_form():
-    b = fix_z2()
-    base = Form.build(2, 1, lambda idx: ONE if idx == (0, 1) else ZERO)
-    lifted = lift_base_form(b, base)
-    # nonzero exactly on pairs with projections (x0, x1)
-    assert {
-        idx for idx in [(p, q) for p in range(4) for q in range(4)] if lifted.value_at(*idx)
-    } == {(0, 1), (0, 3), (2, 1), (2, 3)}
-
-
-def test_lift_commutes_with_differential():
-    b = fix_prod()
-    rng = Random(5)
-    base = random_form(b.base.size, 1, rng)
-    assert lift_base_form(b, differential(base)) == differential(lift_base_form(b, base))
-
-
-def test_canonical_map_forms_values():
-    b = fix_z2()
-    f = Form.build(4, 1, lambda idx: ONE if idx == (0, 2) else ZERO)
-    image = canonical_map_forms(b, f)
-    # (p, a) -> f(p, p acted by a): hit only at p=0, a=g
-    assert image.support() == [(0, 1)]
-    # identity column always vanishes on valid forms
-    assert all(image.value_at(p, 0) == ZERO for p in range(4))
-
-
 def test_horizontal_basis_dimension():
     assert horizontal_basis(fix_z2()).dim == 8
     assert horizontal_basis(fix_s3()).dim == 0
@@ -178,38 +147,6 @@ def test_horizontal_basis_is_the_reduced_span_of_cross_orbit_indicators(bundle):
     hor = horizontal_basis(bundle)
     assert hor.equals(expected)
     assert hor.dim == len(rows)
-
-
-def test_is_horizontal():
-    b = fix_z2()
-    cross = Form.build(4, 1, lambda idx: ONE if idx == (0, 1) else ZERO)
-    within = Form.build(4, 1, lambda idx: ONE if idx == (0, 2) else ZERO)
-    assert is_horizontal(b, cross)
-    assert not is_horizontal(b, within)
-
-
-def test_horizontal_kernel_property():
-    # horizontal forms die under the canonical map
-    b = fix_prod()
-    rng = Random(9)
-    base = random_form(b.base.size, 1, rng)
-    lifted = lift_base_form(b, base)
-    assert is_horizontal(b, lifted)
-    assert canonical_map_forms(b, lifted).is_zero()
-
-
-def test_strongly_horizontal():
-    b = fix_z2()
-    base = Form.build(2, 1, lambda idx: ONE if idx == (0, 1) else ZERO)
-    lifted = lift_base_form(b, base)
-    assert is_strongly_horizontal(b, lifted)
-    # multiply on the right by a point function: still strongly horizontal
-    shaped = Form.build(
-        4, 1, lambda idx: lifted.value_at(*idx) * (Scalar(2) if idx[1] == 1 else ZERO)
-    )
-    assert is_strongly_horizontal(b, shaped)
-    within = Form.build(4, 1, lambda idx: ONE if idx == (0, 2) else ZERO)
-    assert not is_strongly_horizontal(b, within)
 
 
 def test_exactness_dimensions():

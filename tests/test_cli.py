@@ -454,6 +454,16 @@ def test_cli_unreadable_and_malformed_files(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
 
+    # a ':' in a gauge name would make suite names ambiguous
+    payload = mutated_payload("fix_z2.json")
+    payload["gauges"][0]["name"] = "fl:ip"
+    colon = tmp_path / "colon.json"
+    colon.write_text(json.dumps(payload))
+    assert main(["check", str(colon)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "qpb: gauge name must not contain ':' at gauges[0].name\n"
+
 
 def test_cli_fixtures_roundtrip(tmp_path, capsys):
     outdir = tmp_path / "docs"
@@ -496,19 +506,31 @@ def test_cli_curvature_unframed_document_exits_one(tmp_path, capsys):
 
 def test_cli_max_entries_cap(tmp_path, capsys):
     path = write_fixture(tmp_path, "fix_z2.json")
-    saved = funcs.MAX_TABLE_ENTRIES
-    try:
-        assert main(["check", path, "--max-entries", "10"]) == 2
-        assert "exceeds" in capsys.readouterr().err
-        assert main(["check", path, "--max-entries", "0"]) == 2
-        capsys.readouterr()
-        # the parsed gamma_hat density holds 2 x 2 x 3 = 12 entries
-        prod = write_fixture(tmp_path, "fix_prod.json")
-        assert main(["check", prod, "--suite", "group", "--max-entries", "11"]) == 2
-        assert capsys.readouterr().err == "qpb: table of 12 entries exceeds the cap of 11\n"
-    finally:
-        funcs.set_max_table_entries(saved)
+    assert main(["check", path, "--max-entries", "10"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert main(["check", path, "--max-entries", "0"]) == 2
+    capsys.readouterr()
+    # the parsed gamma_hat density holds 2 x 2 x 3 = 12 entries
+    prod = write_fixture(tmp_path, "fix_prod.json")
+    assert main(["check", prod, "--suite", "group", "--max-entries", "11"]) == 2
+    assert capsys.readouterr().err == "qpb: table of 12 entries exceeds the cap of 11\n"
     assert main(["check", path]) == 0
+
+
+def test_cli_cap_lasts_one_call(tmp_path, capsys):
+    path = write_fixture(tmp_path, "fix_z2.json")
+    before = funcs.MAX_TABLE_ENTRIES
+    for args in (
+        ["check", path, "--max-entries", "3"],
+        ["curvature", path, "--connection", "cls", "--max-entries", "3"],
+        ["check", path, "--max-entries", "100000", "--format", "json"],
+    ):
+        main(args)
+        assert funcs.MAX_TABLE_ENTRIES == before
+    capsys.readouterr()
+    assert main(["check", path]) == 0
+    assert main(["curvature", path, "--connection", "cls"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_requires_subcommand(capsys):

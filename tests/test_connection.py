@@ -9,10 +9,9 @@ from conftest import (
     all_gauge_maps,
     all_transition_maps,
     random_base_potential,
-    random_form,
     random_scalar,
 )
-from qpb.calculus import canonical_map_forms, is_horizontal, restricted_canonical_matrix
+from qpb.calculus import restricted_canonical_matrix
 from qpb.connection import (
     FormValuedMap,
     Splitting,
@@ -28,23 +27,20 @@ from qpb.connection import (
     is_cocycle,
     lift_base_potential,
     potential_from_transition,
-    prime_coaction,
     splitting_from_theta,
     star_delta,
     strong_connection_direct,
     theta_from_splitting,
-    tilde_coaction,
     trivial_connection,
     validate_base_potential,
     validate_connection_form,
     validate_potential,
     validate_splitting,
     validate_transition,
-    vertical_projection,
 )
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import Func
-from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse, gauge_neutral
+from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
 from qpb.linalg import identity_matrix
 from qpb.scalars import ONE, ZERO, Scalar
 
@@ -390,11 +386,6 @@ def test_splitting_columns_and_apply():
     assert col.value_at(0, 1) == ZERO
     assert col.value_at(0, 2) == ONE
     assert col.value_at(0, 3) == ONE
-    basis_input = Func.indicator((4, 2), (0, 1))
-    assert sigma.apply(basis_input) == col
-
-    with pytest.raises(ValueError, match="group identity"):
-        sigma.apply(Func.indicator((4, 2), (0, 0)))
 
 
 def test_theta_from_splitting_rejects_corrupt_matrix():
@@ -541,26 +532,6 @@ def test_validate_splitting_matches_dense_reference_without_free_action():
         assert got[0] == ("splitting.section", False, (0, 1, 0, 1))
 
 
-def test_vertical_projection_properties():
-    b = fix_z2()
-    sigma = splitting_from_theta(trivial_connection(b), b)
-    rng = Random(17)
-    for _ in range(5):
-        f = random_form(4, 1, rng)
-        pf = vertical_projection(f, sigma, b)
-        assert vertical_projection(pf, sigma, b) == pf
-        assert is_horizontal(b, f - pf)
-
-    # cross-orbit indicators are killed, vertical columns are fixed
-    horizontal = Func.indicator((4, 4), (0, 1))
-    from qpb.calculus import Form
-
-    h = Form(4, 1, list(horizontal.values))
-    assert vertical_projection(h, sigma, b).is_zero()
-    col = sigma.column_form(2, 1)
-    assert vertical_projection(col, sigma, b) == col
-
-
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -630,7 +601,7 @@ def test_gauge_transform_routes_and_validity():
         # raises RuntimeError if the density and convolution routes split
         out = gauge_transform_base_potential(gh, tau)
         assert validate_base_potential(out).passed
-    neutral = gauge_neutral(g, 2)
+    neutral = GaugeMap(g, [g.identity] * 2)
     assert gauge_transform_base_potential(gh, neutral) == gh
 
 
@@ -674,7 +645,7 @@ def test_gauge_transform_transition_agreement():
             assert potential_from_transition(moved) == gauge_transform_base_potential(
                 potential_from_transition(tm), tau
             )
-        assert gauge_transform_transition(tm, gauge_neutral(g, 2)) == tm
+        assert gauge_transform_transition(tm, GaugeMap(g, [g.identity] * 2)) == tm
 
 
 def test_gauge_transform_guards():
@@ -685,32 +656,6 @@ def test_gauge_transform_guards():
     tm = TransitionMap(g, [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="does not match"):
         gauge_transform_transition(tm, GaugeMap(g, [0]))
-
-
-# ---------------------------------------------------------------------------
-# coactions used by the covariance checks
-
-
-def test_tilde_coaction_support():
-    b = fix_z2()
-    table = Func.indicator((4, 2), (0, 1))
-    moved = tilde_coaction(b, table)
-    assert moved.shape == (4, 2, 2)
-    assert moved.support() == [(0, 1, 0), (2, 1, 1)]
-    with pytest.raises(ValueError, match="expected shape"):
-        tilde_coaction(b, Func.indicator((4, 3), (0, 1)))
-
-
-def test_prime_coaction_support():
-    from qpb.calculus import Form
-
-    b = fix_z2()
-    f = Form(4, 1, list(Func.indicator((4, 4), (0, 1)).values))
-    moved = prime_coaction(b, f)
-    assert moved.shape == (4, 4, 2)
-    assert moved.support() == [(0, 1, 0), (2, 3, 1)]
-    with pytest.raises(ValueError, match="1-form"):
-        prime_coaction(b, Form(4, 0, [ZERO] * 4))
 
 
 def test_bundle_mismatch_guards():

@@ -225,6 +225,12 @@ def test_connection_declaration_errors():
     assert parse_error(payload).path == "connections[0].name"
 
     payload = doc_payload("fix_z2.json")
+    payload["connections"][0]["name"] = "c:ls"
+    err = parse_error(payload)
+    assert err.path == "connections[0].name"
+    assert err.message == "connection name must not contain ':'"
+
+    payload = doc_payload("fix_z2.json")
     payload["connections"][0]["transition"] = [[0, 1]]
     assert parse_error(payload).path == "connections[0].transition"
 
@@ -264,6 +270,12 @@ def test_gauge_declaration_errors():
     payload["gauges"].append(dict(payload["gauges"][0]))
     err = parse_error(payload)
     assert err.path == "gauges[1].name"
+
+    payload = doc_payload("fix_z2.json")
+    payload["gauges"][0]["name"] = "fl:ip"
+    err = parse_error(payload)
+    assert err.path == "gauges[0].name"
+    assert err.message == "gauge name must not contain ':'"
 
     payload = doc_payload("fix_z2.json")
     payload["gauges"][0]["tau_hat"] = [1]

@@ -1,24 +1,17 @@
-"""Gauge maps, induced bundle automorphisms, trivialization shifts."""
-
-from random import Random
+"""Gauge maps and their induced bundle automorphisms."""
 
 import pytest
 
 from conftest import all_gauge_maps
-from qpb.bundle import validate_trivialization
 from qpb.fixtures import fix_prod, fix_z2
-from qpb.funcs import Func
 from qpb.gauge import (
     BundleAutomorphism,
     GaugeMap,
     gauge_compose,
     gauge_inverse,
-    gauge_neutral,
-    shift_trivialization,
     tau_extract,
     validate_automorphism,
     xi_from_tau,
-    xi_from_trivializations,
 )
 from qpb.groups import FiniteGroup, symmetric
 
@@ -40,7 +33,7 @@ def test_gauge_group_laws_exhaustive():
     cases = [(fix_z2().group, 2), (fix_prod().group, 2), (symmetric(3), 1)]
     for g, base_size in cases:
         taus = list(all_gauge_maps(g, base_size))
-        neutral = gauge_neutral(g, base_size)
+        neutral = GaugeMap(g, [g.identity] * base_size)
         for t1 in taus:
             assert gauge_compose(neutral, t1) == t1
             assert gauge_compose(t1, neutral) == t1
@@ -119,56 +112,8 @@ def test_automorphism_constructor_guards():
         two.compose(other)
 
 
-def test_pullback_precomposes_point_map():
-    g = fix_z2().group
-    xi = xi_from_tau(GaugeMap(g, [1, 0]))
-    table = Func.indicator((2, 2), (0, 0))
-    pulled = xi.pullback(table)
-    assert pulled.support() == [(0, 1)]
-    with pytest.raises(ValueError, match="expected a table"):
-        xi.pullback(Func.indicator((3, 2), (0, 0)))
-
-
-def test_xi_from_trivializations_matches_gauge_shift():
-    for make in (fix_z2, fix_prod):
-        b = make()
-        for tau in all_gauge_maps(b.group, b.base.size):
-            shifted = shift_trivialization(b, tau)
-            xi = xi_from_trivializations(b, shifted.phi)
-            # section points carry the identity frame in these fixtures
-            assert xi == xi_from_tau(tau)
-
-
-def test_xi_from_trivializations_rejects_non_equivariant():
-    b = fix_z2()
-    with pytest.raises(ValueError, match="not equivariant"):
-        xi_from_trivializations(b, [0, 0, 0, 1])
-
-
-def test_shift_trivialization_stays_valid():
-    for make in (fix_z2, fix_prod):
-        b = make()
-        for tau in all_gauge_maps(b.group, b.base.size):
-            shifted = shift_trivialization(b, tau)
-            assert validate_trivialization(shifted).passed
-    b = fix_z2()
-    assert shift_trivialization(b, gauge_neutral(b.group, 2)).phi == b.phi
-
-
-def test_shift_trivialization_composes():
-    b = fix_z2()
-    taus = list(all_gauge_maps(b.group, 2))
-    for t1 in taus:
-        for t2 in taus:
-            twice = shift_trivialization(shift_trivialization(b, t1), t2)
-            once = shift_trivialization(b, gauge_compose(t2, t1))
-            assert twice.phi == once.phi
-
-
 def test_degenerate_group_guards():
     no_identity = FiniteGroup([[0, 0], [0, 0]])
-    with pytest.raises(ValueError, match="no identity"):
-        gauge_neutral(no_identity, 2)
     with pytest.raises(ValueError, match="no inverses"):
         gauge_inverse(GaugeMap(no_identity, [0]))
     g = fix_z2().group

@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from qpb import funcs
 from qpb.cli import main
 from qpb.fixtures import fixture_documents
 
@@ -164,10 +163,6 @@ def test_cli_output_digest(case, tmp_path, capsys):
         doc = mutate(doc)
     path = tmp_path / key
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    saved = funcs.MAX_TABLE_ENTRIES
-    try:
-        status = main([args[0], str(path), *args[1:]])
-    finally:
-        funcs.set_max_table_entries(saved)
+    status = main([args[0], str(path), *args[1:]])
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN[case]

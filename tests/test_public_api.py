@@ -1,19 +1,133 @@
-"""Every name a qpb module lists in __all__ must exist in that module."""
+"""The public surface of qpb.
 
+Every name a module lists in __all__ must exist, and every exported
+function must run on some command line path: the fixtures, every check
+and curvature dump on them, a gamma document and a capped call.  A
+function no path reaches is either deleted or listed in KEEP with the
+reason it stays.  A KEEP entry that a path now reaches, or that is no
+longer exported, fails too, so the list can only shrink.
+"""
+
+import contextlib
+import copy
 import importlib
+import inspect
+import io
+import json
 import pkgutil
+import sys
+
+import pytest
 
 import qpb
+from qpb.cli import main
+from qpb.fixtures import fixture_documents
+from test_golden import _with_gamma
+
+KEEP = {
+    "concat_product": "acceptance criterion 04: Leibniz rule and associativity of the product",
+    "trivial_connection": "acceptance criteria 07 and 08: the trivial connection's invariants and curvature",
+    "gauge_compose": "acceptance criterion 10: gauge group laws (ROADMAP item 2 adds a suite check)",
+    "gauge_inverse": "acceptance criterion 10: gauge group laws (ROADMAP item 2 adds a suite check)",
+    "invariants_basis": "the abstract's claim that the coinvariants are C(B)",
+    "inject_base": "the abstract's claim that the coinvariants are C(B)",
+    "theta_from_splitting": "public guard over _theta_of, which the runner calls after its own validation",
+    "splitting_from_theta": "public guard over _splitting_of, which the runner calls after its own validation",
+    "lift_base_potential": "public guard over _lift_of, which the runner calls after its own validation",
+    "potential_from_transition": "public guard over _potential_of, which the runner calls after its own validation",
+    "classical_connection": "public guard over _classical_of, which the runner calls after its own validation",
+    "tensor_identify": "reference for the coinvariant and Hopf coproduct tests",
+    "fix_z2": "reference bundle for the tests; documents come from fixture_documents",
+    "fix_s3": "reference bundle for the tests; documents come from fixture_documents",
+    "fix_prod": "reference bundle for the tests; documents come from fixture_documents",
+    "fix_nonfree": "reference bundle for the tests; documents come from fixture_documents",
+    "cyclic": "reference group for the tests; documents give their tables",
+    "direct_product": "reference group for the tests; documents give their tables",
+    "identity_matrix": "only rank_and_kernel's empty-matrix path calls it",
+}
+
+
+def _modules():
+    return [qpb] + [
+        importlib.import_module(f"qpb.{info.name}") for info in pkgutil.iter_modules(qpb.__path__)
+    ]
+
+
+def _exported_functions() -> dict:
+    """Bare name -> function, for every function some __all__ lists."""
+    out = {}
+    for mod in _modules():
+        for name in getattr(mod, "__all__", ()):
+            fn = getattr(mod, name, None)
+            if inspect.isfunction(fn):
+                assert out.setdefault(name, fn) is fn, f"two exported functions named {name}"
+    return out
+
+
+def _cli_calls(directory) -> list[list[str]]:
+    """Every command the reachability run makes, after `fixtures`."""
+    calls = []
+    for fname, doc in fixture_documents().items():
+        path = str(directory / fname)
+        calls.append(["check", path, "--format", "json"])
+        calls.append(["check", path])
+        for conn in doc.get("connections", []):
+            calls.append(["curvature", path, "--connection", conn["name"]])
+    gamma = directory / "z2_gamma.json"
+    gamma.write_text(json.dumps(_with_gamma(copy.deepcopy(fixture_documents()["fix_z2.json"]))))
+    calls.append(["check", str(gamma), "--format", "json"])
+    # the splitting matrix of fix_prod's classical connection is one entry over this cap
+    prod = str(directory / "fix_prod.json")
+    calls.append(["check", prod, "--suite", "connection:cls", "--max-entries", "359"])
+    return calls
+
+
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory):
+    """Code objects entered while the command line runs every call."""
+    directory = tmp_path_factory.mktemp("public_api")
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    statuses = []
+    previous = sys.getprofile()
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        sys.setprofile(profile)
+        try:
+            statuses.append(main(["fixtures", "--dir", str(directory)]))
+            for args in _cli_calls(directory):
+                statuses.append(main(args))
+        finally:
+            sys.setprofile(previous)
+    # a usage error (exit 2) would stop a call before the code it should reach
+    assert set(statuses) <= {0, 1}
+    return seen
 
 
 def test_every_public_name_resolves():
-    modules = [qpb] + [
-        importlib.import_module(f"qpb.{info.name}") for info in pkgutil.iter_modules(qpb.__path__)
-    ]
     missing = [
         f"{mod.__name__}.{name}"
-        for mod in modules
+        for mod in _modules()
         for name in getattr(mod, "__all__", ())
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_every_exported_function_runs_on_a_cli_path(reached):
+    unreached = sorted(
+        name
+        for name, fn in _exported_functions().items()
+        if fn.__code__ not in reached and name not in KEEP
+    )
+    assert unreached == []
+
+
+def test_keep_lists_only_exported_functions_no_path_reaches(reached):
+    exported = _exported_functions()
+    assert sorted(set(KEEP) - set(exported)) == []
+    assert sorted(name for name in KEEP if exported[name].__code__ in reached) == []
