@@ -45,11 +45,11 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    saved_cap = funcs.MAX_TABLE_ENTRIES
+    cap_token = None
     try:
         cap = getattr(args, "max_entries", None)
         if cap is not None:
-            funcs.set_max_table_entries(cap)
+            cap_token = funcs.set_max_table_entries(cap)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "fixtures":
@@ -64,7 +64,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         # the cap is for this call only; the next in-process call starts afresh
-        funcs.MAX_TABLE_ENTRIES = saved_cap
+        if cap_token is not None:
+            funcs.MAX_TABLE_ENTRIES.reset(cap_token)
 
 
 def _load_document(path: str):
@@ -105,8 +106,27 @@ def _cmd_curvature(args) -> int:
     except ValueError as exc:
         print(f"qpb: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_curvature_json(payload) + "\n")
     return 0
+
+
+_ENTRY = (
+    '    {\n      "index": [\n        %d,\n        %d,\n        %d,\n        %d\n      ],'
+    '\n      "value": %s\n    }'
+)
+
+
+def _curvature_json(payload: dict) -> str:
+    """`json.dumps(payload, indent=2)`, with the entries written directly:
+    with `indent` set, json runs its pure-Python encoder, which is most of
+    a large dump's time."""
+    head = json.dumps({**payload, "entries": []}, indent=2)
+    entries = payload["entries"]
+    if not entries:
+        return head
+    body = ",\n".join(_ENTRY % (*e["index"], json.dumps(e["value"])) for e in entries)
+    before, _, after = head.rpartition('"entries": []')
+    return before + '"entries": [\n' + body + "\n  ]" + after
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
+from contextvars import ContextVar, Token
 from math import prod
 
 from .scalars import ONE, ZERO, Scalar
@@ -27,21 +28,21 @@ __all__ = [
     "tensor_identify",
 ]
 
-MAX_TABLE_ENTRIES = 10_000_000
+# the cap of the current context; a caller that sets it resets it with
+# the token set_max_table_entries returns
+MAX_TABLE_ENTRIES: ContextVar[int] = ContextVar("MAX_TABLE_ENTRIES", default=10_000_000)
 
 
-def set_max_table_entries(cap: int) -> None:
-    global MAX_TABLE_ENTRIES
+def set_max_table_entries(cap: int) -> Token:
     if cap < 1:
         raise ValueError("entry cap must be positive")
-    MAX_TABLE_ENTRIES = cap
+    return MAX_TABLE_ENTRIES.set(cap)
 
 
 def guard_table_size(entries: int) -> None:
-    if entries > MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"table of {entries} entries exceeds the cap of {MAX_TABLE_ENTRIES}"
-        )
+    cap = MAX_TABLE_ENTRIES.get()
+    if entries > cap:
+        raise ValueError(f"table of {entries} entries exceeds the cap of {cap}")
 
 
 class Table:

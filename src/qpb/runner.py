@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .bundle import (
@@ -58,7 +57,6 @@ from .funcs import Func
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
-from .scalars import Scalar
 
 __all__ = ["RunReport", "ConfigError", "run_checks", "emit_report", "curvature_payload"]
 
@@ -529,8 +527,6 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
 def _jsonable(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, (Scalar, Fraction)):
-        return str(v)
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):

@@ -1,13 +1,20 @@
 """Exact complex scalars with rational real and imaginary parts.
 
 Every value the engine computes is a Gaussian rational, so equality
-tests are decidable and there is no tolerance anywhere.
+tests are decidable and there is no tolerance anywhere.  A Scalar
+stores one canonical integer triple (a, b, d) for the value
+(a + b·i)/d, with d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1)
+and two scalars are equal exactly when their triples are.  Arithmetic
+is plain int arithmetic: where both denominators are 1 no gcd runs,
+otherwise one gcd over the triple normalizes the result.  `re` and `im`
+give the parts as Fractions; no arithmetic goes through Fraction.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 __all__ = ["Scalar", "ZERO", "ONE", "parse_scalar"]
 
@@ -16,41 +23,56 @@ _RE_REAL = re.compile(rf"[+-]?{_RATIONAL}")
 _RE_IMAG = re.compile(rf"(?P<sign>[+-]?)(?P<coef>{_RATIONAL})?i")
 _RE_BOTH = re.compile(rf"(?P<re>[+-]?{_RATIONAL})(?P<sign>[+-])(?P<coef>{_RATIONAL})?i")
 
+_new = object.__new__
+
 
 class Scalar:
-    """Immutable complex number with Fraction components."""
+    """Immutable Gaussian rational (a + b·i)/d in canonical form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        self._a, self._b, self._d = _canonical(
+            re.numerator, re.denominator, im.numerator, im.denominator
+        )
 
-    @classmethod
-    def _make(cls, re: Fraction, im: Fraction) -> Scalar:
-        # fast path for internal arithmetic: components already Fractions
-        s = object.__new__(cls)
-        s.re = re
-        s.im = im
-        return s
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return Scalar._make(self.re + other.re, _F0)
-        return Scalar._make(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == 1 and e == 1:
+            return _make(self._a + other._a, self._b + other._b, 1)
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return Scalar._make(self.re - other.re, _F0)
-        return Scalar._make(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == 1 and e == 1:
+            return _make(self._a - other._a, self._b - other._b, 1)
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -59,77 +81,107 @@ class Scalar:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return Scalar._make(self.re * other.re, _F0)
-        return Scalar._make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, x, y = self._a, self._b, other._a, other._b
+        if not b and not y:
+            re, im = a * x, 0
+        else:
+            re, im = a * x - b * y, a * y + b * x
+        d = self._d * other._d
+        if d == 1:
+            return _make(re, im, 1)
+        return _reduced(re, im, d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def __neg__(self):
-        return Scalar._make(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # matches hash of int/Fraction when the value is real, so mixed
         # comparisons stay consistent with __eq__
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def conjugate(self) -> Scalar:
-        return Scalar._make(self.re, -self.im)
+        if self._b:
+            return hash((self.re, self.im))
+        return hash(self.re)
 
     def inverse(self) -> Scalar:
-        n = self.re * self.re + self.im * self.im
+        a, b = self._a, self._b
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("scalar zero has no inverse")
-        return Scalar._make(self.re / n, -self.im / n)
+        # d/(a + b·i) = d·(a - b·i)/(a² + b²)
+        return _reduced(self._d * a, -self._d * b, n)
 
     def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            coef = str(self.im)
-            if parts and self.im > 0:
-                parts.append("+")
-            parts.append(coef + "i")
-        return "".join(parts)
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_str(a, d)
+        coef = _ratio_str(b, d) + "i"
+        if not a:
+            return coef
+        return _ratio_str(a, d) + ("+" if b > 0 else "") + coef
 
     def __repr__(self):
         return f"Scalar({str(self)!r})"
 
 
-_F0 = Fraction(0)
+def _make(a: int, b: int, d: int) -> Scalar:
+    """A Scalar from a triple that is already canonical."""
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """A Scalar from any triple with d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def _canonical(rn: int, rd: int, im_n: int, im_d: int) -> tuple[int, int, int]:
+    """The canonical triple of rn/rd + (im_n/im_d)·i, denominators positive."""
+    if rd == 1 and im_d == 1:
+        return rn, im_n, 1
+    d = rd * im_d // gcd(rd, im_d)
+    a, b = rn * (d // rd), im_n * (d // im_d)
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """`str` of the Fraction n/d."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
 
 
 def _coerce(x):
     if type(x) is Scalar:
         return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     if isinstance(x, Scalar):
         return x
     return NotImplemented
@@ -139,6 +191,15 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """Numerator and denominator of a literal 'n' or 'n/d'."""
+    num, _, den = text.partition("/")
+    d = int(den) if den else 1
+    if not d:
+        raise ZeroDivisionError(text)
+    return int(num), d
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse a literal like '3', '-1/2', '2/5i', '1/3+2/5i', '1-i'."""
     s = text.strip().replace(" ", "")
@@ -146,19 +207,19 @@ def parse_scalar(text: str) -> Scalar:
         raise ValueError("empty scalar literal")
     try:
         if _RE_REAL.fullmatch(s):
-            return Scalar(Fraction(s))
+            return _make(*_canonical(*_ratio(s), 0, 1))
         m = _RE_BOTH.fullmatch(s)
         if m:
-            coef = Fraction(m.group("coef") or 1)
-            if m.group("sign") == "-":
-                coef = -coef
-            return Scalar(Fraction(m.group("re")), coef)
+            return _make(*_canonical(*_ratio(m.group("re")), *_imaginary(m)))
         m = _RE_IMAG.fullmatch(s)
         if m:
-            coef = Fraction(m.group("coef") or 1)
-            if m.group("sign") == "-":
-                coef = -coef
-            return Scalar(_F0, coef)
+            return _make(*_canonical(0, 1, *_imaginary(m)))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in scalar literal: {text!r}") from exc
     raise ValueError(f"bad scalar literal: {text!r}")
+
+
+def _imaginary(m: re.Match) -> tuple[int, int]:
+    """Signed numerator and denominator of a literal's imaginary coefficient."""
+    num, den = _ratio(m.group("coef") or "1")
+    return (-num if m.group("sign") == "-" else num), den

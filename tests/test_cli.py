@@ -9,6 +9,7 @@ import pytest
 import qpb.connection as connection
 import qpb.funcs as funcs
 import qpb.runner as runner
+from qpb import __version__
 from qpb.cli import main
 from qpb.connection import Splitting, theta_from_splitting, trivial_connection
 from qpb.document import parse_spec
@@ -404,6 +405,16 @@ def test_curvature_payload_flat_and_unframed():
         curvature_payload(doc, "cls")
 
 
+def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys):
+    # the dump writes its entries without json's indenting encoder; "flat" has none
+    for key, name in (("fix_z2.json", "cls"), ("fix_s3.json", "flat"), ("fix_prod.json", "rational")):
+        path = write_fixture(tmp_path, key)
+        assert main(["curvature", path, "--connection", name]) == 0
+        with open(path, encoding="utf-8") as fh:
+            payload = curvature_payload(parse_spec(fh.read()), name, tool_version=__version__)
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # command line entry point
 
@@ -519,14 +530,14 @@ def test_cli_max_entries_cap(tmp_path, capsys):
 
 def test_cli_cap_lasts_one_call(tmp_path, capsys):
     path = write_fixture(tmp_path, "fix_z2.json")
-    before = funcs.MAX_TABLE_ENTRIES
+    before = funcs.MAX_TABLE_ENTRIES.get()
     for args in (
         ["check", path, "--max-entries", "3"],
         ["curvature", path, "--connection", "cls", "--max-entries", "3"],
         ["check", path, "--max-entries", "100000", "--format", "json"],
     ):
         main(args)
-        assert funcs.MAX_TABLE_ENTRIES == before
+        assert funcs.MAX_TABLE_ENTRIES.get() == before
     capsys.readouterr()
     assert main(["check", path]) == 0
     assert main(["curvature", path, "--connection", "cls"]) == 0

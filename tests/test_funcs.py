@@ -58,16 +58,17 @@ def test_tensor_identify():
 def test_entry_cap_guard():
     import qpb.funcs as funcs
 
-    old = funcs.MAX_TABLE_ENTRIES
+    old = funcs.MAX_TABLE_ENTRIES.get()
+    token = set_max_table_entries(10)
     try:
-        set_max_table_entries(10)
         with pytest.raises(ValueError, match="exceeds the cap"):
             Func.zeros((11,))
         with pytest.raises(ValueError, match="exceeds the cap"):
             guard_table_size(11)
         guard_table_size(10)
     finally:
-        set_max_table_entries(old)
+        funcs.MAX_TABLE_ENTRIES.reset(token)
+    assert funcs.MAX_TABLE_ENTRIES.get() == old
 
 
 def test_entry_cap_must_be_positive():
@@ -83,9 +84,9 @@ def test_entry_cap_must_be_positive():
 def cap():
     import qpb.funcs as funcs
 
-    old = funcs.MAX_TABLE_ENTRIES
+    old = funcs.MAX_TABLE_ENTRIES.get()
     yield set_max_table_entries
-    set_max_table_entries(old)
+    funcs.MAX_TABLE_ENTRIES.set(old)
 
 
 def _unread():

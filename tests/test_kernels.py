@@ -7,6 +7,7 @@ kept here so every entry of the new kernels, and its printed form, can
 be compared with them on seeded inputs.
 """
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -70,6 +71,22 @@ def reference_star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValu
     return FormValuedMap(g, size, na + nc, out)
 
 
+# complex values whose parts have different denominators; sums of the
+# third and fifth cancel their imaginary parts and reduce the real one
+MIXED = [
+    Scalar(Fraction(2, 3), Fraction(5, 7)),
+    Scalar(Fraction(-5, 6), Fraction(1, 4)),
+    Scalar(Fraction(1, 6), Fraction(-1, 10)),
+    Scalar(0, Fraction(-3, 10)),
+    Scalar(Fraction(1, 3), Fraction(1, 10)),
+]
+
+
+def kernel_scalar(rng: Random) -> Scalar:
+    """A pool value or, one draw in three, a mixed-denominator complex one."""
+    return rng.choice(MIXED) if rng.random() < 1 / 3 else random_scalar(rng)
+
+
 def random_rows(rng: Random, rows: int, width: int) -> list[Scalar]:
     """Pool values, with about a third of the rows left all zero."""
     out = []
@@ -77,7 +94,7 @@ def random_rows(rng: Random, rows: int, width: int) -> list[Scalar]:
         if rng.random() < 1 / 3:
             out.extend(Scalar(0) for _ in range(width))
         else:
-            out.extend(random_scalar(rng) for _ in range(width))
+            out.extend(kernel_scalar(rng) for _ in range(width))
     return out
 
 
@@ -142,13 +159,13 @@ def test_star_delta_sums_that_cancel():
     # on Z2 the a row (v, -v) against the c row (w, w) sends v*w and -v*w
     # to the same group element in every output entry
     g = GROUPS["Z2"]
-    v, w = Scalar(1, 2), Scalar(3)
-    a = FormValuedMap(g, 2, 0, [v, -v, Scalar(0), Scalar(0)])
-    c = FormValuedMap(g, 2, 0, [w, w, ONE, ZERO])
-    out = star_delta(a, c)
-    assert_same_entries(out, reference_star_delta(a, c))
-    assert out.is_zero()
-    assert [str(x) for x in out.density] == ["0"] * 4
+    for v, w in ((Scalar(1, 2), Scalar(3)), (MIXED[0], MIXED[1])):
+        a = FormValuedMap(g, 2, 0, [v, -v, Scalar(0), Scalar(0)])
+        c = FormValuedMap(g, 2, 0, [w, w, ONE, ZERO])
+        out = star_delta(a, c)
+        assert_same_entries(out, reference_star_delta(a, c))
+        assert out.is_zero()
+        assert [str(x) for x in out.density] == ["0"] * 4
 
 
 def test_form_valued_sum_and_difference_with_zero_operands():
@@ -163,3 +180,13 @@ def test_form_valued_sum_and_difference_with_zero_operands():
         assert [str(x) for x in (a - b).density] == [str(x) for x in expected_diff]
         assert (a - b).density == expected_diff
         assert (a - a).is_zero()
+
+
+def test_mixed_denominator_sums_reduce():
+    # imaginary parts cancel and the real part 1/6 + 1/3 reduces to 1/2
+    g = GROUPS["Z2"]
+    a = FormValuedMap(g, 1, 0, [MIXED[2], MIXED[3]])
+    b = FormValuedMap(g, 1, 0, [MIXED[4], -MIXED[3]])
+    assert [str(x) for x in (a + b).density] == ["1/2", "0"]
+    assert (a + b).density == [Scalar(Fraction(1, 2)), ZERO]
+    assert hash((a + b).density[0]) == hash(Fraction(1, 2))
