@@ -10,7 +10,7 @@ layer.
 
 from __future__ import annotations
 
-from .funcs import Func, guard_table_size, indices
+from .funcs import Func, first_difference, guard_table_size
 from .groups import FiniteGroup, RightAction, fixed_point_witness
 from .linalg import SubspaceBasis, rank_of
 from .report import CheckResult, Report
@@ -129,29 +129,26 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
         report.add(CheckResult("comodule.coassociativity", False, data={"reason": "group has no identity"}))
         return report
 
+    # t(p.a, c) against t(p, ac) over (p, a, c), t the coaction of an
+    # indicator, as flat gathers of t's (point, group element) rows
+    act, mul = b.action.table, g.table
     coassoc_witness = None
     for q in range(n):
-        f = Func.indicator((n,), (q,))
-        t = coaction(b, f)
-        lhs = Func.build((n, m, m), lambda i: t.value_at(b.act(i[0], i[1]), i[2]))
-        rhs = Func.build((n, m, m), lambda i: t.value_at(i[0], g.table[i[1]][i[2]]))
-        if lhs != rhs:
-            coassoc_witness = next(
-                i for i in indices((n, m, m))
-                if lhs.value_at(*i) != rhs.value_at(*i)
-            )
+        t = coaction(b, Func.indicator((n,), (q,))).values
+        lhs = Func((n, m, m), (t[x * m + c] for row in act for x in row for c in range(m)))
+        rhs = Func((n, m, m), (t[p * m + ac] for p in range(n) for row in mul for ac in row))
+        coassoc_witness = first_difference(lhs.values, rhs.values, lhs.shape)
+        if coassoc_witness is not None:
             break
     report.add(CheckResult("comodule.coassociativity", coassoc_witness is None, coassoc_witness))
 
     counit_witness = None
     for q in range(n):
         f = Func.indicator((n,), (q,))
-        t = coaction(b, f)
-        restricted = Func((n,), [t.value_at(p, e) for p in range(n)])
-        if restricted != f:
-            counit_witness = next(
-                (p,) for p in range(n) if restricted.value_at(p) != f.value_at(p)
-            )
+        # the coaction at the identity: every row's entry e
+        restricted = coaction(b, f).values[e::m]
+        counit_witness = first_difference(restricted, f.values, f.shape)
+        if counit_witness is not None:
             break
     report.add(CheckResult("comodule.counit", counit_witness is None, counit_witness))
 
@@ -163,13 +160,10 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
             fr = Func.indicator((n,), (r,))
             lhs = coaction(b, fq * fr)
             rhs = tq * coaction(b, fr)
-            if lhs != rhs:
-                mult_witness = next(
-                    i for i in indices((n, m))
-                    if lhs.value_at(*i) != rhs.value_at(*i)
-                )
+            mult_witness = first_difference(lhs.values, rhs.values, lhs.shape)
+            if mult_witness is not None:
                 break
-        if mult_witness:
+        if mult_witness is not None:
             break
     report.add(CheckResult("comodule.multiplicativity", mult_witness is None, mult_witness))
 

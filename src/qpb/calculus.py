@@ -41,7 +41,7 @@ class Form(Table):
             raise ValueError("degree must be nonnegative")
         self.size = size
         self.degree = degree
-        super().__init__(size ** (degree + 1), values)
+        super().__init__((size,) * (degree + 1), values)
 
     def _layout(self) -> tuple:
         return (self.size, self.degree)
@@ -60,32 +60,12 @@ class Form(Table):
         return cls(size, degree, itertools.repeat(ZERO, size ** (degree + 1)))
 
     @classmethod
-    def from_func(cls, f: Func) -> Form:
-        if len(f.shape) != 1:
-            raise ValueError(f"degree-0 forms come from one-index tables, got {f.shape}")
-        return cls(f.shape[0], 0, list(f.values))
-
-    @classmethod
     def build(cls, size: int, degree: int, fn) -> Form:
         shape = (size,) * (degree + 1)
         return cls(size, degree, (fn(idx) for idx in indices(shape)))
 
-    def shape(self) -> tuple[int, ...]:
-        return (self.size,) * (self.degree + 1)
-
-    def flat_index(self, idx: tuple[int, ...]) -> int:
-        flat = 0
-        for i in idx:
-            flat = flat * self.size + i
-        return flat
-
-    def value_at(self, *idx: int) -> Scalar:
-        if len(idx) != self.degree + 1:
-            raise ValueError(f"need {self.degree + 1} points, got {len(idx)}")
-        return self.values[self.flat_index(idx)]
-
     def to_func(self) -> Func:
-        return Func(self.shape(), list(self.values))
+        return Func(self.shape, list(self.values))
 
     def __repr__(self):
         return f"Form(size={self.size}, degree={self.degree})"
@@ -96,11 +76,10 @@ def validate_form(f: Form) -> Report:
     report = Report()
     witness = None
     if f.degree > 0:
-        for idx in indices(f.shape()):
-            if any(idx[j] == idx[j + 1] for j in range(f.degree)):
-                if f.values[f.flat_index(idx)]:
-                    witness = idx
-                    break
+        for idx, v in zip(indices(f.shape), f.values):
+            if v and any(idx[j] == idx[j + 1] for j in range(f.degree)):
+                witness = idx
+                break
     report.add(CheckResult("form.adjacent_vanishing", witness is None, witness))
     return report
 

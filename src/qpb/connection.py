@@ -18,7 +18,7 @@ from collections.abc import Iterable
 
 from .bundle import BundleSpec
 from .calculus import Form, _nonzero_rows, differential, offdiag_pairs
-from .funcs import Func, Table, guard_table_size, indices
+from .funcs import Func, Table, first_difference, guard_table_size, indices
 from .groups import FiniteGroup
 from .gauge import GaugeMap
 from .report import CheckResult, Report
@@ -199,7 +199,7 @@ class FormValuedMap(Table):
         self.group = group
         self.size = size
         self.degree = degree
-        super().__init__(size ** (degree + 1) * group.order, density)
+        super().__init__((size,) * (degree + 1) + (group.order,), density)
 
     def _layout(self) -> tuple:
         return (self.group, self.size, self.degree)
@@ -226,14 +226,6 @@ class FormValuedMap(Table):
             0,
             (ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)),
         )
-
-    def value_at(self, *idx: int) -> Scalar:
-        """Density at (points..., group element)."""
-        *points, c = idx
-        flat = 0
-        for i in points:
-            flat = flat * self.size + i
-        return self.density[flat * self.group.order + c]
 
     def slice_form(self, c: int) -> Form:
         m = self.group.order
@@ -342,29 +334,38 @@ def conv_inverse(h: FormValuedMap) -> FormValuedMap:
     return FormValuedMap.from_point_table(g, w)
 
 
+def _rows_at(gamma: FormValuedMap, pairs: Iterable[tuple[int, int]]) -> Iterable[Scalar]:
+    """The group rows of a degree-1 density at each point pair in turn, end to end."""
+    d, n, m = gamma.density, gamma.size, gamma.group.order
+    return itertools.chain.from_iterable(
+        d[(p * n + q) * m : (p * n + q + 1) * m] for p, q in pairs
+    )
+
+
+def _orbit_pairs(b: BundleSpec) -> Iterable[tuple[int, int]]:
+    """(p, p.a) for every point p and group element a, in that order."""
+    return ((p, q) for p, row in enumerate(b.action.table) for q in row)
+
+
+def _translated_pairs(b: BundleSpec) -> Iterable[tuple[int, int]]:
+    """(p.a, q.a) for every pair of points (p, q) and group element a, in that order."""
+    act = b.action.table
+    return ((rp[a], rq[a]) for rp in act for rq in act for a in range(b.group.order))
+
+
 def _unit_normalization_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
     """First point pair whose degree-1 density does not sum to zero over the group."""
     n, m = gamma.size, gamma.group.order
-    for t in range(n * n):
-        acc = ZERO
-        for c in range(m):
-            acc = acc + gamma.density[t * m + c]
-        if acc:
-            return divmod(t, n)
-    return None
+    d = gamma.density
+    sums = (sum(d[t : t + m], ZERO) for t in range(0, len(d), m))
+    return first_difference(sums, itertools.repeat(ZERO), (n, n))
 
 
 def _diagonal_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
     """First (point, group element) where a degree-1 density is nonzero on the diagonal."""
-    return next(
-        (
-            (p, c)
-            for p in range(gamma.size)
-            for c in range(gamma.group.order)
-            if gamma.value_at(p, p, c)
-        ),
-        None,
-    )
+    n = gamma.size
+    diagonal = _rows_at(gamma, ((p, p) for p in range(n)))
+    return first_difference(diagonal, itertools.repeat(ZERO), (n, gamma.group.order))
 
 
 class TransitionMap:
@@ -414,40 +415,22 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
         CheckResult("connection.unit_normalization", norm_witness is None, norm_witness)
     )
 
-    split_witness = next(
-        (
-            (p, a, c)
-            for p in range(n)
-            for a in range(m)
-            for c in range(m)
-            if theta.value_at(p, b.act(p, a), c)
-            != (ONE if a == c else ZERO) - (ONE if c == e else ZERO)
-        ),
-        None,
-    )
+    # theta(p, p.a, c) against the (a, c) block d(a, c) - d(c, e), at every p
+    unit = [
+        (ONE if a == c else ZERO) - (ONE if c == e else ZERO) for a in range(m) for c in range(m)
+    ]
+    split_witness = first_difference(_rows_at(theta, _orbit_pairs(b)), unit * n, (n, m, m))
     report.add(
         CheckResult("connection.splitting_property", split_witness is None, split_witness)
     )
 
-    cov_witness = None
-    for p in range(n):
-        for q in range(n):
-            for bb in range(m):
-                pb, qb = b.act(p, bb), b.act(q, bb)
-                inv_b = g.inv(bb)
-                for c in range(m):
-                    # translate both points, conjugate the group argument
-                    if theta.value_at(pb, qb, c) != theta.value_at(
-                        p, q, g.conj(c, inv_b)
-                    ):
-                        cov_witness = (p, q, bb, c)
-                        break
-                if cov_witness:
-                    break
-            if cov_witness:
-                break
-        if cov_witness:
-            break
+    # theta(p.b, q.b, c) against theta(p, q, b c b^-1), witness (p, q, b, c)
+    conj = [g.conj(c, g.inv(bb)) for bb in range(m) for c in range(m)]
+    d = theta.density
+    conjugated = (d[t + k] for t in range(0, len(d), m) for k in conj)
+    cov_witness = first_difference(
+        _rows_at(theta, _translated_pairs(b)), conjugated, (n, n, m, m)
+    )
     report.add(CheckResult("connection.ad_covariance", cov_witness is None, cov_witness))
     return report
 
@@ -532,30 +515,18 @@ def validate_potential(gamma: FormValuedMap, b: BundleSpec) -> Report:
         CheckResult("potential.unit_normalization", norm_witness is None, norm_witness)
     )
 
-    orbit_witness = next(
-        (
-            (p, a, c)
-            for p in range(n)
-            for a in range(m)
-            for c in range(m)
-            if gamma.value_at(p, b.act(p, a), c)
-        ),
-        None,
+    orbit_witness = first_difference(
+        _rows_at(gamma, _orbit_pairs(b)), itertools.repeat(ZERO), (n, m, m)
     )
     report.add(
         CheckResult("potential.vanishing_on_orbit_pairs", orbit_witness is None, orbit_witness)
     )
 
-    inv_witness = next(
-        (
-            (p, q, a, c)
-            for p in range(n)
-            for q in range(n)
-            for a in range(m)
-            for c in range(m)
-            if gamma.value_at(b.act(p, a), b.act(q, a), c) != gamma.value_at(p, q, c)
-        ),
-        None,
+    # gamma(p.a, q.a, c) against gamma(p, q, c), each pair's row once per a
+    d = gamma.density
+    unmoved = (d[t + c] for t in range(0, len(d), m) for _a in range(m) for c in range(m))
+    inv_witness = first_difference(
+        _rows_at(gamma, _translated_pairs(b)), unmoved, (n, n, m, m)
     )
     report.add(
         CheckResult("potential.translation_invariance", inv_witness is None, inv_witness)

@@ -4,15 +4,22 @@ Every object qpb computes with is a function on a finite set, stored as
 a flat row-major list of exact values.  The three table types, Func
 (a shape), calculus.Form (points and degree) and
 connection.FormValuedMap (group, points and degree), share one guarded
-base, Table: it checks the entry cap before it reads an input, and it
-owns the pointwise sums, negation, scaling, the zero test, the operand
-check and equality, so each type only states its layout.  The entry cap
-makes degree blowups fail loudly instead of exhausting memory.
+base, Table: it holds the shape, checks the entry cap before it reads an
+input, and owns the bounds-checked lookup, the pointwise sums, negation,
+the zero test, the operand check and equality, so each type only states
+its layout.  The entry cap makes degree blowups fail loudly instead of
+exhausting memory.
+
+The row-major layout is decoded here too: `indices` walks a shape in
+order, `unravel` turns a flat position back into its index tuple, and
+`first_difference` names the first entry where two row-major sequences
+disagree, which is how the density and comodule checks name a witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable
 from contextvars import ContextVar, Token
 from math import prod
@@ -48,17 +55,20 @@ def guard_table_size(entries: int) -> None:
 class Table:
     """A flat row-major table of exact values; a subclass fixes its layout.
 
-    A subclass sets its layout attributes, then calls this constructor.
-    It defines `_layout()`, those attributes in its own constructor's
-    order, so a table of the same kind is `type(t)(*t._layout(), values)`,
-    and the messages `_length_error(got, need)` and `_mismatch_error(other)`.
+    A subclass sets its layout attributes, then calls this constructor
+    with the shape they give.  It defines `_layout()`, those attributes in
+    its own constructor's order, so a table of the same kind is
+    `type(t)(*t._layout(), values)`, and the messages
+    `_length_error(got, need)` and `_mismatch_error(other)`.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("shape", "values")
 
-    def __init__(self, entries: int, values: Iterable[Scalar]):
+    def __init__(self, shape: tuple[int, ...], values: Iterable[Scalar]):
         """The values are read only after the size guard, so a generator
         never runs past the table cap; a list is kept without a copy."""
+        self.shape = shape
+        entries = prod(shape)
         guard_table_size(entries)
         if not isinstance(values, list):
             values = list(values)
@@ -89,11 +99,21 @@ class Table:
     def __neg__(self):
         return self._like([-a for a in self.values])
 
-    def scale(self, s: Scalar):
-        return self._like([s * a for a in self.values])
-
     def is_zero(self) -> bool:
         return not any(self.values)
+
+    def flat_index(self, idx: tuple[int, ...]) -> int:
+        if len(idx) != len(self.shape):
+            raise ValueError(f"index {idx} does not match shape {self.shape}")
+        flat = 0
+        for i, n in zip(idx, self.shape):
+            if not 0 <= i < n:
+                raise ValueError(f"index {idx} out of range for shape {self.shape}")
+            flat = flat * n + i
+        return flat
+
+    def value_at(self, *idx: int) -> Scalar:
+        return self.values[self.flat_index(idx)]
 
     def __eq__(self, other):
         return (
@@ -106,11 +126,10 @@ class Table:
 class Func(Table):
     """An exact-valued function on a product of index ranges."""
 
-    __slots__ = ("shape",)
+    __slots__ = ()
 
     def __init__(self, shape: tuple[int, ...], values: Iterable[Scalar]):
-        self.shape = tuple(shape)
-        super().__init__(prod(shape), values)
+        super().__init__(tuple(shape), values)
 
     def _layout(self) -> tuple:
         return (self.shape,)
@@ -139,19 +158,6 @@ class Func(Table):
     def build(cls, shape: tuple[int, ...], fn) -> Func:
         return cls(shape, (fn(idx) for idx in indices(shape)))
 
-    def flat_index(self, idx: tuple[int, ...]) -> int:
-        if len(idx) != len(self.shape):
-            raise ValueError(f"index {idx} does not match shape {self.shape}")
-        flat = 0
-        for i, n in zip(idx, self.shape):
-            if not 0 <= i < n:
-                raise ValueError(f"index {idx} out of range for shape {self.shape}")
-            flat = flat * n + i
-        return flat
-
-    def value_at(self, *idx: int) -> Scalar:
-        return self.values[self.flat_index(idx)]
-
     def __mul__(self, other: Func) -> Func:
         self._check_match(other)
         return self._like([a * b for a, b in zip(self.values, other.values)])
@@ -165,6 +171,29 @@ class Func(Table):
 
 def indices(shape: tuple[int, ...]):
     return itertools.product(*(range(n) for n in shape))
+
+
+def unravel(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The index tuple at a row-major position of a shape."""
+    idx = []
+    rest = flat
+    for n in reversed(shape):
+        rest, i = divmod(rest, n)
+        idx.append(i)
+    if rest:
+        raise ValueError(f"position {flat} out of range for shape {shape}")
+    return tuple(reversed(idx))
+
+
+def first_difference(
+    lhs: Iterable, rhs: Iterable, shape: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The index tuple of the first entry where two row-major sequences
+    of a shape differ, or None; every entry before it is compared, and
+    neither side is read past it."""
+    # map and compress keep the per-entry loop out of Python bytecode
+    flat = next(itertools.compress(itertools.count(), map(operator.ne, lhs, rhs)), None)
+    return None if flat is None else unravel(flat, shape)
 
 
 def tensor_identify(f: Func, g: Func) -> Func:

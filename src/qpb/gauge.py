@@ -75,9 +75,6 @@ class BundleAutomorphism:
         self.base_size = len(trans)
         self.trans = [list(row) for row in trans]
 
-    def point_map(self, x: int, a: int) -> tuple[int, int]:
-        return (x, self.trans[x][a])
-
     def compose(self, other: BundleAutomorphism) -> BundleAutomorphism:
         """Point-map composition: self after other."""
         if self.group != other.group or self.base_size != other.base_size:

@@ -81,9 +81,6 @@ class SubspaceBasis:
                 res = [a - f * b if b else a for a, b in zip(res, row)]
         return not any(res)
 
-    def contains_all(self, vectors: list[list[Scalar]]) -> bool:
-        return all(self.contains(v) for v in vectors)
-
     def equals(self, other: SubspaceBasis) -> bool:
         # reduced echelon bases are unique per subspace
         return (

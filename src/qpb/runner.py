@@ -53,7 +53,7 @@ from .connection import (
     _theta_of,
 )
 from .document import ConnectionDecl, SpecDocument
-from .funcs import Func
+from .funcs import Func, unravel
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
@@ -595,13 +595,11 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
         raise ValueError(reason)
     f = curvature(theta)
     n, m = f.size, f.group.order
-    entries = []
-    for flat, v in enumerate(f.density):
-        if v:
-            t, c = divmod(flat, m)
-            t, r = divmod(t, n)
-            p, q = divmod(t, n)
-            entries.append({"index": [p, q, r, c], "value": str(v)})
+    entries = [
+        {"index": list(unravel(flat, f.shape)), "value": str(v)}
+        for flat, v in enumerate(f.density)
+        if v
+    ]
     return {
         "format_version": 1,
         "tool": "qpb",

@@ -72,6 +72,84 @@ def test_comodule_algebra_corrupted_action_fails():
     assert bad.witness is not None
 
 
+# nested-loop references for the comodule witnesses: the first indicator
+# that fails, then the first index where its two sides differ
+
+
+def _first_coassociativity_failure(b):
+    act, mul = b.action.table, b.group.table
+    n, m = b.total_size, b.group.order
+    for q in range(n):
+        for p in range(n):
+            for a in range(m):
+                for c in range(m):
+                    if (act[act[p][a]][c] == q) != (act[p][mul[a][c]] == q):
+                        return (p, a, c)
+    return None
+
+
+def _first_counit_failure(b):
+    n, e = b.total_size, b.group.identity
+    for q in range(n):
+        for p in range(n):
+            if (b.act(p, e) == q) != (p == q):
+                return (p,)
+    return None
+
+
+def _first_multiplicativity_failure(b, coact):
+    n, m = b.total_size, b.group.order
+    for q in range(n):
+        fq = Func.indicator((n,), (q,))
+        for r in range(n):
+            fr = Func.indicator((n,), (r,))
+            lhs = coact(b, fq * fr)
+            rhs = coact(b, fq) * coact(b, fr)
+            for p in range(n):
+                for a in range(m):
+                    if lhs.value_at(p, a) != rhs.value_at(p, a):
+                        return (p, a)
+    return None
+
+
+def _with_entry(b, p, a, q):
+    table = [list(row) for row in b.action.table]
+    table[p][a] = q
+    return BundleSpec(b.group, RightAction(b.group, table))
+
+
+def test_coassociativity_witness_is_the_first_failure():
+    b = _with_entry(fix_s3(), 3, 4, 1)
+    rep = check_comodule_algebra(b)
+    witness = rep["comodule.coassociativity"].witness
+    assert witness == _first_coassociativity_failure(b) == (0, 3, 4)
+
+
+def test_counit_witness_is_the_first_failure():
+    b = _with_entry(fix_s3(), 4, 0, 5)
+    rep = check_comodule_algebra(b)
+    witness = rep["comodule.counit"].witness
+    assert witness == _first_counit_failure(b) == (4,)
+
+
+def test_multiplicativity_witness_is_the_first_failure(monkeypatch):
+    # pulling back along any action table is multiplicative, so the
+    # coaction itself is corrupted: entry (2, 3) is doubled
+    import qpb.bundle
+
+    def doubled(b, f):
+        t = coaction(b, f)
+        k = 2 * b.group.order + 3
+        t.values[k] = t.values[k] + t.values[k]
+        return t
+
+    b = fix_s3()
+    monkeypatch.setattr(qpb.bundle, "coaction", doubled)
+    rep = check_comodule_algebra(b)
+    witness = rep["comodule.multiplicativity"].witness
+    assert witness == _first_multiplicativity_failure(b, doubled) == (2, 3)
+
+
 def test_freeness_ranks():
     for b, expected, n in ((fix_z2(), 8, 4), (fix_s3(), 36, 6), (fix_prod(), 18, 6)):
         rep = check_freeness(b)

@@ -13,7 +13,6 @@ from qpb.calculus import (
 )
 from qpb.bundle import BundleSpec, make_product
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.funcs import Func
 from qpb.groups import RightAction, symmetric
 from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar
@@ -178,10 +177,3 @@ def test_form_shape_guards():
         Form(2, 1, [ZERO, ZERO, ZERO])
     with pytest.raises(ValueError, match="different sets"):
         concat_product(Form.zero(2, 1), Form.zero(3, 1))
-
-
-def test_form_from_func_round_trip():
-    f = Func((3,), [Scalar(1), Scalar(2), Scalar(3)])
-    form = Form.from_func(f)
-    assert form.degree == 0
-    assert form.to_func() == f

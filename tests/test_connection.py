@@ -11,6 +11,7 @@ from conftest import (
     random_base_potential,
     random_scalar,
 )
+from qpb.bundle import make_product
 from qpb.calculus import restricted_canonical_matrix
 from qpb.connection import (
     FormValuedMap,
@@ -41,6 +42,7 @@ from qpb.connection import (
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
+from qpb.groups import symmetric
 from qpb.linalg import identity_matrix
 from qpb.scalars import ONE, ZERO, Scalar
 
@@ -403,6 +405,66 @@ def test_splitting_from_theta_rejects_invalid_form():
     flat_zero = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
     with pytest.raises(ValueError, match="connection form rejected"):
         splitting_from_theta(flat_zero, b)
+
+
+# nested-loop references for the connection form's witnesses, in the order
+# the checks promise
+
+
+def _first_splitting_failure(theta, b):
+    g = b.group
+    for p in range(b.total_size):
+        for a in range(g.order):
+            for c in range(g.order):
+                unit = (ONE if a == c else ZERO) - (ONE if c == g.identity else ZERO)
+                if theta.value_at(p, b.act(p, a), c) != unit:
+                    return (p, a, c)
+    return None
+
+
+def _first_ad_covariance_failure(theta, b):
+    g = b.group
+    n = b.total_size
+    for p in range(n):
+        for q in range(n):
+            for bb in range(g.order):
+                for c in range(g.order):
+                    moved = theta.value_at(b.act(p, bb), b.act(q, bb), c)
+                    if moved != theta.value_at(p, q, g.conj(c, g.inv(bb))):
+                        return (p, q, bb, c)
+    return None
+
+
+def _moved(theta, p, q, up, down):
+    """theta with one unit moved from group element `down` to `up` at (p, q)."""
+    density = list(theta.density)
+    base = (p * theta.size + q) * theta.group.order
+    density[base + up] = density[base + up] + ONE
+    density[base + down] = density[base + down] - ONE
+    return FormValuedMap(theta.group, theta.size, 1, density)
+
+
+def test_ad_covariance_witness_is_the_first_failure():
+    # S3 over two base points: moving a unit within a cross-orbit row keeps
+    # the row sums and the orbit rows, so only ad-covariance fails, first
+    # at a translate of the changed row
+    b = make_product(2, symmetric(3))
+    theta = _moved(trivial_connection(b), 2, 9, 4, 5)
+    report = validate_connection_form(theta, b)
+    assert [c.name for c in report.checks if not c.passed] == ["connection.ad_covariance"]
+    witness = report["connection.ad_covariance"].witness
+    assert witness == _first_ad_covariance_failure(theta, b) == (0, 7, 2, 4)
+    p, q, bb, c = witness
+    assert bb != b.group.identity and c != b.group.identity
+
+
+def test_splitting_property_witness_is_the_first_failure():
+    b = make_product(2, symmetric(3))
+    theta = _moved(trivial_connection(b), 3, b.act(3, 2), 4, 1)
+    report = validate_connection_form(theta, b)
+    assert not report["connection.splitting_property"].passed
+    witness = report["connection.splitting_property"].witness
+    assert witness == _first_splitting_failure(theta, b) == (3, 2, 1)
 
 
 # the dense route validate_splitting replaced, kept as its reference

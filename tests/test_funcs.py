@@ -1,11 +1,23 @@
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpb.calculus import Form, concat_product
 from qpb.connection import FormValuedMap
-from qpb.funcs import Func, guard_table_size, indices, set_max_table_entries, tensor_identify
+from qpb.fixtures import fix_z2
+from qpb.funcs import (
+    Func,
+    first_difference,
+    guard_table_size,
+    indices,
+    set_max_table_entries,
+    tensor_identify,
+    unravel,
+)
 from qpb.groups import cyclic
 from qpb.scalars import ONE, ZERO, Scalar
 
@@ -29,7 +41,6 @@ def test_algebra_operations():
     assert (a - b).values == [Scalar(-2), Scalar(3)]
     assert (a * b).values == [Scalar(3), Scalar(-2)]
     assert (-a).values == [Scalar(-1), Scalar(-2)]
-    assert a.scale(Scalar(2)).values == [Scalar(2), Scalar(4)]
 
 
 def test_shape_mismatch_rejected():
@@ -37,6 +48,20 @@ def test_shape_mismatch_rejected():
         Func.zeros((2,)) + Func.zeros((3,))
     with pytest.raises(ValueError, match="does not match shape"):
         Func.zeros((2, 2)).value_at(1)
+    # one checked lookup for every table kind: a degree-1 map over fix_z2
+    # has shape (4, 4, 2), a degree-1 form on 2 points shape (2, 2)
+    b = fix_z2()
+    theta = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
+    assert theta.shape == (4, 4, 2)
+    with pytest.raises(ValueError, match=r"^index \(0, 1\) does not match shape \(4, 4, 2\)$"):
+        theta.value_at(0, 1)
+    for idx in ((0, 4, 0), (-1, 0, 0), (0, 0, 2)):
+        with pytest.raises(ValueError, match="out of range for shape"):
+            theta.value_at(*idx)
+    form = Form(2, 1, [ZERO] * 4)
+    assert form.shape == (2, 2)
+    with pytest.raises(ValueError, match=r"^index \(0, 3\) out of range for shape \(2, 2\)$"):
+        form.value_at(0, 3)
 
 
 def test_support():
@@ -182,3 +207,56 @@ def test_a_list_is_kept_without_a_copy():
     assert Func((2,), values).values is values
     assert Form(2, 0, values).values is values
     assert FormValuedMap(cyclic(2), 1, 0, values).density is values
+
+
+# ---------------------------------------------------------------------------
+# row-major decoding: unravel and first_difference against brute-force scans
+
+PROPERTIES = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def _pairs(draw):
+    """A shape, a row-major sequence over it, and a copy with some entries changed."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    size = prod(shape)
+    lhs = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    changed = draw(st.sets(st.integers(0, size - 1), max_size=3))
+    rhs = [v + 1 if k in changed else v for k, v in enumerate(lhs)]
+    return shape, [Scalar(v) for v in lhs], [Scalar(v) for v in rhs]
+
+
+def _brute_first_difference(shape, lhs, rhs):
+    f, g = Func(shape, lhs), Func(shape, rhs)
+    return next((i for i in indices(shape) if f.value_at(*i) != g.value_at(*i)), None)
+
+
+@PROPERTIES
+@given(_pairs())
+@example(((2, 3), [ONE] * 6, [ONE] * 6))  # equal
+@example(((2, 3), [ONE] * 6, [ONE] * 5 + [ZERO]))  # only the last entry differs
+@example(((3, 1, 2), [ZERO] * 6, [ZERO, ZERO, ONE, ZERO, ONE, ONE]))  # several, a 1-long axis
+def test_first_difference_matches_a_brute_force_scan(case):
+    shape, lhs, rhs = case
+    expected = _brute_first_difference(shape, lhs, rhs)
+    assert first_difference(lhs, rhs, shape) == expected
+    # iterators are read up to the first difference and no further
+    left, right = iter(lhs), iter(rhs)
+    assert first_difference(left, right, shape) == expected
+    stop = len(lhs) if expected is None else Func(shape, lhs).flat_index(expected) + 1
+    assert list(left) == lhs[stop:]
+    assert list(right) == rhs[stop:]
+
+
+@PROPERTIES
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+@example([1, 3, 1])
+def test_unravel_inverts_the_row_major_order(dims):
+    shape = tuple(dims)
+    table = Func.zeros(shape)
+    for flat, idx in enumerate(indices(shape)):
+        assert unravel(flat, shape) == idx
+        assert table.flat_index(idx) == flat
+    for flat in (-1, prod(shape)):
+        with pytest.raises(ValueError, match="out of range"):
+            unravel(flat, shape)

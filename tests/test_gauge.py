@@ -49,9 +49,9 @@ def test_gauge_group_laws_exhaustive():
 def test_xi_from_tau_left_translates():
     g = fix_z2().group
     xi = xi_from_tau(GaugeMap(g, [1, 0]))
-    assert xi.point_map(0, 0) == (0, 1)
-    assert xi.point_map(0, 1) == (0, 0)
-    assert xi.point_map(1, 1) == (1, 1)
+    assert xi.trans[0][0] == 1
+    assert xi.trans[0][1] == 0
+    assert xi.trans[1][1] == 1
 
 
 def test_automorphisms_respect_gauge_group():

@@ -70,7 +70,6 @@ def test_subspace_membership():
     basis = span_basis([[ONE, ONE, ZERO], [ZERO, ZERO, ONE]], 3)
     assert basis.contains([S(2), S(2), S(-3)])
     assert not basis.contains([ONE, ZERO, ZERO])
-    assert basis.contains_all([[ONE, ONE, ONE], [ZERO, ZERO, ZERO]])
 
 
 def test_complex_entries():
