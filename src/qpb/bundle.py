@@ -310,10 +310,10 @@ def psi_apply(b: BundleSpec, f_times: Func) -> Func:
         raise ValueError(
             f"expected a table on B x G of shape {(b.base.size, b.group.order)}, got {f_times.shape}"
         )
-    proj = b.base.projection
+    proj, m = b.base.projection, b.group.order
     return Func(
         (b.total_size,),
-        [f_times.value_at(proj[p], b.phi[p]) for p in range(b.total_size)],
+        [f_times.values[proj[p] * m + a] for p, a in enumerate(b.phi)],
     )
 
 

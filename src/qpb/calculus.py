@@ -6,18 +6,23 @@ a shared endpoint; the differential is the alternating sum over omitted
 arguments.  On a bundle, the horizontal 1-forms are the span of the
 cross-orbit indicators, and exactness compares that span with the
 kernel of the canonical map.
+
+`differential` runs on the common-denominator int view of its input
+(`scalars.to_ints`): it reads the table once, sums ints over its nonzero
+rows only and writes the result back once.  Its view kernel,
+`_differential_view`, is also the one `connection` chains inside the
+curvature and frame-change composites, so those convert once as well.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 
 from .bundle import BundleSpec
 from .funcs import Func, Table, guard_table_size, indices
 from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 __all__ = [
     "Form",
@@ -54,10 +59,6 @@ class Form(Table):
             f"form mismatch: degree {self.degree} on {self.size} points"
             f" vs degree {other.degree} on {other.size}"
         )
-
-    @classmethod
-    def zero(cls, size: int, degree: int) -> Form:
-        return cls(size, degree, itertools.repeat(ZERO, size ** (degree + 1)))
 
     @classmethod
     def build(cls, size: int, degree: int, fn) -> Form:
@@ -103,12 +104,15 @@ def concat_product(f: Form, g: Form) -> Form:
     return Form.build(size, n + m, fn)
 
 
-def _nonzero_rows(values: list[Scalar], width: int) -> list[list[tuple[int, Scalar]]]:
-    """The nonzero (column, value) pairs of each row of a flat table."""
-    return [
-        [(c, v) for c, v in enumerate(values[base : base + width]) if v]
-        for base in range(0, len(values), width)
-    ]
+def _nonzero_rows(values: list[int], width: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Each row of a flat int table that has a nonzero entry, as its row
+    number and its nonzero (column, value) pairs."""
+    rows = []
+    for r, base in enumerate(range(0, len(values), width)):
+        row = [(c, v) for c, v in enumerate(values[base : base + width]) if v]
+        if row:
+            rows.append((r, row))
+    return rows
 
 
 def differential(f):
@@ -118,34 +122,45 @@ def differential(f):
     group element per point tuple, each group slice differentiated on
     its own.  The result has the same kind as `f`.
     """
-    size, degree = f.size, f.degree
-    npts = size ** (degree + 2)
-    guard_table_size(npts)
     form = isinstance(f, Form)
     width = 1 if form else f.group.order
-    if not form:
-        guard_table_size(npts * width)
-    rows = _nonzero_rows(f.values, width)
-    out = [ZERO] * (npts * width)
-    for j in range(degree + 2):
-        # omitting argument j of t reads (t // hi) * lo + t % lo
-        hi, lo = size ** (degree + 2 - j), size ** (degree + 1 - j)
-        odd = j % 2
-        for t in range(npts):
-            row = rows[t // hi * lo + t % lo]
-            if not row:
-                continue
-            base = t * width
-            for c, v in row:
-                k = base + c
-                acc = out[k]
-                if acc is ZERO:
-                    out[k] = -v if odd else v
-                else:
-                    out[k] = acc - v if odd else acc + v
+    out = from_ints(*_differential_view(to_ints(f.values), f.size, f.degree, width))
     if form:
-        return Form(size, degree + 1, out)
-    return type(f)(f.group, size, degree + 1, out)
+        return Form(f.size, f.degree + 1, out)
+    return type(f)(f.group, f.size, f.degree + 1, out)
+
+
+def _differential_view(view, size: int, degree: int, width: int):
+    """`differential` on the int view of a table with `width` values per
+    point tuple; the result keeps the view's denominator."""
+    npts = size ** (degree + 2)
+    guard_table_size(npts)
+    if width > 1:
+        guard_table_size(npts * width)
+    d, re, im = view
+    if im is not None:
+        im = _d_ints(im, size, degree, width)
+    return d, _d_ints(re, size, degree, width), im
+
+
+def _d_ints(values: list[int], size: int, degree: int, width: int) -> list[int]:
+    """The alternating sum on one flat int table, read from its nonzero rows.
+
+    Argument j inserted into source tuple s at value x gives the target
+    (s // lo * size + x) * lo + s % lo, with lo = size ** (degree + 1 - j).
+    """
+    out = [0] * (size ** (degree + 2) * width)
+    rows = _nonzero_rows(values, width)
+    negated = [(s, [(c, -v) for c, v in row]) for s, row in rows]
+    for j in range(degree + 2):
+        lo = size ** (degree + 1 - j)
+        step = lo * width
+        for s, row in negated if j % 2 else rows:
+            first = (s // lo * size * lo + s % lo) * width
+            for base in range(first, first + size * step, step):
+                for c, v in row:
+                    out[base + c] += v
+    return out
 
 
 def offdiag_pairs(n: int) -> list[tuple[int, int]]:

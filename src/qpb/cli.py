@@ -110,9 +110,10 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
+# a Scalar prints as digits, "/", "+", "-" and "i", which JSON never escapes
 _ENTRY = (
     '    {\n      "index": [\n        %d,\n        %d,\n        %d,\n        %d\n      ],'
-    '\n      "value": %s\n    }'
+    '\n      "value": "%s"\n    }'
 )
 
 
@@ -124,7 +125,7 @@ def _curvature_json(payload: dict) -> str:
     entries = payload["entries"]
     if not entries:
         return head
-    body = ",\n".join(_ENTRY % (*e["index"], json.dumps(e["value"])) for e in entries)
+    body = ",\n".join(_ENTRY % (*e["index"], e["value"]) for e in entries)
     before, _, after = head.rpartition('"entries": []')
     return before + '"entries": [\n' + body + "\n  ]" + after
 

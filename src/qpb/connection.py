@@ -14,15 +14,17 @@ computed along independent routes that must agree exactly.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable
+from math import lcm
 
 from .bundle import BundleSpec
-from .calculus import Form, _nonzero_rows, differential, offdiag_pairs
+from .calculus import Form, _differential_view, _nonzero_rows, differential, offdiag_pairs
 from .funcs import Func, Table, first_difference, guard_table_size, indices
 from .groups import FiniteGroup
 from .gauge import GaugeMap
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 __all__ = [
     "Splitting",
@@ -104,14 +106,6 @@ class Splitting:
                 values[i] = v
             out.append(values)
         return out
-
-    def column_form(self, p: int, a: int) -> Form:
-        k = self._col_of[(p, a)]
-        n = self.bundle.total_size
-        values = [ZERO] * (n * n)
-        for r, (p0, q0) in enumerate(self.pairs):
-            values[p0 * n + q0] = self.matrix[r][k]
-        return Form(n, 1, values)
 
     def __eq__(self, other):
         return (
@@ -249,10 +243,6 @@ class FormValuedMap(Table):
             values.append(acc)
         return Form(self.size, self.degree, values)
 
-    def d_slicewise(self) -> FormValuedMap:
-        """Apply the universal differential to every group slice."""
-        return differential(self)
-
     def __repr__(self):
         return (
             f"FormValuedMap(size={self.size}, degree={self.degree},"
@@ -266,33 +256,83 @@ def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
     Degrees add; the two point tuples share their junction point.  At
     degree 0 this is the convolution product of frame maps.
     """
-    if a_map.group != c_map.group or a_map.size != c_map.size:
+    _same_space(a_map, c_map)
+    a, c = to_ints(a_map.density), to_ints(c_map.density)
+    view = _star_view(a_map.group, a_map.size, a, a_map.degree, c, c_map.degree)
+    return _map_of(a_map, a_map.degree + c_map.degree, view)
+
+
+def _same_space(*maps: FormValuedMap) -> None:
+    """Raise unless every map has the first one's group and points."""
+    first = maps[0]
+    if any(f.group != first.group or f.size != first.size for f in maps):
         raise ValueError("form-valued maps live on different spaces")
-    g = a_map.group
-    m = g.order
-    size = a_map.size
-    na, nc = a_map.degree, c_map.degree
-    result = FormValuedMap(g, size, na + nc, itertools.repeat(ZERO, size ** (na + nc + 1) * m))
-    out = result.density
-    mul = g.table
-    c_tail = size**nc
-    c_rows = _nonzero_rows(c_map.density, m)
-    for ta, a_row in enumerate(_nonzero_rows(a_map.density, m)):
-        if not a_row:
+
+
+def _map_of(like: FormValuedMap, degree: int, view) -> FormValuedMap:
+    """The map of a degree over `like`'s group and points holding a view."""
+    return FormValuedMap(like.group, like.size, degree, from_ints(*view))
+
+
+def _star_view(group: FiniteGroup, size: int, a, na: int, c, nc: int):
+    """`star_delta` on the int views of a degree-na and a degree-nc
+    density: a complex product is four int products, and a product with
+    a side that has no imaginary part is not formed at all."""
+    entries = size ** (na + nc + 1) * group.order
+    guard_table_size(entries)
+    da, ra, ia = a
+    dc, rc, ic = c
+    re = _convolve(entries, ((ra, rc, 1), (ia, ic, -1)), group, size, nc)
+    im = _convolve(entries, ((ra, ic, 1), (ia, rc, 1)), group, size, nc)
+    return da * dc, re, im
+
+
+def _convolve(entries: int, terms, group: FiniteGroup, size: int, ny: int):
+    """The sum of sign·(x⋆y) over the (x, y, sign) terms whose two flat int
+    densities both exist, or None when no term has both."""
+    m = group.order
+    mul = group.table
+    y_tail = size**ny
+    out = None
+    for x, y, sign in terms:
+        if x is None or y is None:
             continue
-        junction = ta % size
-        for tc_rest in range(c_tail):
-            c_row = c_rows[junction * c_tail + tc_rest]
-            if not c_row:
-                continue
-            obase = (ta * c_tail + tc_rest) * m
-            for aa, va in a_row:
-                row = mul[aa]
-                for cc, vc in c_row:
-                    k = obase + row[cc]
-                    acc = out[k]
-                    out[k] = va * vc if acc is ZERO else acc + va * vc
-    return result
+        if out is None:
+            out = [0] * entries
+        y_rows = [None] * (size ** (ny + 1))
+        for r, row in _nonzero_rows(y, m):
+            y_rows[r] = row
+        for ta, x_row in _nonzero_rows(x, m):
+            x_row = [(mul[aa], sign * va) for aa, va in x_row]
+            first = ta % size * y_tail
+            for tc in range(first, first + y_tail):
+                y_row = y_rows[tc]
+                if y_row is None:
+                    continue
+                obase = (ta * y_tail + tc - first) * m
+                for row, va in x_row:
+                    for cc, vc in y_row:
+                        out[obase + row[cc]] += va * vc
+    return out
+
+
+def _sum_view(x, y):
+    """The sum of two views of the same shape, over the lcm of their denominators."""
+    dx, rx, ix = x
+    dy, ry, iy = y
+    d = lcm(dx, dy)
+    fx, fy = d // dx, d // dy
+
+    def add(u, v):
+        if u is None:
+            u = itertools.repeat(0)
+        if v is None:
+            v = itertools.repeat(0)
+        if fx == 1 and fy == 1:
+            return list(map(operator.add, u, v))
+        return [a * fx + b * fy for a, b in zip(u, v)]
+
+    return d, add(rx, ry), None if ix is None and iy is None else add(ix, iy)
 
 
 def conv_unit(group: FiniteGroup, size: int) -> FormValuedMap:
@@ -486,16 +526,20 @@ def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
 def _splitting_of(theta: FormValuedMap, b: BundleSpec) -> Splitting:
     """splitting_from_theta for a connection form already validated."""
     pairs, cols = _splitting_index(b)
+    d, n, m = theta.density, theta.size, theta.group.order
     return Splitting(
         b,
-        [[theta.value_at(p, q, a) if p == p0 else ZERO for p0, a in cols] for p, q in pairs],
+        [
+            [d[(p * n + q) * m + a] if p == p0 else ZERO for p0, a in cols]
+            for p, q in pairs
+        ],
     )
 
 
 def trivial_connection(b: BundleSpec) -> FormValuedMap:
     """Connection of a trivialized bundle, via the convolution route."""
     phi_fv, phi_inv_fv = _phi_form_valued(b)
-    return star_delta(phi_inv_fv, phi_fv.d_slicewise())
+    return star_delta(phi_inv_fv, differential(phi_fv))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +631,9 @@ def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
 def _lift_of(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """lift_base_potential for a base potential already validated."""
     proj = b.base.projection
-    return FormValuedMap.build(
-        b.group,
-        b.total_size,
-        1,
-        lambda p, q, c: gh.value_at(proj[p], proj[q], c),
-    )
+    d, nb, m = gh.density, gh.size, gh.group.order
+    rows = (d[(x * nb + y) * m : (x * nb + y + 1) * m] for x in proj for y in proj)
+    return FormValuedMap(b.group, b.total_size, 1, itertools.chain.from_iterable(rows))
 
 
 def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
@@ -638,15 +679,28 @@ def classical_connection(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
 def _classical_of(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
     """classical_connection for a transition map already validated."""
     g = b.group
-    e = g.identity
+    mul, e = g.table, g.identity
     proj = b.base.projection
     phi = b.phi
+    n = b.total_size
+    words = (
+        mul[mul[g.inv(phi[p])][tm.table[proj[p]][proj[q]]]][phi[q]]
+        for p in range(n)
+        for q in range(n)
+    )
+    return FormValuedMap(g, n, 1, _unit_rows(g.order, words, itertools.repeat(e)))
 
-    def fn(p, q, c):
-        word = g.table[g.table[g.inv(phi[p])][tm.table[proj[p]][proj[q]]]][phi[q]]
-        return (ONE if word == c else ZERO) - (ONE if c == e else ZERO)
 
-    return FormValuedMap.build(g, b.total_size, 1, fn)
+def _unit_rows(m: int, plus: Iterable[int], minus: Iterable[int]) -> Iterable[Scalar]:
+    """Rows of m entries, each 1 at its `plus` element and -1 at its
+    `minus` element, all zero where the two coincide; end to end."""
+    minus_one = Scalar(-1)
+    for a, c in zip(plus, minus):
+        row = [ZERO] * m
+        if a != c:
+            row[a] = ONE
+            row[c] = minus_one
+        yield from row
 
 
 def strong_connection_direct(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
@@ -670,13 +724,26 @@ def strong_connection_direct(gamma: FormValuedMap, b: BundleSpec) -> FormValuedM
 
 def curvature(theta: FormValuedMap) -> FormValuedMap:
     """Differential of the connection plus its convolution square."""
-    return theta.d_slicewise() + star_delta(theta, theta)
+    return _map_of(theta, 2, _curvature_view(theta))
+
+
+def _curvature_view(theta: FormValuedMap):
+    """`curvature` as a view: d(theta)·d + theta⋆theta over the denominator d²."""
+    g, n = theta.group, theta.size
+    view = to_ints(theta.density)
+    return _sum_view(
+        _differential_view(view, n, 1, g.order), _star_view(g, n, view, 1, view, 1)
+    )
 
 
 def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Conjugate the potential's differential and square into the bundle frame."""
     phi_fv, phi_inv_fv = _phi_form_valued(b)
-    return star_delta(star_delta(phi_inv_fv, curvature(gamma)), phi_fv)
+    f = _curvature_view(gamma)
+    _same_space(phi_inv_fv, gamma, phi_fv)
+    g, n = gamma.group, gamma.size
+    f = _star_view(g, n, to_ints(phi_inv_fv.density), 0, f, 2)
+    return _map_of(gamma, 2, _star_view(g, n, f, 2, to_ints(phi_fv.density), 0))
 
 
 def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
@@ -686,18 +753,20 @@ def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
     if tm.base_size != b.base.size or tm.group != b.group:
         raise ValueError("transition map does not match the bundle")
     g = b.group
+    mul, t = g.table, tm.table
     proj = b.base.projection
     phi = b.phi
-
-    def fn(p, q, r, c):
-        x, y, z = proj[p], proj[q], proj[r]
-        two = g.table[g.table[g.inv(phi[p])][g.table[tm.table[x][y]][tm.table[y][z]]]][
-            phi[r]
-        ]
-        one = g.table[g.table[g.inv(phi[p])][tm.table[x][z]]][phi[r]]
-        return (ONE if two == c else ZERO) - (ONE if one == c else ZERO)
-
-    return FormValuedMap.build(g, b.total_size, 2, fn)
+    n = b.total_size
+    # the two-step word and the one-step word at each (p, q, r)
+    two = (
+        mul[mul[g.inv(phi[p])][mul[t[proj[p]][proj[q]]][t[proj[q]][proj[r]]]]][phi[r]]
+        for p, q, r in itertools.product(range(n), repeat=3)
+    )
+    one = (
+        mul[mul[g.inv(phi[p])][t[proj[p]][proj[r]]]][phi[r]]
+        for p, q, r in itertools.product(range(n), repeat=3)
+    )
+    return FormValuedMap(g, n, 2, _unit_rows(g.order, two, one))
 
 
 # ---------------------------------------------------------------------------
@@ -752,25 +821,36 @@ def _conjugate_closed_form(gamma: FormValuedMap, table: list[int], read) -> Form
     """The frame change of a point -> group table, pointwise; gamma's
     point arguments are read through `read`."""
     g = gamma.group
-    e = g.identity
+    mul, e, m = g.table, g.identity, g.order
+    d, nr = gamma.density, gamma.size
+    n = len(table)
 
-    def fn(p, q, c):
-        flat = ONE if g.table[g.inv(table[p])][table[q]] == c else ZERO
-        if c == e:
-            flat = flat - ONE
-        word = g.table[g.table[table[p]][c]][g.inv(table[q])]
-        return flat + gamma.value_at(read[p], read[q], word)
+    def entries():
+        for p in range(n):
+            left = mul[table[p]]
+            for q in range(n):
+                # gamma at (read p, read q) on the word t(p) c t(q)^-1
+                base = (read[p] * nr + read[q]) * m
+                right = g.inv(table[q])
+                row = [d[base + mul[left[c]][right]] for c in range(m)]
+                flat = mul[g.inv(table[p])][table[q]]
+                row[flat] = row[flat] + ONE
+                row[e] = row[e] - ONE
+                yield from row
 
-    return FormValuedMap.build(g, len(table), 1, fn)
+    return FormValuedMap(g, n, 1, entries())
 
 
 def _conjugate_by_convolution(
     t_fv: FormValuedMap, t_inv_fv: FormValuedMap, gamma: FormValuedMap
 ) -> FormValuedMap:
     """The frame change of a delta density and its inverse, by convolution."""
-    return star_delta(t_inv_fv, t_fv.d_slicewise()) + star_delta(
-        star_delta(t_inv_fv, gamma), t_fv
-    )
+    _same_space(t_inv_fv, t_fv, gamma)
+    g, n = gamma.group, gamma.size
+    t, t_inv = to_ints(t_fv.density), to_ints(t_inv_fv.density)
+    flat = _star_view(g, n, t_inv, 0, _differential_view(t, n, 0, g.order), 1)
+    moved = _star_view(g, n, _star_view(g, n, t_inv, 0, to_ints(gamma.density), 1), 1, t, 0)
+    return _map_of(gamma, 1, _sum_view(flat, moved))
 
 
 def _phi_form_valued(b: BundleSpec) -> tuple[FormValuedMap, FormValuedMap]:

@@ -154,16 +154,9 @@ class Func(Table):
         f.values[f.flat_index(idx)] = ONE
         return f
 
-    @classmethod
-    def build(cls, shape: tuple[int, ...], fn) -> Func:
-        return cls(shape, (fn(idx) for idx in indices(shape)))
-
     def __mul__(self, other: Func) -> Func:
         self._check_match(other)
         return self._like([a * b for a, b in zip(self.values, other.values)])
-
-    def support(self) -> list[tuple[int, ...]]:
-        return [idx for idx, v in zip(indices(self.shape), self.values) if v]
 
     def __repr__(self):
         return f"Func(shape={self.shape})"

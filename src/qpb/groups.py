@@ -199,9 +199,6 @@ class RightAction:
         self.total_size = n
         self.table = [list(row) for row in act_table]
 
-    def act(self, p: int, a: int) -> int:
-        return self.table[p][a]
-
     def __eq__(self, other):
         return (
             isinstance(other, RightAction)

@@ -47,6 +47,3 @@ class Report:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def describe(self) -> str:
-        return "\n".join(c.describe() for c in self.checks)

@@ -9,7 +9,9 @@ non-theta connection.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,10 +55,11 @@ from .connection import (
     _theta_of,
 )
 from .document import ConnectionDecl, SpecDocument
-from .funcs import Func, unravel
+from .funcs import Func, indices
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
+from .scalars import ZERO
 
 __all__ = ["RunReport", "ConfigError", "run_checks", "emit_report", "curvature_payload"]
 
@@ -595,10 +598,12 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
         raise ValueError(reason)
     f = curvature(theta)
     n, m = f.size, f.group.order
+    # curvature writes ZERO itself for every zero entry, so an identity
+    # test selects the nonzero ones without a Python-level bool per entry
+    nonzero = map(operator.is_not, f.density, itertools.repeat(ZERO))
     entries = [
-        {"index": list(unravel(flat, f.shape)), "value": str(v)}
-        for flat, v in enumerate(f.density)
-        if v
+        {"index": list(idx), "value": str(v)}
+        for idx, v in itertools.compress(zip(indices(f.shape), f.density), nonzero)
     ]
     return {
         "format_version": 1,

@@ -8,15 +8,24 @@ and two scalars are equal exactly when their triples are.  Arithmetic
 is plain int arithmetic: where both denominators are 1 no gcd runs,
 otherwise one gcd over the triple normalizes the result.  `re` and `im`
 give the parts as Fractions; no arithmetic goes through Fraction.
+
+The table kernels do not add or multiply Scalars one term at a time.
+They read a whole table once through `to_ints` as one common-denominator
+int view (d, re, im): d is the lcm of the entries' denominators, entry k
+is (re[k] + im[k]·i)/d, and im is None when every entry is real.  They
+loop on those ints and write their result back once through `from_ints`,
+which reduces each nonzero entry with one gcd and shares ZERO for every
+zero.  A table of integers has d = 1, so no gcd runs at all.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import attrgetter
 
-__all__ = ["Scalar", "ZERO", "ONE", "parse_scalar"]
+__all__ = ["Scalar", "ZERO", "ONE", "parse_scalar", "to_ints", "from_ints"]
 
 _RATIONAL = r"\d+(?:/\d+)?"
 _RE_REAL = re.compile(rf"[+-]?{_RATIONAL}")
@@ -189,6 +198,39 @@ def _coerce(x):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+
+_nums, _imags, _dens = attrgetter("_a"), attrgetter("_b"), attrgetter("_d")
+
+
+def to_ints(values: list[Scalar]) -> tuple[int, list[int], list[int] | None]:
+    """The common-denominator view (d, re, im) of a list of Scalars.
+
+    Entry k is (re[k] + im[k]·i)/d with d the lcm of the denominators;
+    im is None when every entry is real.
+    """
+    re = list(map(_nums, values))
+    im = list(map(_imags, values)) if any(map(_imags, values)) else None
+    dens = set(map(_dens, values))
+    if len(dens) <= 1:
+        return (dens.pop() if dens else 1), re, im
+    d = lcm(*dens)
+    scale = [d // e for e in map(_dens, values)]
+    re = [a * k for a, k in zip(re, scale)]
+    if im is not None:
+        im = [b * k for b, k in zip(im, scale)]
+    return d, re, im
+
+
+def from_ints(d: int, re: list[int], im: list[int] | None) -> list[Scalar]:
+    """The Scalars of a view: one canonical Scalar per nonzero entry, ZERO
+    itself for every zero entry."""
+    if im is None:
+        if d == 1:
+            return [_make(a, 0, 1) if a else ZERO for a in re]
+        return [_reduced(a, 0, d) if a else ZERO for a in re]
+    if d == 1:
+        return [_make(a, b, 1) if a or b else ZERO for a, b in zip(re, im)]
+    return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)]
 
 
 def _ratio(text: str) -> tuple[int, int]:

@@ -30,6 +30,11 @@ _POOL = [
 ]
 
 
+def support(f) -> list[tuple[int, ...]]:
+    """The index tuples of a table's nonzero entries, in row-major order."""
+    return [idx for idx, v in zip(indices(f.shape), f.values) if v]
+
+
 def random_scalar(rng: Random) -> Scalar:
     return rng.choice(_POOL)
 

@@ -156,7 +156,7 @@ def test_exactness_dimensions():
     }
     for b in (fix_z2(), fix_s3(), fix_prod()):
         rep = check_exactness(b)
-        assert rep.passed, rep.describe()
+        assert rep.passed, rep.first_failure()
         dim_omega1 = rep["exactness.surjectivity"].data["dim_omega1"]
         rank = rep["exactness.surjectivity"].data["rank"]
         kernel = rep["exactness.kernel_equals_horizontal"].data["kernel_dim"]
@@ -176,4 +176,4 @@ def test_form_shape_guards():
     with pytest.raises(ValueError, match="got 3 values"):
         Form(2, 1, [ZERO, ZERO, ZERO])
     with pytest.raises(ValueError, match="different sets"):
-        concat_product(Form.zero(2, 1), Form.zero(3, 1))
+        concat_product(Form(2, 1, [ZERO] * 4), Form(3, 1, [ZERO] * 9))

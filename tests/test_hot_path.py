@@ -1,8 +1,11 @@
-"""Exact arithmetic on the curvature routes runs on ints, not Fractions.
+"""Exact arithmetic on the curvature routes runs on ints, not Fractions
+and not one Scalar operation per term.
 
 `Scalar` keeps its value as a canonical integer triple, so building a
 curvature along either route and comparing the two routes must enter no
-function of the `fractions` module.  Each case runs under a profile hook
+function of the `fractions` module.  The kernels under both routes loop
+on a common-denominator int view, so building either route must enter no
+`Scalar` arithmetic method either.  Each case runs under a profile hook
 that records every Python frame the work enters.
 """
 
@@ -13,6 +16,7 @@ import sys
 
 import pytest
 
+import qpb.scalars
 from qpb.connection import (
     connection_from_potential,
     curvature,
@@ -21,15 +25,28 @@ from qpb.connection import (
 )
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
+from qpb.scalars import Scalar
 from test_golden import S3X2, _gaussian
+
+SCALAR_ARITHMETIC = {"__add__", "__sub__", "__rsub__", "__mul__", "__neg__"}
 
 
 def fraction_frames(work) -> list[str]:
     """Names of the `fractions` functions that `work()` enters."""
+    return frames_in(fractions.__file__, work)
+
+
+def scalar_arithmetic_frames(work) -> list[str]:
+    """Names of the `Scalar` arithmetic methods that `work()` enters."""
+    return [name for name in frames_in(qpb.scalars.__file__, work) if name in SCALAR_ARITHMETIC]
+
+
+def frames_in(filename: str, work) -> list[str]:
+    """Names of the functions of one source file that `work()` enters."""
     entered = []
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+        if event == "call" and frame.f_code.co_filename == filename:
             entered.append(frame.f_code.co_name)
 
     sys.setprofile(hook)
@@ -46,13 +63,17 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_curvature_routes_enter_no_fraction_code(case):
+def route_inputs(case):
     raw, name = CASES[case]
     doc = parse_spec(json.dumps(raw))
     b = doc.bundle
     gamma = lift_base_potential(doc.connection(name).payload, b)
-    theta = connection_from_potential(gamma, b)
+    return gamma, b, connection_from_potential(gamma, b)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_curvature_routes_enter_no_fraction_code(case):
+    gamma, b, theta = route_inputs(case)
     routes = {}
 
     def direct():
@@ -71,3 +92,30 @@ def test_curvature_routes_enter_no_fraction_code(case):
 
 def test_the_hook_sees_fraction_code():
     assert fraction_frames(lambda: fractions.Fraction(1, 2) + fractions.Fraction(1, 3))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_curvature_routes_enter_no_scalar_arithmetic(case):
+    gamma, b, theta = route_inputs(case)
+    routes = {}
+
+    def direct():
+        routes["direct"] = curvature(theta)
+
+    def conjugated():
+        routes["conjugated"] = curvature_from_potential(gamma, b)
+
+    assert scalar_arithmetic_frames(direct) == []
+    assert scalar_arithmetic_frames(conjugated) == []
+    assert not routes["direct"].is_zero()
+    assert routes["direct"] == routes["conjugated"]
+
+
+def test_the_hook_sees_scalar_arithmetic():
+    half = Scalar(fractions.Fraction(1, 2))
+    assert scalar_arithmetic_frames(lambda: (half + half) * half - -half) == [
+        "__add__",
+        "__mul__",
+        "__neg__",
+        "__sub__",
+    ]

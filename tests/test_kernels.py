@@ -1,22 +1,39 @@
-"""The sparse strided table kernels against the dense routes they replaced.
+"""The int-view table kernels against the Scalar loops they replaced.
 
-`differential`, `FormValuedMap.d_slicewise` and `star_delta` read only
-nonzero entries and compute source rows by stride arithmetic.  The
-references below are the earlier per-tuple, per-slice and dense loops,
-kept here so every entry of the new kernels, and its printed form, can
-be compared with them on seeded inputs.
+`differential` (on a Form or on every group slice of a map at once),
+`star_delta` and the composites built on them (`curvature`,
+`curvature_from_potential`, the frame change in
+`connection_from_potential`) read their input once as a
+common-denominator int view, loop on ints over nonzero rows only, and
+write their result back once.  The references below are the earlier
+per-tuple, per-slice and dense loops on `Scalar`s, kept here so every
+entry of the kernels, and its printed form, can be compared with them on
+seeded inputs.
 """
 
+import tracemalloc
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_scalar
+from conftest import random_base_potential, random_scalar
 from qpb.calculus import Form, differential
-from qpb.connection import FormValuedMap, star_delta
+from qpb.connection import (
+    FormValuedMap,
+    connection_from_potential,
+    curvature,
+    curvature_from_potential,
+    lift_base_potential,
+    star_delta,
+)
+from qpb.fixtures import fix_prod, fix_s3
+from qpb.funcs import MAX_TABLE_ENTRIES, set_max_table_entries
 from qpb.groups import cyclic, symmetric
-from qpb.scalars import ONE, ZERO, Scalar
+from qpb.scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 GROUPS = {"Z2": cyclic(2), "Z3": cyclic(3), "S3": symmetric(3)}
 SIZE = 3
@@ -71,6 +88,17 @@ def reference_star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValu
     return FormValuedMap(g, size, na + nc, out)
 
 
+def reference_curvature(theta: FormValuedMap) -> FormValuedMap:
+    """d(theta) + theta⋆theta, summed entry by entry on Scalars."""
+    return reference_d_slicewise(theta) + reference_star_delta(theta, theta)
+
+
+def phi_maps(b):
+    phi = FormValuedMap.from_point_table(b.group, b.phi)
+    phi_inv = FormValuedMap.from_point_table(b.group, [b.group.inv(a) for a in b.phi])
+    return phi, phi_inv
+
+
 # complex values whose parts have different denominators; sums of the
 # third and fifth cancel their imaginary parts and reduce the real one
 MIXED = [
@@ -81,10 +109,20 @@ MIXED = [
     Scalar(Fraction(1, 3), Fraction(1, 10)),
 ]
 
+# large prime denominators, real and complex, so products keep them apart
+PRIMES = [
+    Scalar(Fraction(3, 1_000_003)),
+    Scalar(Fraction(-2, 998_244_353), Fraction(1, 2**61 - 1)),
+    Scalar(0, Fraction(5, 10**9 + 7)),
+]
+
 
 def kernel_scalar(rng: Random) -> Scalar:
     """A pool value or, one draw in three, a mixed-denominator complex one."""
-    return rng.choice(MIXED) if rng.random() < 1 / 3 else random_scalar(rng)
+    r = rng.random()
+    if r < 0.1:
+        return rng.choice(PRIMES)
+    return rng.choice(MIXED) if r < 0.4 else random_scalar(rng)
 
 
 def random_rows(rng: Random, rows: int, width: int) -> list[Scalar]:
@@ -128,19 +166,19 @@ def test_d_slicewise_matches_per_slice_reference(gname, degree):
     rng = Random(f"d-{gname}-{degree}")
     for _ in range(4):
         fv = random_map(g, degree, rng)
-        dfv = fv.d_slicewise()
+        dfv = differential(fv)
         assert isinstance(dfv, FormValuedMap)
         assert (dfv.group, dfv.size, dfv.degree) == (g, SIZE, degree + 1)
         assert_same_entries(dfv, reference_d_slicewise(fv))
         if degree < 2:
-            assert dfv.d_slicewise().is_zero()
-            assert_same_entries(dfv.d_slicewise(), reference_d_slicewise(dfv))
+            assert differential(dfv).is_zero()
+            assert_same_entries(differential(dfv), reference_d_slicewise(dfv))
 
 
 def test_d_slicewise_of_all_zero_density():
     g = GROUPS["S3"]
     fv = FormValuedMap(g, SIZE, 1, [Scalar(0)] * (SIZE**2 * g.order))
-    assert_same_entries(fv.d_slicewise(), reference_d_slicewise(fv))
+    assert_same_entries(differential(fv), reference_d_slicewise(fv))
 
 
 @pytest.mark.parametrize("gname", sorted(GROUPS))
@@ -190,3 +228,154 @@ def test_mixed_denominator_sums_reduce():
     assert [str(x) for x in (a + b).density] == ["1/2", "0"]
     assert (a + b).density == [Scalar(Fraction(1, 2)), ZERO]
     assert hash((a + b).density[0]) == hash(Fraction(1, 2))
+
+
+def test_kernels_on_empty_and_all_zero_tables():
+    g = GROUPS["S3"]
+    for size in (0, SIZE):
+        for degree in (0, 1):
+            zero = FormValuedMap(g, size, degree, [ZERO] * (size ** (degree + 1) * g.order))
+            assert_same_entries(differential(zero), reference_d_slicewise(zero))
+            assert_same_entries(star_delta(zero, zero), reference_star_delta(zero, zero))
+            assert all(v is ZERO for v in star_delta(zero, zero).density)
+        form = Form(size, 1, [ZERO] * size**2)
+        assert_same_entries(differential(form), reference_differential(form))
+        theta = FormValuedMap(g, size, 1, [ZERO] * (size**2 * g.order))
+        assert_same_entries(curvature(theta), reference_curvature(theta))
+    assert curvature(FormValuedMap(g, 0, 1, [])).density == []
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        # complex times real, real times complex, complex times complex
+        (MIXED[0], Scalar(Fraction(-7, 9))),
+        (Scalar(Fraction(5, 11)), MIXED[1]),
+        (MIXED[0], MIXED[1]),
+        (PRIMES[1], PRIMES[2]),
+        (Scalar(0, 1), Scalar(0, -1)),
+    ],
+)
+def test_star_delta_complex_and_real_products(left, right):
+    g = GROUPS["S3"]
+    a = FormValuedMap(g, 2, 0, [left, ZERO, right, ZERO, ZERO, left] * 2)
+    c = FormValuedMap(g, 2, 1, [right, left, ZERO, ZERO, right, ZERO] * 4)
+    for x, y in ((a, c), (c, a), (a, a)):
+        assert_same_entries(star_delta(x, y), reference_star_delta(x, y))
+    # the single product lands on the identity: the entry is left * right exactly
+    e = g.identity
+    one = FormValuedMap.from_point_table(g, [e])
+    prod = star_delta(
+        FormValuedMap(g, 1, 0, [left if k == e else ZERO for k in range(6)]),
+        FormValuedMap(g, 1, 0, [right if k == e else ZERO for k in range(6)]),
+    )
+    assert str(prod.density[e]) == str(left * right)
+    assert_same_entries(star_delta(one, prod), prod)
+
+
+def test_mixed_denominators_sixths_next_to_tenths():
+    # 1/6 and 1/10 share the view denominator 30; every kernel reduces
+    # each entry back to its own denominator
+    g = GROUPS["Z2"]
+    theta = FormValuedMap(
+        g,
+        2,
+        1,
+        [ZERO, ZERO, Scalar(Fraction(1, 6)), Scalar(Fraction(-1, 10)),
+         Scalar(Fraction(-1, 6)), Scalar(Fraction(1, 10)), ZERO, ZERO],
+    )
+    assert to_ints(theta.density)[0] == 30
+    assert_same_entries(differential(theta), reference_d_slicewise(theta))
+    assert_same_entries(star_delta(theta, theta), reference_star_delta(theta, theta))
+    f = curvature(theta)
+    assert_same_entries(f, reference_curvature(theta))
+    # the curvature's view denominator is 30², yet its entries print reduced
+    assert sorted({str(v) for v in f.density}) == ["-17/450", "0", "1/30"]
+
+
+def test_differential_terms_that_cancel():
+    # a constant 0-form has d = 0 everywhere; the view gives ZERO itself
+    f = Form(3, 0, [Scalar(Fraction(2, 7), Fraction(1, 3))] * 3)
+    df = differential(f)
+    assert_same_entries(df, reference_differential(f))
+    assert all(v is ZERO for v in df.values)
+
+
+@pytest.mark.parametrize("gname", sorted(GROUPS))
+def test_curvature_matches_scalar_reference(gname):
+    g = GROUPS[gname]
+    rng = Random(f"curv-{gname}")
+    for _ in range(4):
+        theta = random_map(g, 1, rng)
+        f = curvature(theta)
+        assert (f.group, f.size, f.degree) == (g, SIZE, 2)
+        assert_same_entries(f, reference_curvature(theta))
+
+
+@pytest.mark.parametrize("bundle", [fix_prod, fix_s3], ids=["fix_prod", "fix_s3"])
+def test_curvature_routes_match_scalar_reference_chains(bundle):
+    b = bundle()
+    phi, phi_inv = phi_maps(b)
+    rng = Random(f"chains-{b.name}")
+    for _ in range(3):
+        gamma = lift_base_potential(random_base_potential(b.group, b.base.size, rng), b)
+        expected = reference_star_delta(
+            reference_star_delta(phi_inv, reference_curvature(gamma)), phi
+        )
+        assert_same_entries(curvature_from_potential(gamma, b), expected)
+        theta = connection_from_potential(gamma, b)
+        frame_change = reference_d_slicewise(phi)
+        expected_theta = reference_star_delta(phi_inv, frame_change) + reference_star_delta(
+            reference_star_delta(phi_inv, gamma), phi
+        )
+        assert_same_entries(theta, expected_theta)
+        assert_same_entries(curvature(theta), reference_curvature(theta))
+
+
+_ints = st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30))
+_dens = st.one_of(
+    st.integers(1, 12), st.integers(1, 10**30), st.sampled_from([2**61 - 1, 10**9 + 7])
+)
+_parts = st.one_of(st.just(Fraction(0)), st.builds(Fraction, _ints, _dens))
+_scalars = st.builds(Scalar, _parts, st.one_of(st.just(Fraction(0)), _parts))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(_scalars, max_size=12))
+def test_property_int_view_round_trip(values):
+    d, re, im = to_ints(values)
+    assert d == lcm(*(v._d for v in values)) if values else d == 1
+    assert (im is None) == all(not v.im for v in values)
+    imag = im if im is not None else [0] * len(re)
+    assert [Scalar(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, imag)] == values
+    back = from_ints(d, re, im)
+    assert back == values
+    assert [str(v) for v in back] == [str(v) for v in values]
+    assert all((v is ZERO) == (not v) for v in back)
+
+
+def test_cap_fires_before_a_kernel_allocates_its_output():
+    # a degree-1 map on 80 points over Z2: its curvature has 80³·2 > 10⁶
+    # entries, its point tuples 80³ fit under the cap, so only the guard on
+    # the full table can stop it, and it must do so before a list of that
+    # size (8 MB of pointers) exists
+    g = GROUPS["Z2"]
+    n = 80
+    theta = FormValuedMap(g, n, 1, [ZERO] * (n * n * 2))
+    token = set_max_table_entries(600_000)
+    try:
+        for work in (
+            lambda: curvature(theta),
+            lambda: star_delta(theta, theta),
+            lambda: differential(theta),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"^table of 1024000 entries exceeds the cap"):
+                    work()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
+    finally:
+        MAX_TABLE_ENTRIES.reset(token)

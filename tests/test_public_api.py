@@ -1,11 +1,13 @@
 """The public surface of qpb.
 
 Every name a module lists in __all__ must exist, and every exported
-function must run on some command line path: the fixtures, every check
-and curvature dump on them, a gamma document and a capped call.  A
-function no path reaches is either deleted or listed in KEEP with the
-reason it stays.  A KEEP entry that a path now reaches, or that is no
-longer exported, fails too, so the list can only shrink.
+function, and every public method (no leading underscore) of an exported
+class, must run on some command line path: the fixtures, every check and
+curvature dump on them, a gamma document and a capped call.  A function
+or method no path reaches is either deleted or listed in KEEP or
+KEEP_METHODS with the reason it stays.  A kept entry that a path now
+reaches, or that is no longer exported, fails too, so the lists can only
+shrink.
 """
 
 import contextlib
@@ -44,6 +46,36 @@ KEEP = {
     "cyclic": "reference group for the tests; documents give their tables",
     "direct_product": "reference group for the tests; documents give their tables",
     "identity_matrix": "only rank_and_kernel's empty-matrix path calls it",
+    "differential": "acceptance criterion 04 (d² = 0, Leibniz); CLI routes call its int view directly",
+}
+
+_HOPF = "acceptance criterion 01: the Hopf algebra axioms of the group's function algebra"
+
+KEEP_METHODS = {
+    **{
+        f"HopfAlgebra.{name}": _HOPF
+        for name in (
+            "one",
+            "basis",
+            "coproduct",
+            "counit",
+            "antipode",
+            "project_ker_counit",
+            "is_ker_counit",
+            "adjoint_coaction",
+        )
+    },
+    "BundleAutomorphism.compose": "acceptance criterion 10: gauge group laws, as gauge_compose",
+    "BundleAutomorphism.inverse": "acceptance criterion 10: gauge group laws, as gauge_inverse",
+    "FiniteGroup.label": "direct_product (kept above) names its elements with it",
+    "Form.build": "concat_product (kept above) builds its product with it",
+    "Form.to_func": "acceptance criterion 06 pairs frame maps with group tables through it",
+    "FormValuedMap.apply": "acceptance criterion 06 pairs frame maps with group tables through it",
+    "Scalar.re": "Scalar.__hash__ reads it, so a real Scalar hashes like the equal Fraction",
+    "Scalar.im": "Scalar.__hash__ reads it, so a complex Scalar hashes like its Fraction pair",
+    "Scalar.inverse": "rref scales a row whose pivot is not 1; the CLI's 0/1 matrices have none",
+    "SubspaceBasis.contains": "the abstract's claim that the coinvariants are C(B)",
+    "Table.value_at": "the bounds-checked single-entry read the acceptance criteria use",
 }
 
 
@@ -61,6 +93,22 @@ def _exported_functions() -> dict:
             fn = getattr(mod, name, None)
             if inspect.isfunction(fn):
                 assert out.setdefault(name, fn) is fn, f"two exported functions named {name}"
+    return out
+
+
+def _exported_methods() -> dict:
+    """'Class.method' -> function, for every public method an exported
+    class defines in its own body (properties and classmethods included)."""
+    out = {}
+    for mod in _modules():
+        for name in getattr(mod, "__all__", ()):
+            cls = getattr(mod, name, None)
+            if not inspect.isclass(cls):
+                continue
+            for attr, member in vars(cls).items():
+                fn = getattr(member, "__func__", getattr(member, "fget", member))
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    out[f"{name}.{attr}"] = fn
     return out
 
 
@@ -131,3 +179,18 @@ def test_keep_lists_only_exported_functions_no_path_reaches(reached):
     exported = _exported_functions()
     assert sorted(set(KEEP) - set(exported)) == []
     assert sorted(name for name in KEEP if exported[name].__code__ in reached) == []
+
+
+def test_every_public_method_runs_on_a_cli_path(reached):
+    unreached = sorted(
+        name
+        for name, fn in _exported_methods().items()
+        if fn.__code__ not in reached and name not in KEEP_METHODS
+    )
+    assert unreached == []
+
+
+def test_keep_methods_lists_only_public_methods_no_path_reaches(reached):
+    methods = _exported_methods()
+    assert sorted(set(KEEP_METHODS) - set(methods)) == []
+    assert sorted(name for name in KEEP_METHODS if methods[name].__code__ in reached) == []
