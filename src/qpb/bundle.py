@@ -129,12 +129,16 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
         report.add(CheckResult("comodule.coassociativity", False, data={"reason": "group has no identity"}))
         return report
 
+    # each indicator and its coaction, built once for all three checks
+    indicators = [Func.indicator((n,), (q,)) for q in range(n)]
+    coactions = [coaction(b, f) for f in indicators]
+
     # t(p.a, c) against t(p, ac) over (p, a, c), t the coaction of an
     # indicator, as flat gathers of t's (point, group element) rows
     act, mul = b.action.table, g.table
     coassoc_witness = None
-    for q in range(n):
-        t = coaction(b, Func.indicator((n,), (q,))).values
+    for tq in coactions:
+        t = tq.values
         lhs = Func((n, m, m), (t[x * m + c] for row in act for x in row for c in range(m)))
         rhs = Func((n, m, m), (t[p * m + ac] for p in range(n) for row in mul for ac in row))
         coassoc_witness = first_difference(lhs.values, rhs.values, lhs.shape)
@@ -143,24 +147,18 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     report.add(CheckResult("comodule.coassociativity", coassoc_witness is None, coassoc_witness))
 
     counit_witness = None
-    for q in range(n):
-        f = Func.indicator((n,), (q,))
+    for f, tq in zip(indicators, coactions):
         # the coaction at the identity: every row's entry e
-        restricted = coaction(b, f).values[e::m]
-        counit_witness = first_difference(restricted, f.values, f.shape)
+        counit_witness = first_difference(tq.values[e::m], f.values, f.shape)
         if counit_witness is not None:
             break
     report.add(CheckResult("comodule.counit", counit_witness is None, counit_witness))
 
     mult_witness = None
-    for q in range(n):
-        fq = Func.indicator((n,), (q,))
-        tq = coaction(b, fq)
-        for r in range(n):
-            fr = Func.indicator((n,), (r,))
+    for fq, tq in zip(indicators, coactions):
+        for fr, tr in zip(indicators, coactions):
             lhs = coaction(b, fq * fr)
-            rhs = tq * coaction(b, fr)
-            mult_witness = first_difference(lhs.values, rhs.values, lhs.shape)
+            mult_witness = first_difference(lhs.values, (tq * tr).values, lhs.shape)
             if mult_witness is not None:
                 break
         if mult_witness is not None:
@@ -282,13 +280,12 @@ def section_table(b: BundleSpec) -> list[int]:
     return [b.act(rep, g.inv(b.phi[rep])) for rep in b.base.reps]
 
 
-def synthesize_trivialization(b: BundleSpec) -> list[int]:
-    """Build phi from the minimal-point section; the action must be free."""
+def synthesize_trivialization(b: BundleSpec, free: Report) -> list[int]:
+    """Build phi from the minimal-point section; the action must be free,
+    as `free`, the bundle's `check_freeness` report, shows."""
     g = b.group
-    e = g.identity
-    if e is None:
+    if g.identity is None:
         raise ValueError("group has no identity")
-    free = check_freeness(b)
     if not free.passed:
         w = free.first_failure()
         raise ValueError(f"action is not free ({w.describe()})")

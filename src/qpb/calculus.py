@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .bundle import BundleSpec
-from .funcs import Func, Table, guard_table_size, indices
+from .funcs import Func, Table, guard_table_size, indices, unravel
 from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
@@ -72,17 +72,40 @@ class Form(Table):
         return f"Form(size={self.size}, degree={self.degree})"
 
 
-def validate_form(f: Form) -> Report:
-    """Check vanishing on adjacent repeated points."""
-    report = Report()
+def validate_form(f) -> Report:
+    """Check vanishing on adjacent repeated points.
+
+    `f` is a Form, or a FormValuedMap checked one group slice at a time,
+    in order; a map's witness is (group element, *points).  Only the
+    point tuples with an adjacent repeat are read.
+    """
+    form = isinstance(f, Form)
+    width = 1 if form else f.group.order
+    repeats = _adjacent_repeats(f.size, f.degree)
+    values = f.values
     witness = None
-    if f.degree > 0:
-        for idx, v in zip(indices(f.shape), f.values):
-            if v and any(idx[j] == idx[j + 1] for j in range(f.degree)):
-                witness = idx
-                break
+    for c in range(width):
+        t = next((t for t in repeats if values[t * width + c]), None)
+        if t is not None:
+            points = unravel(t, (f.size,) * (f.degree + 1))
+            witness = points if form else (c,) + points
+            break
+    report = Report()
     report.add(CheckResult("form.adjacent_vanishing", witness is None, witness))
     return report
+
+
+def _adjacent_repeats(size: int, degree: int) -> list[int]:
+    """Flat positions, ascending, of the (degree + 1)-tuples of points
+    whose arguments j and j + 1 coincide for some j."""
+    found = set()
+    for j in range(degree):
+        lo = size ** (degree - 1 - j)
+        for head in range(size**j):
+            for x in range(size):
+                first = ((head * size + x) * size + x) * lo
+                found.update(range(first, first + lo))
+    return sorted(found)
 
 
 def concat_product(f: Form, g: Form) -> Form:
@@ -211,17 +234,15 @@ def horizontal_basis(b: BundleSpec) -> SubspaceBasis:
     return SubspaceBasis(n * n, vectors, pivots)
 
 
-def check_exactness(b: BundleSpec) -> Report:
+def check_exactness(b: BundleSpec, free: Report) -> Report:
     """Horizontal forms, the canonical map on 1-forms, and its kernel.
 
     Verifies the 1-form sequence: the restricted canonical map surjects
     onto (total space) x (counit kernel), and its kernel is exactly the
-    span of cross-orbit indicators.
+    span of cross-orbit indicators.  `free` is the bundle's
+    `check_freeness` report; exactness needs a free action.
     """
-    from .bundle import check_freeness
-
     report = Report()
-    free = check_freeness(b)
     if not free.passed:
         w = free.first_failure()
         report.add(

@@ -9,6 +9,13 @@ one-forms; equivalently a degree-1 map whose density satisfies four
 pointwise invariants.  Potentials describe a connection relative to the
 trivial one; transition maps give the classical case.  Curvature is
 computed along independent routes that must agree exactly.
+
+Builders build and validators report.  A builder (`theta_from_splitting`,
+`splitting_from_theta`, `lift_base_potential`, `potential_from_transition`,
+`connection_from_potential`, `classical_connection`) expects input that
+has passed its validator and checks only that its arguments fit one
+another: a frame is present, sizes and groups match.  The gauge
+transforms return both of their routes, and the caller compares them.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "validate_splitting",
     "theta_from_splitting",
     "splitting_from_theta",
-    "rejection",
     "validate_connection_form",
     "trivial_connection",
     "validate_potential",
@@ -220,10 +226,6 @@ class FormValuedMap(Table):
             0,
             (ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)),
         )
-
-    def slice_form(self, c: int) -> Form:
-        m = self.group.order
-        return Form(self.size, self.degree, self.density[c::m])
 
     def apply(self, alpha: Func) -> Form:
         """The form paired with a group-algebra element."""
@@ -475,29 +477,8 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
     return report
 
 
-def rejection(what: str, report: Report) -> str | None:
-    """The reason a guard refuses an input: its first failed check, or
-    None when every check passed."""
-    bad = report.first_failure()
-    return None if bad is None else f"{what} rejected: {bad.describe()}"
-
-
-def _require(what: str, report: Report) -> None:
-    """The guards' refusal: raise ValueError naming the report's first
-    failed check, if any."""
-    reason = rejection(what, report)
-    if reason:
-        raise ValueError(reason)
-
-
 def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
-    """Assemble the density from splitting columns; reject invalid splittings."""
-    _require("splitting", validate_splitting(sigma, b))
-    return _theta_of(sigma, b)
-
-
-def _theta_of(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
-    """theta_from_splitting for a splitting already validated."""
+    """Assemble the density from splitting columns."""
     g = b.group
     n, m = b.total_size, g.order
     e = g.identity
@@ -519,12 +500,6 @@ def _theta_of(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
 
 def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
     """Columns localize the density at the first point argument."""
-    _require("connection form", validate_connection_form(theta, b))
-    return _splitting_of(theta, b)
-
-
-def _splitting_of(theta: FormValuedMap, b: BundleSpec) -> Splitting:
-    """splitting_from_theta for a connection form already validated."""
     pairs, cols = _splitting_index(b)
     d, n, m = theta.density, theta.size, theta.group.order
     return Splitting(
@@ -622,14 +597,8 @@ def is_cocycle(tm: TransitionMap) -> tuple[bool, tuple | None]:
 
 def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Pull the density back along the orbit projection in both points."""
-    _require("base potential", validate_base_potential(gh))
     if gh.size != b.base.size or gh.group != b.group:
         raise ValueError("base potential does not match the bundle")
-    return _lift_of(gh, b)
-
-
-def _lift_of(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
-    """lift_base_potential for a base potential already validated."""
     proj = b.base.projection
     d, nb, m = gh.density, gh.size, gh.group.order
     rows = (d[(x * nb + y) * m : (x * nb + y + 1) * m] for x in proj for y in proj)
@@ -638,12 +607,6 @@ def _lift_of(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
 
 def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
     """Delta density of the transition table on the base, with the unit part removed."""
-    _require("transition map", validate_transition(tm))
-    return _potential_of(tm)
-
-
-def _potential_of(tm: TransitionMap) -> FormValuedMap:
-    """potential_from_transition for a transition map already validated."""
     g = tm.group
     e = g.identity
     return FormValuedMap.build(
@@ -657,12 +620,6 @@ def _potential_of(tm: TransitionMap) -> FormValuedMap:
 
 def connection_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """Trivial connection plus the potential conjugated into the bundle frame."""
-    _require("potential", validate_potential(gamma, b))
-    return _connection_of(gamma, b)
-
-
-def _connection_of(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
-    """connection_from_potential for a potential already validated."""
     return _conjugate_by_convolution(*_phi_form_valued(b), gamma)
 
 
@@ -672,12 +629,6 @@ def classical_connection(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
         raise ValueError("bundle has no trivialization")
     if tm.base_size != b.base.size or tm.group != b.group:
         raise ValueError("transition map does not match the bundle")
-    _require("transition map", validate_transition(tm))
-    return _classical_of(tm, b)
-
-
-def _classical_of(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
-    """classical_connection for a transition map already validated."""
     g = b.group
     mul, e = g.table, g.identity
     proj = b.base.projection
@@ -773,23 +724,24 @@ def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
 # gauge transformations of potentials
 
 
-def gauge_transform_base_potential(gh: FormValuedMap, tau: GaugeMap) -> FormValuedMap:
-    """Transform by a table of group elements, one per point argument, via
-    the closed form and the convolution formula; the two routes must agree."""
+def gauge_transform_base_potential(
+    gh: FormValuedMap, tau: GaugeMap
+) -> tuple[FormValuedMap, FormValuedMap]:
+    """Transform by a table of group elements, one per point argument:
+    the closed form and the convolution formula, in that order, for the
+    caller to compare."""
     g = gh.group
     if tau.group != g or tau.base_size != gh.size:
         raise ValueError("gauge map does not match the potential")
-    direct = _conjugate_closed_form(gh, tau.table, range(gh.size))
+    closed = _conjugate_closed_form(gh, tau.table, range(gh.size))
     tau_fv = FormValuedMap.from_point_table(g, tau.table)
     tau_inv_fv = FormValuedMap.from_point_table(g, [g.inv(a) for a in tau.table])
-    if _conjugate_by_convolution(tau_fv, tau_inv_fv, gh) != direct:
-        raise RuntimeError("gauge transformation routes disagree")
-    return direct
+    return closed, _conjugate_by_convolution(tau_fv, tau_inv_fv, gh)
 
 
 def gauge_transform_potential(
     gamma: FormValuedMap, b: BundleSpec, tau: GaugeMap
-) -> FormValuedMap:
+) -> tuple[FormValuedMap, FormValuedMap]:
     """Same transformation with the gauge map pulled up to the total space."""
     if tau.base_size != b.base.size:
         raise ValueError("gauge map does not match the bundle")

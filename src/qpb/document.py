@@ -102,6 +102,19 @@ def parse_spec(text: str) -> SpecDocument:
     return SpecDocument(name, group, bundle, connections, gauges, digest)
 
 
+def _index(v, bound: int, path: str) -> None:
+    """Raise unless v is an int (not a bool) in range(bound)."""
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+        raise SpecError("index out of range", path)
+
+
+def _no_extra_keys(spec: dict, allowed: set[str], prefix: str) -> None:
+    """Raise naming the first key, in sorted order, that is not allowed."""
+    extra = set(spec) - allowed
+    if extra:
+        raise SpecError("unknown key", f"{prefix}.{min(extra)}")
+
+
 def _parse_group(raw: dict) -> FiniteGroup:
     spec = raw.get("group")
     if not isinstance(spec, dict):
@@ -114,8 +127,7 @@ def _parse_group(raw: dict) -> FiniteGroup:
         if not isinstance(row, list) or len(row) != order:
             raise SpecError(f"mul row must have {order} entries", f"group.mul[{i}]")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
-                raise SpecError("index out of range", f"group.mul[{i}][{j}]")
+            _index(v, order, f"group.mul[{i}][{j}]")
     labels = spec.get("labels")
     if labels is not None:
         if (
@@ -124,9 +136,7 @@ def _parse_group(raw: dict) -> FiniteGroup:
             or not all(isinstance(s, str) for s in labels)
         ):
             raise SpecError(f"labels must be {order} strings", "group.labels")
-    extra = set(spec) - {"mul", "labels", "order"}
-    if extra:
-        raise SpecError("unknown key", f"group.{sorted(extra)[0]}")
+    _no_extra_keys(spec, {"mul", "labels", "order"}, "group")
     declared = spec.get("order")
     if declared is not None and declared != order:
         raise SpecError(f"declared order {declared} but mul table has {order} rows", "group.order")
@@ -145,9 +155,7 @@ def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
         base_size = product_spec.get("base_size")
         if not isinstance(base_size, int) or isinstance(base_size, bool) or base_size < 1:
             raise SpecError("base_size must be a positive integer", "product_bundle.base_size")
-        extra = set(product_spec) - {"base_size"}
-        if extra:
-            raise SpecError("unknown key", f"product_bundle.{sorted(extra)[0]}")
+        _no_extra_keys(product_spec, {"base_size"}, "product_bundle")
         bundle = make_product(base_size, group)
     else:
         if not isinstance(action_spec, dict):
@@ -162,17 +170,14 @@ def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
                     f"act row must have {group.order} entries", f"action[{p}]"
                 )
             for a, q in enumerate(row):
-                if not isinstance(q, int) or isinstance(q, bool) or not 0 <= q < n:
-                    raise SpecError("index out of range", f"action[{p}][{a}]")
+                _index(q, n, f"action[{p}][{a}]")
         declared = action_spec.get("total_size")
         if declared is not None and declared != n:
             raise SpecError(
                 f"declared total_size {declared} but act table has {n} rows",
                 "action.total_size",
             )
-        extra = set(action_spec) - {"act", "total_size"}
-        if extra:
-            raise SpecError("unknown key", f"action.{sorted(extra)[0]}")
+        _no_extra_keys(action_spec, {"act", "total_size"}, "action")
         bundle = BundleSpec(group, RightAction(group, [list(r) for r in act]))
 
     triv = raw.get("trivialization")
@@ -185,11 +190,8 @@ def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
                 f"phi must list {bundle.total_size} group indices", "trivialization.phi"
             )
         for p, a in enumerate(phi):
-            if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < group.order:
-                raise SpecError("index out of range", f"trivialization.phi[{p}]")
-        extra = set(triv) - {"phi"}
-        if extra:
-            raise SpecError("unknown key", f"trivialization.{sorted(extra)[0]}")
+            _index(a, group.order, f"trivialization.phi[{p}]")
+        _no_extra_keys(triv, {"phi"}, "trivialization")
         bundle = bundle.with_phi(list(phi))
 
     bundle.name = raw.get("name")
@@ -259,9 +261,7 @@ def _parse_connections(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> lis
             raise SpecError(
                 f"kind must be one of {', '.join(CONNECTION_KINDS)}", f"{path}.kind"
             )
-        extra = set(spec) - {"name", "kind", "density", "transition"}
-        if extra:
-            raise SpecError("unknown key", f"{path}.{sorted(extra)[0]}")
+        _no_extra_keys(spec, {"name", "kind", "density", "transition"}, path)
 
         if kind == "classical":
             table = spec.get("transition")
@@ -274,8 +274,7 @@ def _parse_connections(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> lis
                         f"transition row must have {nb} entries", f"{path}.transition[{x}]"
                     )
                 for y, v in enumerate(row):
-                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < group.order:
-                        raise SpecError("index out of range", f"{path}.transition[{x}][{y}]")
+                    _index(v, group.order, f"{path}.transition[{x}][{y}]")
             payload: FormValuedMap | TransitionMap
             payload = TransitionMap(group, [list(r) for r in table])
         else:
@@ -305,10 +304,7 @@ def _parse_gauges(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> list[Gau
         if not isinstance(table, list) or len(table) != nb:
             raise SpecError(f"tau_hat must list {nb} group indices", f"{path}.tau_hat")
         for x, v in enumerate(table):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < group.order:
-                raise SpecError("index out of range", f"{path}.tau_hat[{x}]")
-        extra = set(spec) - {"name", "tau_hat"}
-        if extra:
-            raise SpecError("unknown key", f"{path}.{sorted(extra)[0]}")
+            _index(v, group.order, f"{path}.tau_hat[{x}]")
+        _no_extra_keys(spec, {"name", "tau_hat"}, path)
         out.append(GaugeDecl(gname, GaugeMap(group, list(table))))
     return out

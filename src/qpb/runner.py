@@ -27,6 +27,7 @@ from .bundle import (
 from .calculus import check_exactness, validate_form
 from .connection import (
     FormValuedMap,
+    classical_connection,
     connection_from_potential,
     conv_inverse,
     conv_unit,
@@ -37,25 +38,21 @@ from .connection import (
     gauge_transform_potential,
     gauge_transform_transition,
     is_cocycle,
+    lift_base_potential,
     phi_hom,
-    rejection,
+    potential_from_transition,
+    splitting_from_theta,
     star_delta,
     strong_connection_direct,
+    theta_from_splitting,
     validate_base_potential,
     validate_connection_form,
     validate_potential,
     validate_splitting,
     validate_transition,
-    _classical_of,
-    _connection_of,
-    _lift_of,
-    _potential_of,
-    _require,
-    _splitting_of,
-    _theta_of,
 )
 from .document import ConnectionDecl, SpecDocument
-from .funcs import Func, indices
+from .funcs import Func, first_difference, indices
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
@@ -100,13 +97,18 @@ class _Context:
         self.synthesis_error: str | None = None
         if self.bundle.phi is None:
             try:
-                phi = synthesize_trivialization(self.bundle)
+                phi = synthesize_trivialization(self.bundle, self.free)
             except ValueError as exc:
                 self.synthesis_error = str(exc)
             else:
                 self.synthesized_phi = phi
                 self.bundle = self.bundle.with_phi(phi)
         self._inputs: dict[str, _Inputs] = {}
+
+    @cached_property
+    def free(self) -> Report:
+        """The freeness report, decided once per run."""
+        return check_freeness(self.doc.bundle)
 
     @property
     def framed(self) -> bool:
@@ -116,15 +118,29 @@ class _Context:
         return self._inputs.setdefault(decl.name, _Inputs(decl, self.bundle))
 
 
+def rejection(what: str, report: Report) -> str | None:
+    """The reason an input is refused: its first failed check, or None
+    when every check passed."""
+    bad = report.first_failure()
+    return None if bad is None else f"{what} rejected: {bad.describe()}"
+
+
+def _require(what: str, report: Report) -> None:
+    """Raise ValueError naming the report's first failed check, if any."""
+    reason = rejection(what, report)
+    if reason:
+        raise ValueError(reason)
+
+
 class _Inputs:
     """One connection's inputs and its connection form, each validated
     or built once per run.
 
     Every value is computed on first use and kept; one that raises is
     not kept, so the next use raises the same error again.  A builder
-    runs only after the report it relies on has passed, and a failed
-    report raises the reason the public guard would give; `theta` turns
-    that reason into its second element instead of raising.
+    runs only after the report its input relies on has passed, and a
+    failed report raises its `rejection` reason; `theta` turns that
+    reason into its second element instead of raising.
     """
 
     def __init__(self, decl: ConnectionDecl, b: BundleSpec):
@@ -147,7 +163,7 @@ class _Inputs:
         if self.decl.kind == "gamma_hat":
             return self.decl.payload
         _require("transition map", self.report)
-        return _potential_of(self.decl.payload)
+        return potential_from_transition(self.decl.payload)
 
     @cached_property
     def base_report(self) -> Report:
@@ -161,7 +177,7 @@ class _Inputs:
         if self.decl.kind == "gamma":
             return self.decl.payload
         _require("base potential", self.base_report)
-        return _lift_of(self.base, self.bundle)
+        return lift_base_potential(self.base, self.bundle)
 
     @cached_property
     def potential_report(self) -> Report:
@@ -181,9 +197,9 @@ class _Inputs:
         try:
             if kind == "classical":
                 _require("transition map", self.report)
-                return _classical_of(self.decl.payload, self.bundle), None
+                return classical_connection(self.decl.payload, self.bundle), None
             _require("potential", self.potential_report)
-            return _connection_of(self.potential, self.bundle), None
+            return connection_from_potential(self.potential, self.bundle), None
         except ValueError as exc:
             return None, str(exc)
 
@@ -258,9 +274,9 @@ def _run_suite(ctx: _Context, suite: str) -> list[CheckResult]:
     if suite == "comodule":
         return check_comodule_algebra(ctx.bundle).checks
     if suite == "freeness":
-        return check_freeness(ctx.bundle).checks
+        return ctx.free.checks
     if suite == "exactness":
-        return check_exactness(ctx.bundle).checks
+        return check_exactness(ctx.bundle, ctx.free).checks
     if suite == "trivialization":
         return _suite_trivialization(ctx)
     head, _, rest = suite.partition(":")
@@ -393,6 +409,8 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         direct = strong_connection_direct(decl.payload, b)
         out.append(CheckResult(f"{suite}.{check}", direct.density == theta.density))
     elif decl.kind == "classical":
+        # the lift of a base potential that passed base_report meets the
+        # three potential invariants by construction
         via_potential = connection_from_potential(ctx.inputs_for(decl).potential, b)
         out.append(
             CheckResult(
@@ -405,14 +423,14 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     out.extend(_renamed(rep.checks, suite, {"connection": "form"}))
     if not rep.passed:
         return out
-    # theta passed validate_connection_form above and the splitting is
-    # validated here, so the builders run without their public guards
+    # theta passed validate_connection_form above, and the splitting is
+    # validated here before it is read back
     try:
-        sp = _splitting_of(theta, b)
+        sp = splitting_from_theta(theta, b)
         srep = validate_splitting(sp, b)
         out.extend(_renamed(srep.checks, suite))
         reason = rejection("splitting", srep)
-        ok = reason is None and _theta_of(sp, b).density == theta.density
+        ok = reason is None and theta_from_splitting(sp, b).density == theta.density
     except ValueError as exc:
         reason, ok = str(exc), False
     data = None if reason is None else {"reason": reason}
@@ -430,14 +448,8 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         return out
 
     f = curvature(theta)
-    wit = None
-    for c in range(b.group.order):
-        repf = validate_form(f.slice_form(c))
-        if not repf.passed:
-            bad = repf.first_failure()
-            wit = (c,) + (bad.witness or ())
-            break
-    out.append(CheckResult(f"{suite}.form_validity", wit is None, wit))
+    (form_check,) = validate_form(f).checks
+    out.append(CheckResult(f"{suite}.form_validity", form_check.passed, form_check.witness))
 
     try:
         if decl.kind != "theta":
@@ -493,18 +505,21 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
     transformed_tm = None
     try:
         if cdecl.kind == "gamma":
-            transformed = gauge_transform_potential(cdecl.payload, b, tau)
+            transformed, via = gauge_transform_potential(cdecl.payload, b, tau)
             val = validate_potential(transformed, b)
         elif cdecl.kind == "gamma_hat":
-            transformed = gauge_transform_base_potential(cdecl.payload, tau)
+            transformed, via = gauge_transform_base_potential(cdecl.payload, tau)
             val = validate_base_potential(transformed)
         else:
             transformed_tm = gauge_transform_transition(cdecl.payload, tau)
             val = validate_transition(transformed_tm)
-            transformed = gauge_transform_base_potential(ctx.inputs_for(cdecl).base, tau)
-        out.append(CheckResult(f"{suite}.transform_routes", True))
-    except (ValueError, RuntimeError) as exc:
+            transformed, via = gauge_transform_base_potential(ctx.inputs_for(cdecl).base, tau)
+    except ValueError as exc:
         out.append(CheckResult(f"{suite}.transform_routes", False, data={"reason": str(exc)}))
+        return out
+    routes_witness = first_difference(transformed.density, via.density, transformed.shape)
+    out.append(CheckResult(f"{suite}.transform_routes", routes_witness is None, routes_witness))
+    if routes_witness is not None:
         return out
 
     bad = val.first_failure()
@@ -516,9 +531,7 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
         )
     )
     if cdecl.kind == "classical":
-        # val is the transformed table's one validation
-        _require("transition map", val)
-        agree = _potential_of(transformed_tm) == transformed
+        agree = potential_from_transition(transformed_tm) == transformed
         out.append(CheckResult(f"{suite}.classical_agreement", agree))
     return out
 

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+import qpb.bundle as bundle
 from conftest import random_degree0_map, support
 from qpb.bundle import (
     BundleSpec,
@@ -20,7 +21,7 @@ from qpb.bundle import (
 from qpb.connection import FormValuedMap, conv_inverse, conv_unit, phi_hom, star_delta
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import Func, tensor_identify
-from qpb.groups import RightAction, cyclic
+from qpb.groups import FiniteGroup, RightAction, cyclic
 from qpb.scalars import ONE, ZERO, Scalar
 
 
@@ -56,7 +57,15 @@ def test_coaction_is_multiplicative_pointwise():
     assert coaction(b, f1 * f2) == coaction(b, f1) * coaction(b, f2)
 
 
-@pytest.mark.parametrize("b", [fix_z2(), fix_s3(), fix_prod(), fix_nonfree()])
+def _z2_identity_last() -> BundleSpec:
+    """Z2 with its identity labelled 1, acting on itself."""
+    g = FiniteGroup([[1, 0], [0, 1]])
+    return BundleSpec(g, RightAction(g, [[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "b", [fix_z2(), fix_s3(), fix_prod(), fix_nonfree(), _z2_identity_last()]
+)
 def test_comodule_algebra_positive(b):
     assert check_comodule_algebra(b).passed
 
@@ -232,17 +241,36 @@ def test_section_table():
     assert section_table(fix_s3()) == [0]
 
 
+@pytest.mark.parametrize("make", [fix_z2, fix_s3, fix_prod])
+def test_comodule_check_builds_each_coaction_once(monkeypatch, make):
+    # one coaction per indicator, one per product of two indicators, and
+    # the unit's; not one per check that reads it
+    b = make()
+    calls = []
+    real = bundle.coaction
+
+    def counting(bb, f):
+        calls.append(f)
+        return real(bb, f)
+
+    monkeypatch.setattr(bundle, "coaction", counting)
+    assert check_comodule_algebra(b).passed
+    n = b.total_size
+    assert len(calls) == n + n * n + 1
+
+
 def test_synthesize_trivialization():
     b = fix_z2()
     bare = BundleSpec(b.group, b.action)
-    phi = synthesize_trivialization(bare)
+    phi = synthesize_trivialization(bare, check_freeness(bare))
     assert phi == [0, 0, 1, 1]
     assert validate_trivialization(bare.with_phi(phi)).passed
 
 
 def test_synthesize_requires_free_action():
+    b = fix_nonfree()
     with pytest.raises(ValueError, match="not free"):
-        synthesize_trivialization(fix_nonfree())
+        synthesize_trivialization(b, check_freeness(b))
 
 
 def test_psi_round_trip():

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from conftest import random_form
+from conftest import random_form, random_scalar
 from qpb.calculus import (
     Form,
     check_exactness,
@@ -11,9 +11,11 @@ from qpb.calculus import (
     horizontal_basis,
     validate_form,
 )
-from qpb.bundle import BundleSpec, make_product
+from qpb.bundle import BundleSpec, check_freeness, make_product
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.groups import RightAction, symmetric
+from qpb.connection import FormValuedMap
+from qpb.funcs import indices
+from qpb.groups import RightAction, cyclic, symmetric
 from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar
 
@@ -44,6 +46,36 @@ def test_validate_form_catches_adjacent_values():
     rep = validate_form(f)
     assert not rep.passed
     assert rep.first_failure().witness == (0, 0)
+
+
+def _first_repeat(form):
+    """The old scan: the first nonzero entry on an adjacent repeat, in index order."""
+    for idx, v in zip(indices(form.shape), form.values):
+        if v and any(idx[j] == idx[j + 1] for j in range(form.degree)):
+            return idx
+    return None
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_validate_form_on_a_map_matches_the_slice_reading(degree):
+    g = cyclic(3)
+    rng = Random(degree)
+    size = 3
+    npts = size ** (degree + 1)
+    for _ in range(30):
+        # sparse values, so that some maps vanish on repeats and some do not
+        density = [
+            random_scalar(rng) if rng.random() < 0.05 else ZERO for _ in range(npts * g.order)
+        ]
+        # a map is read one group slice at a time, in order
+        slices = [_first_repeat(Form(size, degree, density[c::3])) for c in range(3)]
+        expected = next(((c,) + w for c, w in enumerate(slices) if w is not None), None)
+        (check,) = validate_form(FormValuedMap(g, size, degree, density)).checks
+        assert check.name == "form.adjacent_vanishing"
+        assert (check.passed, check.witness) == (expected is None, expected)
+        # a Form keeps its point-only witness
+        form = Form(size, degree, density[:npts])
+        assert validate_form(form).checks[0].witness == _first_repeat(form)
 
 
 def test_concat_product_hand_values():
@@ -155,7 +187,7 @@ def test_exactness_dimensions():
         "fix-prod": (30, 12, 18, 18),
     }
     for b in (fix_z2(), fix_s3(), fix_prod()):
-        rep = check_exactness(b)
+        rep = check_exactness(b, check_freeness(b))
         assert rep.passed, rep.first_failure()
         dim_omega1 = rep["exactness.surjectivity"].data["dim_omega1"]
         rank = rep["exactness.surjectivity"].data["rank"]
@@ -165,7 +197,8 @@ def test_exactness_dimensions():
 
 
 def test_exactness_refuses_nonfree():
-    rep = check_exactness(fix_nonfree())
+    b = fix_nonfree()
+    rep = check_exactness(b, check_freeness(b))
     assert not rep.passed
     assert rep.first_failure().name == "exactness.freeness_required"
 

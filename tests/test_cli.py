@@ -3,19 +3,21 @@
 import collections
 import copy
 import json
+import sys
 
 import pytest
 
+import qpb.bundle as bundle
 import qpb.connection as connection
 import qpb.funcs as funcs
 import qpb.runner as runner
 from qpb import __version__
 from qpb.cli import main
-from qpb.connection import Splitting, theta_from_splitting, trivial_connection
+from qpb.connection import Splitting, trivial_connection
 from qpb.document import parse_spec
 from qpb.fixtures import fix_z2, fixture_documents
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
-from qpb.scalars import ZERO
+from qpb.scalars import ONE, ZERO
 
 Z2_CHECKS = [
     "group.associativity",
@@ -191,20 +193,24 @@ def test_non_equivariant_phi_fails_and_skips_downstream():
 
 def test_rejected_splitting_reason_matches_theta_from_splitting(monkeypatch):
     # a valid connection form always yields a valid splitting, so the
-    # runner's rejection path is reached by substituting a zero matrix
+    # runner's rejection path is reached by substituting a zero matrix;
+    # theta_from_splitting must not run on the splitting it rejects
     def zero_splitting(theta, b):
         return Splitting(b, [[ZERO] * 4 for _ in range(12)])
 
-    monkeypatch.setattr(runner, "_splitting_of", zero_splitting)
+    def unreachable(sigma, b):
+        raise AssertionError("theta_from_splitting ran on a rejected splitting")
+
+    monkeypatch.setattr(runner, "splitting_from_theta", zero_splitting)
+    monkeypatch.setattr(runner, "theta_from_splitting", unreachable)
     report = run_checks(load_fixture("fix_z2.json"), ["connection:cls"])
-    with pytest.raises(ValueError) as info:
-        theta_from_splitting(zero_splitting(None, fix_z2()), fix_z2())
     assert report.first_failure().name == "connection:cls.splitting.section"
     roundtrip = report.checks[-1]
     assert roundtrip.name == "connection:cls.splitting_roundtrip"
     assert not roundtrip.passed
-    assert roundtrip.data == {"reason": str(info.value)}
-    assert str(info.value).startswith("splitting rejected: splitting.section: FAIL")
+    assert roundtrip.data == {
+        "reason": "splitting rejected: splitting.section: FAIL  witness=(0, 1, 0, 1)"
+    }
 
 
 INPUT_VALIDATORS = ("validate_transition", "validate_base_potential", "validate_potential")
@@ -253,6 +259,68 @@ def test_wrong_gauge_transformed_transition_fails_classical_agreement(
     assert failed == ["gauge:flip:cls.classical_agreement"]
 
 
+def test_transform_routes_disagreement_names_a_witness(tmp_path, capsys, monkeypatch):
+    # the convolution route of the gauge transform, off by one at (x, y, c) = (0, 1, 1)
+    real = connection._conjugate_by_convolution
+
+    def shifted(t_fv, t_inv_fv, gamma):
+        out = real(t_fv, t_inv_fv, gamma)
+        density = list(out.density)
+        density[3] = density[3] + ONE
+        return connection.FormValuedMap(out.group, out.size, out.degree, density)
+
+    monkeypatch.setattr(connection, "_conjugate_by_convolution", shifted)
+    path = write_fixture(tmp_path, "fix_z2.json")
+    assert main(["check", path, "--suite", "gauge:flip:cls", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "gauge:flip:cls.automorphism.bijective",
+        "gauge:flip:cls.automorphism.equivariance",
+        "gauge:flip:cls.automorphism_roundtrip",
+        "gauge:flip:cls.transform_routes",
+    ]
+    routes = checks[-1]
+    assert routes["status"] == "fail"
+    assert routes["witness"] == [0, 1, 1]
+    assert routes["data"] is None
+
+
+@pytest.mark.parametrize("key, framed", [("fix_nonfree.json", False), ("fix_z2.json", True)])
+def test_freeness_decided_once_per_check(tmp_path, capsys, key, framed):
+    # fix_nonfree has no trivialization, so the run also tries to synthesize one
+    path = write_fixture(tmp_path, key)
+    assert ("trivialization" in fixture_documents()[key]) == framed
+    code = bundle.check_freeness.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        main(["check", path, "--format", "json"])
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_curvature_form_validity_names_its_witness():
+    # one nonzero diagonal entry of theta, at (p, p, c) = (2, 2, 1), leaves
+    # dθ nonzero on repeated points; θ⋆θ moves it into slice 0 first
+    payload = theta_payload()
+    payload["connections"][-1]["density"][2][2][1] = "1"
+    report = run_checks(parse_spec(json.dumps(payload)), ["curvature:th"])
+    check = report.checks[0]
+    assert check.name == "curvature:th.form_validity"
+    assert not check.passed
+    assert check.witness == (0, 0, 2, 2)
+
+
 def _broken_inputs() -> dict:
     payload = mutated_payload("fix_prod.json")
     payload["connections"][0]["transition"][0][0] = 1
@@ -262,22 +330,19 @@ def _broken_inputs() -> dict:
 
 def test_curvature_suite_alone_gives_the_guard_reason():
     doc = parse_spec(json.dumps(_broken_inputs()))
-    b = runner._Context(doc).bundle
-    guards = {
-        "classical": lambda payload: connection.classical_connection(payload, b),
-        "gamma_hat": lambda payload: connection.connection_from_potential(
-            connection.lift_base_potential(payload, b), b
+    reasons = {
+        "classical": "transition map rejected: transition.diagonal_identity: FAIL  witness=(0,)",
+        "gamma_hat": (
+            "base potential rejected: base_potential.unit_normalization: FAIL  witness=(0, 1)"
         ),
     }
     for decl in doc.connections:
-        with pytest.raises(ValueError) as info:
-            guards[decl.kind](decl.payload)
         for suites in ([f"curvature:{decl.name}"], None):
             report = run_checks(doc, suites)
             name = f"curvature:{decl.name}.canonicalized"
             check = next(c for c in report.checks if c.name == name)
             assert not check.passed
-            assert check.data == {"reason": str(info.value)}
+            assert check.data == {"reason": reasons[decl.kind]}
 
 
 def test_curvature_suite_alone_gives_the_potential_guard_reason():
@@ -286,14 +351,11 @@ def test_curvature_suite_alone_gives_the_potential_guard_reason():
     density = [[["0", "0"] for _ in range(4)] for _ in range(4)]
     density[0][1] = ["1", "0"]
     payload["connections"].append({"name": "bad", "kind": "gamma", "density": density})
-    doc = parse_spec(json.dumps(payload))
-    decl = doc.connection("bad")
-    with pytest.raises(ValueError) as info:
-        connection.connection_from_potential(decl.payload, runner._Context(doc).bundle)
-    report = run_checks(doc, ["curvature:bad"])
+    report = run_checks(parse_spec(json.dumps(payload)), ["curvature:bad"])
     assert report.checks[0].name == "curvature:bad.canonicalized"
-    assert report.checks[0].data == {"reason": str(info.value)}
-    assert str(info.value).startswith("potential rejected: potential.unit_normalization")
+    assert report.checks[0].data == {
+        "reason": "potential rejected: potential.unit_normalization: FAIL  witness=(0, 1)"
+    }
 
 
 # ---------------------------------------------------------------------------

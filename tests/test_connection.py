@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_gauge_maps,
@@ -44,6 +46,7 @@ from qpb.funcs import Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
 from qpb.groups import symmetric
 from qpb.linalg import identity_matrix
+from qpb.runner import rejection
 from qpb.scalars import ONE, ZERO, Scalar
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
@@ -75,7 +78,7 @@ def test_from_point_table_and_apply():
     assert fv.degree == 0 and fv.size == 4
     assert fv.value_at(2, 1) == ONE
     assert fv.value_at(2, 0) == ZERO
-    assert fv.slice_form(1).values == [ZERO, ZERO, ONE, ONE]
+    assert fv.density[1::2] == [ZERO, ZERO, ONE, ONE]
     # pairing against a group table evaluates the frame pointwise
     out = fv.apply(Func((2,), [Scalar(3), Scalar(5)]))
     assert out.values == [Scalar(3), Scalar(3), Scalar(5), Scalar(5)]
@@ -131,7 +134,7 @@ def test_d_slicewise_matches_per_slice_differential():
     dfv = differential(fv)
     assert dfv.degree == 1
     for c in range(2):
-        assert dfv.slice_form(c) == differential(fv.slice_form(c))
+        assert Form(3, 1, dfv.density[c::2]) == differential(Form(3, 0, fv.density[c::2]))
 
 
 def test_form_valued_map_shape_guards():
@@ -211,8 +214,10 @@ def test_connection_from_potential_rejects_invalid():
         lambda p, q, c: ONE if (p, q, c) == (0, 2, 0) else
         (-ONE if (p, q, c) == (0, 2, 1) else ZERO),
     )
-    with pytest.raises(ValueError, match="potential rejected"):
-        connection_from_potential(bad, b)
+    # the runner refuses it before connection_from_potential runs
+    assert rejection("potential", validate_potential(bad, b)) == (
+        "potential rejected: potential.vanishing_on_orbit_pairs: FAIL  witness=(0, 1, 0)"
+    )
 
 
 def test_validate_potential_witnesses():
@@ -275,8 +280,10 @@ def test_lift_base_potential_guards():
     b = fix_z2()
     g = b.group
     bad = FormValuedMap.build(g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 0, 1) else ZERO)
-    with pytest.raises(ValueError, match="base potential rejected"):
-        lift_base_potential(bad, b)
+    # the runner refuses it before lift_base_potential runs
+    assert rejection("base potential", validate_base_potential(bad)) == (
+        "base potential rejected: base_potential.vanishing_on_diagonal: FAIL  witness=(0, 1)"
+    )
     with pytest.raises(ValueError, match="does not match"):
         lift_base_potential(zero_base_potential(g, 3), b)
 
@@ -304,6 +311,24 @@ def test_transition_map_validation():
     assert witness == (0, 1, 0)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_lift_of_a_valid_transition_potential_is_a_potential(data):
+    # the runner does not validate this lift: it meets the three potential
+    # invariants whenever the transition map passes its own check
+    b = data.draw(st.sampled_from(FRAMED))()
+    nb, g = b.base.size, b.group
+    row = st.lists(st.integers(0, g.order - 1), min_size=nb, max_size=nb)
+    table = data.draw(st.lists(row, min_size=nb, max_size=nb))
+    if data.draw(st.booleans()):
+        for x in range(nb):
+            table[x][x] = g.identity
+    tm = TransitionMap(g, table)
+    if validate_transition(tm).passed:
+        lifted = lift_base_potential(potential_from_transition(tm), b)
+        assert validate_potential(lifted, b).passed
+
+
 def test_potential_from_transition_values():
     g = fix_z2().group
     tm = TransitionMap(g, [[0, 1], [0, 0]])
@@ -315,8 +340,11 @@ def test_potential_from_transition_values():
         assert gh.value_at(1, 0, c) == ZERO
     assert validate_base_potential(gh).passed
 
-    with pytest.raises(ValueError, match="transition map rejected"):
-        potential_from_transition(TransitionMap(g, [[1, 0], [0, 0]]))
+    # the runner refuses it before potential_from_transition runs
+    off_diagonal = TransitionMap(g, [[1, 0], [0, 0]])
+    assert rejection("transition map", validate_transition(off_diagonal)) == (
+        "transition map rejected: transition.diagonal_identity: FAIL  witness=(0,)"
+    )
 
 
 def test_classical_connection_hand_values():
@@ -394,15 +422,19 @@ def test_theta_from_splitting_rejects_corrupt_matrix():
     zeroed = Splitting(
         b, [[ZERO] * len(sigma.cols) for _ in range(len(sigma.pairs))]
     )
-    with pytest.raises(ValueError, match="splitting rejected"):
-        theta_from_splitting(zeroed, b)
+    # the runner refuses it before theta_from_splitting runs
+    assert rejection("splitting", validate_splitting(zeroed, b)) == (
+        "splitting rejected: splitting.section: FAIL  witness=(0, 1, 0, 1)"
+    )
 
 
 def test_splitting_from_theta_rejects_invalid_form():
     b = fix_z2()
     flat_zero = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
-    with pytest.raises(ValueError, match="connection form rejected"):
-        splitting_from_theta(flat_zero, b)
+    # the runner refuses it before splitting_from_theta runs
+    assert rejection("connection form", validate_connection_form(flat_zero, b)) == (
+        "connection form rejected: connection.splitting_property: FAIL  witness=(0, 1, 0)"
+    )
 
 
 # nested-loop references for the connection form's witnesses, in the order
@@ -659,16 +691,21 @@ def test_flat_iff_cocycle_census():
 # gauge action on potentials and transition maps
 
 
+def transformed(gh, tau):
+    """The gauge transform of a base potential, once its two routes agree."""
+    closed, via = gauge_transform_base_potential(gh, tau)
+    assert closed == via
+    return closed
+
+
 def test_gauge_transform_routes_and_validity():
     g = fix_z2().group
     rng = Random(31)
     gh = random_base_potential(g, 2, rng)
     for tau in all_gauge_maps(g, 2):
-        # raises RuntimeError if the density and convolution routes split
-        out = gauge_transform_base_potential(gh, tau)
-        assert validate_base_potential(out).passed
+        assert validate_base_potential(transformed(gh, tau)).passed
     neutral = GaugeMap(g, [g.identity] * 2)
-    assert gauge_transform_base_potential(gh, neutral) == gh
+    assert gauge_transform_base_potential(gh, neutral) == (gh, gh)
 
 
 def test_gauge_transforms_compose_and_invert():
@@ -677,16 +714,9 @@ def test_gauge_transforms_compose_and_invert():
     taus = list(all_gauge_maps(g, 2))
     for t1 in taus:
         for t2 in taus:
-            sequential = gauge_transform_base_potential(
-                gauge_transform_base_potential(gh, t1), t2
-            )
-            assert sequential == gauge_transform_base_potential(
-                gh, gauge_compose(t1, t2)
-            )
-        undone = gauge_transform_base_potential(
-            gauge_transform_base_potential(gh, t1), gauge_inverse(t1)
-        )
-        assert undone == gh
+            sequential = transformed(transformed(gh, t1), t2)
+            assert sequential == transformed(gh, gauge_compose(t1, t2))
+        assert transformed(transformed(gh, t1), gauge_inverse(t1)) == gh
 
 
 def test_gauge_transform_commutes_with_lift():
@@ -694,13 +724,9 @@ def test_gauge_transform_commutes_with_lift():
         b = make()
         gh = random_base_potential(b.group, b.base.size, Random(7))
         for tau in all_gauge_maps(b.group, b.base.size):
-            lifted_then = gauge_transform_potential(
-                lift_base_potential(gh, b), b, tau
-            )
-            then_lifted = lift_base_potential(
-                gauge_transform_base_potential(gh, tau), b
-            )
-            assert lifted_then == then_lifted
+            closed, via = gauge_transform_potential(lift_base_potential(gh, b), b, tau)
+            then_lifted = lift_base_potential(transformed(gh, tau), b)
+            assert closed == via == then_lifted
 
 
 def test_gauge_transform_transition_agreement():
@@ -708,7 +734,7 @@ def test_gauge_transform_transition_agreement():
     for tm in all_transition_maps(g, 2):
         for tau in all_gauge_maps(g, 2):
             moved = gauge_transform_transition(tm, tau)
-            assert potential_from_transition(moved) == gauge_transform_base_potential(
+            assert potential_from_transition(moved) == transformed(
                 potential_from_transition(tm), tau
             )
         assert gauge_transform_transition(tm, GaugeMap(g, [g.identity] * 2)) == tm

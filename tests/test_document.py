@@ -134,6 +134,9 @@ def test_group_errors():
     payload = doc_payload("fix_z2.json")
     payload["group"]["extra"] = 1
     assert parse_error(payload).path == "group.extra"
+    # of several unknown keys, the first in sorted order is named
+    payload["group"]["zeta"] = payload["group"]["alpha"] = 1
+    assert parse_error(payload).path == "group.alpha"
 
     payload = doc_payload("fix_z2.json")
     payload["group"]["order"] = 3

@@ -10,6 +10,7 @@ reaches, or that is no longer exported, fails too, so the lists can only
 shrink.
 """
 
+import ast
 import contextlib
 import copy
 import importlib
@@ -33,11 +34,6 @@ KEEP = {
     "gauge_inverse": "acceptance criterion 10: gauge group laws (ROADMAP item 2 adds a suite check)",
     "invariants_basis": "the abstract's claim that the coinvariants are C(B)",
     "inject_base": "the abstract's claim that the coinvariants are C(B)",
-    "theta_from_splitting": "public guard over _theta_of, which the runner calls after its own validation",
-    "splitting_from_theta": "public guard over _splitting_of, which the runner calls after its own validation",
-    "lift_base_potential": "public guard over _lift_of, which the runner calls after its own validation",
-    "potential_from_transition": "public guard over _potential_of, which the runner calls after its own validation",
-    "classical_connection": "public guard over _classical_of, which the runner calls after its own validation",
     "tensor_identify": "reference for the coinvariant and Hopf coproduct tests",
     "fix_z2": "reference bundle for the tests; documents come from fixture_documents",
     "fix_s3": "reference bundle for the tests; documents come from fixture_documents",
@@ -154,6 +150,22 @@ def reached(tmp_path_factory):
     # a usage error (exit 2) would stop a call before the code it should reach
     assert set(statuses) <= {0, 1}
     return seen
+
+
+def test_runner_imports_no_private_name():
+    # builders build and validators report; the runner reaches both
+    # through the public names only
+    from qpb import runner
+
+    tree = ast.parse(inspect.getsource(runner))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qpb"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_every_public_name_resolves():
