@@ -5,7 +5,7 @@ adjacent points coincide.  The product concatenates argument tuples over
 a shared endpoint; the differential is the alternating sum over omitted
 arguments.  On a bundle, the horizontal 1-forms are the span of the
 cross-orbit indicators, and exactness compares that span with the
-kernel of the canonical map.
+kernel of the canonical map.  The Form table type lives in `funcs`.
 
 `differential` runs on the common-denominator int view of its input
 (`scalars.to_ints`): it reads the table once, sums ints over its nonzero
@@ -16,16 +16,13 @@ curvature and frame-change composites, so those convert once as well.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .bundle import BundleSpec
-from .funcs import Func, Table, guard_table_size, indices, unravel
+from .funcs import Form, guard_table_size, unravel
 from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 __all__ = [
-    "Form",
     "validate_form",
     "concat_product",
     "differential",
@@ -34,42 +31,6 @@ __all__ = [
     "check_exactness",
     "offdiag_pairs",
 ]
-
-
-class Form(Table):
-    """A degree-n form: exact values on (n+1)-tuples, zero on adjacent repeats."""
-
-    __slots__ = ("size", "degree")
-
-    def __init__(self, size: int, degree: int, values: Iterable[Scalar]):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.size = size
-        self.degree = degree
-        super().__init__((size,) * (degree + 1), values)
-
-    def _layout(self) -> tuple:
-        return (self.size, self.degree)
-
-    def _length_error(self, got: int, need: int) -> str:
-        return f"got {got} values for a degree-{self.degree} form on {self.size} points"
-
-    def _mismatch_error(self, other) -> str:
-        return (
-            f"form mismatch: degree {self.degree} on {self.size} points"
-            f" vs degree {other.degree} on {other.size}"
-        )
-
-    @classmethod
-    def build(cls, size: int, degree: int, fn) -> Form:
-        shape = (size,) * (degree + 1)
-        return cls(size, degree, (fn(idx) for idx in indices(shape)))
-
-    def to_func(self) -> Func:
-        return Func(self.shape, list(self.values))
-
-    def __repr__(self):
-        return f"Form(size={self.size}, degree={self.degree})"
 
 
 def validate_form(f) -> Report:

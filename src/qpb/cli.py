@@ -1,4 +1,9 @@
-"""Command line front end: check documents, write fixtures, dump curvature."""
+"""Command line front end: check documents, write fixtures, dump curvature.
+
+Each command imports only what it reaches: the runner and the checkers
+load once the document parses, and the fixtures only for `qpb fixtures`,
+so a malformed document is rejected without compiling them.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,6 @@ import sys
 
 from . import __version__, funcs
 from .document import SpecError, parse_spec
-from .fixtures import fixture_documents
-from .runner import ConfigError, curvature_payload, emit_report, run_checks
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,11 +58,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixtures":
             return _cmd_fixtures(args)
         return _cmd_curvature(args)
-    except ConfigError as exc:
-        print(f"qpb: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # table caps and other usage limits surface here
+        # document errors, bad suite requests, table caps and other usage
+        # limits surface here
         print(f"qpb: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -73,21 +74,22 @@ def _load_document(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        return parse_spec(text)
-    except SpecError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return parse_spec(text)
 
 
 def _cmd_check(args) -> int:
     doc = _load_document(args.file)
+    from .runner import emit_report, run_checks
+
     report = run_checks(doc, args.suite, tool_version=__version__)
     sys.stdout.write(emit_report(report, args.format))
     return report.exit_status
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import fixture_documents
+
     os.makedirs(args.dir, exist_ok=True)
     for fname, payload in fixture_documents().items():
         path = os.path.join(args.dir, fname)
@@ -99,6 +101,8 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_curvature(args) -> int:
     doc = _load_document(args.file)
+    from .runner import ConfigError, curvature_payload
+
     try:
         payload = curvature_payload(doc, args.connection, tool_version=__version__)
     except ConfigError:

@@ -9,6 +9,9 @@ one-forms; equivalently a degree-1 map whose density satisfies four
 pointwise invariants.  Potentials describe a connection relative to the
 trivial one; transition maps give the classical case.  Curvature is
 computed along independent routes that must agree exactly.
+FormValuedMap lives in `funcs` with the other table types and
+TransitionMap in `groups`, so a parsed document holds both without
+loading this module.
 
 Builders build and validators report.  A builder (`theta_from_splitting`,
 `splitting_from_theta`, `lift_base_potential`, `potential_from_transition`,
@@ -26,17 +29,15 @@ from collections.abc import Iterable
 from math import lcm
 
 from .bundle import BundleSpec
-from .calculus import Form, _differential_view, _nonzero_rows, differential, offdiag_pairs
-from .funcs import Func, Table, first_difference, guard_table_size, indices
-from .groups import FiniteGroup
+from .calculus import _differential_view, _nonzero_rows, differential, offdiag_pairs
+from .funcs import FormValuedMap, first_difference, guard_table_size
+from .groups import FiniteGroup, TransitionMap
 from .gauge import GaugeMap
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 __all__ = [
     "Splitting",
-    "TransitionMap",
-    "FormValuedMap",
     "validate_splitting",
     "theta_from_splitting",
     "splitting_from_theta",
@@ -175,81 +176,7 @@ def validate_splitting(sigma: Splitting, b: BundleSpec) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# form-valued maps: the one density type
-
-
-class FormValuedMap(Table):
-    """A linear map from the group function algebra into degree-n forms,
-    stored as its density over (point tuple) x (group element).
-
-    `size` counts the points the forms live on and `degree` fixes the
-    tuple length at degree + 1.  Degree 0 holds frame maps and their
-    convolution algebra; degree 1 holds connection forms and potentials,
-    on the total space or on the base; degree 2 holds curvature.
-    """
-
-    __slots__ = ("group", "size", "degree")
-
-    # the density is the table's values, read through the same slot
-    density = Table.values
-
-    def __init__(
-        self, group: FiniteGroup, size: int, degree: int, density: Iterable[Scalar]
-    ):
-        self.group = group
-        self.size = size
-        self.degree = degree
-        super().__init__((size,) * (degree + 1) + (group.order,), density)
-
-    def _layout(self) -> tuple:
-        return (self.group, self.size, self.degree)
-
-    def _length_error(self, got: int, need: int) -> str:
-        return f"density has {got} entries, expected {need}"
-
-    def _mismatch_error(self, other) -> str:
-        return "form-valued maps do not match"
-
-    @classmethod
-    def build(cls, group: FiniteGroup, size: int, degree: int, fn) -> FormValuedMap:
-        """Density from fn(*points, c), points varying slowest-first."""
-        shape = (size,) * (degree + 1) + (group.order,)
-        return cls(group, size, degree, (fn(*idx) for idx in indices(shape)))
-
-    @classmethod
-    def from_point_table(cls, group: FiniteGroup, table: list[int]) -> FormValuedMap:
-        """Degree-0 delta density of a point -> group table."""
-        m = group.order
-        return cls(
-            group,
-            len(table),
-            0,
-            (ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)),
-        )
-
-    def apply(self, alpha: Func) -> Form:
-        """The form paired with a group-algebra element."""
-        m = self.group.order
-        if alpha.shape != (m,):
-            raise ValueError(f"expected a group table, got shape {alpha.shape}")
-        npts = self.size ** (self.degree + 1)
-        values = []
-        for t in range(npts):
-            acc = ZERO
-            base = t * m
-            for c in range(m):
-                d = self.density[base + c]
-                v = alpha.values[c]
-                if d and v:
-                    acc = acc + d * v
-            values.append(acc)
-        return Form(self.size, self.degree, values)
-
-    def __repr__(self):
-        return (
-            f"FormValuedMap(size={self.size}, degree={self.degree},"
-            f" group_order={self.group.order})"
-        )
+# convolution and connection one-forms
 
 
 def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
@@ -408,34 +335,6 @@ def _diagonal_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
     n = gamma.size
     diagonal = _rows_at(gamma, ((p, p) for p in range(n)))
     return first_difference(diagonal, itertools.repeat(ZERO), (n, gamma.group.order))
-
-
-class TransitionMap:
-    """A group element for every ordered pair of base points."""
-
-    def __init__(self, group: FiniteGroup, table: list[list[int]]):
-        nb = len(table)
-        for x, row in enumerate(table):
-            if len(row) != nb:
-                raise ValueError(f"transition row {x} has length {len(row)}, expected {nb}")
-            for y, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < group.order:
-                    raise ValueError(
-                        f"transition entry out of range at ({x}, {y}): {v!r}"
-                    )
-        self.group = group
-        self.base_size = nb
-        self.table = [list(row) for row in table]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TransitionMap)
-            and self.group == other.group
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"TransitionMap(base_size={self.base_size})"
 
 
 def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:

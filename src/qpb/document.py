@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from .bundle import BundleSpec, make_product
-from .connection import FormValuedMap, TransitionMap
+from .funcs import FormValuedMap
 from .gauge import GaugeMap
-from .groups import FiniteGroup, RightAction
+from .groups import FiniteGroup, RightAction, TransitionMap
 from .scalars import Scalar, parse_scalar
 
 __all__ = ["SpecDocument", "ConnectionDecl", "GaugeDecl", "SpecError", "parse_spec"]
@@ -32,27 +31,35 @@ class SpecError(ValueError):
         super().__init__(f"{message} at {path}" if path else message)
 
 
-@dataclass
 class ConnectionDecl:
-    name: str
-    kind: str
-    payload: FormValuedMap | TransitionMap
+    def __init__(self, name: str, kind: str, payload: FormValuedMap | TransitionMap):
+        self.name = name
+        self.kind = kind
+        self.payload = payload
 
 
-@dataclass
 class GaugeDecl:
-    name: str
-    gauge: GaugeMap
+    def __init__(self, name: str, gauge: GaugeMap):
+        self.name = name
+        self.gauge = gauge
 
 
-@dataclass
 class SpecDocument:
-    name: str | None
-    group: FiniteGroup
-    bundle: BundleSpec
-    connections: list[ConnectionDecl] = field(default_factory=list)
-    gauges: list[GaugeDecl] = field(default_factory=list)
-    digest: str = ""
+    def __init__(
+        self,
+        name: str | None,
+        group: FiniteGroup,
+        bundle: BundleSpec,
+        connections: list[ConnectionDecl],
+        gauges: list[GaugeDecl],
+        digest: str,
+    ):
+        self.name = name
+        self.group = group
+        self.bundle = bundle
+        self.connections = connections
+        self.gauges = gauges
+        self.digest = digest
 
     def connection(self, name: str) -> ConnectionDecl | None:
         return next((c for c in self.connections if c.name == name), None)
@@ -68,6 +75,8 @@ def parse_spec(text: str) -> SpecDocument:
         raise SpecError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SpecError("invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise SpecError("document must be a JSON object")
 

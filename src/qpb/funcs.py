@@ -1,9 +1,10 @@
 """Dense exact-valued function tables over products of finite sets.
 
 Every object qpb computes with is a function on a finite set, stored as
-a flat row-major list of exact values.  The three table types, Func
-(a shape), calculus.Form (points and degree) and
-connection.FormValuedMap (group, points and degree), share one guarded
+a flat row-major list of exact values.  The three table types live
+here: Func (a shape), Form (points and degree) and FormValuedMap (group,
+points and degree).  `calculus` and `connection` compute with them, and
+a document holds them without loading either.  They share one guarded
 base, Table: it holds the shape, checks the entry cap before it reads an
 input, and owns the bounds-checked lookup, the pointwise sums, negation,
 the zero test, the operand check and equality, so each type only states
@@ -24,11 +25,14 @@ from collections.abc import Iterable
 from contextvars import ContextVar, Token
 from math import prod
 
+from .groups import FiniteGroup
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "Table",
     "Func",
+    "Form",
+    "FormValuedMap",
     "MAX_TABLE_ENTRIES",
     "set_max_table_entries",
     "guard_table_size",
@@ -160,6 +164,116 @@ class Func(Table):
 
     def __repr__(self):
         return f"Func(shape={self.shape})"
+
+
+class Form(Table):
+    """A degree-n form: exact values on (n+1)-tuples, zero on adjacent repeats."""
+
+    __slots__ = ("size", "degree")
+
+    def __init__(self, size: int, degree: int, values: Iterable[Scalar]):
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        self.size = size
+        self.degree = degree
+        super().__init__((size,) * (degree + 1), values)
+
+    def _layout(self) -> tuple:
+        return (self.size, self.degree)
+
+    def _length_error(self, got: int, need: int) -> str:
+        return f"got {got} values for a degree-{self.degree} form on {self.size} points"
+
+    def _mismatch_error(self, other) -> str:
+        return (
+            f"form mismatch: degree {self.degree} on {self.size} points"
+            f" vs degree {other.degree} on {other.size}"
+        )
+
+    @classmethod
+    def build(cls, size: int, degree: int, fn) -> Form:
+        shape = (size,) * (degree + 1)
+        return cls(size, degree, (fn(idx) for idx in indices(shape)))
+
+    def to_func(self) -> Func:
+        return Func(self.shape, list(self.values))
+
+    def __repr__(self):
+        return f"Form(size={self.size}, degree={self.degree})"
+
+
+class FormValuedMap(Table):
+    """A linear map from the group function algebra into degree-n forms,
+    stored as its density over (point tuple) x (group element).
+
+    `size` counts the points the forms live on and `degree` fixes the
+    tuple length at degree + 1.  Degree 0 holds frame maps and their
+    convolution algebra; degree 1 holds connection forms and potentials,
+    on the total space or on the base; degree 2 holds curvature.
+    """
+
+    __slots__ = ("group", "size", "degree")
+
+    # the density is the table's values, read through the same slot
+    density = Table.values
+
+    def __init__(
+        self, group: FiniteGroup, size: int, degree: int, density: Iterable[Scalar]
+    ):
+        self.group = group
+        self.size = size
+        self.degree = degree
+        super().__init__((size,) * (degree + 1) + (group.order,), density)
+
+    def _layout(self) -> tuple:
+        return (self.group, self.size, self.degree)
+
+    def _length_error(self, got: int, need: int) -> str:
+        return f"density has {got} entries, expected {need}"
+
+    def _mismatch_error(self, other) -> str:
+        return "form-valued maps do not match"
+
+    @classmethod
+    def build(cls, group: FiniteGroup, size: int, degree: int, fn) -> FormValuedMap:
+        """Density from fn(*points, c), points varying slowest-first."""
+        shape = (size,) * (degree + 1) + (group.order,)
+        return cls(group, size, degree, (fn(*idx) for idx in indices(shape)))
+
+    @classmethod
+    def from_point_table(cls, group: FiniteGroup, table: list[int]) -> FormValuedMap:
+        """Degree-0 delta density of a point -> group table."""
+        m = group.order
+        return cls(
+            group,
+            len(table),
+            0,
+            (ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)),
+        )
+
+    def apply(self, alpha: Func) -> Form:
+        """The form paired with a group-algebra element."""
+        m = self.group.order
+        if alpha.shape != (m,):
+            raise ValueError(f"expected a group table, got shape {alpha.shape}")
+        npts = self.size ** (self.degree + 1)
+        values = []
+        for t in range(npts):
+            acc = ZERO
+            base = t * m
+            for c in range(m):
+                d = self.density[base + c]
+                v = alpha.values[c]
+                if d and v:
+                    acc = acc + d * v
+            values.append(acc)
+        return Form(self.size, self.degree, values)
+
+    def __repr__(self):
+        return (
+            f"FormValuedMap(size={self.size}, degree={self.degree},"
+            f" group_order={self.group.order})"
+        )
 
 
 def indices(shape: tuple[int, ...]):

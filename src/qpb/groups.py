@@ -14,6 +14,7 @@ from .report import CheckResult, Report
 __all__ = [
     "FiniteGroup",
     "RightAction",
+    "TransitionMap",
     "cyclic",
     "direct_product",
     "symmetric",
@@ -208,6 +209,34 @@ class RightAction:
 
     def __repr__(self):
         return f"RightAction(total_size={self.total_size}, group_order={self.group.order})"
+
+
+class TransitionMap:
+    """A group element for every ordered pair of base points."""
+
+    def __init__(self, group: FiniteGroup, table: list[list[int]]):
+        nb = len(table)
+        for x, row in enumerate(table):
+            if len(row) != nb:
+                raise ValueError(f"transition row {x} has length {len(row)}, expected {nb}")
+            for y, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < group.order:
+                    raise ValueError(
+                        f"transition entry out of range at ({x}, {y}): {v!r}"
+                    )
+        self.group = group
+        self.base_size = nb
+        self.table = [list(row) for row in table]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TransitionMap)
+            and self.group == other.group
+            and self.table == other.table
+        )
+
+    def __repr__(self):
+        return f"TransitionMap(base_size={self.base_size})"
 
 
 def validate_action(action: RightAction) -> Report:

@@ -7,8 +7,6 @@ memberships are decided, not estimated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -57,13 +55,13 @@ def rank_of(matrix: list[list[Scalar]]) -> int:
     return len(rref(matrix)[1])
 
 
-@dataclass
 class SubspaceBasis:
     """A subspace given by its canonical (reduced echelon) basis rows."""
 
-    ambient_dim: int
-    vectors: list[list[Scalar]] = field(default_factory=list)
-    pivots: list[int] = field(default_factory=list)
+    def __init__(self, ambient_dim: int, vectors: list[list[Scalar]], pivots: list[int]):
+        self.ambient_dim = ambient_dim
+        self.vectors = vectors
+        self.pivots = pivots
 
     @property
     def dim(self) -> int:
@@ -97,7 +95,7 @@ def span_basis(vectors: list[list[Scalar]], ambient_dim: int) -> SubspaceBasis:
                 f"vector length {len(v)} does not match ambient dimension {ambient_dim}"
             )
     if not vectors:
-        return SubspaceBasis(ambient_dim)
+        return SubspaceBasis(ambient_dim, [], [])
     rows, pivots = rref(vectors)
     return SubspaceBasis(ambient_dim, rows, pivots)
 

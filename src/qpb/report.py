@@ -6,17 +6,19 @@ auxiliary values (ranks, dimensions) worth reporting either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["CheckResult", "Report"]
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    witness: tuple | None = None
-    data: dict | None = None
+    __slots__ = ("name", "passed", "witness", "data")
+
+    def __init__(
+        self, name: str, passed: bool, witness: tuple | None = None, data: dict | None = None
+    ):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.data = data
 
     def describe(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -28,9 +30,9 @@ class CheckResult:
         return "  ".join(bits)
 
 
-@dataclass
 class Report:
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[CheckResult] = []
 
     def add(self, result: CheckResult) -> None:
         self.checks.append(result)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bundle import (
@@ -26,7 +25,6 @@ from .bundle import (
 )
 from .calculus import check_exactness, validate_form
 from .connection import (
-    FormValuedMap,
     classical_connection,
     connection_from_potential,
     conv_inverse,
@@ -52,7 +50,7 @@ from .connection import (
     validate_transition,
 )
 from .document import ConnectionDecl, SpecDocument
-from .funcs import Func, first_difference, indices
+from .funcs import FormValuedMap, Func, first_difference, indices
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
@@ -67,13 +65,20 @@ class ConfigError(ValueError):
     """A bad suite request or unusable invocation, as opposed to a failed check."""
 
 
-@dataclass
 class RunReport:
-    tool_version: str
-    input_digest: str
-    document_name: str | None
-    suites: list[str]
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(
+        self,
+        tool_version: str,
+        input_digest: str,
+        document_name: str | None,
+        suites: list[str],
+        checks: list[CheckResult] | None = None,
+    ):
+        self.tool_version = tool_version
+        self.input_digest = input_digest
+        self.document_name = document_name
+        self.suites = suites
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

@@ -21,9 +21,14 @@ zero.  A table of integers has d = 1, so no gcd runs at all.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
+
+# fractions is imported where a Fraction is built or accepted, and here
+# only for the annotations, so a run on ints and literals never loads it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["Scalar", "ZERO", "ONE", "parse_scalar", "to_ints", "from_ints"]
 
@@ -44,6 +49,8 @@ class Scalar:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
+        from fractions import Fraction
+
         re, im = Fraction(re), Fraction(im)
         self._a, self._b, self._d = _canonical(
             re.numerator, re.denominator, im.numerator, im.denominator
@@ -51,10 +58,14 @@ class Scalar:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     def __add__(self, other):
@@ -189,10 +200,12 @@ def _coerce(x):
         return x
     if isinstance(x, int):
         return _make(int(x), 0, 1)
-    if isinstance(x, Fraction):
-        return _make(x.numerator, 0, x.denominator)
     if isinstance(x, Scalar):
         return x
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     return NotImplemented
 
 

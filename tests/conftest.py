@@ -9,9 +9,7 @@ from fractions import Fraction
 from random import Random
 
 from qpb.bundle import BundleSpec
-from qpb.calculus import Form
-from qpb.connection import FormValuedMap
-from qpb.funcs import indices
+from qpb.funcs import Form, FormValuedMap, indices
 from qpb.groups import FiniteGroup
 from qpb.scalars import ZERO, Scalar
 
@@ -77,7 +75,7 @@ def all_transition_maps(group: FiniteGroup, base_size: int):
     """Every transition table with identity diagonal, off-diagonal entries free."""
     from itertools import product
 
-    from qpb.connection import TransitionMap
+    from qpb.groups import TransitionMap
 
     e = group.identity
     offdiag = [(x, y) for x in range(base_size) for y in range(base_size) if x != y]

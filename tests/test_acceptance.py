@@ -26,8 +26,6 @@ from qpb.bundle import (
 from qpb.calculus import check_exactness, concat_product, differential
 from qpb.cli import main
 from qpb.connection import (
-    FormValuedMap,
-    TransitionMap,
     classical_connection,
     connection_from_potential,
     conv_inverse,
@@ -48,9 +46,9 @@ from qpb.connection import (
 )
 from qpb.document import parse_spec
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2, fixture_documents
-from qpb.funcs import Func
+from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import gauge_compose, gauge_inverse, xi_from_tau
-from qpb.groups import RightAction, cyclic, direct_product, symmetric
+from qpb.groups import RightAction, TransitionMap, cyclic, direct_product, symmetric
 from qpb.hopf import HopfAlgebra
 from qpb.scalars import ZERO
 

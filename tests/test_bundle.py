@@ -18,9 +18,9 @@ from qpb.bundle import (
     synthesize_trivialization,
     validate_trivialization,
 )
-from qpb.connection import FormValuedMap, conv_inverse, conv_unit, phi_hom, star_delta
+from qpb.connection import conv_inverse, conv_unit, phi_hom, star_delta
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.funcs import Func, tensor_identify
+from qpb.funcs import FormValuedMap, Func, tensor_identify
 from qpb.groups import FiniteGroup, RightAction, cyclic
 from qpb.scalars import ONE, ZERO, Scalar
 

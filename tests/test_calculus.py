@@ -4,7 +4,6 @@ import pytest
 
 from conftest import random_form, random_scalar
 from qpb.calculus import (
-    Form,
     check_exactness,
     concat_product,
     differential,
@@ -13,8 +12,7 @@ from qpb.calculus import (
 )
 from qpb.bundle import BundleSpec, check_freeness, make_product
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.connection import FormValuedMap
-from qpb.funcs import indices
+from qpb.funcs import Form, FormValuedMap, indices
 from qpb.groups import RightAction, cyclic, symmetric
 from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar

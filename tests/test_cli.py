@@ -3,10 +3,13 @@
 import collections
 import copy
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import qpb
 import qpb.bundle as bundle
 import qpb.connection as connection
 import qpb.funcs as funcs
@@ -536,6 +539,23 @@ def test_cli_unreadable_and_malformed_files(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "qpb: gauge name must not contain ':' at gauges[0].name\n"
+
+
+def test_cli_deeply_nested_json_is_one_rejection_line(tmp_path):
+    # json.loads recurses once per nesting level and gives up past the limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    src = os.path.dirname(os.path.dirname(qpb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpb.cli", "check", str(deep)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["qpb: invalid JSON: nested too deeply"]
+    assert proc.stdout == ""
 
 
 def test_cli_fixtures_roundtrip(tmp_path, capsys):

@@ -14,11 +14,9 @@ from conftest import (
     random_scalar,
 )
 from qpb.bundle import make_product
-from qpb.calculus import Form, differential, restricted_canonical_matrix
+from qpb.calculus import differential, restricted_canonical_matrix
 from qpb.connection import (
-    FormValuedMap,
     Splitting,
-    TransitionMap,
     classical_connection,
     connection_from_potential,
     curvature,
@@ -42,9 +40,9 @@ from qpb.connection import (
     validate_transition,
 )
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.funcs import Func
+from qpb.funcs import Form, FormValuedMap, Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
-from qpb.groups import symmetric
+from qpb.groups import TransitionMap, symmetric
 from qpb.linalg import identity_matrix
 from qpb.runner import rejection
 from qpb.scalars import ONE, ZERO, Scalar

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from qpb.connection import FormValuedMap, TransitionMap
 from qpb.document import SpecError, parse_spec
 from qpb.fixtures import fixture_documents
+from qpb.funcs import FormValuedMap
+from qpb.groups import TransitionMap
 from qpb.scalars import parse_scalar
 
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpb.calculus import Form, concat_product
-from qpb.connection import FormValuedMap
+from qpb.calculus import concat_product
 from qpb.fixtures import fix_z2
 from qpb.funcs import (
+    Form,
+    FormValuedMap,
     Func,
     first_difference,
     guard_table_size,

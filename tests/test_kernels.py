@@ -21,9 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_base_potential, random_scalar
-from qpb.calculus import Form, differential
+from qpb.calculus import differential
 from qpb.connection import (
-    FormValuedMap,
     connection_from_potential,
     curvature,
     curvature_from_potential,
@@ -31,7 +30,7 @@ from qpb.connection import (
     star_delta,
 )
 from qpb.fixtures import fix_prod, fix_s3
-from qpb.funcs import MAX_TABLE_ENTRIES, set_max_table_entries
+from qpb.funcs import MAX_TABLE_ENTRIES, Form, FormValuedMap, set_max_table_entries
 from qpb.groups import cyclic, symmetric
 from qpb.scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
