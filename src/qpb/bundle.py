@@ -188,8 +188,11 @@ def check_freeness(b: BundleSpec) -> Report:
     """Freeness two ways: fixed-point scan and rank of the canonical map."""
     report = Report()
     n, m = b.total_size, b.group.order
-    direct_witness = () if b.group.identity is None else fixed_point_witness(b.action)
-    report.add(CheckResult("freeness.direct", direct_witness is None, direct_witness))
+    if b.group.identity is None:
+        report.add(CheckResult("freeness.direct", False, data={"reason": "group has no identity"}))
+    else:
+        direct_witness = fixed_point_witness(b.action)
+        report.add(CheckResult("freeness.direct", direct_witness is None, direct_witness))
 
     rank = rank_of(_canonical_matrix(b))
     expected = n * m

@@ -1,11 +1,13 @@
 """Universal differential calculus on a finite set.
 
 An n-form is a function on (n+1)-tuples of points vanishing whenever two
-adjacent points coincide.  The product concatenates argument tuples over
-a shared endpoint; the differential is the alternating sum over omitted
-arguments.  On a bundle, the horizontal 1-forms are the span of the
-cross-orbit indicators, and exactness compares that span with the
-kernel of the canonical map.  The Form table type lives in `funcs`.
+adjacent points coincide: a `FormValuedMap` (from `funcs`) over the
+one-element group, or, over a larger group, one such form per group
+element.  The differential is the alternating sum over omitted
+arguments; the product, which concatenates argument tuples over a
+shared endpoint, is `connection.star_delta`.  On a bundle, the
+horizontal 1-forms are the span of the cross-orbit indicators, and
+exactness compares that span with the kernel of the canonical map.
 
 `differential` runs on the common-denominator int view of its input
 (`scalars.to_ints`): it reads the table once, sums ints over its nonzero
@@ -17,14 +19,13 @@ curvature and frame-change composites, so those convert once as well.
 from __future__ import annotations
 
 from .bundle import BundleSpec
-from .funcs import Form, guard_table_size, unravel
+from .funcs import FormValuedMap, guard_table_size, unravel
 from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 __all__ = [
     "validate_form",
-    "concat_product",
     "differential",
     "restricted_canonical_matrix",
     "horizontal_basis",
@@ -33,23 +34,21 @@ __all__ = [
 ]
 
 
-def validate_form(f) -> Report:
+def validate_form(f: FormValuedMap) -> Report:
     """Check vanishing on adjacent repeated points.
 
-    `f` is a Form, or a FormValuedMap checked one group slice at a time,
-    in order; a map's witness is (group element, *points).  Only the
-    point tuples with an adjacent repeat are read.
+    `f` is checked one group slice at a time, in order; the witness is
+    (group element, *points).  Only the point tuples with an adjacent
+    repeat are read.
     """
-    form = isinstance(f, Form)
-    width = 1 if form else f.group.order
+    width = f.group.order
     repeats = _adjacent_repeats(f.size, f.degree)
     values = f.values
     witness = None
     for c in range(width):
         t = next((t for t in repeats if values[t * width + c]), None)
         if t is not None:
-            points = unravel(t, (f.size,) * (f.degree + 1))
-            witness = points if form else (c,) + points
+            witness = (c,) + unravel(t, (f.size,) * (f.degree + 1))
             break
     report = Report()
     report.add(CheckResult("form.adjacent_vanishing", witness is None, witness))
@@ -69,25 +68,6 @@ def _adjacent_repeats(size: int, degree: int) -> list[int]:
     return sorted(found)
 
 
-def concat_product(f: Form, g: Form) -> Form:
-    """(f g)(p_0..p_{n+m}) = f(p_0..p_n) g(p_n..p_{n+m})."""
-    if f.size != g.size:
-        raise ValueError(f"forms live on different sets: {f.size} vs {g.size}")
-    n, m = f.degree, g.degree
-    size = f.size
-
-    def fn(idx):
-        a = f.values[f.flat_index(idx[: n + 1])]
-        if not a:
-            return ZERO
-        b = g.values[g.flat_index(idx[n:])]
-        if not b:
-            return ZERO
-        return a * b
-
-    return Form.build(size, n + m, fn)
-
-
 def _nonzero_rows(values: list[int], width: int) -> list[tuple[int, list[tuple[int, int]]]]:
     """Each row of a flat int table that has a nonzero entry, as its row
     number and its nonzero (column, value) pairs."""
@@ -99,19 +79,14 @@ def _nonzero_rows(values: list[int], width: int) -> list[tuple[int, list[tuple[i
     return rows
 
 
-def differential(f):
+def differential(f: FormValuedMap) -> FormValuedMap:
     """Alternating sum over one omitted argument; raises degree by one.
 
-    `f` is a Form, or a FormValuedMap: a flat table of one value per
-    group element per point tuple, each group slice differentiated on
-    its own.  The result has the same kind as `f`.
+    `f` is a flat table of one value per group element per point tuple,
+    and each group slice is differentiated on its own.
     """
-    form = isinstance(f, Form)
-    width = 1 if form else f.group.order
-    out = from_ints(*_differential_view(to_ints(f.values), f.size, f.degree, width))
-    if form:
-        return Form(f.size, f.degree + 1, out)
-    return type(f)(f.group, f.size, f.degree + 1, out)
+    out = from_ints(*_differential_view(to_ints(f.values), f.size, f.degree, f.group.order))
+    return FormValuedMap(f.group, f.size, f.degree + 1, out)
 
 
 def _differential_view(view, size: int, degree: int, width: int):

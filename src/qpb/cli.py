@@ -101,13 +101,12 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_curvature(args) -> int:
     doc = _load_document(args.file)
-    from .runner import ConfigError, curvature_payload
+    from .runner import _Unbuilt, curvature_payload
 
     try:
         payload = curvature_payload(doc, args.connection, tool_version=__version__)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except _Unbuilt as exc:
+        # every other ValueError, a table cap included, is main's exit 2
         print(f"qpb: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(_curvature_json(payload) + "\n")

@@ -8,7 +8,6 @@ rejected.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .bundle import BundleSpec, make_product
@@ -106,6 +105,9 @@ def parse_spec(text: str) -> SpecDocument:
     bundle = _parse_bundle(raw, group)
     connections = _parse_connections(raw, group, bundle)
     gauges = _parse_gauges(raw, group, bundle)
+
+    # only a document that parses is digested, so only it loads hashlib
+    import hashlib
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return SpecDocument(name, group, bundle, connections, gauges, digest)

@@ -1,14 +1,15 @@
 """Dense exact-valued function tables over products of finite sets.
 
 Every object qpb computes with is a function on a finite set, stored as
-a flat row-major list of exact values.  The three table types live
-here: Func (a shape), Form (points and degree) and FormValuedMap (group,
-points and degree).  `calculus` and `connection` compute with them, and
-a document holds them without loading either.  They share one guarded
-base, Table: it holds the shape, checks the entry cap before it reads an
-input, and owns the bounds-checked lookup, the pointwise sums, negation,
-the zero test, the operand check and equality, so each type only states
-its layout.  The entry cap makes degree blowups fail loudly instead of
+a flat row-major list of exact values.  The two table types live here:
+Func (a shape) and FormValuedMap (group, points and degree); a
+universal form is a FormValuedMap over the one-element group.
+`calculus` and `connection` compute with them, and a document holds
+them without loading either.  They share one guarded base, Table: it
+holds the shape, checks the entry cap before it reads an input, and
+owns the bounds-checked lookup, the pointwise sums, negation, the zero
+test, the operand check and equality, so each type only states its
+layout.  The entry cap makes degree blowups fail loudly instead of
 exhausting memory.
 
 The row-major layout is decoded here too: `indices` walks a shape in
@@ -31,7 +32,6 @@ from .scalars import ONE, ZERO, Scalar
 __all__ = [
     "Table",
     "Func",
-    "Form",
     "FormValuedMap",
     "MAX_TABLE_ENTRIES",
     "set_max_table_entries",
@@ -166,42 +166,6 @@ class Func(Table):
         return f"Func(shape={self.shape})"
 
 
-class Form(Table):
-    """A degree-n form: exact values on (n+1)-tuples, zero on adjacent repeats."""
-
-    __slots__ = ("size", "degree")
-
-    def __init__(self, size: int, degree: int, values: Iterable[Scalar]):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.size = size
-        self.degree = degree
-        super().__init__((size,) * (degree + 1), values)
-
-    def _layout(self) -> tuple:
-        return (self.size, self.degree)
-
-    def _length_error(self, got: int, need: int) -> str:
-        return f"got {got} values for a degree-{self.degree} form on {self.size} points"
-
-    def _mismatch_error(self, other) -> str:
-        return (
-            f"form mismatch: degree {self.degree} on {self.size} points"
-            f" vs degree {other.degree} on {other.size}"
-        )
-
-    @classmethod
-    def build(cls, size: int, degree: int, fn) -> Form:
-        shape = (size,) * (degree + 1)
-        return cls(size, degree, (fn(idx) for idx in indices(shape)))
-
-    def to_func(self) -> Func:
-        return Func(self.shape, list(self.values))
-
-    def __repr__(self):
-        return f"Form(size={self.size}, degree={self.degree})"
-
-
 class FormValuedMap(Table):
     """A linear map from the group function algebra into degree-n forms,
     stored as its density over (point tuple) x (group element).
@@ -209,7 +173,9 @@ class FormValuedMap(Table):
     `size` counts the points the forms live on and `degree` fixes the
     tuple length at degree + 1.  Degree 0 holds frame maps and their
     convolution algebra; degree 1 holds connection forms and potentials,
-    on the total space or on the base; degree 2 holds curvature.
+    on the total space or on the base; degree 2 holds curvature.  Over
+    the one-element group it is a scalar form, and `star_delta` is the
+    product that concatenates point tuples over their shared endpoint.
     """
 
     __slots__ = ("group", "size", "degree")
@@ -251,8 +217,9 @@ class FormValuedMap(Table):
             (ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)),
         )
 
-    def apply(self, alpha: Func) -> Form:
-        """The form paired with a group-algebra element."""
+    def apply(self, alpha: Func) -> Func:
+        """The form paired with a group-algebra element, as a table on
+        point tuples."""
         m = self.group.order
         if alpha.shape != (m,):
             raise ValueError(f"expected a group table, got shape {alpha.shape}")
@@ -267,7 +234,7 @@ class FormValuedMap(Table):
                 if d and v:
                     acc = acc + d * v
             values.append(acc)
-        return Form(self.size, self.degree, values)
+        return Func((self.size,) * (self.degree + 1), values)
 
     def __repr__(self):
         return (

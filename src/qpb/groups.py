@@ -110,22 +110,21 @@ def validate_group(g: FiniteGroup) -> Report:
     if g.identity is not None:
         report.add(CheckResult("group.identity", True, data={"identity": g.identity}))
     else:
-        # pick the first idempotent as the intended identity for the witness
+        # the first idempotent is the intended identity; being no identity,
+        # it fails the unit law at some element
         cand = next((c for c in range(n) if g.table[c][c] == c), None)
-        witness = None
-        if cand is not None:
-            witness = next(
-                (
-                    (cand, a)
-                    for a in range(n)
-                    if g.table[cand][a] != a or g.table[a][cand] != a
-                ),
-                None,
+        if cand is None:
+            report.add(
+                CheckResult("group.identity", False, data={"reason": "no idempotent element"})
             )
-        report.add(CheckResult("group.identity", False, witness))
+        else:
+            witness = next(
+                (cand, a) for a in range(n) if g.table[cand][a] != a or g.table[a][cand] != a
+            )
+            report.add(CheckResult("group.identity", False, witness))
 
     if g.identity is None:
-        report.add(CheckResult("group.inverses", False))
+        report.add(CheckResult("group.inverses", False, data={"reason": "group has no identity"}))
     elif g.inv_table is not None:
         report.add(CheckResult("group.inverses", True))
     else:
@@ -244,9 +243,8 @@ def validate_action(action: RightAction) -> Report:
     g = action.group
     report = Report()
     if g.identity is None:
-        report.add(CheckResult("action.unit", False, data={"reason": "group has no identity"}))
-        report.add(CheckResult("action.compatibility", False))
-        report.add(CheckResult("action.freeness", False))
+        for name in ("action.unit", "action.compatibility", "action.freeness"):
+            report.add(CheckResult(name, False, data={"reason": "group has no identity"}))
         return report
     e = g.identity
     unit_witness = next(

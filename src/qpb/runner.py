@@ -65,7 +65,16 @@ class ConfigError(ValueError):
     """A bad suite request or unusable invocation, as opposed to a failed check."""
 
 
-class RunReport:
+class _Unbuilt(ValueError):
+    """The requested connection form cannot be built; the message says why.
+    Like a failed check, and unlike every other ValueError, it is a verdict
+    on the document."""
+
+
+class RunReport(Report):
+    """The report of one run: its checks, and the document and suites
+    they came from."""
+
     def __init__(
         self,
         tool_version: str,
@@ -74,22 +83,17 @@ class RunReport:
         suites: list[str],
         checks: list[CheckResult] | None = None,
     ):
+        super().__init__()
         self.tool_version = tool_version
         self.input_digest = input_digest
         self.document_name = document_name
         self.suites = suites
-        self.checks = [] if checks is None else checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        if checks is not None:
+            self.checks = checks
 
     @property
     def exit_status(self) -> int:
         return 0 if self.passed else 1
-
-    def first_failure(self) -> CheckResult | None:
-        return next((c for c in self.checks if not c.passed), None)
 
 
 class _Context:
@@ -101,8 +105,11 @@ class _Context:
         self.synthesized_phi: list[int] | None = None
         self.synthesis_error: str | None = None
         if self.bundle.phi is None:
+            # a table cap met in the freeness report is a usage limit and
+            # propagates; only synthesis itself gives a reason
+            free = self.free
             try:
-                phi = synthesize_trivialization(self.bundle, self.free)
+                phi = synthesize_trivialization(self.bundle, free)
             except ValueError as exc:
                 self.synthesis_error = str(exc)
             else:
@@ -613,7 +620,7 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     ctx = _Context(doc)
     theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
-        raise ValueError(reason)
+        raise _Unbuilt(reason)
     f = curvature(theta)
     n, m = f.size, f.group.order
     # curvature writes ZERO itself for every zero entry, so an identity

@@ -52,9 +52,9 @@ class Scalar:
         from fractions import Fraction
 
         re, im = Fraction(re), Fraction(im)
-        self._a, self._b, self._d = _canonical(
-            re.numerator, re.denominator, im.numerator, im.denominator
-        )
+        d = lcm(re.denominator, im.denominator)
+        s = _reduced(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+        self._a, self._b, self._d = s._a, s._b, s._d
 
     @property
     def re(self) -> Fraction:
@@ -175,16 +175,6 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     return _make(a // g, b // g, d // g)
 
 
-def _canonical(rn: int, rd: int, im_n: int, im_d: int) -> tuple[int, int, int]:
-    """The canonical triple of rn/rd + (im_n/im_d)·i, denominators positive."""
-    if rd == 1 and im_d == 1:
-        return rn, im_n, 1
-    d = rd * im_d // gcd(rd, im_d)
-    a, b = rn * (d // rd), im_n * (d // im_d)
-    g = gcd(a, b, d)
-    return a // g, b // g, d // g
-
-
 def _ratio_str(n: int, d: int) -> str:
     """`str` of the Fraction n/d."""
     if d != 1:
@@ -262,16 +252,17 @@ def parse_scalar(text: str) -> Scalar:
         raise ValueError("empty scalar literal")
     try:
         if _RE_REAL.fullmatch(s):
-            return _make(*_canonical(*_ratio(s), 0, 1))
-        m = _RE_BOTH.fullmatch(s)
-        if m:
-            return _make(*_canonical(*_ratio(m.group("re")), *_imaginary(m)))
-        m = _RE_IMAG.fullmatch(s)
-        if m:
-            return _make(*_canonical(0, 1, *_imaginary(m)))
+            (rn, rd), (im_n, im_d) = _ratio(s), (0, 1)
+        elif m := _RE_BOTH.fullmatch(s):
+            (rn, rd), (im_n, im_d) = _ratio(m.group("re")), _imaginary(m)
+        elif m := _RE_IMAG.fullmatch(s):
+            (rn, rd), (im_n, im_d) = (0, 1), _imaginary(m)
+        else:
+            raise ValueError(f"bad scalar literal: {text!r}")
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in scalar literal: {text!r}") from exc
-    raise ValueError(f"bad scalar literal: {text!r}")
+    d = lcm(rd, im_d)
+    return _reduced(rn * (d // rd), im_n * (d // im_d), d)
 
 
 def _imaginary(m: re.Match) -> tuple[int, int]:

@@ -9,8 +9,8 @@ from fractions import Fraction
 from random import Random
 
 from qpb.bundle import BundleSpec
-from qpb.funcs import Form, FormValuedMap, indices
-from qpb.groups import FiniteGroup
+from qpb.funcs import FormValuedMap, indices
+from qpb.groups import FiniteGroup, cyclic
 from qpb.scalars import ZERO, Scalar
 
 # small pool of exact values, mixing integers, fractions, and imaginary parts
@@ -37,14 +37,16 @@ def random_scalar(rng: Random) -> Scalar:
     return rng.choice(_POOL)
 
 
-def random_form(size: int, degree: int, rng: Random) -> Form:
+def random_form(size: int, degree: int, rng: Random) -> FormValuedMap:
+    """A random universal form: a map over the one-element group that
+    vanishes on adjacent repeats."""
     values = []
     for idx in indices((size,) * (degree + 1)):
         if any(idx[j] == idx[j + 1] for j in range(degree)):
             values.append(ZERO)
         else:
             values.append(random_scalar(rng))
-    return Form(size, degree, values)
+    return FormValuedMap(cyclic(1), size, degree, values)
 
 
 def random_degree0_map(group: FiniteGroup, size: int, rng: Random) -> FormValuedMap:

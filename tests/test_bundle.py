@@ -338,7 +338,7 @@ def test_phi_coaction_identities_on_basis():
         ph_inv = conv_inverse(ph)
         for c in range(m):
             alpha = Func.indicator((m,), (c,))
-            lhs = coaction(b, ph.apply(alpha).to_func())
+            lhs = coaction(b, ph.apply(alpha))
             rhs = Func(
                 (n, m),
                 [
@@ -348,7 +348,7 @@ def test_phi_coaction_identities_on_basis():
                 ],
             )
             assert lhs == rhs
-            lhs_inv = coaction(b, ph_inv.apply(alpha).to_func())
+            lhs_inv = coaction(b, ph_inv.apply(alpha))
             rhs_inv = Func(
                 (n, m),
                 [

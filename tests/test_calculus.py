@@ -3,54 +3,54 @@ from random import Random
 import pytest
 
 from conftest import random_form, random_scalar
-from qpb.calculus import (
-    check_exactness,
-    concat_product,
-    differential,
-    horizontal_basis,
-    validate_form,
-)
+from qpb.calculus import check_exactness, differential, horizontal_basis, validate_form
 from qpb.bundle import BundleSpec, check_freeness, make_product
+from qpb.connection import star_delta
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.funcs import Form, FormValuedMap, indices
+from qpb.funcs import FormValuedMap, indices
 from qpb.groups import RightAction, cyclic, symmetric
 from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar
 
+# a universal form is a map over the one-element group; its product, which
+# concatenates point tuples over a shared endpoint, is star_delta
+C1 = cyclic(1)
+
 
 def test_differential_degree_zero_hand_values():
-    f = Form(2, 0, [Scalar(3), Scalar(5)])
+    f = FormValuedMap(C1, 2, 0, [Scalar(3), Scalar(5)])
     df = differential(f)
-    # (df)(p, q) = f(q) - f(p)
-    assert df.value_at(0, 1) == Scalar(2)
-    assert df.value_at(1, 0) == Scalar(-2)
-    assert df.value_at(0, 0) == ZERO
+    # (df)(p, q) = f(q) - f(p); the last index is the group's one element
+    assert df.value_at(0, 1, 0) == Scalar(2)
+    assert df.value_at(1, 0, 0) == Scalar(-2)
+    assert df.value_at(0, 0, 0) == ZERO
 
 
 def test_differential_degree_one_hand_values():
     # indicator of the pair (0, 1) on three points
-    f = Form.build(3, 1, lambda idx: ONE if idx == (0, 1) else ZERO)
+    f = FormValuedMap.build(C1, 3, 1, lambda p, q, c: ONE if (p, q) == (0, 1) else ZERO)
     df = differential(f)
     # (df)(p,q,r) = f(q,r) - f(p,r) + f(p,q)
-    assert df.value_at(2, 0, 1) == ONE
-    assert df.value_at(0, 2, 1) == -ONE
-    assert df.value_at(0, 1, 2) == ONE
-    assert df.value_at(0, 1, 0) == ONE  # f(1,0) - f(0,0) + f(0,1)
+    assert df.value_at(2, 0, 1, 0) == ONE
+    assert df.value_at(0, 2, 1, 0) == -ONE
+    assert df.value_at(0, 1, 2, 0) == ONE
+    assert df.value_at(0, 1, 0, 0) == ONE  # f(1,0) - f(0,0) + f(0,1)
     assert validate_form(df).passed
 
 
 def test_validate_form_catches_adjacent_values():
-    f = Form(2, 1, [ONE, ZERO, ZERO, ZERO])  # value at (0,0)
+    f = FormValuedMap(C1, 2, 1, [ONE, ZERO, ZERO, ZERO])  # value at (0,0)
     rep = validate_form(f)
     assert not rep.passed
-    assert rep.first_failure().witness == (0, 0)
+    assert rep.first_failure().witness == (0, 0, 0)
 
 
 def _first_repeat(form):
-    """The old scan: the first nonzero entry on an adjacent repeat, in index order."""
+    """The old scan: the points of the first nonzero entry on an adjacent
+    repeat of a form, in index order."""
     for idx, v in zip(indices(form.shape), form.values):
         if v and any(idx[j] == idx[j + 1] for j in range(form.degree)):
-            return idx
+            return idx[:-1]
     return None
 
 
@@ -66,25 +66,28 @@ def test_validate_form_on_a_map_matches_the_slice_reading(degree):
             random_scalar(rng) if rng.random() < 0.05 else ZERO for _ in range(npts * g.order)
         ]
         # a map is read one group slice at a time, in order
-        slices = [_first_repeat(Form(size, degree, density[c::3])) for c in range(3)]
+        slices = [
+            _first_repeat(FormValuedMap(C1, size, degree, density[c::3])) for c in range(3)
+        ]
         expected = next(((c,) + w for c, w in enumerate(slices) if w is not None), None)
         (check,) = validate_form(FormValuedMap(g, size, degree, density)).checks
         assert check.name == "form.adjacent_vanishing"
         assert (check.passed, check.witness) == (expected is None, expected)
-        # a Form keeps its point-only witness
-        form = Form(size, degree, density[:npts])
-        assert validate_form(form).checks[0].witness == _first_repeat(form)
+        # a form's witness leads with the one group element
+        form = FormValuedMap(C1, size, degree, density[:npts])
+        first = _first_repeat(form)
+        assert validate_form(form).checks[0].witness == (None if first is None else (0,) + first)
 
 
 def test_concat_product_hand_values():
-    f = Form.build(3, 1, lambda idx: ONE if idx == (0, 1) else ZERO)
-    g = Form.build(3, 1, lambda idx: Scalar(2) if idx == (1, 2) else ZERO)
-    fg = concat_product(f, g)
+    f = FormValuedMap.build(C1, 3, 1, lambda p, q, c: ONE if (p, q) == (0, 1) else ZERO)
+    g = FormValuedMap.build(C1, 3, 1, lambda p, q, c: Scalar(2) if (p, q) == (1, 2) else ZERO)
+    fg = star_delta(f, g)
     assert fg.degree == 2
-    assert fg.value_at(0, 1, 2) == Scalar(2)
+    assert fg.value_at(0, 1, 2, 0) == Scalar(2)
     # junction mismatch kills the product
     assert all(
-        fg.value_at(p, q, r) == ZERO
+        fg.value_at(p, q, r, 0) == ZERO
         for p in range(3)
         for q in range(3)
         for r in range(3)
@@ -93,9 +96,9 @@ def test_concat_product_hand_values():
 
 
 def test_concat_product_degree_zero_is_pointwise():
-    f = Form(2, 0, [Scalar(2), Scalar(3)])
-    g = Form(2, 0, [Scalar(5), Scalar(7)])
-    assert concat_product(f, g).values == [Scalar(10), Scalar(21)]
+    f = FormValuedMap(C1, 2, 0, [Scalar(2), Scalar(3)])
+    g = FormValuedMap(C1, 2, 0, [Scalar(5), Scalar(7)])
+    assert star_delta(f, g).values == [Scalar(10), Scalar(21)]
 
 
 @pytest.mark.parametrize("size", [3, 4])
@@ -114,9 +117,9 @@ def test_graded_leibniz_random(deg_f, deg_g):
     for _ in range(5):
         f = random_form(size, deg_f, rng)
         g = random_form(size, deg_g, rng)
-        lhs = differential(concat_product(f, g))
-        rhs = concat_product(differential(f), g)
-        second = concat_product(f, differential(g))
+        lhs = differential(star_delta(f, g))
+        rhs = star_delta(differential(f), g)
+        second = star_delta(f, differential(g))
         if deg_f % 2:
             rhs = rhs - second
         else:
@@ -131,9 +134,7 @@ def test_concat_associativity_random():
         f = random_form(size, 1, rng)
         g = random_form(size, 0, rng)
         h = random_form(size, 1, rng)
-        assert concat_product(concat_product(f, g), h) == concat_product(
-            f, concat_product(g, h)
-        )
+        assert star_delta(star_delta(f, g), h) == star_delta(f, star_delta(g, h))
 
 
 def test_horizontal_basis_dimension():
@@ -202,9 +203,7 @@ def test_exactness_refuses_nonfree():
 
 
 def test_form_shape_guards():
-    with pytest.raises(ValueError, match="degree"):
-        Form(2, -1, [])
-    with pytest.raises(ValueError, match="got 3 values"):
-        Form(2, 1, [ZERO, ZERO, ZERO])
-    with pytest.raises(ValueError, match="different sets"):
-        concat_product(Form(2, 1, [ZERO] * 4), Form(3, 1, [ZERO] * 9))
+    with pytest.raises(ValueError, match="^density has 3 entries, expected 4$"):
+        FormValuedMap(C1, 2, 1, [ZERO, ZERO, ZERO])
+    with pytest.raises(ValueError, match="different spaces"):
+        star_delta(FormValuedMap(C1, 2, 1, [ZERO] * 4), FormValuedMap(C1, 3, 1, [ZERO] * 9))

@@ -127,6 +127,29 @@ def test_nonfree_run_fails_expected_checks():
     assert report.first_failure().witness == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "mul, identity",
+    [
+        # 0 is idempotent but no identity: group.identity names where it fails
+        ([[0, 0], [0, 0]], {"witness": [0, 1], "data": None}),
+        # no idempotent element at all
+        ([[1, 1], [0, 0]], {"witness": None, "data": {"reason": "no idempotent element"}}),
+    ],
+)
+def test_every_failure_without_an_identity_has_a_witness_or_a_reason(mul, identity):
+    payload = {"format_version": 1, "group": {"mul": mul}, "action": {"act": [[0, 1], [1, 0]]}}
+    report = json.loads(emit_report(run_checks(parse_spec(json.dumps(payload))), "json"))
+    checks = {c["name"]: c for c in report["checks"]}
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert len(failed) >= 8
+    for c in failed:
+        assert c["witness"] or (c["data"] or {}).get("reason"), c["name"]
+    assert {k: checks["group.identity"][k] for k in identity} == identity
+    for name in ("group.inverses", "action.compatibility", "action.freeness", "freeness.direct"):
+        assert checks[name]["witness"] is None
+        assert checks[name]["data"] == {"reason": "group has no identity"}
+
+
 def test_trivialization_synthesized_when_absent():
     payload = mutated_payload("fix_z2.json")
     del payload["trivialization"]
@@ -595,6 +618,38 @@ def test_cli_curvature_unframed_document_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert main(["curvature", str(path), "--connection", "cls"]) == 1
     assert "no trivialization" in capsys.readouterr().err
+
+
+def test_cli_curvature_exit_codes_match_check(tmp_path, capsys):
+    prod = write_fixture(tmp_path, "fix_prod.json")
+    # 0: the dump is written
+    assert main(["curvature", prod, "--connection", "cls"]) == 0
+    assert capsys.readouterr().err == ""
+    # 1: the connection form cannot be built under the cap, and says why
+    assert main(["curvature", prod, "--connection", "cls", "--max-entries", "100"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "qpb: table of 108 entries exceeds the cap of 100\n")
+    # 2: the form builds, the 6 x 6 x 6 x 3 curvature table trips the cap;
+    # the curvature suite of `check` exits 2 on the same cap
+    cap = "qpb: table of 648 entries exceeds the cap of 400\n"
+    dump, suite = ["--connection", "cls"], ["--suite", "curvature:cls"]
+    for cmd in (["curvature", prod, *dump], ["check", prod, *suite]):
+        assert main(cmd + ["--max-entries", "400"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", cap)
+    # 2: on a document without a frame, the freeness report behind the
+    # frame synthesis trips the cap before any connection is built
+    payload = mutated_payload("fix_s3.json")
+    del payload["trivialization"]
+    unframed = tmp_path / "unframed.json"
+    unframed.write_text(json.dumps(payload))
+    assert main(["curvature", str(unframed), "--connection", "flat"]) == 0
+    capsys.readouterr()
+    cap = "qpb: table of 1296 entries exceeds the cap of 1000\n"
+    for cmd in (["curvature", str(unframed), "--connection", "flat"], ["check", str(unframed)]):
+        assert main(cmd + ["--max-entries", "1000"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", cap)
 
 
 def test_cli_max_entries_cap(tmp_path, capsys):

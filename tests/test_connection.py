@@ -40,9 +40,9 @@ from qpb.connection import (
     validate_transition,
 )
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.funcs import Form, FormValuedMap, Func
+from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
-from qpb.groups import TransitionMap, symmetric
+from qpb.groups import TransitionMap, cyclic, symmetric
 from qpb.linalg import identity_matrix
 from qpb.runner import rejection
 from qpb.scalars import ONE, ZERO, Scalar
@@ -132,7 +132,8 @@ def test_d_slicewise_matches_per_slice_differential():
     dfv = differential(fv)
     assert dfv.degree == 1
     for c in range(2):
-        assert Form(3, 1, dfv.density[c::2]) == differential(Form(3, 0, fv.density[c::2]))
+        slice_form = FormValuedMap(cyclic(1), 3, 0, fv.density[c::2])
+        assert differential(slice_form).density == dfv.density[c::2]
 
 
 def test_form_valued_map_shape_guards():
@@ -523,10 +524,10 @@ def test_mat_mul_and_identity():
     assert sq == [[S(7), S(10)], [S(15), S(22)]]
 
 
-def column_form(sigma, p: int, a: int) -> Form:
-    """Column (p, a) of a splitting as its one-form."""
+def column_form(sigma, p: int, a: int) -> Func:
+    """Column (p, a) of a splitting as its one-form's (n, n) table."""
     n = sigma.bundle.total_size
-    return Form(n, 1, sigma.column_values()[sigma.cols.index((p, a))])
+    return Func((n, n), sigma.column_values()[sigma.cols.index((p, a))])
 
 
 def reference_splitting_checks(sigma, b):

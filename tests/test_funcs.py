@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpb.calculus import concat_product
+from qpb.connection import star_delta
 from qpb.fixtures import fix_z2
 from qpb.funcs import (
-    Form,
     FormValuedMap,
     Func,
     first_difference,
@@ -50,7 +49,7 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="does not match shape"):
         Func.zeros((2, 2)).value_at(1)
     # one checked lookup for every table kind: a degree-1 map over fix_z2
-    # has shape (4, 4, 2), a degree-1 form on 2 points shape (2, 2)
+    # has shape (4, 4, 2), a degree-1 form on 2 points shape (2, 2, 1)
     b = fix_z2()
     theta = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
     assert theta.shape == (4, 4, 2)
@@ -59,10 +58,10 @@ def test_shape_mismatch_rejected():
     for idx in ((0, 4, 0), (-1, 0, 0), (0, 0, 2)):
         with pytest.raises(ValueError, match="out of range for shape"):
             theta.value_at(*idx)
-    form = Form(2, 1, [ZERO] * 4)
-    assert form.shape == (2, 2)
-    with pytest.raises(ValueError, match=r"^index \(0, 3\) out of range for shape \(2, 2\)$"):
-        form.value_at(0, 3)
+    form = FormValuedMap(cyclic(1), 2, 1, [ZERO] * 4)
+    assert form.shape == (2, 2, 1)
+    with pytest.raises(ValueError, match=r"^index \(0, 3, 0\) out of range for shape \(2, 2, 1\)"):
+        form.value_at(0, 3, 0)
 
 
 def test_support():
@@ -102,7 +101,7 @@ def test_entry_cap_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
-# the shared table base: Func, Form and FormValuedMap
+# the shared table base: Func and FormValuedMap
 
 
 @pytest.fixture
@@ -128,13 +127,13 @@ def test_cap_checked_before_values_are_read(cap):
     cap(8)
     attempts = [
         lambda: Func((3, 3), _unread()),
-        lambda: Form(3, 1, _unread()),
         lambda: FormValuedMap(g, 3, 1, _unread()),
-        lambda: Form.build(3, 1, _never),
         lambda: FormValuedMap.build(g, 3, 1, _never),
         lambda: Func.zeros((9,)),
         lambda: Func.ones((9,)),
-        lambda: concat_product(Form(2, 1, [ZERO] * 4), Form(2, 2, [ZERO] * 8)),
+        lambda: star_delta(
+            FormValuedMap(cyclic(1), 2, 1, [ZERO] * 4), FormValuedMap(cyclic(1), 2, 2, [ZERO] * 8)
+        ),
         lambda: tensor_identify(Func((3,), [ONE] * 3), Func((3,), [ONE] * 3)),
     ]
     for attempt in attempts:
@@ -146,18 +145,10 @@ def test_each_table_keeps_its_messages():
     g = cyclic(2)
     with pytest.raises(ValueError, match=r"^got 3 values for shape \(2, 2\) \(need 4\)$"):
         Func((2, 2), [ONE] * 3)
-    with pytest.raises(ValueError, match="^got 3 values for a degree-1 form on 2 points$"):
-        Form(2, 1, [ONE] * 3)
     with pytest.raises(ValueError, match="^density has 3 entries, expected 8$"):
         FormValuedMap(g, 2, 1, [ONE] * 3)
-    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
-        Form(2, -1, [])
     with pytest.raises(ValueError, match=r"^shape mismatch: \(2,\) vs \(3,\)$"):
         Func.zeros((2,)) - Func.zeros((3,))
-    with pytest.raises(
-        ValueError, match="^form mismatch: degree 1 on 2 points vs degree 0 on 4$"
-    ):
-        Form(2, 1, [ZERO] * 4) + Form(4, 0, [ZERO] * 4)
     with pytest.raises(ValueError, match="^form-valued maps do not match$"):
         FormValuedMap(g, 2, 0, [ZERO] * 4) + FormValuedMap(cyclic(4), 1, 0, [ZERO] * 4)
 
@@ -169,7 +160,7 @@ def _tables(rng: Random):
     draw = lambda k: [rng.choice(pool) for _ in range(k)]
     return [
         (Func((3, 4), draw(12)), Func((3, 4), draw(12))),
-        (Form(3, 1, draw(9)), Form(3, 1, draw(9))),
+        (FormValuedMap(cyclic(1), 3, 1, draw(9)), FormValuedMap(cyclic(1), 3, 1, draw(9))),
         (FormValuedMap(g, 3, 1, draw(18)), FormValuedMap(g, 3, 1, draw(18))),
     ]
 
@@ -190,20 +181,19 @@ def test_zero_skipping_sums_match_plain_pointwise_results():
 
 def test_equality_is_type_exact():
     values = [ONE, ZERO, ZERO, ONE]
-    form, func = Form(2, 1, list(values)), Func((2, 2), list(values))
+    func = Func((2, 2, 1), list(values))
     fv = FormValuedMap(cyclic(1), 2, 1, list(values))
-    assert form != func and func != form
-    assert fv != form and form != fv
-    assert form == Form(2, 1, list(values))
-    assert func == Func((2, 2), list(values))
+    assert fv.shape == func.shape
+    assert fv != func and func != fv
+    assert func == Func((2, 2, 1), list(values))
     assert fv == FormValuedMap(cyclic(1), 2, 1, list(values))
+    assert fv != FormValuedMap(cyclic(1), 4, 0, list(values))
     assert fv.density is fv.values
 
 
 def test_a_list_is_kept_without_a_copy():
     values = [ONE, ZERO]
     assert Func((2,), values).values is values
-    assert Form(2, 0, values).values is values
     assert FormValuedMap(cyclic(2), 1, 0, values).density is values
 
 

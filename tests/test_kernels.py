@@ -1,6 +1,6 @@
 """The int-view table kernels against the Scalar loops they replaced.
 
-`differential` (on a Form or on every group slice of a map at once),
+`differential` (on a form or on every group slice of a map at once),
 `star_delta` and the composites built on them (`curvature`,
 `curvature_from_potential`, the frame change in
 `connection_from_potential`) read their input once as a
@@ -30,35 +30,41 @@ from qpb.connection import (
     star_delta,
 )
 from qpb.fixtures import fix_prod, fix_s3
-from qpb.funcs import MAX_TABLE_ENTRIES, Form, FormValuedMap, set_max_table_entries
+from qpb.funcs import MAX_TABLE_ENTRIES, FormValuedMap, set_max_table_entries
 from qpb.groups import cyclic, symmetric
 from qpb.scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 GROUPS = {"Z2": cyclic(2), "Z3": cyclic(3), "S3": symmetric(3)}
 SIZE = 3
+# a universal form is a map over the one-element group
+C1 = cyclic(1)
 
 
-def reference_differential(f: Form) -> Form:
-    """Alternating sum over one omitted argument, one index tuple at a time."""
+def reference_differential(f: FormValuedMap) -> FormValuedMap:
+    """Alternating sum over one omitted argument, one index tuple at a
+    time, on a form over the one-element group."""
+    assert f.group.order == 1
 
-    def fn(idx):
+    def fn(*idx):
+        points = idx[:-1]
         acc = ZERO
         sign = 1
-        for j in range(len(idx)):
-            v = f.values[f.flat_index(idx[:j] + idx[j + 1 :])]
+        for j in range(len(points)):
+            v = f.values[f.flat_index(points[:j] + points[j + 1 :] + (0,))]
             if v:
                 acc = acc + v if sign > 0 else acc - v
             sign = -sign
         return acc
 
-    return Form.build(f.size, f.degree + 1, fn)
+    return FormValuedMap.build(C1, f.size, f.degree + 1, fn)
 
 
 def reference_d_slicewise(fv: FormValuedMap) -> FormValuedMap:
     """Differential of every group slice as its own form, interleaved back."""
     m = fv.group.order
     slices = [
-        reference_differential(Form(fv.size, fv.degree, fv.density[c::m])) for c in range(m)
+        reference_differential(FormValuedMap(C1, fv.size, fv.degree, fv.density[c::m]))
+        for c in range(m)
     ]
     npts = fv.size ** (fv.degree + 2)
     density = [slices[c].values[t] for t in range(npts) for c in range(m)]
@@ -151,9 +157,9 @@ def assert_same_entries(new, ref):
 def test_differential_matches_per_tuple_reference(degree):
     rng = Random(400 + degree)
     for _ in range(6):
-        f = Form(SIZE, degree, random_rows(rng, SIZE ** (degree + 1), 1))
+        f = FormValuedMap(C1, SIZE, degree, random_rows(rng, SIZE ** (degree + 1), 1))
         df = differential(f)
-        assert isinstance(df, Form)
+        assert type(df) is FormValuedMap and df.group == C1
         assert_same_entries(df, reference_differential(f))
         # d of d cancels to zero in every entry; both routes agree on it
         assert_same_entries(differential(df), reference_differential(df))
@@ -239,7 +245,7 @@ def test_kernels_on_empty_and_all_zero_tables():
             assert_same_entries(differential(zero), reference_d_slicewise(zero))
             assert_same_entries(star_delta(zero, zero), reference_star_delta(zero, zero))
             assert all(v is ZERO for v in star_delta(zero, zero).density)
-        form = Form(size, 1, [ZERO] * size**2)
+        form = FormValuedMap(C1, size, 1, [ZERO] * size**2)
         assert_same_entries(differential(form), reference_differential(form))
         theta = FormValuedMap(g, size, 1, [ZERO] * (size**2 * g.order))
         assert_same_entries(curvature(theta), reference_curvature(theta))
@@ -296,7 +302,7 @@ def test_mixed_denominators_sixths_next_to_tenths():
 
 def test_differential_terms_that_cancel():
     # a constant 0-form has d = 0 everywhere; the view gives ZERO itself
-    f = Form(3, 0, [Scalar(Fraction(2, 7), Fraction(1, 3))] * 3)
+    f = FormValuedMap(C1, 3, 0, [Scalar(Fraction(2, 7), Fraction(1, 3))] * 3)
     df = differential(f)
     assert_same_entries(df, reference_differential(f))
     assert all(v is ZERO for v in df.values)

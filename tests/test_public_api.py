@@ -28,7 +28,6 @@ from qpb.fixtures import fixture_documents
 from test_golden import _with_gamma
 
 KEEP = {
-    "concat_product": "acceptance criterion 04: Leibniz rule and associativity of the product",
     "trivial_connection": "acceptance criteria 07 and 08: the trivial connection's invariants and curvature",
     "gauge_compose": "acceptance criterion 10: gauge group laws (ROADMAP item 2 adds a suite check)",
     "gauge_inverse": "acceptance criterion 10: gauge group laws (ROADMAP item 2 adds a suite check)",
@@ -64,8 +63,6 @@ KEEP_METHODS = {
     "BundleAutomorphism.compose": "acceptance criterion 10: gauge group laws, as gauge_compose",
     "BundleAutomorphism.inverse": "acceptance criterion 10: gauge group laws, as gauge_inverse",
     "FiniteGroup.label": "direct_product (kept above) names its elements with it",
-    "Form.build": "concat_product (kept above) builds its product with it",
-    "Form.to_func": "acceptance criterion 06 pairs frame maps with group tables through it",
     "FormValuedMap.apply": "acceptance criterion 06 pairs frame maps with group tables through it",
     "Scalar.re": "Scalar.__hash__ reads it, so a real Scalar hashes like the equal Fraction",
     "Scalar.im": "Scalar.__hash__ reads it, so a complex Scalar hashes like its Fraction pair",
