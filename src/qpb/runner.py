@@ -101,20 +101,7 @@ class _Context:
 
     def __init__(self, doc: SpecDocument):
         self.doc = doc
-        self.bundle: BundleSpec = doc.bundle
-        self.synthesized_phi: list[int] | None = None
         self.synthesis_error: str | None = None
-        if self.bundle.phi is None:
-            # a table cap met in the freeness report is a usage limit and
-            # propagates; only synthesis itself gives a reason
-            free = self.free
-            try:
-                phi = synthesize_trivialization(self.bundle, free)
-            except ValueError as exc:
-                self.synthesis_error = str(exc)
-            else:
-                self.synthesized_phi = phi
-                self.bundle = self.bundle.with_phi(phi)
         self._inputs: dict[str, _Inputs] = {}
 
     @cached_property
@@ -122,12 +109,27 @@ class _Context:
         """The freeness report, decided once per run."""
         return check_freeness(self.doc.bundle)
 
+    @cached_property
+    def bundle(self) -> BundleSpec:
+        """The bundle with its frame, given or synthesized on first use, so a
+        suite that reads no phi uses `doc.bundle` and synthesizes nothing.  A
+        cap met in the freeness report propagates; synthesis gives a reason."""
+        b = self.doc.bundle
+        if b.phi is not None:
+            return b
+        free = self.free
+        try:
+            return b.with_phi(synthesize_trivialization(b, free))
+        except ValueError as exc:
+            self.synthesis_error = str(exc)
+            return b
+
     @property
     def framed(self) -> bool:
         return self.bundle.phi is not None
 
     def inputs_for(self, decl: ConnectionDecl) -> _Inputs:
-        return self._inputs.setdefault(decl.name, _Inputs(decl, self.bundle))
+        return self._inputs.setdefault(decl.name, _Inputs(decl, self))
 
 
 def rejection(what: str, report: Report) -> str | None:
@@ -155,9 +157,9 @@ class _Inputs:
     reason into its second element instead of raising.
     """
 
-    def __init__(self, decl: ConnectionDecl, b: BundleSpec):
+    def __init__(self, decl: ConnectionDecl, ctx: _Context):
         self.decl = decl
-        self.bundle = b
+        self.ctx = ctx
 
     @cached_property
     def report(self) -> Report:
@@ -167,7 +169,7 @@ class _Inputs:
             return validate_transition(payload)
         if kind == "gamma_hat":
             return validate_base_potential(payload)
-        return validate_potential(payload, self.bundle)
+        return validate_potential(payload, self.ctx.bundle)
 
     @cached_property
     def base(self) -> FormValuedMap:
@@ -189,13 +191,13 @@ class _Inputs:
         if self.decl.kind == "gamma":
             return self.decl.payload
         _require("base potential", self.base_report)
-        return lift_base_potential(self.base, self.bundle)
+        return lift_base_potential(self.base, self.ctx.bundle)
 
     @cached_property
     def potential_report(self) -> Report:
         if self.decl.kind == "gamma":
             return self.report
-        return validate_potential(self.potential, self.bundle)
+        return validate_potential(self.potential, self.ctx.bundle)
 
     @cached_property
     def theta(self) -> tuple[FormValuedMap | None, str | None]:
@@ -204,14 +206,15 @@ class _Inputs:
         kind = self.decl.kind
         if kind == "theta":
             return self.decl.payload, None
-        if self.bundle.phi is None:
+        b = self.ctx.bundle
+        if b.phi is None:
             return None, "bundle has no trivialization and none could be synthesized"
         try:
             if kind == "classical":
                 _require("transition map", self.report)
-                return classical_connection(self.decl.payload, self.bundle), None
+                return classical_connection(self.decl.payload, b), None
             _require("potential", self.potential_report)
-            return connection_from_potential(self.potential, self.bundle), None
+            return connection_from_potential(self.potential, b), None
         except ValueError as exc:
             return None, str(exc)
 
@@ -220,9 +223,10 @@ def run_checks(
     doc: SpecDocument, suites: list[str] | None = None, tool_version: str = "0"
 ) -> RunReport:
     ctx = _Context(doc)
-    order = _suite_order(ctx)
+    order = _suite_order(doc)
     if suites is None:
-        selected = [name for name, default in order if default]
+        # trivialization only with a frame, given or synthesized
+        selected = [n for n, default in order if default and (n != "trivialization" or ctx.framed)]
     else:
         selected = _resolve_suites(doc, order, suites)
     report = RunReport(tool_version, doc.digest, doc.name, selected)
@@ -231,12 +235,11 @@ def run_checks(
     return report
 
 
-def _suite_order(ctx: _Context) -> list[tuple[str, bool]]:
+def _suite_order(doc: SpecDocument) -> list[tuple[str, bool]]:
     """Every suite the document names, in run order, with whether a
-    default run includes it: trivialization only with a frame, given or
-    synthesized, and gauge suites only for connections not of kind theta."""
-    doc = ctx.doc
-    order = [(name, name != "trivialization" or ctx.framed) for name in BASE_SUITES]
+    default run may include it: gauge suites only for connections not of
+    kind theta."""
+    order = [(name, True) for name in BASE_SUITES]
     for c in doc.connections:
         order += [(f"connection:{c.name}", True), (f"curvature:{c.name}", True)]
     for gd in doc.gauges:
@@ -284,11 +287,11 @@ def _run_suite(ctx: _Context, suite: str) -> list[CheckResult]:
     if suite == "action":
         return validate_action(ctx.doc.bundle.action).checks
     if suite == "comodule":
-        return check_comodule_algebra(ctx.bundle).checks
+        return check_comodule_algebra(ctx.doc.bundle).checks
     if suite == "freeness":
         return ctx.free.checks
     if suite == "exactness":
-        return check_exactness(ctx.bundle, ctx.free).checks
+        return check_exactness(ctx.doc.bundle, ctx.free).checks
     if suite == "trivialization":
         return _suite_trivialization(ctx)
     head, _, rest = suite.partition(":")
@@ -312,8 +315,9 @@ def _renamed(checks: list[CheckResult], suite: str, prefix_map: dict | None = No
 
 def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
     out: list[CheckResult] = []
+    b = ctx.bundle
     if ctx.doc.bundle.phi is None:
-        if ctx.synthesized_phi is None:
+        if b.phi is None:
             out.append(
                 CheckResult(
                     "trivialization.synthesized",
@@ -322,17 +326,12 @@ def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
                 )
             )
             return out
-        out.append(
-            CheckResult(
-                "trivialization.synthesized", True, data={"phi": list(ctx.synthesized_phi)}
-            )
-        )
-    rep = validate_trivialization(ctx.bundle)
+        out.append(CheckResult("trivialization.synthesized", True, data={"phi": list(b.phi)}))
+    rep = validate_trivialization(b)
     out.extend(rep.checks)
     if not rep.passed:
         return out
 
-    b = ctx.bundle
     nb, m, n = b.base.size, b.group.order, b.total_size
     basis_bg = [Func.indicator((nb, m), (x, a)) for x in range(nb) for a in range(m)]
     left = next(
@@ -383,7 +382,8 @@ def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
 def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     suite = f"connection:{decl.name}"
     out: list[CheckResult] = []
-    b = ctx.bundle
+    # a connection given as theta reads no phi, so it needs no frame
+    b = ctx.doc.bundle if decl.kind == "theta" else ctx.bundle
 
     ok_inputs = True
     if decl.kind != "theta":
@@ -453,7 +453,6 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     suite = f"curvature:{decl.name}"
     out: list[CheckResult] = []
-    b = ctx.bundle
     theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
         out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
@@ -465,13 +464,12 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
     try:
         if decl.kind != "theta":
-            other = curvature_from_potential(ctx.inputs_for(decl).potential, b)
+            other = curvature_from_potential(ctx.inputs_for(decl).potential, ctx.bundle)
             out.append(CheckResult(f"{suite}.route_agreement", f == other))
         if decl.kind == "classical":
             tm = decl.payload
-            out.append(
-                CheckResult(f"{suite}.classical_agreement", f == curvature_classical(tm, b))
-            )
+            agree = f == curvature_classical(tm, ctx.bundle)
+            out.append(CheckResult(f"{suite}.classical_agreement", agree))
             cocycle, cw = is_cocycle(tm)
             flat = f.is_zero()
             out.append(

@@ -52,8 +52,7 @@ class Scalar:
         from fractions import Fraction
 
         re, im = Fraction(re), Fraction(im)
-        d = lcm(re.denominator, im.denominator)
-        s = _reduced(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+        s = _from_ratios(re.numerator, re.denominator, im.numerator, im.denominator)
         self._a, self._b, self._d = s._a, s._b, s._d
 
     @property
@@ -175,6 +174,12 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     return _make(a // g, b // g, d // g)
 
 
+def _from_ratios(rn: int, rd: int, im_n: int, im_d: int) -> Scalar:
+    """rn/rd + (im_n/im_d)·i, denominators positive."""
+    d = lcm(rd, im_d)
+    return _reduced(rn * (d // rd), im_n * (d // im_d), d)
+
+
 def _ratio_str(n: int, d: int) -> str:
     """`str` of the Fraction n/d."""
     if d != 1:
@@ -261,8 +266,7 @@ def parse_scalar(text: str) -> Scalar:
             raise ValueError(f"bad scalar literal: {text!r}")
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in scalar literal: {text!r}") from exc
-    d = lcm(rd, im_d)
-    return _reduced(rn * (d // rd), im_n * (d // im_d), d)
+    return _from_ratios(rn, rd, im_n, im_d)
 
 
 def _imaginary(m: re.Match) -> tuple[int, int]:

@@ -650,6 +650,10 @@ def test_cli_curvature_exit_codes_match_check(tmp_path, capsys):
         assert main(cmd + ["--max-entries", "1000"]) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", cap)
+    # a suite that reads no frame synthesizes none and gives its verdict
+    for suite in ("group", "action"):
+        assert main(["check", str(unframed), "--suite", suite, "--max-entries", "1000"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_max_entries_cap(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_shape_mismatch_rejected():
             theta.value_at(*idx)
     form = FormValuedMap(cyclic(1), 2, 1, [ZERO] * 4)
     assert form.shape == (2, 2, 1)
-    with pytest.raises(ValueError, match=r"^index \(0, 3, 0\) out of range for shape \(2, 2, 1\)"):
+    with pytest.raises(ValueError, match=r"^index \(0, 3, 0\) out of range for shape \(2, 2, 1\)$"):
         form.value_at(0, 3, 0)
 
 
