@@ -14,7 +14,7 @@ from .funcs import Func, first_difference, guard_table_size
 from .groups import FiniteGroup, RightAction, fixed_point_witness
 from .linalg import SubspaceBasis, rank_of
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, gathered
 
 __all__ = [
     "BaseSpace",
@@ -113,10 +113,13 @@ def make_product(base_size: int, group: FiniteGroup) -> BundleSpec:
 def coaction(b: BundleSpec, f: Func) -> Func:
     """[coaction(f)](p, a) = f(p acted by a), a table on P x G."""
     _check_total(b, f)
-    act = b.action.table
-    vals = f.values
-    n, m = b.total_size, b.group.order
-    return Func((n, m), [vals[act[p][a]] for p in range(n) for a in range(m)])
+    points = [q for row in b.action.table for q in row]
+    return Func((b.total_size, b.group.order), view=gathered(f.view, _take(points)))
+
+
+def _take(positions: list[int]):
+    """The gather that reads `positions` of a part, in order, as it is iterated."""
+    return lambda part: map(part.__getitem__, positions)
 
 
 def check_comodule_algebra(b: BundleSpec) -> Report:
@@ -136,12 +139,13 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     # t(p.a, c) against t(p, ac) over (p, a, c), t the coaction of an
     # indicator, as flat gathers of t's (point, group element) rows
     act, mul = b.action.table, g.table
+    moved = _take([x * m + c for row in act for x in row for c in range(m)])
+    multiplied = _take([p * m + ac for p in range(n) for row in mul for ac in row])
     coassoc_witness = None
     for tq in coactions:
-        t = tq.values
-        lhs = Func((n, m, m), (t[x * m + c] for row in act for x in row for c in range(m)))
-        rhs = Func((n, m, m), (t[p * m + ac] for p in range(n) for row in mul for ac in row))
-        coassoc_witness = first_difference(lhs.values, rhs.values, lhs.shape)
+        lhs = Func((n, m, m), view=gathered(tq.view, moved))
+        rhs = Func((n, m, m), view=gathered(tq.view, multiplied))
+        coassoc_witness = first_difference(lhs.view, rhs.view, lhs.shape)
         if coassoc_witness is not None:
             break
     report.add(CheckResult("comodule.coassociativity", coassoc_witness is None, coassoc_witness))
@@ -149,7 +153,8 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     counit_witness = None
     for f, tq in zip(indicators, coactions):
         # the coaction at the identity: every row's entry e
-        counit_witness = first_difference(tq.values[e::m], f.values, f.shape)
+        at_identity = gathered(tq.view, lambda part: part[e::m])
+        counit_witness = first_difference(at_identity, f.view, f.shape)
         if counit_witness is not None:
             break
     report.add(CheckResult("comodule.counit", counit_witness is None, counit_witness))
@@ -158,7 +163,7 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     for fq, tq in zip(indicators, coactions):
         for fr, tr in zip(indicators, coactions):
             lhs = coaction(b, fq * fr)
-            mult_witness = first_difference(lhs.values, (tq * tr).values, lhs.shape)
+            mult_witness = first_difference(lhs.view, (tq * tr).view, lhs.shape)
             if mult_witness is not None:
                 break
         if mult_witness is not None:
@@ -189,10 +194,12 @@ def check_freeness(b: BundleSpec) -> Report:
     report = Report()
     n, m = b.total_size, b.group.order
     if b.group.identity is None:
-        report.add(CheckResult("freeness.direct", False, data={"reason": "group has no identity"}))
-    else:
-        direct_witness = fixed_point_witness(b.action)
-        report.add(CheckResult("freeness.direct", direct_witness is None, direct_witness))
+        # without an identity the rank of the canonical map decides nothing
+        for name in ("freeness.direct", "freeness.rank"):
+            report.add(CheckResult(name, False, data={"reason": "group has no identity"}))
+        return report
+    direct_witness = fixed_point_witness(b.action)
+    report.add(CheckResult("freeness.direct", direct_witness is None, direct_witness))
 
     rank = rank_of(_canonical_matrix(b))
     expected = n * m
@@ -223,8 +230,7 @@ def inject_base(b: BundleSpec, h: Func) -> Func:
     """Pull a function on the base back to the total space along the projection."""
     if h.shape != (b.base.size,):
         raise ValueError(f"expected a table on the base of size {b.base.size}, got {h.shape}")
-    proj = b.base.projection
-    return Func((b.total_size,), [h.values[proj[p]] for p in range(b.total_size)])
+    return Func((b.total_size,), view=gathered(h.view, _take(b.base.projection)))
 
 
 def validate_trivialization(b: BundleSpec) -> Report:
@@ -311,10 +317,8 @@ def psi_apply(b: BundleSpec, f_times: Func) -> Func:
             f"expected a table on B x G of shape {(b.base.size, b.group.order)}, got {f_times.shape}"
         )
     proj, m = b.base.projection, b.group.order
-    return Func(
-        (b.total_size,),
-        [f_times.values[proj[p] * m + a] for p, a in enumerate(b.phi)],
-    )
+    positions = [proj[p] * m + a for p, a in enumerate(b.phi)]
+    return Func((b.total_size,), view=gathered(f_times.view, _take(positions)))
 
 
 def psi_inverse(b: BundleSpec, f: Func) -> Func:
@@ -323,14 +327,8 @@ def psi_inverse(b: BundleSpec, f: Func) -> Func:
     if b.phi is None:
         raise ValueError("bundle has no trivialization")
     sec = section_table(b)
-    return Func(
-        (b.base.size, b.group.order),
-        [
-            f.values[b.act(sec[x], a)]
-            for x in range(b.base.size)
-            for a in range(b.group.order)
-        ],
-    )
+    points = [b.act(s, a) for s in sec for a in range(b.group.order)]
+    return Func((b.base.size, b.group.order), view=gathered(f.view, _take(points)))
 
 
 def _check_total(b: BundleSpec, f: Func) -> None:

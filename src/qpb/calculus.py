@@ -9,11 +9,13 @@ shared endpoint, is `connection.star_delta`.  On a bundle, the
 horizontal 1-forms are the span of the cross-orbit indicators, and
 exactness compares that span with the kernel of the canonical map.
 
-`differential` runs on the common-denominator int view of its input
-(`scalars.to_ints`): it reads the table once, sums ints over its nonzero
-rows only and writes the result back once.  Its view kernel,
+Forms are stored as int views (`scalars`), so `differential` sums ints
+over the nonzero rows of its input's view and hands its view to the new
+table; nothing is converted on the way.  Its view kernel,
 `_differential_view`, is also the one `connection` chains inside the
-curvature and frame-change composites, so those convert once as well.
+curvature and frame-change composites, and `validate_form` tests the
+entries at the adjacent repeats on ints.  Only the matrices handed to
+`linalg` are built from Scalars.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .bundle import BundleSpec
 from .funcs import FormValuedMap, guard_table_size, unravel
 from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
     "validate_form",
@@ -43,10 +45,12 @@ def validate_form(f: FormValuedMap) -> Report:
     """
     width = f.group.order
     repeats = _adjacent_repeats(f.size, f.degree)
-    values = f.values
+    _d, re, im = f.view
     witness = None
     for c in range(width):
-        t = next((t for t in repeats if values[t * width + c]), None)
+        t = next(
+            (t for t in repeats if re[t * width + c] or im and im[t * width + c]), None
+        )
         if t is not None:
             witness = (c,) + unravel(t, (f.size,) * (f.degree + 1))
             break
@@ -85,8 +89,8 @@ def differential(f: FormValuedMap) -> FormValuedMap:
     `f` is a flat table of one value per group element per point tuple,
     and each group slice is differentiated on its own.
     """
-    out = from_ints(*_differential_view(to_ints(f.values), f.size, f.degree, f.group.order))
-    return FormValuedMap(f.group, f.size, f.degree + 1, out)
+    view = _differential_view(f.view, f.size, f.degree, f.group.order)
+    return FormValuedMap(f.group, f.size, f.degree + 1, view=view)
 
 
 def _differential_view(view, size: int, degree: int, width: int):
@@ -181,13 +185,10 @@ def check_exactness(b: BundleSpec, free: Report) -> Report:
     report = Report()
     if not free.passed:
         w = free.first_failure()
+        # a freeness check that failed for a reason passes that reason on
+        reason = (w.data or {}).get("reason", "action is not free")
         report.add(
-            CheckResult(
-                "exactness.freeness_required",
-                False,
-                w.witness,
-                data={"reason": "action is not free"},
-            )
+            CheckResult("exactness.freeness_required", False, w.witness, data={"reason": reason})
         )
         return report
 

@@ -8,6 +8,7 @@ so a malformed document is rejected without compiling them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -109,28 +110,33 @@ def _cmd_curvature(args) -> int:
         # every other ValueError, a table cap included, is main's exit 2
         print(f"qpb: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(_curvature_json(payload) + "\n")
+    _write_curvature(payload, sys.stdout)
     return 0
 
 
-# a Scalar prints as digits, "/", "+", "-" and "i", which JSON never escapes
+# a value prints as digits, "/", "+", "-" and "i", which JSON never escapes
 _ENTRY = (
     '    {\n      "index": [\n        %d,\n        %d,\n        %d,\n        %d\n      ],'
     '\n      "value": "%s"\n    }'
 )
 
+# entries formatted and written at a time
+_CHUNK = 512
 
-def _curvature_json(payload: dict) -> str:
-    """`json.dumps(payload, indent=2)`, with the entries written directly:
-    with `indent` set, json runs its pure-Python encoder, which is most of
-    a large dump's time."""
-    head = json.dumps({**payload, "entries": []}, indent=2)
+
+def _write_curvature(payload: dict, out) -> None:
+    """Write `json.dumps(payload, indent=2)` and a newline, with the
+    entries, which the payload makes as they are read, formatted directly
+    and written a chunk at a time: with `indent` set, json runs its
+    pure-Python encoder, and the whole text of a large dump is never held."""
     entries = payload["entries"]
-    if not entries:
-        return head
-    body = ",\n".join(_ENTRY % (*e["index"], e["value"]) for e in entries)
+    head = json.dumps({**payload, "entries": []}, indent=2)
     before, _, after = head.rpartition('"entries": []')
-    return before + '"entries": [\n' + body + "\n  ]" + after
+    lead, tail = before + '"entries": [\n', head
+    while chunk := list(itertools.islice(entries, _CHUNK)):
+        out.write(lead + ",\n".join(_ENTRY % (*e["index"], e["value"]) for e in chunk))
+        lead, tail = ",\n", "\n  ]" + after
+    out.write(tail + "\n")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable
-from math import lcm
 
 from .bundle import BundleSpec
 from .calculus import _differential_view, _nonzero_rows, differential, offdiag_pairs
@@ -34,7 +33,7 @@ from .funcs import FormValuedMap, first_difference, guard_table_size
 from .groups import FiniteGroup, TransitionMap
 from .gauge import GaugeMap
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, Scalar, from_ints, to_ints
+from .scalars import ONE, ZERO, Scalar, add_views, canonical, from_ints, gathered, to_ints
 
 __all__ = [
     "Splitting",
@@ -86,39 +85,37 @@ class Splitting:
     """Right inverse of the canonical map, as a matrix on indicator bases.
 
     Columns are indexed by (point, group element != identity); the column
-    holds the image one-form over off-diagonal pairs.
+    holds the image one-form over off-diagonal pairs.  The matrix is held
+    as the int view of its row-major entries; it is given as rows of
+    Scalars or as a view.
     """
 
-    def __init__(self, b: BundleSpec, matrix: list[list[Scalar]]):
+    def __init__(self, b: BundleSpec, matrix: list[list[Scalar]] | None = None, *, view=None):
         self.bundle = b
         self.pairs, self.cols = _splitting_index(b)
-        if len(matrix) != len(self.pairs) or any(
-            len(row) != len(self.cols) for row in matrix
-        ):
-            raise ValueError(
-                f"splitting matrix must be {len(self.pairs)} x {len(self.cols)}"
-            )
-        self.matrix = [list(row) for row in matrix]
+        if view is None:
+            if len(matrix) != len(self.pairs) or any(
+                len(row) != len(self.cols) for row in matrix
+            ):
+                raise ValueError(
+                    f"splitting matrix must be {len(self.pairs)} x {len(self.cols)}"
+                )
+            view = to_ints([v for row in matrix for v in row])
+        self.view = canonical(*view)
         self._col_of = {pa: k for k, pa in enumerate(self.cols)}
         self._row_of = {pq: k for k, pq in enumerate(self.pairs)}
 
-    def column_values(self) -> list[list[Scalar]]:
-        """Every column as its n*n form values, zero on the diagonal."""
-        n = self.bundle.total_size
-        flat = [p * n + q for p, q in self.pairs]
-        out = []
-        for column in zip(*self.matrix):
-            values = [ZERO] * (n * n)
-            for i, v in zip(flat, column):
-                values[i] = v
-            out.append(values)
-        return out
+    @property
+    def matrix(self) -> list[list[Scalar]]:
+        """The rows as Scalars, made afresh on each read."""
+        values, width = from_ints(*self.view), len(self.cols)
+        return [values[k : k + width] for k in range(0, len(values), width)]
 
     def __eq__(self, other):
         return (
             isinstance(other, Splitting)
             and self.bundle.total_size == other.bundle.total_size
-            and self.matrix == other.matrix
+            and self.view == other.view
         )
 
 
@@ -128,49 +125,64 @@ def validate_splitting(sigma: Splitting, b: BundleSpec) -> Report:
     g = b.group
     n, m = b.total_size, g.order
     cols = sigma.cols
+    width = len(cols)
+    view = sigma.view
+    parts = [part for part in view[1:] if part is not None]
 
     # Row (p, a) of canon * sigma: the canonical map sends the indicator of
     # (p, q) to (p, a) with q = p.a, so each row of canon holds at most one
-    # unit and the product row is sigma's row (p, p.a), or zero if p.a = p.
-    zero_row = [ZERO] * len(cols)
-    section_witness = None
-    for r, (p, a) in enumerate(cols):
-        q = b.act(p, a)
-        row = sigma.matrix[sigma._row_of[(p, q)]] if q != p else zero_row
-        c = next((c for c, v in enumerate(row) if v != (ONE if c == r else ZERO)), None)
-        if c is not None:
-            section_witness = cols[r] + cols[c]
-            break
+    # unit and the product row is sigma's row (p, p.a), or zero if p.a = p
+    # (no row is the pair (p, p)); the product must be the identity.
+    zero_row = [0] * width
+    product_rows = [sigma._row_of.get((p, b.act(p, a))) for p, a in cols]
+    product = gathered(
+        view,
+        lambda part: itertools.chain.from_iterable(
+            zero_row if i is None else part[i * width : (i + 1) * width] for i in product_rows
+        ),
+    )
+    identity = (1, (int(r == c) for r in range(width) for c in range(width)), None)
+    w = first_difference(product, identity, (width, width))
+    section_witness = None if w is None else cols[w[0]] + cols[w[1]]
     report.add(CheckResult("splitting.section", section_witness is None, section_witness))
 
+    # column (p1, a) may be nonzero only on the rows (p1, q), which are the
+    # n - 1 rows from p1 (n - 1) on, as the pairs run point-major
     module_witness = None
     for k, (p1, a) in enumerate(cols):
-        for r, (p0, q0) in enumerate(sigma.pairs):
-            if sigma.matrix[r][k] and p0 != p1:
-                module_witness = (p0, p1, a)
-                break
-        if module_witness:
+        nonzero = map(any, zip(*(part[k::width] for part in parts)))
+        lo, hi = p1 * (n - 1), (p1 + 1) * (n - 1)
+        r = next(
+            (r for r in itertools.compress(itertools.count(), nonzero) if not lo <= r < hi), None
+        )
+        if r is not None:
+            module_witness = (sigma.pairs[r][0], p1, a)
             break
     report.add(CheckResult("splitting.module", module_witness is None, module_witness))
 
     # the column of (p1.b^-1, b a1 b^-1) at (p, q) must equal the column of
-    # (p1, a1) at (p.b, q.b); each translate is compared as one list
-    columns = sigma.column_values()
-    translate = [
-        [b.act(p, bb) * n + b.act(q, bb) for p in range(n) for q in range(n)]
-        for bb in range(m)
-    ]
+    # (p1, a1) at (p.b, q.b); a translated diagonal pair reads the zero
+    # appended to every column, and each translate is read as one tuple
     cov_witness = None
-    for k, (p1, a1) in enumerate(cols):
-        base = columns[k]
-        for bb in range(m):
-            inv_b = g.inv(bb)
-            moved = columns[sigma._col_of[(b.act(p1, inv_b), g.conj(a1, inv_b))]]
-            if moved != [base[i] for i in translate[bb]]:
-                cov_witness = (p1, a1, bb)
+    rows = len(sigma.pairs)
+    if rows:  # with no pairs every column is empty and equal to its translates
+        translate = [
+            operator.itemgetter(
+                *(sigma._row_of.get((b.act(p, bb), b.act(q, bb)), rows) for p, q in sigma.pairs),
+                rows,
+            )
+            for bb in range(m)
+        ]
+        columns = [[tuple(part[k::width]) + (0,) for k in range(width)] for part in parts]
+        for k, (p1, a1) in enumerate(cols):
+            for bb in range(m):
+                inv_b = g.inv(bb)
+                moved = sigma._col_of[(b.act(p1, inv_b), g.conj(a1, inv_b))]
+                if any(part[moved] != translate[bb](part[k]) for part in columns):
+                    cov_witness = (p1, a1, bb)
+                    break
+            if cov_witness:
                 break
-        if cov_witness:
-            break
     report.add(CheckResult("splitting.covariance", cov_witness is None, cov_witness))
     return report
 
@@ -186,8 +198,7 @@ def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
     degree 0 this is the convolution product of frame maps.
     """
     _same_space(a_map, c_map)
-    a, c = to_ints(a_map.density), to_ints(c_map.density)
-    view = _star_view(a_map.group, a_map.size, a, a_map.degree, c, c_map.degree)
+    view = _star_view(a_map.group, a_map.size, a_map.view, a_map.degree, c_map.view, c_map.degree)
     return _map_of(a_map, a_map.degree + c_map.degree, view)
 
 
@@ -200,7 +211,7 @@ def _same_space(*maps: FormValuedMap) -> None:
 
 def _map_of(like: FormValuedMap, degree: int, view) -> FormValuedMap:
     """The map of a degree over `like`'s group and points holding a view."""
-    return FormValuedMap(like.group, like.size, degree, from_ints(*view))
+    return FormValuedMap(like.group, like.size, degree, view=view)
 
 
 def _star_view(group: FiniteGroup, size: int, a, na: int, c, nc: int):
@@ -245,25 +256,6 @@ def _convolve(entries: int, terms, group: FiniteGroup, size: int, ny: int):
     return out
 
 
-def _sum_view(x, y):
-    """The sum of two views of the same shape, over the lcm of their denominators."""
-    dx, rx, ix = x
-    dy, ry, iy = y
-    d = lcm(dx, dy)
-    fx, fy = d // dx, d // dy
-
-    def add(u, v):
-        if u is None:
-            u = itertools.repeat(0)
-        if v is None:
-            v = itertools.repeat(0)
-        if fx == 1 and fy == 1:
-            return list(map(operator.add, u, v))
-        return [a * fx + b * fy for a, b in zip(u, v)]
-
-    return d, add(rx, ry), None if ix is None and iy is None else add(ix, iy)
-
-
 def conv_unit(group: FiniteGroup, size: int) -> FormValuedMap:
     """Unit of convolution: the counit followed by the unit, density d(e, a)."""
     e = group.identity
@@ -291,11 +283,13 @@ def conv_inverse(h: FormValuedMap) -> FormValuedMap:
         raise ValueError("group has no inverses")
     if h.degree != 0:
         raise ValueError("convolution inverse needs a degree-0 map")
+    d, re, im = h.view
     w = []
     for p in range(h.size):
-        row = h.density[p * m : (p + 1) * m]
-        hits = [a for a in range(m) if row[a]]
-        if len(hits) != 1 or row[hits[0]] != ONE:
+        row = re[p * m : (p + 1) * m]
+        imag = [0] * m if im is None else im[p * m : (p + 1) * m]
+        hits = [a for a in range(m) if row[a] or imag[a]]
+        if len(hits) != 1 or row[hits[0]] != d or imag[hits[0]]:
             raise ValueError(
                 f"density row {p} is not a delta table; convolution inverse undefined"
             )
@@ -303,11 +297,11 @@ def conv_inverse(h: FormValuedMap) -> FormValuedMap:
     return FormValuedMap.from_point_table(g, w)
 
 
-def _rows_at(gamma: FormValuedMap, pairs: Iterable[tuple[int, int]]) -> Iterable[Scalar]:
-    """The group rows of a degree-1 density at each point pair in turn, end to end."""
-    d, n, m = gamma.density, gamma.size, gamma.group.order
+def _rows_at(part: list[int], n: int, m: int, pairs: Iterable[tuple[int, int]]) -> Iterable[int]:
+    """The group rows of one part of a degree-1 view on n points at each
+    point pair in turn, end to end."""
     return itertools.chain.from_iterable(
-        d[(p * n + q) * m : (p * n + q + 1) * m] for p, q in pairs
+        part[(p * n + q) * m : (p * n + q + 1) * m] for p, q in pairs
     )
 
 
@@ -322,19 +316,30 @@ def _translated_pairs(b: BundleSpec) -> Iterable[tuple[int, int]]:
     return ((rp[a], rq[a]) for rp in act for rq in act for a in range(b.group.order))
 
 
+def _rows_repeated(part: list[int], m: int) -> Iterable[int]:
+    """Each group row of a part m times over, end to end."""
+    rows = (part[t : t + m] for t in range(0, len(part), m))
+    return itertools.chain.from_iterable(row * m for row in rows)
+
+
+def _zeros():
+    """The view of an all-zero table, as long as the other side of a comparison."""
+    return 1, itertools.repeat(0), None
+
+
 def _unit_normalization_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
     """First point pair whose degree-1 density does not sum to zero over the group."""
     n, m = gamma.size, gamma.group.order
-    d = gamma.density
-    sums = (sum(d[t : t + m], ZERO) for t in range(0, len(d), m))
-    return first_difference(sums, itertools.repeat(ZERO), (n, n))
+    # zip of m references to one iterator reads the part a row at a time
+    sums = gathered(gamma.view, lambda part: map(sum, zip(*[iter(part)] * m)))
+    return first_difference(sums, _zeros(), (n, n))
 
 
 def _diagonal_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
     """First (point, group element) where a degree-1 density is nonzero on the diagonal."""
-    n = gamma.size
-    diagonal = _rows_at(gamma, ((p, p) for p in range(n)))
-    return first_difference(diagonal, itertools.repeat(ZERO), (n, gamma.group.order))
+    n, m = gamma.size, gamma.group.order
+    diagonal = gathered(gamma.view, lambda part: _rows_at(part, n, m, ((p, p) for p in range(n))))
+    return first_difference(diagonal, _zeros(), (n, m))
 
 
 def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
@@ -357,21 +362,20 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
     )
 
     # theta(p, p.a, c) against the (a, c) block d(a, c) - d(c, e), at every p
-    unit = [
-        (ONE if a == c else ZERO) - (ONE if c == e else ZERO) for a in range(m) for c in range(m)
-    ]
-    split_witness = first_difference(_rows_at(theta, _orbit_pairs(b)), unit * n, (n, m, m))
+    unit = [int(a == c) - int(c == e) for a in range(m) for c in range(m)]
+    orbit_rows = gathered(theta.view, lambda part: _rows_at(part, n, m, _orbit_pairs(b)))
+    split_witness = first_difference(orbit_rows, (1, unit * n, None), (n, m, m))
     report.add(
         CheckResult("connection.splitting_property", split_witness is None, split_witness)
     )
 
     # theta(p.b, q.b, c) against theta(p, q, b c b^-1), witness (p, q, b, c)
     conj = [g.conj(c, g.inv(bb)) for bb in range(m) for c in range(m)]
-    d = theta.density
-    conjugated = (d[t + k] for t in range(0, len(d), m) for k in conj)
-    cov_witness = first_difference(
-        _rows_at(theta, _translated_pairs(b)), conjugated, (n, n, m, m)
+    translated = gathered(theta.view, lambda part: _rows_at(part, n, m, _translated_pairs(b)))
+    conjugated = gathered(
+        theta.view, lambda part: (part[t + k] for t in range(0, len(part), m) for k in conj)
     )
+    cov_witness = first_difference(translated, conjugated, (n, n, m, m))
     report.add(CheckResult("connection.ad_covariance", cov_witness is None, cov_witness))
     return report
 
@@ -381,33 +385,40 @@ def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
     g = b.group
     n, m = b.total_size, g.order
     e = g.identity
-    density = [ZERO] * (n * n * m)
-    for k, (p0, a) in enumerate(sigma.cols):
-        for r, (p, q) in enumerate(sigma.pairs):
-            v = sigma.matrix[r][k]
-            if v:
-                density[(p * n + q) * m + a] = density[(p * n + q) * m + a] + v
-    # the identity slice balances the unit normalization
-    for pq in range(n * n):
-        acc = ZERO
-        for c in range(m):
-            if c != e:
-                acc = acc + density[pq * m + c]
-        density[pq * m + e] = -acc
-    return FormValuedMap(g, n, 1, density)
+    width = len(sigma.cols)
+    pair_rows = [(p * n + q) * m for p, q in sigma.pairs]
+
+    def assemble(part: list[int]) -> list[int]:
+        out = [0] * (n * n * m)
+        for k, (_p0, a) in enumerate(sigma.cols):
+            column = part[k::width]
+            for r in itertools.compress(range(len(column)), column):
+                out[pair_rows[r] + a] += column[r]
+        # the identity slice, which no column writes, balances the unit normalization
+        for t in range(0, len(out), m):
+            out[t + e] = -sum(out[t : t + m])
+        return out
+
+    return FormValuedMap(g, n, 1, view=gathered(sigma.view, assemble))
 
 
 def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
     """Columns localize the density at the first point argument."""
     pairs, cols = _splitting_index(b)
-    d, n, m = theta.density, theta.size, theta.group.order
-    return Splitting(
-        b,
-        [
-            [d[(p * n + q) * m + a] if p == p0 else ZERO for p0, a in cols]
-            for p, q in pairs
-        ],
-    )
+    n, m = theta.size, theta.group.order
+    width = len(cols)
+    # the columns of point p are the m - 1 from p (m - 1) on, one per
+    # group element but the identity, in order
+    others = [a for a in range(m) if a != b.group.identity]
+
+    def rows(part: list[int]) -> list[int]:
+        out = [0] * (len(pairs) * width)
+        for r, (p, q) in enumerate(pairs):
+            base, start = (p * n + q) * m, r * width + p * (m - 1)
+            out[start : start + m - 1] = [part[base + a] for a in others]
+        return out
+
+    return Splitting(b, view=gathered(theta.view, rows))
 
 
 def trivial_connection(b: BundleSpec) -> FormValuedMap:
@@ -433,19 +444,16 @@ def validate_potential(gamma: FormValuedMap, b: BundleSpec) -> Report:
         CheckResult("potential.unit_normalization", norm_witness is None, norm_witness)
     )
 
-    orbit_witness = first_difference(
-        _rows_at(gamma, _orbit_pairs(b)), itertools.repeat(ZERO), (n, m, m)
-    )
+    orbit_rows = gathered(gamma.view, lambda part: _rows_at(part, n, m, _orbit_pairs(b)))
+    orbit_witness = first_difference(orbit_rows, _zeros(), (n, m, m))
     report.add(
         CheckResult("potential.vanishing_on_orbit_pairs", orbit_witness is None, orbit_witness)
     )
 
     # gamma(p.a, q.a, c) against gamma(p, q, c), each pair's row once per a
-    d = gamma.density
-    unmoved = (d[t + c] for t in range(0, len(d), m) for _a in range(m) for c in range(m))
-    inv_witness = first_difference(
-        _rows_at(gamma, _translated_pairs(b)), unmoved, (n, n, m, m)
-    )
+    translated = gathered(gamma.view, lambda part: _rows_at(part, n, m, _translated_pairs(b)))
+    unmoved = gathered(gamma.view, lambda part: _rows_repeated(part, m))
+    inv_witness = first_difference(translated, unmoved, (n, n, m, m))
     report.add(
         CheckResult("potential.translation_invariance", inv_witness is None, inv_witness)
     )
@@ -499,22 +507,18 @@ def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     if gh.size != b.base.size or gh.group != b.group:
         raise ValueError("base potential does not match the bundle")
     proj = b.base.projection
-    d, nb, m = gh.density, gh.size, gh.group.order
-    rows = (d[(x * nb + y) * m : (x * nb + y + 1) * m] for x in proj for y in proj)
-    return FormValuedMap(b.group, b.total_size, 1, itertools.chain.from_iterable(rows))
+    nb, m = gh.size, gh.group.order
+    pairs = [(x, y) for x in proj for y in proj]
+    view = gathered(gh.view, lambda part: _rows_at(part, nb, m, pairs))
+    return FormValuedMap(b.group, b.total_size, 1, view=view)
 
 
 def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
     """Delta density of the transition table on the base, with the unit part removed."""
     g = tm.group
-    e = g.identity
-    return FormValuedMap.build(
-        g,
-        tm.base_size,
-        1,
-        lambda x, y, c: (ONE if tm.table[x][y] == c else ZERO)
-        - (ONE if c == e else ZERO),
-    )
+    e, m = g.identity, g.order
+    deltas = (int(a == c) - int(c == e) for row in tm.table for a in row for c in range(m))
+    return FormValuedMap(g, tm.base_size, 1, view=(1, deltas, None))
 
 
 def connection_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
@@ -538,19 +542,22 @@ def classical_connection(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
         for p in range(n)
         for q in range(n)
     )
-    return FormValuedMap(g, n, 1, _unit_rows(g.order, words, itertools.repeat(e)))
+    return FormValuedMap(g, n, 1, view=_unit_rows(g.order, words, itertools.repeat(e)))
 
 
-def _unit_rows(m: int, plus: Iterable[int], minus: Iterable[int]) -> Iterable[Scalar]:
-    """Rows of m entries, each 1 at its `plus` element and -1 at its
-    `minus` element, all zero where the two coincide; end to end."""
-    minus_one = Scalar(-1)
-    for a, c in zip(plus, minus):
-        row = [ZERO] * m
-        if a != c:
-            row[a] = ONE
-            row[c] = minus_one
-        yield from row
+def _unit_rows(m: int, plus: Iterable[int], minus: Iterable[int]):
+    """The view of rows of m entries, each 1 at its `plus` element and -1
+    at its `minus` element, all zero where the two coincide; end to end."""
+
+    def entries():
+        for a, c in zip(plus, minus):
+            row = [0] * m
+            if a != c:
+                row[a] = 1
+                row[c] = -1
+            yield from row
+
+    return 1, entries(), None
 
 
 def strong_connection_direct(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
@@ -580,8 +587,8 @@ def curvature(theta: FormValuedMap) -> FormValuedMap:
 def _curvature_view(theta: FormValuedMap):
     """`curvature` as a view: d(theta)·d + theta⋆theta over the denominator d²."""
     g, n = theta.group, theta.size
-    view = to_ints(theta.density)
-    return _sum_view(
+    view = theta.view
+    return add_views(
         _differential_view(view, n, 1, g.order), _star_view(g, n, view, 1, view, 1)
     )
 
@@ -592,8 +599,8 @@ def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedM
     f = _curvature_view(gamma)
     _same_space(phi_inv_fv, gamma, phi_fv)
     g, n = gamma.group, gamma.size
-    f = _star_view(g, n, to_ints(phi_inv_fv.density), 0, f, 2)
-    return _map_of(gamma, 2, _star_view(g, n, f, 2, to_ints(phi_fv.density), 0))
+    f = _star_view(g, n, phi_inv_fv.view, 0, f, 2)
+    return _map_of(gamma, 2, _star_view(g, n, f, 2, phi_fv.view, 0))
 
 
 def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
@@ -616,7 +623,7 @@ def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
         mul[mul[g.inv(phi[p])][t[proj[p]][proj[r]]]][phi[r]]
         for p, q, r in itertools.product(range(n), repeat=3)
     )
-    return FormValuedMap(g, n, 2, _unit_rows(g.order, two, one))
+    return FormValuedMap(g, n, 2, view=_unit_rows(g.order, two, one))
 
 
 # ---------------------------------------------------------------------------
@@ -673,23 +680,26 @@ def _conjugate_closed_form(gamma: FormValuedMap, table: list[int], read) -> Form
     point arguments are read through `read`."""
     g = gamma.group
     mul, e, m = g.table, g.identity, g.order
-    d, nr = gamma.density, gamma.size
+    nr = gamma.size
     n = len(table)
+    d, re, im = gamma.view
 
-    def entries():
+    def entries(part: list[int], unit: int):
         for p in range(n):
             left = mul[table[p]]
             for q in range(n):
                 # gamma at (read p, read q) on the word t(p) c t(q)^-1
                 base = (read[p] * nr + read[q]) * m
                 right = g.inv(table[q])
-                row = [d[base + mul[left[c]][right]] for c in range(m)]
+                row = [part[base + mul[left[c]][right]] for c in range(m)]
                 flat = mul[g.inv(table[p])][table[q]]
-                row[flat] = row[flat] + ONE
-                row[e] = row[e] - ONE
+                row[flat] += unit
+                row[e] -= unit
                 yield from row
 
-    return FormValuedMap(g, n, 1, entries())
+    # the unit terms are real: d over the view's denominator
+    view = d, entries(re, d), None if im is None else entries(im, 0)
+    return FormValuedMap(g, n, 1, view=view)
 
 
 def _conjugate_by_convolution(
@@ -698,10 +708,10 @@ def _conjugate_by_convolution(
     """The frame change of a delta density and its inverse, by convolution."""
     _same_space(t_inv_fv, t_fv, gamma)
     g, n = gamma.group, gamma.size
-    t, t_inv = to_ints(t_fv.density), to_ints(t_inv_fv.density)
+    t, t_inv = t_fv.view, t_inv_fv.view
     flat = _star_view(g, n, t_inv, 0, _differential_view(t, n, 0, g.order), 1)
-    moved = _star_view(g, n, _star_view(g, n, t_inv, 0, to_ints(gamma.density), 1), 1, t, 0)
-    return _map_of(gamma, 1, _sum_view(flat, moved))
+    moved = _star_view(g, n, _star_view(g, n, t_inv, 0, gamma.view, 1), 1, t, 0)
+    return _map_of(gamma, 1, add_views(flat, moved))
 
 
 def _phi_form_valued(b: BundleSpec) -> tuple[FormValuedMap, FormValuedMap]:

@@ -1,21 +1,24 @@
 """Dense exact-valued function tables over products of finite sets.
 
 Every object qpb computes with is a function on a finite set, stored as
-a flat row-major list of exact values.  The two table types live here:
-Func (a shape) and FormValuedMap (group, points and degree); a
-universal form is a FormValuedMap over the one-element group.
-`calculus` and `connection` compute with them, and a document holds
-them without loading either.  They share one guarded base, Table: it
-holds the shape, checks the entry cap before it reads an input, and
-owns the bounds-checked lookup, the pointwise sums, negation, the zero
-test, the operand check and equality, so each type only states its
-layout.  The entry cap makes degree blowups fail loudly instead of
-exhausting memory.
+the common-denominator int view (d, re, im) of its flat row-major
+entries (`scalars`): plain int lists over one denominator, in lowest
+terms.  The two table types live here: Func (a shape) and FormValuedMap
+(group, points and degree); a universal form is a FormValuedMap over
+the one-element group.  `calculus` and `connection` compute with them,
+and a document holds them without loading either.  They share one
+guarded base, Table: it holds the shape and the view, checks the entry
+cap before it reads an input, and owns the bounds-checked lookup, the
+pointwise sums, negation, the zero test, the operand check and
+equality, so each type only states its layout.  Equality and the zero
+test compare ints; `values` and `value_at` make Scalars only when a
+printer, an edge reader or a test asks.  The entry cap makes degree
+blowups fail loudly instead of exhausting memory.
 
 The row-major layout is decoded here too: `indices` walks a shape in
 order, `unravel` turns a flat position back into its index tuple, and
-`first_difference` names the first entry where two row-major sequences
-disagree, which is how the density and comodule checks name a witness.
+`first_difference` names the first entry where two views disagree,
+which is how every density and comodule check names a witness.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from contextvars import ContextVar, Token
 from math import prod
 
 from .groups import FiniteGroup
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar, add_views, canonical, from_ints, gathered, mul_views, to_ints
 
 __all__ = [
     "Table",
@@ -57,32 +60,44 @@ def guard_table_size(entries: int) -> None:
 
 
 class Table:
-    """A flat row-major table of exact values; a subclass fixes its layout.
+    """A flat row-major table of exact values, stored as its canonical int
+    view `view` = (d, re, im); a subclass fixes its layout.
 
     A subclass sets its layout attributes, then calls this constructor
     with the shape they give.  It defines `_layout()`, those attributes in
     its own constructor's order, so a table of the same kind is
-    `type(t)(*t._layout(), values)`, and the messages
+    `type(t)(*t._layout(), view=v)`, and the messages
     `_length_error(got, need)` and `_mismatch_error(other)`.
     """
 
-    __slots__ = ("shape", "values")
+    __slots__ = ("shape", "view")
 
-    def __init__(self, shape: tuple[int, ...], values: Iterable[Scalar]):
-        """The values are read only after the size guard, so a generator
-        never runs past the table cap; a list is kept without a copy."""
+    def __init__(
+        self, shape: tuple[int, ...], values: Iterable[Scalar] | None = None, *, view=None
+    ):
+        """The entries are given as Scalars or as an int view whose parts
+        may be any iterables.  Either is read only after the size guard, so
+        a generator never runs past the table cap; a view in lowest terms
+        whose parts are lists is kept without a copy."""
         self.shape = shape
         entries = prod(shape)
         guard_table_size(entries)
-        if not isinstance(values, list):
-            values = list(values)
-        if len(values) != entries:
-            raise ValueError(self._length_error(len(values), entries))
-        self.values = values
+        if view is None:
+            view = to_ints(values if isinstance(values, list) else list(values))
+        d, re, im = gathered(view, lambda part: part if isinstance(part, list) else list(part))
+        for part in (re,) if im is None else (re, im):
+            if len(part) != entries:
+                raise ValueError(self._length_error(len(part), entries))
+        self.view = canonical(d, re, im)
 
-    def _like(self, values: list[Scalar]):
-        """A table of the same kind and layout holding `values`."""
-        return type(self)(*self._layout(), values)
+    @property
+    def values(self) -> list[Scalar]:
+        """The entries as Scalars, made afresh on each read."""
+        return from_ints(*self.view)
+
+    def _like(self, view):
+        """A table of the same kind and layout holding `view`."""
+        return type(self)(*self._layout(), view=view)
 
     def _check_match(self, other) -> None:
         if type(other) is not type(self) or other._layout() != self._layout():
@@ -90,21 +105,19 @@ class Table:
 
     def __add__(self, other):
         self._check_match(other)
-        return self._like(
-            [b if not a else a if not b else a + b for a, b in zip(self.values, other.values)]
-        )
+        return self._like(add_views(self.view, other.view))
 
     def __sub__(self, other):
         self._check_match(other)
-        return self._like(
-            [-b if not a else a if not b else a - b for a, b in zip(self.values, other.values)]
-        )
+        return self._like(add_views(self.view, other.view, -1))
 
     def __neg__(self):
-        return self._like([-a for a in self.values])
+        d, re, im = self.view
+        return self._like((d, [-a for a in re], None if im is None else [-b for b in im]))
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        _d, re, im = self.view
+        return im is None and not any(re)
 
     def flat_index(self, idx: tuple[int, ...]) -> int:
         if len(idx) != len(self.shape):
@@ -117,13 +130,15 @@ class Table:
         return flat
 
     def value_at(self, *idx: int) -> Scalar:
-        return self.values[self.flat_index(idx)]
+        k = self.flat_index(idx)
+        d, re, im = self.view
+        return from_ints(d, re[k : k + 1], im and im[k : k + 1])[0]
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and other._layout() == self._layout()
-            and self.values == other.values
+            and self.view == other.view
         )
 
 
@@ -132,8 +147,10 @@ class Func(Table):
 
     __slots__ = ()
 
-    def __init__(self, shape: tuple[int, ...], values: Iterable[Scalar]):
-        super().__init__(tuple(shape), values)
+    def __init__(
+        self, shape: tuple[int, ...], values: Iterable[Scalar] | None = None, *, view=None
+    ):
+        super().__init__(tuple(shape), values, view=view)
 
     def _layout(self) -> tuple:
         return (self.shape,)
@@ -146,21 +163,22 @@ class Func(Table):
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> Func:
-        return cls(shape, itertools.repeat(ZERO, prod(shape)))
+        return cls(shape, view=(1, itertools.repeat(0, prod(shape)), None))
 
     @classmethod
     def ones(cls, shape: tuple[int, ...]) -> Func:
-        return cls(shape, itertools.repeat(ONE, prod(shape)))
+        return cls(shape, view=(1, itertools.repeat(1, prod(shape)), None))
 
     @classmethod
     def indicator(cls, shape: tuple[int, ...], idx: tuple[int, ...]) -> Func:
         f = cls.zeros(shape)
-        f.values[f.flat_index(idx)] = ONE
+        # a single 1 over the denominator 1 keeps the view in lowest terms
+        f.view[1][f.flat_index(idx)] = 1
         return f
 
     def __mul__(self, other: Func) -> Func:
         self._check_match(other)
-        return self._like([a * b for a, b in zip(self.values, other.values)])
+        return self._like(mul_views(self.view, other.view))
 
     def __repr__(self):
         return f"Func(shape={self.shape})"
@@ -184,12 +202,20 @@ class FormValuedMap(Table):
     density = Table.values
 
     def __init__(
-        self, group: FiniteGroup, size: int, degree: int, density: Iterable[Scalar]
+        self,
+        group: FiniteGroup,
+        size: int,
+        degree: int,
+        density: Iterable[Scalar] | None = None,
+        *,
+        view=None,
     ):
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         self.group = group
         self.size = size
         self.degree = degree
-        super().__init__((size,) * (degree + 1) + (group.order,), density)
+        super().__init__((size,) * (degree + 1) + (group.order,), density, view=view)
 
     def _layout(self) -> tuple:
         return (self.group, self.size, self.degree)
@@ -210,12 +236,8 @@ class FormValuedMap(Table):
     def from_point_table(cls, group: FiniteGroup, table: list[int]) -> FormValuedMap:
         """Degree-0 delta density of a point -> group table."""
         m = group.order
-        return cls(
-            group,
-            len(table),
-            0,
-            (ONE if table[p] == c else ZERO for p in range(len(table)) for c in range(m)),
-        )
+        deltas = (int(a == c) for a in table for c in range(m))
+        return cls(group, len(table), 0, view=(1, deltas, None))
 
     def apply(self, alpha: Func) -> Func:
         """The form paired with a group-algebra element, as a table on
@@ -224,13 +246,14 @@ class FormValuedMap(Table):
         if alpha.shape != (m,):
             raise ValueError(f"expected a group table, got shape {alpha.shape}")
         npts = self.size ** (self.degree + 1)
+        density, avals = self.density, alpha.values
         values = []
         for t in range(npts):
             acc = ZERO
             base = t * m
             for c in range(m):
-                d = self.density[base + c]
-                v = alpha.values[c]
+                d = density[base + c]
+                v = avals[c]
                 if d and v:
                     acc = acc + d * v
             values.append(acc)
@@ -259,17 +282,44 @@ def unravel(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-def first_difference(
-    lhs: Iterable, rhs: Iterable, shape: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """The index tuple of the first entry where two row-major sequences
-    of a shape differ, or None; every entry before it is compared, and
-    neither side is read past it."""
-    # map and compress keep the per-entry loop out of Python bytecode
-    flat = next(itertools.compress(itertools.count(), map(operator.ne, lhs, rhs)), None)
+def first_difference(lhs, rhs, shape: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The index tuple of the first entry where two int views of a shape
+    differ, or None.
+
+    Each side is (d, re, im) whose parts are row-major iterables, im None
+    when it is all zeros; two views over different denominators are
+    compared cross-multiplied.  The real parts are read up to their first
+    difference and the imaginary parts no further than that, so every
+    entry before the witness is compared in both parts.
+    """
+    (dl, rl, il), (dr, rr, ir) = lhs, rhs
+    if dl != dr:
+        rl, rr = _scaled(rl, dr), _scaled(rr, dl)
+        il, ir = _scaled(il, dr), _scaled(ir, dl)
+    flat = _first_ne(rl, rr)
+    if il is not None or ir is not None:
+        il = itertools.repeat(0) if il is None else il
+        ir = itertools.repeat(0) if ir is None else ir
+        if flat is not None:
+            il, ir = itertools.islice(il, flat), itertools.islice(ir, flat)
+        k = _first_ne(il, ir)
+        if k is not None:
+            flat = k
     return None if flat is None else unravel(flat, shape)
+
+
+def _first_ne(lhs: Iterable[int], rhs: Iterable[int]) -> int | None:
+    # map and compress keep the per-entry loop out of Python bytecode
+    return next(itertools.compress(itertools.count(), map(operator.ne, lhs, rhs)), None)
+
+
+def _scaled(part, k: int):
+    if part is None or k == 1:
+        return part
+    return map(operator.mul, part, itertools.repeat(k))
 
 
 def tensor_identify(f: Func, g: Func) -> Func:
     """C(X) tensor C(Y) = C(X x Y): the elementary tensor as a table."""
-    return Func(f.shape + g.shape, (a * b for a in f.values for b in g.values))
+    gv = g.values
+    return Func(f.shape + g.shape, (a * b for a in f.values for b in gv))

@@ -2,7 +2,8 @@
 
 Coproduct, counit, and antipode are the pullbacks of multiplication,
 unit, and inversion; the right adjoint coaction is the pullback of
-conjugation.  All maps land in dense Func tables.
+conjugation.  All maps land in dense Func tables; they read their
+input's values as Scalars.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class HopfAlgebra:
     def antipode(self, alpha: Func) -> Func:
         """[antipode(a)](x) = a(x^-1)."""
         self._check_element(alpha)
-        inv = self.group.inv_table
-        return Func((self.size,), [alpha.values[inv[x]] for x in range(self.size)])
+        inv, vals = self.group.inv_table, alpha.values
+        return Func((self.size,), [vals[inv[x]] for x in range(self.size)])
 
     def project_ker_counit(self, alpha: Func) -> Func:
         """Subtract a(e) * 1, landing in the kernel of the counit."""
@@ -60,12 +61,9 @@ class HopfAlgebra:
     def adjoint_coaction(self, alpha: Func) -> Func:
         """[adjoint(a)](x, y) = a(y^-1 x y), a table on G x G."""
         self._check_element(alpha)
-        g = self.group
+        g, vals = self.group, alpha.values
         n = self.size
-        return Func(
-            (n, n),
-            [alpha.values[g.conj(x, y)] for x in range(n) for y in range(n)],
-        )
+        return Func((n, n), [vals[g.conj(x, y)] for x in range(n) for y in range(n)])
 
     def _check_element(self, alpha: Func) -> None:
         if alpha.shape != (self.size,):

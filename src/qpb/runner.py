@@ -54,7 +54,7 @@ from .funcs import FormValuedMap, Func, first_difference, indices
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
-from .scalars import ZERO
+from .scalars import ratio_text
 
 __all__ = ["RunReport", "ConfigError", "run_checks", "emit_report", "curvature_payload"]
 
@@ -419,7 +419,7 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     if decl.kind in ("gamma", "gamma_hat"):
         check = "route_agreement" if decl.kind == "gamma" else "strong_route_agreement"
         direct = strong_connection_direct(decl.payload, b)
-        out.append(CheckResult(f"{suite}.{check}", direct.density == theta.density))
+        out.append(CheckResult(f"{suite}.{check}", direct.view == theta.view))
     elif decl.kind == "classical":
         # the lift of a base potential that passed base_report meets the
         # three potential invariants by construction
@@ -427,7 +427,7 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         out.append(
             CheckResult(
                 f"{suite}.classical_route_agreement",
-                via_potential.density == theta.density,
+                via_potential.view == theta.view,
             )
         )
 
@@ -442,7 +442,7 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         srep = validate_splitting(sp, b)
         out.extend(_renamed(srep.checks, suite))
         reason = rejection("splitting", srep)
-        ok = reason is None and theta_from_splitting(sp, b).density == theta.density
+        ok = reason is None and theta_from_splitting(sp, b).view == theta.view
     except ValueError as exc:
         reason, ok = str(exc), False
     data = None if reason is None else {"reason": reason}
@@ -527,7 +527,7 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
     except ValueError as exc:
         out.append(CheckResult(f"{suite}.transform_routes", False, data={"reason": str(exc)}))
         return out
-    routes_witness = first_difference(transformed.density, via.density, transformed.shape)
+    routes_witness = first_difference(transformed.view, via.view, transformed.shape)
     out.append(CheckResult(f"{suite}.transform_routes", routes_witness is None, routes_witness))
     if routes_witness is not None:
         return out
@@ -611,7 +611,9 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
 
 
 def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str = "0") -> dict:
-    """Sparse curvature table of one connection, as a JSON-ready dict."""
+    """Sparse curvature table of one connection, as a JSON-ready dict, but
+    for its "entries": an iterator that makes each nonzero entry's
+    {"index", "value"} dict as it is read, in row-major order."""
     decl = doc.connection(connection_name)
     if decl is None:
         raise ConfigError(f"no connection named {connection_name!r} in the document")
@@ -620,14 +622,6 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     if theta is None:
         raise _Unbuilt(reason)
     f = curvature(theta)
-    n, m = f.size, f.group.order
-    # curvature writes ZERO itself for every zero entry, so an identity
-    # test selects the nonzero ones without a Python-level bool per entry
-    nonzero = map(operator.is_not, f.density, itertools.repeat(ZERO))
-    entries = [
-        {"index": list(idx), "value": str(v)}
-        for idx, v in itertools.compress(zip(indices(f.shape), f.density), nonzero)
-    ]
     return {
         "format_version": 1,
         "tool": "qpb",
@@ -637,7 +631,21 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
         "connection": decl.name,
         "kind": decl.kind,
         "degree": 2,
-        "total_size": n,
-        "group_order": m,
-        "entries": entries,
+        "total_size": f.size,
+        "group_order": f.group.order,
+        "entries": _nonzero_entries(f),
     }
+
+
+def _nonzero_entries(f: FormValuedMap):
+    """The entry dict of each nonzero entry, read from the view; each
+    distinct value is printed once."""
+    d, re, im = f.view
+    texts: dict = {}
+    nonzero = re if im is None else map(operator.or_, re, im)
+    cells = zip(indices(f.shape), re, itertools.repeat(0) if im is None else im)
+    for idx, a, b in itertools.compress(cells, nonzero):
+        text = texts.get((a, b))
+        if text is None:
+            text = texts[(a, b)] = ratio_text(a, b, d)
+        yield {"index": list(idx), "value": text}

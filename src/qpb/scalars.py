@@ -1,25 +1,30 @@
-"""Exact complex scalars with rational real and imaginary parts.
+"""Exact complex scalars with rational real and imaginary parts, and the
+common-denominator int view every table is stored as.
 
 Every value the engine computes is a Gaussian rational, so equality
 tests are decidable and there is no tolerance anywhere.  A Scalar
 stores one canonical integer triple (a, b, d) for the value
 (a + b·i)/d, with d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1)
-and two scalars are equal exactly when their triples are.  Arithmetic
-is plain int arithmetic: where both denominators are 1 no gcd runs,
-otherwise one gcd over the triple normalizes the result.  `re` and `im`
-give the parts as Fractions; no arithmetic goes through Fraction.
+and two scalars are equal exactly when their triples are.  Scalar is
+the type of the edges: a document's literals parse to Scalars, a table
+entry prints through one, `Table.value_at` returns one, and the exact
+linear algebra of `linalg` computes with them.  `re` and `im` give the
+parts as Fractions; no arithmetic goes through Fraction.
 
-The table kernels do not add or multiply Scalars one term at a time.
-They read a whole table once through `to_ints` as one common-denominator
-int view (d, re, im): d is the lcm of the entries' denominators, entry k
-is (re[k] + im[k]·i)/d, and im is None when every entry is real.  They
-loop on those ints and write their result back once through `from_ints`,
-which reduces each nonzero entry with one gcd and shares ZERO for every
-zero.  A table of integers has d = 1, so no gcd runs at all.
+A table is not a list of Scalars.  It is one int view (d, re, im): d > 0
+is a common denominator, entry k is (re[k] + im[k]·i)/d, and im is None
+when every entry is real.  A stored view is canonical (`canonical`):
+gcd(d, re, im) == 1, so equal tables have equal views and `==`, the zero
+test and every witness scan compare plain ints.  The kernels loop on the
+views and hand back views; `to_ints` reads Scalars into a view once, at
+the edge, and `from_ints` makes the Scalars of a view only when a reader
+asks for them.  A table of integers has d = 1, so no gcd runs at all.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from math import gcd, lcm
 from operator import attrgetter
@@ -30,7 +35,19 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["Scalar", "ZERO", "ONE", "parse_scalar", "to_ints", "from_ints"]
+__all__ = [
+    "Scalar",
+    "ZERO",
+    "ONE",
+    "parse_scalar",
+    "to_ints",
+    "from_ints",
+    "canonical",
+    "gathered",
+    "add_views",
+    "mul_views",
+    "ratio_text",
+]
 
 _RATIONAL = r"\d+(?:/\d+)?"
 _RE_REAL = re.compile(rf"[+-]?{_RATIONAL}")
@@ -145,13 +162,7 @@ class Scalar:
         return _reduced(self._d * a, -self._d * b, n)
 
     def __str__(self):
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return _ratio_str(a, d)
-        coef = _ratio_str(b, d) + "i"
-        if not a:
-            return coef
-        return _ratio_str(a, d) + ("+" if b > 0 else "") + coef
+        return ratio_text(self._a, self._b, self._d)
 
     def __repr__(self):
         return f"Scalar({str(self)!r})"
@@ -178,6 +189,17 @@ def _from_ratios(rn: int, rd: int, im_n: int, im_d: int) -> Scalar:
     """rn/rd + (im_n/im_d)·i, denominators positive."""
     d = lcm(rd, im_d)
     return _reduced(rn * (d // rd), im_n * (d // im_d), d)
+
+
+def ratio_text(a: int, b: int, d: int) -> str:
+    """`str` of the Scalar (a + b·i)/d, for any d > 0: each part prints
+    in lowest terms, so the triple need not be reduced."""
+    if not b:
+        return _ratio_str(a, d)
+    coef = _ratio_str(b, d) + "i"
+    if not a:
+        return coef
+    return _ratio_str(a, d) + ("+" if b > 0 else "") + coef
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -232,13 +254,76 @@ def to_ints(values: list[Scalar]) -> tuple[int, list[int], list[int] | None]:
 def from_ints(d: int, re: list[int], im: list[int] | None) -> list[Scalar]:
     """The Scalars of a view: one canonical Scalar per nonzero entry, ZERO
     itself for every zero entry."""
-    if im is None:
-        if d == 1:
-            return [_make(a, 0, 1) if a else ZERO for a in re]
-        return [_reduced(a, 0, d) if a else ZERO for a in re]
-    if d == 1:
-        return [_make(a, b, 1) if a or b else ZERO for a, b in zip(re, im)]
-    return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)]
+    imag = itertools.repeat(0) if im is None else im
+    return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, imag)]
+
+
+# gcd over at most this many entries at once, so no argument tuple the
+# size of a whole table is built
+_GCD_CHUNK = 4096
+
+
+def _gcd_with(g: int, values: list[int]) -> int:
+    for start in range(0, len(values), _GCD_CHUNK):
+        if g == 1:
+            break
+        g = gcd(g, *values[start : start + _GCD_CHUNK])
+    return g
+
+
+def canonical(d: int, re: list[int], im: list[int] | None):
+    """A view in lowest terms: gcd(d, re, im) == 1 and im None when every
+    imaginary part is zero, so two views of equal tables are equal.  The
+    lists of a view already in lowest terms are kept without a copy."""
+    if im is not None and not any(im):
+        im = None
+    g = _gcd_with(d, re)
+    if im is not None:
+        g = _gcd_with(g, im)
+    if g == 1:
+        return d, re, im
+    return d // g, [a // g for a in re], None if im is None else [b // g for b in im]
+
+
+def gathered(view, gather):
+    """The view whose parts are `gather` applied to each part of `view`;
+    an absent imaginary part stays absent."""
+    d, re, im = view
+    return d, gather(re), None if im is None else gather(im)
+
+
+def add_views(x, y, sign: int = 1):
+    """x + sign·y for two views of one length, over the lcm of their
+    denominators; the result is not reduced."""
+    dx, rx, ix = x
+    dy, ry, iy = y
+    d = lcm(dx, dy)
+    fx, fy = d // dx, sign * (d // dy)
+
+    def add(u, v):
+        if u is None:
+            u = itertools.repeat(0)
+        if v is None:
+            v = itertools.repeat(0)
+        if fx == 1 and fy == 1:
+            return list(map(operator.add, u, v))
+        return [a * fx + b * fy for a, b in zip(u, v)]
+
+    return d, add(rx, ry), None if ix is None and iy is None else add(ix, iy)
+
+
+def mul_views(x, y):
+    """The entrywise product of two views of one length; the result is not
+    reduced."""
+    dx, rx, ix = x
+    dy, ry, iy = y
+    if ix is None and iy is None:
+        return dx * dy, list(map(operator.mul, rx, ry)), None
+    ix = itertools.repeat(0) if ix is None else ix
+    iy = itertools.repeat(0) if iy is None else iy
+    # (a + b·i)(u + v·i) = (au - bv) + (av + bu)·i
+    terms = list(zip(rx, ix, ry, iy))
+    return dx * dy, [a * u - b * v for a, b, u, v in terms], [a * v + b * u for a, b, u, v in terms]
 
 
 def _ratio(text: str) -> tuple[int, int]:

@@ -149,8 +149,9 @@ def test_multiplicativity_witness_is_the_first_failure(monkeypatch):
     def doubled(b, f):
         t = coaction(b, f)
         k = 2 * b.group.order + 3
-        t.values[k] = t.values[k] + t.values[k]
-        return t
+        values = t.values
+        values[k] = values[k] + values[k]
+        return Func(t.shape, values)
 
     b = fix_s3()
     monkeypatch.setattr(qpb.bundle, "coaction", doubled)
@@ -324,9 +325,11 @@ def test_phi_hom_and_inverse():
 
 def test_conv_inverse_rejects_non_delta():
     g = cyclic(2)
-    h = FormValuedMap(g, 1, 0, [Scalar(1), Scalar(1)])
-    with pytest.raises(ValueError, match="not a delta table"):
-        conv_inverse(h)
+    # two hits, a hit that is not 1, a 1 with an imaginary part, an imaginary hit
+    for row in ([Scalar(1), Scalar(1)], [Scalar(2), ZERO], [Scalar(1, 1), ZERO], [ZERO, Scalar(0, 1)]):
+        h = FormValuedMap(g, 1, 0, row)
+        with pytest.raises(ValueError, match="not a delta table"):
+            conv_inverse(h)
 
 
 def test_phi_coaction_identities_on_basis():

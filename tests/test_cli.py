@@ -2,6 +2,7 @@
 
 import collections
 import copy
+from fractions import Fraction
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import qpb
 import qpb.bundle as bundle
+import qpb.cli as cli
 import qpb.connection as connection
 import qpb.funcs as funcs
 import qpb.runner as runner
@@ -20,7 +22,9 @@ from qpb.connection import Splitting, trivial_connection
 from qpb.document import parse_spec
 from qpb.fixtures import fix_z2, fixture_documents
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
-from qpb.scalars import ONE, ZERO
+from qpb.funcs import FormValuedMap
+from qpb.scalars import ONE, ZERO, Scalar
+from test_golden import S3X2, _gaussian
 
 Z2_CHECKS = [
     "group.associativity",
@@ -145,7 +149,16 @@ def test_every_failure_without_an_identity_has_a_witness_or_a_reason(mul, identi
     for c in failed:
         assert c["witness"] or (c["data"] or {}).get("reason"), c["name"]
     assert {k: checks["group.identity"][k] for k in identity} == identity
-    for name in ("group.inverses", "action.compatibility", "action.freeness", "freeness.direct"):
+    # the rank of the canonical map means nothing without an identity, and
+    # exactness passes the freeness reason on
+    for name in (
+        "group.inverses",
+        "action.compatibility",
+        "action.freeness",
+        "freeness.direct",
+        "freeness.rank",
+        "exactness.freeness_required",
+    ):
         assert checks[name]["witness"] is None
         assert checks[name]["data"] == {"reason": "group has no identity"}
 
@@ -194,6 +207,27 @@ def test_gauge_suite_refuses_theta_kind():
     assert report.passed
     curv = next(c for c in report.checks if c.name == "curvature:th.computed")
     assert curv.data == {"nonzero": False}
+
+
+@pytest.mark.parametrize("change", ["halved", "imaginary"])
+def test_strong_route_agreement_compares_whole_values(monkeypatch, change):
+    # a direct route whose view differs from the connection form's only in
+    # its denominator, or only in one imaginary part, must not agree
+    direct = runner.strong_connection_direct
+
+    def changed(gamma, b):
+        f = direct(gamma, b)
+        values = f.values
+        if change == "halved":
+            values = [v * Scalar(Fraction(1, 2)) for v in values]
+        else:
+            k = next(i for i, v in enumerate(values) if v)
+            values[k] = values[k] * Scalar(1, 1)
+        return FormValuedMap(f.group, f.size, f.degree, values)
+
+    monkeypatch.setattr(runner, "strong_connection_direct", changed)
+    report = run_checks(load_fixture("fix_prod.json"), ["connection:rational"])
+    assert not report["connection:rational.strong_route_agreement"].passed
 
 
 def test_gamma_hat_connection_check_names():
@@ -482,7 +516,7 @@ def test_curvature_payload_sparse_entries():
 
 def test_curvature_payload_flat_and_unframed():
     flat = curvature_payload(load_fixture("fix_s3.json"), "flat")
-    assert flat["entries"] == []
+    assert list(flat["entries"]) == []
 
     payload = mutated_payload("fix_nonfree.json")
     payload["connections"] = [
@@ -493,14 +527,75 @@ def test_curvature_payload_flat_and_unframed():
         curvature_payload(doc, "cls")
 
 
-def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys):
-    # the dump writes its entries without json's indenting encoder; "flat" has none
-    for key, name in (("fix_z2.json", "cls"), ("fix_s3.json", "flat"), ("fix_prod.json", "rational")):
-        path = write_fixture(tmp_path, key)
-        assert main(["curvature", path, "--connection", name]) == 0
+def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys, monkeypatch):
+    # the dump streams its entries a chunk at a time, without json's
+    # indenting encoder, and must equal the encoder on the materialised
+    # payload: "flat" has no entries, and the Gaussian S3x2 "rat" dump has
+    # complex values and runs over several chunks, or exactly one
+    (tmp_path / "s3x2-gauss.json").write_text(json.dumps(_gaussian(copy.deepcopy(S3X2))))
+    default_chunk = cli._CHUNK
+    dumps = [
+        ("fix_z2.json", "cls", None),
+        ("fix_s3.json", "flat", None),
+        ("fix_prod.json", "rational", None),
+        ("s3x2-gauss.json", "rat", None),
+        ("s3x2-gauss.json", "rat", 2592),
+        ("s3x2-gauss.json", "rat", 1),
+    ]
+    sizes = {}
+    for key, name, chunk in dumps:
+        path = tmp_path / key
+        if not path.exists():
+            path = write_fixture(tmp_path, key)
+        if chunk is not None:
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert main(["curvature", str(path), "--connection", name]) == 0
         with open(path, encoding="utf-8") as fh:
             payload = curvature_payload(parse_spec(fh.read()), name, tool_version=__version__)
-        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        entries = list(payload["entries"])
+        sizes[key, name] = len(entries), sum("i" in e["value"] for e in entries)
+        materialised = {**payload, "entries": entries}
+        assert capsys.readouterr().out == json.dumps(materialised, indent=2) + "\n"
+    assert sizes["fix_s3.json", "flat"] == (0, 0)
+    count, complex_values = sizes["s3x2-gauss.json", "rat"]
+    assert count == 2592 > 4 * default_chunk and complex_values > 0
+
+
+def _imaginary(doc: dict) -> dict:
+    # the rational gamma_hat times i: its curvature i dγ - γ⋆γ has entries
+    # with no real part
+    doc["name"] = "s3x2-imag"
+    density = doc["connections"][1]["density"]
+    for row in density:
+        for cell in row:
+            cell[:] = [v if v == "0" else f"{v}i" for v in cell]
+    return doc
+
+
+def test_curvature_dump_lists_every_nonzero_entry_as_it_prints():
+    # the dump reads the view; the reference reads the curvature's Scalars
+    for raw, name in (
+        (fixture_documents()["fix_z2.json"], "cls"),
+        (_gaussian(copy.deepcopy(S3X2)), "rat"),
+        (_imaginary(copy.deepcopy(S3X2)), "rat"),
+    ):
+        doc = parse_spec(json.dumps(raw))
+        b = doc.bundle
+        decl = doc.connection(name)
+        if decl.kind == "classical":
+            theta = connection.classical_connection(decl.payload, b)
+        else:
+            gamma = connection.lift_base_potential(decl.payload, b)
+            theta = connection.connection_from_potential(gamma, b)
+        f = connection.curvature(theta)
+        expected = [
+            {"index": list(idx), "value": str(v)}
+            for idx, v in zip(funcs.indices(f.shape), f.values)
+            if v
+        ]
+        assert list(curvature_payload(doc, name)["entries"]) == expected
+        if raw["name"] == "s3x2-imag":
+            assert any(f.value_at(*e["index"]).re == 0 for e in expected)
 
 
 # ---------------------------------------------------------------------------

@@ -261,10 +261,11 @@ def test_validate_base_potential_random_and_witnesses():
     for _ in range(5):
         assert validate_base_potential(random_base_potential(g, 3, rng)).passed
 
-    diag = FormValuedMap.build(g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (1, 1, 1) else ZERO)
-    r = validate_base_potential(diag)
-    assert not r["base_potential.vanishing_on_diagonal"].passed
-    assert r["base_potential.vanishing_on_diagonal"].witness == (1, 1)
+    for value in (ONE, Scalar(0, 1)):
+        diag = FormValuedMap.build(g, 2, 1, lambda x, y, c: value if (x, y, c) == (1, 1, 1) else ZERO)
+        r = validate_base_potential(diag)
+        assert not r["base_potential.vanishing_on_diagonal"].passed
+        assert r["base_potential.vanishing_on_diagonal"].witness == (1, 1)
 
     unbalanced = FormValuedMap.build(
         g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 1, 0) else ZERO
@@ -524,10 +525,16 @@ def test_mat_mul_and_identity():
     assert sq == [[S(7), S(10)], [S(15), S(22)]]
 
 
-def column_form(sigma, p: int, a: int) -> Func:
-    """Column (p, a) of a splitting as its one-form's (n, n) table."""
+def column_form(sigma, p: int, a: int, rows=None) -> Func:
+    """Column (p, a) of a splitting as its one-form's (n, n) table, zero
+    on the diagonal; `rows` is the splitting's matrix, read once by a
+    caller that takes many columns."""
     n = sigma.bundle.total_size
-    return Func((n, n), sigma.column_values()[sigma.cols.index((p, a))])
+    k = sigma.cols.index((p, a))
+    values = [ZERO] * (n * n)
+    for (p0, q0), row in zip(sigma.pairs, sigma.matrix if rows is None else rows):
+        values[p0 * n + q0] = row[k]
+    return Func((n, n), values)
 
 
 def reference_splitting_checks(sigma, b):
@@ -536,8 +543,9 @@ def reference_splitting_checks(sigma, b):
     g = b.group
     n, m = b.total_size, g.order
 
+    rows = sigma.matrix
     canon, _pairs = restricted_canonical_matrix(b)
-    product = mat_mul(canon, sigma.matrix)
+    product = mat_mul(canon, rows)
     section_witness = None
     if product != identity_matrix(len(sigma.cols)):
         section_witness = next(
@@ -552,16 +560,16 @@ def reference_splitting_checks(sigma, b):
             (p0, p1, a)
             for k, (p1, a) in enumerate(sigma.cols)
             for r, (p0, _q0) in enumerate(sigma.pairs)
-            if sigma.matrix[r][k] and p0 != p1
+            if rows[r][k] and p0 != p1
         ),
         None,
     )
 
     cov_witness = None
     for p1, a1 in sigma.cols:
-        lhs_base = column_form(sigma, p1, a1)
+        lhs_base = column_form(sigma, p1, a1, rows)
         for bb in range(m):
-            lhs = column_form(sigma, b.act(p1, g.inv(bb)), g.conj(a1, g.inv(bb)))
+            lhs = column_form(sigma, b.act(p1, g.inv(bb)), g.conj(a1, g.inv(bb)), rows)
             if any(
                 lhs.value_at(p, q) != lhs_base.value_at(b.act(p, bb), b.act(q, bb))
                 for p in range(n)
@@ -603,8 +611,9 @@ def test_validate_splitting_matches_dense_reference(make, potentials, sample):
         cells = [(r, k) for r in range(len(sigma.pairs)) for k in range(len(sigma.cols))]
         if sample is not None:
             cells = rng.sample(cells, sample)
+        rows = sigma.matrix
         for r, k in cells:
-            matrix = [list(row) for row in sigma.matrix]
+            matrix = [list(row) for row in rows]
             matrix[r][k] = matrix[r][k] + ONE
             mutant = Splitting(b, matrix)
             got = splitting_checks(mutant, b)
@@ -612,6 +621,29 @@ def test_validate_splitting_matches_dense_reference(make, potentials, sample):
             assert not all(ok for _name, ok, _w in got)
             failed.update(name for name, ok, _w in got if not ok)
     assert failed == {"splitting.section", "splitting.module", "splitting.covariance"}
+
+
+def test_validate_splitting_sees_imaginary_parts():
+    # a unit added to a cell's imaginary part must fail the checks that
+    # the same unit added to its real part fails
+    for make, sample in ((fix_z2, None), (fix_prod, 60)):
+        b = make()
+        rng = Random(37)
+        theta = strong_connection_direct(random_base_potential(b.group, b.base.size, rng), b)
+        sigma = splitting_from_theta(theta, b)
+        rows = sigma.matrix
+        cells = [(r, k) for r in range(len(sigma.pairs)) for k in range(len(sigma.cols))]
+        if sample is not None:
+            cells = rng.sample(cells, sample)
+        failed = set()
+        for r, k in cells:
+            matrix = [list(row) for row in rows]
+            matrix[r][k] = matrix[r][k] + Scalar(0, 1)
+            mutant = Splitting(b, matrix)
+            got = splitting_checks(mutant, b)
+            assert got == reference_splitting_checks(mutant, b)
+            failed.update(name for name, ok, _w in got if not ok)
+        assert "splitting.covariance" in failed
 
 
 def test_validate_splitting_matches_dense_reference_without_free_action():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from random import Random
 
 import pytest
@@ -11,6 +11,7 @@ from qpb.fixtures import fix_z2
 from qpb.funcs import (
     FormValuedMap,
     Func,
+    Table,
     first_difference,
     guard_table_size,
     indices,
@@ -151,6 +152,8 @@ def test_each_table_keeps_its_messages():
         Func.zeros((2,)) - Func.zeros((3,))
     with pytest.raises(ValueError, match="^form-valued maps do not match$"):
         FormValuedMap(g, 2, 0, [ZERO] * 4) + FormValuedMap(cyclic(4), 1, 0, [ZERO] * 4)
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        FormValuedMap(g, 3, -1, [ONE, ONE])
 
 
 def _tables(rng: Random):
@@ -188,30 +191,35 @@ def test_equality_is_type_exact():
     assert func == Func((2, 2, 1), list(values))
     assert fv == FormValuedMap(cyclic(1), 2, 1, list(values))
     assert fv != FormValuedMap(cyclic(1), 4, 0, list(values))
-    assert fv.density is fv.values
+    # a map's density is its values, read through the same property
+    assert FormValuedMap.density is Table.values
+    assert fv.density == fv.values == values
 
 
-def test_a_list_is_kept_without_a_copy():
-    values = [ONE, ZERO]
-    assert Func((2,), values).values is values
-    assert FormValuedMap(cyclic(2), 1, 0, values).density is values
+def test_a_view_is_kept_without_a_copy():
+    re, im = [1, 0], [0, 2]
+    assert Func((2,), view=(1, re, None)).view[1] is re
+    fv = FormValuedMap(cyclic(2), 1, 0, view=(3, re, im))
+    assert fv.view[1] is re and fv.view[2] is im
+    assert fv.density == [Scalar(Fraction(1, 3)), Scalar(0, Fraction(2, 3))]
 
 
 # ---------------------------------------------------------------------------
 # row-major decoding: unravel and first_difference against brute-force scans
 
 PROPERTIES = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+VIEW_PROPERTIES = settings(PROPERTIES, max_examples=100)
 
 
 @st.composite
 def _pairs(draw):
-    """A shape, a row-major sequence over it, and a copy with some entries changed."""
+    """A shape, a row-major sequence of ints over it, and a copy with some entries changed."""
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
     size = prod(shape)
     lhs = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
     changed = draw(st.sets(st.integers(0, size - 1), max_size=3))
     rhs = [v + 1 if k in changed else v for k, v in enumerate(lhs)]
-    return shape, [Scalar(v) for v in lhs], [Scalar(v) for v in rhs]
+    return shape, lhs, rhs
 
 
 def _brute_first_difference(shape, lhs, rhs):
@@ -221,19 +229,84 @@ def _brute_first_difference(shape, lhs, rhs):
 
 @PROPERTIES
 @given(_pairs())
-@example(((2, 3), [ONE] * 6, [ONE] * 6))  # equal
-@example(((2, 3), [ONE] * 6, [ONE] * 5 + [ZERO]))  # only the last entry differs
-@example(((3, 1, 2), [ZERO] * 6, [ZERO, ZERO, ONE, ZERO, ONE, ONE]))  # several, a 1-long axis
+@example(((2, 3), [1] * 6, [1] * 6))  # equal
+@example(((2, 3), [1] * 6, [1] * 5 + [0]))  # only the last entry differs
+@example(((3, 1, 2), [0] * 6, [0, 0, 1, 0, 1, 1]))  # several, a 1-long axis
 def test_first_difference_matches_a_brute_force_scan(case):
     shape, lhs, rhs = case
-    expected = _brute_first_difference(shape, lhs, rhs)
-    assert first_difference(lhs, rhs, shape) == expected
+    expected = _brute_first_difference(shape, [Scalar(v) for v in lhs], [Scalar(v) for v in rhs])
+    assert first_difference((1, lhs, None), (1, rhs, None), shape) == expected
     # iterators are read up to the first difference and no further
     left, right = iter(lhs), iter(rhs)
-    assert first_difference(left, right, shape) == expected
-    stop = len(lhs) if expected is None else Func(shape, lhs).flat_index(expected) + 1
+    assert first_difference((1, left, None), (1, right, None), shape) == expected
+    stop = len(lhs) if expected is None else Func(shape, view=(1, lhs, None)).flat_index(expected) + 1
     assert list(left) == lhs[stop:]
     assert list(right) == rhs[stop:]
+
+
+# Scalars with mixed denominators and complex parts, zero often
+_part = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6, 7, 10, 2**61 - 1])),
+)
+_scalar = st.one_of(st.just(ZERO), st.builds(Scalar, _part, st.one_of(st.just(Fraction(0)), _part)))
+
+
+@st.composite
+def _scalar_tables(draw):
+    """A shape, possibly with no entries, and two Scalar lists over it, the
+    second the first with some entries redrawn; either may be all zeros."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    size = prod(shape)
+    draw_list = lambda: draw(
+        st.one_of(st.just([ZERO] * size), st.lists(_scalar, min_size=size, max_size=size))
+    )
+    lhs = draw_list()
+    redrawn = draw_list()
+    changed = draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=3)) if size else set()
+    rhs = [redrawn[k] if k in changed else v for k, v in enumerate(lhs)]
+    if draw(st.booleans()):
+        rhs = redrawn
+    return shape, lhs, rhs
+
+
+@VIEW_PROPERTIES
+@given(_scalar_tables())
+@example(((2, 0), [], []))  # empty
+@example(((2,), [ZERO, ZERO], [ZERO, ZERO]))  # all zero
+@example(((2,), [Scalar(Fraction(1, 6)), ZERO], [Scalar(Fraction(1, 6)), Scalar(Fraction(-1, 10))]))
+@example(((1, 2), [Scalar(0, 1), ONE], [Scalar(0, 1), Scalar(1, 1)]))  # only im differs
+def test_property_the_view_decides_equality_and_witnesses_and_gives_the_values(case):
+    shape, lhs, rhs = case
+    a, b = Func(shape, lhs), Func(shape, rhs)
+    assert (a == b) == (lhs == rhs)
+    expected = next((unravel(k, shape) for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+    assert first_difference(a.view, b.view, shape) == expected
+    for table, values in ((a, lhs), (b, rhs)):
+        assert table.values == values
+        assert [str(v) for v in table.values] == [str(v) for v in values]
+        # the view is in lowest terms: equal tables have equal views
+        d, re, im = table.view
+        assert gcd(d, *re, *(im or [])) == 1
+        assert (im is None) == all(not v.im for v in values)
+        assert table.is_zero() == (not any(values))
+
+
+@VIEW_PROPERTIES
+@given(_scalar_tables())
+@example(((2,), [Scalar(0, 1), Scalar(Fraction(1, 6))], [Scalar(0, 1), Scalar(Fraction(-1, 10), 2)]))
+def test_property_view_arithmetic_matches_scalar_arithmetic(case):
+    shape, lhs, rhs = case
+    a, b = Func(shape, lhs), Func(shape, rhs)
+    for got, want in (
+        (a + b, [x + y for x, y in zip(lhs, rhs)]),
+        (a - b, [x - y for x, y in zip(lhs, rhs)]),
+        (a * b, [x * y for x, y in zip(lhs, rhs)]),
+        (-a, [-x for x in lhs]),
+    ):
+        assert got.values == want
+        assert [str(v) for v in got.values] == [str(v) for v in want]
+        assert got == Func(shape, want)
 
 
 @PROPERTIES

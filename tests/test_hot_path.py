@@ -1,12 +1,15 @@
-"""Exact arithmetic on the curvature routes runs on ints, not Fractions
-and not one Scalar operation per term.
+"""Exact arithmetic on the curvature routes and in the checks runs on
+ints, not Fractions and not one Scalar operation per term.
 
 `Scalar` keeps its value as a canonical integer triple, so building a
 curvature along either route and comparing the two routes must enter no
-function of the `fractions` module.  The kernels under both routes loop
-on a common-denominator int view, so building either route must enter no
-`Scalar` arithmetic method either.  Each case runs under a profile hook
-that records every Python frame the work enters.
+function of the `fractions` module.  Every table is stored as a
+common-denominator int view, and the kernels, validators and route
+comparisons read the views, so building either route, and running a
+whole connection or curvature suite, must enter no `Scalar` arithmetic
+or comparison method either; a curvature dump makes no Scalar per
+entry.  Each case runs under a profile hook that records every Python
+frame the work enters.
 """
 
 import copy
@@ -23,12 +26,15 @@ from qpb.connection import (
     curvature_from_potential,
     lift_base_potential,
 )
+from qpb.cli import main
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
+from qpb.runner import run_checks
 from qpb.scalars import Scalar
 from test_golden import S3X2, _gaussian
 
 SCALAR_ARITHMETIC = {"__add__", "__sub__", "__rsub__", "__mul__", "__neg__"}
+SCALAR_COMPARISON = {"__eq__", "__bool__"}
 
 
 def fraction_frames(work) -> list[str]:
@@ -36,9 +42,9 @@ def fraction_frames(work) -> list[str]:
     return frames_in(fractions.__file__, work)
 
 
-def scalar_arithmetic_frames(work) -> list[str]:
-    """Names of the `Scalar` arithmetic methods that `work()` enters."""
-    return [name for name in frames_in(qpb.scalars.__file__, work) if name in SCALAR_ARITHMETIC]
+def scalar_arithmetic_frames(work, names=SCALAR_ARITHMETIC) -> list[str]:
+    """Names of the `Scalar` arithmetic methods, or of `names`, that `work()` enters."""
+    return [name for name in frames_in(qpb.scalars.__file__, work) if name in names]
 
 
 def frames_in(filename: str, work) -> list[str]:
@@ -119,3 +125,41 @@ def test_the_hook_sees_scalar_arithmetic():
         "__neg__",
         "__sub__",
     ]
+
+
+@pytest.mark.parametrize("suite", ["connection:rat", "curvature:rat", "connection:cls", "curvature:cls"])
+def test_suites_enter_no_scalar_comparison_or_arithmetic(suite):
+    # the Gaussian S3x2 document: complex entries over mixed denominators
+    doc = parse_spec(json.dumps(_gaussian(copy.deepcopy(S3X2))))
+    reports = []
+    entered = scalar_arithmetic_frames(
+        lambda: reports.append(run_checks(doc, [suite])), SCALAR_ARITHMETIC | SCALAR_COMPARISON
+    )
+    assert entered == []
+    assert reports[0].passed and len(reports[0].checks) >= 3
+
+
+def test_the_hook_sees_scalar_comparisons():
+    names = SCALAR_ARITHMETIC | SCALAR_COMPARISON
+    assert scalar_arithmetic_frames(lambda: bool(Scalar(1)) and Scalar(1) == Scalar(2), names) == [
+        "__bool__",
+        "__eq__",
+    ]
+
+
+def test_a_curvature_dump_makes_no_scalar_per_entry(tmp_path, monkeypatch, capsys):
+    # every Scalar is made through scalars._make; a dump may make one per
+    # literal of the document and one per distinct value it prints, but
+    # not one per entry
+    raw = _gaussian(copy.deepcopy(S3X2))
+    path = tmp_path / "s3x2-gauss.json"
+    path.write_text(json.dumps(raw))
+    made = []
+    make = qpb.scalars._make
+    monkeypatch.setattr(qpb.scalars, "_make", lambda *abd: made.append(abd) or make(*abd))
+    assert main(["curvature", str(path), "--connection", "rat"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    literals = sum(len(cell) for row in raw["connections"][1]["density"] for cell in row)
+    distinct = {e["value"] for e in entries}
+    assert len(entries) == 2592 and len(distinct) < 100
+    assert len(made) <= len(distinct) + literals

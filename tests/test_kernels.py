@@ -44,13 +44,14 @@ def reference_differential(f: FormValuedMap) -> FormValuedMap:
     """Alternating sum over one omitted argument, one index tuple at a
     time, on a form over the one-element group."""
     assert f.group.order == 1
+    values = f.values
 
     def fn(*idx):
         points = idx[:-1]
         acc = ZERO
         sign = 1
         for j in range(len(points)):
-            v = f.values[f.flat_index(points[:j] + points[j + 1 :] + (0,))]
+            v = values[f.flat_index(points[:j] + points[j + 1 :] + (0,))]
             if v:
                 acc = acc + v if sign > 0 else acc - v
             sign = -sign
@@ -67,7 +68,8 @@ def reference_d_slicewise(fv: FormValuedMap) -> FormValuedMap:
         for c in range(m)
     ]
     npts = fv.size ** (fv.degree + 2)
-    density = [slices[c].values[t] for t in range(npts) for c in range(m)]
+    values = [s.values for s in slices]
+    density = [values[c][t] for t in range(npts) for c in range(m)]
     return FormValuedMap(fv.group, fv.size, fv.degree + 1, density)
 
 
@@ -77,6 +79,7 @@ def reference_star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValu
     m, size = g.order, a_map.size
     na, nc = a_map.degree, c_map.degree
     out = [ZERO] * (size ** (na + nc + 1) * m)
+    a_density, c_density = a_map.density, c_map.density
     c_tail = size**nc
     for ta in range(size ** (na + 1)):
         junction = ta % size
@@ -84,11 +87,11 @@ def reference_star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValu
             cbase = (junction * c_tail + tc_rest) * m
             obase = (ta * c_tail + tc_rest) * m
             for aa in range(m):
-                va = a_map.density[ta * m + aa]
+                va = a_density[ta * m + aa]
                 if not va:
                     continue
                 for cc in range(m):
-                    vc = c_map.density[cbase + cc]
+                    vc = c_density[cbase + cc]
                     if vc:
                         k = obase + g.table[aa][cc]
                         out[k] = out[k] + va * vc

@@ -42,6 +42,7 @@ KEEP = {
     "direct_product": "reference group for the tests; documents give their tables",
     "identity_matrix": "only rank_and_kernel's empty-matrix path calls it",
     "differential": "acceptance criterion 04 (d² = 0, Leibniz); CLI routes call its int view directly",
+    "from_ints": "Table.values and Splitting.matrix (kept below) make their Scalars through it",
 }
 
 _HOPF = "acceptance criterion 01: the Hopf algebra axioms of the group's function algebra"
@@ -64,6 +65,9 @@ KEEP_METHODS = {
     "BundleAutomorphism.inverse": "acceptance criterion 10: gauge group laws, as gauge_inverse",
     "FiniteGroup.label": "direct_product (kept above) names its elements with it",
     "FormValuedMap.apply": "acceptance criterion 06 pairs frame maps with group tables through it",
+    "FormValuedMap.density": "Table.values under the name of a map's entries; the checks read views",
+    "Splitting.matrix": "the Scalar rows the dense reference of validate_splitting multiplies",
+    "Table.values": "the entries as Scalars for printers and tests; the checks read views",
     "Scalar.re": "Scalar.__hash__ reads it, so a real Scalar hashes like the equal Fraction",
     "Scalar.im": "Scalar.__hash__ reads it, so a complex Scalar hashes like its Fraction pair",
     "Scalar.inverse": "rref scales a row whose pivot is not 1; the CLI's 0/1 matrices have none",
