@@ -14,7 +14,7 @@ from .funcs import Func, first_difference, guard_table_size
 from .groups import FiniteGroup, RightAction, fixed_point_witness
 from .linalg import SubspaceBasis, rank_of
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, Scalar, gathered
+from .scalars import ONE, Scalar, gathered
 
 __all__ = [
     "BaseSpace",
@@ -175,18 +175,11 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     return report
 
 
-def _canonical_matrix(b: BundleSpec) -> list[list[Scalar]]:
+def _canonical_matrix(b: BundleSpec) -> list[dict[int, Scalar]]:
     # map form: rows indexed by (p, a), columns by source pairs (p0, q0)
     n, m = b.total_size, b.group.order
     guard_table_size(n * m * n * n)
-    act = b.action.table
-    rows = []
-    for p in range(n):
-        for a in range(m):
-            row = [ZERO] * (n * n)
-            row[p * n + act[p][a]] = ONE
-            rows.append(row)
-    return rows
+    return [{p * n + q: ONE} for p, row in enumerate(b.action.table) for q in row]
 
 
 def check_freeness(b: BundleSpec) -> Report:
@@ -215,15 +208,9 @@ def check_freeness(b: BundleSpec) -> Report:
 
 def invariants_basis(b: BundleSpec) -> SubspaceBasis:
     """Coaction-invariant functions: the span of orbit indicators."""
-    n = b.total_size
-    vectors = []
-    for orbit in b.base.orbits:
-        v = [ZERO] * n
-        for q in orbit:
-            v[q] = ONE
-        vectors.append(v)
+    vectors = [dict.fromkeys(orbit, ONE) for orbit in b.base.orbits]
     # orbits partition the points, so the rows are already reduced
-    return SubspaceBasis(n, vectors, list(b.base.reps))
+    return SubspaceBasis(b.total_size, vectors, list(b.base.reps))
 
 
 def inject_base(b: BundleSpec, h: Func) -> Func:

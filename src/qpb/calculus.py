@@ -15,7 +15,9 @@ table; nothing is converted on the way.  Its view kernel,
 `_differential_view`, is also the one `connection` chains inside the
 curvature and frame-change composites, and `validate_form` tests the
 entries at the adjacent repeats on ints.  Only the matrices handed to
-`linalg` are built from Scalars.
+`linalg` hold Scalars, as sparse rows: the canonical map's row at
+(p, a) is one unit entry, or empty where p.a = p, and an indicator
+basis vector is one unit entry.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .bundle import BundleSpec
 from .funcs import FormValuedMap, guard_table_size, unravel
 from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 __all__ = [
     "validate_form",
@@ -130,7 +132,9 @@ def offdiag_pairs(n: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(n) for q in range(n) if p != q]
 
 
-def restricted_canonical_matrix(b: BundleSpec) -> tuple[list[list[Scalar]], list[tuple[int, int]]]:
+def restricted_canonical_matrix(
+    b: BundleSpec,
+) -> tuple[list[dict[int, Scalar]], list[tuple[int, int]]]:
     """Matrix of the canonical map on 1-forms, in map form.
 
     Rows: (p, a) with a != identity.  Columns: off-diagonal pairs (the
@@ -143,16 +147,12 @@ def restricted_canonical_matrix(b: BundleSpec) -> tuple[list[list[Scalar]], list
     pairs = offdiag_pairs(n)
     col_of = {pq: k for k, pq in enumerate(pairs)}
     guard_table_size(n * (m - 1) * len(pairs))
-    rows = []
-    for p in range(n):
-        for a in range(m):
-            if a == g.identity:
-                continue
-            row = [ZERO] * len(pairs)
-            q = b.act(p, a)
-            if q != p:
-                row[col_of[(p, q)]] = ONE
-            rows.append(row)
+    rows = [
+        {col_of[(p, q)]: ONE} if q != p else {}
+        for p, row in enumerate(b.action.table)
+        for a, q in enumerate(row)
+        if a != g.identity
+    ]
     return rows, pairs
 
 
@@ -166,12 +166,7 @@ def horizontal_basis(b: BundleSpec) -> SubspaceBasis:
     n = b.total_size
     proj = b.base.projection
     pivots = [p * n + q for p in range(n) for q in range(n) if proj[p] != proj[q]]
-    vectors = []
-    for k in pivots:
-        v = [ZERO] * (n * n)
-        v[k] = ONE
-        vectors.append(v)
-    return SubspaceBasis(n * n, vectors, pivots)
+    return SubspaceBasis(n * n, [{k: ONE} for k in pivots], pivots)
 
 
 def check_exactness(b: BundleSpec, free: Report) -> Report:
@@ -205,16 +200,13 @@ def check_exactness(b: BundleSpec, free: Report) -> Report:
         )
     )
 
-    # embed kernel vectors (off-diagonal coordinates) into full pair space
-    full_kernel_vectors = []
-    for v in kernel.vectors:
-        full = [ZERO] * (n * n)
-        for (p, q), val in zip(pairs, v):
-            full[p * n + q] = val
-        full_kernel_vectors.append(full)
-    flat_of = {pq: pq[0] * n + pq[1] for pq in pairs}
+    # re-key kernel vectors from off-diagonal pairs to the full pair
+    # space; the re-keying keeps column order, so the rows stay reduced
+    flat = [p * n + q for p, q in pairs]
     kernel_full = SubspaceBasis(
-        n * n, full_kernel_vectors, [flat_of[pairs[c]] for c in kernel.pivots]
+        n * n,
+        [{flat[c]: x for c, x in v.items()} for v in kernel.vectors],
+        [flat[c] for c in kernel.pivots],
     )
     hor = horizontal_basis(b)
     report.add(

@@ -370,6 +370,10 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
     )
 
     # theta(p.b, q.b, c) against theta(p, q, b c b^-1), witness (p, q, b, c)
+    if g.inv_table is None:
+        reason = {"reason": "group lacks identity or inverses"}
+        report.add(CheckResult("connection.ad_covariance", False, data=reason))
+        return report
     conj = [g.conj(c, g.inv(bb)) for bb in range(m) for c in range(m)]
     translated = gathered(theta.view, lambda part: _rows_at(part, n, m, _translated_pairs(b)))
     conjugated = gathered(
@@ -516,9 +520,9 @@ def lift_base_potential(gh: FormValuedMap, b: BundleSpec) -> FormValuedMap:
 def potential_from_transition(tm: TransitionMap) -> FormValuedMap:
     """Delta density of the transition table on the base, with the unit part removed."""
     g = tm.group
-    e, m = g.identity, g.order
-    deltas = (int(a == c) - int(c == e) for row in tm.table for a in row for c in range(m))
-    return FormValuedMap(g, tm.base_size, 1, view=(1, deltas, None))
+    words = itertools.chain.from_iterable(tm.table)
+    view = _unit_rows(g.order, words, itertools.repeat(g.identity))
+    return FormValuedMap(g, tm.base_size, 1, view=view)
 
 
 def connection_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:

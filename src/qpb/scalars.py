@@ -8,8 +8,9 @@ stores one canonical integer triple (a, b, d) for the value
 and two scalars are equal exactly when their triples are.  Scalar is
 the type of the edges: a document's literals parse to Scalars, a table
 entry prints through one, `Table.value_at` returns one, and the exact
-linear algebra of `linalg` computes with them.  `re` and `im` give the
-parts as Fractions; no arithmetic goes through Fraction.
+linear algebra of `linalg` eliminates on sparse rows of them, which
+store only the nonzero entries.  `re` and `im` give the parts as
+Fractions; no arithmetic goes through Fraction.
 
 A table is not a list of Scalars.  It is one int view (d, re, im): d > 0
 is a common denominator, entry k is (re[k] + im[k]·i)/d, and im is None

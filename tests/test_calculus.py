@@ -170,9 +170,7 @@ def test_horizontal_basis_is_the_reduced_span_of_cross_orbit_indicators(bundle):
     for p in reversed(range(n)):
         for q in range(n):
             if q not in orbit[p]:
-                v = [ZERO] * (n * n)
-                v[p * n + q] = ONE
-                rows.append(v)
+                rows.append({p * n + q: ONE})
     expected = span_basis(rows, n * n)
     hor = horizontal_basis(bundle)
     assert hor.equals(expected)

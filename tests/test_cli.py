@@ -12,6 +12,7 @@ import pytest
 
 import qpb
 import qpb.bundle as bundle
+import qpb.calculus as calculus
 import qpb.cli as cli
 import qpb.connection as connection
 import qpb.funcs as funcs
@@ -138,29 +139,51 @@ def test_nonfree_run_fails_expected_checks():
         ([[0, 0], [0, 0]], {"witness": [0, 1], "data": None}),
         # no idempotent element at all
         ([[1, 1], [0, 0]], {"witness": None, "data": {"reason": "no idempotent element"}}),
+        # a monoid: 0 is its identity, but 1 has no inverse
+        ([[0, 1], [1, 1]], {"witness": None, "data": {"identity": 0}}),
     ],
 )
-def test_every_failure_without_an_identity_has_a_witness_or_a_reason(mul, identity):
-    payload = {"format_version": 1, "group": {"mul": mul}, "action": {"act": [[0, 1], [1, 0]]}}
-    report = json.loads(emit_report(run_checks(parse_spec(json.dumps(payload))), "json"))
-    checks = {c["name"]: c for c in report["checks"]}
-    failed = [c for c in report["checks"] if c["status"] == "fail"]
-    assert len(failed) >= 8
-    for c in failed:
-        assert c["witness"] or (c["data"] or {}).get("reason"), c["name"]
-    assert {k: checks["group.identity"][k] for k in identity} == identity
-    # the rank of the canonical map means nothing without an identity, and
-    # exactness passes the freeness reason on
-    for name in (
-        "group.inverses",
-        "action.compatibility",
-        "action.freeness",
-        "freeness.direct",
-        "freeness.rank",
-        "exactness.freeness_required",
-    ):
-        assert checks[name]["witness"] is None
-        assert checks[name]["data"] == {"reason": "group has no identity"}
+def test_every_failure_without_an_identity_has_a_witness_or_a_reason(
+    mul, identity, tmp_path, capsys
+):
+    # each table bare, and with a zero connection given as theta, whose
+    # ad-covariance conjugates by inverses that the table lacks
+    theta = {"name": "th", "kind": "theta", "density": [[["0", "0"], ["0", "0"]]] * 2}
+    for connections in ([], [theta]):
+        payload = {
+            "format_version": 1,
+            "group": {"mul": mul},
+            "action": {"act": [[0, 1], [1, 0]]},
+            "connections": connections,
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", str(path), "--format", "json"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        failed = [c for c in checks.values() if c["status"] == "fail"]
+        assert len(failed) >= 3
+        for c in failed:
+            assert c["witness"] or (c["data"] or {}).get("reason"), c["name"]
+        assert {k: checks["group.identity"][k] for k in identity} == identity
+        if connections:
+            cov = checks["connection:th.form.ad_covariance"]
+            assert cov["status"] == "fail" and cov["witness"] is None
+            assert cov["data"] == {"reason": "group lacks identity or inverses"}
+        if checks["group.identity"]["status"] == "pass":
+            continue
+        # the rank of the canonical map means nothing without an identity,
+        # and exactness passes the freeness reason on
+        assert len(failed) >= 8
+        for name in (
+            "group.inverses",
+            "action.compatibility",
+            "action.freeness",
+            "freeness.direct",
+            "freeness.rank",
+            "exactness.freeness_required",
+        ):
+            assert checks[name]["witness"] is None
+            assert checks[name]["data"] == {"reason": "group has no identity"}
 
 
 def test_trivialization_synthesized_when_absent():
@@ -762,6 +785,62 @@ def test_cli_max_entries_cap(tmp_path, capsys):
     assert main(["check", prod, "--suite", "group", "--max-entries", "11"]) == 2
     assert capsys.readouterr().err == "qpb: table of 12 entries exceeds the cap of 11\n"
     assert main(["check", path]) == 0
+
+
+# bench/gen.py's product_doc(0, "S3", 2), the first document of the check ladder
+S3X2_LADDER = {
+    "format_version": 1,
+    "name": "S3x2",
+    "group": {"mul": S3X2["group"]["mul"]},
+    "product_bundle": {"base_size": 2},
+    "connections": [
+        {"name": "cls", "kind": "classical", "transition": [[0, 2], [5, 0]]},
+        {
+            "name": "rat",
+            "kind": "gamma_hat",
+            "density": [
+                [["0"] * 6, ["-1/2", "-1/4", "0", "0", "0", "3/4"]],
+                [["1", "-1/2", "-1/2", "0", "0", "0"], ["0"] * 6],
+            ],
+        },
+    ],
+    "gauges": [{"name": "tau", "tau_hat": [2, 3]}],
+}
+
+
+@pytest.mark.parametrize("key", ["fix_prod.json", "s3x2.json"])
+def test_freeness_and_exactness_caps_bind_at_their_guards(key, tmp_path, capsys):
+    payload = {**fixture_documents(), "s3x2.json": S3X2_LADDER}[key]
+    path = tmp_path / key
+    path.write_text(json.dumps(payload))
+    b = parse_spec(json.dumps(payload)).bundle
+    n, m = b.total_size, b.group.order
+    freeness_guard = n * m * n * n
+    exactness_guard = n * (m - 1) * n * (n - 1)
+    # the exactness suite reads the freeness report, whose larger matrix
+    # trips the cap first
+    for suite in ("freeness", "exactness"):
+        cmd = ["check", str(path), "--suite", suite, "--format", "json", "--max-entries"]
+        assert main(cmd + [str(freeness_guard)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(cmd + [str(freeness_guard - 1)]) == 2
+        out = capsys.readouterr()
+        cap = f"qpb: table of {freeness_guard} entries exceeds the cap of {freeness_guard - 1}\n"
+        assert (out.out, out.err) == ("", cap)
+    # the restricted canonical map's own guard, under a decided freeness report
+    free = bundle.check_freeness(b)
+    token = funcs.set_max_table_entries(exactness_guard)
+    try:
+        assert calculus.check_exactness(b, free).passed
+    finally:
+        funcs.MAX_TABLE_ENTRIES.reset(token)
+    token = funcs.set_max_table_entries(exactness_guard - 1)
+    try:
+        cap = f"table of {exactness_guard} entries exceeds the cap of {exactness_guard - 1}"
+        with pytest.raises(ValueError, match=f"^{cap}$"):
+            calculus.check_exactness(b, free)
+    finally:
+        funcs.MAX_TABLE_ENTRIES.reset(token)
 
 
 def test_cli_cap_lasts_one_call(tmp_path, capsys):

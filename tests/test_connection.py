@@ -43,7 +43,6 @@ from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
 from qpb.groups import TransitionMap, cyclic, symmetric
-from qpb.linalg import identity_matrix
 from qpb.runner import rejection
 from qpb.scalars import ONE, ZERO, Scalar
 
@@ -517,6 +516,10 @@ def mat_mul(a, b):
     return out
 
 
+def identity_matrix(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
 def test_mat_mul_and_identity():
     m = [[S(1), S(2)], [S(3), S(4)]]
     assert mat_mul(m, identity_matrix(2)) == m
@@ -544,7 +547,8 @@ def reference_splitting_checks(sigma, b):
     n, m = b.total_size, g.order
 
     rows = sigma.matrix
-    canon, _pairs = restricted_canonical_matrix(b)
+    sparse, pairs = restricted_canonical_matrix(b)
+    canon = [[row.get(k, ZERO) for k in range(len(pairs))] for row in sparse]
     product = mat_mul(canon, rows)
     section_witness = None
     if product != identity_matrix(len(sigma.cols)):

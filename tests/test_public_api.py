@@ -40,7 +40,6 @@ KEEP = {
     "fix_nonfree": "reference bundle for the tests; documents come from fixture_documents",
     "cyclic": "reference group for the tests; documents give their tables",
     "direct_product": "reference group for the tests; documents give their tables",
-    "identity_matrix": "only rank_and_kernel's empty-matrix path calls it",
     "differential": "acceptance criterion 04 (d² = 0, Leibniz); CLI routes call its int view directly",
     "from_ints": "Table.values and Splitting.matrix (kept below) make their Scalars through it",
 }
