@@ -5,14 +5,14 @@ the base is the orbit set.  The coaction dualizes the action, the
 canonical map decides freeness by an exact rank, and trivializations
 (when present) give the product picture through psi and the section.
 Densities over the bundle, frame maps included, live in the connection
-layer.
+layer.  The two functions that reach `linalg` import it themselves, so
+parsing a document, which builds a bundle, does not load it.
 """
 
 from __future__ import annotations
 
 from .funcs import Func, first_difference, guard_table_size
 from .groups import FiniteGroup, RightAction, fixed_point_witness
-from .linalg import SubspaceBasis, rank_of
 from .report import CheckResult, Report
 from .scalars import ONE, Scalar, gathered
 
@@ -194,6 +194,8 @@ def check_freeness(b: BundleSpec) -> Report:
     direct_witness = fixed_point_witness(b.action)
     report.add(CheckResult("freeness.direct", direct_witness is None, direct_witness))
 
+    from .linalg import rank_of
+
     rank = rank_of(_canonical_matrix(b))
     expected = n * m
     report.add(
@@ -208,6 +210,8 @@ def check_freeness(b: BundleSpec) -> Report:
 
 def invariants_basis(b: BundleSpec) -> SubspaceBasis:
     """Coaction-invariant functions: the span of orbit indicators."""
+    from .linalg import SubspaceBasis
+
     vectors = [dict.fromkeys(orbit, ONE) for orbit in b.base.orbits]
     # orbits partition the points, so the rows are already reduced
     return SubspaceBasis(b.total_size, vectors, list(b.base.reps))

@@ -1,8 +1,10 @@
 """Command line front end: check documents, write fixtures, dump curvature.
 
-Each command imports only what it reaches: the runner and the checkers
-load once the document parses, and the fixtures only for `qpb fixtures`,
-so a malformed document is rejected without compiling them.
+Each command imports only what it reaches: the runner loads once the
+document parses, each suite's checkers when that suite runs, and the
+fixtures only for `qpb fixtures`, so a malformed document is rejected
+without compiling any of them.  No path loads OpenSSL: the document
+digest comes from CPython's built-in SHA-256.
 """
 
 from __future__ import annotations

@@ -10,6 +10,16 @@ from __future__ import annotations
 
 import json
 
+# CPython's built-in SHA-256, the one hashlib falls back to: hashlib
+# itself would load OpenSSL's libcrypto to digest one document
+try:
+    from _sha2 import sha256  # 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .bundle import BundleSpec, make_product
 from .funcs import FormValuedMap
 from .gauge import GaugeMap
@@ -106,10 +116,7 @@ def parse_spec(text: str) -> SpecDocument:
     connections = _parse_connections(raw, group, bundle)
     gauges = _parse_gauges(raw, group, bundle)
 
-    # only a document that parses is digested, so only it loads hashlib
-    import hashlib
-
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = sha256(text.encode("utf-8")).hexdigest()
     return SpecDocument(name, group, bundle, connections, gauges, digest)
 
 

@@ -5,6 +5,11 @@ masked by a later algebraic one.  Every connection is canonicalized to
 a connection-form density once and cross-checked against the closed
 form for its kind; gauge suites pair each gauge map with each
 non-theta connection.
+
+The checkers load per suite: each suite function, each connection input
+and the curvature dump import what they call, so a `--suite group` or
+`--suite action` check loads none of `connection`, `calculus` or
+`linalg`, and a comodule check no `connection`.
 """
 
 from __future__ import annotations
@@ -14,44 +19,9 @@ import json
 import operator
 from functools import cached_property
 
-from .bundle import (
-    BundleSpec,
-    check_comodule_algebra,
-    check_freeness,
-    psi_apply,
-    psi_inverse,
-    synthesize_trivialization,
-    validate_trivialization,
-)
-from .calculus import check_exactness, validate_form
-from .connection import (
-    classical_connection,
-    connection_from_potential,
-    conv_inverse,
-    conv_unit,
-    curvature,
-    curvature_classical,
-    curvature_from_potential,
-    gauge_transform_base_potential,
-    gauge_transform_potential,
-    gauge_transform_transition,
-    is_cocycle,
-    lift_base_potential,
-    phi_hom,
-    potential_from_transition,
-    splitting_from_theta,
-    star_delta,
-    strong_connection_direct,
-    theta_from_splitting,
-    validate_base_potential,
-    validate_connection_form,
-    validate_potential,
-    validate_splitting,
-    validate_transition,
-)
+from .bundle import BundleSpec
 from .document import ConnectionDecl, SpecDocument
 from .funcs import FormValuedMap, Func, first_difference, indices
-from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
 from .scalars import ratio_text
@@ -107,6 +77,8 @@ class _Context:
     @cached_property
     def free(self) -> Report:
         """The freeness report, decided once per run."""
+        from .bundle import check_freeness
+
         return check_freeness(self.doc.bundle)
 
     @cached_property
@@ -114,6 +86,8 @@ class _Context:
         """The bundle with its frame, given or synthesized on first use, so a
         suite that reads no phi uses `doc.bundle` and synthesizes nothing.  A
         cap met in the freeness report propagates; synthesis gives a reason."""
+        from .bundle import synthesize_trivialization
+
         b = self.doc.bundle
         if b.phi is not None:
             return b
@@ -164,6 +138,8 @@ class _Inputs:
     @cached_property
     def report(self) -> Report:
         """The declared input's own checks."""
+        from .connection import validate_base_potential, validate_potential, validate_transition
+
         kind, payload = self.decl.kind, self.decl.payload
         if kind == "classical":
             return validate_transition(payload)
@@ -174,6 +150,8 @@ class _Inputs:
     @cached_property
     def base(self) -> FormValuedMap:
         """The base potential: declared, or derived from the transition map."""
+        from .connection import potential_from_transition
+
         if self.decl.kind == "gamma_hat":
             return self.decl.payload
         _require("transition map", self.report)
@@ -181,6 +159,8 @@ class _Inputs:
 
     @cached_property
     def base_report(self) -> Report:
+        from .connection import validate_base_potential
+
         if self.decl.kind == "gamma_hat":
             return self.report
         return validate_base_potential(self.base)
@@ -188,6 +168,8 @@ class _Inputs:
     @cached_property
     def potential(self) -> FormValuedMap:
         """The potential on the total space: declared, or the base one lifted."""
+        from .connection import lift_base_potential
+
         if self.decl.kind == "gamma":
             return self.decl.payload
         _require("base potential", self.base_report)
@@ -195,6 +177,8 @@ class _Inputs:
 
     @cached_property
     def potential_report(self) -> Report:
+        from .connection import validate_potential
+
         if self.decl.kind == "gamma":
             return self.report
         return validate_potential(self.potential, self.ctx.bundle)
@@ -203,6 +187,8 @@ class _Inputs:
     def theta(self) -> tuple[FormValuedMap | None, str | None]:
         """The connection-form density, or None and the reason it cannot
         be built."""
+        from .connection import classical_connection, connection_from_potential
+
         kind = self.decl.kind
         if kind == "theta":
             return self.decl.payload, None
@@ -287,10 +273,14 @@ def _run_suite(ctx: _Context, suite: str) -> list[CheckResult]:
     if suite == "action":
         return validate_action(ctx.doc.bundle.action).checks
     if suite == "comodule":
+        from .bundle import check_comodule_algebra
+
         return check_comodule_algebra(ctx.doc.bundle).checks
     if suite == "freeness":
         return ctx.free.checks
     if suite == "exactness":
+        from .calculus import check_exactness
+
         return check_exactness(ctx.doc.bundle, ctx.free).checks
     if suite == "trivialization":
         return _suite_trivialization(ctx)
@@ -314,6 +304,9 @@ def _renamed(checks: list[CheckResult], suite: str, prefix_map: dict | None = No
 
 
 def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
+    from .bundle import psi_apply, psi_inverse, validate_trivialization
+    from .connection import conv_inverse, conv_unit, phi_hom, star_delta
+
     out: list[CheckResult] = []
     b = ctx.bundle
     if ctx.doc.bundle.phi is None:
@@ -380,6 +373,15 @@ def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
 
 
 def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
+    from .connection import (
+        connection_from_potential,
+        splitting_from_theta,
+        strong_connection_direct,
+        theta_from_splitting,
+        validate_connection_form,
+        validate_splitting,
+    )
+
     suite = f"connection:{decl.name}"
     out: list[CheckResult] = []
     # a connection given as theta reads no phi, so it needs no frame
@@ -451,6 +453,9 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
 
 def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
+    from .calculus import validate_form
+    from .connection import curvature, curvature_classical, curvature_from_potential, is_cocycle
+
     suite = f"curvature:{decl.name}"
     out: list[CheckResult] = []
     theta, reason = ctx.inputs_for(decl).theta
@@ -489,6 +494,17 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
 
 def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> list[CheckResult]:
+    from .connection import (
+        gauge_transform_base_potential,
+        gauge_transform_potential,
+        gauge_transform_transition,
+        potential_from_transition,
+        validate_base_potential,
+        validate_potential,
+        validate_transition,
+    )
+    from .gauge import tau_extract, validate_automorphism, xi_from_tau
+
     out: list[CheckResult] = []
     b = ctx.bundle
     tau = gdecl.gauge
@@ -614,6 +630,8 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     """Sparse curvature table of one connection, as a JSON-ready dict, but
     for its "entries": an iterator that makes each nonzero entry's
     {"index", "value"} dict as it is read, in row-major order."""
+    from .connection import curvature
+
     decl = doc.connection(connection_name)
     if decl is None:
         raise ConfigError(f"no connection named {connection_name!r} in the document")

@@ -236,7 +236,7 @@ def test_gauge_suite_refuses_theta_kind():
 def test_strong_route_agreement_compares_whole_values(monkeypatch, change):
     # a direct route whose view differs from the connection form's only in
     # its denominator, or only in one imaginary part, must not agree
-    direct = runner.strong_connection_direct
+    direct = connection.strong_connection_direct
 
     def changed(gamma, b):
         f = direct(gamma, b)
@@ -248,7 +248,7 @@ def test_strong_route_agreement_compares_whole_values(monkeypatch, change):
             values[k] = values[k] * Scalar(1, 1)
         return FormValuedMap(f.group, f.size, f.degree, values)
 
-    monkeypatch.setattr(runner, "strong_connection_direct", changed)
+    monkeypatch.setattr(connection, "strong_connection_direct", changed)
     report = run_checks(load_fixture("fix_prod.json"), ["connection:rational"])
     assert not report["connection:rational.strong_route_agreement"].passed
 
@@ -284,8 +284,8 @@ def test_rejected_splitting_reason_matches_theta_from_splitting(monkeypatch):
     def unreachable(sigma, b):
         raise AssertionError("theta_from_splitting ran on a rejected splitting")
 
-    monkeypatch.setattr(runner, "splitting_from_theta", zero_splitting)
-    monkeypatch.setattr(runner, "theta_from_splitting", unreachable)
+    monkeypatch.setattr(connection, "splitting_from_theta", zero_splitting)
+    monkeypatch.setattr(connection, "theta_from_splitting", unreachable)
     report = run_checks(load_fixture("fix_z2.json"), ["connection:cls"])
     assert report.first_failure().name == "connection:cls.splitting.section"
     roundtrip = report.checks[-1]
@@ -311,9 +311,7 @@ def test_each_connection_input_validated_once(monkeypatch, key):
         return wrapper
 
     for name in INPUT_VALIDATORS:
-        wrapped = counting(name, getattr(connection, name))
-        for module in (connection, runner):
-            monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(connection, name, counting(name, getattr(connection, name)))
     doc = load_fixture(key)
     assert run_checks(doc).passed
     counts = collections.Counter((name, id(table)) for name, table in seen)
@@ -328,13 +326,15 @@ def test_wrong_gauge_transformed_transition_fails_classical_agreement(
 ):
     # the wrong table keeps an identity diagonal, so it passes its own
     # validation and only the comparison with the potential route sees it
+    transform = connection.gauge_transform_transition
+
     def wrong_transform(tm, tau):
-        table = [list(row) for row in connection.gauge_transform_transition(tm, tau).table]
+        table = [list(row) for row in transform(tm, tau).table]
         e = tm.group.identity
         table[0][1] = tm.group.table[table[0][1]][next(a for a in range(tm.group.order) if a != e)]
         return connection.TransitionMap(tm.group, table)
 
-    monkeypatch.setattr(runner, "gauge_transform_transition", wrong_transform)
+    monkeypatch.setattr(connection, "gauge_transform_transition", wrong_transform)
     path = write_fixture(tmp_path, "fix_z2.json")
     assert main(["check", path, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

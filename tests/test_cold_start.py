@@ -4,8 +4,9 @@ Every case runs `python -m qpb.cli` in a fresh process, as a user does.
 A `sitecustomize` module on the child's path writes the names in
 `sys.modules` when the interpreter exits, so each case sees everything
 the call imported: a document that fails to parse never loads the
-checkers, a check or a dump never loads the fixtures or the Hopf
-algebra, and no path loads the stdlib machinery qpb does not use.
+checkers, a suite loads only the checkers it calls, a check or a dump
+never loads the fixtures or the Hopf algebra, and no path loads the
+stdlib machinery qpb does not use, OpenSSL's `hashlib` included.
 
 The package itself is lazy: `import qpb` loads no submodule, and each
 public name is imported from its home module on first access.
@@ -39,9 +40,8 @@ atexit.register(_dump)
 
 CHECKERS = {"qpb.runner", "qpb.connection", "qpb.calculus"}
 FIXTURE_MODULES = {"qpb.fixtures", "qpb.hopf"}
-UNUSED_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
-# only a document that parses is digested
-DIGEST = {"hashlib"}
+# the digest comes from CPython's built-in SHA-256, not OpenSSL's
+UNUSED_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib"}
 
 
 def loaded_modules(tmp_path, args: list[str]) -> tuple[int, set[str]]:
@@ -75,7 +75,7 @@ def test_truncated_document_loads_no_checker(tmp_path):
     status, modules = loaded_modules(tmp_path, ["check", str(path)])
     assert status == 2
     assert "qpb.document" in modules
-    assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB | DIGEST) == set()
+    assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB) == set()
 
 
 def test_out_of_range_gauge_loads_no_checker(tmp_path):
@@ -84,7 +84,7 @@ def test_out_of_range_gauge_loads_no_checker(tmp_path):
     status, modules = loaded_modules(tmp_path, ["check", path])
     assert status == 2
     assert {"qpb.document", "qpb.funcs", "qpb.groups", "qpb.gauge"} <= modules
-    assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB | DIGEST) == set()
+    assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB) == set()
 
 
 @pytest.mark.parametrize(
@@ -98,6 +98,22 @@ def test_verdicts_load_no_fixtures(tmp_path, args):
     assert status == 0
     assert CHECKERS <= modules
     assert modules & (FIXTURE_MODULES | UNUSED_STDLIB) == set()
+
+
+@pytest.mark.parametrize(
+    "suite, unloaded",
+    [
+        ("group", {"qpb.connection", "qpb.calculus", "qpb.linalg"}),
+        ("action", {"qpb.connection", "qpb.calculus", "qpb.linalg"}),
+        ("comodule", {"qpb.connection"}),
+    ],
+)
+def test_a_suite_loads_only_its_checkers(tmp_path, suite, unloaded):
+    path = z2_document(tmp_path)
+    status, modules = loaded_modules(tmp_path, ["check", path, "--suite", suite])
+    assert status == 0
+    assert "qpb.runner" in modules
+    assert modules & (unloaded | FIXTURE_MODULES | UNUSED_STDLIB) == set()
 
 
 def test_import_qpb_loads_no_submodule():

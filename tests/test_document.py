@@ -67,12 +67,23 @@ def test_lookup_misses_return_none():
     assert doc.gauge("nope") is None
 
 
+def digest_texts() -> list[str]:
+    """Each fixture, compact and indented, and a fixture renamed to a
+    non-ASCII name, raw and escaped."""
+    texts = []
+    for payload in fixture_documents().values():
+        texts += [json.dumps(payload), json.dumps(payload, indent=2) + "\n"]
+    renamed = {**doc_payload("fix_z2.json"), "name": "Faserbündel ℤ₂ — 主丛 🙂"}
+    return texts + [json.dumps(renamed, ensure_ascii=False), json.dumps(renamed)]
+
+
 def test_digest_tracks_exact_bytes():
-    text = json.dumps(doc_payload("fix_z2.json"))
-    doc = parse_spec(text)
-    assert doc.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert parse_spec(text).digest == doc.digest
-    assert parse_spec(text + "\n").digest != doc.digest
+    for text in digest_texts():
+        doc = parse_spec(text)
+        # hashlib's SHA-256 is the reference the built-in digest must equal
+        assert doc.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert parse_spec(text).digest == doc.digest
+        assert parse_spec(text + "\n").digest != doc.digest
 
 
 def test_action_entry_diagnostic():

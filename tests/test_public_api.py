@@ -29,8 +29,8 @@ from test_golden import _with_gamma
 
 KEEP = {
     "trivial_connection": "acceptance criteria 07 and 08: the trivial connection's invariants and curvature",
-    "gauge_compose": "acceptance criterion 10: gauge group laws (ROADMAP item 2 adds a suite check)",
-    "gauge_inverse": "acceptance criterion 10: gauge group laws (ROADMAP item 2 adds a suite check)",
+    "gauge_compose": "acceptance criterion 10: gauge group laws (ROADMAP item 5 adds a suite check)",
+    "gauge_inverse": "acceptance criterion 10: gauge group laws (ROADMAP item 5 adds a suite check)",
     "invariants_basis": "the abstract's claim that the coinvariants are C(B)",
     "inject_base": "the abstract's claim that the coinvariants are C(B)",
     "tensor_identify": "reference for the coinvariant and Hopf coproduct tests",
