@@ -16,6 +16,11 @@ from .groups import FiniteGroup, RightAction, fixed_point_witness
 from .report import CheckResult, Report
 from .scalars import ONE, Scalar, gathered
 
+# only for the annotations: the functions that call linalg import it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .linalg import SubspaceBasis
+
 __all__ = [
     "BaseSpace",
     "BundleSpec",

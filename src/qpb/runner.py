@@ -6,10 +6,11 @@ a connection-form density once and cross-checked against the closed
 form for its kind; gauge suites pair each gauge map with each
 non-theta connection.
 
-The checkers load per suite: each suite function, each connection input
-and the curvature dump import what they call, so a `--suite group` or
-`--suite action` check loads none of `connection`, `calculus` or
-`linalg`, and a comodule check no `connection`.
+`connection` and `calculus` load with the first suite that calls them:
+each such suite, each connection input and the curvature dump import
+them where they run, so a `--suite group` or `--suite action` check
+loads none of `connection`, `calculus` or `linalg`, and a comodule
+check no `connection`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,18 @@ import json
 import operator
 from functools import cached_property
 
-from .bundle import BundleSpec
+from .bundle import (
+    BundleSpec,
+    check_comodule_algebra,
+    check_freeness,
+    psi_apply,
+    psi_inverse,
+    synthesize_trivialization,
+    validate_trivialization,
+)
 from .document import ConnectionDecl, SpecDocument
 from .funcs import FormValuedMap, Func, first_difference, indices
+from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
 from .scalars import ratio_text
@@ -29,6 +39,21 @@ from .scalars import ratio_text
 __all__ = ["RunReport", "ConfigError", "run_checks", "emit_report", "curvature_payload"]
 
 BASE_SUITES = ("group", "action", "comodule", "freeness", "exactness", "trivialization")
+
+
+def __getattr__(name: str):
+    """The public functions of `connection`, read as runner attributes.
+
+    Each is looked up in `connection` when asked for, so it is the object
+    the suites call there, a wrapper installed on `connection` included.
+    Dunder lookups, such as the import system's probe for `__path__`,
+    never load `connection`."""
+    if not name.startswith("__"):
+        from . import connection
+
+        if name in connection.__all__:
+            return getattr(connection, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -77,8 +102,6 @@ class _Context:
     @cached_property
     def free(self) -> Report:
         """The freeness report, decided once per run."""
-        from .bundle import check_freeness
-
         return check_freeness(self.doc.bundle)
 
     @cached_property
@@ -86,8 +109,6 @@ class _Context:
         """The bundle with its frame, given or synthesized on first use, so a
         suite that reads no phi uses `doc.bundle` and synthesizes nothing.  A
         cap met in the freeness report propagates; synthesis gives a reason."""
-        from .bundle import synthesize_trivialization
-
         b = self.doc.bundle
         if b.phi is not None:
             return b
@@ -138,56 +159,56 @@ class _Inputs:
     @cached_property
     def report(self) -> Report:
         """The declared input's own checks."""
-        from .connection import validate_base_potential, validate_potential, validate_transition
+        from . import connection
 
         kind, payload = self.decl.kind, self.decl.payload
         if kind == "classical":
-            return validate_transition(payload)
+            return connection.validate_transition(payload)
         if kind == "gamma_hat":
-            return validate_base_potential(payload)
-        return validate_potential(payload, self.ctx.bundle)
+            return connection.validate_base_potential(payload)
+        return connection.validate_potential(payload, self.ctx.bundle)
 
     @cached_property
     def base(self) -> FormValuedMap:
         """The base potential: declared, or derived from the transition map."""
-        from .connection import potential_from_transition
+        from . import connection
 
         if self.decl.kind == "gamma_hat":
             return self.decl.payload
         _require("transition map", self.report)
-        return potential_from_transition(self.decl.payload)
+        return connection.potential_from_transition(self.decl.payload)
 
     @cached_property
     def base_report(self) -> Report:
-        from .connection import validate_base_potential
+        from . import connection
 
         if self.decl.kind == "gamma_hat":
             return self.report
-        return validate_base_potential(self.base)
+        return connection.validate_base_potential(self.base)
 
     @cached_property
     def potential(self) -> FormValuedMap:
         """The potential on the total space: declared, or the base one lifted."""
-        from .connection import lift_base_potential
+        from . import connection
 
         if self.decl.kind == "gamma":
             return self.decl.payload
         _require("base potential", self.base_report)
-        return lift_base_potential(self.base, self.ctx.bundle)
+        return connection.lift_base_potential(self.base, self.ctx.bundle)
 
     @cached_property
     def potential_report(self) -> Report:
-        from .connection import validate_potential
+        from . import connection
 
         if self.decl.kind == "gamma":
             return self.report
-        return validate_potential(self.potential, self.ctx.bundle)
+        return connection.validate_potential(self.potential, self.ctx.bundle)
 
     @cached_property
     def theta(self) -> tuple[FormValuedMap | None, str | None]:
         """The connection-form density, or None and the reason it cannot
         be built."""
-        from .connection import classical_connection, connection_from_potential
+        from . import connection
 
         kind = self.decl.kind
         if kind == "theta":
@@ -198,9 +219,9 @@ class _Inputs:
         try:
             if kind == "classical":
                 _require("transition map", self.report)
-                return classical_connection(self.decl.payload, b), None
+                return connection.classical_connection(self.decl.payload, b), None
             _require("potential", self.potential_report)
-            return connection_from_potential(self.potential, b), None
+            return connection.connection_from_potential(self.potential, b), None
         except ValueError as exc:
             return None, str(exc)
 
@@ -273,8 +294,6 @@ def _run_suite(ctx: _Context, suite: str) -> list[CheckResult]:
     if suite == "action":
         return validate_action(ctx.doc.bundle.action).checks
     if suite == "comodule":
-        from .bundle import check_comodule_algebra
-
         return check_comodule_algebra(ctx.doc.bundle).checks
     if suite == "freeness":
         return ctx.free.checks
@@ -304,8 +323,7 @@ def _renamed(checks: list[CheckResult], suite: str, prefix_map: dict | None = No
 
 
 def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
-    from .bundle import psi_apply, psi_inverse, validate_trivialization
-    from .connection import conv_inverse, conv_unit, phi_hom, star_delta
+    from . import connection
 
     out: list[CheckResult] = []
     b = ctx.bundle
@@ -362,10 +380,11 @@ def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
     out.append(CheckResult("trivialization.psi_multiplicative", mult is None, mult))
 
     try:
-        ph = phi_hom(b)
-        ph_inv = conv_inverse(ph)
-        unit = conv_unit(b.group, n)
-        ok = star_delta(ph, ph_inv) == unit and star_delta(ph_inv, ph) == unit
+        ph = connection.phi_hom(b)
+        ph_inv = connection.conv_inverse(ph)
+        unit = connection.conv_unit(b.group, n)
+        star = connection.star_delta
+        ok = star(ph, ph_inv) == unit and star(ph_inv, ph) == unit
         out.append(CheckResult("trivialization.conv_inverse", ok))
     except ValueError as exc:
         out.append(CheckResult("trivialization.conv_inverse", False, data={"reason": str(exc)}))
@@ -373,14 +392,7 @@ def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
 
 
 def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
-    from .connection import (
-        connection_from_potential,
-        splitting_from_theta,
-        strong_connection_direct,
-        theta_from_splitting,
-        validate_connection_form,
-        validate_splitting,
-    )
+    from . import connection
 
     suite = f"connection:{decl.name}"
     out: list[CheckResult] = []
@@ -420,12 +432,12 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
     if decl.kind in ("gamma", "gamma_hat"):
         check = "route_agreement" if decl.kind == "gamma" else "strong_route_agreement"
-        direct = strong_connection_direct(decl.payload, b)
+        direct = connection.strong_connection_direct(decl.payload, b)
         out.append(CheckResult(f"{suite}.{check}", direct.view == theta.view))
     elif decl.kind == "classical":
         # the lift of a base potential that passed base_report meets the
         # three potential invariants by construction
-        via_potential = connection_from_potential(ctx.inputs_for(decl).potential, b)
+        via_potential = connection.connection_from_potential(ctx.inputs_for(decl).potential, b)
         out.append(
             CheckResult(
                 f"{suite}.classical_route_agreement",
@@ -433,18 +445,18 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
             )
         )
 
-    rep = validate_connection_form(theta, b)
+    rep = connection.validate_connection_form(theta, b)
     out.extend(_renamed(rep.checks, suite, {"connection": "form"}))
     if not rep.passed:
         return out
     # theta passed validate_connection_form above, and the splitting is
     # validated here before it is read back
     try:
-        sp = splitting_from_theta(theta, b)
-        srep = validate_splitting(sp, b)
+        sp = connection.splitting_from_theta(theta, b)
+        srep = connection.validate_splitting(sp, b)
         out.extend(_renamed(srep.checks, suite))
         reason = rejection("splitting", srep)
-        ok = reason is None and theta_from_splitting(sp, b).view == theta.view
+        ok = reason is None and connection.theta_from_splitting(sp, b).view == theta.view
     except ValueError as exc:
         reason, ok = str(exc), False
     data = None if reason is None else {"reason": reason}
@@ -453,8 +465,8 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
 
 def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
+    from . import connection
     from .calculus import validate_form
-    from .connection import curvature, curvature_classical, curvature_from_potential, is_cocycle
 
     suite = f"curvature:{decl.name}"
     out: list[CheckResult] = []
@@ -463,19 +475,19 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
         return out
 
-    f = curvature(theta)
+    f = connection.curvature(theta)
     (form_check,) = validate_form(f).checks
     out.append(CheckResult(f"{suite}.form_validity", form_check.passed, form_check.witness))
 
     try:
         if decl.kind != "theta":
-            other = curvature_from_potential(ctx.inputs_for(decl).potential, ctx.bundle)
+            other = connection.curvature_from_potential(ctx.inputs_for(decl).potential, ctx.bundle)
             out.append(CheckResult(f"{suite}.route_agreement", f == other))
         if decl.kind == "classical":
             tm = decl.payload
-            agree = f == curvature_classical(tm, ctx.bundle)
+            agree = f == connection.curvature_classical(tm, ctx.bundle)
             out.append(CheckResult(f"{suite}.classical_agreement", agree))
-            cocycle, cw = is_cocycle(tm)
+            cocycle, cw = connection.is_cocycle(tm)
             flat = f.is_zero()
             out.append(
                 CheckResult(
@@ -494,16 +506,7 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
 
 def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> list[CheckResult]:
-    from .connection import (
-        gauge_transform_base_potential,
-        gauge_transform_potential,
-        gauge_transform_transition,
-        potential_from_transition,
-        validate_base_potential,
-        validate_potential,
-        validate_transition,
-    )
-    from .gauge import tau_extract, validate_automorphism, xi_from_tau
+    from . import connection
 
     out: list[CheckResult] = []
     b = ctx.bundle
@@ -531,15 +534,16 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
     transformed_tm = None
     try:
         if cdecl.kind == "gamma":
-            transformed, via = gauge_transform_potential(cdecl.payload, b, tau)
-            val = validate_potential(transformed, b)
+            transformed, via = connection.gauge_transform_potential(cdecl.payload, b, tau)
+            val = connection.validate_potential(transformed, b)
         elif cdecl.kind == "gamma_hat":
-            transformed, via = gauge_transform_base_potential(cdecl.payload, tau)
-            val = validate_base_potential(transformed)
+            transformed, via = connection.gauge_transform_base_potential(cdecl.payload, tau)
+            val = connection.validate_base_potential(transformed)
         else:
-            transformed_tm = gauge_transform_transition(cdecl.payload, tau)
-            val = validate_transition(transformed_tm)
-            transformed, via = gauge_transform_base_potential(ctx.inputs_for(cdecl).base, tau)
+            transformed_tm = connection.gauge_transform_transition(cdecl.payload, tau)
+            val = connection.validate_transition(transformed_tm)
+            base = ctx.inputs_for(cdecl).base
+            transformed, via = connection.gauge_transform_base_potential(base, tau)
     except ValueError as exc:
         out.append(CheckResult(f"{suite}.transform_routes", False, data={"reason": str(exc)}))
         return out
@@ -557,7 +561,7 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
         )
     )
     if cdecl.kind == "classical":
-        agree = potential_from_transition(transformed_tm) == transformed
+        agree = connection.potential_from_transition(transformed_tm) == transformed
         out.append(CheckResult(f"{suite}.classical_agreement", agree))
     return out
 
@@ -630,7 +634,7 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     """Sparse curvature table of one connection, as a JSON-ready dict, but
     for its "entries": an iterator that makes each nonzero entry's
     {"index", "value"} dict as it is read, in row-major order."""
-    from .connection import curvature
+    from . import connection
 
     decl = doc.connection(connection_name)
     if decl is None:
@@ -639,7 +643,7 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
         raise _Unbuilt(reason)
-    f = curvature(theta)
+    f = connection.curvature(theta)
     return {
         "format_version": 1,
         "tool": "qpb",
