@@ -123,7 +123,7 @@ _ENTRY = (
 )
 
 # entries formatted and written at a time
-_CHUNK = 512
+_CHUNK = 128
 
 
 def _write_curvature(payload: dict, out) -> None:
@@ -135,8 +135,8 @@ def _write_curvature(payload: dict, out) -> None:
     head = json.dumps({**payload, "entries": []}, indent=2)
     before, _, after = head.rpartition('"entries": []')
     lead, tail = before + '"entries": [\n', head
-    while chunk := list(itertools.islice(entries, _CHUNK)):
-        out.write(lead + ",\n".join(_ENTRY % (*e["index"], e["value"]) for e in chunk))
+    while chunk := [_ENTRY % (*e["index"], e["value"]) for e in itertools.islice(entries, _CHUNK)]:
+        out.write(lead + ",\n".join(chunk))
         lead, tail = ",\n", "\n  ]" + after
     out.write(tail + "\n")
 

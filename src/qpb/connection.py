@@ -8,10 +8,14 @@ connection is a right-splitting of the canonical map on universal
 one-forms; equivalently a degree-1 map whose density satisfies four
 pointwise invariants.  Potentials describe a connection relative to the
 trivial one; transition maps give the classical case.  Curvature is
-computed along independent routes that must agree exactly.
-FormValuedMap lives in `funcs` with the other table types and
-TransitionMap in `groups`, so a parsed document holds both without
-loading this module.
+computed along independent routes that must agree exactly: dθ + θ⋆θ on
+the total space, from `curvature_rows`, which yields the table a point
+pair's rows at a time; and the potential's own curvature, on the base
+for a base potential, read once in the bundle frame at
+φ(p)·c·φ(r)⁻¹.  FormValuedMap lives in `funcs` with the other table
+types and TransitionMap in `groups`, so a parsed document holds both
+without loading this module; the int-view kernels of d, ⋆ and the
+curvature rows live in `calculus`.
 
 Builders build and validators report.  A builder (`theta_from_splitting`,
 `splitting_from_theta`, `lift_base_potential`, `potential_from_transition`,
@@ -28,7 +32,13 @@ import operator
 from collections.abc import Iterable
 
 from .bundle import BundleSpec
-from .calculus import _differential_view, _nonzero_rows, differential, offdiag_pairs
+from .calculus import (
+    _curvature_blocks,
+    _differential_view,
+    _star_view,
+    differential,
+    offdiag_pairs,
+)
 from .funcs import FormValuedMap, first_difference, guard_table_size
 from .groups import FiniteGroup, TransitionMap
 from .gauge import GaugeMap
@@ -55,6 +65,7 @@ __all__ = [
     "phi_hom",
     "conv_inverse",
     "curvature",
+    "curvature_rows",
     "curvature_from_potential",
     "curvature_classical",
     "gauge_transform_base_potential",
@@ -212,48 +223,6 @@ def _same_space(*maps: FormValuedMap) -> None:
 def _map_of(like: FormValuedMap, degree: int, view) -> FormValuedMap:
     """The map of a degree over `like`'s group and points holding a view."""
     return FormValuedMap(like.group, like.size, degree, view=view)
-
-
-def _star_view(group: FiniteGroup, size: int, a, na: int, c, nc: int):
-    """`star_delta` on the int views of a degree-na and a degree-nc
-    density: a complex product is four int products, and a product with
-    a side that has no imaginary part is not formed at all."""
-    entries = size ** (na + nc + 1) * group.order
-    guard_table_size(entries)
-    da, ra, ia = a
-    dc, rc, ic = c
-    re = _convolve(entries, ((ra, rc, 1), (ia, ic, -1)), group, size, nc)
-    im = _convolve(entries, ((ra, ic, 1), (ia, rc, 1)), group, size, nc)
-    return da * dc, re, im
-
-
-def _convolve(entries: int, terms, group: FiniteGroup, size: int, ny: int):
-    """The sum of sign·(x⋆y) over the (x, y, sign) terms whose two flat int
-    densities both exist, or None when no term has both."""
-    m = group.order
-    mul = group.table
-    y_tail = size**ny
-    out = None
-    for x, y, sign in terms:
-        if x is None or y is None:
-            continue
-        if out is None:
-            out = [0] * entries
-        y_rows = [None] * (size ** (ny + 1))
-        for r, row in _nonzero_rows(y, m):
-            y_rows[r] = row
-        for ta, x_row in _nonzero_rows(x, m):
-            x_row = [(mul[aa], sign * va) for aa, va in x_row]
-            first = ta % size * y_tail
-            for tc in range(first, first + y_tail):
-                y_row = y_rows[tc]
-                if y_row is None:
-                    continue
-                obase = (ta * y_tail + tc - first) * m
-                for row, va in x_row:
-                    for cc, vc in y_row:
-                        out[obase + row[cc]] += va * vc
-    return out
 
 
 def conv_unit(group: FiniteGroup, size: int) -> FormValuedMap:
@@ -571,12 +540,7 @@ def strong_connection_direct(gamma: FormValuedMap, b: BundleSpec) -> FormValuedM
     potential on the base is read through the orbit projection, one on
     the total space directly; the runner checks that the routes agree.
     """
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    if gamma.group != b.group or gamma.size not in (b.base.size, b.total_size):
-        raise ValueError("potential does not match the bundle")
-    read = b.base.projection if gamma.size == b.base.size else range(b.total_size)
-    return _conjugate_closed_form(gamma, b.phi, read)
+    return _conjugate_closed_form(gamma, b.phi, _points_read(gamma, b))
 
 
 # ---------------------------------------------------------------------------
@@ -584,27 +548,86 @@ def strong_connection_direct(gamma: FormValuedMap, b: BundleSpec) -> FormValuedM
 
 
 def curvature(theta: FormValuedMap) -> FormValuedMap:
-    """Differential of the connection plus its convolution square."""
-    return _map_of(theta, 2, _curvature_view(theta))
+    """Differential of the connection plus its convolution square, filled
+    from `curvature_rows` into one list per part and reduced in place."""
+    d2, blocks = curvature_rows(theta)
+    re, im = [], None if theta.view[2] is None else []
+    for block_re, block_im in blocks:
+        re += block_re
+        if im is not None:
+            im += block_im
+    return _map_of(theta, 2, canonical(d2, re, im, in_place=True))
 
 
-def _curvature_view(theta: FormValuedMap):
-    """`curvature` as a view: d(theta)·d + theta⋆theta over the denominator d²."""
+def curvature_rows(theta: FormValuedMap):
+    """dθ·d + θ⋆θ over d², the denominator of θ's view squared, a point
+    pair at a time: returns d² and an iterator that gives, for each
+    (p, q) in row-major order, the rows (p, q, r) for r = 0..n−1 end to
+    end, as the pair (re, im) of int lists, im None when θ is real.
+
+    The table guards run at the call, before any row is made.  No table
+    of the curvature's size is held: a pair's rows read θ from p, θ
+    from q and θ at (p, q).
+    """
     g, n = theta.group, theta.size
-    view = theta.view
-    return add_views(
-        _differential_view(view, n, 1, g.order), _star_view(g, n, view, 1, view, 1)
-    )
+    guard_table_size(n**3)
+    guard_table_size(n**3 * g.order)
+    return theta.view[0] ** 2, _curvature_blocks(g, n, theta.view)
 
 
 def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
-    """Conjugate the potential's differential and square into the bundle frame."""
-    phi_fv, phi_inv_fv = _phi_form_valued(b)
-    f = _curvature_view(gamma)
-    _same_space(phi_inv_fv, gamma, phi_fv)
-    g, n = gamma.group, gamma.size
-    f = _star_view(g, n, phi_inv_fv.view, 0, f, 2)
-    return _map_of(gamma, 2, _star_view(g, n, f, 2, phi_fv.view, 0))
+    """The potential's curvature on its own points, read in the bundle frame.
+
+    F(p, q, r, c) = F_γ(read p, read q, read r, φ(p)·c·φ(r)⁻¹), where
+    F_γ = dγ + γ⋆γ and `read` is the orbit projection for a base
+    potential and the identity for one on the total space.  Pullback
+    along the projection commutes with d and ⋆, and the frame's delta
+    maps only relabel the group argument, so this is φ⁻¹⋆F(γ)⋆φ of the
+    potential pulled back to the total space.
+    """
+    read = _points_read(gamma, b)
+    f = curvature(gamma)
+    n, size = b.total_size, gamma.size
+    w = size * b.group.order
+    frame = _frame_gathers(b.group, b.phi, read)
+
+    def gather(part: list[int]) -> list[int]:
+        # F's rows (x, y, ·) are the w entries from (x·size + y)·w on
+        pairs = ((p, read[p] * size + read[q]) for p in range(n) for q in range(n))
+        blocks = (frame[p](part[t * w : (t + 1) * w]) for p, t in pairs)
+        return list(itertools.chain.from_iterable(blocks))
+
+    return FormValuedMap(b.group, n, 2, view=gathered(f.view, gather))
+
+
+def _getter(positions: list[int]):
+    """A callable that reads the entries at `positions` as a tuple."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda part: tuple(part[k] for k in positions)
+
+
+def _points_read(gamma: FormValuedMap, b: BundleSpec):
+    """Where a potential on the base or on the total space reads each
+    point of a framed bundle: through the orbit projection, or directly."""
+    if b.phi is None:
+        raise ValueError("bundle has no trivialization")
+    if gamma.group != b.group or gamma.size not in (b.base.size, b.total_size):
+        raise ValueError("potential does not match the bundle")
+    return b.base.projection if gamma.size == b.base.size else range(b.total_size)
+
+
+def _frame_gathers(g: FiniteGroup, phi: list[int], read):
+    """For each point p, the getter that reads the rows (p, q, r) of
+    φ⁻¹⋆F⋆φ, r = 0..n−1 end to end, from F's rows (read p, read q, ·):
+    entry (r, c) is F(read p, read q, read r, φ(p)·c·φ(r)⁻¹)."""
+    mul, m = g.table, g.order
+    right = [g.inv(a) for a in phi]
+    points = range(len(phi))
+    return [
+        _getter([read[r] * m + mul[mul[phi[p]][c]][right[r]] for r in points for c in range(m)])
+        for p in points
+    ]
 
 
 def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:

@@ -30,7 +30,7 @@ from .bundle import (
     validate_trivialization,
 )
 from .document import ConnectionDecl, SpecDocument
-from .funcs import FormValuedMap, Func, first_difference, indices
+from .funcs import FormValuedMap, Func, first_difference
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
@@ -481,7 +481,9 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
     try:
         if decl.kind != "theta":
-            other = connection.curvature_from_potential(ctx.inputs_for(decl).potential, ctx.bundle)
+            # the potential on its own points: the base one, or gamma's
+            gamma = decl.payload if decl.kind == "gamma" else ctx.inputs_for(decl).base
+            other = connection.curvature_from_potential(gamma, ctx.bundle)
             out.append(CheckResult(f"{suite}.route_agreement", f == other))
         if decl.kind == "classical":
             tm = decl.payload
@@ -633,7 +635,9 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
 def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str = "0") -> dict:
     """Sparse curvature table of one connection, as a JSON-ready dict, but
     for its "entries": an iterator that makes each nonzero entry's
-    {"index", "value"} dict as it is read, in row-major order."""
+    {"index", "value"} dict as it is read, in row-major order, from
+    `connection.curvature_rows`, so no table of the curvature's size is
+    held."""
     from . import connection
 
     decl = doc.connection(connection_name)
@@ -643,7 +647,7 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
         raise _Unbuilt(reason)
-    f = connection.curvature(theta)
+    d2, blocks = connection.curvature_rows(theta)
     return {
         "format_version": 1,
         "tool": "qpb",
@@ -653,21 +657,23 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
         "connection": decl.name,
         "kind": decl.kind,
         "degree": 2,
-        "total_size": f.size,
-        "group_order": f.group.order,
-        "entries": _nonzero_entries(f),
+        "total_size": theta.size,
+        "group_order": theta.group.order,
+        "entries": _nonzero_entries(d2, blocks, theta.size, theta.group.order),
     }
 
 
-def _nonzero_entries(f: FormValuedMap):
-    """The entry dict of each nonzero entry, read from the view; each
-    distinct value is printed once."""
-    d, re, im = f.view
+def _nonzero_entries(d: int, blocks, n: int, m: int):
+    """The entry dict of each nonzero entry of the (p, q) blocks of rows
+    over the denominator d; each distinct value is printed once, in
+    lowest terms."""
     texts: dict = {}
-    nonzero = re if im is None else map(operator.or_, re, im)
-    cells = zip(indices(f.shape), re, itertools.repeat(0) if im is None else im)
-    for idx, a, b in itertools.compress(cells, nonzero):
-        text = texts.get((a, b))
-        if text is None:
-            text = texts[(a, b)] = ratio_text(a, b, d)
-        yield {"index": list(idx), "value": text}
+    for t, (re, im) in enumerate(blocks):
+        p, q = divmod(t, n)
+        nonzero = re if im is None else map(operator.or_, re, im)
+        for k in itertools.compress(range(len(re)), nonzero):
+            key = re[k], 0 if im is None else im[k]
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = ratio_text(*key, d)
+            yield {"index": [p, q, *divmod(k, m)], "value": text}

@@ -272,10 +272,12 @@ def _gcd_with(g: int, values: list[int]) -> int:
     return g
 
 
-def canonical(d: int, re: list[int], im: list[int] | None):
+def canonical(d: int, re: list[int], im: list[int] | None, in_place: bool = False):
     """A view in lowest terms: gcd(d, re, im) == 1 and im None when every
     imaginary part is zero, so two views of equal tables are equal.  The
-    lists of a view already in lowest terms are kept without a copy."""
+    lists of a view already in lowest terms are kept without a copy;
+    `in_place` divides the given lists a chunk at a time instead of
+    copying them, for a caller that owns them."""
     if im is not None and not any(im):
         im = None
     g = _gcd_with(d, re)
@@ -283,7 +285,13 @@ def canonical(d: int, re: list[int], im: list[int] | None):
         g = _gcd_with(g, im)
     if g == 1:
         return d, re, im
-    return d // g, [a // g for a in re], None if im is None else [b // g for b in im]
+    if not in_place:
+        return d // g, [a // g for a in re], None if im is None else [b // g for b in im]
+    for part in (re,) if im is None else (re, im):
+        for start in range(0, len(part), _GCD_CHUNK):
+            chunk = part[start : start + _GCD_CHUNK]
+            part[start : start + _GCD_CHUNK] = map(operator.floordiv, chunk, itertools.repeat(g))
+    return d // g, re, im
 
 
 def gathered(view, gather):

@@ -774,6 +774,28 @@ def test_cli_curvature_exit_codes_match_check(tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("name", ["cls", "rational"])
+def test_curvature_caps_bind_at_the_rows_guards(name, tmp_path, capsys):
+    # fix_prod: n = 6 points and m = 3, so the curvature's point triples
+    # number n³ = 216 and its entries n³·m = 648; the dump and the suite
+    # meet the same guards, in that order, with the same messages
+    prod = write_fixture(tmp_path, "fix_prod.json")
+    dump = ["curvature", prod, "--connection", name]
+    suite = ["check", prod, "--suite", f"curvature:{name}"]
+    expected = {
+        215: (2, "qpb: table of 216 entries exceeds the cap of 215\n"),
+        216: (2, "qpb: table of 648 entries exceeds the cap of 216\n"),
+        647: (2, "qpb: table of 648 entries exceeds the cap of 647\n"),
+        648: (0, ""),
+    }
+    for cap, (status, err) in expected.items():
+        for cmd in (dump, suite):
+            assert main(cmd + ["--max-entries", str(cap)]) == status
+            out = capsys.readouterr()
+            assert out.err == err
+            assert (out.out == "") == (status == 2)
+
+
 def test_cli_max_entries_cap(tmp_path, capsys):
     path = write_fixture(tmp_path, "fix_z2.json")
     assert main(["check", path, "--max-entries", "10"]) == 2

@@ -1,5 +1,6 @@
 """Connection forms, potentials, splittings, curvature, gauge action."""
 
+import json
 from fractions import Fraction
 from random import Random
 
@@ -13,6 +14,7 @@ from conftest import (
     random_base_potential,
     random_scalar,
 )
+from qpb import connection
 from qpb.bundle import make_product
 from qpb.calculus import differential, restricted_canonical_matrix
 from qpb.connection import (
@@ -39,12 +41,14 @@ from qpb.connection import (
     validate_splitting,
     validate_transition,
 )
+from qpb.document import parse_spec
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
 from qpb.groups import TransitionMap, cyclic, symmetric
-from qpb.runner import rejection
+from qpb.runner import rejection, run_checks
 from qpb.scalars import ONE, ZERO, Scalar
+from test_golden import S3X2
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
 
@@ -702,6 +706,63 @@ def test_curvature_classical_routes_exhaustive():
             assert closed == curvature(classical_connection(tm, b))
             gamma = lift_base_potential(potential_from_transition(tm), b)
             assert closed == curvature_from_potential(gamma, b)
+
+
+def _frame(word):
+    """`connection._frame_gathers` with the group element read at (p, r, c)
+    given by word(group, φ(p), c, φ(r))."""
+
+    def gathers(g, phi, read):
+        points, elements = range(len(phi)), range(g.order)
+        return [
+            connection._getter(
+                [read[r] * g.order + word(g, phi[p], c, phi[r]) for r in points for c in elements]
+            )
+            for p in points
+        ]
+
+    return gathers
+
+
+# code mutants of the frame read in curvature_from_potential, the closed
+# form route 2 uses on the base: each must fail route_agreement
+FRAME_MUTANTS = {
+    "phi_p_and_phi_r_swapped": (
+        "_frame_gathers",
+        _frame(lambda g, left, c, right: g.table[g.table[right][c]][g.inv(left)]),
+    ),
+    "inverse_dropped": (
+        "_frame_gathers",
+        _frame(lambda g, left, c, right: g.table[g.table[left][c]][right]),
+    ),
+    "points_read_without_projection": (
+        "_points_read",
+        lambda gamma, b: [p % gamma.size for p in range(b.total_size)],
+    ),
+}
+
+
+def _route_agreement(doc, name):
+    report = run_checks(doc, [f"curvature:{name}"])
+    (check,) = [c for c in report.checks if c.name.endswith(".route_agreement")]
+    return check.passed
+
+
+@pytest.mark.parametrize("mutant", sorted(FRAME_MUTANTS))
+def test_route_agreement_kills_frame_mutants(mutant, monkeypatch):
+    # fix_s3 has one base point, so every potential on it vanishes and so
+    # does its curvature, whatever the frame read; the S3 product on two
+    # base points is non-abelian and curved, for both connections
+    doc = parse_spec(json.dumps(S3X2))
+    honest = _frame(lambda g, left, c, right: g.table[g.table[left][c]][g.inv(right)])
+    for name in ("cls", "rat"):
+        assert _route_agreement(doc, name)
+        with monkeypatch.context() as patched:
+            patched.setattr(connection, "_frame_gathers", honest)
+            assert _route_agreement(doc, name)
+        with monkeypatch.context() as patched:
+            patched.setattr(connection, *FRAME_MUTANTS[mutant])
+            assert not _route_agreement(doc, name)
 
 
 def test_flat_iff_cocycle_census():

@@ -12,10 +12,13 @@ entry.  Each case runs under a profile hook that records every Python
 frame the work enters.
 """
 
+import contextlib
 import copy
 import fractions
 import json
+import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -25,10 +28,14 @@ from qpb.connection import (
     curvature,
     curvature_from_potential,
     lift_base_potential,
+    potential_from_transition,
+    star_delta,
 )
 from qpb.cli import main
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
+from qpb.funcs import FormValuedMap
+from qpb.groups import symmetric
 from qpb.runner import run_checks
 from qpb.scalars import Scalar
 from test_golden import S3X2, _gaussian
@@ -163,3 +170,80 @@ def test_a_curvature_dump_makes_no_scalar_per_entry(tmp_path, monkeypatch, capsy
     distinct = {e["value"] for e in entries}
     assert len(entries) == 2592 and len(distinct) < 100
     assert len(made) <= len(distinct) + literals
+
+
+def _s3x3() -> dict:
+    # the S3 product on three base points: n = 18 points, m = 6
+    doc = copy.deepcopy(S3X2)
+    doc["name"] = "s3x3"
+    doc["product_bundle"]["base_size"] = 3
+    doc["connections"][0]["transition"] = [[0, 3, 1], [2, 0, 4], [5, 2, 0]]
+    cell = ["0", "1/2", "-1/3", "0", "-1/6", "0"]
+    doc["connections"][1]["density"] = [
+        [["0"] * 6 if x == y else cell for y in range(3)] for x in range(3)
+    ]
+    doc["gauges"][0]["tau_hat"] = [1, 4, 2]
+    return doc
+
+
+@pytest.mark.parametrize("name", ["cls", "rat"])
+def test_a_curvature_dump_holds_no_table_of_the_curvatures_size(tmp_path, name):
+    # the dump prints from the rows of one point pair at a time; a single
+    # list of the curvature's n³·m entries would take n³·m·8 bytes of
+    # pointers alone
+    path = tmp_path / "s3x3.json"
+    path.write_text(json.dumps(_s3x3()))
+    n, m = 18, 6
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["curvature", str(path), "--connection", name]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["curvature", str(path), "--connection", name]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < n**3 * m * 8
+
+
+def convolution_sizes(work) -> list[int]:
+    """The output size of every `_convolve` call that `work()` makes."""
+    sizes = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "_convolve":
+            sizes.append(frame.f_locals["entries"])
+
+    sys.setprofile(hook)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["cls", "rat"])
+def test_route_two_on_a_base_potential_convolves_nothing_of_total_space_size(name):
+    doc = parse_spec(json.dumps(_s3x3()))
+    b = doc.bundle
+    decl = doc.connection(name)
+    base = decl.payload if decl.kind == "gamma_hat" else potential_from_transition(decl.payload)
+    curvature_size = b.total_size**3 * b.group.order
+    routes = []
+    sizes = convolution_sizes(lambda: routes.append(curvature_from_potential(base, b)))
+    assert [s for s in sizes if s >= curvature_size] == []
+    # nor does the whole suite: route 1 is made from rows, and building
+    # the connection convolves degree-1 maps only
+    reports = []
+    sizes = convolution_sizes(lambda: reports.append(run_checks(doc, [f"curvature:{name}"])))
+    assert [s for s in sizes if s >= curvature_size] == []
+    assert reports[0].passed
+    # the same table as the potential lifted to the total space, and as route 1
+    assert routes[0] == curvature_from_potential(lift_base_potential(base, b), b)
+    assert routes[0] == curvature(connection_from_potential(lift_base_potential(base, b), b))
+    assert not routes[0].is_zero()
+
+
+def test_the_convolution_hook_sees_a_star_product():
+    g = FormValuedMap.from_point_table(symmetric(3), [1, 2])
+    # one call per part of the product, real and imaginary
+    assert convolution_sizes(lambda: star_delta(g, g)) == [2 * 6, 2 * 6]

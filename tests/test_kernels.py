@@ -1,8 +1,8 @@
 """The int-view table kernels against the Scalar loops they replaced.
 
 `differential` (on a form or on every group slice of a map at once),
-`star_delta` and the composites built on them (`curvature`,
-`curvature_from_potential`, the frame change in
+`star_delta`, the curvature rows and the composites built on them
+(`curvature`, `curvature_from_potential`, the frame change in
 `connection_from_potential`) read their input once as a
 common-denominator int view, loop on ints over nonzero rows only, and
 write their result back once.  The references below are the earlier
@@ -26,12 +26,13 @@ from qpb.connection import (
     connection_from_potential,
     curvature,
     curvature_from_potential,
+    curvature_rows,
     lift_base_potential,
     star_delta,
 )
 from qpb.fixtures import fix_prod, fix_s3
 from qpb.funcs import MAX_TABLE_ENTRIES, FormValuedMap, set_max_table_entries
-from qpb.groups import cyclic, symmetric
+from qpb.groups import FiniteGroup, cyclic, symmetric
 from qpb.scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
 GROUPS = {"Z2": cyclic(2), "Z3": cyclic(3), "S3": symmetric(3)}
@@ -322,17 +323,33 @@ def test_curvature_matches_scalar_reference(gname):
         assert_same_entries(f, reference_curvature(theta))
 
 
+def rows_concatenated(theta: FormValuedMap) -> FormValuedMap:
+    """The map whose entries are `curvature_rows`' rows end to end."""
+    d2, blocks = curvature_rows(theta)
+    w = theta.size * theta.group.order
+    re, im = [], []
+    for block_re, block_im in blocks:
+        assert len(block_re) == w and (block_im is None) == (theta.view[2] is None)
+        re += block_re
+        im += [0] * w if block_im is None else block_im
+    assert len(re) == theta.size**2 * w
+    return FormValuedMap(theta.group, theta.size, 2, view=(d2, re, im))
+
+
 @pytest.mark.parametrize("bundle", [fix_prod, fix_s3], ids=["fix_prod", "fix_s3"])
 def test_curvature_routes_match_scalar_reference_chains(bundle):
     b = bundle()
     phi, phi_inv = phi_maps(b)
     rng = Random(f"chains-{b.name}")
     for _ in range(3):
-        gamma = lift_base_potential(random_base_potential(b.group, b.base.size, rng), b)
+        base = random_base_potential(b.group, b.base.size, rng)
+        gamma = lift_base_potential(base, b)
         expected = reference_star_delta(
             reference_star_delta(phi_inv, reference_curvature(gamma)), phi
         )
-        assert_same_entries(curvature_from_potential(gamma, b), expected)
+        # route 2 on the base potential's points, and on the total space's
+        for potential in (base, gamma):
+            assert_same_entries(curvature_from_potential(potential, b), expected)
         theta = connection_from_potential(gamma, b)
         frame_change = reference_d_slicewise(phi)
         expected_theta = reference_star_delta(phi_inv, frame_change) + reference_star_delta(
@@ -340,6 +357,26 @@ def test_curvature_routes_match_scalar_reference_chains(bundle):
         )
         assert_same_entries(theta, expected_theta)
         assert_same_entries(curvature(theta), reference_curvature(theta))
+        assert_same_entries(rows_concatenated(theta), curvature(theta))
+    # a Gaussian theta over mixed denominators, on the same group
+    gaussian = random_map(b.group, 1, rng)
+    assert gaussian.view[2] is not None
+    assert_same_entries(rows_concatenated(gaussian), reference_curvature(gaussian))
+    assert_same_entries(rows_concatenated(gaussian), curvature(gaussian))
+
+
+# tables without two-sided inverses: left multiplication by 0 is not a
+# permutation, so several products land on one group element
+MONOIDS = {"and": FiniteGroup([[0, 0], [0, 1]]), "null": FiniteGroup([[0, 0], [0, 0]])}
+
+
+@pytest.mark.parametrize("name", sorted(MONOIDS))
+def test_curvature_rows_on_tables_without_inverses(name):
+    rng = Random(f"monoid-{name}")
+    for _ in range(3):
+        theta = random_map(MONOIDS[name], 1, rng)
+        assert_same_entries(curvature(theta), reference_curvature(theta))
+        assert_same_entries(rows_concatenated(theta), reference_curvature(theta))
 
 
 _ints = st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30))
