@@ -591,12 +591,12 @@ def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedM
     w = size * b.group.order
     frame = _frame_gathers(b.group, b.phi, read)
 
-    def gather(part: list[int]) -> list[int]:
+    def gather(part: list[int]):
         # F's rows (x, y, ·) are the w entries from (x·size + y)·w on
         pairs = ((p, read[p] * size + read[q]) for p in range(n) for q in range(n))
-        blocks = (frame[p](part[t * w : (t + 1) * w]) for p, t in pairs)
-        return list(itertools.chain.from_iterable(blocks))
+        return itertools.chain.from_iterable(frame[p](part[t * w : (t + 1) * w]) for p, t in pairs)
 
+    # the table reads the gathered parts only after its size guard
     return FormValuedMap(b.group, n, 2, view=gathered(f.view, gather))
 
 

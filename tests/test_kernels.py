@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_base_potential, random_scalar
+from qpb.bundle import make_product
 from qpb.calculus import differential
 from qpb.connection import (
     connection_from_potential,
@@ -409,12 +410,17 @@ def test_cap_fires_before_a_kernel_allocates_its_output():
     g = GROUPS["Z2"]
     n = 80
     theta = FormValuedMap(g, n, 1, [ZERO] * (n * n * 2))
+    # the potential route computes on the 40 base points, 40³·2 entries,
+    # and gathers the total-space table only once the guard has passed
+    b = make_product(40, g)
+    base = FormValuedMap(g, 40, 1, [ZERO] * (40 * 40 * 2))
     token = set_max_table_entries(600_000)
     try:
         for work in (
             lambda: curvature(theta),
             lambda: star_delta(theta, theta),
             lambda: differential(theta),
+            lambda: curvature_from_potential(base, b),
         ):
             tracemalloc.start()
             try:
