@@ -12,14 +12,16 @@ exactness compares that span with the kernel of the canonical map.
 Forms are stored as int views (`scalars`), so `differential` sums ints
 over the nonzero rows of its input's view and hands its view to the new
 table; nothing is converted on the way.  The int-view kernels that
-`connection` builds on live here too: `_differential_view`, which it
-chains inside the frame change; `_star_view`, behind `star_delta`; and
-`_curvature_blocks`, the rows of dθ·d + θ⋆θ a point pair at a time,
-behind `curvature_rows`.  `validate_form` tests the entries at the
-adjacent repeats on ints.  Only the matrices handed to
-`linalg` hold Scalars, as sparse rows: the canonical map's row at
-(p, a) is one unit entry, or empty where p.a = p, and an indicator
-basis vector is one unit entry.
+`connection` and `potentials` build on live here too:
+`_differential_view`, which `potentials` chains inside the frame
+change; `_star_view`, behind `star_delta`; and `_curvature_blocks`, the
+rows of dθ·d + θ⋆θ a point pair at a time, behind `curvature_rows`.
+`validate_form` tests the entries at the adjacent repeats on ints.
+Only the matrices handed to `linalg` hold Scalars, as sparse rows: the
+canonical map's row at (p, a) is one unit entry, or empty where
+p.a = p, and an indicator basis vector is one unit entry.  The two
+functions that reach `linalg` import it themselves, so a curvature
+dump, which needs only the kernels, does not load it for them.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ import operator
 from .bundle import BundleSpec
 from .funcs import FormValuedMap, guard_table_size, unravel
 from .groups import FiniteGroup
-from .linalg import SubspaceBasis, rank_and_kernel
 from .report import CheckResult, Report
 from .scalars import ONE, Scalar
+
+# only for the annotations: the functions that call linalg import it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .linalg import SubspaceBasis
 
 __all__ = [
     "validate_form",
@@ -253,6 +259,8 @@ def horizontal_basis(b: BundleSpec) -> SubspaceBasis:
     pairs.  Distinct indicator rows in ascending pivot order are already
     reduced, so they are the canonical basis as they stand.
     """
+    from .linalg import SubspaceBasis
+
     n = b.total_size
     proj = b.base.projection
     pivots = [p * n + q for p in range(n) for q in range(n) if proj[p] != proj[q]]
@@ -276,6 +284,8 @@ def check_exactness(b: BundleSpec, free: Report) -> Report:
             CheckResult("exactness.freeness_required", False, w.witness, data={"reason": reason})
         )
         return report
+
+    from .linalg import SubspaceBasis, rank_and_kernel
 
     n, m = b.total_size, b.group.order
     matrix, pairs = restricted_canonical_matrix(b)

@@ -1,10 +1,13 @@
 """Command line front end: check documents, write fixtures, dump curvature.
 
 Each command imports only what it reaches: the runner loads once the
-document parses, each suite's checkers when that suite runs, and the
-fixtures only for `qpb fixtures`, so a malformed document is rejected
-without compiling any of them.  No path loads OpenSSL: the document
-digest comes from CPython's built-in SHA-256.
+document parses; the suite bodies of `suites` and each suite's checkers
+when that suite runs; `potentials` when a connection form is built from
+a potential or a transition map; and the fixtures only for
+`qpb fixtures`.  So a malformed or unreadable document is rejected
+without compiling any of them, and a curvature dump never compiles
+`suites`, nor `linalg` on a framed bundle.  No path loads OpenSSL: the
+document digest comes from CPython's built-in SHA-256.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ def _load_document(path: str):
             text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"cannot read {path}: {exc}") from exc
     return parse_spec(text)
 
 

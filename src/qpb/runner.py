@@ -6,11 +6,15 @@ a connection-form density once and cross-checked against the closed
 form for its kind; gauge suites pair each gauge map with each
 non-theta connection.
 
-`connection` and `calculus` load with the first suite that calls them:
-each such suite, each connection input and the curvature dump import
-them where they run, so a `--suite group` or `--suite action` check
-loads none of `connection`, `calculus` or `linalg`, and a comodule
-check no `connection`.
+This module holds the run: the suite order and dispatch, each
+connection's inputs, the report and its emission, and the curvature
+dump.  The bodies of the trivialization, connection, curvature and
+gauge suites live in `suites`.  Each checker module loads with the
+first suite or input that calls it, where it runs: a `--suite group` or
+`--suite action` check loads none of `suites`, `connection`,
+`potentials`, `calculus` or `linalg`, a comodule check no `connection`,
+and a curvature dump no `suites`, nor `linalg` unless it synthesizes
+a frame.
 """
 
 from __future__ import annotations
@@ -20,18 +24,9 @@ import json
 import operator
 from functools import cached_property
 
-from .bundle import (
-    BundleSpec,
-    check_comodule_algebra,
-    check_freeness,
-    psi_apply,
-    psi_inverse,
-    synthesize_trivialization,
-    validate_trivialization,
-)
+from .bundle import BundleSpec, check_comodule_algebra, check_freeness, synthesize_trivialization
 from .document import ConnectionDecl, SpecDocument
-from .funcs import FormValuedMap, Func, first_difference
-from .gauge import tau_extract, validate_automorphism, xi_from_tau
+from .funcs import FormValuedMap
 from .groups import validate_action, validate_group
 from .report import CheckResult, Report
 from .scalars import ratio_text
@@ -159,56 +154,56 @@ class _Inputs:
     @cached_property
     def report(self) -> Report:
         """The declared input's own checks."""
-        from . import connection
+        from . import potentials
 
         kind, payload = self.decl.kind, self.decl.payload
         if kind == "classical":
-            return connection.validate_transition(payload)
+            return potentials.validate_transition(payload)
         if kind == "gamma_hat":
-            return connection.validate_base_potential(payload)
-        return connection.validate_potential(payload, self.ctx.bundle)
+            return potentials.validate_base_potential(payload)
+        return potentials.validate_potential(payload, self.ctx.bundle)
 
     @cached_property
     def base(self) -> FormValuedMap:
         """The base potential: declared, or derived from the transition map."""
-        from . import connection
+        from . import potentials
 
         if self.decl.kind == "gamma_hat":
             return self.decl.payload
         _require("transition map", self.report)
-        return connection.potential_from_transition(self.decl.payload)
+        return potentials.potential_from_transition(self.decl.payload)
 
     @cached_property
     def base_report(self) -> Report:
-        from . import connection
+        from . import potentials
 
         if self.decl.kind == "gamma_hat":
             return self.report
-        return connection.validate_base_potential(self.base)
+        return potentials.validate_base_potential(self.base)
 
     @cached_property
     def potential(self) -> FormValuedMap:
         """The potential on the total space: declared, or the base one lifted."""
-        from . import connection
+        from . import potentials
 
         if self.decl.kind == "gamma":
             return self.decl.payload
         _require("base potential", self.base_report)
-        return connection.lift_base_potential(self.base, self.ctx.bundle)
+        return potentials.lift_base_potential(self.base, self.ctx.bundle)
 
     @cached_property
     def potential_report(self) -> Report:
-        from . import connection
+        from . import potentials
 
         if self.decl.kind == "gamma":
             return self.report
-        return connection.validate_potential(self.potential, self.ctx.bundle)
+        return potentials.validate_potential(self.potential, self.ctx.bundle)
 
     @cached_property
     def theta(self) -> tuple[FormValuedMap | None, str | None]:
         """The connection-form density, or None and the reason it cannot
         be built."""
-        from . import connection
+        from . import potentials
 
         kind = self.decl.kind
         if kind == "theta":
@@ -219,9 +214,9 @@ class _Inputs:
         try:
             if kind == "classical":
                 _require("transition map", self.report)
-                return connection.classical_connection(self.decl.payload, b), None
+                return potentials.classical_connection(self.decl.payload, b), None
             _require("potential", self.potential_report)
-            return connection.connection_from_potential(self.potential, b), None
+            return potentials.connection_from_potential(self.potential, b), None
         except ValueError as exc:
             return None, str(exc)
 
@@ -301,271 +296,18 @@ def _run_suite(ctx: _Context, suite: str) -> list[CheckResult]:
         from .calculus import check_exactness
 
         return check_exactness(ctx.doc.bundle, ctx.free).checks
+    from . import suites
+
     if suite == "trivialization":
-        return _suite_trivialization(ctx)
+        return suites._suite_trivialization(ctx)
     head, _, rest = suite.partition(":")
     if head == "connection":
-        return _suite_connection(ctx, ctx.doc.connection(rest))
+        return suites._suite_connection(ctx, ctx.doc.connection(rest))
     if head == "curvature":
-        return _suite_curvature(ctx, ctx.doc.connection(rest))
+        return suites._suite_curvature(ctx, ctx.doc.connection(rest))
     gname, _, cname = rest.partition(":")
-    return _suite_gauge(ctx, ctx.doc.gauge(gname), ctx.doc.connection(cname), suite)
+    return suites._suite_gauge(ctx, ctx.doc.gauge(gname), ctx.doc.connection(cname), suite)
 
-
-def _renamed(checks: list[CheckResult], suite: str, prefix_map: dict | None = None) -> list[CheckResult]:
-    out = []
-    for c in checks:
-        head, _, tail = c.name.partition(".")
-        if prefix_map and head in prefix_map:
-            head = prefix_map[head]
-        out.append(CheckResult(f"{suite}.{head}.{tail}", c.passed, c.witness, c.data))
-    return out
-
-
-def _suite_trivialization(ctx: _Context) -> list[CheckResult]:
-    from . import connection
-
-    out: list[CheckResult] = []
-    b = ctx.bundle
-    if ctx.doc.bundle.phi is None:
-        if b.phi is None:
-            out.append(
-                CheckResult(
-                    "trivialization.synthesized",
-                    False,
-                    data={"reason": ctx.synthesis_error},
-                )
-            )
-            return out
-        out.append(CheckResult("trivialization.synthesized", True, data={"phi": list(b.phi)}))
-    rep = validate_trivialization(b)
-    out.extend(rep.checks)
-    if not rep.passed:
-        return out
-
-    nb, m, n = b.base.size, b.group.order, b.total_size
-    basis_bg = [Func.indicator((nb, m), (x, a)) for x in range(nb) for a in range(m)]
-    left = next(
-        (
-            (x, a)
-            for x in range(nb)
-            for a in range(m)
-            if psi_inverse(b, psi_apply(b, basis_bg[x * m + a])) != basis_bg[x * m + a]
-        ),
-        None,
-    )
-    out.append(CheckResult("trivialization.psi_left_inverse", left is None, left))
-
-    right = next(
-        (
-            (p,)
-            for p in range(n)
-            if psi_apply(b, psi_inverse(b, Func.indicator((n,), (p,))))
-            != Func.indicator((n,), (p,))
-        ),
-        None,
-    )
-    out.append(CheckResult("trivialization.psi_right_inverse", right is None, right))
-
-    images = [psi_apply(b, h) for h in basis_bg]
-    mult = next(
-        (
-            (i, j)
-            for i in range(len(basis_bg))
-            for j in range(len(basis_bg))
-            if psi_apply(b, basis_bg[i] * basis_bg[j]) != images[i] * images[j]
-        ),
-        None,
-    )
-    out.append(CheckResult("trivialization.psi_multiplicative", mult is None, mult))
-
-    try:
-        ph = connection.phi_hom(b)
-        ph_inv = connection.conv_inverse(ph)
-        unit = connection.conv_unit(b.group, n)
-        star = connection.star_delta
-        ok = star(ph, ph_inv) == unit and star(ph_inv, ph) == unit
-        out.append(CheckResult("trivialization.conv_inverse", ok))
-    except ValueError as exc:
-        out.append(CheckResult("trivialization.conv_inverse", False, data={"reason": str(exc)}))
-    return out
-
-
-def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
-    from . import connection
-
-    suite = f"connection:{decl.name}"
-    out: list[CheckResult] = []
-    # a connection given as theta reads no phi, so it needs no frame
-    b = ctx.doc.bundle if decl.kind == "theta" else ctx.bundle
-
-    ok_inputs = True
-    if decl.kind != "theta":
-        inputs = ctx.inputs_for(decl)
-        out.extend(_renamed(inputs.report.checks, suite))
-        ok_inputs = inputs.report.passed
-        if ok_inputs and decl.kind == "classical":
-            rep = inputs.base_report
-            out.extend(_renamed(rep.checks, suite, {"base_potential": "derived_potential"}))
-            ok_inputs = rep.passed
-        elif ok_inputs and decl.kind == "gamma_hat" and ctx.framed:
-            rep = inputs.potential_report
-            out.extend(_renamed(rep.checks, suite, {"potential": "lifted_potential"}))
-            ok_inputs = rep.passed
-
-    if decl.kind != "theta" and not ctx.framed:
-        out.append(
-            CheckResult(
-                f"{suite}.frame_available",
-                False,
-                data={"reason": "bundle has no trivialization and none could be synthesized"},
-            )
-        )
-        return out
-    if not ok_inputs:
-        return out
-
-    theta, reason = ctx.inputs_for(decl).theta
-    if theta is None:
-        out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
-        return out
-
-    if decl.kind in ("gamma", "gamma_hat"):
-        check = "route_agreement" if decl.kind == "gamma" else "strong_route_agreement"
-        direct = connection.strong_connection_direct(decl.payload, b)
-        out.append(CheckResult(f"{suite}.{check}", direct.view == theta.view))
-    elif decl.kind == "classical":
-        # the lift of a base potential that passed base_report meets the
-        # three potential invariants by construction
-        via_potential = connection.connection_from_potential(ctx.inputs_for(decl).potential, b)
-        out.append(
-            CheckResult(
-                f"{suite}.classical_route_agreement",
-                via_potential.view == theta.view,
-            )
-        )
-
-    rep = connection.validate_connection_form(theta, b)
-    out.extend(_renamed(rep.checks, suite, {"connection": "form"}))
-    if not rep.passed:
-        return out
-    # theta passed validate_connection_form above, and the splitting is
-    # validated here before it is read back
-    try:
-        sp = connection.splitting_from_theta(theta, b)
-        srep = connection.validate_splitting(sp, b)
-        out.extend(_renamed(srep.checks, suite))
-        reason = rejection("splitting", srep)
-        ok = reason is None and connection.theta_from_splitting(sp, b).view == theta.view
-    except ValueError as exc:
-        reason, ok = str(exc), False
-    data = None if reason is None else {"reason": reason}
-    out.append(CheckResult(f"{suite}.splitting_roundtrip", ok, data=data))
-    return out
-
-
-def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
-    from . import connection
-    from .calculus import validate_form
-
-    suite = f"curvature:{decl.name}"
-    out: list[CheckResult] = []
-    theta, reason = ctx.inputs_for(decl).theta
-    if theta is None:
-        out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
-        return out
-
-    f = connection.curvature(theta)
-    (form_check,) = validate_form(f).checks
-    out.append(CheckResult(f"{suite}.form_validity", form_check.passed, form_check.witness))
-
-    try:
-        if decl.kind != "theta":
-            # the potential on its own points: the base one, or gamma's
-            gamma = decl.payload if decl.kind == "gamma" else ctx.inputs_for(decl).base
-            other = connection.curvature_from_potential(gamma, ctx.bundle)
-            out.append(CheckResult(f"{suite}.route_agreement", f == other))
-        if decl.kind == "classical":
-            tm = decl.payload
-            agree = f == connection.curvature_classical(tm, ctx.bundle)
-            out.append(CheckResult(f"{suite}.classical_agreement", agree))
-            cocycle, cw = connection.is_cocycle(tm)
-            flat = f.is_zero()
-            out.append(
-                CheckResult(
-                    f"{suite}.flat_iff_cocycle",
-                    cocycle == flat,
-                    None if cocycle == flat else cw,
-                    data={"cocycle": cocycle, "flat": flat},
-                )
-            )
-    except ValueError as exc:
-        out.append(CheckResult(f"{suite}.route_agreement", False, data={"reason": str(exc)}))
-        return out
-
-    out.append(CheckResult(f"{suite}.computed", True, data={"nonzero": not f.is_zero()}))
-    return out
-
-
-def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> list[CheckResult]:
-    from . import connection
-
-    out: list[CheckResult] = []
-    b = ctx.bundle
-    tau = gdecl.gauge
-    g = tau.group
-    if g.identity is None or g.inv_table is None:
-        out.append(
-            CheckResult(
-                f"{suite}.automorphism_roundtrip",
-                False,
-                data={"reason": "group lacks identity or inverses"},
-            )
-        )
-        return out
-
-    xi = xi_from_tau(tau)
-    out.extend(_renamed(validate_automorphism(xi).checks, suite))
-    try:
-        out.append(CheckResult(f"{suite}.automorphism_roundtrip", tau_extract(xi) == tau))
-    except ValueError as exc:
-        out.append(
-            CheckResult(f"{suite}.automorphism_roundtrip", False, data={"reason": str(exc)})
-        )
-
-    transformed_tm = None
-    try:
-        if cdecl.kind == "gamma":
-            transformed, via = connection.gauge_transform_potential(cdecl.payload, b, tau)
-            val = connection.validate_potential(transformed, b)
-        elif cdecl.kind == "gamma_hat":
-            transformed, via = connection.gauge_transform_base_potential(cdecl.payload, tau)
-            val = connection.validate_base_potential(transformed)
-        else:
-            transformed_tm = connection.gauge_transform_transition(cdecl.payload, tau)
-            val = connection.validate_transition(transformed_tm)
-            base = ctx.inputs_for(cdecl).base
-            transformed, via = connection.gauge_transform_base_potential(base, tau)
-    except ValueError as exc:
-        out.append(CheckResult(f"{suite}.transform_routes", False, data={"reason": str(exc)}))
-        return out
-    routes_witness = first_difference(transformed.view, via.view, transformed.shape)
-    out.append(CheckResult(f"{suite}.transform_routes", routes_witness is None, routes_witness))
-    if routes_witness is not None:
-        return out
-
-    bad = val.first_failure()
-    out.append(
-        CheckResult(
-            f"{suite}.transformed_validity",
-            val.passed,
-            None if bad is None else bad.witness,
-        )
-    )
-    if cdecl.kind == "classical":
-        agree = connection.potential_from_transition(transformed_tm) == transformed
-        out.append(CheckResult(f"{suite}.classical_agreement", agree))
-    return out
 
 
 # ---------------------------------------------------------------------------

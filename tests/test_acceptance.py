@@ -26,22 +26,10 @@ from qpb.bundle import (
 from qpb.calculus import check_exactness, differential
 from qpb.cli import main
 from qpb.connection import (
-    classical_connection,
-    connection_from_potential,
-    conv_inverse,
-    conv_unit,
     curvature,
     curvature_classical,
     curvature_from_potential,
-    gauge_transform_base_potential,
-    gauge_transform_transition,
-    is_cocycle,
-    lift_base_potential,
-    phi_hom,
-    potential_from_transition,
     star_delta,
-    strong_connection_direct,
-    trivial_connection,
     validate_connection_form,
 )
 from qpb.document import parse_spec
@@ -50,6 +38,20 @@ from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import gauge_compose, gauge_inverse, xi_from_tau
 from qpb.groups import RightAction, TransitionMap, cyclic, direct_product, symmetric
 from qpb.hopf import HopfAlgebra
+from qpb.potentials import (
+    classical_connection,
+    connection_from_potential,
+    conv_inverse,
+    conv_unit,
+    gauge_transform_base_potential,
+    gauge_transform_transition,
+    is_cocycle,
+    lift_base_potential,
+    phi_hom,
+    potential_from_transition,
+    strong_connection_direct,
+    trivial_connection,
+)
 from qpb.scalars import ZERO
 
 FRAMED = [fix_z2, fix_s3, fix_prod]

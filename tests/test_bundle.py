@@ -18,10 +18,11 @@ from qpb.bundle import (
     synthesize_trivialization,
     validate_trivialization,
 )
-from qpb.connection import conv_inverse, conv_unit, phi_hom, star_delta
+from qpb.connection import star_delta
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func, tensor_identify
 from qpb.groups import FiniteGroup, RightAction, cyclic
+from qpb.potentials import conv_inverse, conv_unit, phi_hom
 from qpb.scalars import ONE, ZERO, Scalar
 
 

@@ -16,12 +16,14 @@ import qpb.calculus as calculus
 import qpb.cli as cli
 import qpb.connection as connection
 import qpb.funcs as funcs
+import qpb.potentials as potentials
 import qpb.runner as runner
 from qpb import __version__
 from qpb.cli import main
-from qpb.connection import Splitting, trivial_connection
+from qpb.connection import Splitting
 from qpb.document import parse_spec
 from qpb.fixtures import fix_z2, fixture_documents
+from qpb.potentials import trivial_connection
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
 from qpb.funcs import FormValuedMap
 from qpb.scalars import ONE, ZERO, Scalar
@@ -236,7 +238,7 @@ def test_gauge_suite_refuses_theta_kind():
 def test_strong_route_agreement_compares_whole_values(monkeypatch, change):
     # a direct route whose view differs from the connection form's only in
     # its denominator, or only in one imaginary part, must not agree
-    direct = connection.strong_connection_direct
+    direct = potentials.strong_connection_direct
 
     def changed(gamma, b):
         f = direct(gamma, b)
@@ -248,7 +250,7 @@ def test_strong_route_agreement_compares_whole_values(monkeypatch, change):
             values[k] = values[k] * Scalar(1, 1)
         return FormValuedMap(f.group, f.size, f.degree, values)
 
-    monkeypatch.setattr(connection, "strong_connection_direct", changed)
+    monkeypatch.setattr(potentials, "strong_connection_direct", changed)
     report = run_checks(load_fixture("fix_prod.json"), ["connection:rational"])
     assert not report["connection:rational.strong_route_agreement"].passed
 
@@ -311,7 +313,7 @@ def test_each_connection_input_validated_once(monkeypatch, key):
         return wrapper
 
     for name in INPUT_VALIDATORS:
-        monkeypatch.setattr(connection, name, counting(name, getattr(connection, name)))
+        monkeypatch.setattr(potentials, name, counting(name, getattr(potentials, name)))
     doc = load_fixture(key)
     assert run_checks(doc).passed
     counts = collections.Counter((name, id(table)) for name, table in seen)
@@ -326,15 +328,15 @@ def test_wrong_gauge_transformed_transition_fails_classical_agreement(
 ):
     # the wrong table keeps an identity diagonal, so it passes its own
     # validation and only the comparison with the potential route sees it
-    transform = connection.gauge_transform_transition
+    transform = potentials.gauge_transform_transition
 
     def wrong_transform(tm, tau):
         table = [list(row) for row in transform(tm, tau).table]
         e = tm.group.identity
         table[0][1] = tm.group.table[table[0][1]][next(a for a in range(tm.group.order) if a != e)]
-        return connection.TransitionMap(tm.group, table)
+        return potentials.TransitionMap(tm.group, table)
 
-    monkeypatch.setattr(connection, "gauge_transform_transition", wrong_transform)
+    monkeypatch.setattr(potentials, "gauge_transform_transition", wrong_transform)
     path = write_fixture(tmp_path, "fix_z2.json")
     assert main(["check", path, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
@@ -344,15 +346,15 @@ def test_wrong_gauge_transformed_transition_fails_classical_agreement(
 
 def test_transform_routes_disagreement_names_a_witness(tmp_path, capsys, monkeypatch):
     # the convolution route of the gauge transform, off by one at (x, y, c) = (0, 1, 1)
-    real = connection._conjugate_by_convolution
+    real = potentials._conjugate_by_convolution
 
     def shifted(t_fv, t_inv_fv, gamma):
         out = real(t_fv, t_inv_fv, gamma)
         density = list(out.density)
         density[3] = density[3] + ONE
-        return connection.FormValuedMap(out.group, out.size, out.degree, density)
+        return potentials.FormValuedMap(out.group, out.size, out.degree, density)
 
-    monkeypatch.setattr(connection, "_conjugate_by_convolution", shifted)
+    monkeypatch.setattr(potentials, "_conjugate_by_convolution", shifted)
     path = write_fixture(tmp_path, "fix_z2.json")
     assert main(["check", path, "--suite", "gauge:flip:cls", "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -606,10 +608,10 @@ def test_curvature_dump_lists_every_nonzero_entry_as_it_prints():
         b = doc.bundle
         decl = doc.connection(name)
         if decl.kind == "classical":
-            theta = connection.classical_connection(decl.payload, b)
+            theta = potentials.classical_connection(decl.payload, b)
         else:
-            gamma = connection.lift_base_potential(decl.payload, b)
-            theta = connection.connection_from_potential(gamma, b)
+            gamma = potentials.lift_base_potential(decl.payload, b)
+            theta = potentials.connection_from_potential(gamma, b)
         f = connection.curvature(theta)
         expected = [
             {"index": list(idx), "value": str(v)}
@@ -665,6 +667,15 @@ def test_cli_suite_flag(tmp_path, capsys):
 def test_cli_unreadable_and_malformed_files(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.json")]) == 2
     assert "qpb: cannot read" in capsys.readouterr().err
+
+    # bytes that do not decode are unreadable too, and the message names the file
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{}")
+    assert main(["check", str(latin)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qpb: cannot read {latin}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
     bad = tmp_path / "bad.json"
     bad.write_text("{")

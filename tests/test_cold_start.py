@@ -4,9 +4,14 @@ Every case runs `python -m qpb.cli` in a fresh process, as a user does.
 A `sitecustomize` module on the child's path writes the names in
 `sys.modules` when the interpreter exits, so each case sees everything
 the call imported: a document that fails to parse never loads the
-checkers, a suite loads only the checkers it calls, a check or a dump
-never loads the fixtures or the Hopf algebra, and no path loads the
-stdlib machinery qpb does not use, OpenSSL's `hashlib` included.
+checkers, a suite loads only the checkers it calls, a curvature dump
+loads neither `linalg` nor the suites module, a check or a dump never
+loads the fixtures or the Hopf algebra, and no path loads the stdlib
+machinery qpb does not use, OpenSSL's `hashlib` included.
+
+Without bytecode files every call compiles each module it loads, and
+the largest of those compiles sets the call's peak RSS, so each module
+is held to a compile peak.
 
 The package itself is lazy: `import qpb` loads no submodule, and each
 public name is imported from its home module on first access.
@@ -16,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -23,6 +29,10 @@ import qpb
 from qpb.fixtures import fixture_documents
 
 SRC = os.path.dirname(os.path.dirname(qpb.__file__))
+PACKAGE = os.path.dirname(qpb.__file__)
+
+# tracemalloc's peak while compile() builds one module's code, in bytes
+COMPILE_PEAK_CAP = 1_300_000
 
 # written into the child's sitecustomize.py with the output path filled in
 _DUMP_AT_EXIT = """\
@@ -38,7 +48,9 @@ def _dump():
 atexit.register(_dump)
 """
 
-CHECKERS = {"qpb.runner", "qpb.connection", "qpb.calculus"}
+CHECKERS = {"qpb.runner", "qpb.connection", "qpb.potentials", "qpb.calculus"}
+# the bodies of the trivialization, connection, curvature and gauge suites
+SUITES = "qpb.suites"
 FIXTURE_MODULES = {"qpb.fixtures", "qpb.hopf"}
 # the digest comes from CPython's built-in SHA-256, not OpenSSL's
 UNUSED_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib"}
@@ -88,24 +100,28 @@ def test_out_of_range_gauge_loads_no_checker(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["check", "{doc}", "--format", "json"], ["curvature", "{doc}", "--connection", "cls"]],
+    "args, unloaded",
+    [
+        (["check", "{doc}", "--format", "json"], set()),
+        # the dump reads no matrix and runs no suite
+        (["curvature", "{doc}", "--connection", "cls"], {"qpb.linalg", SUITES}),
+    ],
     ids=["check", "curvature"],
 )
-def test_verdicts_load_no_fixtures(tmp_path, args):
+def test_verdicts_load_no_fixtures(tmp_path, args, unloaded):
     path = z2_document(tmp_path)
     status, modules = loaded_modules(tmp_path, [a.format(doc=path) for a in args])
     assert status == 0
     assert CHECKERS <= modules
-    assert modules & (FIXTURE_MODULES | UNUSED_STDLIB) == set()
+    assert modules & (unloaded | FIXTURE_MODULES | UNUSED_STDLIB) == set()
 
 
 @pytest.mark.parametrize(
     "suite, unloaded",
     [
-        ("group", {"qpb.connection", "qpb.calculus", "qpb.linalg"}),
-        ("action", {"qpb.connection", "qpb.calculus", "qpb.linalg"}),
-        ("comodule", {"qpb.connection"}),
+        ("group", {SUITES, "qpb.connection", "qpb.potentials", "qpb.calculus", "qpb.linalg"}),
+        ("action", {SUITES, "qpb.connection", "qpb.potentials", "qpb.calculus", "qpb.linalg"}),
+        ("comodule", {SUITES, "qpb.connection", "qpb.potentials"}),
     ],
 )
 def test_a_suite_loads_only_its_checkers(tmp_path, suite, unloaded):
@@ -114,6 +130,19 @@ def test_a_suite_loads_only_its_checkers(tmp_path, suite, unloaded):
     assert status == 0
     assert "qpb.runner" in modules
     assert modules & (unloaded | FIXTURE_MODULES | UNUSED_STDLIB) == set()
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")))
+def test_each_module_compiles_under_the_cap(name):
+    with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+        source = fh.read()
+    tracemalloc.start()
+    try:
+        compile(source, name, "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < COMPILE_PEAK_CAP
 
 
 def test_import_qpb_loads_no_submodule():

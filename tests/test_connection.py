@@ -19,33 +19,35 @@ from qpb.bundle import make_product
 from qpb.calculus import differential, restricted_canonical_matrix
 from qpb.connection import (
     Splitting,
-    classical_connection,
-    connection_from_potential,
     curvature,
     curvature_classical,
     curvature_from_potential,
-    gauge_transform_base_potential,
-    gauge_transform_potential,
-    gauge_transform_transition,
-    is_cocycle,
-    lift_base_potential,
-    potential_from_transition,
     splitting_from_theta,
     star_delta,
-    strong_connection_direct,
     theta_from_splitting,
-    trivial_connection,
-    validate_base_potential,
     validate_connection_form,
-    validate_potential,
     validate_splitting,
-    validate_transition,
 )
 from qpb.document import parse_spec
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
 from qpb.groups import TransitionMap, cyclic, symmetric
+from qpb.potentials import (
+    classical_connection,
+    connection_from_potential,
+    gauge_transform_base_potential,
+    gauge_transform_potential,
+    gauge_transform_transition,
+    is_cocycle,
+    lift_base_potential,
+    potential_from_transition,
+    strong_connection_direct,
+    trivial_connection,
+    validate_base_potential,
+    validate_potential,
+    validate_transition,
+)
 from qpb.runner import rejection, run_checks
 from qpb.scalars import ONE, ZERO, Scalar
 from test_golden import S3X2

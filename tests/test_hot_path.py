@@ -26,19 +26,13 @@ import tracemalloc
 import pytest
 
 import qpb.scalars
-from qpb.connection import (
-    connection_from_potential,
-    curvature,
-    curvature_from_potential,
-    lift_base_potential,
-    potential_from_transition,
-    star_delta,
-)
+from qpb.connection import curvature, curvature_from_potential, star_delta
 from qpb.cli import main
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.funcs import FormValuedMap
 from qpb.groups import symmetric
+from qpb.potentials import connection_from_potential, lift_base_potential, potential_from_transition
 from qpb.runner import run_checks
 from qpb.scalars import Scalar
 from test_golden import S3X2, _gaussian
