@@ -13,15 +13,15 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _HOMES = {
-    "BundleSpec": "bundle",
-    "make_product": "bundle",
     "SpecDocument": "document",
     "SpecError": "document",
     "parse_spec": "document",
+    "BundleSpec": "groups",
     "FiniteGroup": "groups",
     "RightAction": "groups",
     "cyclic": "groups",
     "direct_product": "groups",
+    "make_product": "groups",
     "symmetric": "groups",
     "CheckResult": "report",
     "Report": "report",

@@ -4,15 +4,17 @@ The total space is {0, ..., N-1} with a right action of a finite group;
 the base is the orbit set.  The coaction dualizes the action, the
 canonical map decides freeness by an exact rank, and trivializations
 (when present) give the product picture through psi and the section.
-Densities over the bundle, frame maps included, live in the connection
-layer.  The two functions that reach `linalg` import it themselves, so
-parsing a document, which builds a bundle, does not load it.
+The bundle itself, `BundleSpec` with its `BaseSpace`, is data and lives
+in `groups`, so parsing a document or dumping a curvature never loads
+this module; densities over the bundle, frame maps included, live in
+the connection layer.  The two functions that reach `linalg` import it
+themselves, so a check that builds no matrix does not load it.
 """
 
 from __future__ import annotations
 
 from .funcs import Func, first_difference, guard_table_size
-from .groups import FiniteGroup, RightAction, fixed_point_witness
+from .groups import BundleSpec, fixed_point_witness
 from .report import CheckResult, Report
 from .scalars import ONE, Scalar, gathered
 
@@ -22,9 +24,6 @@ if TYPE_CHECKING:
     from .linalg import SubspaceBasis
 
 __all__ = [
-    "BaseSpace",
-    "BundleSpec",
-    "make_product",
     "coaction",
     "check_comodule_algebra",
     "check_freeness",
@@ -35,84 +34,6 @@ __all__ = [
     "psi_apply",
     "psi_inverse",
 ]
-
-
-class BaseSpace:
-    """Orbit space of the action: orbits ordered by their minimal point."""
-
-    def __init__(self, action: RightAction):
-        n = action.total_size
-        seen = [False] * n
-        orbits: list[list[int]] = []
-        for p in range(n):
-            if seen[p]:
-                continue
-            orbit = sorted({action.table[p][a] for a in range(action.group.order)})
-            for q in orbit:
-                seen[q] = True
-            orbits.append(orbit)
-        self.orbits = orbits
-        self.size = len(orbits)
-        self.reps = [orbit[0] for orbit in orbits]
-        self.projection = [0] * n
-        for x, orbit in enumerate(orbits):
-            for q in orbit:
-                self.projection[q] = x
-
-
-class BundleSpec:
-    """A right action plus an optional trivialization table phi: P -> G."""
-
-    def __init__(
-        self,
-        group: FiniteGroup,
-        action: RightAction,
-        phi: list[int] | None = None,
-        name: str | None = None,
-    ):
-        if action.group is not group and action.group != group:
-            raise ValueError("action group differs from the given group")
-        if phi is not None:
-            if len(phi) != action.total_size:
-                raise ValueError(
-                    f"phi has {len(phi)} entries for {action.total_size} points"
-                )
-            for p, a in enumerate(phi):
-                if not isinstance(a, int) or not 0 <= a < group.order:
-                    raise ValueError(f"phi entry out of range at point {p}: {a!r}")
-        self.group = group
-        self.action = action
-        self.total_size = action.total_size
-        self.phi = list(phi) if phi is not None else None
-        self.name = name
-        self.base = BaseSpace(action)
-
-    def act(self, p: int, a: int) -> int:
-        return self.action.table[p][a]
-
-    def with_phi(self, phi: list[int]) -> BundleSpec:
-        return BundleSpec(self.group, self.action, phi, self.name)
-
-    def __repr__(self):
-        return (
-            f"BundleSpec(total_size={self.total_size}, group_order={self.group.order},"
-            f" base_size={self.base.size}, trivialized={self.phi is not None})"
-        )
-
-
-def make_product(base_size: int, group: FiniteGroup) -> BundleSpec:
-    """The product bundle B x G with right translation and canonical phi."""
-    if base_size < 1:
-        raise ValueError("base size must be positive")
-    m = group.order
-    table = [
-        [x * m + group.table[a][b] for b in range(m)]
-        for x in range(base_size)
-        for a in range(m)
-    ]
-    action = RightAction(group, table)
-    phi = [a for _x in range(base_size) for a in range(m)]
-    return BundleSpec(group, action, phi)
 
 
 def coaction(b: BundleSpec, f: Func) -> Func:

@@ -10,27 +10,24 @@ horizontal 1-forms are the span of the cross-orbit indicators, and
 exactness compares that span with the kernel of the canonical map.
 
 Forms are stored as int views (`scalars`), so `differential` sums ints
-over the nonzero rows of its input's view and hands its view to the new
-table; nothing is converted on the way.  The int-view kernels that
-`connection` and `potentials` build on live here too:
-`_differential_view`, which `potentials` chains inside the frame
-change; `_star_view`, behind `star_delta`; and `_curvature_blocks`, the
-rows of dθ·d + θ⋆θ a point pair at a time, behind `curvature_rows`.
+over the nonzero rows of its input's view, through
+`kernels._differential_view`, and hands its view to the new table;
+nothing is converted on the way.  The int-view kernels live in
+`kernels` with the curvature rows, so the builders of `potentials` and
+a curvature dump run them without loading this module.
 `validate_form` tests the entries at the adjacent repeats on ints.
 Only the matrices handed to `linalg` hold Scalars, as sparse rows: the
 canonical map's row at (p, a) is one unit entry, or empty where
 p.a = p, and an indicator basis vector is one unit entry.  The two
-functions that reach `linalg` import it themselves, so a curvature
-dump, which needs only the kernels, does not load it for them.
+functions that reach `linalg` import it themselves, so a check that
+builds no matrix does not load it for them.
 """
 
 from __future__ import annotations
 
-import operator
-
-from .bundle import BundleSpec
 from .funcs import FormValuedMap, guard_table_size, unravel
-from .groups import FiniteGroup
+from .groups import BundleSpec
+from .kernels import _differential_view
 from .report import CheckResult, Report
 from .scalars import ONE, Scalar
 
@@ -85,17 +82,6 @@ def _adjacent_repeats(size: int, degree: int) -> list[int]:
     return sorted(found)
 
 
-def _nonzero_rows(values: list[int], width: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Each row of a flat int table that has a nonzero entry, as its row
-    number and its nonzero (column, value) pairs."""
-    rows = []
-    for r, base in enumerate(range(0, len(values), width)):
-        row = [(c, v) for c, v in enumerate(values[base : base + width]) if v]
-        if row:
-            rows.append((r, row))
-    return rows
-
-
 def differential(f: FormValuedMap) -> FormValuedMap:
     """Alternating sum over one omitted argument; raises degree by one.
 
@@ -104,124 +90,6 @@ def differential(f: FormValuedMap) -> FormValuedMap:
     """
     view = _differential_view(f.view, f.size, f.degree, f.group.order)
     return FormValuedMap(f.group, f.size, f.degree + 1, view=view)
-
-
-def _differential_view(view, size: int, degree: int, width: int):
-    """`differential` on the int view of a table with `width` values per
-    point tuple; the result keeps the view's denominator."""
-    npts = size ** (degree + 2)
-    guard_table_size(npts)
-    if width > 1:
-        guard_table_size(npts * width)
-    d, re, im = view
-    if im is not None:
-        im = _d_ints(im, size, degree, width)
-    return d, _d_ints(re, size, degree, width), im
-
-
-def _d_ints(values: list[int], size: int, degree: int, width: int) -> list[int]:
-    """The alternating sum on one flat int table, read from its nonzero rows.
-
-    Argument j inserted into source tuple s at value x gives the target
-    (s // lo * size + x) * lo + s % lo, with lo = size ** (degree + 1 - j).
-    """
-    out = [0] * (size ** (degree + 2) * width)
-    rows = _nonzero_rows(values, width)
-    negated = [(s, [(c, -v) for c, v in row]) for s, row in rows]
-    for j in range(degree + 2):
-        lo = size ** (degree + 1 - j)
-        step = lo * width
-        for s, row in negated if j % 2 else rows:
-            first = (s // lo * size * lo + s % lo) * width
-            for base in range(first, first + size * step, step):
-                for c, v in row:
-                    out[base + c] += v
-    return out
-
-
-def _star_view(group: FiniteGroup, size: int, a, na: int, c, nc: int):
-    """`star_delta` on the int views of a degree-na and a degree-nc
-    density: a complex product is four int products, and a product with
-    a side that has no imaginary part is not formed at all."""
-    entries = size ** (na + nc + 1) * group.order
-    guard_table_size(entries)
-    da, ra, ia = a
-    dc, rc, ic = c
-    re = _convolve(entries, ((ra, rc, 1), (ia, ic, -1)), group, size, nc)
-    im = _convolve(entries, ((ra, ic, 1), (ia, rc, 1)), group, size, nc)
-    return da * dc, re, im
-
-
-def _convolve(entries: int, terms, group: FiniteGroup, size: int, ny: int):
-    """The sum of sign·(x⋆y) over the (x, y, sign) terms whose two flat int
-    densities both exist, or None when no term has both."""
-    m = group.order
-    mul = group.table
-    y_tail = size**ny
-    out = None
-    for x, y, sign in terms:
-        if x is None or y is None:
-            continue
-        if out is None:
-            out = [0] * entries
-        y_rows = [None] * (size ** (ny + 1))
-        for r, row in _nonzero_rows(y, m):
-            y_rows[r] = row
-        for ta, x_row in _nonzero_rows(x, m):
-            x_row = [(mul[aa], sign * va) for aa, va in x_row]
-            first = ta % size * y_tail
-            for tc in range(first, first + y_tail):
-                y_row = y_rows[tc]
-                if y_row is None:
-                    continue
-                obase = (ta * y_tail + tc - first) * m
-                for row, va in x_row:
-                    for cc, vc in y_row:
-                        out[obase + row[cc]] += va * vc
-    return out
-
-
-# (part of θ(p, q), part of θ(q, r), part of the product, sign) for
-# each part of a complex product; the first alone for a real one
-_PRODUCT_TERMS = ((0, 0, 0, 1), (1, 1, 0, -1), (0, 1, 1, 1), (1, 0, 1, 1))
-
-
-def _curvature_blocks(g: FiniteGroup, n: int, view):
-    """dθ·d + θ⋆θ over d² for the int view (d, re, im) of a degree-1
-    density θ on n points, a point pair at a time: for each (p, q) in
-    row-major order, the rows (p, q, r), r = 0..n−1, end to end, as the
-    pair (re, im) of int lists, im None when θ is real.
-
-    A pair's rows read only θ from p, θ from q and θ at (p, q): the
-    differential is three list passes, and the product adds each nonzero
-    θ(p, q, a) times each nonzero θ(q, r, b) at a·b.
-    """
-    d, re, im = view
-    parts = [re] if im is None else [re, im]
-    terms = _PRODUCT_TERMS[:1] if im is None else _PRODUCT_TERMS
-    m, mul = g.order, g.table
-    w = n * m
-    # θ(q, r, b) for every r and b, from each point q, as one list scaled
-    # by d, and its nonzeros as (r·m, b, value)
-    froms = [[part[q * w : (q + 1) * w] for q in range(n)] for part in parts]
-    scaled = froms if d == 1 else [[[d * v for v in f] for f in fs] for fs in froms]
-    nonzero = [[[(k - k % m, k % m, v) for k, v in enumerate(f) if v] for f in fs] for fs in froms]
-    for p in range(n):
-        for q in range(n):
-            rows = [part[(p * n + q) * m : (p * n + q + 1) * m] for part in parts]
-            # d·dθ(p, q, r) = d·(θ(q, r) − θ(p, r) + θ(p, q))
-            blocks = [
-                list(map(operator.add, map(operator.sub, f[q], f[p]), [d * v for v in row] * n))
-                for f, row in zip(scaled, rows)
-            ]
-            for j, l, k, sign in terms:
-                out = blocks[k]
-                for a, va in enumerate(rows[j]):
-                    if va:
-                        moved, va = mul[a], sign * va
-                        for base, b, vb in nonzero[l][q]:
-                            out[base + moved[b]] += va * vb
-            yield blocks[0], None if im is None else blocks[1]
 
 
 def offdiag_pairs(n: int) -> list[tuple[int, int]]:

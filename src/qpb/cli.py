@@ -2,18 +2,20 @@
 
 Each command imports only what it reaches: the runner loads once the
 document parses; the suite bodies of `suites` and each suite's checkers
-when that suite runs; `potentials` when a connection form is built from
-a potential or a transition map; and the fixtures only for
-`qpb fixtures`.  So a malformed or unreadable document is rejected
-without compiling any of them, and a curvature dump never compiles
-`suites`, nor `linalg` on a framed bundle.  No path loads OpenSSL: the
-document digest comes from CPython's built-in SHA-256.
+when that suite runs; `potentials` and the int-view `kernels` when a
+connection form is built from a potential or a transition map; and the
+fixtures only for `qpb fixtures`.  So a malformed or unreadable
+document is rejected without compiling any of them, and a curvature
+dump on a framed bundle compiles no checker module: none of `bundle`,
+`connection`, `calculus`, `gauge`, `linalg` or `suites`.  The dump is
+written a point pair at a time from the preformatted texts of
+`runner.curvature_payload`.  No path loads OpenSSL: the document
+digest comes from CPython's built-in SHA-256.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -121,27 +123,16 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
-# a value prints as digits, "/", "+", "-" and "i", which JSON never escapes
-_ENTRY = (
-    '    {\n      "index": [\n        %d,\n        %d,\n        %d,\n        %d\n      ],'
-    '\n      "value": "%s"\n    }'
-)
-
-# entries formatted and written at a time
-_CHUNK = 128
-
-
 def _write_curvature(payload: dict, out) -> None:
     """Write `json.dumps(payload, indent=2)` and a newline, with the
-    entries, which the payload makes as they are read, formatted directly
-    and written a chunk at a time: with `indent` set, json runs its
-    pure-Python encoder, and the whole text of a large dump is never held."""
-    entries = payload["entries"]
+    entries written a point pair at a time from the texts the payload
+    makes as they are read: with `indent` set, json runs its pure-Python
+    encoder, and the whole text of a large dump is never held."""
     head = json.dumps({**payload, "entries": []}, indent=2)
     before, _, after = head.rpartition('"entries": []')
     lead, tail = before + '"entries": [\n', head
-    while chunk := [_ENTRY % (*e["index"], e["value"]) for e in itertools.islice(entries, _CHUNK)]:
-        out.write(lead + ",\n".join(chunk))
+    for text in payload["entries"]:
+        out.write(lead + text)
         lead, tail = ",\n", "\n  ]" + after
     out.write(tail + "\n")
 

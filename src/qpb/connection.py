@@ -7,8 +7,8 @@ satisfies four pointwise invariants, and `theta_from_splitting` and
 `splitting_from_theta` pass between the two.  `star_delta` is the
 convolution product of form-valued maps.  Curvature is computed along
 independent routes that must agree exactly: dθ + θ⋆θ on the total
-space, from `curvature_rows`, which yields the table a point pair's rows
-at a time; the potential's own curvature, on the base for a base
+space, from `kernels.curvature_rows`, which yields the table a point
+pair's rows at a time; the potential's own curvature, on the base for a base
 potential, read once in the bundle frame at φ(p)·c·φ(r)⁻¹; and the
 closed form of a transition map.  The trivial-bundle formulae that give
 a connection from a potential or a transition map, and the gauge
@@ -18,8 +18,10 @@ Every connection and curvature is a FormValuedMap: a density over
 (point tuple) x (group element) whose degree is the form degree and
 whose size is the number of points.  FormValuedMap lives in `funcs` with
 the other table types and TransitionMap in `groups`, so a parsed
-document holds both without loading this module; the int-view kernels of
-d, ⋆ and the curvature rows live in `calculus`.
+document holds both without loading this module.  The int-view kernels
+of d, ⋆ and the curvature rows, and the density scans that the
+connection-form and potential validators share, live in `kernels`, so
+a curvature dump, which runs only those, does not load this module.
 
 Builders build and validators report: `theta_from_splitting` and
 `splitting_from_theta` expect input that has passed its validator and
@@ -30,12 +32,23 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable
 
-from .bundle import BundleSpec
-from .calculus import _curvature_blocks, _star_view, offdiag_pairs
+from .calculus import offdiag_pairs
 from .funcs import FormValuedMap, first_difference, guard_table_size
-from .groups import FiniteGroup, TransitionMap
+from .groups import BundleSpec, FiniteGroup, TransitionMap
+from .kernels import (
+    _diagonal_witness,
+    _map_of,
+    _orbit_pairs,
+    _points_read,
+    _rows_at,
+    _same_space,
+    _star_view,
+    _translated_pairs,
+    _unit_normalization_witness,
+    _unit_rows,
+    curvature_rows,
+)
 from .report import CheckResult, Report
 from .scalars import Scalar, canonical, from_ints, gathered, to_ints
 
@@ -47,7 +60,6 @@ __all__ = [
     "validate_connection_form",
     "star_delta",
     "curvature",
-    "curvature_rows",
     "curvature_from_potential",
     "curvature_classical",
 ]
@@ -191,59 +203,6 @@ def star_delta(a_map: FormValuedMap, c_map: FormValuedMap) -> FormValuedMap:
     return _map_of(a_map, a_map.degree + c_map.degree, view)
 
 
-def _same_space(*maps: FormValuedMap) -> None:
-    """Raise unless every map has the first one's group and points."""
-    first = maps[0]
-    if any(f.group != first.group or f.size != first.size for f in maps):
-        raise ValueError("form-valued maps live on different spaces")
-
-
-def _map_of(like: FormValuedMap, degree: int, view) -> FormValuedMap:
-    """The map of a degree over `like`'s group and points holding a view."""
-    return FormValuedMap(like.group, like.size, degree, view=view)
-
-
-# the density scans from here to validate_connection_form serve the
-# potential validators of `potentials` too
-def _rows_at(part: list[int], n: int, m: int, pairs: Iterable[tuple[int, int]]) -> Iterable[int]:
-    """The group rows of one part of a degree-1 view on n points at each
-    point pair in turn, end to end."""
-    return itertools.chain.from_iterable(
-        part[(p * n + q) * m : (p * n + q + 1) * m] for p, q in pairs
-    )
-
-
-def _orbit_pairs(b: BundleSpec) -> Iterable[tuple[int, int]]:
-    """(p, p.a) for every point p and group element a, in that order."""
-    return ((p, q) for p, row in enumerate(b.action.table) for q in row)
-
-
-def _translated_pairs(b: BundleSpec) -> Iterable[tuple[int, int]]:
-    """(p.a, q.a) for every pair of points (p, q) and group element a, in that order."""
-    act = b.action.table
-    return ((rp[a], rq[a]) for rp in act for rq in act for a in range(b.group.order))
-
-
-def _zeros():
-    """The view of an all-zero table, as long as the other side of a comparison."""
-    return 1, itertools.repeat(0), None
-
-
-def _unit_normalization_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
-    """First point pair whose degree-1 density does not sum to zero over the group."""
-    n, m = gamma.size, gamma.group.order
-    # zip of m references to one iterator reads the part a row at a time
-    sums = gathered(gamma.view, lambda part: map(sum, zip(*[iter(part)] * m)))
-    return first_difference(sums, _zeros(), (n, n))
-
-
-def _diagonal_witness(gamma: FormValuedMap) -> tuple[int, int] | None:
-    """First (point, group element) where a degree-1 density is nonzero on the diagonal."""
-    n, m = gamma.size, gamma.group.order
-    diagonal = gathered(gamma.view, lambda part: _rows_at(part, n, m, ((p, p) for p in range(n))))
-    return first_difference(diagonal, _zeros(), (n, m))
-
-
 def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
     """The four density invariants of a connection one-form."""
     report = Report()
@@ -343,22 +302,6 @@ def curvature(theta: FormValuedMap) -> FormValuedMap:
     return _map_of(theta, 2, canonical(d2, re, im, in_place=True))
 
 
-def curvature_rows(theta: FormValuedMap):
-    """dθ·d + θ⋆θ over d², the denominator of θ's view squared, a point
-    pair at a time: returns d² and an iterator that gives, for each
-    (p, q) in row-major order, the rows (p, q, r) for r = 0..n−1 end to
-    end, as the pair (re, im) of int lists, im None when θ is real.
-
-    The table guards run at the call, before any row is made.  No table
-    of the curvature's size is held: a pair's rows read θ from p, θ
-    from q and θ at (p, q).
-    """
-    g, n = theta.group, theta.size
-    guard_table_size(n**3)
-    guard_table_size(n**3 * g.order)
-    return theta.view[0] ** 2, _curvature_blocks(g, n, theta.view)
-
-
 def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
     """The potential's curvature on its own points, read in the bundle frame.
 
@@ -389,16 +332,6 @@ def _getter(positions: list[int]):
     if len(positions) > 1:
         return operator.itemgetter(*positions)
     return lambda part: tuple(part[k] for k in positions)
-
-
-def _points_read(gamma: FormValuedMap, b: BundleSpec):
-    """Where a potential on the base or on the total space reads each
-    point of a framed bundle: through the orbit projection, or directly."""
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    if gamma.group != b.group or gamma.size not in (b.base.size, b.total_size):
-        raise ValueError("potential does not match the bundle")
-    return b.base.projection if gamma.size == b.base.size else range(b.total_size)
 
 
 def _frame_gathers(g: FiniteGroup, phi: list[int], read):
@@ -436,18 +369,4 @@ def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
     )
     return FormValuedMap(g, n, 2, view=_unit_rows(g.order, two, one))
 
-
-def _unit_rows(m: int, plus: Iterable[int], minus: Iterable[int]):
-    """The view of rows of m entries, each 1 at its `plus` element and -1
-    at its `minus` element, all zero where the two coincide; end to end."""
-
-    def entries():
-        for a, c in zip(plus, minus):
-            row = [0] * m
-            if a != c:
-                row[a] = 1
-                row[c] = -1
-            yield from row
-
-    return 1, entries(), None
 

@@ -20,10 +20,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .bundle import BundleSpec, make_product
 from .funcs import FormValuedMap
-from .gauge import GaugeMap
-from .groups import FiniteGroup, RightAction, TransitionMap
+from .groups import BundleSpec, FiniteGroup, GaugeMap, RightAction, TransitionMap, make_product
 from .scalars import Scalar, parse_scalar
 
 __all__ = ["SpecDocument", "ConnectionDecl", "GaugeDecl", "SpecError", "parse_spec"]

@@ -5,8 +5,7 @@ These back the shipped specification documents and the test suite.
 
 from __future__ import annotations
 
-from .bundle import BundleSpec, make_product
-from .groups import RightAction, cyclic, symmetric
+from .groups import BundleSpec, RightAction, cyclic, make_product, symmetric
 
 __all__ = [
     "fix_z2",

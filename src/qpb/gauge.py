@@ -3,16 +3,17 @@
 A gauge map assigns a group element to each base point; the matching
 bundle automorphism fixes the base and left-translates each fiber.
 Composition and inversion happen at the level of point maps, so the
-gauge group laws hold for nonabelian structure groups as well.
+gauge group laws hold for nonabelian structure groups as well.  The
+gauge map itself, `GaugeMap`, is data and lives in `groups`, so parsing
+a document that declares one does not load this module.
 """
 
 from __future__ import annotations
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, GaugeMap
 from .report import CheckResult, Report
 
 __all__ = [
-    "GaugeMap",
     "BundleAutomorphism",
     "gauge_compose",
     "gauge_inverse",
@@ -20,28 +21,6 @@ __all__ = [
     "tau_extract",
     "validate_automorphism",
 ]
-
-
-class GaugeMap:
-    """A table of group elements indexed by base points."""
-
-    def __init__(self, group: FiniteGroup, table: list[int]):
-        for x, a in enumerate(table):
-            if not isinstance(a, int) or not 0 <= a < group.order:
-                raise ValueError(f"gauge entry out of range at base point {x}: {a!r}")
-        self.group = group
-        self.base_size = len(table)
-        self.table = list(table)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaugeMap)
-            and self.group == other.group
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"GaugeMap({self.table})"
 
 
 def gauge_compose(t1: GaugeMap, t2: GaugeMap) -> GaugeMap:

@@ -1,8 +1,13 @@
-"""Finite groups as multiplication tables, and right actions on finite sets.
+"""Finite groups as multiplication tables, right actions on finite sets,
+and the tables a document builds over them.
 
 Elements are integer indices into the table.  Construction validates
 shape only; the group axioms themselves are checked by validate_group,
-which reports witnesses instead of raising.
+which reports witnesses instead of raising.  A bundle (`BundleSpec`,
+its `BaseSpace` and `make_product`), a transition map and a gauge map
+are data over a group and an action, so they live here too: a parsed
+document holds them without loading the checkers of `bundle` and
+`gauge`.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ __all__ = [
     "FiniteGroup",
     "RightAction",
     "TransitionMap",
+    "BaseSpace",
+    "BundleSpec",
+    "make_product",
+    "GaugeMap",
     "cyclic",
     "direct_product",
     "symmetric",
@@ -236,6 +245,106 @@ class TransitionMap:
 
     def __repr__(self):
         return f"TransitionMap(base_size={self.base_size})"
+
+
+class BaseSpace:
+    """Orbit space of the action: orbits ordered by their minimal point."""
+
+    def __init__(self, action: RightAction):
+        n = action.total_size
+        seen = [False] * n
+        orbits: list[list[int]] = []
+        for p in range(n):
+            if seen[p]:
+                continue
+            orbit = sorted({action.table[p][a] for a in range(action.group.order)})
+            for q in orbit:
+                seen[q] = True
+            orbits.append(orbit)
+        self.orbits = orbits
+        self.size = len(orbits)
+        self.reps = [orbit[0] for orbit in orbits]
+        self.projection = [0] * n
+        for x, orbit in enumerate(orbits):
+            for q in orbit:
+                self.projection[q] = x
+
+
+class BundleSpec:
+    """A right action plus an optional trivialization table phi: P -> G."""
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        action: RightAction,
+        phi: list[int] | None = None,
+        name: str | None = None,
+    ):
+        if action.group is not group and action.group != group:
+            raise ValueError("action group differs from the given group")
+        if phi is not None:
+            if len(phi) != action.total_size:
+                raise ValueError(
+                    f"phi has {len(phi)} entries for {action.total_size} points"
+                )
+            for p, a in enumerate(phi):
+                if not isinstance(a, int) or not 0 <= a < group.order:
+                    raise ValueError(f"phi entry out of range at point {p}: {a!r}")
+        self.group = group
+        self.action = action
+        self.total_size = action.total_size
+        self.phi = list(phi) if phi is not None else None
+        self.name = name
+        self.base = BaseSpace(action)
+
+    def act(self, p: int, a: int) -> int:
+        return self.action.table[p][a]
+
+    def with_phi(self, phi: list[int]) -> BundleSpec:
+        return BundleSpec(self.group, self.action, phi, self.name)
+
+    def __repr__(self):
+        return (
+            f"BundleSpec(total_size={self.total_size}, group_order={self.group.order},"
+            f" base_size={self.base.size}, trivialized={self.phi is not None})"
+        )
+
+
+def make_product(base_size: int, group: FiniteGroup) -> BundleSpec:
+    """The product bundle B x G with right translation and canonical phi."""
+    if base_size < 1:
+        raise ValueError("base size must be positive")
+    m = group.order
+    table = [
+        [x * m + group.table[a][b] for b in range(m)]
+        for x in range(base_size)
+        for a in range(m)
+    ]
+    action = RightAction(group, table)
+    phi = [a for _x in range(base_size) for a in range(m)]
+    return BundleSpec(group, action, phi)
+
+
+class GaugeMap:
+    """A table of group elements indexed by base points."""
+
+    def __init__(self, group: FiniteGroup, table: list[int]):
+        for x, a in enumerate(table):
+            if not isinstance(a, int) or not 0 <= a < group.order:
+                raise ValueError(f"gauge entry out of range at base point {x}: {a!r}")
+        self.group = group
+        self.base_size = len(table)
+        self.table = list(table)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GaugeMap)
+            and self.group == other.group
+            and self.table == other.table
+        )
+
+    def __repr__(self):
+        return f"GaugeMap({self.table})"
 
 
 def validate_action(action: RightAction) -> Report:

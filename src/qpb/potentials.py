@@ -10,7 +10,10 @@ potentials and transition tables.  A frame change t⁻¹dt + t⁻¹γt has two
 routes, pointwise and by convolution: `strong_connection_direct` takes
 the first and `connection_from_potential` the second, and each gauge
 transform returns both for the caller to compare.  The splitting, the
-connection form, `star_delta` and curvature live in `connection`.
+connection form, `star_delta` and curvature live in `connection`; the
+builders here run on the int-view kernels and density scans of
+`kernels`, so building a connection form for a curvature dump loads
+neither `connection` nor `calculus`.
 
 Builders build and validators report.  A builder (`lift_base_potential`,
 `potential_from_transition`, `connection_from_potential`,
@@ -24,24 +27,22 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .bundle import BundleSpec
-from .calculus import _differential_view, _star_view, differential
-from .connection import (
+from .funcs import FormValuedMap, first_difference
+from .groups import BundleSpec, FiniteGroup, GaugeMap, TransitionMap
+from .kernels import (
     _diagonal_witness,
+    _differential_view,
     _map_of,
     _orbit_pairs,
     _points_read,
     _rows_at,
     _same_space,
+    _star_view,
     _translated_pairs,
     _unit_normalization_witness,
     _unit_rows,
     _zeros,
-    star_delta,
 )
-from .funcs import FormValuedMap, first_difference
-from .gauge import GaugeMap
-from .groups import FiniteGroup, TransitionMap
 from .report import CheckResult, Report
 from .scalars import ONE, ZERO, add_views, gathered
 
@@ -112,6 +113,9 @@ def conv_inverse(h: FormValuedMap) -> FormValuedMap:
 
 def trivial_connection(b: BundleSpec) -> FormValuedMap:
     """Connection of a trivialized bundle, via the convolution route."""
+    from .calculus import differential
+    from .connection import star_delta
+
     phi_fv, phi_inv_fv = _phi_form_valued(b)
     return star_delta(phi_inv_fv, differential(phi_fv))
 

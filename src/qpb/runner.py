@@ -10,11 +10,12 @@ This module holds the run: the suite order and dispatch, each
 connection's inputs, the report and its emission, and the curvature
 dump.  The bodies of the trivialization, connection, curvature and
 gauge suites live in `suites`.  Each checker module loads with the
-first suite or input that calls it, where it runs: a `--suite group` or
-`--suite action` check loads none of `suites`, `connection`,
+first suite or input that calls it, where it runs: a `--suite group`
+check loads none of `bundle`, `gauge`, `suites`, `connection`,
 `potentials`, `calculus` or `linalg`, a comodule check no `connection`,
-and a curvature dump no `suites`, nor `linalg` unless it synthesizes
-a frame.
+and a curvature dump on a framed bundle only `potentials` and
+`kernels`; an unframed one loads `bundle` and `linalg` to synthesize
+its frame.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import json
 import operator
 from functools import cached_property
 
-from .bundle import BundleSpec, check_comodule_algebra, check_freeness, synthesize_trivialization
 from .document import ConnectionDecl, SpecDocument
 from .funcs import FormValuedMap
-from .groups import validate_action, validate_group
+from .groups import BundleSpec, validate_action, validate_group
 from .report import CheckResult, Report
 from .scalars import ratio_text
 
@@ -97,6 +97,8 @@ class _Context:
     @cached_property
     def free(self) -> Report:
         """The freeness report, decided once per run."""
+        from .bundle import check_freeness
+
         return check_freeness(self.doc.bundle)
 
     @cached_property
@@ -107,6 +109,8 @@ class _Context:
         b = self.doc.bundle
         if b.phi is not None:
             return b
+        from .bundle import synthesize_trivialization
+
         free = self.free
         try:
             return b.with_phi(synthesize_trivialization(b, free))
@@ -289,6 +293,8 @@ def _run_suite(ctx: _Context, suite: str) -> list[CheckResult]:
     if suite == "action":
         return validate_action(ctx.doc.bundle.action).checks
     if suite == "comodule":
+        from .bundle import check_comodule_algebra
+
         return check_comodule_algebra(ctx.doc.bundle).checks
     if suite == "freeness":
         return ctx.free.checks
@@ -375,12 +381,14 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
 
 
 def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str = "0") -> dict:
-    """Sparse curvature table of one connection, as a JSON-ready dict, but
-    for its "entries": an iterator that makes each nonzero entry's
-    {"index", "value"} dict as it is read, in row-major order, from
-    `connection.curvature_rows`, so no table of the curvature's size is
-    held."""
-    from . import connection
+    """Sparse curvature table of one connection, as the dict that
+    `json.dumps(..., indent=2)` prints as the dump, but for its "entries":
+    an iterator of texts, one per point pair (p, q) with a nonzero entry,
+    in row-major order.  A pair's text is its entries as that encoder
+    prints them inside the list, joined by ",\n"; it is made from the
+    pair's rows of `kernels.curvature_rows` as it is read, so no table of
+    the curvature's size is held."""
+    from .kernels import curvature_rows
 
     decl = doc.connection(connection_name)
     if decl is None:
@@ -389,7 +397,7 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
         raise _Unbuilt(reason)
-    d2, blocks = connection.curvature_rows(theta)
+    d2, blocks = curvature_rows(theta)
     return {
         "format_version": 1,
         "tool": "qpb",
@@ -401,21 +409,36 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
         "degree": 2,
         "total_size": theta.size,
         "group_order": theta.group.order,
-        "entries": _nonzero_entries(d2, blocks, theta.size, theta.group.order),
+        "entries": _pair_texts(d2, blocks, theta.size, theta.group.order),
     }
 
 
-def _nonzero_entries(d: int, blocks, n: int, m: int):
-    """The entry dict of each nonzero entry of the (p, q) blocks of rows
-    over the denominator d; each distinct value is printed once, in
-    lowest terms."""
+# an entry {"index": [p, q, r, c], "value": text} as the indented encoder
+# prints it in the dump's list, cut where p, q, then r and c, then the
+# value begin; a value prints as digits, "/", "+", "-" and "i", which
+# JSON never escapes
+_PAIR = '    {\n      "index": [\n        %d,\n        %d,\n        '
+_COLUMN = '%d,\n        %d\n      ],\n      "value": "'
+_CLOSE = '"\n    }'
+
+
+def _pair_texts(d: int, blocks, n: int, m: int):
+    """The text of each (p, q) block of rows over the denominator d that
+    has a nonzero entry.  Each entry joins the pair's head, the middle
+    of its column k = r·m + c and its value's text with the closing, each
+    made once: a value is printed once per distinct value, in lowest
+    terms."""
+    columns = [_COLUMN % divmod(k, m) for k in range(n * m)]
     texts: dict = {}
     for t, (re, im) in enumerate(blocks):
-        p, q = divmod(t, n)
         nonzero = re if im is None else map(operator.or_, re, im)
+        entries = []
         for k in itertools.compress(range(len(re)), nonzero):
             key = re[k], 0 if im is None else im[k]
             text = texts.get(key)
             if text is None:
-                text = texts[key] = ratio_text(*key, d)
-            yield {"index": [p, q, *divmod(k, m)], "value": text}
+                text = texts[key] = ratio_text(*key, d) + _CLOSE
+            entries.append(columns[k] + text)
+        if entries:
+            head = _PAIR % divmod(t, n)
+            yield head + (",\n" + head).join(entries)

@@ -8,9 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from qpb.bundle import BundleSpec
 from qpb.funcs import FormValuedMap, indices
-from qpb.groups import FiniteGroup, cyclic
+from qpb.groups import BundleSpec, FiniteGroup, cyclic
 from qpb.scalars import ZERO, Scalar
 
 # small pool of exact values, mixing integers, fractions, and imaginary parts
@@ -91,7 +90,7 @@ def all_transition_maps(group: FiniteGroup, base_size: int):
 def all_gauge_maps(group: FiniteGroup, base_size: int):
     from itertools import product
 
-    from qpb.gauge import GaugeMap
+    from qpb.groups import GaugeMap
 
     for combo in product(range(group.order), repeat=base_size):
         yield GaugeMap(group, list(combo))

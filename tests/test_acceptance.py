@@ -17,12 +17,7 @@ from conftest import (
     random_degree0_map,
     random_form,
 )
-from qpb.bundle import (
-    BundleSpec,
-    check_comodule_algebra,
-    check_freeness,
-    coaction,
-)
+from qpb.bundle import check_comodule_algebra, check_freeness, coaction
 from qpb.calculus import check_exactness, differential
 from qpb.cli import main
 from qpb.connection import (
@@ -36,7 +31,7 @@ from qpb.document import parse_spec
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2, fixture_documents
 from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import gauge_compose, gauge_inverse, xi_from_tau
-from qpb.groups import RightAction, TransitionMap, cyclic, direct_product, symmetric
+from qpb.groups import BundleSpec, RightAction, TransitionMap, cyclic, direct_product, symmetric
 from qpb.hopf import HopfAlgebra
 from qpb.potentials import (
     classical_connection,

@@ -5,13 +5,11 @@ import pytest
 import qpb.bundle as bundle
 from conftest import random_degree0_map, support
 from qpb.bundle import (
-    BundleSpec,
     check_comodule_algebra,
     check_freeness,
     coaction,
     inject_base,
     invariants_basis,
-    make_product,
     psi_apply,
     psi_inverse,
     section_table,
@@ -21,7 +19,7 @@ from qpb.bundle import (
 from qpb.connection import star_delta
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func, tensor_identify
-from qpb.groups import FiniteGroup, RightAction, cyclic
+from qpb.groups import BundleSpec, FiniteGroup, RightAction, cyclic, make_product
 from qpb.potentials import conv_inverse, conv_unit, phi_hom
 from qpb.scalars import ONE, ZERO, Scalar
 

@@ -4,11 +4,11 @@ import pytest
 
 from conftest import random_form, random_scalar
 from qpb.calculus import check_exactness, differential, horizontal_basis, validate_form
-from qpb.bundle import BundleSpec, check_freeness, make_product
+from qpb.bundle import check_freeness
 from qpb.connection import star_delta
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, indices
-from qpb.groups import RightAction, cyclic, symmetric
+from qpb.groups import BundleSpec, RightAction, cyclic, make_product, symmetric
 from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar
 

@@ -13,7 +13,6 @@ import pytest
 import qpb
 import qpb.bundle as bundle
 import qpb.calculus as calculus
-import qpb.cli as cli
 import qpb.connection as connection
 import qpb.funcs as funcs
 import qpb.potentials as potentials
@@ -26,7 +25,7 @@ from qpb.fixtures import fix_z2, fixture_documents
 from qpb.potentials import trivial_connection
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
 from qpb.funcs import FormValuedMap
-from qpb.scalars import ONE, ZERO, Scalar
+from qpb.scalars import ONE, ZERO, Scalar, parse_scalar
 from test_golden import S3X2, _gaussian
 
 Z2_CHECKS = [
@@ -511,10 +510,10 @@ def test_emit_report_rejects_unknown_format():
 # curvature payloads
 
 
-def test_curvature_payload_sparse_entries():
+def test_curvature_payload_sparse_entries(tmp_path, capsys):
     doc = load_fixture("fix_z2.json")
     payload = curvature_payload(doc, "cls", tool_version="0.1.0")
-    assert list(payload) == [
+    keys = [
         "format_version",
         "tool",
         "tool_version",
@@ -527,9 +526,13 @@ def test_curvature_payload_sparse_entries():
         "group_order",
         "entries",
     ]
+    assert list(payload) == keys
     assert payload["kind"] == "classical" and payload["degree"] == 2
     assert payload["total_size"] == 4 and payload["group_order"] == 2
-    entries = {tuple(e["index"]): e["value"] for e in payload["entries"]}
+    # the entries are read from the dump's bytes
+    dump = json.loads(_dump_text(capsys, write_fixture(tmp_path, "fix_z2.json"), "cls"))
+    assert list(dump) == keys
+    entries = {tuple(e["index"]): e["value"] for e in dump["entries"]}
     assert entries[(0, 1, 0, 1)] == "1"
     assert entries[(0, 1, 0, 0)] == "-1"
     assert entries[(0, 3, 0, 1)] == "1"
@@ -552,38 +555,43 @@ def test_curvature_payload_flat_and_unframed():
         curvature_payload(doc, "cls")
 
 
-def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys, monkeypatch):
-    # the dump streams its entries a chunk at a time, without json's
-    # indenting encoder, and must equal the encoder on the materialised
-    # payload: "flat" has no entries, and the Gaussian S3x2 "rat" dump has
-    # complex values and runs over several chunks, or exactly one
-    (tmp_path / "s3x2-gauss.json").write_text(json.dumps(_gaussian(copy.deepcopy(S3X2))))
-    default_chunk = cli._CHUNK
-    dumps = [
-        ("fix_z2.json", "cls", None),
-        ("fix_s3.json", "flat", None),
-        ("fix_prod.json", "rational", None),
-        ("s3x2-gauss.json", "rat", None),
-        ("s3x2-gauss.json", "rat", 2592),
-        ("s3x2-gauss.json", "rat", 1),
-    ]
-    sizes = {}
-    for key, name, chunk in dumps:
-        path = tmp_path / key
-        if not path.exists():
-            path = write_fixture(tmp_path, key)
-        if chunk is not None:
-            monkeypatch.setattr(cli, "_CHUNK", chunk)
-        assert main(["curvature", str(path), "--connection", name]) == 0
-        with open(path, encoding="utf-8") as fh:
-            payload = curvature_payload(parse_spec(fh.read()), name, tool_version=__version__)
-        entries = list(payload["entries"])
-        sizes[key, name] = len(entries), sum("i" in e["value"] for e in entries)
-        materialised = {**payload, "entries": entries}
-        assert capsys.readouterr().out == json.dumps(materialised, indent=2) + "\n"
-    assert sizes["fix_s3.json", "flat"] == (0, 0)
-    count, complex_values = sizes["s3x2-gauss.json", "rat"]
-    assert count == 2592 > 4 * default_chunk and complex_values > 0
+def _dump_text(capsys, path: str, name: str) -> str:
+    """The standard output of `qpb curvature` on one connection."""
+    assert main(["curvature", path, "--connection", name]) == 0
+    return capsys.readouterr().out
+
+
+def _reference_dump(raw: dict, name: str) -> dict:
+    """The dump of a connection as a dict, its entries made from the
+    Scalar values of `connection.curvature` of its connection form."""
+    doc = parse_spec(json.dumps(raw))
+    b = doc.bundle
+    decl = doc.connection(name)
+    if decl.kind == "theta":
+        theta = decl.payload
+    elif decl.kind == "classical":
+        theta = potentials.classical_connection(decl.payload, b)
+    else:
+        gamma = potentials.lift_base_potential(decl.payload, b)
+        theta = potentials.connection_from_potential(gamma, b)
+    f = connection.curvature(theta)
+    return {
+        "format_version": 1,
+        "tool": "qpb",
+        "tool_version": __version__,
+        "input_digest": doc.digest,
+        "document_name": doc.name,
+        "connection": name,
+        "kind": decl.kind,
+        "degree": 2,
+        "total_size": f.size,
+        "group_order": f.group.order,
+        "entries": [
+            {"index": list(idx), "value": str(v)}
+            for idx, v in zip(funcs.indices(f.shape), f.values)
+            if v
+        ],
+    }
 
 
 def _imaginary(doc: dict) -> dict:
@@ -597,30 +605,65 @@ def _imaginary(doc: dict) -> dict:
     return doc
 
 
-def test_curvature_dump_lists_every_nonzero_entry_as_it_prints():
-    # the dump reads the view; the reference reads the curvature's Scalars
+def _diagonal_theta() -> dict:
+    # a connection-form density that is nonzero on the diagonal at the
+    # first and the last point, so the dump's first and last point pairs
+    # both have nonzero entries; a dump does not validate θ
+    doc = theta_payload()
+    density = doc["connections"][1]["density"]
+    density[0][0] = ["1", "-1"]
+    density[3][3] = ["-1/2", "1/2"]
+    return doc
+
+
+def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys):
+    # the dump writes each point pair's entries as one preformatted text,
+    # without json's indenting encoder, and must equal the encoder on the
+    # payload built from the curvature's Scalars: "flat" has no entries,
+    # the Gaussian S3x2 "rat" dump has complex values over many pairs,
+    # and a θ's curvature vanishes on the pairs (p, p), so every dump but
+    # the diagonal θ's starts and ends with a pair that prints nothing
+    dumps = [
+        (fixture_documents()["fix_z2.json"], "cls"),
+        (fixture_documents()["fix_s3.json"], "flat"),
+        (fixture_documents()["fix_prod.json"], "rational"),
+        (_gaussian(copy.deepcopy(S3X2)), "rat"),
+        (_diagonal_theta(), "th"),
+    ]
+    sizes = {}
+    for k, (raw, name) in enumerate(dumps):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(raw))
+        out = _dump_text(capsys, str(path), name)
+        expected = _reference_dump(raw, name)
+        assert out == json.dumps(expected, indent=2) + "\n"
+        entries = expected["entries"]
+        n = expected["total_size"]
+        pairs = [e["index"][:2] for e in entries]
+        sizes[raw["name"], name] = len(entries), sum("i" in e["value"] for e in entries)
+        if name == "th":
+            assert pairs[0] == [0, 0] and pairs[-1] == [n - 1, n - 1]
+        elif entries:
+            assert pairs[0] != [0, 0] and pairs[-1] != [n - 1, n - 1]
+    assert sizes["fix-s3", "flat"] == (0, 0)
+    count, complex_values = sizes["s3x2-gauss", "rat"]
+    assert count == 2592 and complex_values > 0
+
+
+def test_curvature_dump_lists_every_nonzero_entry_as_it_prints(tmp_path, capsys):
+    # the dump reads the rows' int views; the reference reads the
+    # curvature's Scalars
     for raw, name in (
         (fixture_documents()["fix_z2.json"], "cls"),
         (_gaussian(copy.deepcopy(S3X2)), "rat"),
         (_imaginary(copy.deepcopy(S3X2)), "rat"),
     ):
-        doc = parse_spec(json.dumps(raw))
-        b = doc.bundle
-        decl = doc.connection(name)
-        if decl.kind == "classical":
-            theta = potentials.classical_connection(decl.payload, b)
-        else:
-            gamma = potentials.lift_base_potential(decl.payload, b)
-            theta = potentials.connection_from_potential(gamma, b)
-        f = connection.curvature(theta)
-        expected = [
-            {"index": list(idx), "value": str(v)}
-            for idx, v in zip(funcs.indices(f.shape), f.values)
-            if v
-        ]
-        assert list(curvature_payload(doc, name)["entries"]) == expected
+        path = tmp_path / f"{raw['name']}.json"
+        path.write_text(json.dumps(raw))
+        expected = _reference_dump(raw, name)
+        assert json.loads(_dump_text(capsys, str(path), name)) == expected
         if raw["name"] == "s3x2-imag":
-            assert any(f.value_at(*e["index"]).re == 0 for e in expected)
+            assert any(parse_scalar(e["value"]).re == 0 for e in expected["entries"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ A `sitecustomize` module on the child's path writes the names in
 `sys.modules` when the interpreter exits, so each case sees everything
 the call imported: a document that fails to parse never loads the
 checkers, a suite loads only the checkers it calls, a curvature dump
-loads neither `linalg` nor the suites module, a check or a dump never
-loads the fixtures or the Hopf algebra, and no path loads the stdlib
-machinery qpb does not use, OpenSSL's `hashlib` included.
+on a framed bundle loads the data types, builders and kernels and no
+checker module, a check or a dump never loads the fixtures or the Hopf
+algebra, and no path loads the stdlib machinery qpb does not use,
+OpenSSL's `hashlib` included.
 
 Without bytecode files every call compiles each module it loads, and
 the largest of those compiles sets the call's peak RSS, so each module
@@ -51,6 +52,8 @@ atexit.register(_dump)
 CHECKERS = {"qpb.runner", "qpb.connection", "qpb.potentials", "qpb.calculus"}
 # the bodies of the trivialization, connection, curvature and gauge suites
 SUITES = "qpb.suites"
+# the modules of checkers that a curvature dump never calls
+DUMP_UNLOADED = {"qpb.bundle", "qpb.connection", "qpb.calculus", "qpb.gauge", "qpb.linalg", SUITES}
 FIXTURE_MODULES = {"qpb.fixtures", "qpb.hopf"}
 # the digest comes from CPython's built-in SHA-256, not OpenSSL's
 UNUSED_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib"}
@@ -91,35 +94,58 @@ def test_truncated_document_loads_no_checker(tmp_path):
 
 
 def test_out_of_range_gauge_loads_no_checker(tmp_path):
-    # parsing gets as far as the gauges, so every data type is built
+    # parsing gets as far as the gauges, so every data type is built; the
+    # bundle and the gauge map are data of `groups`
     path = z2_document(tmp_path, gauges=[{"name": "bad", "tau_hat": [0, 5]}])
     status, modules = loaded_modules(tmp_path, ["check", path])
     assert status == 2
-    assert {"qpb.document", "qpb.funcs", "qpb.groups", "qpb.gauge"} <= modules
+    assert {"qpb.document", "qpb.funcs", "qpb.groups"} <= modules
+    assert modules & {"qpb.bundle", "qpb.gauge"} == set()
     assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB) == set()
 
 
 @pytest.mark.parametrize(
-    "args, unloaded",
+    "args, loaded, unloaded",
     [
-        (["check", "{doc}", "--format", "json"], set()),
-        # the dump reads no matrix and runs no suite
-        (["curvature", "{doc}", "--connection", "cls"], {"qpb.linalg", SUITES}),
+        (["check", "{doc}", "--format", "json"], CHECKERS | {"qpb.bundle", "qpb.gauge"}, set()),
+        # the dump builds its connection form and prints its rows: it reads
+        # no matrix, runs no suite and calls no checker
+        (
+            ["curvature", "{doc}", "--connection", "cls"],
+            {"qpb.runner", "qpb.potentials", "qpb.kernels"},
+            DUMP_UNLOADED,
+        ),
     ],
     ids=["check", "curvature"],
 )
-def test_verdicts_load_no_fixtures(tmp_path, args, unloaded):
+def test_verdicts_load_no_fixtures(tmp_path, args, loaded, unloaded):
     path = z2_document(tmp_path)
     status, modules = loaded_modules(tmp_path, [a.format(doc=path) for a in args])
     assert status == 0
-    assert CHECKERS <= modules
+    assert loaded <= modules
     assert modules & (unloaded | FIXTURE_MODULES | UNUSED_STDLIB) == set()
+
+
+@pytest.mark.parametrize("name", ["cls", "rational"])
+def test_a_framed_dump_loads_no_checker_module(tmp_path, name):
+    # fix_prod is a product bundle, so its frame is given: a classical
+    # connection and a gamma_hat one, each built by `potentials`
+    path = tmp_path / "prod.json"
+    path.write_text(json.dumps(fixture_documents()["fix_prod.json"]))
+    status, modules = loaded_modules(tmp_path, ["curvature", str(path), "--connection", name])
+    assert status == 0
+    assert {"qpb.runner", "qpb.potentials", "qpb.kernels"} <= modules
+    assert modules & (DUMP_UNLOADED | FIXTURE_MODULES | UNUSED_STDLIB) == set()
 
 
 @pytest.mark.parametrize(
     "suite, unloaded",
     [
-        ("group", {SUITES, "qpb.connection", "qpb.potentials", "qpb.calculus", "qpb.linalg"}),
+        (
+            "group",
+            {SUITES, "qpb.bundle", "qpb.gauge", "qpb.connection", "qpb.potentials"}
+            | {"qpb.calculus", "qpb.kernels", "qpb.linalg"},
+        ),
         ("action", {SUITES, "qpb.connection", "qpb.potentials", "qpb.calculus", "qpb.linalg"}),
         ("comodule", {SUITES, "qpb.connection", "qpb.potentials"}),
     ],

@@ -15,7 +15,6 @@ from conftest import (
     random_scalar,
 )
 from qpb import connection
-from qpb.bundle import make_product
 from qpb.calculus import differential, restricted_canonical_matrix
 from qpb.connection import (
     Splitting,
@@ -31,8 +30,8 @@ from qpb.connection import (
 from qpb.document import parse_spec
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func
-from qpb.gauge import GaugeMap, gauge_compose, gauge_inverse
-from qpb.groups import TransitionMap, cyclic, symmetric
+from qpb.gauge import gauge_compose, gauge_inverse
+from qpb.groups import GaugeMap, TransitionMap, cyclic, make_product, symmetric
 from qpb.potentials import (
     classical_connection,
     connection_from_potential,

@@ -6,14 +6,13 @@ from conftest import all_gauge_maps
 from qpb.fixtures import fix_prod, fix_z2
 from qpb.gauge import (
     BundleAutomorphism,
-    GaugeMap,
     gauge_compose,
     gauge_inverse,
     tau_extract,
     validate_automorphism,
     xi_from_tau,
 )
-from qpb.groups import FiniteGroup, symmetric
+from qpb.groups import FiniteGroup, GaugeMap, symmetric
 
 
 def test_gauge_map_constructor_guards():

@@ -21,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_base_potential, random_scalar
-from qpb.bundle import make_product
 from qpb.calculus import differential
-from qpb.connection import curvature, curvature_from_potential, curvature_rows, star_delta
+from qpb.connection import curvature, curvature_from_potential, star_delta
 from qpb.fixtures import fix_prod, fix_s3
 from qpb.funcs import MAX_TABLE_ENTRIES, FormValuedMap, set_max_table_entries
-from qpb.groups import FiniteGroup, cyclic, symmetric
+from qpb.groups import FiniteGroup, cyclic, make_product, symmetric
+from qpb.kernels import curvature_rows
 from qpb.potentials import connection_from_potential, lift_base_potential
 from qpb.scalars import ONE, ZERO, Scalar, from_ints, to_ints
 
