@@ -636,7 +636,10 @@ def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys):
         path.write_text(json.dumps(raw))
         out = _dump_text(capsys, str(path), name)
         expected = _reference_dump(raw, name)
-        assert out == json.dumps(expected, indent=2) + "\n"
+        # as lists of lines, so a failure names the first differing line
+        # instead of diffing megabytes of text
+        lines = (json.dumps(expected, indent=2) + "\n").splitlines(keepends=True)
+        assert out.splitlines(keepends=True) == lines
         entries = expected["entries"]
         n = expected["total_size"]
         pairs = [e["index"][:2] for e in entries]
