@@ -2,9 +2,13 @@
 
 A connection is a splitting of the universal one-forms into horizontal
 and vertical parts.  A `Splitting` is a right inverse of the canonical
-map on one-forms; a connection one-form is a degree-1 map whose density
-satisfies four pointwise invariants, and `theta_from_splitting` and
-`splitting_from_theta` pass between the two.  `star_delta` is the
+map on one-forms, stored as θ's nonzeros: one sparse column per (point,
+group element != identity), and its checks read the stored entries
+only.  A connection one-form is a degree-1 map whose density satisfies
+four pointwise invariants, and `theta_from_splitting` and
+`splitting_from_theta` pass between the two; the columns are a copy of
+θ's entries, not a view of θ, so the round trip compares two tables
+built separately.  `star_delta` is the
 convolution product of form-valued maps.  Curvature is computed along
 independent routes that must agree exactly: dθ + θ⋆θ on the total
 space, from `kernels.curvature_rows`, which yields the table a point
@@ -50,7 +54,7 @@ from .kernels import (
     curvature_rows,
 )
 from .report import CheckResult, Report
-from .scalars import Scalar, canonical, from_ints, gathered, to_ints
+from .scalars import canonical, gathered
 
 __all__ = [
     "Splitting",
@@ -70,7 +74,12 @@ __all__ = [
 
 def _splitting_index(b: BundleSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Rows (off-diagonal pairs) and columns (point, group element !=
-    identity) of a splitting matrix, after the guard on its entry count."""
+    identity) of a splitting, after the guard on its entry count.
+
+    The guard counts the dense n(n-1)·n(m-1) entries although a
+    `Splitting` stores only its nonzeros, so every `--max-entries` outcome
+    is the one the dense matrix had; making it count the stored entries
+    belongs with the other guards' caps."""
     g = b.group
     if g.identity is None:
         raise ValueError("group has no identity")
@@ -83,107 +92,91 @@ def _splitting_index(b: BundleSpec) -> tuple[list[tuple[int, int]], list[tuple[i
 
 
 class Splitting:
-    """Right inverse of the canonical map, as a matrix on indicator bases.
+    """Right inverse of the canonical map, as sparse columns on indicator bases.
 
-    Columns are indexed by (point, group element != identity); the column
-    holds the image one-form over off-diagonal pairs.  The matrix is held
-    as the int view of its row-major entries; it is given as rows of
-    Scalars or as a view.
+    Columns are indexed by (point, group element != identity), rows by
+    the off-diagonal pairs.  Column k is the image one-form of `cols[k]`,
+    stored as the dict `columns[k]` = {row: (re, im)} of its nonzero
+    entries (re + im·i)/d over one denominator `d`, the idiom of
+    `linalg`'s rows.  A column stores no zero, so two columns are equal
+    exactly when their dicts are.
     """
 
-    def __init__(self, b: BundleSpec, matrix: list[list[Scalar]] | None = None, *, view=None):
+    def __init__(self, b: BundleSpec, d: int, columns: list[dict[int, tuple[int, int]]]):
         self.bundle = b
         self.pairs, self.cols = _splitting_index(b)
-        if view is None:
-            if len(matrix) != len(self.pairs) or any(
-                len(row) != len(self.cols) for row in matrix
-            ):
-                raise ValueError(
-                    f"splitting matrix must be {len(self.pairs)} x {len(self.cols)}"
-                )
-            view = to_ints([v for row in matrix for v in row])
-        self.view = canonical(*view)
-        self._col_of = {pa: k for k, pa in enumerate(self.cols)}
-        self._row_of = {pq: k for k, pq in enumerate(self.pairs)}
+        if len(columns) != len(self.cols) or any((0, 0) in col.values() for col in columns):
+            raise ValueError(f"a splitting has {len(self.cols)} columns that store no zero")
+        self.d = d
+        self.columns = columns
 
-    @property
-    def matrix(self) -> list[list[Scalar]]:
-        """The rows as Scalars, made afresh on each read."""
-        values, width = from_ints(*self.view), len(self.cols)
-        return [values[k : k + width] for k in range(0, len(values), width)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Splitting)
-            and self.bundle.total_size == other.bundle.total_size
-            and self.view == other.view
-        )
+def _first_change(x: dict, y: dict):
+    """The smallest key at which two dicts that store no zero differ, or None."""
+    return min((k for k in x.keys() | y.keys() if x.get(k) != y.get(k)), default=None)
 
 
 def validate_splitting(sigma: Splitting, b: BundleSpec) -> Report:
-    """Section property, left module property, right covariance."""
+    """Section property, left module property, right covariance, each read
+    from the stored entries; a witness is the first failing entry of the
+    dense matrix's scan."""
     report = Report()
     g = b.group
     n, m = b.total_size, g.order
-    cols = sigma.cols
-    width = len(cols)
-    view = sigma.view
-    parts = [part for part in view[1:] if part is not None]
+    cols, columns = sigma.cols, sigma.columns
+    row_of = {pq: r for r, pq in enumerate(sigma.pairs)}
 
     # Row (p, a) of canon * sigma: the canonical map sends the indicator of
     # (p, q) to (p, a) with q = p.a, so each row of canon holds at most one
     # unit and the product row is sigma's row (p, p.a), or zero if p.a = p
     # (no row is the pair (p, p)); the product must be the identity.
-    zero_row = [0] * width
-    product_rows = [sigma._row_of.get((p, b.act(p, a))) for p, a in cols]
-    product = gathered(
-        view,
-        lambda part: itertools.chain.from_iterable(
-            zero_row if i is None else part[i * width : (i + 1) * width] for i in product_rows
-        ),
-    )
-    identity = (1, (int(r == c) for r in range(width) for c in range(width)), None)
-    w = first_difference(product, identity, (width, width))
-    section_witness = None if w is None else cols[w[0]] + cols[w[1]]
+    rows: dict[int, dict[int, tuple[int, int]]] = {}
+    for k, column in enumerate(columns):
+        for r, v in column.items():
+            rows.setdefault(r, {})[k] = v
+    section_witness = None
+    for k, (p, a) in enumerate(cols):
+        c = _first_change(rows.get(row_of.get((p, b.act(p, a))), {}), {k: (sigma.d, 0)})
+        if c is not None:
+            section_witness = cols[k] + cols[c]
+            break
     report.add(CheckResult("splitting.section", section_witness is None, section_witness))
 
     # column (p1, a) may be nonzero only on the rows (p1, q), which are the
     # n - 1 rows from p1 (n - 1) on, as the pairs run point-major
     module_witness = None
-    for k, (p1, a) in enumerate(cols):
-        nonzero = map(any, zip(*(part[k::width] for part in parts)))
+    for (p1, a), column in zip(cols, columns):
         lo, hi = p1 * (n - 1), (p1 + 1) * (n - 1)
-        r = next(
-            (r for r in itertools.compress(itertools.count(), nonzero) if not lo <= r < hi), None
-        )
+        r = min((r for r in column if not lo <= r < hi), default=None)
         if r is not None:
             module_witness = (sigma.pairs[r][0], p1, a)
             break
     report.add(CheckResult("splitting.module", module_witness is None, module_witness))
 
     # the column of (p1.b^-1, b a1 b^-1) at (p, q) must equal the column of
-    # (p1, a1) at (p.b, q.b); a translated diagonal pair reads the zero
-    # appended to every column, and each translate is read as one tuple
+    # (p1, a1) at (p.b, q.b), which is zero where (p.b, q.b) is diagonal;
+    # column (p1, a1) is pulled back through the preimages of each row, as
+    # the action need not permute the pairs
+    preimages = []
+    for bb in range(m):
+        pre: dict[int, list[int]] = {}
+        for r, (p, q) in enumerate(sigma.pairs):
+            s = row_of.get((b.act(p, bb), b.act(q, bb)))
+            if s is not None:
+                pre.setdefault(s, []).append(r)
+        preimages.append(pre)
+    col_of = {pa: k for k, pa in enumerate(cols)}
     cov_witness = None
-    rows = len(sigma.pairs)
-    if rows:  # with no pairs every column is empty and equal to its translates
-        translate = [
-            operator.itemgetter(
-                *(sigma._row_of.get((b.act(p, bb), b.act(q, bb)), rows) for p, q in sigma.pairs),
-                rows,
-            )
-            for bb in range(m)
-        ]
-        columns = [[tuple(part[k::width]) + (0,) for k in range(width)] for part in parts]
-        for k, (p1, a1) in enumerate(cols):
-            for bb in range(m):
-                inv_b = g.inv(bb)
-                moved = sigma._col_of[(b.act(p1, inv_b), g.conj(a1, inv_b))]
-                if any(part[moved] != translate[bb](part[k]) for part in columns):
-                    cov_witness = (p1, a1, bb)
-                    break
-            if cov_witness:
+    for (p1, a1), column in zip(cols, columns):
+        for bb, pre in enumerate(preimages):
+            inv_b = g.inv(bb)
+            moved = columns[col_of[(b.act(p1, inv_b), g.conj(a1, inv_b))]]
+            pulled = {r: v for s, v in column.items() for r in pre.get(s, ())}
+            if pulled != moved:
+                cov_witness = (p1, a1, bb)
                 break
+        if cov_witness:
+            break
     report.add(CheckResult("splitting.covariance", cov_witness is None, cov_witness))
     return report
 
@@ -250,40 +243,38 @@ def theta_from_splitting(sigma: Splitting, b: BundleSpec) -> FormValuedMap:
     g = b.group
     n, m = b.total_size, g.order
     e = g.identity
-    width = len(sigma.cols)
     pair_rows = [(p * n + q) * m for p, q in sigma.pairs]
-
-    def assemble(part: list[int]) -> list[int]:
-        out = [0] * (n * n * m)
-        for k, (_p0, a) in enumerate(sigma.cols):
-            column = part[k::width]
-            for r in itertools.compress(range(len(column)), column):
-                out[pair_rows[r] + a] += column[r]
-        # the identity slice, which no column writes, balances the unit normalization
-        for t in range(0, len(out), m):
-            out[t + e] = -sum(out[t : t + m])
-        return out
-
-    return FormValuedMap(g, n, 1, view=gathered(sigma.view, assemble))
+    parts = [[0] * (n * n * m), [0] * (n * n * m)]
+    for (_p0, a), column in zip(sigma.cols, sigma.columns):
+        for r, v in column.items():
+            for part, x in zip(parts, v):
+                part[pair_rows[r] + a] += x
+    # the identity slice, which no column writes, balances the unit normalization
+    for part in parts:
+        for t in range(0, len(part), m):
+            part[t + e] = -sum(part[t : t + m])
+    return FormValuedMap(g, n, 1, view=(sigma.d, *parts))
 
 
 def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
-    """Columns localize the density at the first point argument."""
-    pairs, cols = _splitting_index(b)
+    """Columns localize the density at the first point argument: column
+    (p, a), row (p, q) is θ(p, q, a), copied from θ's nonzero entries."""
+    _pairs, cols = _splitting_index(b)
     n, m = theta.size, theta.group.order
-    width = len(cols)
-    # the columns of point p are the m - 1 from p (m - 1) on, one per
-    # group element but the identity, in order
-    others = [a for a in range(m) if a != b.group.identity]
-
-    def rows(part: list[int]) -> list[int]:
-        out = [0] * (len(pairs) * width)
-        for r, (p, q) in enumerate(pairs):
-            base, start = (p * n + q) * m, r * width + p * (m - 1)
-            out[start : start + m - 1] = [part[base + a] for a in others]
-        return out
-
-    return Splitting(b, view=gathered(theta.view, rows))
+    e = b.group.identity
+    d, re, im = theta.view
+    im = itertools.repeat(0) if im is None else im
+    columns: list[dict[int, tuple[int, int]]] = [{} for _ in cols]
+    # entry t is θ(p, q, a) with t = (p n + q) m + a; pairs and columns run
+    # point-major, so (p, q) is row p (n - 1) + q - [q > p] and (p, a) is
+    # column p (m - 1) + a - [a > e]
+    for t, x, y in zip(itertools.count(), re, im):
+        if x or y:
+            pq, a = divmod(t, m)
+            p, q = divmod(pq, n)
+            if p != q and a != e:
+                columns[p * (m - 1) + a - (a > e)][p * (n - 1) + q - (q > p)] = (x, y)
+    return Splitting(b, d, columns)
 
 
 # ---------------------------------------------------------------------------

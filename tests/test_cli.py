@@ -25,7 +25,7 @@ from qpb.fixtures import fix_z2, fixture_documents
 from qpb.potentials import trivial_connection
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
 from qpb.funcs import FormValuedMap
-from qpb.scalars import ONE, ZERO, Scalar, parse_scalar
+from qpb.scalars import ONE, Scalar, parse_scalar
 from test_golden import S3X2, _gaussian
 
 Z2_CHECKS = [
@@ -277,10 +277,10 @@ def test_non_equivariant_phi_fails_and_skips_downstream():
 
 def test_rejected_splitting_reason_matches_theta_from_splitting(monkeypatch):
     # a valid connection form always yields a valid splitting, so the
-    # runner's rejection path is reached by substituting a zero matrix;
+    # runner's rejection path is reached by substituting empty columns;
     # theta_from_splitting must not run on the splitting it rejects
     def zero_splitting(theta, b):
-        return Splitting(b, [[ZERO] * 4 for _ in range(12)])
+        return Splitting(b, 1, [{} for _ in range(4)])
 
     def unreachable(sigma, b):
         raise AssertionError("theta_from_splitting ran on a rejected splitting")

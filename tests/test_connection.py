@@ -31,7 +31,15 @@ from qpb.document import parse_spec
 from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import gauge_compose, gauge_inverse
-from qpb.groups import GaugeMap, TransitionMap, cyclic, make_product, symmetric
+from qpb.groups import (
+    BundleSpec,
+    GaugeMap,
+    RightAction,
+    TransitionMap,
+    cyclic,
+    make_product,
+    symmetric,
+)
 from qpb.potentials import (
     classical_connection,
     connection_from_potential,
@@ -48,7 +56,7 @@ from qpb.potentials import (
     validate_transition,
 )
 from qpb.runner import rejection, run_checks
-from qpb.scalars import ONE, ZERO, Scalar
+from qpb.scalars import ONE, ZERO, Scalar, to_ints
 from test_golden import S3X2
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
@@ -423,9 +431,7 @@ def test_splitting_columns_and_apply():
 def test_theta_from_splitting_rejects_corrupt_matrix():
     b = fix_z2()
     sigma = splitting_from_theta(trivial_connection(b), b)
-    zeroed = Splitting(
-        b, [[ZERO] * len(sigma.cols) for _ in range(len(sigma.pairs))]
-    )
+    zeroed = Splitting(b, 1, [{} for _ in sigma.cols])
     # the runner refuses it before theta_from_splitting runs
     assert rejection("splitting", validate_splitting(zeroed, b)) == (
         "splitting rejected: splitting.section: FAIL  witness=(0, 1, 0, 1)"
@@ -533,14 +539,36 @@ def test_mat_mul_and_identity():
     assert sq == [[S(7), S(10)], [S(15), S(22)]]
 
 
+def dense_rows(sigma) -> list[list[Scalar]]:
+    """The splitting's matrix as rows of Scalars, zero where its columns
+    store nothing."""
+    rows = [[ZERO] * len(sigma.cols) for _ in sigma.pairs]
+    for k, column in enumerate(sigma.columns):
+        for r, (x, y) in column.items():
+            rows[r][k] = Scalar(Fraction(x, sigma.d), Fraction(y, sigma.d))
+    return rows
+
+
+def splitting_of_rows(b, rows: list[list[Scalar]]) -> Splitting:
+    """The Splitting whose matrix has the given rows of Scalars."""
+    width = len(rows[0]) if rows else 0
+    d, re, im = to_ints([v for row in rows for v in row])
+    columns = [{} for _ in range(width)]
+    for t, (x, y) in enumerate(zip(re, im or [0] * len(re))):
+        if x or y:
+            r, k = divmod(t, width)
+            columns[k][r] = (x, y)
+    return Splitting(b, d, columns)
+
+
 def column_form(sigma, p: int, a: int, rows=None) -> Func:
     """Column (p, a) of a splitting as its one-form's (n, n) table, zero
-    on the diagonal; `rows` is the splitting's matrix, read once by a
-    caller that takes many columns."""
+    on the diagonal; `rows` is the splitting's `dense_rows`, read once by
+    a caller that takes many columns."""
     n = sigma.bundle.total_size
     k = sigma.cols.index((p, a))
     values = [ZERO] * (n * n)
-    for (p0, q0), row in zip(sigma.pairs, sigma.matrix if rows is None else rows):
+    for (p0, q0), row in zip(sigma.pairs, dense_rows(sigma) if rows is None else rows):
         values[p0 * n + q0] = row[k]
     return Func((n, n), values)
 
@@ -551,7 +579,7 @@ def reference_splitting_checks(sigma, b):
     g = b.group
     n, m = b.total_size, g.order
 
-    rows = sigma.matrix
+    rows = dense_rows(sigma)
     sparse, pairs = restricted_canonical_matrix(b)
     canon = [[row.get(k, ZERO) for k in range(len(pairs))] for row in sparse]
     product = mat_mul(canon, rows)
@@ -620,11 +648,11 @@ def test_validate_splitting_matches_dense_reference(make, potentials, sample):
         cells = [(r, k) for r in range(len(sigma.pairs)) for k in range(len(sigma.cols))]
         if sample is not None:
             cells = rng.sample(cells, sample)
-        rows = sigma.matrix
+        rows = dense_rows(sigma)
         for r, k in cells:
             matrix = [list(row) for row in rows]
             matrix[r][k] = matrix[r][k] + ONE
-            mutant = Splitting(b, matrix)
+            mutant = splitting_of_rows(b, matrix)
             got = splitting_checks(mutant, b)
             assert got == reference_splitting_checks(mutant, b)
             assert not all(ok for _name, ok, _w in got)
@@ -640,7 +668,7 @@ def test_validate_splitting_sees_imaginary_parts():
         rng = Random(37)
         theta = strong_connection_direct(random_base_potential(b.group, b.base.size, rng), b)
         sigma = splitting_from_theta(theta, b)
-        rows = sigma.matrix
+        rows = dense_rows(sigma)
         cells = [(r, k) for r in range(len(sigma.pairs)) for k in range(len(sigma.cols))]
         if sample is not None:
             cells = rng.sample(cells, sample)
@@ -648,7 +676,7 @@ def test_validate_splitting_sees_imaginary_parts():
         for r, k in cells:
             matrix = [list(row) for row in rows]
             matrix[r][k] = matrix[r][k] + Scalar(0, 1)
-            mutant = Splitting(b, matrix)
+            mutant = splitting_of_rows(b, matrix)
             got = splitting_checks(mutant, b)
             assert got == reference_splitting_checks(mutant, b)
             failed.update(name for name, ok, _w in got if not ok)
@@ -664,10 +692,44 @@ def test_validate_splitting_matches_dense_reference_without_free_action():
         [[random_scalar(rng) for _ in range(2)] for _ in range(2)] for _ in range(10)
     ]
     for matrix in matrices:
-        sigma = Splitting(b, matrix)
+        sigma = splitting_of_rows(b, matrix)
         got = splitting_checks(sigma, b)
         assert got == reference_splitting_checks(sigma, b)
         assert got[0] == ("splitting.section", False, (0, 1, 0, 1))
+
+
+def test_validate_splitting_matches_dense_reference_when_the_action_is_no_permutation():
+    # g sends 0 to 1, fixes 1 and sends 2 to 0: the translate of (0, 1) and
+    # of (1, 0) by g is diagonal, and (1, 0) and (0, 1) each have two
+    # preimages, (0, 2), (1, 2) and (2, 0), (2, 1)
+    g = cyclic(2)
+    b = BundleSpec(g, RightAction(g, [[0, 1], [1, 1], [2, 0]]))
+    # column (p, g) holds the unit at the row (p, p.g), where there is one
+    unit = {(0, 1): (0, 1), (2, 0): (2, 1)}
+    sigma = splitting_of_rows(b, [[ZERO] * 3 for _ in range(6)])
+    identity_like = [
+        [ONE if unit.get(pq) == col else ZERO for col in sigma.cols] for pq in sigma.pairs
+    ]
+    sigma = splitting_of_rows(b, identity_like)
+    got = splitting_checks(sigma, b)
+    assert got == reference_splitting_checks(sigma, b)
+    failed = set()
+    for r in range(len(sigma.pairs)):
+        for k in range(len(sigma.cols)):
+            for step in (ONE, Scalar(0, 1)):
+                matrix = [list(row) for row in identity_like]
+                matrix[r][k] = matrix[r][k] + step
+                mutant = splitting_of_rows(b, matrix)
+                got = splitting_checks(mutant, b)
+                assert got == reference_splitting_checks(mutant, b)
+                failed.update(name for name, ok, _w in got if not ok)
+    assert failed == {"splitting.section", "splitting.module", "splitting.covariance"}
+    # dense matrices differ from a section at many entries of a row and a
+    # column, so each witness must be the first of them
+    rng = Random(41)
+    for _ in range(10):
+        sigma = splitting_of_rows(b, [[random_scalar(rng) for _ in range(3)] for _ in range(6)])
+        assert splitting_checks(sigma, b) == reference_splitting_checks(sigma, b)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ KEEP = {
     "cyclic": "reference group for the tests; documents give their tables",
     "direct_product": "reference group for the tests; documents give their tables",
     "differential": "acceptance criterion 04 (d² = 0, Leibniz); CLI routes call its int view directly",
-    "from_ints": "Table.values and Splitting.matrix (kept below) make their Scalars through it",
+    "from_ints": "Table.values (kept below) makes its Scalars through it",
 }
 
 _HOPF = "acceptance criterion 01: the Hopf algebra axioms of the group's function algebra"
@@ -65,7 +65,6 @@ KEEP_METHODS = {
     "FiniteGroup.label": "direct_product (kept above) names its elements with it",
     "FormValuedMap.apply": "acceptance criterion 06 pairs frame maps with group tables through it",
     "FormValuedMap.density": "Table.values under the name of a map's entries; the checks read views",
-    "Splitting.matrix": "the Scalar rows the dense reference of validate_splitting multiplies",
     "Table.values": "the entries as Scalars for printers and tests; the checks read views",
     "Scalar.re": "Scalar.__hash__ reads it, so a real Scalar hashes like the equal Fraction",
     "Scalar.im": "Scalar.__hash__ reads it, so a complex Scalar hashes like its Fraction pair",
