@@ -3,12 +3,15 @@
 Parsing is total: any input yields either a validated SpecDocument or a
 SpecError carrying the path of the first problem.  Densities accept
 integers or exact literals like "-1/2" and "1/3+2/5i"; floats are
-rejected.
+rejected.  Each literal parses to its canonical triple (a, b, d), and a
+density straight to the int view its table stores, so parsing makes no
+Scalar.
 """
 
 from __future__ import annotations
 
 import json
+from math import lcm
 
 # CPython's built-in SHA-256, the one hashlib falls back to: hashlib
 # itself would load OpenSSL's libcrypto to digest one document
@@ -22,7 +25,7 @@ except ImportError:
 
 from .funcs import FormValuedMap
 from .groups import BundleSpec, FiniteGroup, GaugeMap, RightAction, TransitionMap, make_product
-from .scalars import Scalar, parse_scalar
+from .scalars import parse_scalar
 
 __all__ = ["SpecDocument", "ConnectionDecl", "GaugeDecl", "SpecError", "parse_spec"]
 
@@ -214,11 +217,12 @@ def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
     return bundle
 
 
-def _parse_scalar_entry(v, path: str) -> Scalar:
+def _parse_scalar_entry(v, path: str) -> tuple[int, int, int]:
+    """The canonical triple (a, b, d) of one density literal."""
     if isinstance(v, bool):
         raise SpecError("non-rational scalar literal", path)
     if isinstance(v, int):
-        return Scalar(v)
+        return v, 0, 1
     if isinstance(v, str):
         try:
             return parse_scalar(v)
@@ -227,11 +231,15 @@ def _parse_scalar_entry(v, path: str) -> Scalar:
     raise SpecError("non-rational scalar literal", path)
 
 
-def _parse_density(spec: dict, path: str, size: int, order: int) -> list[Scalar]:
+def _parse_density(
+    spec: dict, path: str, size: int, order: int
+) -> tuple[int, list[int], list[int] | None]:
+    """The density's view (d, re, im) over the lcm of its literals'
+    denominators, im None when every imaginary part is 0."""
     density = spec.get("density")
     if not isinstance(density, list) or len(density) != size:
         raise SpecError(f"density must have {size} rows", f"{path}.density")
-    flat: list[Scalar] = []
+    flat: list[tuple[int, int, int]] = []
     for i, plane in enumerate(density):
         if not isinstance(plane, list) or len(plane) != size:
             raise SpecError(f"density row must have {size} entries", f"{path}.density[{i}]")
@@ -242,7 +250,10 @@ def _parse_density(spec: dict, path: str, size: int, order: int) -> list[Scalar]
                 )
             for k, v in enumerate(cell):
                 flat.append(_parse_scalar_entry(v, f"{path}.density[{i}][{j}][{k}]"))
-    return flat
+    d = lcm(*{e for _a, _b, e in flat})
+    re = [a * (d // e) for a, _b, e in flat]
+    im = [b * (d // e) for _a, b, e in flat] if any(b for _a, b, _e in flat) else None
+    return d, re, im
 
 
 def _declared_name(spec: dict, path: str, what: str, seen: set[str]) -> str:
@@ -296,8 +307,8 @@ def _parse_connections(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> lis
         else:
             # gamma_hat lives on the base; gamma and theta on the total space
             size = bundle.base.size if kind == "gamma_hat" else bundle.total_size
-            flat = _parse_density(spec, path, size, group.order)
-            payload = FormValuedMap(group, size, 1, flat)
+            view = _parse_density(spec, path, size, group.order)
+            payload = FormValuedMap(group, size, 1, view=view)
         out.append(ConnectionDecl(cname, kind, payload))
     return out
 

@@ -1,47 +1,14 @@
-"""Built-in example bundles: three positive fixtures and a negative one.
+"""Built-in example documents: three positive fixtures and a negative one.
 
-These back the shipped specification documents and the test suite.
+`qpb fixtures` writes them out, and the tests parse them to get the
+fixture bundles; each bundle is defined here once, as its document.
 """
 
 from __future__ import annotations
 
-from .groups import BundleSpec, RightAction, cyclic, make_product, symmetric
+from .groups import symmetric
 
-__all__ = [
-    "fix_z2",
-    "fix_s3",
-    "fix_prod",
-    "fix_nonfree",
-    "fixture_documents",
-]
-
-
-def fix_z2() -> BundleSpec:
-    """Four points, two-element group, shift-by-two action, two orbits."""
-    g = cyclic(2)
-    action = RightAction(g, [[p, (p + 2) % 4] for p in range(4)])
-    return BundleSpec(g, action, phi=[0, 0, 1, 1], name="fix-z2")
-
-
-def fix_s3() -> BundleSpec:
-    """The symmetric group on three letters acting on itself."""
-    g = symmetric(3)
-    action = RightAction(g, [list(row) for row in g.table])
-    return BundleSpec(g, action, phi=list(range(6)), name="fix-s3")
-
-
-def fix_prod() -> BundleSpec:
-    """Product bundle: two base points times a three-element cyclic group."""
-    b = make_product(2, cyclic(3))
-    b.name = "fix-prod"
-    return b
-
-
-def fix_nonfree() -> BundleSpec:
-    """Trivial two-element-group action on two points; never free."""
-    g = cyclic(2)
-    action = RightAction(g, [[0, 0], [1, 1]])
-    return BundleSpec(g, action, name="fix-nonfree")
+__all__ = ["fixture_documents"]
 
 
 def fixture_documents() -> dict[str, dict]:

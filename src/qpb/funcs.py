@@ -10,15 +10,15 @@ and a document holds them without loading either.  They share one
 guarded base, Table: it holds the shape and the view, checks the entry
 cap before it reads an input, and owns the bounds-checked lookup, the
 pointwise sums, negation, the zero test, the operand check and
-equality, so each type only states its layout.  Equality and the zero
-test compare ints; `values` and `value_at` make Scalars only when a
-printer, an edge reader or a test asks.  The entry cap makes degree
-blowups fail loudly instead of exhausting memory.
+equality, so each type only states its layout.  A table is made from a
+view and read as one: equality and the zero test compare ints, and no
+table makes a Scalar.  The entry cap makes degree blowups fail loudly
+instead of exhausting memory.
 
-The row-major layout is decoded here too: `indices` walks a shape in
-order, `unravel` turns a flat position back into its index tuple, and
-`first_difference` names the first entry where two views disagree,
-which is how every density and comodule check names a witness.
+The row-major layout is decoded here too: `unravel` turns a flat
+position back into its index tuple, and `first_difference` names the
+first entry where two views disagree, which is how every density and
+comodule check names a witness.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from contextvars import ContextVar, Token
 from math import prod
 
 from .groups import FiniteGroup
-from .scalars import ZERO, Scalar, add_views, canonical, from_ints, gathered, mul_views, to_ints
+from .scalars import add_views, canonical, gathered, lowest_terms, mul_views
 
 __all__ = [
     "Table",
@@ -72,18 +72,14 @@ class Table:
 
     __slots__ = ("shape", "view")
 
-    def __init__(
-        self, shape: tuple[int, ...], values: Iterable[Scalar] | None = None, *, view=None
-    ):
-        """The entries are given as Scalars or as an int view whose parts
-        may be any iterables.  Either is read only after the size guard, so
-        a generator never runs past the table cap; a view in lowest terms
-        whose parts are lists is kept without a copy."""
+    def __init__(self, shape: tuple[int, ...], *, view):
+        """The entries are given as an int view whose parts may be any
+        iterables.  They are read only after the size guard, so a generator
+        never runs past the table cap; a view in lowest terms whose parts
+        are lists is kept without a copy."""
         self.shape = shape
         entries = prod(shape)
         guard_table_size(entries)
-        if view is None:
-            view = to_ints(values if isinstance(values, list) else list(values))
         d, re, im = gathered(view, lambda part: part if isinstance(part, list) else list(part))
         for part in (re,) if im is None else (re, im):
             if len(part) != entries:
@@ -91,9 +87,13 @@ class Table:
         self.view = canonical(d, re, im)
 
     @property
-    def values(self) -> list[Scalar]:
-        """The entries as Scalars, made afresh on each read."""
-        return from_ints(*self.view)
+    def values(self) -> list[tuple[int, int, int]]:
+        """The entries as canonical triples (a, b, d), made afresh on each
+        read.  No check reads them; `bench/layertrace.py` counts a kernel's
+        output entries as `len(out.values)` or `len(out.density)`."""
+        d, re, im = self.view
+        imag = itertools.repeat(0) if im is None else im
+        return list(map(lowest_terms, re, imag, itertools.repeat(d)))
 
     def _like(self, view):
         """A table of the same kind and layout holding `view`."""
@@ -129,11 +129,6 @@ class Table:
             flat = flat * n + i
         return flat
 
-    def value_at(self, *idx: int) -> Scalar:
-        k = self.flat_index(idx)
-        d, re, im = self.view
-        return from_ints(d, re[k : k + 1], im and im[k : k + 1])[0]
-
     def __eq__(self, other):
         return (
             type(other) is type(self)
@@ -147,10 +142,8 @@ class Func(Table):
 
     __slots__ = ()
 
-    def __init__(
-        self, shape: tuple[int, ...], values: Iterable[Scalar] | None = None, *, view=None
-    ):
-        super().__init__(tuple(shape), values, view=view)
+    def __init__(self, shape: tuple[int, ...], *, view):
+        super().__init__(tuple(shape), view=view)
 
     def _layout(self) -> tuple:
         return (self.shape,)
@@ -201,21 +194,13 @@ class FormValuedMap(Table):
     # the density is the table's values, read through the same slot
     density = Table.values
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        size: int,
-        degree: int,
-        density: Iterable[Scalar] | None = None,
-        *,
-        view=None,
-    ):
+    def __init__(self, group: FiniteGroup, size: int, degree: int, *, view):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.group = group
         self.size = size
         self.degree = degree
-        super().__init__((size,) * (degree + 1) + (group.order,), density, view=view)
+        super().__init__((size,) * (degree + 1) + (group.order,), view=view)
 
     def _layout(self) -> tuple:
         return (self.group, self.size, self.degree)
@@ -225,12 +210,6 @@ class FormValuedMap(Table):
 
     def _mismatch_error(self, other) -> str:
         return "form-valued maps do not match"
-
-    @classmethod
-    def build(cls, group: FiniteGroup, size: int, degree: int, fn) -> FormValuedMap:
-        """Density from fn(*points, c), points varying slowest-first."""
-        shape = (size,) * (degree + 1) + (group.order,)
-        return cls(group, size, degree, (fn(*idx) for idx in indices(shape)))
 
     @classmethod
     def from_point_table(cls, group: FiniteGroup, table: list[int]) -> FormValuedMap:
@@ -245,29 +224,17 @@ class FormValuedMap(Table):
         m = self.group.order
         if alpha.shape != (m,):
             raise ValueError(f"expected a group table, got shape {alpha.shape}")
+        # the group table tiled over the point tuples, then a sum per tuple
         npts = self.size ** (self.degree + 1)
-        density, avals = self.density, alpha.values
-        values = []
-        for t in range(npts):
-            acc = ZERO
-            base = t * m
-            for c in range(m):
-                d = density[base + c]
-                v = avals[c]
-                if d and v:
-                    acc = acc + d * v
-            values.append(acc)
-        return Func((self.size,) * (self.degree + 1), values)
+        products = mul_views(self.view, gathered(alpha.view, lambda part: part * npts))
+        rows = gathered(products, lambda part: map(sum, zip(*[iter(part)] * m)))
+        return Func((self.size,) * (self.degree + 1), view=rows)
 
     def __repr__(self):
         return (
             f"FormValuedMap(size={self.size}, degree={self.degree},"
             f" group_order={self.group.order})"
         )
-
-
-def indices(shape: tuple[int, ...]):
-    return itertools.product(*(range(n) for n in shape))
 
 
 def unravel(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -320,6 +287,10 @@ def _scaled(part, k: int):
 
 
 def tensor_identify(f: Func, g: Func) -> Func:
-    """C(X) tensor C(Y) = C(X x Y): the elementary tensor as a table."""
-    gv = g.values
-    return Func(f.shape + g.shape, (a * b for a in f.values for b in gv))
+    """C(X) tensor C(Y) = C(X x Y): the elementary tensor as a table, each
+    entry of f repeated against the whole of g."""
+    nf, ng = prod(f.shape), prod(g.shape)
+    guard_table_size(nf * ng)
+    left = gathered(f.view, lambda part: [a for a in part for _ in range(ng)])
+    right = gathered(g.view, lambda part: part * nf)
+    return Func(f.shape + g.shape, view=mul_views(left, right))

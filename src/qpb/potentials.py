@@ -44,7 +44,7 @@ from .kernels import (
     _zeros,
 )
 from .report import CheckResult, Report
-from .scalars import ONE, ZERO, add_views, gathered
+from .scalars import add_views, gathered
 
 __all__ = [
     "trivial_connection",
@@ -75,7 +75,7 @@ def conv_unit(group: FiniteGroup, size: int) -> FormValuedMap:
     e = group.identity
     if e is None:
         raise ValueError("group has no identity")
-    return FormValuedMap.build(group, size, 0, lambda p, a: ONE if a == e else ZERO)
+    return FormValuedMap.from_point_table(group, [e] * size)
 
 
 def phi_hom(b: BundleSpec) -> FormValuedMap:

@@ -2,24 +2,23 @@
 common-denominator int view every table is stored as.
 
 Every value the engine computes is a Gaussian rational, so equality
-tests are decidable and there is no tolerance anywhere.  A Scalar
-stores one canonical integer triple (a, b, d) for the value
-(a + b·i)/d, with d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1)
-and two scalars are equal exactly when their triples are.  Scalar is
-the type of the edges: a document's literals parse to Scalars, a table
-entry prints through one, `Table.value_at` returns one, and the exact
-linear algebra of `linalg` eliminates on sparse rows of them, which
-store only the nonzero entries.  `re` and `im` give the parts as
+tests are decidable and there is no tolerance anywhere.  A value is one
+canonical integer triple (a, b, d) for (a + b·i)/d, with d > 0 and
+gcd(a, b, d) == 1, so zero is (0, 0, 1) and two values are equal exactly
+when their triples are.  `parse_scalar` reads a document literal
+straight to that triple.  Scalar wraps the triple for the exact linear
+algebra of `linalg`, which eliminates on sparse rows of Scalars that
+store only the nonzero entries.  `re` and `im` give its parts as
 Fractions; no arithmetic goes through Fraction.
 
 A table is not a list of Scalars.  It is one int view (d, re, im): d > 0
 is a common denominator, entry k is (re[k] + im[k]·i)/d, and im is None
 when every entry is real.  A stored view is canonical (`canonical`):
 gcd(d, re, im) == 1, so equal tables have equal views and `==`, the zero
-test and every witness scan compare plain ints.  The kernels loop on the
-views and hand back views; `to_ints` reads Scalars into a view once, at
-the edge, and `from_ints` makes the Scalars of a view only when a reader
-asks for them.  A table of integers has d = 1, so no gcd runs at all.
+test and every witness scan compare plain ints.  Documents parse to
+views, the kernels loop on the views and hand back views, and a printer
+formats an entry with `ratio_text`; no table makes a Scalar.  A table of
+integers has d = 1, so no gcd runs at all.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import itertools
 import operator
 import re
 from math import gcd, lcm
-from operator import attrgetter
 
 # fractions is imported where a Fraction is built or accepted, and here
 # only for the annotations, so a run on ints and literals never loads it
@@ -41,8 +39,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "parse_scalar",
-    "to_ints",
-    "from_ints",
+    "lowest_terms",
     "canonical",
     "gathered",
     "add_views",
@@ -70,8 +67,9 @@ class Scalar:
         from fractions import Fraction
 
         re, im = Fraction(re), Fraction(im)
-        s = _from_ratios(re.numerator, re.denominator, im.numerator, im.denominator)
-        self._a, self._b, self._d = s._a, s._b, s._d
+        self._a, self._b, self._d = _from_ratios(
+            re.numerator, re.denominator, im.numerator, im.denominator
+        )
 
     @property
     def re(self) -> Fraction:
@@ -186,10 +184,16 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     return _make(a // g, b // g, d // g)
 
 
-def _from_ratios(rn: int, rd: int, im_n: int, im_d: int) -> Scalar:
-    """rn/rd + (im_n/im_d)·i, denominators positive."""
+def _from_ratios(rn: int, rd: int, im_n: int, im_d: int) -> tuple[int, int, int]:
+    """The canonical triple of rn/rd + (im_n/im_d)·i, denominators positive."""
     d = lcm(rd, im_d)
-    return _reduced(rn * (d // rd), im_n * (d // im_d), d)
+    return lowest_terms(rn * (d // rd), im_n * (d // im_d), d)
+
+
+def lowest_terms(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The canonical triple of (a + b·i)/d, for any d > 0."""
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
 
 
 def ratio_text(a: int, b: int, d: int) -> str:
@@ -229,35 +233,6 @@ def _coerce(x):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-
-_nums, _imags, _dens = attrgetter("_a"), attrgetter("_b"), attrgetter("_d")
-
-
-def to_ints(values: list[Scalar]) -> tuple[int, list[int], list[int] | None]:
-    """The common-denominator view (d, re, im) of a list of Scalars.
-
-    Entry k is (re[k] + im[k]·i)/d with d the lcm of the denominators;
-    im is None when every entry is real.
-    """
-    re = list(map(_nums, values))
-    im = list(map(_imags, values)) if any(map(_imags, values)) else None
-    dens = set(map(_dens, values))
-    if len(dens) <= 1:
-        return (dens.pop() if dens else 1), re, im
-    d = lcm(*dens)
-    scale = [d // e for e in map(_dens, values)]
-    re = [a * k for a, k in zip(re, scale)]
-    if im is not None:
-        im = [b * k for b, k in zip(im, scale)]
-    return d, re, im
-
-
-def from_ints(d: int, re: list[int], im: list[int] | None) -> list[Scalar]:
-    """The Scalars of a view: one canonical Scalar per nonzero entry, ZERO
-    itself for every zero entry."""
-    imag = itertools.repeat(0) if im is None else im
-    return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, imag)]
-
 
 # gcd over at most this many entries at once, so no argument tuple the
 # size of a whole table is built
@@ -344,8 +319,9 @@ def _ratio(text: str) -> tuple[int, int]:
     return int(num), d
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse a literal like '3', '-1/2', '2/5i', '1/3+2/5i', '1-i'."""
+def parse_scalar(text: str) -> tuple[int, int, int]:
+    """The canonical triple (a, b, d) of a literal like '3', '-1/2',
+    '2/5i', '1/3+2/5i' or '1-i'."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")

@@ -1,14 +1,19 @@
-"""Shared generators for randomized exact-value tests.
+"""Shared generators for randomized exact-value tests, and the fixture
+bundles.
 
 All randomness is seeded per test, so failures replay deterministically.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from random import Random
 
-from qpb.funcs import FormValuedMap, indices
+from bridge import indices, map_of, scalars_of
+from qpb.document import parse_spec
+from qpb.fixtures import fixture_documents
+from qpb.funcs import FormValuedMap
 from qpb.groups import BundleSpec, FiniteGroup, cyclic
 from qpb.scalars import ZERO, Scalar
 
@@ -29,7 +34,7 @@ _POOL = [
 
 def support(f) -> list[tuple[int, ...]]:
     """The index tuples of a table's nonzero entries, in row-major order."""
-    return [idx for idx, v in zip(indices(f.shape), f.values) if v]
+    return [idx for idx, v in zip(indices(f.shape), scalars_of(f)) if v]
 
 
 def random_scalar(rng: Random) -> Scalar:
@@ -45,13 +50,11 @@ def random_form(size: int, degree: int, rng: Random) -> FormValuedMap:
             values.append(ZERO)
         else:
             values.append(random_scalar(rng))
-    return FormValuedMap(cyclic(1), size, degree, values)
+    return map_of(cyclic(1), size, degree, values)
 
 
 def random_degree0_map(group: FiniteGroup, size: int, rng: Random) -> FormValuedMap:
-    return FormValuedMap(
-        group, size, 0, [random_scalar(rng) for _ in range(size * group.order)]
-    )
+    return map_of(group, size, 0, [random_scalar(rng) for _ in range(size * group.order)])
 
 
 def random_base_potential(group: FiniteGroup, base_size: int, rng: Random) -> FormValuedMap:
@@ -69,7 +72,7 @@ def random_base_potential(group: FiniteGroup, base_size: int, rng: Random) -> Fo
                 total = total + v
             row.append(-total)
             density.extend(row)
-    return FormValuedMap(group, base_size, 1, density)
+    return map_of(group, base_size, 1, density)
 
 
 def all_transition_maps(group: FiniteGroup, base_size: int):
@@ -99,3 +102,31 @@ def all_gauge_maps(group: FiniteGroup, base_size: int):
 def framed(b: BundleSpec) -> BundleSpec:
     assert b.phi is not None
     return b
+
+
+# ---------------------------------------------------------------------------
+# the fixture bundles, each parsed from its document in `fixture_documents`
+
+
+def _fixture(name: str) -> BundleSpec:
+    return parse_spec(json.dumps(fixture_documents()[f"{name}.json"])).bundle
+
+
+def fix_z2() -> BundleSpec:
+    """Four points, two-element group, shift-by-two action, two orbits."""
+    return _fixture("fix_z2")
+
+
+def fix_s3() -> BundleSpec:
+    """The symmetric group on three letters acting on itself."""
+    return _fixture("fix_s3")
+
+
+def fix_prod() -> BundleSpec:
+    """Product bundle: two base points times a three-element cyclic group."""
+    return _fixture("fix_prod")
+
+
+def fix_nonfree() -> BundleSpec:
+    """Trivial two-element-group action on two points; never free."""
+    return _fixture("fix_nonfree")

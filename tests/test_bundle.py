@@ -2,8 +2,9 @@ from random import Random
 
 import pytest
 
+from bridge import func_of, map_of, scalar_at, scalars_of
 import qpb.bundle as bundle
-from conftest import random_degree0_map, support
+from conftest import fix_nonfree, fix_prod, fix_s3, fix_z2, random_degree0_map, support
 from qpb.bundle import (
     check_comodule_algebra,
     check_freeness,
@@ -17,8 +18,7 @@ from qpb.bundle import (
     validate_trivialization,
 )
 from qpb.connection import star_delta
-from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.funcs import FormValuedMap, Func, tensor_identify
+from qpb.funcs import Func, tensor_identify
 from qpb.groups import BundleSpec, FiniteGroup, RightAction, cyclic, make_product
 from qpb.potentials import conv_inverse, conv_unit, phi_hom
 from qpb.scalars import ONE, ZERO, Scalar
@@ -51,8 +51,8 @@ def test_coaction_support_s3():
 def test_coaction_is_multiplicative_pointwise():
     b = fix_prod()
     rng = Random(7)
-    f1 = Func((6,), [Scalar(rng.randrange(-3, 4)) for _ in range(6)])
-    f2 = Func((6,), [Scalar(rng.randrange(-3, 4)) for _ in range(6)])
+    f1 = func_of((6,), [Scalar(rng.randrange(-3, 4)) for _ in range(6)])
+    f2 = func_of((6,), [Scalar(rng.randrange(-3, 4)) for _ in range(6)])
     assert coaction(b, f1 * f2) == coaction(b, f1) * coaction(b, f2)
 
 
@@ -115,7 +115,7 @@ def _first_multiplicativity_failure(b, coact):
             rhs = coact(b, fq) * coact(b, fr)
             for p in range(n):
                 for a in range(m):
-                    if lhs.value_at(p, a) != rhs.value_at(p, a):
+                    if scalar_at(lhs, p, a) != scalar_at(rhs, p, a):
                         return (p, a)
     return None
 
@@ -148,9 +148,9 @@ def test_multiplicativity_witness_is_the_first_failure(monkeypatch):
     def doubled(b, f):
         t = coaction(b, f)
         k = 2 * b.group.order + 3
-        values = t.values
+        values = scalars_of(t)
         values[k] = values[k] + values[k]
-        return Func(t.shape, values)
+        return func_of(t.shape, values)
 
     b = fix_s3()
     monkeypatch.setattr(qpb.bundle, "coaction", doubled)
@@ -179,7 +179,7 @@ def test_freeness_failure():
 
 def _sparse(f):
     """A function's values as a `linalg` vector: its nonzero entries by index."""
-    return {p: x for p, x in enumerate(f.values) if x}
+    return {p: x for p, x in enumerate(scalars_of(f)) if x}
 
 
 def test_invariants_are_orbit_indicators():
@@ -197,7 +197,7 @@ def test_invariants_match_coaction_fixed_points():
         n, m = b.total_size, b.group.order
         inv = invariants_basis(b)
         for orbit in b.base.orbits:
-            f = Func((n,), [ONE if p in orbit else ZERO for p in range(n)])
+            f = func_of((n,), [ONE if p in orbit else ZERO for p in range(n)])
             assert coaction(b, f) == tensor_identify(f, Func.ones((m,)))
             assert inv.contains(_sparse(f))
         for p in range(n):
@@ -208,9 +208,9 @@ def test_invariants_match_coaction_fixed_points():
 
 def test_inject_base():
     b = fix_z2()
-    h = Func((2,), [Scalar(3), Scalar(-1)])
+    h = func_of((2,), [Scalar(3), Scalar(-1)])
     lifted = inject_base(b, h)
-    assert lifted.values == [Scalar(3), Scalar(-1), Scalar(3), Scalar(-1)]
+    assert scalars_of(lifted) == [Scalar(3), Scalar(-1), Scalar(3), Scalar(-1)]
     # lifted functions are coaction invariant
     assert invariants_basis(b).contains(_sparse(lifted))
 
@@ -300,9 +300,9 @@ def test_psi_on_z2_hand_values():
 
 def test_star_hand_example():
     g = cyclic(2)
-    u = FormValuedMap(g, 1, 0, [Scalar(1), Scalar(2)])
-    v = FormValuedMap(g, 1, 0, [Scalar(3), Scalar(5)])
-    assert star_delta(u, v).density == [Scalar(13), Scalar(11)]
+    u = map_of(g, 1, 0, [Scalar(1), Scalar(2)])
+    v = map_of(g, 1, 0, [Scalar(3), Scalar(5)])
+    assert scalars_of(star_delta(u, v)) == [Scalar(13), Scalar(11)]
 
 
 def test_star_unit_and_associativity_random():
@@ -331,7 +331,7 @@ def test_conv_inverse_rejects_non_delta():
     g = cyclic(2)
     # two hits, a hit that is not 1, a 1 with an imaginary part, an imaginary hit
     for row in ([Scalar(1), Scalar(1)], [Scalar(2), ZERO], [Scalar(1, 1), ZERO], [ZERO, Scalar(0, 1)]):
-        h = FormValuedMap(g, 1, 0, row)
+        h = map_of(g, 1, 0, row)
         with pytest.raises(ValueError, match="not a delta table"):
             conv_inverse(h)
 
@@ -346,20 +346,20 @@ def test_phi_coaction_identities_on_basis():
         for c in range(m):
             alpha = Func.indicator((m,), (c,))
             lhs = coaction(b, ph.apply(alpha))
-            rhs = Func(
+            rhs = func_of(
                 (n, m),
                 [
-                    alpha.values[g.table[b.phi[p]][a]]
+                    scalars_of(alpha)[g.table[b.phi[p]][a]]
                     for p in range(n)
                     for a in range(m)
                 ],
             )
             assert lhs == rhs
             lhs_inv = coaction(b, ph_inv.apply(alpha))
-            rhs_inv = Func(
+            rhs_inv = func_of(
                 (n, m),
                 [
-                    alpha.values[g.table[g.inv(a)][g.inv(b.phi[p])]]
+                    scalars_of(alpha)[g.table[g.inv(a)][g.inv(b.phi[p])]]
                     for p in range(n)
                     for a in range(m)
                 ],

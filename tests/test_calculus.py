@@ -2,12 +2,11 @@ from random import Random
 
 import pytest
 
-from conftest import random_form, random_scalar
+from bridge import build, indices, map_of, scalar_at, scalars_of
+from conftest import fix_nonfree, fix_prod, fix_s3, fix_z2, random_form, random_scalar
 from qpb.calculus import check_exactness, differential, horizontal_basis, validate_form
 from qpb.bundle import check_freeness
 from qpb.connection import star_delta
-from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
-from qpb.funcs import FormValuedMap, indices
 from qpb.groups import BundleSpec, RightAction, cyclic, make_product, symmetric
 from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar
@@ -18,28 +17,28 @@ C1 = cyclic(1)
 
 
 def test_differential_degree_zero_hand_values():
-    f = FormValuedMap(C1, 2, 0, [Scalar(3), Scalar(5)])
+    f = map_of(C1, 2, 0, [Scalar(3), Scalar(5)])
     df = differential(f)
     # (df)(p, q) = f(q) - f(p); the last index is the group's one element
-    assert df.value_at(0, 1, 0) == Scalar(2)
-    assert df.value_at(1, 0, 0) == Scalar(-2)
-    assert df.value_at(0, 0, 0) == ZERO
+    assert scalar_at(df, 0, 1, 0) == Scalar(2)
+    assert scalar_at(df, 1, 0, 0) == Scalar(-2)
+    assert scalar_at(df, 0, 0, 0) == ZERO
 
 
 def test_differential_degree_one_hand_values():
     # indicator of the pair (0, 1) on three points
-    f = FormValuedMap.build(C1, 3, 1, lambda p, q, c: ONE if (p, q) == (0, 1) else ZERO)
+    f = build(C1, 3, 1, lambda p, q, c: ONE if (p, q) == (0, 1) else ZERO)
     df = differential(f)
     # (df)(p,q,r) = f(q,r) - f(p,r) + f(p,q)
-    assert df.value_at(2, 0, 1, 0) == ONE
-    assert df.value_at(0, 2, 1, 0) == -ONE
-    assert df.value_at(0, 1, 2, 0) == ONE
-    assert df.value_at(0, 1, 0, 0) == ONE  # f(1,0) - f(0,0) + f(0,1)
+    assert scalar_at(df, 2, 0, 1, 0) == ONE
+    assert scalar_at(df, 0, 2, 1, 0) == -ONE
+    assert scalar_at(df, 0, 1, 2, 0) == ONE
+    assert scalar_at(df, 0, 1, 0, 0) == ONE  # f(1,0) - f(0,0) + f(0,1)
     assert validate_form(df).passed
 
 
 def test_validate_form_catches_adjacent_values():
-    f = FormValuedMap(C1, 2, 1, [ONE, ZERO, ZERO, ZERO])  # value at (0,0)
+    f = map_of(C1, 2, 1, [ONE, ZERO, ZERO, ZERO])  # value at (0,0)
     rep = validate_form(f)
     assert not rep.passed
     assert rep.first_failure().witness == (0, 0, 0)
@@ -48,7 +47,7 @@ def test_validate_form_catches_adjacent_values():
 def _first_repeat(form):
     """The old scan: the points of the first nonzero entry on an adjacent
     repeat of a form, in index order."""
-    for idx, v in zip(indices(form.shape), form.values):
+    for idx, v in zip(indices(form.shape), scalars_of(form)):
         if v and any(idx[j] == idx[j + 1] for j in range(form.degree)):
             return idx[:-1]
     return None
@@ -67,27 +66,27 @@ def test_validate_form_on_a_map_matches_the_slice_reading(degree):
         ]
         # a map is read one group slice at a time, in order
         slices = [
-            _first_repeat(FormValuedMap(C1, size, degree, density[c::3])) for c in range(3)
+            _first_repeat(map_of(C1, size, degree, density[c::3])) for c in range(3)
         ]
         expected = next(((c,) + w for c, w in enumerate(slices) if w is not None), None)
-        (check,) = validate_form(FormValuedMap(g, size, degree, density)).checks
+        (check,) = validate_form(map_of(g, size, degree, density)).checks
         assert check.name == "form.adjacent_vanishing"
         assert (check.passed, check.witness) == (expected is None, expected)
         # a form's witness leads with the one group element
-        form = FormValuedMap(C1, size, degree, density[:npts])
+        form = map_of(C1, size, degree, density[:npts])
         first = _first_repeat(form)
         assert validate_form(form).checks[0].witness == (None if first is None else (0,) + first)
 
 
 def test_concat_product_hand_values():
-    f = FormValuedMap.build(C1, 3, 1, lambda p, q, c: ONE if (p, q) == (0, 1) else ZERO)
-    g = FormValuedMap.build(C1, 3, 1, lambda p, q, c: Scalar(2) if (p, q) == (1, 2) else ZERO)
+    f = build(C1, 3, 1, lambda p, q, c: ONE if (p, q) == (0, 1) else ZERO)
+    g = build(C1, 3, 1, lambda p, q, c: Scalar(2) if (p, q) == (1, 2) else ZERO)
     fg = star_delta(f, g)
     assert fg.degree == 2
-    assert fg.value_at(0, 1, 2, 0) == Scalar(2)
+    assert scalar_at(fg, 0, 1, 2, 0) == Scalar(2)
     # junction mismatch kills the product
     assert all(
-        fg.value_at(p, q, r, 0) == ZERO
+        scalar_at(fg, p, q, r, 0) == ZERO
         for p in range(3)
         for q in range(3)
         for r in range(3)
@@ -96,9 +95,9 @@ def test_concat_product_hand_values():
 
 
 def test_concat_product_degree_zero_is_pointwise():
-    f = FormValuedMap(C1, 2, 0, [Scalar(2), Scalar(3)])
-    g = FormValuedMap(C1, 2, 0, [Scalar(5), Scalar(7)])
-    assert star_delta(f, g).values == [Scalar(10), Scalar(21)]
+    f = map_of(C1, 2, 0, [Scalar(2), Scalar(3)])
+    g = map_of(C1, 2, 0, [Scalar(5), Scalar(7)])
+    assert scalars_of(star_delta(f, g)) == [Scalar(10), Scalar(21)]
 
 
 @pytest.mark.parametrize("size", [3, 4])
@@ -202,6 +201,6 @@ def test_exactness_refuses_nonfree():
 
 def test_form_shape_guards():
     with pytest.raises(ValueError, match="^density has 3 entries, expected 4$"):
-        FormValuedMap(C1, 2, 1, [ZERO, ZERO, ZERO])
+        map_of(C1, 2, 1, [ZERO, ZERO, ZERO])
     with pytest.raises(ValueError, match="different spaces"):
-        star_delta(FormValuedMap(C1, 2, 1, [ZERO] * 4), FormValuedMap(C1, 3, 1, [ZERO] * 9))
+        star_delta(map_of(C1, 2, 1, [ZERO] * 4), map_of(C1, 3, 1, [ZERO] * 9))

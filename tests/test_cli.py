@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from bridge import indices, map_of, scalar, scalar_at, scalars_of
 import qpb
 import qpb.bundle as bundle
 import qpb.calculus as calculus
@@ -17,14 +18,14 @@ import qpb.connection as connection
 import qpb.funcs as funcs
 import qpb.potentials as potentials
 import qpb.runner as runner
+from conftest import fix_z2
 from qpb import __version__
 from qpb.cli import main
 from qpb.connection import Splitting
 from qpb.document import parse_spec
-from qpb.fixtures import fix_z2, fixture_documents
+from qpb.fixtures import fixture_documents
 from qpb.potentials import trivial_connection
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
-from qpb.funcs import FormValuedMap
 from qpb.scalars import ONE, Scalar, parse_scalar
 from test_golden import S3X2, _gaussian
 
@@ -89,7 +90,7 @@ def theta_payload() -> dict:
     payload = mutated_payload("fix_z2.json")
     theta = trivial_connection(fix_z2())
     density = [
-        [[str(theta.value_at(p, q, c)) for c in range(2)] for q in range(4)]
+        [[str(scalar_at(theta, p, q, c)) for c in range(2)] for q in range(4)]
         for p in range(4)
     ]
     payload["connections"].append({"name": "th", "kind": "theta", "density": density})
@@ -241,13 +242,13 @@ def test_strong_route_agreement_compares_whole_values(monkeypatch, change):
 
     def changed(gamma, b):
         f = direct(gamma, b)
-        values = f.values
+        values = scalars_of(f)
         if change == "halved":
             values = [v * Scalar(Fraction(1, 2)) for v in values]
         else:
             k = next(i for i, v in enumerate(values) if v)
             values[k] = values[k] * Scalar(1, 1)
-        return FormValuedMap(f.group, f.size, f.degree, values)
+        return map_of(f.group, f.size, f.degree, values)
 
     monkeypatch.setattr(potentials, "strong_connection_direct", changed)
     report = run_checks(load_fixture("fix_prod.json"), ["connection:rational"])
@@ -349,9 +350,9 @@ def test_transform_routes_disagreement_names_a_witness(tmp_path, capsys, monkeyp
 
     def shifted(t_fv, t_inv_fv, gamma):
         out = real(t_fv, t_inv_fv, gamma)
-        density = list(out.density)
+        density = list(scalars_of(out))
         density[3] = density[3] + ONE
-        return potentials.FormValuedMap(out.group, out.size, out.degree, density)
+        return map_of(out.group, out.size, out.degree, density)
 
     monkeypatch.setattr(potentials, "_conjugate_by_convolution", shifted)
     path = write_fixture(tmp_path, "fix_z2.json")
@@ -588,7 +589,7 @@ def _reference_dump(raw: dict, name: str) -> dict:
         "group_order": f.group.order,
         "entries": [
             {"index": list(idx), "value": str(v)}
-            for idx, v in zip(funcs.indices(f.shape), f.values)
+            for idx, v in zip(indices(f.shape), scalars_of(f))
             if v
         ],
     }
@@ -666,7 +667,7 @@ def test_curvature_dump_lists_every_nonzero_entry_as_it_prints(tmp_path, capsys)
         expected = _reference_dump(raw, name)
         assert json.loads(_dump_text(capsys, str(path), name)) == expected
         if raw["name"] == "s3x2-imag":
-            assert any(parse_scalar(e["value"]).re == 0 for e in expected["entries"])
+            assert any(scalar(parse_scalar(e["value"])).re == 0 for e in expected["entries"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridge import build, func_of, map_of, scalar_at, scalars_of, to_ints
 from conftest import (
     all_gauge_maps,
     all_transition_maps,
+    fix_nonfree,
+    fix_prod,
+    fix_s3,
+    fix_z2,
     random_base_potential,
     random_scalar,
 )
@@ -28,7 +33,6 @@ from qpb.connection import (
     validate_splitting,
 )
 from qpb.document import parse_spec
-from qpb.fixtures import fix_nonfree, fix_prod, fix_s3, fix_z2
 from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import gauge_compose, gauge_inverse
 from qpb.groups import (
@@ -56,7 +60,7 @@ from qpb.potentials import (
     validate_transition,
 )
 from qpb.runner import rejection, run_checks
-from qpb.scalars import ONE, ZERO, Scalar, to_ints
+from qpb.scalars import ONE, ZERO, Scalar
 from test_golden import S3X2
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
@@ -74,7 +78,7 @@ def S(x):
 
 
 def zero_base_potential(group, base_size):
-    return FormValuedMap.build(group, base_size, 1, lambda x, y, c: ZERO)
+    return build(group, base_size, 1, lambda x, y, c: ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +90,12 @@ def test_from_point_table_and_apply():
     g = b.group
     fv = FormValuedMap.from_point_table(g, b.phi)
     assert fv.degree == 0 and fv.size == 4
-    assert fv.value_at(2, 1) == ONE
-    assert fv.value_at(2, 0) == ZERO
-    assert fv.density[1::2] == [ZERO, ZERO, ONE, ONE]
+    assert scalar_at(fv, 2, 1) == ONE
+    assert scalar_at(fv, 2, 0) == ZERO
+    assert scalars_of(fv)[1::2] == [ZERO, ZERO, ONE, ONE]
     # pairing against a group table evaluates the frame pointwise
-    out = fv.apply(Func((2,), [Scalar(3), Scalar(5)]))
-    assert out.values == [Scalar(3), Scalar(3), Scalar(5), Scalar(5)]
+    out = fv.apply(func_of((2,), [Scalar(3), Scalar(5)]))
+    assert scalars_of(out) == [Scalar(3), Scalar(3), Scalar(5), Scalar(5)]
 
 
 def test_star_of_inverse_frames_is_unit():
@@ -104,7 +108,7 @@ def test_star_of_inverse_frames_is_unit():
     for p in range(4):
         for c in range(2):
             expected = ONE if c == g.identity else ZERO
-            assert unit.value_at(p, c) == expected
+            assert scalar_at(unit, p, c) == expected
 
 
 def test_star_degrees_add_and_share_junction():
@@ -113,9 +117,9 @@ def test_star_degrees_add_and_share_junction():
     s = star_delta(a, differential(a))
     assert s.degree == 1
     # hand value: sum over products lands on the frame word at each end
-    assert s.value_at(0, 1, 1) == ONE
-    assert s.value_at(0, 1, 0) == -ONE
-    assert s.value_at(0, 0, 0) == ZERO
+    assert scalar_at(s, 0, 1, 1) == ONE
+    assert scalar_at(s, 0, 1, 0) == -ONE
+    assert scalar_at(s, 0, 0, 0) == ZERO
 
 
 def test_star_associativity_random():
@@ -126,7 +130,7 @@ def test_star_associativity_random():
 
         def rand_map(degree):
             n = size ** (degree + 1) * g.order
-            return FormValuedMap(
+            return map_of(
                 g, size, degree, [Scalar(rng.randrange(-2, 3)) for _ in range(n)]
             )
 
@@ -140,24 +144,24 @@ def test_star_associativity_random():
 def test_d_slicewise_matches_per_slice_differential():
     g = fix_z2().group
     rng = Random(5)
-    fv = FormValuedMap(g, 3, 0, [Scalar(rng.randrange(-3, 4)) for _ in range(6)])
+    fv = map_of(g, 3, 0, [Scalar(rng.randrange(-3, 4)) for _ in range(6)])
     dfv = differential(fv)
     assert dfv.degree == 1
     for c in range(2):
-        slice_form = FormValuedMap(cyclic(1), 3, 0, fv.density[c::2])
-        assert differential(slice_form).density == dfv.density[c::2]
+        slice_form = map_of(cyclic(1), 3, 0, scalars_of(fv)[c::2])
+        assert scalars_of(differential(slice_form)) == scalars_of(dfv)[c::2]
 
 
 def test_form_valued_map_shape_guards():
     g = fix_z2().group
     with pytest.raises(ValueError, match="density has"):
-        FormValuedMap(g, 2, 0, [ZERO] * 3)
+        map_of(g, 2, 0, [ZERO] * 3)
     a = FormValuedMap.from_point_table(g, [0, 1])
     c = FormValuedMap.from_point_table(g, [0, 1, 0])
     with pytest.raises(ValueError, match="different spaces"):
         star_delta(a, c)
     with pytest.raises(ValueError, match="group table"):
-        a.apply(Func((3,), [ZERO] * 3))
+        a.apply(func_of((3,), [ZERO] * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +172,12 @@ def test_trivial_connection_hand_values():
     b = fix_z2()
     theta = trivial_connection(b)
     # frames e,e,g,g: the (0,3) pair carries the group word g
-    assert theta.value_at(0, 3, 1) == ONE
-    assert theta.value_at(0, 3, 0) == -ONE
+    assert scalar_at(theta, 0, 3, 1) == ONE
+    assert scalar_at(theta, 0, 3, 0) == -ONE
     for c in range(2):
-        assert theta.value_at(0, 1, c) == ZERO
+        assert scalar_at(theta, 0, 1, c) == ZERO
     ind_g = Func.indicator((2,), (1,))
-    assert theta.apply(ind_g).value_at(0, 3) == ONE
+    assert scalar_at(theta.apply(ind_g), 0, 3) == ONE
 
 
 @pytest.mark.parametrize("make", FRAMED)
@@ -218,7 +222,7 @@ def test_potential_route_matches_closed_form(make):
 def test_connection_from_potential_rejects_invalid():
     b = fix_z2()
     # value on an orbit pair: (0, 2) lie over the same base point
-    bad = FormValuedMap.build(
+    bad = build(
         b.group,
         4,
         1,
@@ -234,14 +238,14 @@ def test_connection_from_potential_rejects_invalid():
 def test_validate_potential_witnesses():
     b = fix_z2()
 
-    unbalanced = FormValuedMap.build(
+    unbalanced = build(
         b.group, 4, 1, lambda p, q, c: ONE if (p, q, c) == (0, 1, 0) else ZERO
     )
     r = validate_potential(unbalanced, b)
     assert not r["potential.unit_normalization"].passed
     assert r["potential.unit_normalization"].witness == (0, 1)
 
-    on_orbit = FormValuedMap.build(
+    on_orbit = build(
         b.group,
         4,
         1,
@@ -253,7 +257,7 @@ def test_validate_potential_witnesses():
     assert not r["potential.vanishing_on_orbit_pairs"].passed
     assert r["potential.vanishing_on_orbit_pairs"].witness == (0, 1, 0)
 
-    lopsided = FormValuedMap.build(
+    lopsided = build(
         b.group,
         4,
         1,
@@ -274,12 +278,12 @@ def test_validate_base_potential_random_and_witnesses():
         assert validate_base_potential(random_base_potential(g, 3, rng)).passed
 
     for value in (ONE, Scalar(0, 1)):
-        diag = FormValuedMap.build(g, 2, 1, lambda x, y, c: value if (x, y, c) == (1, 1, 1) else ZERO)
+        diag = build(g, 2, 1, lambda x, y, c: value if (x, y, c) == (1, 1, 1) else ZERO)
         r = validate_base_potential(diag)
         assert not r["base_potential.vanishing_on_diagonal"].passed
         assert r["base_potential.vanishing_on_diagonal"].witness == (1, 1)
 
-    unbalanced = FormValuedMap.build(
+    unbalanced = build(
         g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 1, 0) else ZERO
     )
     r = validate_base_potential(unbalanced)
@@ -291,7 +295,7 @@ def test_validate_base_potential_random_and_witnesses():
 def test_lift_base_potential_guards():
     b = fix_z2()
     g = b.group
-    bad = FormValuedMap.build(g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 0, 1) else ZERO)
+    bad = build(g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 0, 1) else ZERO)
     # the runner refuses it before lift_base_potential runs
     assert rejection("base potential", validate_base_potential(bad)) == (
         "base potential rejected: base_potential.vanishing_on_diagonal: FAIL  witness=(0, 1)"
@@ -345,11 +349,11 @@ def test_potential_from_transition_values():
     g = fix_z2().group
     tm = TransitionMap(g, [[0, 1], [0, 0]])
     gh = potential_from_transition(tm)
-    assert gh.value_at(0, 1, 1) == ONE
-    assert gh.value_at(0, 1, 0) == -ONE
+    assert scalar_at(gh, 0, 1, 1) == ONE
+    assert scalar_at(gh, 0, 1, 0) == -ONE
     for c in range(2):
-        assert gh.value_at(0, 0, c) == ZERO
-        assert gh.value_at(1, 0, c) == ZERO
+        assert scalar_at(gh, 0, 0, c) == ZERO
+        assert scalar_at(gh, 1, 0, c) == ZERO
     assert validate_base_potential(gh).passed
 
     # the runner refuses it before potential_from_transition runs
@@ -363,10 +367,10 @@ def test_classical_connection_hand_values():
     b = fix_z2()
     tm = TransitionMap(b.group, [[0, 1], [0, 0]])
     theta = classical_connection(tm, b)
-    assert theta.value_at(0, 1, 1) == ONE
-    assert theta.value_at(0, 1, 0) == -ONE
+    assert scalar_at(theta, 0, 1, 1) == ONE
+    assert scalar_at(theta, 0, 1, 0) == -ONE
     # same-orbit pair still carries the frame twist between 0 and 2
-    assert theta.value_at(0, 2, 1) == ONE
+    assert scalar_at(theta, 0, 2, 1) == ONE
     assert validate_connection_form(theta, b).passed
 
 
@@ -423,9 +427,9 @@ def test_splitting_columns_and_apply():
     b = fix_z2()
     sigma = splitting_from_theta(trivial_connection(b), b)
     col = column_form(sigma, 0, 1)
-    assert col.value_at(0, 1) == ZERO
-    assert col.value_at(0, 2) == ONE
-    assert col.value_at(0, 3) == ONE
+    assert scalar_at(col, 0, 1) == ZERO
+    assert scalar_at(col, 0, 2) == ONE
+    assert scalar_at(col, 0, 3) == ONE
 
 
 def test_theta_from_splitting_rejects_corrupt_matrix():
@@ -440,7 +444,7 @@ def test_theta_from_splitting_rejects_corrupt_matrix():
 
 def test_splitting_from_theta_rejects_invalid_form():
     b = fix_z2()
-    flat_zero = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
+    flat_zero = map_of(b.group, 4, 1, [ZERO] * 32)
     # the runner refuses it before splitting_from_theta runs
     assert rejection("connection form", validate_connection_form(flat_zero, b)) == (
         "connection form rejected: connection.splitting_property: FAIL  witness=(0, 1, 0)"
@@ -457,7 +461,7 @@ def _first_splitting_failure(theta, b):
         for a in range(g.order):
             for c in range(g.order):
                 unit = (ONE if a == c else ZERO) - (ONE if c == g.identity else ZERO)
-                if theta.value_at(p, b.act(p, a), c) != unit:
+                if scalar_at(theta, p, b.act(p, a), c) != unit:
                     return (p, a, c)
     return None
 
@@ -469,19 +473,19 @@ def _first_ad_covariance_failure(theta, b):
         for q in range(n):
             for bb in range(g.order):
                 for c in range(g.order):
-                    moved = theta.value_at(b.act(p, bb), b.act(q, bb), c)
-                    if moved != theta.value_at(p, q, g.conj(c, g.inv(bb))):
+                    moved = scalar_at(theta, b.act(p, bb), b.act(q, bb), c)
+                    if moved != scalar_at(theta, p, q, g.conj(c, g.inv(bb))):
                         return (p, q, bb, c)
     return None
 
 
 def _moved(theta, p, q, up, down):
     """theta with one unit moved from group element `down` to `up` at (p, q)."""
-    density = list(theta.density)
+    density = list(scalars_of(theta))
     base = (p * theta.size + q) * theta.group.order
     density[base + up] = density[base + up] + ONE
     density[base + down] = density[base + down] - ONE
-    return FormValuedMap(theta.group, theta.size, 1, density)
+    return map_of(theta.group, theta.size, 1, density)
 
 
 def test_ad_covariance_witness_is_the_first_failure():
@@ -570,7 +574,7 @@ def column_form(sigma, p: int, a: int, rows=None) -> Func:
     values = [ZERO] * (n * n)
     for (p0, q0), row in zip(sigma.pairs, dense_rows(sigma) if rows is None else rows):
         values[p0 * n + q0] = row[k]
-    return Func((n, n), values)
+    return func_of((n, n), values)
 
 
 def reference_splitting_checks(sigma, b):
@@ -608,7 +612,7 @@ def reference_splitting_checks(sigma, b):
         for bb in range(m):
             lhs = column_form(sigma, b.act(p1, g.inv(bb)), g.conj(a1, g.inv(bb)), rows)
             if any(
-                lhs.value_at(p, q) != lhs_base.value_at(b.act(p, bb), b.act(q, bb))
+                scalar_at(lhs, p, q) != scalar_at(lhs_base, b.act(p, bb), b.act(q, bb))
                 for p in range(n)
                 for q in range(n)
             ):
@@ -741,11 +745,11 @@ def test_curvature_hand_values_classical():
     tm = TransitionMap(b.group, [[0, 1], [0, 0]])
     f = curvature(classical_connection(tm, b))
     assert not f.is_zero()
-    assert f.value_at(0, 1, 0, 1) == ONE
-    assert f.value_at(0, 1, 0, 0) == -ONE
-    assert f.value_at(0, 3, 0, 1) == ONE
+    assert scalar_at(f, 0, 1, 0, 1) == ONE
+    assert scalar_at(f, 0, 1, 0, 0) == -ONE
+    assert scalar_at(f, 0, 3, 0, 1) == ONE
     ind_g = Func.indicator((2,), (1,))
-    assert f.apply(ind_g).value_at(0, 1, 0) == ONE
+    assert scalar_at(f.apply(ind_g), 0, 1, 0) == ONE
 
 
 @pytest.mark.parametrize("make", FRAMED)
@@ -916,4 +920,4 @@ def test_bundle_mismatch_guards():
     with pytest.raises(ValueError, match="does not match"):
         validate_connection_form(theta, b)
     with pytest.raises(ValueError, match="does not match"):
-        validate_potential(FormValuedMap.build(other.group, 6, 1, lambda p, q, c: ZERO), b)
+        validate_potential(build(other.group, 6, 1, lambda p, q, c: ZERO), b)

@@ -3,14 +3,17 @@
 import copy
 import hashlib
 import json
+from fractions import Fraction
+from random import Random
 
 import pytest
 
+from bridge import scalar, scalar_at, to_ints
 from qpb.document import SpecError, parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.funcs import FormValuedMap
 from qpb.groups import TransitionMap
-from qpb.scalars import parse_scalar
+from qpb.scalars import Scalar, parse_scalar
 
 
 def doc_payload(key: str) -> dict:
@@ -56,9 +59,9 @@ def test_product_bundle_document():
     assert rational.kind == "gamma_hat"
     gh = rational.payload
     assert isinstance(gh, FormValuedMap) and (gh.size, gh.degree) == (2, 1)
-    assert gh.value_at(0, 1, 0) == parse_scalar("1")
-    assert gh.value_at(0, 1, 1) == parse_scalar("-1/2")
-    assert gh.value_at(1, 0, 1) == parse_scalar("1/3")
+    assert scalar_at(gh, 0, 1, 0) == scalar(parse_scalar("1"))
+    assert scalar_at(gh, 0, 1, 1) == scalar(parse_scalar("-1/2"))
+    assert scalar_at(gh, 1, 0, 1) == scalar(parse_scalar("1/3"))
 
 
 def test_lookup_misses_return_none():
@@ -276,8 +279,76 @@ def test_density_accepts_exact_literals():
     payload["connections"][1]["density"][0][1] = ["1/3+2/5i", "-1/3-2/5i", 0]
     doc = parse_spec(json.dumps(payload))
     gh = doc.connection("rational").payload
-    assert gh.value_at(0, 1, 0) == parse_scalar("1/3+2/5i")
-    assert gh.value_at(0, 1, 2) == parse_scalar("0")
+    assert scalar_at(gh, 0, 1, 0) == scalar(parse_scalar("1/3+2/5i"))
+    assert scalar_at(gh, 0, 1, 2) == scalar(parse_scalar("0"))
+
+
+# a density literal with the Scalar it stands for, built from its parts
+_DENOMINATORS = [1, 2, 3, 4, 6, 7, 10]
+
+
+def _ratio(rng: Random) -> tuple[int, int]:
+    return rng.randrange(-9, 10), rng.choice(_DENOMINATORS)
+
+
+def _int_literal(rng: Random):
+    v = rng.randrange(-9, 10)
+    return v, Scalar(v)
+
+
+def _ratio_literal(rng: Random):
+    n, d = _ratio(rng)
+    return f"{n}/{d}", Scalar(Fraction(n, d))
+
+
+def _imaginary_literal(rng: Random):
+    n, d = _ratio(rng)
+    return f"{n}/{d}i", Scalar(0, Fraction(n, d))
+
+
+def _complex_literal(rng: Random):
+    (a, b), (c, e) = _ratio(rng), _ratio(rng)
+    return f"{a}/{b}{'-' if c < 0 else '+'}{abs(c)}/{e}i", Scalar(Fraction(a, b), Fraction(c, e))
+
+
+def _zero_literal(rng: Random):
+    return rng.choice([0, "0", "-0", "0/5", "0i", "0/3i", "0+0i"]), Scalar(0)
+
+
+DENSITY_MIXES = {
+    "ints": [_int_literal],
+    "ratios": [_ratio_literal],
+    "imaginary": [_imaginary_literal],
+    "complex": [_complex_literal],
+    "all-real": [_int_literal, _ratio_literal, _zero_literal],
+    "all-zero": [_zero_literal],
+    "everything": [
+        _int_literal,
+        _ratio_literal,
+        _imaginary_literal,
+        _complex_literal,
+        _zero_literal,
+    ],
+}
+
+
+@pytest.mark.parametrize("mix", sorted(DENSITY_MIXES))
+def test_a_density_parses_to_the_view_of_its_scalars(mix):
+    # a gamma connection on fix_prod's six points: 6 x 6 x 3 literals
+    rng = Random(sorted(DENSITY_MIXES).index(mix))
+    for _ in range(20):
+        drawn = [rng.choice(DENSITY_MIXES[mix])(rng) for _ in range(6 * 6 * 3)]
+        literals = [literal for literal, _ in drawn]
+        cells = [literals[k : k + 3] for k in range(0, len(literals), 3)]
+        payload = doc_payload("fix_prod.json")
+        density = [cells[k : k + 6] for k in range(0, 36, 6)]
+        payload["connections"].append({"name": "drawn", "kind": "gamma", "density": density})
+        view = parse_spec(json.dumps(payload)).connection("drawn").payload.view
+        assert view == to_ints([value for _, value in drawn])
+        if mix in ("ints", "ratios", "all-real", "all-zero"):
+            assert view[2] is None
+        if mix == "all-zero":
+            assert view == (1, [0] * 108, None)
 
 
 def test_gauge_declaration_errors():

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bridge import build, func_of, indices, map_of, scalar_at, scalars_of
+from conftest import fix_z2
 from qpb.connection import star_delta
-from qpb.fixtures import fix_z2
 from qpb.funcs import (
     FormValuedMap,
     Func,
     Table,
     first_difference,
     guard_table_size,
-    indices,
     set_max_table_entries,
     tensor_identify,
     unravel,
@@ -25,9 +25,9 @@ from qpb.scalars import ONE, ZERO, Scalar
 
 def test_indicator_and_flat_index():
     f = Func.indicator((2, 3), (1, 2))
-    assert f.value_at(1, 2) == ONE
-    assert f.value_at(0, 0) == ZERO
-    assert sum(1 for v in f.values if v) == 1
+    assert scalar_at(f, 1, 2) == ONE
+    assert scalar_at(f, 0, 0) == ZERO
+    assert sum(1 for v in scalars_of(f) if v) == 1
     assert f.flat_index((1, 2)) == 5
 
 
@@ -36,48 +36,48 @@ def test_indices_row_major():
 
 
 def test_algebra_operations():
-    a = Func((2,), [Scalar(1), Scalar(2)])
-    b = Func((2,), [Scalar(3), Scalar(-1)])
-    assert (a + b).values == [Scalar(4), Scalar(1)]
-    assert (a - b).values == [Scalar(-2), Scalar(3)]
-    assert (a * b).values == [Scalar(3), Scalar(-2)]
-    assert (-a).values == [Scalar(-1), Scalar(-2)]
+    a = func_of((2,), [Scalar(1), Scalar(2)])
+    b = func_of((2,), [Scalar(3), Scalar(-1)])
+    assert scalars_of(a + b) == [Scalar(4), Scalar(1)]
+    assert scalars_of(a - b) == [Scalar(-2), Scalar(3)]
+    assert scalars_of(a * b) == [Scalar(3), Scalar(-2)]
+    assert scalars_of(-a) == [Scalar(-1), Scalar(-2)]
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape mismatch"):
         Func.zeros((2,)) + Func.zeros((3,))
     with pytest.raises(ValueError, match="does not match shape"):
-        Func.zeros((2, 2)).value_at(1)
+        scalar_at(Func.zeros((2, 2)), 1)
     # one checked lookup for every table kind: a degree-1 map over fix_z2
     # has shape (4, 4, 2), a degree-1 form on 2 points shape (2, 2, 1)
     b = fix_z2()
-    theta = FormValuedMap(b.group, 4, 1, [ZERO] * 32)
+    theta = map_of(b.group, 4, 1, [ZERO] * 32)
     assert theta.shape == (4, 4, 2)
     with pytest.raises(ValueError, match=r"^index \(0, 1\) does not match shape \(4, 4, 2\)$"):
-        theta.value_at(0, 1)
+        scalar_at(theta, 0, 1)
     for idx in ((0, 4, 0), (-1, 0, 0), (0, 0, 2)):
         with pytest.raises(ValueError, match="out of range for shape"):
-            theta.value_at(*idx)
-    form = FormValuedMap(cyclic(1), 2, 1, [ZERO] * 4)
+            scalar_at(theta, *idx)
+    form = map_of(cyclic(1), 2, 1, [ZERO] * 4)
     assert form.shape == (2, 2, 1)
     with pytest.raises(ValueError, match=r"^index \(0, 3, 0\) out of range for shape \(2, 2, 1\)$"):
-        form.value_at(0, 3, 0)
+        scalar_at(form, 0, 3, 0)
 
 
 def test_support():
-    f = Func((2, 2), [ZERO, ONE, ZERO, Scalar(-1)])
+    f = func_of((2, 2), [ZERO, ONE, ZERO, Scalar(-1)])
     assert not f.is_zero()
     assert Func.zeros((3,)).is_zero()
 
 
 def test_tensor_identify():
-    a = Func((2,), [Scalar(1), Scalar(2)])
-    b = Func((2,), [Scalar(3), Scalar(4)])
+    a = func_of((2,), [Scalar(1), Scalar(2)])
+    b = func_of((2,), [Scalar(3), Scalar(4)])
     t = tensor_identify(a, b)
     assert t.shape == (2, 2)
-    assert t.value_at(1, 0) == Scalar(6)
-    assert t.value_at(0, 1) == Scalar(4)
+    assert scalar_at(t, 1, 0) == Scalar(6)
+    assert scalar_at(t, 0, 1) == Scalar(4)
 
 
 def test_entry_cap_guard():
@@ -127,15 +127,15 @@ def test_cap_checked_before_values_are_read(cap):
     g = cyclic(2)
     cap(8)
     attempts = [
-        lambda: Func((3, 3), _unread()),
-        lambda: FormValuedMap(g, 3, 1, _unread()),
-        lambda: FormValuedMap.build(g, 3, 1, _never),
+        lambda: Func((3, 3), view=(1, _unread(), None)),
+        lambda: FormValuedMap(g, 3, 1, view=(1, _unread(), None)),
+        lambda: build(g, 3, 1, _never),
         lambda: Func.zeros((9,)),
         lambda: Func.ones((9,)),
         lambda: star_delta(
-            FormValuedMap(cyclic(1), 2, 1, [ZERO] * 4), FormValuedMap(cyclic(1), 2, 2, [ZERO] * 8)
+            map_of(cyclic(1), 2, 1, [ZERO] * 4), map_of(cyclic(1), 2, 2, [ZERO] * 8)
         ),
-        lambda: tensor_identify(Func((3,), [ONE] * 3), Func((3,), [ONE] * 3)),
+        lambda: tensor_identify(func_of((3,), [ONE] * 3), func_of((3,), [ONE] * 3)),
     ]
     for attempt in attempts:
         with pytest.raises(ValueError, match=r"^table of \d+ entries exceeds the cap of 8$"):
@@ -145,15 +145,15 @@ def test_cap_checked_before_values_are_read(cap):
 def test_each_table_keeps_its_messages():
     g = cyclic(2)
     with pytest.raises(ValueError, match=r"^got 3 values for shape \(2, 2\) \(need 4\)$"):
-        Func((2, 2), [ONE] * 3)
+        func_of((2, 2), [ONE] * 3)
     with pytest.raises(ValueError, match="^density has 3 entries, expected 8$"):
-        FormValuedMap(g, 2, 1, [ONE] * 3)
+        map_of(g, 2, 1, [ONE] * 3)
     with pytest.raises(ValueError, match=r"^shape mismatch: \(2,\) vs \(3,\)$"):
         Func.zeros((2,)) - Func.zeros((3,))
     with pytest.raises(ValueError, match="^form-valued maps do not match$"):
-        FormValuedMap(g, 2, 0, [ZERO] * 4) + FormValuedMap(cyclic(4), 1, 0, [ZERO] * 4)
+        map_of(g, 2, 0, [ZERO] * 4) + map_of(cyclic(4), 1, 0, [ZERO] * 4)
     with pytest.raises(ValueError, match="^degree must be nonnegative$"):
-        FormValuedMap(g, 3, -1, [ONE, ONE])
+        map_of(g, 3, -1, [ONE, ONE])
 
 
 def _tables(rng: Random):
@@ -162,9 +162,9 @@ def _tables(rng: Random):
     g = cyclic(2)
     draw = lambda k: [rng.choice(pool) for _ in range(k)]
     return [
-        (Func((3, 4), draw(12)), Func((3, 4), draw(12))),
-        (FormValuedMap(cyclic(1), 3, 1, draw(9)), FormValuedMap(cyclic(1), 3, 1, draw(9))),
-        (FormValuedMap(g, 3, 1, draw(18)), FormValuedMap(g, 3, 1, draw(18))),
+        (func_of((3, 4), draw(12)), func_of((3, 4), draw(12))),
+        (map_of(cyclic(1), 3, 1, draw(9)), map_of(cyclic(1), 3, 1, draw(9))),
+        (map_of(g, 3, 1, draw(18)), map_of(g, 3, 1, draw(18))),
     ]
 
 
@@ -173,27 +173,29 @@ def test_zero_skipping_sums_match_plain_pointwise_results():
     for _ in range(20):
         for a, b in _tables(rng):
             for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
-                plain = [op(x, y) for x, y in zip(a.values, b.values)]
+                plain = [op(x, y) for x, y in zip(scalars_of(a), scalars_of(b))]
                 assert type(got) is type(a)
                 assert got._layout() == a._layout()
-                assert got.values == plain
-                assert [str(v) for v in got.values] == [str(v) for v in plain]
-            assert (-a).values == [-x for x in a.values]
+                assert scalars_of(got) == plain
+                assert [str(v) for v in scalars_of(got)] == [str(v) for v in plain]
+            assert scalars_of(-a) == [-x for x in scalars_of(a)]
             assert (a - a).is_zero() and (a + (-a)).is_zero()
 
 
 def test_equality_is_type_exact():
     values = [ONE, ZERO, ZERO, ONE]
-    func = Func((2, 2, 1), list(values))
-    fv = FormValuedMap(cyclic(1), 2, 1, list(values))
+    func = func_of((2, 2, 1), list(values))
+    fv = map_of(cyclic(1), 2, 1, list(values))
     assert fv.shape == func.shape
     assert fv != func and func != fv
-    assert func == Func((2, 2, 1), list(values))
-    assert fv == FormValuedMap(cyclic(1), 2, 1, list(values))
-    assert fv != FormValuedMap(cyclic(1), 4, 0, list(values))
-    # a map's density is its values, read through the same property
+    assert func == func_of((2, 2, 1), list(values))
+    assert fv == map_of(cyclic(1), 2, 1, list(values))
+    assert fv != map_of(cyclic(1), 4, 0, list(values))
+    # a map's density is its values, read through the same property, one
+    # canonical triple (a, b, d) per entry
     assert FormValuedMap.density is Table.values
-    assert fv.density == fv.values == values
+    assert fv.density == fv.values == [(1, 0, 1), (0, 0, 1), (0, 0, 1), (1, 0, 1)]
+    assert scalars_of(fv) == values
 
 
 def test_a_view_is_kept_without_a_copy():
@@ -201,7 +203,8 @@ def test_a_view_is_kept_without_a_copy():
     assert Func((2,), view=(1, re, None)).view[1] is re
     fv = FormValuedMap(cyclic(2), 1, 0, view=(3, re, im))
     assert fv.view[1] is re and fv.view[2] is im
-    assert fv.density == [Scalar(Fraction(1, 3)), Scalar(0, Fraction(2, 3))]
+    assert scalars_of(fv) == [Scalar(Fraction(1, 3)), Scalar(0, Fraction(2, 3))]
+    assert fv.values == [(1, 0, 3), (0, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +226,8 @@ def _pairs(draw):
 
 
 def _brute_first_difference(shape, lhs, rhs):
-    f, g = Func(shape, lhs), Func(shape, rhs)
-    return next((i for i in indices(shape) if f.value_at(*i) != g.value_at(*i)), None)
+    f, g = func_of(shape, lhs), func_of(shape, rhs)
+    return next((i for i in indices(shape) if scalar_at(f, *i) != scalar_at(g, *i)), None)
 
 
 @PROPERTIES
@@ -278,13 +281,13 @@ def _scalar_tables(draw):
 @example(((1, 2), [Scalar(0, 1), ONE], [Scalar(0, 1), Scalar(1, 1)]))  # only im differs
 def test_property_the_view_decides_equality_and_witnesses_and_gives_the_values(case):
     shape, lhs, rhs = case
-    a, b = Func(shape, lhs), Func(shape, rhs)
+    a, b = func_of(shape, lhs), func_of(shape, rhs)
     assert (a == b) == (lhs == rhs)
     expected = next((unravel(k, shape) for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
     assert first_difference(a.view, b.view, shape) == expected
     for table, values in ((a, lhs), (b, rhs)):
-        assert table.values == values
-        assert [str(v) for v in table.values] == [str(v) for v in values]
+        assert scalars_of(table) == values
+        assert [str(v) for v in scalars_of(table)] == [str(v) for v in values]
         # the view is in lowest terms: equal tables have equal views
         d, re, im = table.view
         assert gcd(d, *re, *(im or [])) == 1
@@ -297,16 +300,16 @@ def test_property_the_view_decides_equality_and_witnesses_and_gives_the_values(c
 @example(((2,), [Scalar(0, 1), Scalar(Fraction(1, 6))], [Scalar(0, 1), Scalar(Fraction(-1, 10), 2)]))
 def test_property_view_arithmetic_matches_scalar_arithmetic(case):
     shape, lhs, rhs = case
-    a, b = Func(shape, lhs), Func(shape, rhs)
+    a, b = func_of(shape, lhs), func_of(shape, rhs)
     for got, want in (
         (a + b, [x + y for x, y in zip(lhs, rhs)]),
         (a - b, [x - y for x, y in zip(lhs, rhs)]),
         (a * b, [x * y for x, y in zip(lhs, rhs)]),
         (-a, [-x for x in lhs]),
     ):
-        assert got.values == want
-        assert [str(v) for v in got.values] == [str(v) for v in want]
-        assert got == Func(shape, want)
+        assert scalars_of(got) == want
+        assert [str(v) for v in scalars_of(got)] == [str(v) for v in want]
+        assert got == func_of(shape, want)
 
 
 @PROPERTIES

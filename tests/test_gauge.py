@@ -2,8 +2,7 @@
 
 import pytest
 
-from conftest import all_gauge_maps
-from qpb.fixtures import fix_prod, fix_z2
+from conftest import all_gauge_maps, fix_prod, fix_z2
 from qpb.gauge import (
     BundleAutomorphism,
     gauge_compose,

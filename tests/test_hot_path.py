@@ -8,8 +8,11 @@ common-denominator int view, and the kernels, validators and route
 comparisons read the views, so building either route, and running a
 whole connection or curvature suite, must enter no `Scalar` arithmetic
 or comparison method either; a curvature dump makes no Scalar per
-entry.  Each case runs under a profile hook that records every Python
-frame the work enters.  The curvature routes also make no table of the
+entry.  A document parses straight to int views, so parsing makes no
+Scalar at all, and neither does a check outside freeness and exactness
+(whose `linalg` rows are Scalars) or a dump.  Each case runs under a
+profile hook that records every Python frame the work enters.  The
+curvature routes also make no table of the
 curvature's size on the way: a dump, measured under `tracemalloc`,
 peaks below one pointer list of its n³·m entries, and the potential
 route on the base makes no convolution of that size.
@@ -149,6 +152,55 @@ def test_the_hook_sees_scalar_comparisons():
         "__bool__",
         "__eq__",
     ]
+
+
+def scalars_made(work) -> list[str]:
+    """`Scalar.__init__` and `_make` calls that `work()` enters: every
+    Scalar is made through one of them."""
+    return [name for name in frames_in(qpb.scalars.__file__, work) if name in ("__init__", "_make")]
+
+
+def test_the_hook_sees_scalars_made():
+    assert scalars_made(lambda: Scalar(fractions.Fraction(1, 2)) + Scalar(1)) == [
+        "__init__",
+        "__init__",
+        "_make",
+    ]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [_gaussian(copy.deepcopy(S3X2)), fixture_documents()["fix_prod.json"]],
+    ids=["s3x2-gaussian", "fix_prod"],
+)
+def test_parsing_makes_no_scalar(raw):
+    text = json.dumps(raw)
+    docs = []
+    assert scalars_made(lambda: docs.append(parse_spec(text))) == []
+    densities = [decl.payload for decl in docs[0].connections if decl.kind == "gamma_hat"]
+    assert densities and not densities[0].is_zero()
+
+
+def test_a_check_outside_freeness_and_exactness_and_each_dump_make_no_scalar(tmp_path, capsys):
+    raw = fixture_documents()["fix_prod.json"]
+    doc = parse_spec(json.dumps(raw))
+    suites = ["group", "action", "comodule", "trivialization"]
+    for name in ("cls", "rational"):
+        suites += [f"connection:{name}", f"curvature:{name}", f"gauge:twist:{name}"]
+    reports = []
+    assert scalars_made(lambda: reports.append(run_checks(doc, suites))) == []
+    assert reports[0].passed and len(reports[0].suites) == len(suites)
+    path = tmp_path / "fix_prod.json"
+    path.write_text(json.dumps(raw))
+    sizes = []
+    for name in ("cls", "rational"):
+        codes = []
+        args = ["curvature", str(path), "--connection", name]
+        made = scalars_made(lambda: codes.append(main(args)))
+        assert made == [] and codes == [0]
+        sizes.append(len(json.loads(capsys.readouterr().out)["entries"]))
+    # the classical connection is flat; the rational one is not
+    assert sizes[0] == 0 < sizes[1]
 
 
 def test_a_curvature_dump_makes_no_scalar_per_entry(tmp_path, monkeypatch, capsys):

@@ -34,14 +34,9 @@ KEEP = {
     "invariants_basis": "the abstract's claim that the coinvariants are C(B)",
     "inject_base": "the abstract's claim that the coinvariants are C(B)",
     "tensor_identify": "reference for the coinvariant and Hopf coproduct tests",
-    "fix_z2": "reference bundle for the tests; documents come from fixture_documents",
-    "fix_s3": "reference bundle for the tests; documents come from fixture_documents",
-    "fix_prod": "reference bundle for the tests; documents come from fixture_documents",
-    "fix_nonfree": "reference bundle for the tests; documents come from fixture_documents",
     "cyclic": "reference group for the tests; documents give their tables",
     "direct_product": "reference group for the tests; documents give their tables",
     "differential": "acceptance criterion 04 (d² = 0, Leibniz); CLI routes call its int view directly",
-    "from_ints": "Table.values (kept below) makes its Scalars through it",
 }
 
 _HOPF = "acceptance criterion 01: the Hopf algebra axioms of the group's function algebra"
@@ -64,13 +59,12 @@ KEEP_METHODS = {
     "BundleAutomorphism.inverse": "acceptance criterion 10: gauge group laws, as gauge_inverse",
     "FiniteGroup.label": "direct_product (kept above) names its elements with it",
     "FormValuedMap.apply": "acceptance criterion 06 pairs frame maps with group tables through it",
-    "FormValuedMap.density": "Table.values under the name of a map's entries; the checks read views",
-    "Table.values": "the entries as Scalars for printers and tests; the checks read views",
+    "FormValuedMap.density": "bench/layertrace.py counts star_delta's output entries through it",
+    "Table.values": "bench/layertrace.py counts differential's output entries through it",
     "Scalar.re": "Scalar.__hash__ reads it, so a real Scalar hashes like the equal Fraction",
     "Scalar.im": "Scalar.__hash__ reads it, so a complex Scalar hashes like its Fraction pair",
     "Scalar.inverse": "rref scales a row whose pivot is not 1; the CLI's 0/1 matrices have none",
     "SubspaceBasis.contains": "the abstract's claim that the coinvariants are C(B)",
-    "Table.value_at": "the bounds-checked single-entry read the acceptance criteria use",
 }
 
 

@@ -5,30 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridge import scalar
 from qpb.scalars import ONE, ZERO, Scalar, parse_scalar
 
 
 def test_parse_integer():
-    assert parse_scalar("3") == Scalar(3)
-    assert parse_scalar("-7") == Scalar(-7)
-    assert parse_scalar("0") == ZERO
+    assert scalar(parse_scalar("3")) == Scalar(3)
+    assert scalar(parse_scalar("-7")) == Scalar(-7)
+    assert scalar(parse_scalar("0")) == ZERO
 
 
 def test_parse_fraction():
-    assert parse_scalar("-1/2") == Scalar(Fraction(-1, 2))
-    assert parse_scalar("4/6") == Scalar(Fraction(2, 3))
+    assert scalar(parse_scalar("-1/2")) == Scalar(Fraction(-1, 2))
+    assert scalar(parse_scalar("4/6")) == Scalar(Fraction(2, 3))
 
 
 def test_parse_imaginary():
-    assert parse_scalar("2/5i") == Scalar(0, Fraction(2, 5))
-    assert parse_scalar("i") == Scalar(0, 1)
-    assert parse_scalar("-i") == Scalar(0, -1)
+    assert scalar(parse_scalar("2/5i")) == Scalar(0, Fraction(2, 5))
+    assert scalar(parse_scalar("i")) == Scalar(0, 1)
+    assert scalar(parse_scalar("-i")) == Scalar(0, -1)
 
 
 def test_parse_both_parts():
-    assert parse_scalar("1/3+2/5i") == Scalar(Fraction(1, 3), Fraction(2, 5))
-    assert parse_scalar("1-i") == Scalar(1, -1)
-    assert parse_scalar("-2-3i") == Scalar(-2, -3)
+    assert scalar(parse_scalar("1/3+2/5i")) == Scalar(Fraction(1, 3), Fraction(2, 5))
+    assert scalar(parse_scalar("1-i")) == Scalar(1, -1)
+    assert scalar(parse_scalar("-2-3i")) == Scalar(-2, -3)
+
+
+def test_parse_gives_the_canonical_triple():
+    assert parse_scalar("4/6") == (2, 0, 3)
+    assert parse_scalar("-2/4+3/6i") == (-1, 1, 2)
+    assert parse_scalar("2/5i") == (0, 2, 5)
+    assert parse_scalar("0/7") == (0, 0, 1)
 
 
 @pytest.mark.parametrize("bad", ["", "1.5", "one", "1/0", "i+1", "2//3", "+-1"])
@@ -39,8 +47,8 @@ def test_parse_rejects(bad):
 
 def test_str_round_trip():
     for text in ["0", "3", "-1/2", "2/5i", "1/3+2/5i", "1-i", "-i", "5+i"]:
-        s = parse_scalar(text)
-        assert parse_scalar(str(s)) == s
+        s = scalar(parse_scalar(text))
+        assert scalar(parse_scalar(str(s))) == s
 
 
 def test_arithmetic():
@@ -169,14 +177,14 @@ def assert_matches(s: Scalar, re: Fraction, im: Fraction):
     assert hash(s) == _ref_hash(re, im)
     assert bool(s) == bool(re or im)
     assert s == Scalar(re, im)
-    assert parse_scalar(str(s)) == s
+    assert scalar(parse_scalar(str(s))) == s
 
 
 @PROPERTIES
 @given(_pairs)
 def test_property_construction_and_parsing(x):
     assert_matches(_scalar(x), *x)
-    assert_matches(parse_scalar(_ref_str(*x)), *x)
+    assert_matches(scalar(parse_scalar(_ref_str(*x))), *x)
     if not x[1]:
         assert _scalar(x) == x[0]
         assert hash(_scalar(x)) == hash(x[0])
