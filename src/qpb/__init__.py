@@ -19,8 +19,6 @@ _HOMES = {
     "BundleSpec": "groups",
     "FiniteGroup": "groups",
     "RightAction": "groups",
-    "cyclic": "groups",
-    "direct_product": "groups",
     "make_product": "groups",
     "symmetric": "groups",
     "CheckResult": "report",
@@ -30,7 +28,7 @@ _HOMES = {
     "emit_report": "runner",
     "run_checks": "runner",
     "Scalar": "scalars",
-    "parse_scalar": "scalars",
+    "parse_scalar": "views",
 }
 
 __all__ = ["__version__", *_HOMES]

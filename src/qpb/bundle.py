@@ -16,7 +16,8 @@ from __future__ import annotations
 from .funcs import Func, first_difference, guard_table_size
 from .groups import BundleSpec, fixed_point_witness
 from .report import CheckResult, Report
-from .scalars import ONE, Scalar, gathered
+from .scalars import ONE, Scalar
+from .views import gathered
 
 # only for the annotations: the functions that call linalg import it
 TYPE_CHECKING = False

@@ -9,7 +9,7 @@ shared endpoint, is `connection.star_delta`.  On a bundle, the
 horizontal 1-forms are the span of the cross-orbit indicators, and
 exactness compares that span with the kernel of the canonical map.
 
-Forms are stored as int views (`scalars`), so `differential` sums ints
+Forms are stored as int views (`views`), so `differential` sums ints
 over the nonzero rows of its input's view, through
 `kernels._differential_view`, and hands its view to the new table;
 nothing is converted on the way.  The int-view kernels live in

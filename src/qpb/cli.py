@@ -1,21 +1,28 @@
 """Command line front end: check documents, write fixtures, dump curvature.
 
+The command line is read from the small table of the three commands
+and their options in this module, without argparse, so no call pays
+for argparse's import, its gettext and locale lookups or its regular
+expressions.  It accepts every form argparse accepted for these
+options; a usage error prints the usage and one `qpb: error:` line and
+exits 2, and `-h` prints the help.
+
 Each command imports only what it reaches: the runner loads once the
 document parses; the suite bodies of `suites` and each suite's checkers
 when that suite runs; `potentials` and the int-view `kernels` when a
-connection form is built from a potential or a transition map; and the
-fixtures only for `qpb fixtures`.  So a malformed or unreadable
-document is rejected without compiling any of them, and a curvature
-dump on a framed bundle compiles no checker module: none of `bundle`,
-`connection`, `calculus`, `gauge`, `linalg` or `suites`.  The dump is
-written a point pair at a time from the preformatted texts of
-`runner.curvature_payload`.  No path loads OpenSSL: the document
-digest comes from CPython's built-in SHA-256.
+connection's inputs are asked for; `scalars` only with `linalg`, whose
+rows are its sole user; and the fixtures only for `qpb fixtures`.  So a
+malformed or unreadable document is rejected without compiling any of
+them, and a curvature dump on a framed bundle compiles no checker
+module: none of `bundle`, `connection`, `calculus`, `gauge`, `linalg`,
+`scalars` or `suites`.  A dump of a declared θ loads `connection` to
+validate θ first.  The dump is written a point pair at a time from the
+preformatted texts of `runner.curvature_payload`.  No path loads
+OpenSSL: the document digest comes from CPython's built-in SHA-256.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -23,49 +30,49 @@ import sys
 from . import __version__, funcs
 from .document import SpecError, parse_spec
 
+USAGE = """\
+usage: qpb check FILE [--suite NAME]... [--format {text,json}] [--max-entries CAP]
+       qpb curvature FILE --connection NAME [--max-entries CAP]
+       qpb fixtures [--dir DIR]
+"""
+
+HELP = f"""{USAGE}
+Exact verification of finite principal bundle documents.
+
+  check               run verification suites on a document
+  curvature           emit one curvature table as sparse JSON
+  fixtures            write the four fixture documents
+
+  --suite NAME        suite to run (repeatable); default is every applicable suite
+  --format FORMAT     report format, text (the default) or json
+  --max-entries CAP   table size cap
+  --connection NAME   the connection whose curvature is emitted
+  --dir DIR           output directory (default .)
+  -h, --help          show this help and exit
+"""
+
+# each command's options; check and curvature also take one FILE
+OPTIONS = {
+    "check": ("--suite", "--format", "--max-entries", "--help"),
+    "curvature": ("--connection", "--max-entries", "--help"),
+    "fixtures": ("--dir", "--help"),
+}
+FORMATS = ("text", "json")
+# each option's value when it is not given
+DEFAULTS = {"format": "text", "max-entries": None, "connection": None, "dir": "."}
+
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qpb",
-        description="Exact verification of finite principal bundle documents.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run verification suites on a document")
-    p_check.add_argument("file", help="document to check")
-    p_check.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="suite to run (repeatable); default is every applicable suite",
-    )
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument(
-        "--max-entries", type=int, default=None, metavar="CAP", help="table size cap"
-    )
-
-    p_fix = sub.add_parser("fixtures", help="write the four fixture documents")
-    p_fix.add_argument("--dir", default=".", metavar="DIR", help="output directory")
-
-    p_curv = sub.add_parser("curvature", help="emit one curvature table as sparse JSON")
-    p_curv.add_argument("file", help="document holding the connection")
-    p_curv.add_argument("--connection", required=True, metavar="NAME")
-    p_curv.add_argument(
-        "--max-entries", type=int, default=None, metavar="CAP", help="table size cap"
-    )
-
-    args = parser.parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
     cap_token = None
     try:
-        cap = getattr(args, "max_entries", None)
-        if cap is not None:
-            cap_token = funcs.set_max_table_entries(cap)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "fixtures":
-            return _cmd_fixtures(args)
-        return _cmd_curvature(args)
+        if args["max-entries"] is not None:
+            cap_token = funcs.set_max_table_entries(args["max-entries"])
+        if command == "check":
+            return _cmd_check(args["file"], args["suite"] or None, args["format"])
+        if command == "fixtures":
+            return _cmd_fixtures(args["dir"])
+        return _cmd_curvature(args["file"], args["connection"])
     except ValueError as exc:
         # document errors, bad suite requests, table caps and other usage
         # limits surface here
@@ -75,6 +82,102 @@ def main(argv: list[str] | None = None) -> int:
         # the cap is for this call only; the next in-process call starts afresh
         if cap_token is not None:
             funcs.MAX_TABLE_ENTRIES.reset(cap_token)
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command and its arguments, keyed by option name without its
+    dashes and "file".
+
+    An option's value follows it after a space or an `=`; options and
+    FILE come in any order, and `--` makes every later argument FILE.
+    `--suite` keeps each of its values in order, and another option
+    repeated keeps its last.  A unique prefix names a long option.
+    `-h` or `--help` prints the help and exits 0; anything else that
+    does not parse prints the usage and one error line and exits 2.
+    """
+    command = argv[0] if argv else None
+    options = OPTIONS.get(command)
+    if options is None:
+        if command is None:
+            _usage_error("the following arguments are required: command")
+        if command in ("-h", "--h", "--he", "--hel", "--help"):
+            _help()
+        _usage_error(f"invalid choice: {command!r} (choose from 'check', 'curvature', 'fixtures')")
+    args = dict(DEFAULTS, suite=[])
+    files = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not _is_option(arg):
+            files.append(arg)
+            continue
+        if arg == "--":
+            files.extend(rest)
+            break
+        flag, eq, value = arg.partition("=")
+        option = _option(flag, options)
+        if option == "--help":
+            if eq:
+                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            _help()
+        if not eq:
+            value = next(rest, None)
+            if value is None or _is_option(value):
+                _usage_error(f"argument {option}: expected one argument")
+        if option == "--suite":
+            args["suite"].append(value)
+            continue
+        if option == "--max-entries":
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument --max-entries: invalid int value: {value!r}")
+        elif option == "--format" and value not in FORMATS:
+            choices = ", ".join(map(repr, FORMATS))
+            _usage_error(f"argument --format: invalid choice: {value!r} (choose from {choices})")
+        args[option[2:]] = value
+    wants_file = command != "fixtures"
+    missing = ["FILE"] if wants_file and not files else []
+    if command == "curvature" and args["connection"] is None:
+        missing.append("--connection")
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if len(files) > wants_file:
+        _usage_error(f"unrecognized arguments: {' '.join(files[wants_file:])}")
+    args["file"] = files[0] if wants_file else None
+    return command, args
+
+
+def _is_option(arg: str) -> bool:
+    """Whether `arg` starts with a dash and is neither "-", a negative
+    number like -5 or -.5, nor a text with a space: those are values."""
+    whole, dot, frac = arg[1:].partition(".")
+    number = (frac if dot else whole).isdecimal() and (whole.isdecimal() or not whole)
+    return arg.startswith("-") and arg != "-" and " " not in arg and not number
+
+
+def _option(flag: str, options: tuple[str, ...]) -> str:
+    """The option `flag` names: itself, `--help` for `-h`, or the one
+    option a long flag is a prefix of."""
+    if flag == "-h":
+        return "--help"
+    if flag in options:
+        return flag
+    hits = [o for o in options if o.startswith(flag)] if flag.startswith("--") else []
+    if len(hits) == 1:
+        return hits[0]
+    if hits:
+        _usage_error(f"ambiguous option: {flag} could match {', '.join(hits)}")
+    _usage_error(f"unrecognized arguments: {flag}")
+
+
+def _help():
+    sys.stdout.write(HELP)
+    raise SystemExit(0)
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}qpb: error: {message}\n")
+    raise SystemExit(2)
 
 
 def _load_document(path: str):
@@ -88,33 +191,33 @@ def _load_document(path: str):
     return parse_spec(text)
 
 
-def _cmd_check(args) -> int:
-    doc = _load_document(args.file)
+def _cmd_check(path: str, suites: list[str] | None, fmt: str) -> int:
+    doc = _load_document(path)
     from .runner import emit_report, run_checks
 
-    report = run_checks(doc, args.suite, tool_version=__version__)
-    sys.stdout.write(emit_report(report, args.format))
+    report = run_checks(doc, suites, tool_version=__version__)
+    sys.stdout.write(emit_report(report, fmt))
     return report.exit_status
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(directory: str) -> int:
     from .fixtures import fixture_documents
 
-    os.makedirs(args.dir, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
     for fname, payload in fixture_documents().items():
-        path = os.path.join(args.dir, fname)
+        path = os.path.join(directory, fname)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")
     return 0
 
 
-def _cmd_curvature(args) -> int:
-    doc = _load_document(args.file)
+def _cmd_curvature(path: str, connection: str) -> int:
+    doc = _load_document(path)
     from .runner import _Unbuilt, curvature_payload
 
     try:
-        payload = curvature_payload(doc, args.connection, tool_version=__version__)
+        payload = curvature_payload(doc, connection, tool_version=__version__)
     except _Unbuilt as exc:
         # every other ValueError, a table cap included, is main's exit 2
         print(f"qpb: {exc}", file=sys.stderr)

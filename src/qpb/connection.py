@@ -54,7 +54,7 @@ from .kernels import (
     curvature_rows,
 )
 from .report import CheckResult, Report
-from .scalars import canonical, gathered
+from .views import canonical, gathered
 
 __all__ = [
     "Splitting",
@@ -228,11 +228,16 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
         reason = {"reason": "group lacks identity or inverses"}
         report.add(CheckResult("connection.ad_covariance", False, data=reason))
         return report
-    conj = [g.conj(c, g.inv(bb)) for bb in range(m) for c in range(m)]
+    take = operator.itemgetter(*(g.conj(c, g.inv(bb)) for bb in range(m) for c in range(m)))
+
+    def conjugated_rows(part):
+        # each (p, q) row read at b c b^-1 for every (b, c), in C; over the
+        # one-element group `take` gives the entry itself, not a 1-tuple
+        rows = map(take, zip(*[iter(part)] * m))
+        return rows if m == 1 else itertools.chain.from_iterable(rows)
+
     translated = gathered(theta.view, lambda part: _rows_at(part, n, m, _translated_pairs(b)))
-    conjugated = gathered(
-        theta.view, lambda part: (part[t + k] for t in range(0, len(part), m) for k in conj)
-    )
+    conjugated = gathered(theta.view, conjugated_rows)
     cov_witness = first_difference(translated, conjugated, (n, n, m, m))
     report.add(CheckResult("connection.ad_covariance", cov_witness is None, cov_witness))
     return report

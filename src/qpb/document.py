@@ -25,7 +25,7 @@ except ImportError:
 
 from .funcs import FormValuedMap
 from .groups import BundleSpec, FiniteGroup, GaugeMap, RightAction, TransitionMap, make_product
-from .scalars import parse_scalar
+from .views import parse_scalar
 
 __all__ = ["SpecDocument", "ConnectionDecl", "GaugeDecl", "SpecError", "parse_spec"]
 

@@ -2,7 +2,7 @@
 
 Every object qpb computes with is a function on a finite set, stored as
 the common-denominator int view (d, re, im) of its flat row-major
-entries (`scalars`): plain int lists over one denominator, in lowest
+entries (`views`): plain int lists over one denominator, in lowest
 terms.  The two table types live here: Func (a shape) and FormValuedMap
 (group, points and degree); a universal form is a FormValuedMap over
 the one-element group.  `calculus` and `connection` compute with them,
@@ -30,7 +30,7 @@ from contextvars import ContextVar, Token
 from math import prod
 
 from .groups import FiniteGroup
-from .scalars import add_views, canonical, gathered, lowest_terms, mul_views
+from .views import add_views, canonical, gathered, lowest_terms, mul_views
 
 __all__ = [
     "Table",
@@ -39,7 +39,6 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
     "set_max_table_entries",
     "guard_table_size",
-    "tensor_identify",
 ]
 
 # the cap of the current context; a caller that sets it resets it with
@@ -218,18 +217,6 @@ class FormValuedMap(Table):
         deltas = (int(a == c) for a in table for c in range(m))
         return cls(group, len(table), 0, view=(1, deltas, None))
 
-    def apply(self, alpha: Func) -> Func:
-        """The form paired with a group-algebra element, as a table on
-        point tuples."""
-        m = self.group.order
-        if alpha.shape != (m,):
-            raise ValueError(f"expected a group table, got shape {alpha.shape}")
-        # the group table tiled over the point tuples, then a sum per tuple
-        npts = self.size ** (self.degree + 1)
-        products = mul_views(self.view, gathered(alpha.view, lambda part: part * npts))
-        rows = gathered(products, lambda part: map(sum, zip(*[iter(part)] * m)))
-        return Func((self.size,) * (self.degree + 1), view=rows)
-
     def __repr__(self):
         return (
             f"FormValuedMap(size={self.size}, degree={self.degree},"
@@ -284,13 +271,3 @@ def _scaled(part, k: int):
     if part is None or k == 1:
         return part
     return map(operator.mul, part, itertools.repeat(k))
-
-
-def tensor_identify(f: Func, g: Func) -> Func:
-    """C(X) tensor C(Y) = C(X x Y): the elementary tensor as a table, each
-    entry of f repeated against the whole of g."""
-    nf, ng = prod(f.shape), prod(g.shape)
-    guard_table_size(nf * ng)
-    left = gathered(f.view, lambda part: [a for a in part for _ in range(ng)])
-    right = gathered(g.view, lambda part: part * nf)
-    return Func(f.shape + g.shape, view=mul_views(left, right))

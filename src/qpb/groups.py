@@ -24,8 +24,6 @@ __all__ = [
     "BundleSpec",
     "make_product",
     "GaugeMap",
-    "cyclic",
-    "direct_product",
     "symmetric",
     "validate_group",
     "validate_action",
@@ -87,9 +85,6 @@ class FiniteGroup:
         """b^-1 a b."""
         return self.mul(self.mul(self.inv(b), a), b)
 
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
-
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
 
@@ -148,31 +143,6 @@ def validate_group(g: FiniteGroup) -> Report:
         )
         report.add(CheckResult("group.inverses", False, witness))
     return report
-
-
-def cyclic(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValueError("cyclic group order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    labels = ["e"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
-    return FiniteGroup(table, labels)
-
-
-def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    n1, n2 = g1.order, g2.order
-    table = [
-        [
-            g1.table[a1][b1] * n2 + g2.table[a2][b2]
-            for b1 in range(n1)
-            for b2 in range(n2)
-        ]
-        for a1 in range(n1)
-        for a2 in range(n2)
-    ]
-    labels = [
-        f"({g1.label(a1)},{g2.label(a2)})" for a1 in range(n1) for a2 in range(n2)
-    ]
-    return FiniteGroup(table, labels)
 
 
 def symmetric(n: int) -> FiniteGroup:

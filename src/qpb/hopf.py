@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .funcs import Func
 from .groups import FiniteGroup
-from .scalars import gathered, lowest_terms
+from .views import gathered, lowest_terms
 
 __all__ = ["HopfAlgebra"]
 

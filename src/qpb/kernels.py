@@ -1,6 +1,6 @@
 """The int-view kernels and density helpers that a curvature dump runs.
 
-Tables are int views `(d, re, im)` (`scalars`); these functions compute
+Tables are int views `(d, re, im)` (`views`); these functions compute
 on views and never make a Scalar.  The builders of `potentials`, the
 dump's rows and the checkers of `calculus` and `connection` run on them:
 - `_differential_view` and `_star_view`, the views of the universal d
@@ -15,8 +15,8 @@ dump's rows and the checkers of `calculus` and `connection` run on them:
 
 Keeping them apart keeps the checkers out of a dump: a curvature dump
 on a framed bundle loads the parser, the runner, `potentials` and this
-module with the data types of `groups`, `funcs` and `scalars`, and none
-of `bundle`, `connection`, `calculus`, `gauge` or `linalg`.
+module with the data types of `groups`, `funcs` and `views`, and none
+of `bundle`, `connection`, `calculus`, `gauge`, `linalg` or `scalars`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections.abc import Iterable
 
 from .funcs import FormValuedMap, first_difference, guard_table_size
 from .groups import BundleSpec, FiniteGroup
-from .scalars import gathered
+from .views import gathered
 
 __all__ = ["curvature_rows"]
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
+from functools import cached_property
 
 from .funcs import FormValuedMap, first_difference
 from .groups import BundleSpec, FiniteGroup, GaugeMap, TransitionMap
@@ -43,11 +44,17 @@ from .kernels import (
     _unit_rows,
     _zeros,
 )
-from .report import CheckResult, Report
-from .scalars import add_views, gathered
+from .report import CheckResult, Report, rejection
+from .views import add_views, gathered
+
+# only for the annotations: runner imports this module where a
+# connection's inputs are first asked for
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .document import ConnectionDecl
+    from .runner import _Context
 
 __all__ = [
-    "trivial_connection",
     "validate_potential",
     "validate_base_potential",
     "validate_transition",
@@ -67,7 +74,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the convolution unit, the frame and its inverse, and the trivial connection
+# the convolution unit, the frame and its inverse
 
 
 def conv_unit(group: FiniteGroup, size: int) -> FormValuedMap:
@@ -109,15 +116,6 @@ def conv_inverse(h: FormValuedMap) -> FormValuedMap:
             )
         w.append(g.inv_table[hits[0]])
     return FormValuedMap.from_point_table(g, w)
-
-
-def trivial_connection(b: BundleSpec) -> FormValuedMap:
-    """Connection of a trivialized bundle, via the convolution route."""
-    from .calculus import differential
-    from .connection import star_delta
-
-    phi_fv, phi_inv_fv = _phi_form_valued(b)
-    return star_delta(phi_inv_fv, differential(phi_fv))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +295,90 @@ def gauge_transform_transition(tm: TransitionMap, tau: GaugeMap) -> TransitionMa
             for x in range(tm.base_size)
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# one connection's inputs, validated and built once per run
+
+
+def _require(what: str, report: Report) -> None:
+    """Raise ValueError naming the report's first failed check, if any."""
+    reason = rejection(what, report)
+    if reason:
+        raise ValueError(reason)
+
+
+class _Inputs:
+    """One connection's inputs and its connection form, each validated
+    or built once per run.
+
+    Every value is computed on first use and kept; one that raises is
+    not kept, so the next use raises the same error again.  A builder
+    runs only after the report its input relies on has passed, and a
+    failed report raises its `rejection` reason; `theta` turns that
+    reason into its second element instead of raising.
+    """
+
+    def __init__(self, decl: ConnectionDecl, ctx: _Context):
+        self.decl = decl
+        self.ctx = ctx
+
+    @cached_property
+    def report(self) -> Report:
+        """The declared input's own checks."""
+        kind, payload = self.decl.kind, self.decl.payload
+        if kind == "classical":
+            return validate_transition(payload)
+        if kind == "gamma_hat":
+            return validate_base_potential(payload)
+        return validate_potential(payload, self.ctx.bundle)
+
+    @cached_property
+    def base(self) -> FormValuedMap:
+        """The base potential: declared, or derived from the transition map."""
+        if self.decl.kind == "gamma_hat":
+            return self.decl.payload
+        _require("transition map", self.report)
+        return potential_from_transition(self.decl.payload)
+
+    @cached_property
+    def base_report(self) -> Report:
+        if self.decl.kind == "gamma_hat":
+            return self.report
+        return validate_base_potential(self.base)
+
+    @cached_property
+    def potential(self) -> FormValuedMap:
+        """The potential on the total space: declared, or the base one lifted."""
+        if self.decl.kind == "gamma":
+            return self.decl.payload
+        _require("base potential", self.base_report)
+        return lift_base_potential(self.base, self.ctx.bundle)
+
+    @cached_property
+    def potential_report(self) -> Report:
+        if self.decl.kind == "gamma":
+            return self.report
+        return validate_potential(self.potential, self.ctx.bundle)
+
+    @cached_property
+    def theta(self) -> tuple[FormValuedMap | None, str | None]:
+        """The connection-form density, or None and the reason it cannot
+        be built."""
+        kind = self.decl.kind
+        if kind == "theta":
+            return self.decl.payload, None
+        b = self.ctx.bundle
+        if b.phi is None:
+            return None, "bundle has no trivialization and none could be synthesized"
+        try:
+            if kind == "classical":
+                _require("transition map", self.report)
+                return classical_connection(self.decl.payload, b), None
+            _require("potential", self.potential_report)
+            return connection_from_potential(self.potential, b), None
+        except ValueError as exc:
+            return None, str(exc)
 
 
 # ---------------------------------------------------------------------------

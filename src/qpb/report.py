@@ -6,7 +6,7 @@ auxiliary values (ranks, dimensions) worth reporting either way.
 
 from __future__ import annotations
 
-__all__ = ["CheckResult", "Report"]
+__all__ = ["CheckResult", "Report", "rejection"]
 
 
 class CheckResult:
@@ -49,3 +49,10 @@ class Report:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+def rejection(what: str, report: Report) -> str | None:
+    """The reason an input is refused: its first failed check, or None
+    when every check passed."""
+    bad = report.first_failure()
+    return None if bad is None else f"{what} rejected: {bad.describe()}"

@@ -6,16 +6,19 @@ a connection-form density once and cross-checked against the closed
 form for its kind; gauge suites pair each gauge map with each
 non-theta connection.
 
-This module holds the run: the suite order and dispatch, each
-connection's inputs, the report and its emission, and the curvature
-dump.  The bodies of the trivialization, connection, curvature and
-gauge suites live in `suites`.  Each checker module loads with the
-first suite or input that calls it, where it runs: a `--suite group`
-check loads none of `bundle`, `gauge`, `suites`, `connection`,
-`potentials`, `calculus` or `linalg`, a comodule check no `connection`,
-and a curvature dump on a framed bundle only `potentials` and
-`kernels`; an unframed one loads `bundle` and `linalg` to synthesize
-its frame.
+This module holds the run: the suite order and dispatch, the report
+and its emission, and the curvature dump.  The bodies of the
+trivialization, connection, curvature and gauge suites live in
+`suites`, and each connection's inputs, validated and built once per
+run, in `potentials._Inputs`, which every suite and dump that asks for
+them loads anyway.  Each checker module loads with the first suite or
+input that calls it, where it runs: a `--suite group` check loads none
+of `bundle`, `gauge`, `suites`, `connection`, `potentials`, `calculus`,
+`linalg` or `scalars`, a comodule check no `connection`, and a
+curvature dump on a framed bundle only `potentials` and `kernels`; an
+unframed one loads `bundle` and `linalg` to synthesize its frame, and
+a declared θ loads `connection`, whose form checks it must pass before
+its curvature is printed.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ import operator
 from functools import cached_property
 
 from .document import ConnectionDecl, SpecDocument
-from .funcs import FormValuedMap
 from .groups import BundleSpec, validate_action, validate_group
-from .report import CheckResult, Report
-from .scalars import ratio_text
+from .report import CheckResult, Report, rejection
+from .views import ratio_text
+
+# only for the annotations: `inputs_for` imports it where it runs
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from . import potentials
 
 __all__ = ["RunReport", "ConfigError", "run_checks", "emit_report", "curvature_payload"]
 
@@ -92,7 +99,7 @@ class _Context:
     def __init__(self, doc: SpecDocument):
         self.doc = doc
         self.synthesis_error: str | None = None
-        self._inputs: dict[str, _Inputs] = {}
+        self._inputs: dict[str, potentials._Inputs] = {}
 
     @cached_property
     def free(self) -> Report:
@@ -122,107 +129,10 @@ class _Context:
     def framed(self) -> bool:
         return self.bundle.phi is not None
 
-    def inputs_for(self, decl: ConnectionDecl) -> _Inputs:
-        return self._inputs.setdefault(decl.name, _Inputs(decl, self))
-
-
-def rejection(what: str, report: Report) -> str | None:
-    """The reason an input is refused: its first failed check, or None
-    when every check passed."""
-    bad = report.first_failure()
-    return None if bad is None else f"{what} rejected: {bad.describe()}"
-
-
-def _require(what: str, report: Report) -> None:
-    """Raise ValueError naming the report's first failed check, if any."""
-    reason = rejection(what, report)
-    if reason:
-        raise ValueError(reason)
-
-
-class _Inputs:
-    """One connection's inputs and its connection form, each validated
-    or built once per run.
-
-    Every value is computed on first use and kept; one that raises is
-    not kept, so the next use raises the same error again.  A builder
-    runs only after the report its input relies on has passed, and a
-    failed report raises its `rejection` reason; `theta` turns that
-    reason into its second element instead of raising.
-    """
-
-    def __init__(self, decl: ConnectionDecl, ctx: _Context):
-        self.decl = decl
-        self.ctx = ctx
-
-    @cached_property
-    def report(self) -> Report:
-        """The declared input's own checks."""
+    def inputs_for(self, decl: ConnectionDecl) -> potentials._Inputs:
         from . import potentials
 
-        kind, payload = self.decl.kind, self.decl.payload
-        if kind == "classical":
-            return potentials.validate_transition(payload)
-        if kind == "gamma_hat":
-            return potentials.validate_base_potential(payload)
-        return potentials.validate_potential(payload, self.ctx.bundle)
-
-    @cached_property
-    def base(self) -> FormValuedMap:
-        """The base potential: declared, or derived from the transition map."""
-        from . import potentials
-
-        if self.decl.kind == "gamma_hat":
-            return self.decl.payload
-        _require("transition map", self.report)
-        return potentials.potential_from_transition(self.decl.payload)
-
-    @cached_property
-    def base_report(self) -> Report:
-        from . import potentials
-
-        if self.decl.kind == "gamma_hat":
-            return self.report
-        return potentials.validate_base_potential(self.base)
-
-    @cached_property
-    def potential(self) -> FormValuedMap:
-        """The potential on the total space: declared, or the base one lifted."""
-        from . import potentials
-
-        if self.decl.kind == "gamma":
-            return self.decl.payload
-        _require("base potential", self.base_report)
-        return potentials.lift_base_potential(self.base, self.ctx.bundle)
-
-    @cached_property
-    def potential_report(self) -> Report:
-        from . import potentials
-
-        if self.decl.kind == "gamma":
-            return self.report
-        return potentials.validate_potential(self.potential, self.ctx.bundle)
-
-    @cached_property
-    def theta(self) -> tuple[FormValuedMap | None, str | None]:
-        """The connection-form density, or None and the reason it cannot
-        be built."""
-        from . import potentials
-
-        kind = self.decl.kind
-        if kind == "theta":
-            return self.decl.payload, None
-        b = self.ctx.bundle
-        if b.phi is None:
-            return None, "bundle has no trivialization and none could be synthesized"
-        try:
-            if kind == "classical":
-                _require("transition map", self.report)
-                return potentials.classical_connection(self.decl.payload, b), None
-            _require("potential", self.potential_report)
-            return potentials.connection_from_potential(self.potential, b), None
-        except ValueError as exc:
-            return None, str(exc)
+        return self._inputs.setdefault(decl.name, potentials._Inputs(decl, self))
 
 
 def run_checks(
@@ -393,10 +303,17 @@ def curvature_payload(doc: SpecDocument, connection_name: str, tool_version: str
     decl = doc.connection(connection_name)
     if decl is None:
         raise ConfigError(f"no connection named {connection_name!r} in the document")
-    ctx = _Context(doc)
-    theta, reason = ctx.inputs_for(decl).theta
+    theta, reason = _Context(doc).inputs_for(decl).theta
     if theta is None:
         raise _Unbuilt(reason)
+    if decl.kind == "theta":
+        # a declared θ is printed only once it passes the checks `check`
+        # runs on it; a built one meets them by construction
+        from .connection import validate_connection_form
+
+        reason = rejection("connection form", validate_connection_form(theta, doc.bundle))
+        if reason is not None:
+            raise _Unbuilt(reason)
     d2, blocks = curvature_rows(theta)
     return {
         "format_version": 1,

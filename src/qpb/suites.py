@@ -16,8 +16,7 @@ from .calculus import validate_form
 from .document import ConnectionDecl
 from .funcs import Func, first_difference
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
-from .report import CheckResult
-from .runner import rejection
+from .report import CheckResult, rejection
 
 # only for the annotations: runner imports this module
 TYPE_CHECKING = False

@@ -1,4 +1,5 @@
-"""Scalars in and out of tables, for the tests.
+"""Scalars in and out of tables, and the reference groups and maps, for
+the tests.
 
 qpb's tables take and give only their int view (d, re, im).  The tests
 keep `Scalar` as their reference arithmetic, so they build tables from
@@ -8,6 +9,12 @@ Scalars and read entries back as Scalars through this module:
 `scalar_at` read them, and `indices` walks a shape in row-major order.
 A table is built from Scalars only after the size guard, as the library
 reads a view.
+
+The tests' own constructions live here too, since no command reaches
+them: the groups `cyclic` and `direct_product` and the element names
+`label` they give, the elementary tensor `tensor_identify`, the pairing
+`apply` of a form with a group table, and `trivial_connection`, the
+connection of a frame by the convolution route φ⁻¹⋆dφ.
 """
 
 from __future__ import annotations
@@ -16,9 +23,13 @@ import itertools
 from math import lcm, prod
 from operator import attrgetter
 
+from qpb.calculus import differential
+from qpb.connection import star_delta
 from qpb.funcs import FormValuedMap, Func, guard_table_size
-from qpb.groups import FiniteGroup
+from qpb.groups import BundleSpec, FiniteGroup
+from qpb.potentials import _phi_form_valued
 from qpb.scalars import ZERO, Scalar, _reduced
+from qpb.views import gathered, mul_views
 
 _nums, _imags, _dens = attrgetter("_a"), attrgetter("_b"), attrgetter("_d")
 
@@ -92,3 +103,66 @@ def scalar(triple: tuple[int, int, int]) -> Scalar:
     """The Scalar of a canonical triple (a, b, d), as `parse_scalar` gives one."""
     a, b, d = triple
     return from_ints(d, [a], [b])[0]
+
+
+# ---------------------------------------------------------------------------
+# reference groups, the tensor and pairing of tables, the trivial connection
+
+
+def cyclic(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError("cyclic group order must be positive")
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    labels = ["e"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
+    return FiniteGroup(table, labels)
+
+
+def label(g: FiniteGroup, a: int) -> str:
+    """The name of an element: its label, or its index when there are none."""
+    return g.labels[a] if g.labels else str(a)
+
+
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    n1, n2 = g1.order, g2.order
+    table = [
+        [
+            g1.table[a1][b1] * n2 + g2.table[a2][b2]
+            for b1 in range(n1)
+            for b2 in range(n2)
+        ]
+        for a1 in range(n1)
+        for a2 in range(n2)
+    ]
+    labels = [
+        f"({label(g1, a1)},{label(g2, a2)})" for a1 in range(n1) for a2 in range(n2)
+    ]
+    return FiniteGroup(table, labels)
+
+
+def tensor_identify(f: Func, g: Func) -> Func:
+    """C(X) tensor C(Y) = C(X x Y): the elementary tensor as a table, each
+    entry of f repeated against the whole of g."""
+    nf, ng = prod(f.shape), prod(g.shape)
+    guard_table_size(nf * ng)
+    left = gathered(f.view, lambda part: [a for a in part for _ in range(ng)])
+    right = gathered(g.view, lambda part: part * nf)
+    return Func(f.shape + g.shape, view=mul_views(left, right))
+
+
+def apply(form: FormValuedMap, alpha: Func) -> Func:
+    """The form paired with a group-algebra element, as a table on point
+    tuples."""
+    m = form.group.order
+    if alpha.shape != (m,):
+        raise ValueError(f"expected a group table, got shape {alpha.shape}")
+    # the group table tiled over the point tuples, then a sum per tuple
+    npts = form.size ** (form.degree + 1)
+    products = mul_views(form.view, gathered(alpha.view, lambda part: part * npts))
+    rows = gathered(products, lambda part: map(sum, zip(*[iter(part)] * m)))
+    return Func((form.size,) * (form.degree + 1), view=rows)
+
+
+def trivial_connection(b: BundleSpec) -> FormValuedMap:
+    """Connection of a trivialized bundle, via the convolution route."""
+    phi_fv, phi_inv_fv = _phi_form_valued(b)
+    return star_delta(phi_inv_fv, differential(phi_fv))

@@ -10,11 +10,11 @@ import json
 from fractions import Fraction
 from random import Random
 
-from bridge import indices, map_of, scalars_of
+from bridge import cyclic, indices, map_of, scalars_of
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.funcs import FormValuedMap
-from qpb.groups import BundleSpec, FiniteGroup, cyclic
+from qpb.groups import BundleSpec, FiniteGroup
 from qpb.scalars import ZERO, Scalar
 
 # small pool of exact values, mixing integers, fractions, and imaginary parts

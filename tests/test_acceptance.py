@@ -10,7 +10,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from random import Random
 
-from bridge import func_of, map_of, scalar, scalar_at, scalars_of
+from bridge import (
+    apply,
+    cyclic,
+    direct_product,
+    func_of,
+    map_of,
+    scalar,
+    scalar_at,
+    scalars_of,
+    trivial_connection,
+)
 from conftest import (
     all_gauge_maps,
     all_transition_maps,
@@ -35,7 +45,7 @@ from qpb.connection import (
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.gauge import gauge_compose, gauge_inverse, xi_from_tau
-from qpb.groups import BundleSpec, RightAction, TransitionMap, cyclic, direct_product, symmetric
+from qpb.groups import BundleSpec, RightAction, TransitionMap, symmetric
 from qpb.hopf import HopfAlgebra
 from qpb.potentials import (
     classical_connection,
@@ -49,7 +59,6 @@ from qpb.potentials import (
     phi_hom,
     potential_from_transition,
     strong_connection_direct,
-    trivial_connection,
 )
 from qpb.scalars import ZERO
 
@@ -239,8 +248,8 @@ def test_criterion_06_convolution_suite():
         # coaction identities for the frame map and its inverse
         phi = b.phi
         for alpha in HopfAlgebra(g).basis():
-            ca = coaction(b, ph.apply(alpha))
-            ca_inv = coaction(b, ph_inv.apply(alpha))
+            ca = coaction(b, apply(ph, alpha))
+            ca_inv = coaction(b, apply(ph_inv, alpha))
             for p in range(n):
                 for a in range(m):
                     if scalar_at(ca, p, a) != scalars_of(alpha)[g.table[phi[p]][a]]:

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from bridge import func_of, map_of, scalar_at, scalars_of
+from bridge import apply, cyclic, func_of, map_of, scalar_at, scalars_of, tensor_identify
 import qpb.bundle as bundle
 from conftest import fix_nonfree, fix_prod, fix_s3, fix_z2, random_degree0_map, support
 from qpb.bundle import (
@@ -18,8 +18,8 @@ from qpb.bundle import (
     validate_trivialization,
 )
 from qpb.connection import star_delta
-from qpb.funcs import Func, tensor_identify
-from qpb.groups import BundleSpec, FiniteGroup, RightAction, cyclic, make_product
+from qpb.funcs import Func
+from qpb.groups import BundleSpec, FiniteGroup, RightAction, make_product
 from qpb.potentials import conv_inverse, conv_unit, phi_hom
 from qpb.scalars import ONE, ZERO, Scalar
 
@@ -345,7 +345,7 @@ def test_phi_coaction_identities_on_basis():
         ph_inv = conv_inverse(ph)
         for c in range(m):
             alpha = Func.indicator((m,), (c,))
-            lhs = coaction(b, ph.apply(alpha))
+            lhs = coaction(b, apply(ph, alpha))
             rhs = func_of(
                 (n, m),
                 [
@@ -355,7 +355,7 @@ def test_phi_coaction_identities_on_basis():
                 ],
             )
             assert lhs == rhs
-            lhs_inv = coaction(b, ph_inv.apply(alpha))
+            lhs_inv = coaction(b, apply(ph_inv, alpha))
             rhs_inv = func_of(
                 (n, m),
                 [

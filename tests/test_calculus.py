@@ -2,12 +2,12 @@ from random import Random
 
 import pytest
 
-from bridge import build, indices, map_of, scalar_at, scalars_of
+from bridge import build, cyclic, indices, map_of, scalar_at, scalars_of
 from conftest import fix_nonfree, fix_prod, fix_s3, fix_z2, random_form, random_scalar
 from qpb.calculus import check_exactness, differential, horizontal_basis, validate_form
 from qpb.bundle import check_freeness
 from qpb.connection import star_delta
-from qpb.groups import BundleSpec, RightAction, cyclic, make_product, symmetric
+from qpb.groups import BundleSpec, RightAction, make_product, symmetric
 from qpb.linalg import span_basis
 from qpb.scalars import ONE, ZERO, Scalar
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bridge import indices, map_of, scalar, scalar_at, scalars_of
+from bridge import indices, map_of, scalar, scalar_at, scalars_of, trivial_connection
 import qpb
 import qpb.bundle as bundle
 import qpb.calculus as calculus
@@ -19,14 +19,14 @@ import qpb.funcs as funcs
 import qpb.potentials as potentials
 import qpb.runner as runner
 from conftest import fix_z2
-from qpb import __version__
+from qpb import __version__, cli
 from qpb.cli import main
 from qpb.connection import Splitting
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
-from qpb.potentials import trivial_connection
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
-from qpb.scalars import ONE, Scalar, parse_scalar
+from qpb.scalars import ONE, Scalar
+from qpb.views import parse_scalar
 from test_golden import S3X2, _gaussian
 
 Z2_CHECKS = [
@@ -608,8 +608,7 @@ def _imaginary(doc: dict) -> dict:
 
 def _diagonal_theta() -> dict:
     # a connection-form density that is nonzero on the diagonal at the
-    # first and the last point, so the dump's first and last point pairs
-    # both have nonzero entries; a dump does not validate θ
+    # first and the last point, which no connection form is
     doc = theta_payload()
     density = doc["connections"][1]["density"]
     density[0][0] = ["1", "-1"]
@@ -622,14 +621,13 @@ def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys):
     # without json's indenting encoder, and must equal the encoder on the
     # payload built from the curvature's Scalars: "flat" has no entries,
     # the Gaussian S3x2 "rat" dump has complex values over many pairs,
-    # and a θ's curvature vanishes on the pairs (p, p), so every dump but
-    # the diagonal θ's starts and ends with a pair that prints nothing
+    # and a θ's curvature vanishes on the pairs (p, p), so every dump
+    # starts and ends with a pair that prints nothing
     dumps = [
         (fixture_documents()["fix_z2.json"], "cls"),
         (fixture_documents()["fix_s3.json"], "flat"),
         (fixture_documents()["fix_prod.json"], "rational"),
         (_gaussian(copy.deepcopy(S3X2)), "rat"),
-        (_diagonal_theta(), "th"),
     ]
     sizes = {}
     for k, (raw, name) in enumerate(dumps):
@@ -645,13 +643,41 @@ def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys):
         n = expected["total_size"]
         pairs = [e["index"][:2] for e in entries]
         sizes[raw["name"], name] = len(entries), sum("i" in e["value"] for e in entries)
-        if name == "th":
-            assert pairs[0] == [0, 0] and pairs[-1] == [n - 1, n - 1]
-        elif entries:
+        if entries:
             assert pairs[0] != [0, 0] and pairs[-1] != [n - 1, n - 1]
     assert sizes["fix-s3", "flat"] == (0, 0)
     count, complex_values = sizes["s3x2-gauss", "rat"]
     assert count == 2592 and complex_values > 0
+
+
+def test_curvature_dump_refuses_the_theta_that_check_rejects(tmp_path, capsys):
+    # `check` fails the diagonal θ at form.vanishing_on_diagonal (0, 0),
+    # and the dump exits 1 with that first failure instead of printing
+    # entries at the pair (0, 0), which no connection form's curvature has
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(_diagonal_theta()))
+    assert main(["check", str(path), "--suite", "connection:th"]) == 1
+    tail = capsys.readouterr().out.splitlines()[-1]
+    assert tail.endswith("first failure connection:th.form.vanishing_on_diagonal witness=(0, 0)")
+    assert main(["curvature", str(path), "--connection", "th"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "qpb: connection form rejected:"
+        " connection.vanishing_on_diagonal: FAIL  witness=(0, 0)\n"
+    )
+    # a valid θ prints as the connection it was built from: fix_z2's
+    # classical form, declared as a theta density
+    raw = theta_payload()
+    transition = load_fixture("fix_z2.json").connection("cls").payload
+    theta = potentials.classical_connection(transition, fix_z2())
+    raw["connections"][1]["density"] = [
+        [[str(scalar_at(theta, p, q, c)) for c in range(2)] for q in range(4)] for p in range(4)
+    ]
+    path.write_text(json.dumps(raw))
+    cls, th = _dump_text(capsys, str(path), "cls"), _dump_text(capsys, str(path), "th")
+    assert json.loads(th)["entries"] == json.loads(cls)["entries"] != []
+    assert th.replace('"th"', '"cls"').replace('"theta"', '"classical"') == cls
 
 
 def test_curvature_dump_lists_every_nonzero_entry_as_it_prints(tmp_path, capsys):
@@ -943,3 +969,146 @@ def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the argv contract: every form argparse accepted for these options, and
+# a usage error for everything else
+
+# each form with the command and the arguments it is read as; F is the file
+ACCEPTED_ARGV = [
+    (["check", "F"], "check", {}),
+    (["check", "F", "--format", "json"], "check", {"format": "json"}),
+    (["check", "F", "--format=json"], "check", {"format": "json"}),
+    (["check", "--format", "json", "F"], "check", {"format": "json"}),
+    (["check", "--format=json", "F"], "check", {"format": "json"}),
+    (["check", "F", "--form", "json"], "check", {"format": "json"}),
+    (["check", "--f=json", "F"], "check", {"format": "json"}),
+    (["check", "F", "--format", "json", "--format", "text"], "check", {"format": "text"}),
+    (["check", "F", "--suite", "action", "--suite", "group"], "check", {"suite": ["action", "group"]}),
+    (["check", "--suite=group", "F", "--su", "action"], "check", {"suite": ["group", "action"]}),
+    (["check", "F", "--suite", "group", "--s", "group"], "check", {"suite": ["group", "group"]}),
+    (["check", "F", "--max-entries", "10", "--max=100000"], "check", {"max-entries": 100000}),
+    (["check", "F", "--m", "-5"], "check", {"max-entries": -5}),
+    (["check", "F", "--suite", "-1"], "check", {"suite": ["-1"]}),
+    (["check", "--suite", "group", "--", "F"], "check", {"suite": ["group"]}),
+    (["curvature", "F", "--connection", "cls"], "curvature", {"connection": "cls"}),
+    (["curvature", "--connection=cls", "F"], "curvature", {"connection": "cls"}),
+    (["curvature", "--conn", "rational", "F"], "curvature", {"connection": "rational"}),
+    (["curvature", "F", "--c", "cls", "--c=rational"], "curvature", {"connection": "rational"}),
+    (
+        ["curvature", "F", "--c", "cls", "--max", "400"],
+        "curvature",
+        {"connection": "cls", "max-entries": 400},
+    ),
+    (["fixtures"], "fixtures", {}),
+    (["fixtures", "--dir", "out"], "fixtures", {"dir": "out"}),
+    (["fixtures", "--d=out"], "fixtures", {"dir": "out"}),
+]
+
+HELP_ARGV = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["check", "-h"],
+    ["check", "F", "--help"],
+    ["curvature", "--h"],
+    ["fixtures", "-h"],
+]
+
+REJECTED_ARGV = [
+    [],
+    ["bogus"],
+    ["che", "F"],
+    ["--format", "json", "check", "F"],
+    ["check"],
+    ["check", "F", "F"],
+    ["check", "F", "--bogus"],
+    ["check", "F", "-x"],
+    ["check", "F", "--format"],
+    ["check", "F", "--format", "xml"],
+    ["check", "F", "--format="],
+    ["check", "F", "--suite"],
+    ["check", "F", "--suite", "--format", "json"],
+    ["check", "F", "--max-entries", "ten"],
+    ["check", "F", "--max-entries", "1.5"],
+    ["check", "F", "--connection", "cls"],
+    ["check", "F", "--help=yes"],
+    ["curvature"],
+    ["curvature", "F"],
+    ["curvature", "--connection", "cls"],
+    ["curvature", "F", "--suite", "group", "--connection", "cls"],
+    ["fixtures", "extra"],
+    ["fixtures", "--dir"],
+    ["fixtures", "--max-entries", "10"],
+]
+
+
+def _with_file(argv: list[str], path: str) -> list[str]:
+    return [path if a == "F" else a for a in argv]
+
+
+def _canonical_argv(command: str, args: dict, path: str) -> list[str]:
+    """The plainest argv of a parsed call: FILE first, each option spelled
+    out with its value after a space."""
+    argv = [command] + ([path] if command != "fixtures" else [])
+    for name, value in args.items():
+        for v in value if name == "suite" else [value]:
+            argv += [f"--{name}", str(v)]
+    return argv
+
+
+@pytest.mark.parametrize("argv, command, given", ACCEPTED_ARGV)
+def test_cli_reads_every_accepted_argv_form(
+    argv, command, given, tmp_path, monkeypatch, capsys
+):
+    expected = {"file": "F", "suite": [], "format": "text", "max-entries": None}
+    expected |= {"connection": None, "dir": "."} | given
+    if command == "fixtures":
+        expected["file"] = None
+    assert cli._parse(argv) == (command, expected)
+    # and the call runs as its plainest spelling does
+    monkeypatch.chdir(tmp_path)
+    path = write_fixture(tmp_path, "fix_prod.json")
+    outcomes = []
+    for form in (_with_file(argv, path), _canonical_argv(command, given, path)):
+        outcomes.append((main(form), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV)
+def test_cli_help_prints_the_usage_and_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out == cli.HELP and out.startswith(cli.USAGE) and err == ""
+
+
+@pytest.mark.parametrize("argv", REJECTED_ARGV)
+def test_cli_usage_error_is_the_usage_and_one_error_line(argv, tmp_path, capsys):
+    path = write_fixture(tmp_path, "fix_prod.json")
+    with pytest.raises(SystemExit) as info:
+        main(_with_file(argv, path))
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(cli.USAGE)
+    (line,) = err[len(cli.USAGE) :].splitlines()
+    assert line.startswith("qpb: error: ")
+
+
+def test_cli_argv_errors_print_no_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(qpb.__file__))
+    path = write_fixture(tmp_path, "fix_prod.json")
+    for argv, status in (([], 2), (["check", path, "--format", "xml"], 2), (["check", "-h"], 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpb.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == status
+        assert "Traceback" not in proc.stderr
+        assert (proc.stdout if status == 0 else proc.stderr).startswith("usage: qpb check FILE")

@@ -55,8 +55,12 @@ SUITES = "qpb.suites"
 # the modules of checkers that a curvature dump never calls
 DUMP_UNLOADED = {"qpb.bundle", "qpb.connection", "qpb.calculus", "qpb.gauge", "qpb.linalg", SUITES}
 FIXTURE_MODULES = {"qpb.fixtures", "qpb.hopf"}
-# the digest comes from CPython's built-in SHA-256, not OpenSSL's
+# the digest comes from CPython's built-in SHA-256, not OpenSSL's, and
+# the command line is read without argparse and its gettext and locale
 UNUSED_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib"}
+UNUSED_STDLIB |= {"argparse", "gettext", "locale"}
+# Scalar is for the rows that linalg eliminates, and only they load it
+SCALARS = "qpb.scalars"
 
 
 def loaded_modules(tmp_path, args: list[str]) -> tuple[int, set[str]]:
@@ -90,7 +94,7 @@ def test_truncated_document_loads_no_checker(tmp_path):
     status, modules = loaded_modules(tmp_path, ["check", str(path)])
     assert status == 2
     assert "qpb.document" in modules
-    assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB) == set()
+    assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB | {SCALARS}) == set()
 
 
 def test_out_of_range_gauge_loads_no_checker(tmp_path):
@@ -100,7 +104,7 @@ def test_out_of_range_gauge_loads_no_checker(tmp_path):
     status, modules = loaded_modules(tmp_path, ["check", path])
     assert status == 2
     assert {"qpb.document", "qpb.funcs", "qpb.groups"} <= modules
-    assert modules & {"qpb.bundle", "qpb.gauge"} == set()
+    assert modules & {"qpb.bundle", "qpb.gauge", SCALARS} == set()
     assert modules & (CHECKERS | FIXTURE_MODULES | UNUSED_STDLIB) == set()
 
 
@@ -135,7 +139,7 @@ def test_a_framed_dump_loads_no_checker_module(tmp_path, name):
     status, modules = loaded_modules(tmp_path, ["curvature", str(path), "--connection", name])
     assert status == 0
     assert {"qpb.runner", "qpb.potentials", "qpb.kernels"} <= modules
-    assert modules & (DUMP_UNLOADED | FIXTURE_MODULES | UNUSED_STDLIB) == set()
+    assert modules & (DUMP_UNLOADED | FIXTURE_MODULES | UNUSED_STDLIB | {SCALARS}) == set()
 
 
 @pytest.mark.parametrize(
@@ -144,9 +148,12 @@ def test_a_framed_dump_loads_no_checker_module(tmp_path, name):
         (
             "group",
             {SUITES, "qpb.bundle", "qpb.gauge", "qpb.connection", "qpb.potentials"}
-            | {"qpb.calculus", "qpb.kernels", "qpb.linalg"},
+            | {"qpb.calculus", "qpb.kernels", "qpb.linalg", SCALARS},
         ),
-        ("action", {SUITES, "qpb.connection", "qpb.potentials", "qpb.calculus", "qpb.linalg"}),
+        (
+            "action",
+            {SUITES, "qpb.connection", "qpb.potentials", "qpb.calculus", "qpb.linalg", SCALARS},
+        ),
         ("comodule", {SUITES, "qpb.connection", "qpb.potentials"}),
     ],
 )

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridge import build, func_of, map_of, scalar_at, scalars_of, to_ints
+from bridge import (
+    apply,
+    build,
+    cyclic,
+    func_of,
+    map_of,
+    scalar_at,
+    scalars_of,
+    to_ints,
+    trivial_connection,
+)
 from conftest import (
     all_gauge_maps,
     all_transition_maps,
@@ -40,7 +50,6 @@ from qpb.groups import (
     GaugeMap,
     RightAction,
     TransitionMap,
-    cyclic,
     make_product,
     symmetric,
 )
@@ -54,12 +63,12 @@ from qpb.potentials import (
     lift_base_potential,
     potential_from_transition,
     strong_connection_direct,
-    trivial_connection,
     validate_base_potential,
     validate_potential,
     validate_transition,
 )
-from qpb.runner import rejection, run_checks
+from qpb.report import rejection
+from qpb.runner import run_checks
 from qpb.scalars import ONE, ZERO, Scalar
 from test_golden import S3X2
 
@@ -94,7 +103,7 @@ def test_from_point_table_and_apply():
     assert scalar_at(fv, 2, 0) == ZERO
     assert scalars_of(fv)[1::2] == [ZERO, ZERO, ONE, ONE]
     # pairing against a group table evaluates the frame pointwise
-    out = fv.apply(func_of((2,), [Scalar(3), Scalar(5)]))
+    out = apply(fv, func_of((2,), [Scalar(3), Scalar(5)]))
     assert scalars_of(out) == [Scalar(3), Scalar(3), Scalar(5), Scalar(5)]
 
 
@@ -161,7 +170,7 @@ def test_form_valued_map_shape_guards():
     with pytest.raises(ValueError, match="different spaces"):
         star_delta(a, c)
     with pytest.raises(ValueError, match="group table"):
-        a.apply(func_of((3,), [ZERO] * 3))
+        apply(a, func_of((3,), [ZERO] * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +186,7 @@ def test_trivial_connection_hand_values():
     for c in range(2):
         assert scalar_at(theta, 0, 1, c) == ZERO
     ind_g = Func.indicator((2,), (1,))
-    assert scalar_at(theta.apply(ind_g), 0, 3) == ONE
+    assert scalar_at(apply(theta, ind_g), 0, 3) == ONE
 
 
 @pytest.mark.parametrize("make", FRAMED)
@@ -502,6 +511,21 @@ def test_ad_covariance_witness_is_the_first_failure():
     assert bb != b.group.identity and c != b.group.identity
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ad_covariance_witness_on_random_densities(m):
+    # the conjugated side is one itemgetter per row; over the one-element
+    # group it gives each entry bare, not as a 1-tuple, and the check
+    # still reads every row
+    rng = Random(43)
+    b = make_product(3, cyclic(m))
+    n = b.total_size
+    for _ in range(5):
+        theta = map_of(b.group, n, 1, [random_scalar(rng) for _ in range(n * n * m)])
+        witness = validate_connection_form(theta, b)["connection.ad_covariance"].witness
+        assert witness == _first_ad_covariance_failure(theta, b)
+        assert (witness is None) == (m == 1)
+
+
 def test_splitting_property_witness_is_the_first_failure():
     b = make_product(2, symmetric(3))
     theta = _moved(trivial_connection(b), 3, b.act(3, 2), 4, 1)
@@ -749,7 +773,7 @@ def test_curvature_hand_values_classical():
     assert scalar_at(f, 0, 1, 0, 0) == -ONE
     assert scalar_at(f, 0, 3, 0, 1) == ONE
     ind_g = Func.indicator((2,), (1,))
-    assert scalar_at(f.apply(ind_g), 0, 1, 0) == ONE
+    assert scalar_at(apply(f, ind_g), 0, 1, 0) == ONE
 
 
 @pytest.mark.parametrize("make", FRAMED)

@@ -13,7 +13,8 @@ from qpb.document import SpecError, parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.funcs import FormValuedMap
 from qpb.groups import TransitionMap
-from qpb.scalars import Scalar, parse_scalar
+from qpb.scalars import Scalar
+from qpb.views import parse_scalar
 
 
 def doc_payload(key: str) -> dict:

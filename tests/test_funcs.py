@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bridge import build, func_of, indices, map_of, scalar_at, scalars_of
+from bridge import build, cyclic, func_of, indices, map_of, scalar_at, scalars_of, tensor_identify
 from conftest import fix_z2
 from qpb.connection import star_delta
 from qpb.funcs import (
@@ -16,10 +16,8 @@ from qpb.funcs import (
     first_difference,
     guard_table_size,
     set_max_table_entries,
-    tensor_identify,
     unravel,
 )
-from qpb.groups import cyclic
 from qpb.scalars import ONE, ZERO, Scalar
 
 

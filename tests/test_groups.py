@@ -2,11 +2,10 @@ import itertools
 
 import pytest
 
+from bridge import cyclic, direct_product, label
 from qpb.groups import (
     FiniteGroup,
     RightAction,
-    cyclic,
-    direct_product,
     symmetric,
     validate_action,
     validate_group,
@@ -31,7 +30,7 @@ def test_symmetric_table_matches_composition_oracle():
 def test_symmetric_labels_and_inverses():
     g = symmetric(3)
     assert g.labels[0] == "012"
-    assert g.label(g.identity) == "012"
+    assert label(g, g.identity) == "012"
     perms = list(itertools.permutations(range(3)))
     for i, p in enumerate(perms):
         q = perms[g.inv(i)]

@@ -1,9 +1,9 @@
 import pytest
 
-from bridge import func_of, scalar, scalar_at, scalars_of
+from bridge import cyclic, direct_product, func_of, scalar, scalar_at, scalars_of, tensor_identify
 from conftest import support
-from qpb.funcs import Func, tensor_identify
-from qpb.groups import FiniteGroup, cyclic, direct_product, symmetric
+from qpb.funcs import Func
+from qpb.groups import FiniteGroup, symmetric
 from qpb.hopf import HopfAlgebra
 from qpb.scalars import ONE, ZERO
 

@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridge import build, from_ints, map_of, scalars_of, to_ints
+from bridge import build, cyclic, from_ints, map_of, scalars_of, to_ints
 from conftest import fix_prod, fix_s3, random_base_potential, random_scalar
 from qpb.calculus import differential
 from qpb.connection import curvature, curvature_from_potential, star_delta
 from qpb.funcs import MAX_TABLE_ENTRIES, FormValuedMap, set_max_table_entries
-from qpb.groups import FiniteGroup, cyclic, make_product, symmetric
+from qpb.groups import FiniteGroup, make_product, symmetric
 from qpb.kernels import curvature_rows
 from qpb.potentials import connection_from_potential, lift_base_potential
 from qpb.scalars import ONE, ZERO, Scalar

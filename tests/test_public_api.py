@@ -28,14 +28,10 @@ from qpb.fixtures import fixture_documents
 from test_golden import _with_gamma
 
 KEEP = {
-    "trivial_connection": "acceptance criteria 07 and 08: the trivial connection's invariants and curvature",
     "gauge_compose": "acceptance criterion 10: gauge group laws (ROADMAP item 5 adds a suite check)",
     "gauge_inverse": "acceptance criterion 10: gauge group laws (ROADMAP item 5 adds a suite check)",
     "invariants_basis": "the abstract's claim that the coinvariants are C(B)",
     "inject_base": "the abstract's claim that the coinvariants are C(B)",
-    "tensor_identify": "reference for the coinvariant and Hopf coproduct tests",
-    "cyclic": "reference group for the tests; documents give their tables",
-    "direct_product": "reference group for the tests; documents give their tables",
     "differential": "acceptance criterion 04 (d² = 0, Leibniz); CLI routes call its int view directly",
 }
 
@@ -57,8 +53,6 @@ KEEP_METHODS = {
     },
     "BundleAutomorphism.compose": "acceptance criterion 10: gauge group laws, as gauge_compose",
     "BundleAutomorphism.inverse": "acceptance criterion 10: gauge group laws, as gauge_inverse",
-    "FiniteGroup.label": "direct_product (kept above) names its elements with it",
-    "FormValuedMap.apply": "acceptance criterion 06 pairs frame maps with group tables through it",
     "FormValuedMap.density": "bench/layertrace.py counts star_delta's output entries through it",
     "Table.values": "bench/layertrace.py counts differential's output entries through it",
     "Scalar.re": "Scalar.__hash__ reads it, so a real Scalar hashes like the equal Fraction",

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridge import scalar
-from qpb.scalars import ONE, ZERO, Scalar, parse_scalar
+from qpb.scalars import ONE, ZERO, Scalar
+from qpb.views import parse_scalar
 
 
 def test_parse_integer():
