@@ -7,8 +7,9 @@ canonical map decides freeness by an exact rank, and trivializations
 The bundle itself, `BundleSpec` with its `BaseSpace`, is data and lives
 in `groups`, so parsing a document or dumping a curvature never loads
 this module; densities over the bundle, frame maps included, live in
-the connection layer.  The two functions that reach `linalg` import it
-themselves, so a check that builds no matrix does not load it.
+the connection layer.  The functions that reach `linalg` or build its
+`Scalar` rows import `linalg` and `scalars` themselves, so a check that
+builds no matrix loads neither.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 from .funcs import Func, first_difference, guard_table_size
 from .groups import BundleSpec, fixed_point_witness
 from .report import CheckResult, Report
-from .scalars import ONE, Scalar
-from .views import gathered
+from .views import gathered, take
 
-# only for the annotations: the functions that call linalg import it
+# only for the annotations: the functions that use them import them
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .linalg import SubspaceBasis
+    from .scalars import Scalar
 
 __all__ = [
     "coaction",
@@ -41,12 +42,7 @@ def coaction(b: BundleSpec, f: Func) -> Func:
     """[coaction(f)](p, a) = f(p acted by a), a table on P x G."""
     _check_total(b, f)
     points = [q for row in b.action.table for q in row]
-    return Func((b.total_size, b.group.order), view=gathered(f.view, _take(points)))
-
-
-def _take(positions: list[int]):
-    """The gather that reads `positions` of a part, in order, as it is iterated."""
-    return lambda part: map(part.__getitem__, positions)
+    return Func((b.total_size, b.group.order), view=gathered(f.view, take(points)))
 
 
 def check_comodule_algebra(b: BundleSpec) -> Report:
@@ -66,8 +62,8 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     # t(p.a, c) against t(p, ac) over (p, a, c), t the coaction of an
     # indicator, as flat gathers of t's (point, group element) rows
     act, mul = b.action.table, g.table
-    moved = _take([x * m + c for row in act for x in row for c in range(m)])
-    multiplied = _take([p * m + ac for p in range(n) for row in mul for ac in row])
+    moved = take([x * m + c for row in act for x in row for c in range(m)])
+    multiplied = take([p * m + ac for p in range(n) for row in mul for ac in row])
     coassoc_witness = None
     for tq in coactions:
         lhs = Func((n, m, m), view=gathered(tq.view, moved))
@@ -103,6 +99,8 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
 
 
 def _canonical_matrix(b: BundleSpec) -> list[dict[int, Scalar]]:
+    from .scalars import ONE
+
     # map form: rows indexed by (p, a), columns by source pairs (p0, q0)
     n, m = b.total_size, b.group.order
     guard_table_size(n * m * n * n)
@@ -138,6 +136,7 @@ def check_freeness(b: BundleSpec) -> Report:
 def invariants_basis(b: BundleSpec) -> SubspaceBasis:
     """Coaction-invariant functions: the span of orbit indicators."""
     from .linalg import SubspaceBasis
+    from .scalars import ONE
 
     vectors = [dict.fromkeys(orbit, ONE) for orbit in b.base.orbits]
     # orbits partition the points, so the rows are already reduced
@@ -148,7 +147,7 @@ def inject_base(b: BundleSpec, h: Func) -> Func:
     """Pull a function on the base back to the total space along the projection."""
     if h.shape != (b.base.size,):
         raise ValueError(f"expected a table on the base of size {b.base.size}, got {h.shape}")
-    return Func((b.total_size,), view=gathered(h.view, _take(b.base.projection)))
+    return Func((b.total_size,), view=gathered(h.view, take(b.base.projection)))
 
 
 def validate_trivialization(b: BundleSpec) -> Report:
@@ -236,7 +235,7 @@ def psi_apply(b: BundleSpec, f_times: Func) -> Func:
         )
     proj, m = b.base.projection, b.group.order
     positions = [proj[p] * m + a for p, a in enumerate(b.phi)]
-    return Func((b.total_size,), view=gathered(f_times.view, _take(positions)))
+    return Func((b.total_size,), view=gathered(f_times.view, take(positions)))
 
 
 def psi_inverse(b: BundleSpec, f: Func) -> Func:
@@ -246,7 +245,7 @@ def psi_inverse(b: BundleSpec, f: Func) -> Func:
         raise ValueError("bundle has no trivialization")
     sec = section_table(b)
     points = [b.act(s, a) for s in sec for a in range(b.group.order)]
-    return Func((b.base.size, b.group.order), view=gathered(f.view, _take(points)))
+    return Func((b.base.size, b.group.order), view=gathered(f.view, take(points)))
 
 
 def _check_total(b: BundleSpec, f: Func) -> None:

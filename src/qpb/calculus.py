@@ -18,9 +18,9 @@ a curvature dump run them without loading this module.
 `validate_form` tests the entries at the adjacent repeats on ints.
 Only the matrices handed to `linalg` hold Scalars, as sparse rows: the
 canonical map's row at (p, a) is one unit entry, or empty where
-p.a = p, and an indicator basis vector is one unit entry.  The two
-functions that reach `linalg` import it themselves, so a check that
-builds no matrix does not load it for them.
+p.a = p, and an indicator basis vector is one unit entry.  The
+functions that reach `linalg` or build its rows import `linalg` and
+`scalars` themselves, so a check that builds no matrix loads neither.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from .funcs import FormValuedMap, guard_table_size, unravel
 from .groups import BundleSpec
 from .kernels import _differential_view
 from .report import CheckResult, Report
-from .scalars import ONE, Scalar
 
-# only for the annotations: the functions that call linalg import it
+# only for the annotations: the functions that use them import them
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .linalg import SubspaceBasis
+    from .scalars import Scalar
 
 __all__ = [
     "validate_form",
@@ -104,6 +104,8 @@ def restricted_canonical_matrix(
     Rows: (p, a) with a != identity.  Columns: off-diagonal pairs (the
     indicator basis of 1-forms).  Returns (matrix, column pairs).
     """
+    from .scalars import ONE
+
     g = b.group
     if g.identity is None:
         raise ValueError("group has no identity")
@@ -128,6 +130,7 @@ def horizontal_basis(b: BundleSpec) -> SubspaceBasis:
     reduced, so they are the canonical basis as they stand.
     """
     from .linalg import SubspaceBasis
+    from .scalars import ONE
 
     n = b.total_size
     proj = b.base.projection

@@ -35,12 +35,12 @@ check only that their arguments fit one another.
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .calculus import offdiag_pairs
 from .funcs import FormValuedMap, first_difference, guard_table_size
 from .groups import BundleSpec, FiniteGroup, TransitionMap
 from .kernels import (
+    _covariance_witness,
     _diagonal_witness,
     _map_of,
     _orbit_pairs,
@@ -48,13 +48,12 @@ from .kernels import (
     _rows_at,
     _same_space,
     _star_view,
-    _translated_pairs,
     _unit_normalization_witness,
     _unit_rows,
     curvature_rows,
 )
 from .report import CheckResult, Report
-from .views import canonical, gathered
+from .views import canonical, gathered, take
 
 __all__ = [
     "Splitting",
@@ -228,17 +227,8 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
         reason = {"reason": "group lacks identity or inverses"}
         report.add(CheckResult("connection.ad_covariance", False, data=reason))
         return report
-    take = operator.itemgetter(*(g.conj(c, g.inv(bb)) for bb in range(m) for c in range(m)))
-
-    def conjugated_rows(part):
-        # each (p, q) row read at b c b^-1 for every (b, c), in C; over the
-        # one-element group `take` gives the entry itself, not a 1-tuple
-        rows = map(take, zip(*[iter(part)] * m))
-        return rows if m == 1 else itertools.chain.from_iterable(rows)
-
-    translated = gathered(theta.view, lambda part: _rows_at(part, n, m, _translated_pairs(b)))
-    conjugated = gathered(theta.view, conjugated_rows)
-    cov_witness = first_difference(translated, conjugated, (n, n, m, m))
+    conj = [g.conj(c, g.inv(bb)) for bb in range(m) for c in range(m)]
+    cov_witness = _covariance_witness(theta, b, conj)
     report.add(CheckResult("connection.ad_covariance", cov_witness is None, cov_witness))
     return report
 
@@ -323,22 +313,15 @@ def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedM
     return FormValuedMap(b.group, n, 2, view=gathered(f.view, gather))
 
 
-def _getter(positions: list[int]):
-    """A callable that reads the entries at `positions` as a tuple."""
-    if len(positions) > 1:
-        return operator.itemgetter(*positions)
-    return lambda part: tuple(part[k] for k in positions)
-
-
 def _frame_gathers(g: FiniteGroup, phi: list[int], read):
-    """For each point p, the getter that reads the rows (p, q, r) of
+    """For each point p, the gather that reads the rows (p, q, r) of
     φ⁻¹⋆F⋆φ, r = 0..n−1 end to end, from F's rows (read p, read q, ·):
     entry (r, c) is F(read p, read q, read r, φ(p)·c·φ(r)⁻¹)."""
     mul, m = g.table, g.order
     right = [g.inv(a) for a in phi]
     points = range(len(phi))
     return [
-        _getter([read[r] * m + mul[mul[phi[p]][c]][right[r]] for r in points for c in range(m)])
+        take([read[r] * m + mul[mul[phi[p]][c]][right[r]] for r in points for c in range(m)])
         for p in points
     ]
 

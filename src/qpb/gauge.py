@@ -54,32 +54,6 @@ class BundleAutomorphism:
         self.base_size = len(trans)
         self.trans = [list(row) for row in trans]
 
-    def compose(self, other: BundleAutomorphism) -> BundleAutomorphism:
-        """Point-map composition: self after other."""
-        if self.group != other.group or self.base_size != other.base_size:
-            raise ValueError("automorphisms live on different bundles")
-        return BundleAutomorphism(
-            self.group,
-            [
-                [self.trans[x][other.trans[x][a]] for a in range(self.group.order)]
-                for x in range(self.base_size)
-            ],
-        )
-
-    def inverse(self) -> BundleAutomorphism:
-        m = self.group.order
-        out = []
-        for x in range(self.base_size):
-            row = [0] * m
-            seen = [False] * m
-            for a in range(m):
-                row[self.trans[x][a]] = a
-                seen[self.trans[x][a]] = True
-            if not all(seen):
-                raise ValueError(f"fiber map at base point {x} is not a bijection")
-            out.append(row)
-        return BundleAutomorphism(self.group, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, BundleAutomorphism)

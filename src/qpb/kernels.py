@@ -9,8 +9,10 @@ dump's rows and the checkers of `calculus` and `connection` run on them:
   which `connection.curvature` fills into one table and
   `runner.curvature_payload` prints from;
 - the density scans (`_rows_at` over the pair iterators, and the
-  diagonal and unit-normalization witnesses), which the validators of a
-  connection form and of a potential share, and the small builders
+  diagonal, unit-normalization and covariance witnesses), which the
+  validators of a connection form and of a potential share: θ's
+  ad-covariance and a potential's translation invariance are one
+  covariance scan under two relabellings; and the small builders
   `_map_of`, `_unit_rows` and `_points_read`.
 
 Keeping them apart keeps the checkers out of a dump: a curvature dump
@@ -217,6 +219,22 @@ def _translated_pairs(b: BundleSpec) -> Iterable[tuple[int, int]]:
     """(p.a, q.a) for every pair of points (p, q) and group element a, in that order."""
     act = b.action.table
     return ((rp[a], rq[a]) for rp in act for rq in act for a in range(b.group.order))
+
+
+def _covariance_witness(gamma: FormValuedMap, b: BundleSpec, relabel: list[int]):
+    """First (p, q, a, c) at which a degree-1 density γ differs between
+    γ(p.a, q.a, c) and γ(p, q, relabel[a·m + c]), or None."""
+    n, m = gamma.size, gamma.group.order
+    read = operator.itemgetter(*relabel)
+
+    def relabelled(part):
+        # each (p, q) row read at every (a, c), in C; over the one-element
+        # group `read` gives the entry itself, not a 1-tuple
+        rows = map(read, zip(*[iter(part)] * m))
+        return rows if m == 1 else itertools.chain.from_iterable(rows)
+
+    translated = gathered(gamma.view, lambda part: _rows_at(part, n, m, _translated_pairs(b)))
+    return first_difference(translated, gathered(gamma.view, relabelled), (n, n, m, m))
 
 
 def _zeros():

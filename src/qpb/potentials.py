@@ -25,12 +25,12 @@ sizes and groups match.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from functools import cached_property
 
 from .funcs import FormValuedMap, first_difference
 from .groups import BundleSpec, FiniteGroup, GaugeMap, TransitionMap
 from .kernels import (
+    _covariance_witness,
     _diagonal_witness,
     _differential_view,
     _map_of,
@@ -39,7 +39,6 @@ from .kernels import (
     _rows_at,
     _same_space,
     _star_view,
-    _translated_pairs,
     _unit_normalization_witness,
     _unit_rows,
     _zeros,
@@ -122,12 +121,6 @@ def conv_inverse(h: FormValuedMap) -> FormValuedMap:
 # potentials and transition maps
 
 
-def _rows_repeated(part: list[int], m: int) -> Iterable[int]:
-    """Each group row of a part m times over, end to end."""
-    rows = (part[t : t + m] for t in range(0, len(part), m))
-    return itertools.chain.from_iterable(row * m for row in rows)
-
-
 def validate_potential(gamma: FormValuedMap, b: BundleSpec) -> Report:
     """Unit normalization, vanishing on orbit pairs, translation invariance."""
     report = Report()
@@ -148,9 +141,7 @@ def validate_potential(gamma: FormValuedMap, b: BundleSpec) -> Report:
     )
 
     # gamma(p.a, q.a, c) against gamma(p, q, c), each pair's row once per a
-    translated = gathered(gamma.view, lambda part: _rows_at(part, n, m, _translated_pairs(b)))
-    unmoved = gathered(gamma.view, lambda part: _rows_repeated(part, m))
-    inv_witness = first_difference(translated, unmoved, (n, n, m, m))
+    inv_witness = _covariance_witness(gamma, b, list(range(m)) * m)
     report.add(
         CheckResult("potential.translation_invariance", inv_witness is None, inv_witness)
     )

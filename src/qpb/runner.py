@@ -14,11 +14,11 @@ run, in `potentials._Inputs`, which every suite and dump that asks for
 them loads anyway.  Each checker module loads with the first suite or
 input that calls it, where it runs: a `--suite group` check loads none
 of `bundle`, `gauge`, `suites`, `connection`, `potentials`, `calculus`,
-`linalg` or `scalars`, a comodule check no `connection`, and a
-curvature dump on a framed bundle only `potentials` and `kernels`; an
-unframed one loads `bundle` and `linalg` to synthesize its frame, and
-a declared θ loads `connection`, whose form checks it must pass before
-its curvature is printed.
+`linalg` or `scalars`, a comodule check neither `connection` nor
+`scalars`, and a curvature dump on a framed bundle only `potentials`
+and `kernels`; an unframed one loads `bundle` and `linalg` to
+synthesize its frame, and a declared θ loads `connection`, whose form
+checks it must pass before its curvature is printed.
 """
 
 from __future__ import annotations

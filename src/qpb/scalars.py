@@ -6,21 +6,14 @@ A Scalar is one value (a + b·i)/d, held as its canonical triple from
 when their triples are.  `linalg` eliminates on sparse rows of Scalars
 that store only the nonzero entries, and `bundle` and `calculus` build
 those rows; every table is an int view and makes no Scalar, so only a
-call that eliminates compiles this module.  `re` and `im` give the
-parts as Fractions; no arithmetic goes through Fraction.
+call that eliminates compiles this module.  A Fraction is accepted as
+an operand, but no arithmetic goes through Fraction, and `fractions` is
+imported only where a Fraction is built or accepted.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .views import _from_ratios, ratio_text
-
-# fractions is imported where a Fraction is built or accepted, and here
-# only for the annotations, so a run on ints and literals never loads it
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .views import _from_ratios, lowest_terms, ratio_text
 
 __all__ = ["Scalar", "ZERO", "ONE"]
 
@@ -42,18 +35,6 @@ class Scalar:
         self._a, self._b, self._d = _from_ratios(
             re.numerator, re.denominator, im.numerator, im.denominator
         )
-
-    @property
-    def re(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self._a, self._d)
-
-    @property
-    def im(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self._b, self._d)
 
     def __add__(self, other):
         if type(other) is not Scalar:
@@ -117,13 +98,6 @@ class Scalar:
                 return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
-    def __hash__(self):
-        # matches hash of int/Fraction when the value is real, so mixed
-        # comparisons stay consistent with __eq__
-        if self._b:
-            return hash((self.re, self.im))
-        return hash(self.re)
-
     def inverse(self) -> Scalar:
         a, b = self._a, self._b
         n = a * a + b * b
@@ -150,10 +124,7 @@ def _make(a: int, b: int, d: int) -> Scalar:
 
 def _reduced(a: int, b: int, d: int) -> Scalar:
     """A Scalar from any triple with d > 0."""
-    g = gcd(a, b, d)
-    if g == 1:
-        return _make(a, b, d)
-    return _make(a // g, b // g, d // g)
+    return _make(*lowest_terms(a, b, d))
 
 
 def _coerce(x):

@@ -31,6 +31,7 @@ __all__ = [
     "lowest_terms",
     "canonical",
     "gathered",
+    "take",
     "add_views",
     "mul_views",
     "ratio_text",
@@ -115,6 +116,11 @@ def gathered(view, gather):
     an absent imaginary part stays absent."""
     d, re, im = view
     return d, gather(re), None if im is None else gather(im)
+
+
+def take(positions: list[int]):
+    """The gather that reads `positions` of a part, in order, as it is iterated."""
+    return lambda part: map(part.__getitem__, positions)
 
 
 def add_views(x, y, sign: int = 1):

@@ -6,30 +6,37 @@ keep `Scalar` as their reference arithmetic, so they build tables from
 Scalars and read entries back as Scalars through this module:
 `to_ints` and `from_ints` turn a list of Scalars into a view and back,
 `func_of`, `map_of` and `build` make tables, `scalars_of` and
-`scalar_at` read them, and `indices` walks a shape in row-major order.
-A table is built from Scalars only after the size guard, as the library
-reads a view.
+`scalar_at` read them, `parts` splits a Scalar into its Fractions, and
+`indices` walks a shape in row-major order.  A table is built from
+Scalars only after the size guard, as the library reads a view.
 
 The tests' own constructions live here too, since no command reaches
 them: the groups `cyclic` and `direct_product` and the element names
 `label` they give, the elementary tensor `tensor_identify`, the pairing
-`apply` of a form with a group table, and `trivial_connection`, the
-connection of a frame by the convolution route φ⁻¹⋆dφ.
+`apply` of a form with a group table, `trivial_connection`, the
+connection of a frame by the convolution route φ⁻¹⋆dφ, the composition
+and inverse of bundle automorphisms, and the Hopf structure maps of a
+group's function algebra.  Its coproduct is the library's `coaction` of
+the group acting on itself by right multiplication; the counit, the
+antipode and the adjoint coaction read a table's view.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import lcm, prod
 from operator import attrgetter
 
+from qpb.bundle import coaction
 from qpb.calculus import differential
 from qpb.connection import star_delta
 from qpb.funcs import FormValuedMap, Func, guard_table_size
-from qpb.groups import BundleSpec, FiniteGroup
+from qpb.gauge import BundleAutomorphism
+from qpb.groups import BundleSpec, FiniteGroup, RightAction
 from qpb.potentials import _phi_form_valued
 from qpb.scalars import ZERO, Scalar, _reduced
-from qpb.views import gathered, mul_views
+from qpb.views import gathered, lowest_terms, mul_views, take
 
 _nums, _imags, _dens = attrgetter("_a"), attrgetter("_b"), attrgetter("_d")
 
@@ -105,6 +112,11 @@ def scalar(triple: tuple[int, int, int]) -> Scalar:
     return from_ints(d, [a], [b])[0]
 
 
+def parts(s: Scalar) -> tuple[Fraction, Fraction]:
+    """The real and imaginary parts of a Scalar, as Fractions."""
+    return Fraction(s._a, s._d), Fraction(s._b, s._d)
+
+
 # ---------------------------------------------------------------------------
 # reference groups, the tensor and pairing of tables, the trivial connection
 
@@ -166,3 +178,71 @@ def trivial_connection(b: BundleSpec) -> FormValuedMap:
     """Connection of a trivialized bundle, via the convolution route."""
     phi_fv, phi_inv_fv = _phi_form_valued(b)
     return star_delta(phi_inv_fv, differential(phi_fv))
+
+
+# ---------------------------------------------------------------------------
+# the Hopf algebra of functions on a group
+
+
+def basis(g: FiniteGroup):
+    """The indicators of the group's elements."""
+    return (Func.indicator((g.order,), (a,)) for a in range(g.order))
+
+
+def coproduct(g: FiniteGroup, alpha: Func) -> Func:
+    """[coproduct(a)](x, y) = a(xy), a table on G x G: the coaction of G
+    acting on itself by right multiplication."""
+    return coaction(BundleSpec(g, RightAction(g, g.table)), alpha)
+
+
+def counit(g: FiniteGroup, alpha: Func) -> tuple[int, int, int]:
+    """a(e) as its canonical triple (a, b, d)."""
+    if g.identity is None:
+        raise ValueError("the counit needs a group with an identity")
+    d, re, im = alpha.view
+    return lowest_terms(re[g.identity], 0 if im is None else im[g.identity], d)
+
+
+def antipode(g: FiniteGroup, alpha: Func) -> Func:
+    """[antipode(a)](x) = a(x^-1)."""
+    inverses = [g.inv(x) for x in range(g.order)]
+    return Func((g.order,), view=gathered(alpha.view, take(inverses)))
+
+
+def adjoint_coaction(g: FiniteGroup, alpha: Func) -> Func:
+    """[adjoint(a)](x, y) = a(y^-1 x y), a table on G x G."""
+    n = g.order
+    positions = [g.conj(x, y) for x in range(n) for y in range(n)]
+    return Func((n, n), view=gathered(alpha.view, take(positions)))
+
+
+# ---------------------------------------------------------------------------
+# the group laws of bundle automorphisms
+
+
+def compose(xi: BundleAutomorphism, other: BundleAutomorphism) -> BundleAutomorphism:
+    """Point-map composition: xi after other."""
+    if xi.group != other.group or xi.base_size != other.base_size:
+        raise ValueError("automorphisms live on different bundles")
+    return BundleAutomorphism(
+        xi.group,
+        [
+            [xi.trans[x][other.trans[x][a]] for a in range(xi.group.order)]
+            for x in range(xi.base_size)
+        ],
+    )
+
+
+def inverse(xi: BundleAutomorphism) -> BundleAutomorphism:
+    m = xi.group.order
+    out = []
+    for x in range(xi.base_size):
+        row = [0] * m
+        seen = [False] * m
+        for a in range(m):
+            row[xi.trans[x][a]] = a
+            seen[xi.trans[x][a]] = True
+        if not all(seen):
+            raise ValueError(f"fiber map at base point {x} is not a bijection")
+        out.append(row)
+    return BundleAutomorphism(xi.group, out)

@@ -11,10 +11,17 @@ from io import StringIO
 from random import Random
 
 from bridge import (
+    adjoint_coaction,
+    antipode,
     apply,
+    basis,
+    compose,
+    coproduct,
+    counit,
     cyclic,
     direct_product,
     func_of,
+    inverse,
     map_of,
     scalar,
     scalar_at,
@@ -46,7 +53,6 @@ from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.gauge import gauge_compose, gauge_inverse, xi_from_tau
 from qpb.groups import BundleSpec, RightAction, TransitionMap, symmetric
-from qpb.hopf import HopfAlgebra
 from qpb.potentials import (
     classical_connection,
     connection_from_potential,
@@ -82,18 +88,17 @@ def test_criterion_01_hopf_suite():
         symmetric(3),
     ]
     for g in groups:
-        h = HopfAlgebra(g)
         n, e = g.order, g.identity
-        for k, alpha in enumerate(h.basis()):
-            cop = h.coproduct(alpha)
+        for k, alpha in enumerate(basis(g)):
+            cop = coproduct(g, alpha)
 
             # coassociativity: expanding either leg gives the same triple table
             first_leg = [
-                h.coproduct(func_of((n,), [scalar_at(cop, w, z) for w in range(n)]))
+                coproduct(g, func_of((n,), [scalar_at(cop, w, z) for w in range(n)]))
                 for z in range(n)
             ]
             second_leg = [
-                h.coproduct(func_of((n,), [scalar_at(cop, x, w) for w in range(n)]))
+                coproduct(g, func_of((n,), [scalar_at(cop, x, w) for w in range(n)]))
                 for x in range(n)
             ]
             for x in range(n):
@@ -110,26 +115,26 @@ def test_criterion_01_hopf_suite():
                 row = func_of((n,), [scalar_at(cop, x, w) for w in range(n)])
                 col = func_of((n,), [scalar_at(cop, w, x) for w in range(n)])
                 want = scalars_of(alpha)[x]
-                if scalar(h.counit(row)) != want or scalar(h.counit(col)) != want:
+                if scalar(counit(g, row)) != want or scalar(counit(g, col)) != want:
                     problems.append(("counit", n, k, x))
 
             # antipode laws; multiplication here is pointwise, so the
             # composite evaluates the coproduct at inverse pairs
-            eps = scalar(h.counit(alpha))
+            eps = scalar(counit(g, alpha))
             for z in range(n):
                 if scalar_at(cop, g.inv(z), z) != eps or scalar_at(cop, z, g.inv(z)) != eps:
                     problems.append(("antipode", n, k, z))
-            if h.antipode(h.antipode(alpha)) != alpha:
+            if antipode(g, antipode(g, alpha)) != alpha:
                 problems.append(("antipode_involution", n, k))
 
             # right adjoint coaction: counit leg and iterated-coaction law
-            ad = h.adjoint_coaction(alpha)
+            ad = adjoint_coaction(g, alpha)
             for x in range(n):
                 if scalar_at(ad, x, e) != scalars_of(alpha)[x]:
                     problems.append(("adjoint_counit", n, k, x))
             for y in range(n):
                 slice_y = func_of((n,), [scalar_at(ad, w, y) for w in range(n)])
-                ad2 = h.adjoint_coaction(slice_y)
+                ad2 = adjoint_coaction(g, slice_y)
                 for x in range(n):
                     for z in range(n):
                         if scalar_at(ad2, x, z) != scalars_of(alpha)[g.conj(x, g.table[z][y])]:
@@ -247,7 +252,7 @@ def test_criterion_06_convolution_suite():
 
         # coaction identities for the frame map and its inverse
         phi = b.phi
-        for alpha in HopfAlgebra(g).basis():
+        for alpha in basis(g):
             ca = coaction(b, apply(ph, alpha))
             ca_inv = coaction(b, apply(ph_inv, alpha))
             for p in range(n):
@@ -341,11 +346,11 @@ def test_criterion_10_gauge_suite():
         if len(taus) != expected_count:
             problems.append((b.name, "count", len(taus)))
         for t1 in taus:
-            if xi_from_tau(gauge_inverse(t1)) != xi_from_tau(t1).inverse():
+            if xi_from_tau(gauge_inverse(t1)) != inverse(xi_from_tau(t1)):
                 problems.append((b.name, "inverse", t1.table))
             for t2 in taus:
                 composed = xi_from_tau(gauge_compose(t1, t2))
-                if composed != xi_from_tau(t1).compose(xi_from_tau(t2)):
+                if composed != compose(xi_from_tau(t1), xi_from_tau(t2)):
                     problems.append((b.name, "compose", t1.table, t2.table))
 
         rng = Random(83)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bridge import indices, map_of, scalar, scalar_at, scalars_of, trivial_connection
+from bridge import indices, map_of, parts, scalar, scalar_at, scalars_of, trivial_connection
 import qpb
 import qpb.bundle as bundle
 import qpb.calculus as calculus
@@ -186,6 +186,56 @@ def test_every_failure_without_an_identity_has_a_witness_or_a_reason(
         ):
             assert checks[name]["witness"] is None
             assert checks[name]["data"] == {"reason": "group has no identity"}
+
+
+def _nonfree_with_classical() -> dict:
+    payload = mutated_payload("fix_nonfree.json")
+    payload["connections"] = [
+        {"name": "cls", "kind": "classical", "transition": [[0, 0], [0, 0]]}
+    ]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload, suites, reasons",
+    [
+        (
+            lambda: mutated_payload("fix_nonfree.json"),
+            ["trivialization"],
+            {
+                "trivialization.synthesized": (
+                    "action is not free (freeness.direct: FAIL  witness=(0, 1))"
+                ),
+            },
+        ),
+        (
+            _nonfree_with_classical,
+            ["connection:cls", "curvature:cls"],
+            {
+                "connection:cls.frame_available": (
+                    "bundle has no trivialization and none could be synthesized"
+                ),
+                "curvature:cls.canonicalized": (
+                    "bundle has no trivialization and none could be synthesized"
+                ),
+            },
+        ),
+    ],
+    ids=["synthesized", "frame_available-and-canonicalized"],
+)
+def test_a_missing_frame_fails_with_its_reason(payload, suites, reasons, tmp_path, capsys):
+    path = tmp_path / "nonfree.json"
+    path.write_text(json.dumps(payload()))
+    args = ["check", str(path), "--format", "json"]
+    for suite in suites:
+        args += ["--suite", suite]
+    assert main(args) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {c["name"]: c for c in checks if c["status"] == "fail"}
+    assert sorted(failed) == sorted(reasons)
+    for name, reason in reasons.items():
+        assert failed[name]["witness"] is None
+        assert failed[name]["data"] == {"reason": reason}
 
 
 def test_trivialization_synthesized_when_absent():
@@ -693,7 +743,7 @@ def test_curvature_dump_lists_every_nonzero_entry_as_it_prints(tmp_path, capsys)
         expected = _reference_dump(raw, name)
         assert json.loads(_dump_text(capsys, str(path), name)) == expected
         if raw["name"] == "s3x2-imag":
-            assert any(scalar(parse_scalar(e["value"])).re == 0 for e in expected["entries"])
+            assert any(parts(scalar(parse_scalar(e["value"])))[0] == 0 for e in expected["entries"])
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +814,70 @@ def test_cli_unreadable_and_malformed_files(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "qpb: gauge name must not contain ':' at gauges[0].name\n"
+
+
+def _set(key: str, *path_and_value):
+    """The fixture `key` with the entry at the path set to the value."""
+
+    def payload():
+        raw = mutated_payload(key)
+        *path, last, value = path_and_value
+        target = raw
+        for step in path:
+            target = target[step]
+        target[last] = value
+        return raw
+
+    return payload
+
+
+# a rejection for each document shape the parser refuses, as the one
+# stderr line it prints
+PARSER_REJECTIONS = [
+    (
+        _set("fix_z2.json", "group", "mul", [[0, 1], [1]]),
+        "mul row must have 2 entries at group.mul[1]",
+    ),
+    (
+        _set("fix_prod.json", "product_bundle", [2]),
+        "product_bundle must be an object at product_bundle",
+    ),
+    (_set("fix_z2.json", "action", [[0, 2]]), "action must be an object at action"),
+    (
+        _set("fix_z2.json", "action", {"act": []}),
+        "action needs a non-empty act table at action.act",
+    ),
+    (
+        _set("fix_z2.json", "trivialization", [0, 0, 1, 1]),
+        "trivialization must be an object at trivialization",
+    ),
+    (
+        _set("fix_prod.json", "connections", 1, "density", 1, [["0", "0", "0"]]),
+        "density row must have 2 entries at connections[1].density[1]",
+    ),
+    (_set("fix_z2.json", "connections", {}), "connections must be a list at connections"),
+    (
+        _set("fix_z2.json", "connections", ["cls"]),
+        "connection must be an object at connections[0]",
+    ),
+    (
+        _set("fix_z2.json", "connections", 0, "transition", [[0, 1], [0]]),
+        "transition row must have 2 entries at connections[0].transition[1]",
+    ),
+    (_set("fix_z2.json", "gauges", ["flip"]), "gauge must be an object at gauges[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, message", PARSER_REJECTIONS, ids=[m.split(" at ")[0] for _p, m in PARSER_REJECTIONS]
+)
+def test_cli_parser_rejection_is_one_line(payload, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload()))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qpb: {message}\n"
 
 
 def test_cli_deeply_nested_json_is_one_rejection_line(tmp_path):
@@ -890,6 +1004,15 @@ def test_cli_max_entries_cap(tmp_path, capsys):
     prod = write_fixture(tmp_path, "fix_prod.json")
     assert main(["check", prod, "--suite", "group", "--max-entries", "11"]) == 2
     assert capsys.readouterr().err == "qpb: table of 12 entries exceeds the cap of 11\n"
+    # the frame's delta table and its convolution inverse hold n·m = 18
+    # entries; a cap met building them is no verdict on the document, as
+    # in every suite that builds no connection
+    for cap in (12, 15, 17):
+        assert main(["check", prod, "--suite", "trivialization", "--max-entries", str(cap)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"qpb: table of 18 entries exceeds the cap of {cap}\n")
+    assert main(["check", prod, "--suite", "trivialization", "--max-entries", "18"]) == 0
+    capsys.readouterr()
     assert main(["check", path]) == 0
 
 

@@ -6,9 +6,9 @@ A `sitecustomize` module on the child's path writes the names in
 the call imported: a document that fails to parse never loads the
 checkers, a suite loads only the checkers it calls, a curvature dump
 on a framed bundle loads the data types, builders and kernels and no
-checker module, a check or a dump never loads the fixtures or the Hopf
-algebra, and no path loads the stdlib machinery qpb does not use,
-OpenSSL's `hashlib` included.
+checker module, a check or a dump never loads the fixtures, a suite
+that eliminates no matrix never loads `Scalar`, and no path loads the
+stdlib machinery qpb does not use, OpenSSL's `hashlib` included.
 
 Without bytecode files every call compiles each module it loads, and
 the largest of those compiles sets the call's peak RSS, so each module
@@ -54,7 +54,7 @@ CHECKERS = {"qpb.runner", "qpb.connection", "qpb.potentials", "qpb.calculus"}
 SUITES = "qpb.suites"
 # the modules of checkers that a curvature dump never calls
 DUMP_UNLOADED = {"qpb.bundle", "qpb.connection", "qpb.calculus", "qpb.gauge", "qpb.linalg", SUITES}
-FIXTURE_MODULES = {"qpb.fixtures", "qpb.hopf"}
+FIXTURE_MODULES = {"qpb.fixtures"}
 # the digest comes from CPython's built-in SHA-256, not OpenSSL's, and
 # the command line is read without argparse and its gettext and locale
 UNUSED_STDLIB = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "_hashlib"}
@@ -154,7 +154,13 @@ def test_a_framed_dump_loads_no_checker_module(tmp_path, name):
             "action",
             {SUITES, "qpb.connection", "qpb.potentials", "qpb.calculus", "qpb.linalg", SCALARS},
         ),
-        ("comodule", {SUITES, "qpb.connection", "qpb.potentials"}),
+        ("comodule", {SUITES, "qpb.connection", "qpb.potentials", "qpb.linalg", SCALARS}),
+        # fix_z2 gives its frame, so no suite below synthesizes one, and
+        # none of them eliminates a matrix
+        ("trivialization", {"qpb.linalg", SCALARS}),
+        ("connection:cls", {"qpb.linalg", SCALARS}),
+        ("curvature:cls", {"qpb.linalg", SCALARS}),
+        ("gauge:flip:cls", {"qpb.linalg", SCALARS}),
     ],
 )
 def test_a_suite_loads_only_its_checkers(tmp_path, suite, unloaded):

@@ -70,6 +70,7 @@ from qpb.potentials import (
 from qpb.report import rejection
 from qpb.runner import run_checks
 from qpb.scalars import ONE, ZERO, Scalar
+from qpb.views import take
 from test_golden import S3X2
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
@@ -806,9 +807,7 @@ def _frame(word):
     def gathers(g, phi, read):
         points, elements = range(len(phi)), range(g.order)
         return [
-            connection._getter(
-                [read[r] * g.order + word(g, phi[p], c, phi[r]) for r in points for c in elements]
-            )
+            take([read[r] * g.order + word(g, phi[p], c, phi[r]) for r in points for c in elements])
             for p in points
         ]
 

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bridge import build, cyclic, func_of, indices, map_of, scalar_at, scalars_of, tensor_identify
+from bridge import (
+    build,
+    cyclic,
+    func_of,
+    indices,
+    map_of,
+    parts,
+    scalar_at,
+    scalars_of,
+    tensor_identify,
+)
 from conftest import fix_z2
 from qpb.connection import star_delta
 from qpb.funcs import (
@@ -289,7 +299,7 @@ def test_property_the_view_decides_equality_and_witnesses_and_gives_the_values(c
         # the view is in lowest terms: equal tables have equal views
         d, re, im = table.view
         assert gcd(d, *re, *(im or [])) == 1
-        assert (im is None) == all(not v.im for v in values)
+        assert (im is None) == all(not parts(v)[1] for v in values)
         assert table.is_zero() == (not any(values))
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bridge import parts
 from qpb.linalg import (
     SubspaceBasis,
     rank_and_kernel,
@@ -169,7 +170,7 @@ def _sympy_rank(matrix, ncols):
     sympy = pytest.importorskip("sympy")
 
     def entry(x):
-        re, im = x.re, x.im
+        re, im = parts(x)
         return sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
             im.numerator, im.denominator
         )

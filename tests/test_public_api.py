@@ -35,28 +35,9 @@ KEEP = {
     "differential": "acceptance criterion 04 (d² = 0, Leibniz); CLI routes call its int view directly",
 }
 
-_HOPF = "acceptance criterion 01: the Hopf algebra axioms of the group's function algebra"
-
 KEEP_METHODS = {
-    **{
-        f"HopfAlgebra.{name}": _HOPF
-        for name in (
-            "one",
-            "basis",
-            "coproduct",
-            "counit",
-            "antipode",
-            "project_ker_counit",
-            "is_ker_counit",
-            "adjoint_coaction",
-        )
-    },
-    "BundleAutomorphism.compose": "acceptance criterion 10: gauge group laws, as gauge_compose",
-    "BundleAutomorphism.inverse": "acceptance criterion 10: gauge group laws, as gauge_inverse",
     "FormValuedMap.density": "bench/layertrace.py counts star_delta's output entries through it",
     "Table.values": "bench/layertrace.py counts differential's output entries through it",
-    "Scalar.re": "Scalar.__hash__ reads it, so a real Scalar hashes like the equal Fraction",
-    "Scalar.im": "Scalar.__hash__ reads it, so a complex Scalar hashes like its Fraction pair",
     "Scalar.inverse": "rref scales a row whose pivot is not 1; the CLI's 0/1 matrices have none",
     "SubspaceBasis.contains": "the abstract's claim that the coinvariants are C(B)",
 }
