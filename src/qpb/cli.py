@@ -19,10 +19,16 @@ module: none of `bundle`, `connection`, `calculus`, `gauge`, `linalg`,
 validate θ first.  The dump is written a point pair at a time from the
 preformatted texts of `runner.curvature_payload`.  No path loads
 OpenSSL: the document digest comes from CPython's built-in SHA-256.
+
+A process enters at `run`, which calls `main`, runs the exit handlers,
+flushes stdout and stderr, and ends with `os._exit`, skipping the
+interpreter's teardown of every module and its final collection;
+`main` stays the entry for calls in process.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import sys
@@ -78,10 +84,47 @@ def main(argv: list[str] | None = None) -> int:
         # limits surface here
         print(f"qpb: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a document that cannot be read is a SpecError, so this is output:
+        # stdout, or a fixture file
+        return _cannot_write(exc.filename or "stdout", exc)
     finally:
         # the cap is for this call only; the next in-process call starts afresh
         if cap_token is not None:
             funcs.MAX_TABLE_ENTRIES.reset(cap_token)
+
+
+def run() -> None:
+    """The process entry of `python -m qpb.cli` and the `qpb` script.
+
+    After `main` it does what CPython's shutdown does that a caller can
+    see, in CPython's order: it runs the `atexit` handlers, then flushes
+    stdout and stderr.  It ends with `os._exit`, which skips the teardown
+    of every module and the final collection.  A call that ends by
+    SystemExit or by an uncaught exception takes the normal exit.
+    """
+    status = main()
+    atexit._run_exitfuncs()
+    for name in ("stdout", "stderr"):
+        stream = getattr(sys, name)
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except OSError as exc:
+            # an exit 2 has printed its one line, also for a stdout that
+            # failed in main and still holds what it could not write
+            if status != 2:
+                status = _cannot_write(name, exc)
+    os._exit(status)
+
+
+def _cannot_write(where: str, exc: OSError) -> int:
+    """Print the one line for output that cannot be written; exit status 2."""
+    try:
+        print(f"qpb: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+    except OSError:
+        pass  # stderr itself is gone; the status still tells
+    return 2
 
 
 def _parse(argv: list[str]) -> tuple[str, dict]:
@@ -241,4 +284,4 @@ def _write_curvature(payload: dict, out) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -39,6 +39,7 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
     "set_max_table_entries",
     "guard_table_size",
+    "TableCapError",
 ]
 
 # the cap of the current context; a caller that sets it resets it with
@@ -52,10 +53,14 @@ def set_max_table_entries(cap: int) -> Token:
     return MAX_TABLE_ENTRIES.set(cap)
 
 
+class TableCapError(ValueError):
+    """A table of more entries than the current cap."""
+
+
 def guard_table_size(entries: int) -> None:
     cap = MAX_TABLE_ENTRIES.get()
     if entries > cap:
-        raise ValueError(f"table of {entries} entries exceeds the cap of {cap}")
+        raise TableCapError(f"table of {entries} entries exceeds the cap of {cap}")
 
 
 class Table:

@@ -14,7 +14,7 @@ from . import connection, potentials
 from .bundle import psi_apply, psi_inverse, validate_trivialization
 from .calculus import validate_form
 from .document import ConnectionDecl
-from .funcs import Func, first_difference
+from .funcs import Func, TableCapError, first_difference
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
 from .report import CheckResult, rejection
 
@@ -242,6 +242,10 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
             val = potentials.validate_transition(transformed_tm)
             base = ctx.inputs_for(cdecl).base
             transformed, via = potentials.gauge_transform_base_potential(base, tau)
+    except TableCapError:
+        # a cap is no verdict on the gauge, so it exits 2 like any cap
+        # met outside a connection's build
+        raise
     except ValueError as exc:
         out.append(CheckResult(f"{suite}.transform_routes", False, data={"reason": str(exc)}))
         return out

@@ -1013,6 +1013,14 @@ def test_cli_max_entries_cap(tmp_path, capsys):
         assert (out.out, out.err) == ("", f"qpb: table of 18 entries exceeds the cap of {cap}\n")
     assert main(["check", prod, "--suite", "trivialization", "--max-entries", "18"]) == 0
     capsys.readouterr()
+    # the gauge suite's transformed base potential holds nb²·m = 8 entries;
+    # a cap met building it is no verdict on the gauge either
+    for cap in range(3, 8):
+        assert main(["check", path, "--suite", "gauge:flip:cls", "--max-entries", str(cap)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"qpb: table of 8 entries exceeds the cap of {cap}\n")
+    assert main(["check", path, "--suite", "gauge:flip:cls", "--max-entries", "8"]) == 0
+    capsys.readouterr()
     assert main(["check", path]) == 0
 
 
@@ -1235,3 +1243,47 @@ def test_cli_argv_errors_print_no_traceback(tmp_path):
         assert proc.returncode == status
         assert "Traceback" not in proc.stderr
         assert (proc.stdout if status == 0 else proc.stderr).startswith("usage: qpb check FILE")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{doc}"], ["curvature", "{doc}", "--connection", "rational"]],
+    ids=["report", "dump"],
+)
+def test_cli_output_to_a_closed_pipe_exits_2(argv, unbuffered, tmp_path):
+    # the report fits stdout's buffer and fails at the flush when it is
+    # buffered; the dump, 16.9 KB, fails in the write either way
+    src = os.path.dirname(os.path.dirname(qpb.__file__))
+    path = write_fixture(tmp_path, "fix_prod.json")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpb.cli", *[a.format(doc=path) for a in argv]],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "qpb: cannot write stdout: Broken pipe\n")
+
+
+def test_cli_fixtures_into_a_file_exits_2(tmp_path):
+    src = os.path.dirname(os.path.dirname(qpb.__file__))
+    path = tmp_path / "taken"
+    path.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpb.cli", "fixtures", "--dir", str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"qpb: cannot write {path}: File exists\n"

@@ -16,6 +16,11 @@ is held to a compile peak.
 
 The package itself is lazy: `import qpb` loads no submodule, and each
 public name is imported from its home module on first access.
+
+A process leaves through `cli.run`, which skips the interpreter's
+teardown: its stdout, stderr and exit code are the ones `cli.main` gives
+in process, whether or not stdout is buffered, and an `atexit` handler
+still runs before the streams are flushed.
 """
 
 import json
@@ -27,6 +32,7 @@ import tracemalloc
 import pytest
 
 import qpb
+from qpb import cli
 from qpb.fixtures import fixture_documents
 
 SRC = os.path.dirname(os.path.dirname(qpb.__file__))
@@ -212,3 +218,84 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         qpb.no_such_name
     assert not hasattr(qpb, "also_missing")
+
+
+def cold_call(tmp_path, argv: list[str], unbuffered: bool, hook: str | None = None):
+    """Exit code, stdout and stderr of one cold process, with stdout a
+    buffered or an unbuffered pipe and `hook` as its sitecustomize."""
+    path = [SRC]
+    if hook is not None:
+        (tmp_path / "hook").mkdir(exist_ok=True)
+        (tmp_path / "hook" / "sitecustomize.py").write_text(hook)
+        path.insert(0, str(tmp_path / "hook"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _document(tmp_path, key: str) -> str:
+    path = tmp_path / key
+    if key == "truncated.json":
+        path.write_text('{"format_version": 1, "group": {"mul": [[0, 1], [1')
+    else:
+        path.write_text(json.dumps(fixture_documents()[key]))
+    return str(path)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "key, args, status",
+    [
+        ("fix_z2.json", ["--format", "json"], 0),
+        ("fix_nonfree.json", [], 1),
+        ("truncated.json", [], 2),
+        # 16.9 KB, more than stdout's 8 KiB buffer
+        ("fix_prod.json", ["--connection", "rational"], 0),
+    ],
+    ids=["json-pass", "text-fail", "malformed", "dump"],
+)
+def test_a_process_gives_what_main_gives(tmp_path, capsys, key, args, status, unbuffered):
+    command = "curvature" if "--connection" in args else "check"
+    argv = [command, _document(tmp_path, key), *args]
+    assert cli.main(argv) == status
+    out, err = capsys.readouterr()
+    assert err.startswith("qpb: ") == (status == 2)
+    child = cold_call(tmp_path, [sys.executable, "-m", "qpb.cli", *argv], unbuffered)
+    assert child == (status, out, err)
+
+
+# an atexit handler that prints after the report and records that it ran
+_ATEXIT_PRINTS = """\
+import atexit
+import sys
+
+
+def _last_words():
+    print("exit handler")
+    print("exit handler", file=sys.stderr)
+    open({path!r}, "w").close()
+
+
+atexit.register(_last_words)
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_exit_handlers_run_before_the_flush(tmp_path, capsys, unbuffered):
+    argv = ["check", _document(tmp_path, "fix_nonfree.json")]
+    assert cli.main(argv) == 1
+    report = capsys.readouterr().out
+    ran = tmp_path / "ran"
+    hook = _ATEXIT_PRINTS.format(path=str(ran))
+    child = cold_call(tmp_path, [sys.executable, "-m", "qpb.cli", *argv], unbuffered, hook)
+    assert ran.exists()
+    assert child == (1, report + "exit handler\n", "exit handler\n")
+    # the same call through the interpreter's own exit, which runs the
+    # handlers and then flushes
+    ran.unlink()
+    normal = f"import sys; from qpb.cli import main; sys.exit(main({argv!r}))"
+    assert cold_call(tmp_path, [sys.executable, "-c", normal], unbuffered, hook) == child
+    assert ran.exists()
