@@ -108,7 +108,7 @@ def run() -> None:
     for name in ("stdout", "stderr"):
         stream = getattr(sys, name)
         try:
-            if stream is not None and not stream.closed:
+            if stream is not None:  # None when the process started without it
                 stream.flush()
         except OSError as exc:
             # an exit 2 has printed its one line, also for a stdout that

@@ -247,19 +247,18 @@ def _document(tmp_path, key: str) -> str:
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
-    "key, args, status",
+    "argv, status",
     [
-        ("fix_z2.json", ["--format", "json"], 0),
-        ("fix_nonfree.json", [], 1),
-        ("truncated.json", [], 2),
+        (["check", "fix_z2.json", "--format", "json"], 0),
+        (["check", "fix_nonfree.json"], 1),
+        (["check", "truncated.json"], 2),
         # 16.9 KB, more than stdout's 8 KiB buffer
-        ("fix_prod.json", ["--connection", "rational"], 0),
+        (["curvature", "fix_prod.json", "--connection", "rational"], 0),
     ],
     ids=["json-pass", "text-fail", "malformed", "dump"],
 )
-def test_a_process_gives_what_main_gives(tmp_path, capsys, key, args, status, unbuffered):
-    command = "curvature" if "--connection" in args else "check"
-    argv = [command, _document(tmp_path, key), *args]
+def test_a_process_gives_what_main_gives(tmp_path, capsys, argv, status, unbuffered):
+    argv = [argv[0], _document(tmp_path, argv[1]), *argv[2:]]
     assert cli.main(argv) == status
     out, err = capsys.readouterr()
     assert err.startswith("qpb: ") == (status == 2)
