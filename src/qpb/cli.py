@@ -22,8 +22,10 @@ OpenSSL: the document digest comes from CPython's built-in SHA-256.
 
 A process enters at `run`, which calls `main`, runs the exit handlers,
 flushes stdout and stderr, and ends with `os._exit`, skipping the
-interpreter's teardown of every module and its final collection;
-`main` stays the entry for calls in process.
+interpreter's teardown of every module and its final collection; the
+help and a usage error end that way too, so output that cannot be
+written exits 2 on every path.  `main` stays the entry for calls in
+process.
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ DEFAULTS = {"format": "text", "max-entries": None, "connection": None, "dir": ".
 
 
 def main(argv: list[str] | None = None) -> int:
-    command, args = _parse(sys.argv[1:] if argv is None else argv)
     cap_token = None
     try:
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
         if args["max-entries"] is not None:
             cap_token = funcs.set_max_table_entries(args["max-entries"])
         if command == "check":
@@ -86,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         # a document that cannot be read is a SpecError, so this is output:
-        # stdout, or a fixture file
+        # stdout, stderr for a usage error, or a fixture file
         return _cannot_write(exc.filename or "stdout", exc)
     finally:
         # the cap is for this call only; the next in-process call starts afresh
@@ -100,10 +102,14 @@ def run() -> None:
     After `main` it does what CPython's shutdown does that a caller can
     see, in CPython's order: it runs the `atexit` handlers, then flushes
     stdout and stderr.  It ends with `os._exit`, which skips the teardown
-    of every module and the final collection.  A call that ends by
-    SystemExit or by an uncaught exception takes the normal exit.
+    of every module and the final collection.  The help and a usage
+    error end `main` by SystemExit, whose status ends the process the
+    same way; an uncaught exception takes the normal exit.
     """
-    status = main()
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
     atexit._run_exitfuncs()
     for name in ("stdout", "stderr"):
         stream = getattr(sys, name)

@@ -9,10 +9,11 @@ the one-element group.  `calculus` and `connection` compute with them,
 and a document holds them without loading either.  They share one
 guarded base, Table: it holds the shape and the view, checks the entry
 cap before it reads an input, and owns the bounds-checked lookup, the
-pointwise sums, negation, the zero test, the operand check and
-equality, so each type only states its layout.  A table is made from a
-view and read as one: equality and the zero test compare ints, and no
-table makes a Scalar.  The entry cap makes degree blowups fail loudly
+zero test and equality, so each type only states its layout.  A table
+is made from a view and read as one: equality and the zero test
+compare ints, and no table makes a Scalar.  Func's product is the one
+arithmetic operator; a kernel that sums tables adds their views with
+`views.add_views`.  The entry cap makes degree blowups fail loudly
 instead of exhausting memory.
 
 The row-major layout is decoded here too: `unravel` turns a flat
@@ -30,7 +31,7 @@ from contextvars import ContextVar, Token
 from math import prod
 
 from .groups import FiniteGroup
-from .views import add_views, canonical, gathered, lowest_terms, mul_views
+from .views import canonical, gathered, lowest_terms, mul_views
 
 __all__ = [
     "Table",
@@ -68,10 +69,9 @@ class Table:
     view `view` = (d, re, im); a subclass fixes its layout.
 
     A subclass sets its layout attributes, then calls this constructor
-    with the shape they give.  It defines `_layout()`, those attributes in
-    its own constructor's order, so a table of the same kind is
-    `type(t)(*t._layout(), view=v)`, and the messages
-    `_length_error(got, need)` and `_mismatch_error(other)`.
+    with the shape they give.  It defines `_layout()`, those attributes,
+    which `==` compares along with the view, and the message
+    `_length_error(got, need)` for a view of the wrong length.
     """
 
     __slots__ = ("shape", "view")
@@ -98,26 +98,6 @@ class Table:
         d, re, im = self.view
         imag = itertools.repeat(0) if im is None else im
         return list(map(lowest_terms, re, imag, itertools.repeat(d)))
-
-    def _like(self, view):
-        """A table of the same kind and layout holding `view`."""
-        return type(self)(*self._layout(), view=view)
-
-    def _check_match(self, other) -> None:
-        if type(other) is not type(self) or other._layout() != self._layout():
-            raise ValueError(self._mismatch_error(other))
-
-    def __add__(self, other):
-        self._check_match(other)
-        return self._like(add_views(self.view, other.view))
-
-    def __sub__(self, other):
-        self._check_match(other)
-        return self._like(add_views(self.view, other.view, -1))
-
-    def __neg__(self):
-        d, re, im = self.view
-        return self._like((d, [-a for a in re], None if im is None else [-b for b in im]))
 
     def is_zero(self) -> bool:
         _d, re, im = self.view
@@ -155,9 +135,6 @@ class Func(Table):
     def _length_error(self, got: int, need: int) -> str:
         return f"got {got} values for shape {self.shape} (need {need})"
 
-    def _mismatch_error(self, other) -> str:
-        return f"shape mismatch: {self.shape} vs {other.shape}"
-
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> Func:
         return cls(shape, view=(1, itertools.repeat(0, prod(shape)), None))
@@ -174,11 +151,9 @@ class Func(Table):
         return f
 
     def __mul__(self, other: Func) -> Func:
-        self._check_match(other)
-        return self._like(mul_views(self.view, other.view))
-
-    def __repr__(self):
-        return f"Func(shape={self.shape})"
+        if type(other) is not Func or other.shape != self.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return Func(self.shape, view=mul_views(self.view, other.view))
 
 
 class FormValuedMap(Table):
@@ -212,21 +187,12 @@ class FormValuedMap(Table):
     def _length_error(self, got: int, need: int) -> str:
         return f"density has {got} entries, expected {need}"
 
-    def _mismatch_error(self, other) -> str:
-        return "form-valued maps do not match"
-
     @classmethod
     def from_point_table(cls, group: FiniteGroup, table: list[int]) -> FormValuedMap:
         """Degree-0 delta density of a point -> group table."""
         m = group.order
         deltas = (int(a == c) for a in table for c in range(m))
         return cls(group, len(table), 0, view=(1, deltas, None))
-
-    def __repr__(self):
-        return (
-            f"FormValuedMap(size={self.size}, degree={self.degree},"
-            f" group_order={self.group.order})"
-        )
 
 
 def unravel(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:

@@ -61,9 +61,6 @@ class BundleAutomorphism:
             and self.trans == other.trans
         )
 
-    def __repr__(self):
-        return f"BundleAutomorphism(base_size={self.base_size}, group_order={self.group.order})"
-
 
 def validate_automorphism(xi: BundleAutomorphism) -> Report:
     """Per-fiber bijectivity and compatibility with right translation."""

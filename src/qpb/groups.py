@@ -88,9 +88,6 @@ class FiniteGroup:
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.table == other.table
 
-    def __repr__(self):
-        return f"FiniteGroup(order={self.order})"
-
 
 def validate_group(g: FiniteGroup) -> Report:
     """Check associativity, identity, inverses; witnesses are index tuples."""
@@ -178,16 +175,6 @@ class RightAction:
         self.total_size = n
         self.table = [list(row) for row in act_table]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RightAction)
-            and self.group == other.group
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"RightAction(total_size={self.total_size}, group_order={self.group.order})"
-
 
 class TransitionMap:
     """A group element for every ordered pair of base points."""
@@ -205,16 +192,6 @@ class TransitionMap:
         self.group = group
         self.base_size = nb
         self.table = [list(row) for row in table]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TransitionMap)
-            and self.group == other.group
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"TransitionMap(base_size={self.base_size})"
 
 
 class BaseSpace:
@@ -273,12 +250,6 @@ class BundleSpec:
     def with_phi(self, phi: list[int]) -> BundleSpec:
         return BundleSpec(self.group, self.action, phi, self.name)
 
-    def __repr__(self):
-        return (
-            f"BundleSpec(total_size={self.total_size}, group_order={self.group.order},"
-            f" base_size={self.base.size}, trivialized={self.phi is not None})"
-        )
-
 
 def make_product(base_size: int, group: FiniteGroup) -> BundleSpec:
     """The product bundle B x G with right translation and canonical phi."""
@@ -312,9 +283,6 @@ class GaugeMap:
             and self.group == other.group
             and self.table == other.table
         )
-
-    def __repr__(self):
-        return f"GaugeMap({self.table})"
 
 
 def validate_action(action: RightAction) -> Report:

@@ -44,12 +44,6 @@ class Report:
     def first_failure(self) -> CheckResult | None:
         return next((c for c in self.checks if not c.passed), None)
 
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def rejection(what: str, report: Report) -> str | None:
     """The reason an input is refused: its first failed check, or None

@@ -5,10 +5,12 @@ qpb's tables take and give only their int view (d, re, im).  The tests
 keep `Scalar` as their reference arithmetic, so they build tables from
 Scalars and read entries back as Scalars through this module:
 `to_ints` and `from_ints` turn a list of Scalars into a view and back,
-`func_of`, `map_of` and `build` make tables, `scalars_of` and
-`scalar_at` read them, `parts` splits a Scalar into its Fractions, and
-`indices` walks a shape in row-major order.  A table is built from
-Scalars only after the size guard, as the library reads a view.
+`func_of`, `map_of` and `build` make tables, `plus` adds or subtracts
+two through their views, `scalars_of` and `scalar_at` read them,
+`parts` splits a Scalar into its Fractions, `indices` walks a shape in
+row-major order, and `named` finds a check of a report by its name.  A
+table is built from Scalars only after the size guard, as the library
+reads a view.
 
 The tests' own constructions live here too, since no command reaches
 them: the groups `cyclic` and `direct_product` and the element names
@@ -36,7 +38,7 @@ from qpb.gauge import BundleAutomorphism
 from qpb.groups import BundleSpec, FiniteGroup, RightAction
 from qpb.potentials import _phi_form_valued
 from qpb.scalars import ZERO, Scalar, _reduced
-from qpb.views import gathered, lowest_terms, mul_views, take
+from qpb.views import add_views, gathered, lowest_terms, mul_views, take
 
 _nums, _imags, _dens = attrgetter("_a"), attrgetter("_b"), attrgetter("_d")
 
@@ -106,6 +108,16 @@ def scalar_at(table, *idx: int) -> Scalar:
     return from_ints(d, re[k : k + 1], im and im[k : k + 1])[0]
 
 
+def plus(x, y, sign: int = 1):
+    """The table x + sign·y of two tables of one kind and layout, made
+    from the sum of their views: the library's tables have no sum or
+    difference."""
+    view = add_views(x.view, y.view, sign)
+    if type(x) is Func:
+        return Func(x.shape, view=view)
+    return FormValuedMap(x.group, x.size, x.degree, view=view)
+
+
 def scalar(triple: tuple[int, int, int]) -> Scalar:
     """The Scalar of a canonical triple (a, b, d), as `parse_scalar` gives one."""
     a, b, d = triple
@@ -115,6 +127,11 @@ def scalar(triple: tuple[int, int, int]) -> Scalar:
 def parts(s: Scalar) -> tuple[Fraction, Fraction]:
     """The real and imaginary parts of a Scalar, as Fractions."""
     return Fraction(s._a, s._d), Fraction(s._b, s._d)
+
+
+def named(report, name: str):
+    """The check of a report that is called `name`."""
+    return next(c for c in report.checks if c.name == name)
 
 
 # ---------------------------------------------------------------------------

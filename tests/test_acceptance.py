@@ -23,6 +23,8 @@ from bridge import (
     func_of,
     inverse,
     map_of,
+    named,
+    plus,
     scalar,
     scalar_at,
     scalars_of,
@@ -164,15 +166,15 @@ def test_criterion_03_freeness_ranks():
     for make in FRAMED:
         b = make()
         rep = check_freeness(b)
-        data = rep["freeness.rank"].data
+        data = named(rep, "freeness.rank").data
         if not rep.passed or data["rank"] != expected[b.name]:
             problems.append((b.name, data))
     rep = check_freeness(fix_nonfree())
-    data = rep["freeness.rank"].data
+    data = named(rep, "freeness.rank").data
     if rep.passed or data["rank"] != 2 or data["expected_rank"] != 4:
         problems.append(("fix-nonfree", data))
-    if rep["freeness.direct"].witness != (0, 1):
-        problems.append(("fix-nonfree witness", rep["freeness.direct"].witness))
+    if named(rep, "freeness.direct").witness != (0, 1):
+        problems.append(("fix-nonfree witness", named(rep, "freeness.direct").witness))
     verdict(3, "freeness ranks", problems)
 
 
@@ -195,9 +197,8 @@ def test_criterion_04_calculus_random_forms():
                 g = random_form(n, db, rng)
                 lhs = differential(star_delta(f, g))
                 second = star_delta(f, differential(g))
-                if da % 2:
-                    second = -second
-                rhs = star_delta(differential(f), g) + second
+                sign = -1 if da % 2 else 1
+                rhs = plus(star_delta(differential(f), g), second, sign)
                 if lhs != rhs:
                     problems.append((b.name, "leibniz", da, db))
 
@@ -220,8 +221,8 @@ def test_criterion_05_exactness_dimensions():
     for make in FRAMED:
         b = make()
         rep = check_exactness(b, check_freeness(b))
-        surj = rep["exactness.surjectivity"].data
-        ker = rep["exactness.kernel_equals_horizontal"].data
+        surj = named(rep, "exactness.surjectivity").data
+        ker = named(rep, "exactness.kernel_equals_horizontal").data
         got = (surj["dim_omega1"], surj["rank"], ker["kernel_dim"], ker["horizontal_dim"])
         if not rep.passed or got != expected[b.name]:
             problems.append((b.name, got))

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from bridge import apply, cyclic, func_of, map_of, scalar_at, scalars_of, tensor_identify
+from bridge import apply, cyclic, func_of, map_of, named, scalar_at, scalars_of, tensor_identify
 import qpb.bundle as bundle
 from conftest import fix_nonfree, fix_prod, fix_s3, fix_z2, random_degree0_map, support
 from qpb.bundle import (
@@ -129,14 +129,14 @@ def _with_entry(b, p, a, q):
 def test_coassociativity_witness_is_the_first_failure():
     b = _with_entry(fix_s3(), 3, 4, 1)
     rep = check_comodule_algebra(b)
-    witness = rep["comodule.coassociativity"].witness
+    witness = named(rep, "comodule.coassociativity").witness
     assert witness == _first_coassociativity_failure(b) == (0, 3, 4)
 
 
 def test_counit_witness_is_the_first_failure():
     b = _with_entry(fix_s3(), 4, 0, 5)
     rep = check_comodule_algebra(b)
-    witness = rep["comodule.counit"].witness
+    witness = named(rep, "comodule.counit").witness
     assert witness == _first_counit_failure(b) == (4,)
 
 
@@ -155,7 +155,7 @@ def test_multiplicativity_witness_is_the_first_failure(monkeypatch):
     b = fix_s3()
     monkeypatch.setattr(qpb.bundle, "coaction", doubled)
     rep = check_comodule_algebra(b)
-    witness = rep["comodule.multiplicativity"].witness
+    witness = named(rep, "comodule.multiplicativity").witness
     assert witness == _first_multiplicativity_failure(b, doubled) == (2, 3)
 
 
@@ -163,7 +163,7 @@ def test_freeness_ranks():
     for b, expected, n in ((fix_z2(), 8, 4), (fix_s3(), 36, 6), (fix_prod(), 18, 6)):
         rep = check_freeness(b)
         assert rep.passed
-        data = rep["freeness.rank"].data
+        data = named(rep, "freeness.rank").data
         assert data["rank"] == expected
         assert data["expected_rank"] == expected
         assert data["source_dim"] == n * n
@@ -172,9 +172,9 @@ def test_freeness_ranks():
 def test_freeness_failure():
     rep = check_freeness(fix_nonfree())
     assert not rep.passed
-    assert rep["freeness.direct"].witness == (0, 1)
-    assert rep["freeness.rank"].data["rank"] == 2
-    assert rep["freeness.rank"].data["expected_rank"] == 4
+    assert named(rep, "freeness.direct").witness == (0, 1)
+    assert named(rep, "freeness.rank").data["rank"] == 2
+    assert named(rep, "freeness.rank").data["expected_rank"] == 4
 
 
 def _sparse(f):
@@ -223,20 +223,20 @@ def test_validate_trivialization_positive():
 
 def test_validate_trivialization_section_values():
     rep = validate_trivialization(fix_z2())
-    assert rep["trivialization.section"].data == {"section": [0, 1]}
+    assert named(rep, "trivialization.section").data == {"section": [0, 1]}
 
 
 def test_validate_trivialization_absent():
     rep = validate_trivialization(fix_nonfree())
     assert not rep.passed
-    assert not rep["trivialization.present"].passed
+    assert not named(rep, "trivialization.present").passed
 
 
 def test_validate_trivialization_not_equivariant():
     b = fix_z2().with_phi([0, 0, 0, 1])
     rep = validate_trivialization(b)
-    assert not rep["trivialization.equivariance"].passed
-    p, a = rep["trivialization.equivariance"].witness
+    assert not named(rep, "trivialization.equivariance").passed
+    p, a = named(rep, "trivialization.equivariance").witness
     g = b.group
     assert b.phi[b.act(p, a)] != g.table[b.phi[p]][a]
 

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from bridge import build, cyclic, indices, map_of, scalar_at, scalars_of
+from bridge import build, cyclic, indices, map_of, named, plus, scalar_at, scalars_of
 from conftest import fix_nonfree, fix_prod, fix_s3, fix_z2, random_form, random_scalar
 from qpb.calculus import check_exactness, differential, horizontal_basis, validate_form
 from qpb.bundle import check_freeness
@@ -119,10 +119,7 @@ def test_graded_leibniz_random(deg_f, deg_g):
         lhs = differential(star_delta(f, g))
         rhs = star_delta(differential(f), g)
         second = star_delta(f, differential(g))
-        if deg_f % 2:
-            rhs = rhs - second
-        else:
-            rhs = rhs + second
+        rhs = plus(rhs, second, -1 if deg_f % 2 else 1)
         assert lhs == rhs
 
 
@@ -185,10 +182,10 @@ def test_exactness_dimensions():
     for b in (fix_z2(), fix_s3(), fix_prod()):
         rep = check_exactness(b, check_freeness(b))
         assert rep.passed, rep.first_failure()
-        dim_omega1 = rep["exactness.surjectivity"].data["dim_omega1"]
-        rank = rep["exactness.surjectivity"].data["rank"]
-        kernel = rep["exactness.kernel_equals_horizontal"].data["kernel_dim"]
-        hor = rep["exactness.kernel_equals_horizontal"].data["horizontal_dim"]
+        dim_omega1 = named(rep, "exactness.surjectivity").data["dim_omega1"]
+        rank = named(rep, "exactness.surjectivity").data["rank"]
+        kernel = named(rep, "exactness.kernel_equals_horizontal").data["kernel_dim"]
+        hor = named(rep, "exactness.kernel_equals_horizontal").data["horizontal_dim"]
         assert (dim_omega1, rank, kernel, hor) == expected[b.name]
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bridge import indices, map_of, parts, scalar, scalar_at, scalars_of, trivial_connection
+from bridge import indices, map_of, named, parts, scalar, scalar_at, scalars_of, trivial_connection
 import qpb
 import qpb.bundle as bundle
 import qpb.calculus as calculus
@@ -302,7 +302,7 @@ def test_strong_route_agreement_compares_whole_values(monkeypatch, change):
 
     monkeypatch.setattr(potentials, "strong_connection_direct", changed)
     report = run_checks(load_fixture("fix_prod.json"), ["connection:rational"])
-    assert not report["connection:rational.strong_route_agreement"].passed
+    assert not named(report, "connection:rational.strong_route_agreement").passed
 
 
 def test_gamma_hat_connection_check_names():
@@ -1245,34 +1245,49 @@ def test_cli_argv_errors_print_no_traceback(tmp_path):
         assert (proc.stdout if status == 0 else proc.stderr).startswith("usage: qpb check FILE")
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize(
-    "argv",
-    [["check", "{doc}"], ["curvature", "{doc}", "--connection", "rational"]],
-    ids=["report", "dump"],
-)
-def test_cli_output_to_a_closed_pipe_exits_2(argv, unbuffered, tmp_path):
-    # the report fits stdout's buffer and fails at the flush when it is
-    # buffered; the dump, 16.9 KB, fails in the write either way
+def _closed_pipe_run(argv: list[str], unbuffered: bool, stream: str):
+    """A `python -m qpb.cli` process whose `stream` ("stdout" or
+    "stderr") is a pipe with its read end closed; the other is captured."""
     src = os.path.dirname(os.path.dirname(qpb.__file__))
-    path = write_fixture(tmp_path, "fix_prod.json")
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "qpb.cli", *[a.format(doc=path) for a in argv]],
-            env=env,
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
+        return subprocess.run(
+            [sys.executable, "-m", "qpb.cli", *argv], env=env, text=True, **streams
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{doc}"],
+        ["curvature", "{doc}", "--connection", "rational"],
+        ["-h"],
+        ["check", "--help"],
+    ],
+    ids=["report", "dump", "help", "check-help"],
+)
+def test_cli_output_to_a_closed_pipe_exits_2(argv, unbuffered, tmp_path):
+    # the report and the help fit stdout's buffer and fail at the flush
+    # when it is buffered; the dump, 16.9 KB, fails in the write either way
+    path = write_fixture(tmp_path, "fix_prod.json")
+    proc = _closed_pipe_run([a.format(doc=path) for a in argv], unbuffered, "stdout")
     assert (proc.returncode, proc.stderr) == (2, "qpb: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["bogus"], ["check"]], ids=["command", "file"])
+def test_cli_usage_error_to_a_closed_stderr_exits_2(argv, unbuffered):
+    proc = _closed_pipe_run(argv, unbuffered, "stderr")
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_cli_fixtures_into_a_file_exits_2(tmp_path):

@@ -254,14 +254,21 @@ def _document(tmp_path, key: str) -> str:
         (["check", "truncated.json"], 2),
         # 16.9 KB, more than stdout's 8 KiB buffer
         (["curvature", "fix_prod.json", "--connection", "rational"], 0),
+        # these two end main by SystemExit
+        (["-h"], 0),
+        (["check", "fix_z2.json", "--format", "xml"], 2),
     ],
-    ids=["json-pass", "text-fail", "malformed", "dump"],
+    ids=["json-pass", "text-fail", "malformed", "dump", "help", "usage-error"],
 )
 def test_a_process_gives_what_main_gives(tmp_path, capsys, argv, status, unbuffered):
-    argv = [argv[0], _document(tmp_path, argv[1]), *argv[2:]]
-    assert cli.main(argv) == status
+    argv = [_document(tmp_path, a) if a.endswith(".json") else a for a in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == status
     out, err = capsys.readouterr()
-    assert err.startswith("qpb: ") == (status == 2)
+    assert err.startswith(("qpb: ", "usage: ")) == (status == 2)
     child = cold_call(tmp_path, [sys.executable, "-m", "qpb.cli", *argv], unbuffered)
     assert child == (status, out, err)
 

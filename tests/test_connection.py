@@ -14,6 +14,7 @@ from bridge import (
     cyclic,
     func_of,
     map_of,
+    named,
     scalar_at,
     scalars_of,
     to_ints,
@@ -252,8 +253,8 @@ def test_validate_potential_witnesses():
         b.group, 4, 1, lambda p, q, c: ONE if (p, q, c) == (0, 1, 0) else ZERO
     )
     r = validate_potential(unbalanced, b)
-    assert not r["potential.unit_normalization"].passed
-    assert r["potential.unit_normalization"].witness == (0, 1)
+    assert not named(r, "potential.unit_normalization").passed
+    assert named(r, "potential.unit_normalization").witness == (0, 1)
 
     on_orbit = build(
         b.group,
@@ -263,9 +264,9 @@ def test_validate_potential_witnesses():
         (-ONE if (p, q, c) == (0, 2, 1) else ZERO),
     )
     r = validate_potential(on_orbit, b)
-    assert r["potential.unit_normalization"].passed
-    assert not r["potential.vanishing_on_orbit_pairs"].passed
-    assert r["potential.vanishing_on_orbit_pairs"].witness == (0, 1, 0)
+    assert named(r, "potential.unit_normalization").passed
+    assert not named(r, "potential.vanishing_on_orbit_pairs").passed
+    assert named(r, "potential.vanishing_on_orbit_pairs").witness == (0, 1, 0)
 
     lopsided = build(
         b.group,
@@ -275,10 +276,10 @@ def test_validate_potential_witnesses():
         (-ONE if (p, q, c) == (0, 1, 1) else ZERO),
     )
     r = validate_potential(lopsided, b)
-    assert r["potential.unit_normalization"].passed
-    assert r["potential.vanishing_on_orbit_pairs"].passed
-    assert not r["potential.translation_invariance"].passed
-    assert r["potential.translation_invariance"].witness == (0, 1, 1, 0)
+    assert named(r, "potential.unit_normalization").passed
+    assert named(r, "potential.vanishing_on_orbit_pairs").passed
+    assert not named(r, "potential.translation_invariance").passed
+    assert named(r, "potential.translation_invariance").witness == (0, 1, 1, 0)
 
 
 def test_validate_base_potential_random_and_witnesses():
@@ -290,16 +291,16 @@ def test_validate_base_potential_random_and_witnesses():
     for value in (ONE, Scalar(0, 1)):
         diag = build(g, 2, 1, lambda x, y, c: value if (x, y, c) == (1, 1, 1) else ZERO)
         r = validate_base_potential(diag)
-        assert not r["base_potential.vanishing_on_diagonal"].passed
-        assert r["base_potential.vanishing_on_diagonal"].witness == (1, 1)
+        assert not named(r, "base_potential.vanishing_on_diagonal").passed
+        assert named(r, "base_potential.vanishing_on_diagonal").witness == (1, 1)
 
     unbalanced = build(
         g, 2, 1, lambda x, y, c: ONE if (x, y, c) == (0, 1, 0) else ZERO
     )
     r = validate_base_potential(unbalanced)
-    assert r["base_potential.vanishing_on_diagonal"].passed
-    assert not r["base_potential.unit_normalization"].passed
-    assert r["base_potential.unit_normalization"].witness == (0, 1)
+    assert named(r, "base_potential.vanishing_on_diagonal").passed
+    assert not named(r, "base_potential.unit_normalization").passed
+    assert named(r, "base_potential.unit_normalization").witness == (0, 1)
 
 
 def test_lift_base_potential_guards():
@@ -328,7 +329,7 @@ def test_transition_map_validation():
     off_diagonal = TransitionMap(g, [[1, 0], [0, 0]])
     r = validate_transition(off_diagonal)
     assert not r.passed
-    assert r["transition.diagonal_identity"].witness == (0,)
+    assert named(r, "transition.diagonal_identity").witness == (0,)
 
     tm = TransitionMap(g, [[0, 1], [0, 0]])
     assert validate_transition(tm).passed
@@ -506,7 +507,7 @@ def test_ad_covariance_witness_is_the_first_failure():
     theta = _moved(trivial_connection(b), 2, 9, 4, 5)
     report = validate_connection_form(theta, b)
     assert [c.name for c in report.checks if not c.passed] == ["connection.ad_covariance"]
-    witness = report["connection.ad_covariance"].witness
+    witness = named(report, "connection.ad_covariance").witness
     assert witness == _first_ad_covariance_failure(theta, b) == (0, 7, 2, 4)
     p, q, bb, c = witness
     assert bb != b.group.identity and c != b.group.identity
@@ -522,7 +523,7 @@ def test_ad_covariance_witness_on_random_densities(m):
     n = b.total_size
     for _ in range(5):
         theta = map_of(b.group, n, 1, [random_scalar(rng) for _ in range(n * n * m)])
-        witness = validate_connection_form(theta, b)["connection.ad_covariance"].witness
+        witness = named(validate_connection_form(theta, b), "connection.ad_covariance").witness
         assert witness == _first_ad_covariance_failure(theta, b)
         assert (witness is None) == (m == 1)
 
@@ -531,8 +532,8 @@ def test_splitting_property_witness_is_the_first_failure():
     b = make_product(2, symmetric(3))
     theta = _moved(trivial_connection(b), 3, b.act(3, 2), 4, 1)
     report = validate_connection_form(theta, b)
-    assert not report["connection.splitting_property"].passed
-    witness = report["connection.splitting_property"].witness
+    assert not named(report, "connection.splitting_property").passed
+    witness = named(report, "connection.splitting_property").witness
     assert witness == _first_splitting_failure(theta, b) == (3, 2, 1)
 
 
@@ -923,7 +924,8 @@ def test_gauge_transform_transition_agreement():
             assert potential_from_transition(moved) == transformed(
                 potential_from_transition(tm), tau
             )
-        assert gauge_transform_transition(tm, GaugeMap(g, [g.identity] * 2)) == tm
+        unmoved = gauge_transform_transition(tm, GaugeMap(g, [g.identity] * 2))
+        assert unmoved.group == tm.group and unmoved.table == tm.table
 
 
 def test_gauge_transform_guards():

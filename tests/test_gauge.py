@@ -2,7 +2,7 @@
 
 import pytest
 
-from bridge import compose, inverse
+from bridge import compose, inverse, named
 from conftest import all_gauge_maps, fix_prod, fix_z2
 from qpb.gauge import (
     BundleAutomorphism,
@@ -83,8 +83,8 @@ def test_right_translation_is_not_a_gauge_automorphism():
     t = 1  # a transposition, so left and right translation differ
     xi = BundleAutomorphism(g, [[g.table[a][t] for a in range(6)]])
     report = validate_automorphism(xi)
-    assert report["automorphism.bijective"].passed
-    assert not report["automorphism.equivariance"].passed
+    assert named(report, "automorphism.bijective").passed
+    assert not named(report, "automorphism.equivariance").passed
     with pytest.raises(ValueError, match="not a left translation"):
         tau_extract(xi)
 
@@ -93,8 +93,8 @@ def test_non_bijective_fiber_map_rejected():
     g = fix_z2().group
     squashed = BundleAutomorphism(g, [[0, 0], [0, 1]])
     report = validate_automorphism(squashed)
-    assert not report["automorphism.bijective"].passed
-    assert report["automorphism.bijective"].witness == (0,)
+    assert not named(report, "automorphism.bijective").passed
+    assert named(report, "automorphism.bijective").witness == (0,)
     with pytest.raises(ValueError, match="not a bijection"):
         inverse(squashed)
 

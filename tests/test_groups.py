@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from bridge import cyclic, direct_product, label
+from bridge import cyclic, direct_product, label, named
 from qpb.groups import (
     FiniteGroup,
     RightAction,
@@ -67,7 +67,7 @@ def test_direct_product_klein_four():
 def test_validate_group_passes(g):
     rep = validate_group(g)
     assert rep.passed
-    assert rep["group.identity"].data == {"identity": 0}
+    assert named(rep, "group.identity").data == {"identity": 0}
 
 
 def test_validate_group_catches_broken_associativity():
@@ -76,13 +76,13 @@ def test_validate_group_catches_broken_associativity():
     g = FiniteGroup(table)
     rep = validate_group(g)
     # this particular table is associative but has no inverses for 1
-    assert rep["group.associativity"].passed
-    assert not rep["group.inverses"].passed
+    assert named(rep, "group.associativity").passed
+    assert not named(rep, "group.inverses").passed
 
     bad = FiniteGroup([[1, 0], [0, 0]])
     rep2 = validate_group(bad)
     assert not rep2.passed
-    w = rep2["group.associativity"].witness
+    w = named(rep2, "group.associativity").witness
     assert w is not None
     a, b, c = w
     assert bad.table[bad.table[a][b]][c] != bad.table[a][bad.table[b][c]]
@@ -99,8 +99,8 @@ def test_group_without_identity_reported():
     g = FiniteGroup([[0, 0], [0, 0]])
     assert g.identity is None
     rep = validate_group(g)
-    assert not rep["group.identity"].passed
-    assert not rep["group.inverses"].passed
+    assert not named(rep, "group.identity").passed
+    assert not named(rep, "group.inverses").passed
 
 
 def test_group_constructor_rejects_bad_shapes():
@@ -130,8 +130,8 @@ def test_right_action_unit_failure_witness():
     g = cyclic(2)
     act = RightAction(g, [[1, 0], [0, 1]])  # identity column wrong at p=0
     rep = validate_action(act)
-    assert not rep["action.unit"].passed
-    assert rep["action.unit"].witness == (0,)
+    assert not named(rep, "action.unit").passed
+    assert named(rep, "action.unit").witness == (0,)
 
 
 def test_right_action_compatibility_failure_witness():
@@ -139,8 +139,8 @@ def test_right_action_compatibility_failure_witness():
     # corrupt one entry of the shift-by-two table
     act = RightAction(g, [[0, 1], [1, 3], [2, 0], [3, 1]])
     rep = validate_action(act)
-    assert not rep["action.compatibility"].passed
-    p, a, b = rep["action.compatibility"].witness
+    assert not named(rep, "action.compatibility").passed
+    p, a, b = named(rep, "action.compatibility").witness
     assert act.table[act.table[p][a]][b] != act.table[p][g.table[a][b]]
 
 
@@ -148,8 +148,8 @@ def test_right_action_freeness_witness():
     g = cyclic(2)
     act = RightAction(g, [[0, 0], [1, 1]])
     rep = validate_action(act)
-    assert not rep["action.freeness"].passed
-    assert rep["action.freeness"].witness == (0, 1)
+    assert not named(rep, "action.freeness").passed
+    assert named(rep, "action.freeness").witness == (0, 1)
 
 
 def test_action_constructor_rejects_bad_shapes():

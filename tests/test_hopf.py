@@ -9,6 +9,7 @@ from bridge import (
     cyclic,
     direct_product,
     func_of,
+    plus,
     scalar,
     scalar_at,
     scalars_of,
@@ -42,7 +43,7 @@ def test_ker_counit_projection():
     g = cyclic(2)
     ind_e = Func.indicator((2,), (0,))
     # subtract a(e) * 1, landing in the kernel of the counit
-    proj = ind_e - func_of((2,), [scalar(counit(g, ind_e))] * 2)
+    proj = plus(ind_e, func_of((2,), [scalar(counit(g, ind_e))] * 2), -1)
     assert counit(g, proj) == (0, 0, 1)
     assert scalars_of(proj) == [ZERO, -ONE]
 
@@ -150,5 +151,5 @@ def test_tensor_identification_consistency():
     assert t == Func.indicator((2, 2), (0, 1))
     # coproduct of ind_e on Z2 is ind_e x ind_e + ind_g x ind_g
     cop = coproduct(g, ind_e)
-    expected = tensor_identify(ind_e, ind_e) + tensor_identify(ind_g, ind_g)
+    expected = plus(tensor_identify(ind_e, ind_e), tensor_identify(ind_g, ind_g))
     assert cop == expected
