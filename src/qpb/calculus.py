@@ -15,7 +15,6 @@ over the nonzero rows of its input's view, through
 nothing is converted on the way.  The int-view kernels live in
 `kernels` with the curvature rows, so the builders of `potentials` and
 a curvature dump run them without loading this module.
-`validate_form` tests the entries at the adjacent repeats on ints.
 Only the matrices handed to `linalg` hold Scalars, as sparse rows: the
 canonical map's row at (p, a) is one unit entry, or empty where
 p.a = p, and an indicator basis vector is one unit entry.  The
@@ -25,7 +24,7 @@ functions that reach `linalg` or build its rows import `linalg` and
 
 from __future__ import annotations
 
-from .funcs import FormValuedMap, guard_table_size, unravel
+from .funcs import FormValuedMap, guard_table_size
 from .groups import BundleSpec
 from .kernels import _differential_view
 from .report import CheckResult, Report
@@ -37,49 +36,12 @@ if TYPE_CHECKING:
     from .scalars import Scalar
 
 __all__ = [
-    "validate_form",
     "differential",
     "restricted_canonical_matrix",
     "horizontal_basis",
     "check_exactness",
     "offdiag_pairs",
 ]
-
-
-def validate_form(f: FormValuedMap) -> Report:
-    """Check vanishing on adjacent repeated points.
-
-    `f` is checked one group slice at a time, in order; the witness is
-    (group element, *points).  Only the point tuples with an adjacent
-    repeat are read.
-    """
-    width = f.group.order
-    repeats = _adjacent_repeats(f.size, f.degree)
-    _d, re, im = f.view
-    witness = None
-    for c in range(width):
-        t = next(
-            (t for t in repeats if re[t * width + c] or im and im[t * width + c]), None
-        )
-        if t is not None:
-            witness = (c,) + unravel(t, (f.size,) * (f.degree + 1))
-            break
-    report = Report()
-    report.add(CheckResult("form.adjacent_vanishing", witness is None, witness))
-    return report
-
-
-def _adjacent_repeats(size: int, degree: int) -> list[int]:
-    """Flat positions, ascending, of the (degree + 1)-tuples of points
-    whose arguments j and j + 1 coincide for some j."""
-    found = set()
-    for j in range(degree):
-        lo = size ** (degree - 1 - j)
-        for head in range(size**j):
-            for x in range(size):
-                first = ((head * size + x) * size + x) * lo
-                found.update(range(first, first + lo))
-    return sorted(found)
 
 
 def differential(f: FormValuedMap) -> FormValuedMap:

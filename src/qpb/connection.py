@@ -10,17 +10,17 @@ four pointwise invariants, and `theta_from_splitting` and
 θ's entries, not a view of θ, so the round trip compares two tables
 built separately.  `star_delta` is the
 convolution product of form-valued maps.  Curvature is computed along
-independent routes that must agree exactly: dθ + θ⋆θ on the total
-space, from `kernels.curvature_rows`, which yields the table a point
-pair's rows at a time; the potential's own curvature, on the base for a base
-potential, read once in the bundle frame at φ(p)·c·φ(r)⁻¹; and the
-closed form of a transition map.  The trivial-bundle formulae that give
+independent routes that must agree exactly, each yielding a point
+pair's rows at a time: dθ + θ⋆θ on the total space, from
+`kernels.curvature_rows`; the potential's own curvature, on the base
+for a base potential, read in the bundle frame at φ(p)·c·φ(r)⁻¹; and
+the closed form of a transition map.  The trivial-bundle formulae that give
 a connection from a potential or a transition map, and the gauge
 transforms, live in `potentials`, which builds on this module.
 
-Every connection and curvature is a FormValuedMap: a density over
-(point tuple) x (group element) whose degree is the form degree and
-whose size is the number of points.  FormValuedMap lives in `funcs` with
+Every connection is a FormValuedMap: a density over (point tuple) x
+(group element) whose degree is the form degree and whose size is the
+number of points.  FormValuedMap lives in `funcs` with
 the other table types and TransitionMap in `groups`, so a parsed
 document holds both without loading this module.  The int-view kernels
 of d, ⋆ and the curvature rows, and the density scans that the
@@ -49,11 +49,10 @@ from .kernels import (
     _same_space,
     _star_view,
     _unit_normalization_witness,
-    _unit_rows,
     curvature_rows,
 )
 from .report import CheckResult, Report
-from .views import canonical, gathered, take
+from .views import gathered, take
 
 __all__ = [
     "Splitting",
@@ -62,7 +61,6 @@ __all__ = [
     "splitting_from_theta",
     "validate_connection_form",
     "star_delta",
-    "curvature",
     "curvature_from_potential",
     "curvature_classical",
 ]
@@ -276,41 +274,32 @@ def splitting_from_theta(theta: FormValuedMap, b: BundleSpec) -> Splitting:
 # curvature
 
 
-def curvature(theta: FormValuedMap) -> FormValuedMap:
-    """Differential of the connection plus its convolution square, filled
-    from `curvature_rows` into one list per part and reduced in place."""
-    d2, blocks = curvature_rows(theta)
-    re, im = [], None if theta.view[2] is None else []
-    for block_re, block_im in blocks:
-        re += block_re
-        if im is not None:
-            im += block_im
-    return _map_of(theta, 2, canonical(d2, re, im, in_place=True))
-
-
-def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
-    """The potential's curvature on its own points, read in the bundle frame.
+def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec):
+    """The potential's curvature on its own points, read in the bundle
+    frame, as `curvature_rows` gives one: its denominator and each point
+    pair's rows.
 
     F(p, q, r, c) = F_γ(read p, read q, read r, φ(p)·c·φ(r)⁻¹), where
     F_γ = dγ + γ⋆γ and `read` is the orbit projection for a base
     potential and the identity for one on the total space.  Pullback
     along the projection commutes with d and ⋆, and the frame's delta
     maps only relabel the group argument, so this is φ⁻¹⋆F(γ)⋆φ of the
-    potential pulled back to the total space.
+    potential pulled back to the total space.  Only F_γ's rows are
+    held, made after the n³·m guard.
     """
     read = _points_read(gamma, b)
-    f = curvature(gamma)
+    d, rows = curvature_rows(gamma)
     n, size = b.total_size, gamma.size
-    w = size * b.group.order
+    guard_table_size(n**3 * b.group.order)
+    rows = list(rows)
     frame = _frame_gathers(b.group, b.phi, read)
 
-    def gather(part: list[int]):
-        # F's rows (x, y, ·) are the w entries from (x·size + y)·w on
-        pairs = ((p, read[p] * size + read[q]) for p in range(n) for q in range(n))
-        return itertools.chain.from_iterable(frame[p](part[t * w : (t + 1) * w]) for p, t in pairs)
+    def blocks():
+        for p, q in itertools.product(range(n), repeat=2):
+            block = rows[read[p] * size + read[q]]
+            yield tuple(None if part is None else list(frame[p](part)) for part in block)
 
-    # the table reads the gathered parts only after its size guard
-    return FormValuedMap(b.group, n, 2, view=gathered(f.view, gather))
+    return d, blocks()
 
 
 def _frame_gathers(g: FiniteGroup, phi: list[int], read):
@@ -326,26 +315,29 @@ def _frame_gathers(g: FiniteGroup, phi: list[int], read):
     ]
 
 
-def curvature_classical(tm: TransitionMap, b: BundleSpec) -> FormValuedMap:
-    """Closed form for transition-map connections: two-step word vs one-step."""
+def curvature_classical(tm: TransitionMap, b: BundleSpec):
+    """Closed form for transition-map connections, as `curvature_rows`
+    gives a curvature, over the denominator 1: row (p, q, r) is 1 at the
+    two-step word and −1 at the one-step word, unless they coincide."""
     if b.phi is None:
         raise ValueError("bundle has no trivialization")
     if tm.base_size != b.base.size or tm.group != b.group:
         raise ValueError("transition map does not match the bundle")
     g = b.group
-    mul, t = g.table, tm.table
-    proj = b.base.projection
-    phi = b.phi
-    n = b.total_size
-    # the two-step word and the one-step word at each (p, q, r)
-    two = (
-        mul[mul[g.inv(phi[p])][mul[t[proj[p]][proj[q]]][t[proj[q]][proj[r]]]]][phi[r]]
-        for p, q, r in itertools.product(range(n), repeat=3)
-    )
-    one = (
-        mul[mul[g.inv(phi[p])][t[proj[p]][proj[r]]]][phi[r]]
-        for p, q, r in itertools.product(range(n), repeat=3)
-    )
-    return FormValuedMap(g, n, 2, view=_unit_rows(g.order, two, one))
+    mul, m, t = g.table, g.order, tm.table
+    proj, phi, n = b.base.projection, b.phi, b.total_size
+    guard_table_size(n**3 * m)
 
+    def blocks():
+        for p, q in itertools.product(range(n), repeat=2):
+            block = [0] * (n * m)
+            left, tpq = mul[g.inv(phi[p])], t[proj[p]][proj[q]]
+            for r in range(n):
+                # the two-step word and the one-step word at (p, q, r)
+                two = mul[left[mul[tpq][t[proj[q]][proj[r]]]]][phi[r]]
+                one = mul[left[t[proj[p]][proj[r]]]][phi[r]]
+                if two != one:
+                    block[r * m + two], block[r * m + one] = 1, -1
+            yield block, None
 
+    return 1, blocks()

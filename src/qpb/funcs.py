@@ -8,10 +8,10 @@ terms.  The two table types live here: Func (a shape) and FormValuedMap
 the one-element group.  `calculus` and `connection` compute with them,
 and a document holds them without loading either.  They share one
 guarded base, Table: it holds the shape and the view, checks the entry
-cap before it reads an input, and owns the bounds-checked lookup, the
-zero test and equality, so each type only states its layout.  A table
-is made from a view and read as one: equality and the zero test
-compare ints, and no table makes a Scalar.  Func's product is the one
+cap before it reads an input, and owns the bounds-checked lookup and
+equality, so each type only states its layout.  A table is made from
+a view and read as one: equality compares ints, and no table makes a
+Scalar.  Func's product is the one
 arithmetic operator; a kernel that sums tables adds their views with
 `views.add_views`.  The entry cap makes degree blowups fail loudly
 instead of exhausting memory.
@@ -98,10 +98,6 @@ class Table:
         d, re, im = self.view
         imag = itertools.repeat(0) if im is None else im
         return list(map(lowest_terms, re, imag, itertools.repeat(d)))
-
-    def is_zero(self) -> bool:
-        _d, re, im = self.view
-        return im is None and not any(re)
 
     def flat_index(self, idx: tuple[int, ...]) -> int:
         if len(idx) != len(self.shape):

@@ -6,8 +6,8 @@ dump's rows and the checkers of `calculus` and `connection` run on them:
 - `_differential_view` and `_star_view`, the views of the universal d
   and of ⋆, behind `calculus.differential` and `connection.star_delta`;
 - `curvature_rows`, the rows of dθ·d + θ⋆θ a point pair at a time,
-  which `connection.curvature` fills into one table and
-  `runner.curvature_payload` prints from;
+  which the curvature suite compares with the other routes pair by
+  pair and `runner.curvature_payload` prints from;
 - the density scans (`_rows_at` over the pair iterators, and the
   diagonal, unit-normalization and covariance witnesses), which the
   validators of a connection form and of a potential share: θ's

@@ -366,7 +366,9 @@ class _Inputs:
             if kind == "classical":
                 _require("transition map", self.report)
                 return classical_connection(self.decl.payload, b), None
-            _require("potential", self.potential_report)
+            # a lift meets the potential invariants once its base passes: proj(p·a) = proj p
+            if kind == "gamma":
+                _require("potential", self.report)
             return connection_from_potential(self.potential, b), None
         except ValueError as exc:
             return None, str(exc)

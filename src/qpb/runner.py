@@ -230,16 +230,6 @@ def _run_suite(ctx: _Context, suite: str) -> list[CheckResult]:
 # report emission
 
 
-def _jsonable(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    return str(v)
-
-
 def emit_report(report: RunReport, fmt: str = "text") -> str:
     if fmt == "text":
         lines = [
@@ -275,8 +265,8 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
             {
                 "name": c.name,
                 "status": "pass" if c.passed else "fail",
-                "witness": _jsonable(c.witness),
-                "data": _jsonable(c.data),
+                "witness": c.witness,
+                "data": c.data,
             }
             for c in report.checks
         ],

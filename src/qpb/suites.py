@@ -5,17 +5,22 @@ connection, curvature and gauge.
 that runs none of them, such as `--suite group`, and a curvature dump
 never compile it.  Each suite reads the run's shared context, with its
 frame and its per-connection inputs, and returns its checks named under
-the suite.
+the suite.  The curvature suite decides every check in one pass over
+its routes' streams of point pairs, which `connection` describes.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from math import gcd
+
 from . import connection, potentials
 from .bundle import psi_apply, psi_inverse, validate_trivialization
-from .calculus import validate_form
 from .document import ConnectionDecl
 from .funcs import Func, TableCapError, first_difference
 from .gauge import tau_extract, validate_automorphism, xi_from_tau
+from .kernels import curvature_rows
 from .report import CheckResult, rejection
 
 # only for the annotations: runner imports this module
@@ -173,29 +178,46 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
 def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     suite = f"curvature:{decl.name}"
-    out: list[CheckResult] = []
     theta, reason = ctx.inputs_for(decl).theta
     if theta is None:
-        out.append(CheckResult(f"{suite}.canonicalized", False, data={"reason": reason}))
-        return out
+        return [CheckResult(f"{suite}.canonicalized", False, data={"reason": reason})]
 
-    f = connection.curvature(theta)
-    (form_check,) = validate_form(f).checks
-    out.append(CheckResult(f"{suite}.form_validity", form_check.passed, form_check.witness))
-
-    # theta was built, so the frame is present, the inputs fit the bundle
-    # and the n³·m guard that no route below exceeds has passed
+    # route 1's guards run first; theta was built, so the frame is
+    # present, the inputs fit the bundle and no route below exceeds them
+    d, pairs = curvature_rows(theta)
+    routes = []
     if decl.kind != "theta":
         # the potential on its own points: the base one, or gamma's
         gamma = decl.payload if decl.kind == "gamma" else ctx.inputs_for(decl).base
-        other = connection.curvature_from_potential(gamma, ctx.bundle)
-        out.append(CheckResult(f"{suite}.route_agreement", f == other))
+        routes.append(("route_agreement", *connection.curvature_from_potential(gamma, ctx.bundle)))
     if decl.kind == "classical":
         tm = decl.payload
-        agree = f == connection.curvature_classical(tm, ctx.bundle)
-        out.append(CheckResult(f"{suite}.classical_agreement", agree))
+        routes.append(("classical_agreement", *connection.curvature_classical(tm, ctx.bundle)))
+
+    n, m = theta.size, theta.group.order
+    # per group element c, the first (c, p, q, r) at an adjacent repeat
+    # (p = q or q = r) where F is nonzero, in row-major order
+    first: list[tuple | None] = [None] * m
+    flat = True
+    agree = {name: True for name, _, _ in routes}
+    for t, (block, *compared) in enumerate(zip(pairs, *(rows for _, _, rows in routes))):
+        re, im = block
+        if any(re) or im is not None and any(im):
+            flat = False
+            p, q = divmod(t, n)
+            for r in range(n) if p == q else (q,):
+                at = slice(r * m, (r + 1) * m)
+                hits = re[at] if im is None else map(operator.or_, re[at], im[at])
+                for c in itertools.compress(range(m), hits):
+                    first[c] = first[c] or (c, p, q, r)
+        for (name, dk, _), other in zip(routes, compared):
+            agree[name] = agree[name] and _same_values(d, block, dk, other)
+
+    witness = next(filter(None, first), None)
+    out = [CheckResult(f"{suite}.form_validity", witness is None, witness)]
+    out += [CheckResult(f"{suite}.{name}", ok) for name, ok in agree.items()]
+    if decl.kind == "classical":
         cocycle, cw = potentials.is_cocycle(tm)
-        flat = f.is_zero()
         out.append(
             CheckResult(
                 f"{suite}.flat_iff_cocycle",
@@ -204,9 +226,20 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
                 data={"cocycle": cocycle, "flat": flat},
             )
         )
-
-    out.append(CheckResult(f"{suite}.computed", True, data={"nonzero": not f.is_zero()}))
+    out.append(CheckResult(f"{suite}.computed", True, data={"nonzero": not flat}))
     return out
+
+
+def _same_values(dx: int, x, dy: int, y) -> bool:
+    """Whether two pairs' rows (re, im) over the denominators dx and dy
+    hold the same values, compared cross-multiplied; an absent part is zero."""
+    g = gcd(dx, dy)
+    zeros = [0] * len(x[0])
+
+    def scaled(part, k):
+        return zeros if part is None else part if k == 1 else [k * v for v in part]
+
+    return all(scaled(u, dy // g) == scaled(v, dx // g) for u, v in zip(x, y))
 
 
 def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> list[CheckResult]:

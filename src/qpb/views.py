@@ -11,8 +11,8 @@ straight to that triple.
 A table is one int view (d, re, im): d > 0 is a common denominator,
 entry k is (re[k] + im[k]·i)/d, and im is None when every entry is
 real.  A stored view is canonical (`canonical`): gcd(d, re, im) == 1,
-so equal tables have equal views and `==`, the zero test and every
-witness scan compare plain ints.  Documents parse to views, the kernels
+so equal tables have equal views and `==` and every witness scan
+compare plain ints.  Documents parse to views, the kernels
 loop on the views and hand back views, and a printer formats an entry
 with `ratio_text`.  A table of integers has d = 1, so no gcd runs at
 all.  Only the exact linear algebra of `linalg` computes with single
@@ -89,12 +89,10 @@ def _gcd_with(g: int, values: list[int]) -> int:
     return g
 
 
-def canonical(d: int, re: list[int], im: list[int] | None, in_place: bool = False):
+def canonical(d: int, re: list[int], im: list[int] | None):
     """A view in lowest terms: gcd(d, re, im) == 1 and im None when every
     imaginary part is zero, so two views of equal tables are equal.  The
-    lists of a view already in lowest terms are kept without a copy;
-    `in_place` divides the given lists a chunk at a time instead of
-    copying them, for a caller that owns them."""
+    lists of a view already in lowest terms are kept without a copy."""
     if im is not None and not any(im):
         im = None
     g = _gcd_with(d, re)
@@ -102,13 +100,7 @@ def canonical(d: int, re: list[int], im: list[int] | None, in_place: bool = Fals
         g = _gcd_with(g, im)
     if g == 1:
         return d, re, im
-    if not in_place:
-        return d // g, [a // g for a in re], None if im is None else [b // g for b in im]
-    for part in (re,) if im is None else (re, im):
-        for start in range(0, len(part), _GCD_CHUNK):
-            chunk = part[start : start + _GCD_CHUNK]
-            part[start : start + _GCD_CHUNK] = map(operator.floordiv, chunk, itertools.repeat(g))
-    return d // g, re, im
+    return d // g, [a // g for a in re], None if im is None else [b // g for b in im]
 
 
 def gathered(view, gather):
@@ -123,13 +115,13 @@ def take(positions: list[int]):
     return lambda part: map(part.__getitem__, positions)
 
 
-def add_views(x, y, sign: int = 1):
-    """x + sign·y for two views of one length, over the lcm of their
+def add_views(x, y):
+    """x + y for two views of one length, over the lcm of their
     denominators; the result is not reduced."""
     dx, rx, ix = x
     dy, ry, iy = y
     d = lcm(dx, dy)
-    fx, fy = d // dx, sign * (d // dy)
+    fx, fy = d // dx, d // dy
 
     def add(u, v):
         if u is None:

@@ -7,10 +7,19 @@ Scalars and read entries back as Scalars through this module:
 `to_ints` and `from_ints` turn a list of Scalars into a view and back,
 `func_of`, `map_of` and `build` make tables, `plus` adds or subtracts
 two through their views, `scalars_of` and `scalar_at` read them,
-`parts` splits a Scalar into its Fractions, `indices` walks a shape in
-row-major order, and `named` finds a check of a report by its name.  A
-table is built from Scalars only after the size guard, as the library
-reads a view.
+`is_zero` tests them, `parts` splits a Scalar into its Fractions,
+`indices` walks a shape in row-major order, and `named` finds a check
+of a report by its name.  A table is built from Scalars only after the
+size guard, as the library reads a view.
+
+The library compares its curvature routes a point pair at a time and
+holds no whole table; the tests keep the whole-table path as their
+reference.  `assembled` makes the table of a `(d, pairs)` stream, as
+`kernels.curvature_rows`, `connection.curvature_from_potential` and
+`connection.curvature_classical` give one; `curvature`,
+`potential_curvature` and `classical_curvature` are the three routes'
+tables; and `validate_form` is the scan of a table at its adjacent
+repeats that the curvature suite's `form_validity` streams.
 
 The tests' own constructions live here too, since no command reaches
 them: the groups `cyclic` and `direct_product` and the element names
@@ -30,13 +39,16 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import attrgetter
 
+from qpb import connection
 from qpb.bundle import coaction
 from qpb.calculus import differential
 from qpb.connection import star_delta
-from qpb.funcs import FormValuedMap, Func, guard_table_size
+from qpb.funcs import FormValuedMap, Func, guard_table_size, unravel
 from qpb.gauge import BundleAutomorphism
 from qpb.groups import BundleSpec, FiniteGroup, RightAction
+from qpb.kernels import curvature_rows
 from qpb.potentials import _phi_form_valued
+from qpb.report import CheckResult, Report
 from qpb.scalars import ZERO, Scalar, _reduced
 from qpb.views import add_views, gathered, lowest_terms, mul_views, take
 
@@ -109,13 +121,20 @@ def scalar_at(table, *idx: int) -> Scalar:
 
 
 def plus(x, y, sign: int = 1):
-    """The table x + sign·y of two tables of one kind and layout, made
-    from the sum of their views: the library's tables have no sum or
-    difference."""
-    view = add_views(x.view, y.view, sign)
+    """The table x + sign·y, sign ±1, of two tables of one kind and
+    layout, made from the sum of their views: the library's tables have
+    no sum or difference."""
+    y_view = y.view if sign > 0 else gathered(y.view, lambda part: [-v for v in part])
+    view = add_views(x.view, y_view)
     if type(x) is Func:
         return Func(x.shape, view=view)
     return FormValuedMap(x.group, x.size, x.degree, view=view)
+
+
+def is_zero(table) -> bool:
+    """Whether every entry of a table is zero."""
+    _d, re, im = table.view
+    return im is None and not any(re)
 
 
 def scalar(triple: tuple[int, int, int]) -> Scalar:
@@ -132,6 +151,70 @@ def parts(s: Scalar) -> tuple[Fraction, Fraction]:
 def named(report, name: str):
     """The check of a report that is called `name`."""
     return next(c for c in report.checks if c.name == name)
+
+
+# ---------------------------------------------------------------------------
+# the whole-table curvature path
+
+
+def assembled(stream, group: FiniteGroup, size: int) -> FormValuedMap:
+    """The degree-2 map on `size` points whose entries are a `(d, pairs)`
+    curvature stream's blocks end to end."""
+    d, blocks = stream
+    re, im = [], []
+    for block_re, block_im in blocks:
+        re += block_re
+        im += [0] * len(block_re) if block_im is None else block_im
+    return FormValuedMap(group, size, 2, view=(d, re, im))
+
+
+def curvature(theta: FormValuedMap) -> FormValuedMap:
+    """dθ + θ⋆θ as one table: route 1's pairs, assembled."""
+    return assembled(curvature_rows(theta), theta.group, theta.size)
+
+
+def potential_curvature(gamma: FormValuedMap, b: BundleSpec) -> FormValuedMap:
+    """Route 2 as one table: `connection.curvature_from_potential`, assembled."""
+    return assembled(connection.curvature_from_potential(gamma, b), b.group, b.total_size)
+
+
+def classical_curvature(tm, b: BundleSpec) -> FormValuedMap:
+    """The classical route as one table: `connection.curvature_classical`, assembled."""
+    return assembled(connection.curvature_classical(tm, b), b.group, b.total_size)
+
+
+def validate_form(f: FormValuedMap) -> Report:
+    """Check vanishing on adjacent repeated points.
+
+    `f` is checked one group slice at a time, in order; the witness is
+    (group element, *points).  Only the point tuples with an adjacent
+    repeat are read.
+    """
+    width = f.group.order
+    repeats = _adjacent_repeats(f.size, f.degree)
+    _d, re, im = f.view
+    witness = None
+    for c in range(width):
+        t = next((t for t in repeats if re[t * width + c] or im and im[t * width + c]), None)
+        if t is not None:
+            witness = (c,) + unravel(t, (f.size,) * (f.degree + 1))
+            break
+    report = Report()
+    report.add(CheckResult("form.adjacent_vanishing", witness is None, witness))
+    return report
+
+
+def _adjacent_repeats(size: int, degree: int) -> list[int]:
+    """Flat positions, ascending, of the (degree + 1)-tuples of points
+    whose arguments j and j + 1 coincide for some j."""
+    found = set()
+    for j in range(degree):
+        lo = size ** (degree - 1 - j)
+        for head in range(size**j):
+            for x in range(size):
+                first = ((head * size + x) * size + x) * lo
+                found.update(range(first, first + lo))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,20 @@ from bridge import (
     antipode,
     apply,
     basis,
+    classical_curvature,
     compose,
     coproduct,
     counit,
+    curvature,
     cyclic,
     direct_product,
     func_of,
     inverse,
+    is_zero,
     map_of,
     named,
     plus,
+    potential_curvature,
     scalar,
     scalar_at,
     scalars_of,
@@ -44,13 +48,7 @@ from conftest import (
 from qpb.bundle import check_comodule_algebra, check_freeness, coaction
 from qpb.calculus import check_exactness, differential
 from qpb.cli import main
-from qpb.connection import (
-    curvature,
-    curvature_classical,
-    curvature_from_potential,
-    star_delta,
-    validate_connection_form,
-)
+from qpb.connection import star_delta, validate_connection_form
 from qpb.document import parse_spec
 from qpb.fixtures import fixture_documents
 from qpb.gauge import gauge_compose, gauge_inverse, xi_from_tau
@@ -187,7 +185,7 @@ def test_criterion_04_calculus_random_forms():
 
         forms = [random_form(n, deg, rng) for deg in (0, 1, 2) for _ in range(36)]
         for i, f in enumerate(forms):
-            if not differential(differential(f)).is_zero():
+            if not is_zero(differential(differential(f))):
                 problems.append((b.name, "d_squared", i))
 
         degree_pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2)]
@@ -300,20 +298,20 @@ def test_criterion_08_curvature_route_equality():
         m = b.group.order
         zero_gh = map_of(b.group, b.base.size, 1, [ZERO] * (b.base.size**2 * m))
         # the trivial connection carries the zero potential
-        if curvature(trivial_connection(b)) != curvature_from_potential(
+        if curvature(trivial_connection(b)) != potential_curvature(
             lift_base_potential(zero_gh, b), b
         ):
             problems.append((b.name, "trivial"))
         for i, gh in enumerate(potentials):
             gamma = lift_base_potential(gh, b)
             direct = curvature(connection_from_potential(gamma, b))
-            conjugated = curvature_from_potential(gamma, b)
+            conjugated = potential_curvature(gamma, b)
             if direct != conjugated:
                 problems.append((b.name, i))
     b = fix_z2()
     for tm in all_transition_maps(b.group, 2):
         gamma = lift_base_potential(potential_from_transition(tm), b)
-        if curvature(classical_connection(tm, b)) != curvature_from_potential(gamma, b):
+        if curvature(classical_connection(tm, b)) != potential_curvature(gamma, b):
             problems.append(("fix-z2 classical", tm.table))
     verdict(8, "curvature route equality", problems)
 
@@ -323,14 +321,14 @@ def test_criterion_09_classical_curvature():
     for make, base_size in ((fix_z2, 2), (fix_prod, 2)):
         b = make()
         for tm in all_transition_maps(b.group, base_size):
-            closed = curvature_classical(tm, b)
+            closed = classical_curvature(tm, b)
             if closed != curvature(classical_connection(tm, b)):
                 problems.append((b.name, tm.table, "route"))
-            if closed.is_zero() != is_cocycle(tm)[0]:
+            if is_zero(closed) != is_cocycle(tm)[0]:
                 problems.append((b.name, tm.table, "flatness"))
 
     b = fix_z2()
-    f = curvature_classical(TransitionMap(b.group, [[0, 1], [0, 0]]), b)
+    f = classical_curvature(TransitionMap(b.group, [[0, 1], [0, 0]]), b)
     for p_mid in (1, 3):
         if scalar_at(f, 0, p_mid, 0, 1) != 1:
             problems.append(("documented value", p_mid))

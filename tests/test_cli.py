@@ -9,8 +9,24 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bridge import indices, map_of, named, parts, scalar, scalar_at, scalars_of, trivial_connection
+from bridge import (
+    classical_curvature,
+    curvature,
+    indices,
+    is_zero,
+    map_of,
+    named,
+    parts,
+    potential_curvature,
+    scalar,
+    scalar_at,
+    scalars_of,
+    trivial_connection,
+    validate_form,
+)
 import qpb
 import qpb.bundle as bundle
 import qpb.calculus as calculus
@@ -27,7 +43,7 @@ from qpb.fixtures import fixture_documents
 from qpb.runner import ConfigError, curvature_payload, emit_report, run_checks
 from qpb.scalars import ONE, Scalar
 from qpb.views import parse_scalar
-from test_golden import S3X2, _gaussian
+from test_golden import S3X2, _gaussian, _with_gamma
 
 Z2_CHECKS = [
     "group.associativity",
@@ -614,7 +630,7 @@ def _dump_text(capsys, path: str, name: str) -> str:
 
 def _reference_dump(raw: dict, name: str) -> dict:
     """The dump of a connection as a dict, its entries made from the
-    Scalar values of `connection.curvature` of its connection form."""
+    Scalar values of the whole-table curvature of its connection form."""
     doc = parse_spec(json.dumps(raw))
     b = doc.bundle
     decl = doc.connection(name)
@@ -625,7 +641,7 @@ def _reference_dump(raw: dict, name: str) -> dict:
     else:
         gamma = potentials.lift_base_potential(decl.payload, b)
         theta = potentials.connection_from_potential(gamma, b)
-    f = connection.curvature(theta)
+    f = curvature(theta)
     return {
         "format_version": 1,
         "tool": "qpb",
@@ -664,6 +680,127 @@ def _diagonal_theta() -> dict:
     density[0][0] = ["1", "-1"]
     density[3][3] = ["-1/2", "1/2"]
     return doc
+
+
+def _with_theta(raw: dict, name: str) -> dict:
+    """The document with the connection form of its connection `name`
+    added as the theta density "th"."""
+    doc = parse_spec(json.dumps(raw))
+    theta, _reason = runner._Context(doc).inputs_for(doc.connection(name)).theta
+    n, m = theta.size, theta.group.order
+    density = [
+        [[str(scalar_at(theta, p, q, c)) for c in range(m)] for q in range(n)] for p in range(n)
+    ]
+    out = copy.deepcopy(raw)
+    out["connections"].append({"name": "th", "kind": "theta", "density": density})
+    return out
+
+
+def _whole_table_checks(doc, name: str) -> dict:
+    """The curvature suite's verdicts on connection `name`, read from the
+    whole tables of its routes: the scan of route 1's table at its
+    adjacent repeats, and the tables' equality."""
+    decl = doc.connection(name)
+    inputs = runner._Context(doc).inputs_for(decl)
+    b = doc.bundle
+    f = curvature(inputs.theta[0])
+    (form,) = validate_form(f).checks
+    checks = {"form_validity": (form.passed, form.witness, None)}
+    if decl.kind != "theta":
+        gamma = decl.payload if decl.kind == "gamma" else inputs.base
+        checks["route_agreement"] = (f == potential_curvature(gamma, b), None, None)
+    if decl.kind == "classical":
+        checks["classical_agreement"] = (f == classical_curvature(decl.payload, b), None, None)
+        cocycle, witness = potentials.is_cocycle(decl.payload)
+        data = {"cocycle": cocycle, "flat": is_zero(f)}
+        agree = cocycle == is_zero(f)
+        checks["flat_iff_cocycle"] = (agree, None if agree else witness, data)
+    checks["computed"] = (True, None, {"nonzero": not is_zero(f)})
+    return checks
+
+
+def _streamed_checks(doc, name: str) -> dict:
+    report = run_checks(doc, [f"curvature:{name}"])
+    prefix = f"curvature:{name}."
+    return {c.name.removeprefix(prefix): (c.passed, c.witness, c.data) for c in report.checks}
+
+
+def _sparse_theta(cells: dict) -> dict:
+    """The z2 document with a theta density that is zero but at `cells`,
+    {(p, q): [value at e, value at g]}."""
+    doc = theta_payload()
+    doc["connections"][-1]["density"] = [
+        [cells.get((p, q), ["0", "0"]) for q in range(4)] for p in range(4)
+    ]
+    return doc
+
+
+# θ documents for the curvature suite, each named for what it exercises
+THETA_DOCUMENTS = {
+    "z2": theta_payload(),
+    "z2-diagonal": _diagonal_theta(),
+    "s3x2-gauss": _with_theta(_gaussian(copy.deepcopy(S3X2)), "rat"),
+    # F(0, 1, 1) = θ(1, 1) + θ(0, 1)⋆θ(1, 1) cancels, so the first nonzero
+    # at a repeat is F(1, 1, 0, e), where p = q and r differs
+    "z2-cancelled": _sparse_theta(
+        {(1, 1): ["1/2", "1/3"], (0, 1): ["-1", "0"], (1, 0): ["1", "-1"]}
+    ),
+    # the first nonzero at a repeat, F(0, 1, 1, e) = i, has no real part
+    "z2-imaginary-repeat": _sparse_theta({(1, 1): ["i", "0"]}),
+    # F = dθ has no real part anywhere, and is not zero
+    "z2-imaginary": _sparse_theta({(0, 1): ["-i", "i"]}),
+}
+
+
+@pytest.mark.parametrize(
+    "raw, names",
+    [
+        (fixture_documents()["fix_z2.json"], ["cls"]),
+        (fixture_documents()["fix_s3.json"], ["flat"]),
+        (fixture_documents()["fix_prod.json"], ["cls", "rational"]),
+        (_with_gamma(mutated_payload("fix_z2.json")), ["cls", "lifted"]),
+        (copy.deepcopy(S3X2), ["cls", "rat"]),
+        (_gaussian(copy.deepcopy(S3X2)), ["rat"]),
+        *((raw, ["th"]) for raw in THETA_DOCUMENTS.values()),
+    ],
+    ids=["fix_z2", "fix_s3", "fix_prod", "z2-gamma", "s3x2", "s3x2-gauss", *THETA_DOCUMENTS],
+)
+def test_curvature_suite_streams_the_whole_table_verdicts(raw, names):
+    # the suite reads each route a point pair at a time; the reference
+    # assembles every route into one table and compares the tables
+    doc = parse_spec(json.dumps(raw))
+    for name in names:
+        assert _streamed_checks(doc, name) == _whole_table_checks(doc, name)
+
+
+_gaussian_literals = st.builds(
+    lambda a, b, d: f"{a}/{d}" if not b else f"{a}/{d}{b:+d}/{d}i",
+    st.integers(-4, 4),
+    st.integers(-3, 3),
+    st.integers(1, 6),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 5), _gaussian_literals),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_form_validity_streams_the_reference_scan_on_theta_mutants(cells, repeated_only):
+    # Gaussian-rational entries written into a declared θ, at repeated
+    # points θ(p, p, c) or anywhere: the suite's witness is the first
+    # nonzero at an adjacent repeat of the lowest group element, as the
+    # whole-table scan finds it
+    raw = copy.deepcopy(THETA_DOCUMENTS["s3x2-gauss"])
+    density = raw["connections"][-1]["density"]
+    for p, q, c, value in cells:
+        density[p][p if repeated_only else q][c] = value
+    doc = parse_spec(json.dumps(raw))
+    assert _streamed_checks(doc, "th") == _whole_table_checks(doc, "th")
 
 
 def test_curvature_dump_equals_the_indented_encoder(tmp_path, capsys):
@@ -728,6 +865,30 @@ def test_curvature_dump_refuses_the_theta_that_check_rejects(tmp_path, capsys):
     cls, th = _dump_text(capsys, str(path), "cls"), _dump_text(capsys, str(path), "th")
     assert json.loads(th)["entries"] == json.loads(cls)["entries"] != []
     assert th.replace('"th"', '"cls"').replace('"theta"', '"classical"') == cls
+
+
+def test_a_gamma_hat_dump_validates_only_its_base_potential(tmp_path, capsys, monkeypatch):
+    # the lift of a base potential that passed its checks meets the
+    # potential invariants by construction, as proj(p·a) = proj p, so a
+    # dump builds θ without validating the lift
+    path = write_fixture(tmp_path, "fix_prod.json")
+    expected = _dump_text(capsys, path, "rational")
+
+    def entered(*args):
+        raise AssertionError("validate_potential entered")
+
+    monkeypatch.setattr(potentials, "validate_potential", entered)
+    assert _dump_text(capsys, path, "rational") == expected
+    # a base potential that fails its checks is still refused, with the reason
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(_broken_inputs()))
+    assert main(["curvature", str(broken), "--connection", "rational"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "",
+        "qpb: base potential rejected:"
+        " base_potential.unit_normalization: FAIL  witness=(0, 1)\n",
+    )
 
 
 def test_curvature_dump_lists_every_nonzero_entry_as_it_prints(tmp_path, capsys):
@@ -992,6 +1153,27 @@ def test_curvature_caps_bind_at_the_rows_guards(name, tmp_path, capsys):
             out = capsys.readouterr()
             assert out.err == err
             assert (out.out == "") == (status == 2)
+
+
+@pytest.mark.parametrize(
+    "raw, name",
+    [(theta_payload(), "th"), (_with_gamma(mutated_payload("fix_z2.json")), "lifted")],
+    ids=["theta", "gamma"],
+)
+def test_curvature_suite_cap_window_is_the_curvatures_entries(raw, name, tmp_path, capsys):
+    # fix_z2: n = 4 points and m = 2, so the curvature has n³·m = 128
+    # entries; route 1's guard binds first, and no route holds more
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    dump = ["curvature", str(path), "--connection", name]
+    suite = ["check", str(path), "--suite", f"curvature:{name}"]
+    for cmd in (dump, suite):
+        assert main(cmd + ["--max-entries", "127"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "qpb: table of 128 entries exceeds the cap of 127\n")
+        assert main(cmd + ["--max-entries", "128"]) == 0
+        out = capsys.readouterr()
+        assert out.out and out.err == ""
 
 
 def test_cli_max_entries_cap(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Connection forms, potentials, splittings, curvature, gauge action."""
 
+import copy
 import json
 from fractions import Fraction
 from random import Random
@@ -11,10 +12,14 @@ from hypothesis import strategies as st
 from bridge import (
     apply,
     build,
+    classical_curvature,
+    curvature,
     cyclic,
     func_of,
+    is_zero,
     map_of,
     named,
+    potential_curvature,
     scalar_at,
     scalars_of,
     to_ints,
@@ -34,9 +39,6 @@ from qpb import connection
 from qpb.calculus import differential, restricted_canonical_matrix
 from qpb.connection import (
     Splitting,
-    curvature,
-    curvature_classical,
-    curvature_from_potential,
     splitting_from_theta,
     star_delta,
     theta_from_splitting,
@@ -72,7 +74,7 @@ from qpb.report import rejection
 from qpb.runner import run_checks
 from qpb.scalars import ONE, ZERO, Scalar
 from qpb.views import take
-from test_golden import S3X2
+from test_golden import S3X2, _gaussian
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
 
@@ -209,7 +211,7 @@ def test_trivial_connection_is_strong_with_zero_potential(make):
 @pytest.mark.parametrize("make", FRAMED)
 def test_trivial_connection_is_flat(make):
     b = make()
-    assert curvature(trivial_connection(b)).is_zero()
+    assert is_zero(curvature(trivial_connection(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +406,7 @@ def test_frame_required_for_closed_forms():
     with pytest.raises(ValueError, match="no trivialization"):
         strong_connection_direct(zero_base_potential(g, 2), b)
     with pytest.raises(ValueError, match="no trivialization"):
-        curvature_classical(tm, b)
+        connection.curvature_classical(tm, b)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +772,7 @@ def test_curvature_hand_values_classical():
     b = fix_z2()
     tm = TransitionMap(b.group, [[0, 1], [0, 0]])
     f = curvature(classical_connection(tm, b))
-    assert not f.is_zero()
+    assert not is_zero(f)
     assert scalar_at(f, 0, 1, 0, 1) == ONE
     assert scalar_at(f, 0, 1, 0, 0) == -ONE
     assert scalar_at(f, 0, 3, 0, 1) == ONE
@@ -787,7 +789,7 @@ def test_curvature_routes_agree_on_random_potentials(make):
             random_base_potential(b.group, b.base.size, rng), b
         )
         direct = curvature(connection_from_potential(gamma, b))
-        conjugated = curvature_from_potential(gamma, b)
+        conjugated = potential_curvature(gamma, b)
         assert direct == conjugated
 
 
@@ -795,10 +797,10 @@ def test_curvature_classical_routes_exhaustive():
     for make, base_size in ((fix_z2, 2), (fix_prod, 2)):
         b = make()
         for tm in all_transition_maps(b.group, base_size):
-            closed = curvature_classical(tm, b)
+            closed = classical_curvature(tm, b)
             assert closed == curvature(classical_connection(tm, b))
             gamma = lift_base_potential(potential_from_transition(tm), b)
-            assert closed == curvature_from_potential(gamma, b)
+            assert closed == potential_curvature(gamma, b)
 
 
 def _frame(word):
@@ -856,11 +858,56 @@ def test_route_agreement_kills_frame_mutants(mutant, monkeypatch):
             assert not _route_agreement(doc, name)
 
 
+def _route_two_mutant(denominator: int, real: int, imaginary: int):
+    """`connection.curvature_from_potential` over its denominator times
+    `denominator`, with its real parts times `real` and its imaginary
+    parts times `imaginary`."""
+    honest = connection.curvature_from_potential
+
+    def route(gamma, b):
+        d, pairs = honest(gamma, b)
+        scaled = (
+            ([real * v for v in re], None if im is None else [imaginary * v for v in im])
+            for re, im in pairs
+        )
+        return denominator * d, scaled
+
+    return route
+
+
+@pytest.mark.parametrize(
+    "scale, agrees",
+    [((2, 2, 2), True), ((3, 3, 3), True), ((2, 1, 1), False), ((1, 1, -1), False)],
+    ids=["restated-2", "restated-3", "halved", "conjugated"],
+)
+def test_route_agreement_compares_whole_values(scale, agrees, monkeypatch):
+    # route 2 over another denominator agrees when it states the same
+    # values, and a route that differs from route 1 only in the
+    # denominator or only in the imaginary parts disagrees
+    doc = parse_spec(json.dumps(_gaussian(copy.deepcopy(S3X2))))
+    monkeypatch.setattr(connection, "curvature_from_potential", _route_two_mutant(*scale))
+    assert _route_agreement(doc, "rat") == agrees
+
+
+def test_route_agreement_reads_an_absent_imaginary_part_as_zero(monkeypatch):
+    # a real route 2 that states its imaginary parts as zeros still agrees
+    # with a real route 1, whose imaginary parts are absent
+    doc = parse_spec(json.dumps(S3X2))
+    honest = connection.curvature_from_potential
+
+    def route(gamma, b):
+        d, pairs = honest(gamma, b)
+        return d, ((re, [0] * len(re)) for re, _im in pairs)
+
+    monkeypatch.setattr(connection, "curvature_from_potential", route)
+    assert _route_agreement(doc, "rat")
+
+
 def test_flat_iff_cocycle_census():
     b = fix_z2()
     flats = 0
     for tm in all_transition_maps(b.group, 2):
-        flat = curvature_classical(tm, b).is_zero()
+        flat = is_zero(classical_curvature(tm, b))
         assert flat == is_cocycle(tm)[0]
         flats += flat
     assert flats == 2
@@ -868,7 +915,7 @@ def test_flat_iff_cocycle_census():
     bp = fix_prod()
     flats = 0
     for tm in all_transition_maps(bp.group, 2):
-        flat = curvature_classical(tm, bp).is_zero()
+        flat = is_zero(classical_curvature(tm, bp))
         assert flat == is_cocycle(tm)[0]
         flats += flat
     assert flats == 3

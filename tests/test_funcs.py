@@ -11,6 +11,7 @@ from bridge import (
     cyclic,
     func_of,
     indices,
+    is_zero,
     map_of,
     parts,
     plus,
@@ -75,8 +76,8 @@ def test_shape_mismatch_rejected():
 
 def test_support():
     f = func_of((2, 2), [ZERO, ONE, ZERO, Scalar(-1)])
-    assert not f.is_zero()
-    assert Func.zeros((3,)).is_zero()
+    assert not is_zero(f)
+    assert is_zero(Func.zeros((3,)))
 
 
 def test_tensor_identify():
@@ -185,7 +186,7 @@ def test_zero_skipping_sums_match_plain_pointwise_results():
                 assert got._layout() == a._layout()
                 assert scalars_of(got) == plain
                 assert [str(v) for v in scalars_of(got)] == [str(v) for v in plain]
-            assert plus(a, a, -1).is_zero()
+            assert is_zero(plus(a, a, -1))
 
 
 def test_equality_is_type_exact():
@@ -298,7 +299,7 @@ def test_property_the_view_decides_equality_and_witnesses_and_gives_the_values(c
         d, re, im = table.view
         assert gcd(d, *re, *(im or [])) == 1
         assert (im is None) == all(not parts(v)[1] for v in values)
-        assert table.is_zero() == (not any(values))
+        assert is_zero(table) == (not any(values))
 
 
 @VIEW_PROPERTIES
