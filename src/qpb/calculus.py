@@ -65,16 +65,19 @@ def restricted_canonical_matrix(
 
     Rows: (p, a) with a != identity.  Columns: off-diagonal pairs (the
     indicator basis of 1-forms).  Returns (matrix, column pairs).
+
+    The guard counts the n(n-1) off-diagonal pairs, about what the pair
+    list, its column map and the kernel each hold; a row holds at most one.
     """
     from .scalars import ONE
 
     g = b.group
     if g.identity is None:
         raise ValueError("group has no identity")
-    n, m = b.total_size, g.order
+    n = b.total_size
+    guard_table_size(n * (n - 1))
     pairs = offdiag_pairs(n)
     col_of = {pq: k for k, pq in enumerate(pairs)}
-    guard_table_size(n * (m - 1) * len(pairs))
     rows = [
         {col_of[(p, q)]: ONE} if q != p else {}
         for p, row in enumerate(b.action.table)

@@ -71,12 +71,8 @@ __all__ = [
 
 def _splitting_index(b: BundleSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Rows (off-diagonal pairs) and columns (point, group element !=
-    identity) of a splitting, after the guard on its entry count.
-
-    The guard counts the dense n(n-1)·n(m-1) entries although a
-    `Splitting` stores only its nonzeros, so every `--max-entries` outcome
-    is the one the dense matrix had; making it count the stored entries
-    belongs with the other guards' caps."""
+    identity) of a splitting.  No cap is checked: a `Splitting` stores
+    at most the nonzeros of θ, which passed the cap when it was built."""
     g = b.group
     if g.identity is None:
         raise ValueError("group has no identity")
@@ -84,7 +80,6 @@ def _splitting_index(b: BundleSpec) -> tuple[list[tuple[int, int]], list[tuple[i
     cols = [
         (p, a) for p in range(b.total_size) for a in range(g.order) if a != g.identity
     ]
-    guard_table_size(len(pairs) * len(cols))
     return pairs, cols
 
 
@@ -198,7 +193,7 @@ def validate_connection_form(theta: FormValuedMap, b: BundleSpec) -> Report:
     report = Report()
     g = b.group
     n, m = theta.size, g.order
-    if n != b.total_size or g != b.group:
+    if n != b.total_size or theta.group != g:
         raise ValueError("connection form does not match the bundle")
     e = g.identity
 
@@ -284,20 +279,25 @@ def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec):
     potential and the identity for one on the total space.  Pullback
     along the projection commutes with d and ⋆, and the frame's delta
     maps only relabel the group argument, so this is φ⁻¹⋆F(γ)⋆φ of the
-    potential pulled back to the total space.  Only F_γ's rows are
-    held, made after the n³·m guard.
+    potential pulled back to the total space.
+
+    A potential on the total space reads each point directly, so its
+    rows are read in the order they come.  A base potential's rows are
+    read once per pair over them, so its nb³·m entries are held.
     """
     read = _points_read(gamma, b)
     d, rows = curvature_rows(gamma)
     n, size = b.total_size, gamma.size
-    guard_table_size(n**3 * b.group.order)
-    rows = list(rows)
+    if size != n:
+        guard_table_size(size**3 * b.group.order)
+        held = list(rows)
+        rows = (held[read[p] * size + read[q]] for p in range(n) for q in range(n))
     frame = _frame_gathers(b.group, b.phi, read)
 
     def blocks():
-        for p, q in itertools.product(range(n), repeat=2):
-            block = rows[read[p] * size + read[q]]
-            yield tuple(None if part is None else list(frame[p](part)) for part in block)
+        for p in range(n):
+            for block in itertools.islice(rows, n):
+                yield tuple(None if part is None else list(frame[p](part)) for part in block)
 
     return d, blocks()
 
@@ -326,7 +326,6 @@ def curvature_classical(tm: TransitionMap, b: BundleSpec):
     g = b.group
     mul, m, t = g.table, g.order, tm.table
     proj, phi, n = b.base.projection, b.phi, b.total_size
-    guard_table_size(n**3 * m)
 
     def blocks():
         for p, q in itertools.product(range(n), repeat=2):

@@ -133,14 +133,11 @@ def curvature_rows(theta: FormValuedMap):
     (p, q) in row-major order, the rows (p, q, r) for r = 0..n−1 end to
     end, as the pair (re, im) of int lists, im None when θ is real.
 
-    The table guards run at the call, before any row is made.  No table
-    of the curvature's size is held: a pair's rows read θ from p, θ
-    from q and θ at (p, q).
+    No cap is checked: the iterator holds copies of θ, which met the cap
+    when it was built, and one pair's rows, which read θ from p, θ from
+    q and θ at (p, q).
     """
-    g, n = theta.group, theta.size
-    guard_table_size(n**3)
-    guard_table_size(n**3 * g.order)
-    return theta.view[0] ** 2, _curvature_blocks(g, n, theta.view)
+    return theta.view[0] ** 2, _curvature_blocks(theta.group, theta.size, theta.view)
 
 
 # (part of θ(p, q), part of θ(q, r), part of the product, sign) for

@@ -126,7 +126,7 @@ def validate_potential(gamma: FormValuedMap, b: BundleSpec) -> Report:
     report = Report()
     g = b.group
     n, m = gamma.size, g.order
-    if n != b.total_size or g != b.group:
+    if n != b.total_size or gamma.group != g:
         raise ValueError("potential does not match the bundle")
 
     norm_witness = _unit_normalization_witness(gamma)

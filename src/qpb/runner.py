@@ -112,7 +112,7 @@ class _Context:
     def bundle(self) -> BundleSpec:
         """The bundle with its frame, given or synthesized on first use, so a
         suite that reads no phi uses `doc.bundle` and synthesizes nothing.  A
-        cap met in the freeness report propagates; synthesis gives a reason."""
+        synthesis that fails gives its reason."""
         b = self.doc.bundle
         if b.phi is not None:
             return b

@@ -163,14 +163,11 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         return out
     # theta passed validate_connection_form above, and the splitting is
     # validated here before it is read back
-    try:
-        sp = connection.splitting_from_theta(theta, b)
-        srep = connection.validate_splitting(sp, b)
-        out.extend(_renamed(srep.checks, suite))
-        reason = rejection("splitting", srep)
-        ok = reason is None and connection.theta_from_splitting(sp, b).view == theta.view
-    except ValueError as exc:
-        reason, ok = str(exc), False
+    sp = connection.splitting_from_theta(theta, b)
+    srep = connection.validate_splitting(sp, b)
+    out.extend(_renamed(srep.checks, suite))
+    reason = rejection("splitting", srep)
+    ok = reason is None and connection.theta_from_splitting(sp, b).view == theta.view
     data = None if reason is None else {"reason": reason}
     out.append(CheckResult(f"{suite}.splitting_roundtrip", ok, data=data))
     return out
@@ -182,8 +179,9 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     if theta is None:
         return [CheckResult(f"{suite}.canonicalized", False, data={"reason": reason})]
 
-    # route 1's guards run first; theta was built, so the frame is
-    # present, the inputs fit the bundle and no route below exceeds them
+    # theta was built, so the frame is present and the inputs fit the
+    # bundle; a cap met on route 2's held base rows is no verdict, and
+    # propagates like any cap met outside a connection's build
     d, pairs = curvature_rows(theta)
     routes = []
     if decl.kind != "theta":

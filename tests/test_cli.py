@@ -34,6 +34,7 @@ import qpb.connection as connection
 import qpb.funcs as funcs
 import qpb.potentials as potentials
 import qpb.runner as runner
+import qpb.suites as suites
 from conftest import fix_z2
 from qpb import __version__, cli
 from qpb.cli import main
@@ -773,6 +774,39 @@ def test_curvature_suite_streams_the_whole_table_verdicts(raw, names):
         assert _streamed_checks(doc, name) == _whole_table_checks(doc, name)
 
 
+def test_a_gamma_connections_route_2_runs_in_step_with_route_1(tmp_path, monkeypatch, capsys):
+    # a potential on the total space reads each point directly, so route 2
+    # reads its curvature rows as route 1 gives its pairs and holds no
+    # table of the curvature's size: it is never more than one pair ahead
+    path = tmp_path / "z2_gamma.json"
+    path.write_text(json.dumps(_with_gamma(mutated_payload("fix_z2.json"))))
+    drawn = {"route 1": 0, "route 2": 0}
+    ahead = []
+
+    def counted(rows, route):
+        def wrapped(form):
+            d, pairs = rows(form)
+
+            def counting():
+                for block in pairs:
+                    drawn[route] += 1
+                    ahead.append(drawn["route 2"] - drawn["route 1"])
+                    yield block
+
+            return d, counting()
+
+        return wrapped
+
+    monkeypatch.setattr(suites, "curvature_rows", counted(suites.curvature_rows, "route 1"))
+    monkeypatch.setattr(
+        connection, "curvature_rows", counted(connection.curvature_rows, "route 2")
+    )
+    assert main(["check", str(path), "--suite", "curvature:lifted"]) == 0
+    assert capsys.readouterr().err == ""
+    assert drawn == {"route 1": 16, "route 2": 16}
+    assert max(ahead) <= 1
+
+
 _gaussian_literals = st.builds(
     lambda a, b, d: f"{a}/{d}" if not b else f"{a}/{d}{b:+d}/{d}i",
     st.integers(-4, 4),
@@ -1106,74 +1140,88 @@ def test_cli_curvature_exit_codes_match_check(tmp_path, capsys):
     assert main(["curvature", prod, "--connection", "cls", "--max-entries", "100"]) == 1
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "qpb: table of 108 entries exceeds the cap of 100\n")
-    # 2: the form builds, the 6 x 6 x 6 x 3 curvature table trips the cap;
-    # the curvature suite of `check` exits 2 on the same cap
-    cap = "qpb: table of 648 entries exceeds the cap of 400\n"
+    # 2: a cap met anywhere else, here on the parsed 2 x 2 x 3 gamma_hat
+    # density; the curvature suite of `check` exits 2 on the same cap
+    cap = "qpb: table of 12 entries exceeds the cap of 11\n"
     dump, suite = ["--connection", "cls"], ["--suite", "curvature:cls"]
     for cmd in (["curvature", prod, *dump], ["check", prod, *suite]):
-        assert main(cmd + ["--max-entries", "400"]) == 2
+        assert main(cmd + ["--max-entries", "11"]) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", cap)
-    # 2: on a document without a frame, the freeness report behind the
-    # frame synthesis trips the cap before any connection is built
+    # on a document without a frame, the freeness report behind the frame
+    # synthesis holds n·m unit rows and meets no cap, so the dump and the
+    # curvature suite meet the cap building the 216-entry connection form
     payload = mutated_payload("fix_s3.json")
     del payload["trivialization"]
     unframed = tmp_path / "unframed.json"
     unframed.write_text(json.dumps(payload))
     assert main(["curvature", str(unframed), "--connection", "flat"]) == 0
     capsys.readouterr()
-    cap = "qpb: table of 1296 entries exceeds the cap of 1000\n"
-    for cmd in (["curvature", str(unframed), "--connection", "flat"], ["check", str(unframed)]):
-        assert main(cmd + ["--max-entries", "1000"]) == 2
-        out = capsys.readouterr()
-        assert (out.out, out.err) == ("", cap)
-    # a suite that reads no frame synthesizes none and gives its verdict
+    cap = "qpb: table of 216 entries exceeds the cap of 215\n"
+    assert main(["curvature", str(unframed), "--connection", "flat", "--max-entries", "215"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", cap)
+    suite = ["check", str(unframed), "--suite", "curvature:flat", "--format", "json"]
+    assert main(suite + ["--max-entries", "215"]) == 1
+    out = capsys.readouterr()
+    reason = json.loads(out.out)["checks"][0]["data"]["reason"]
+    assert (reason, out.err) == (cap[5:-1], "")
+    # the full check meets the cap outside a connection's build, and a
+    # suite that reads no frame gives its verdict under it
+    assert main(["check", str(unframed), "--max-entries", "215"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", cap)
     for suite in ("group", "action"):
-        assert main(["check", str(unframed), "--suite", suite, "--max-entries", "1000"]) == 0
+        assert main(["check", str(unframed), "--suite", suite, "--max-entries", "215"]) == 0
         assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("name", ["cls", "rational"])
-def test_curvature_caps_bind_at_the_rows_guards(name, tmp_path, capsys):
-    # fix_prod: n = 6 points and m = 3, so the curvature's point triples
-    # number n³ = 216 and its entries n³·m = 648; the dump and the suite
-    # meet the same guards, in that order, with the same messages
-    prod = write_fixture(tmp_path, "fix_prod.json")
-    dump = ["curvature", prod, "--connection", name]
-    suite = ["check", prod, "--suite", f"curvature:{name}"]
-    expected = {
-        215: (2, "qpb: table of 216 entries exceeds the cap of 215\n"),
-        216: (2, "qpb: table of 648 entries exceeds the cap of 216\n"),
-        647: (2, "qpb: table of 648 entries exceeds the cap of 647\n"),
-        648: (0, ""),
-    }
-    for cap, (status, err) in expected.items():
-        for cmd in (dump, suite):
-            assert main(cmd + ["--max-entries", str(cap)]) == status
-            out = capsys.readouterr()
-            assert out.err == err
-            assert (out.out == "") == (status == 2)
-
-
 @pytest.mark.parametrize(
-    "raw, name",
-    [(theta_payload(), "th"), (_with_gamma(mutated_payload("fix_z2.json")), "lifted")],
-    ids=["theta", "gamma"],
+    "key, name",
+    [
+        ("fix_prod.json", "cls"),
+        ("fix_prod.json", "rational"),
+        ("z2_theta.json", "th"),
+        ("z2_gamma.json", "lifted"),
+    ],
+    ids=["cls", "rational", "theta", "gamma"],
 )
-def test_curvature_suite_cap_window_is_the_curvatures_entries(raw, name, tmp_path, capsys):
-    # fix_z2: n = 4 points and m = 2, so the curvature has n³·m = 128
-    # entries; route 1's guard binds first, and no route holds more
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(raw))
+def test_curvature_cap_window_is_the_connection_forms_entries(key, name, tmp_path, capsys):
+    # no route holds a table of the curvature's n³·m entries, so the dump
+    # and the suite run at the n²·m entries of the connection form, 108
+    # on fix_prod (n = 6, m = 3) and 32 on fix_z2 (n = 4, m = 2).  One
+    # entry less stops the form: as a failed build (exit 1) where it is
+    # derived, and as the parsed density (exit 2) where it is declared
+    documents = {
+        **fixture_documents(),
+        "z2_theta.json": theta_payload(),
+        "z2_gamma.json": _with_gamma(mutated_payload("fix_z2.json")),
+    }
+    path = tmp_path / key
+    path.write_text(json.dumps(documents[key]))
+    b = parse_spec(path.read_text()).bundle
+    entries = b.total_size**2 * b.group.order
+    message = f"table of {entries} entries exceeds the cap of {entries - 1}"
     dump = ["curvature", str(path), "--connection", name]
-    suite = ["check", str(path), "--suite", f"curvature:{name}"]
+    suite = ["check", str(path), "--suite", f"curvature:{name}", "--format", "json"]
     for cmd in (dump, suite):
-        assert main(cmd + ["--max-entries", "127"]) == 2
-        out = capsys.readouterr()
-        assert (out.out, out.err) == ("", "qpb: table of 128 entries exceeds the cap of 127\n")
-        assert main(cmd + ["--max-entries", "128"]) == 0
-        out = capsys.readouterr()
-        assert out.out and out.err == ""
+        status = main(cmd)
+        full = capsys.readouterr()
+        assert (status, full.err) == (0, "")
+        assert main(cmd + ["--max-entries", str(entries)]) == 0
+        assert capsys.readouterr() == full
+    declared = key != "fix_prod.json"
+    assert main(dump + ["--max-entries", str(entries - 1)]) == 1 + declared
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"qpb: {message}\n")
+    assert main(suite + ["--max-entries", str(entries - 1)]) == 1 + declared
+    out = capsys.readouterr()
+    if declared:
+        assert (out.out, out.err) == ("", f"qpb: {message}\n")
+    else:
+        check = json.loads(out.out)["checks"][0]
+        reason = check["data"]["reason"]
+        assert (check["name"], reason) == (f"curvature:{name}.canonicalized", message)
 
 
 def test_cli_max_entries_cap(tmp_path, capsys):
@@ -1233,33 +1281,43 @@ def test_freeness_and_exactness_caps_bind_at_their_guards(key, tmp_path, capsys)
     path = tmp_path / key
     path.write_text(json.dumps(payload))
     b = parse_spec(json.dumps(payload)).bundle
-    n, m = b.total_size, b.group.order
-    freeness_guard = n * m * n * n
-    exactness_guard = n * (m - 1) * n * (n - 1)
-    # the exactness suite reads the freeness report, whose larger matrix
-    # trips the cap first
-    for suite in ("freeness", "exactness"):
-        cmd = ["check", str(path), "--suite", suite, "--format", "json", "--max-entries"]
-        assert main(cmd + [str(freeness_guard)]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(cmd + [str(freeness_guard - 1)]) == 2
-        out = capsys.readouterr()
-        cap = f"qpb: table of {freeness_guard} entries exceeds the cap of {freeness_guard - 1}\n"
-        assert (out.out, out.err) == ("", cap)
-    # the restricted canonical map's own guard, under a decided freeness report
-    free = bundle.check_freeness(b)
-    token = funcs.set_max_table_entries(exactness_guard)
-    try:
-        assert calculus.check_exactness(b, free).passed
-    finally:
-        funcs.MAX_TABLE_ENTRIES.reset(token)
-    token = funcs.set_max_table_entries(exactness_guard - 1)
-    try:
-        cap = f"table of {exactness_guard} entries exceeds the cap of {exactness_guard - 1}"
-        with pytest.raises(ValueError, match=f"^{cap}$"):
-            calculus.check_exactness(b, free)
-    finally:
-        funcs.MAX_TABLE_ENTRIES.reset(token)
+    n = b.total_size
+    # the canonical maps store at most one unit entry per row, so the
+    # freeness report guards nothing, and the exactness guard counts the
+    # n(n - 1) off-diagonal pairs that its pair list, column map and
+    # kernel each hold about
+    exactness_guard = n * (n - 1)
+
+    def check(suite, cap):
+        cmd = ["check", str(path), "--suite", suite, "--format", "json"]
+        return main(cmd + ["--max-entries", str(cap)]), capsys.readouterr()
+
+    status, out = check("freeness", exactness_guard - 1)
+    assert (status, out.err) == (0, "")
+    status, out = check("exactness", exactness_guard - 1)
+    cap = f"qpb: table of {exactness_guard} entries exceeds the cap of {exactness_guard - 1}\n"
+    assert (status, out.out, out.err) == (2, "", cap)
+    status, out = check("exactness", exactness_guard)
+    assert (status, out.err) == (0, "")
+
+
+@pytest.mark.parametrize("key", [*sorted(fixture_documents()), "s3x2.json"])
+def test_full_check_runs_at_the_connection_forms_entries(key, tmp_path, capsys):
+    # no table a full check holds is larger than a connection form's
+    # n²·m entries: 108 on fix_prod, 32 on fix_z2, 864 on the S3 x 2
+    # ladder document; one entry less changes the report
+    payload = {**fixture_documents(), "s3x2.json": S3X2_LADDER}[key]
+    path = tmp_path / key
+    path.write_text(json.dumps(payload))
+    b = parse_spec(json.dumps(payload)).bundle
+    entries = b.total_size**2 * b.group.order
+    cmd = ["check", str(path), "--format", "json"]
+    status = main(cmd)
+    full = capsys.readouterr()
+    assert main(cmd + ["--max-entries", str(entries)]) == status
+    assert capsys.readouterr() == full
+    main(cmd + ["--max-entries", str(entries - 1)])
+    assert capsys.readouterr() != full
 
 
 def test_cli_cap_lasts_one_call(tmp_path, capsys):

@@ -50,6 +50,7 @@ from qpb.funcs import FormValuedMap, Func
 from qpb.gauge import gauge_compose, gauge_inverse
 from qpb.groups import (
     BundleSpec,
+    FiniteGroup,
     GaugeMap,
     RightAction,
     TransitionMap,
@@ -993,3 +994,11 @@ def test_bundle_mismatch_guards():
         validate_connection_form(theta, b)
     with pytest.raises(ValueError, match="does not match"):
         validate_potential(build(other.group, 6, 1, lambda p, q, c: ZERO), b)
+    # a density on the bundle's points over another group of its order:
+    # Z2 with identity 0 against the bundle's Z2 with identity 1
+    b = make_product(2, FiniteGroup([[1, 0], [0, 1]]))
+    gamma = map_of(cyclic(2), 4, 1, [ZERO] * 32)
+    with pytest.raises(ValueError, match="^connection form does not match the bundle$"):
+        validate_connection_form(gamma, b)
+    with pytest.raises(ValueError, match="^potential does not match the bundle$"):
+        validate_potential(gamma, b)

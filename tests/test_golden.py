@@ -100,11 +100,12 @@ CASES = {
         ["check", "--format", "json"],
     ),
     "check-z2-gamma": ("fix_z2.json", _with_gamma, ["check", "--format", "json"]),
-    # 30 off-diagonal pairs x 12 columns: the splitting matrix is one entry over the cap
-    "check-prod-splitting-cap": (
+    # 6 x 6 points x 3 group elements: the connection form is one entry
+    # over the cap, the largest table the connection suite holds
+    "check-prod-theta-cap": (
         "fix_prod.json",
         None,
-        ["check", "--suite", "connection:cls", "--max-entries", "359", "--format", "json"],
+        ["check", "--suite", "connection:cls", "--max-entries", "107", "--format", "json"],
     ),
     "check-s3x2": ("s3x2.json", None, ["check", "--format", "json"]),
     "check-s3x2-gauss": ("s3x2.json", _gaussian, ["check", "--format", "json"]),
@@ -123,9 +124,9 @@ GOLDEN = {
         1,
         "e38d5af3dfea60bb046a68f938d918a8c0b0fe49729ac8bdf88ea4304702969b",
     ),
-    "check-prod-splitting-cap": (
+    "check-prod-theta-cap": (
         1,
-        "c9b16609bbee0d8d208c10d08421731a3a1b11e6fa94dbbd9526fd4e8fd81e5a",
+        "d7f8c13f9874a24d0a9fea9080eedd5fdb57815ad5efc0322dd957a126666b38",
     ),
     "check-s3": (0, "2b2af167ad96d6227d4fb0120973e84ead4a6f8e6cfbcb072866cda9a5cd3063"),
     "check-s3x2": (0, "8704482ee802f577bc653e3cd63182fe380dc4a340e81bec52f6da61de166af3"),

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridge import (
+    assembled,
     build,
     curvature,
     cyclic,
@@ -35,9 +36,9 @@ from bridge import (
 )
 from conftest import fix_prod, fix_s3, random_base_potential, random_scalar
 from qpb.calculus import differential
-from qpb.connection import curvature_from_potential, star_delta
+from qpb.connection import curvature_classical, curvature_from_potential, star_delta
 from qpb.funcs import MAX_TABLE_ENTRIES, FormValuedMap, set_max_table_entries
-from qpb.groups import FiniteGroup, make_product, symmetric
+from qpb.groups import FiniteGroup, TransitionMap, make_product, symmetric
 from qpb.kernels import curvature_rows
 from qpb.potentials import connection_from_potential, lift_base_potential
 from qpb.scalars import ONE, ZERO, Scalar
@@ -408,30 +409,62 @@ def test_property_int_view_round_trip(values):
     assert all((v is ZERO) == (not v) for v in back)
 
 
+def test_a_base_potentials_held_rows_are_guarded_at_their_entries():
+    # route 2 reads a base potential's curvature rows once per pair of
+    # points over them, so it holds them: nb³·m = 24 entries on fix_prod
+    b = fix_prod()
+    gh = random_base_potential(b.group, b.base.size, Random(3))
+    held = b.base.size**3 * b.group.order
+    expected = potential_curvature(gh, b)
+    token = set_max_table_entries(held - 1)
+    try:
+        message = f"^table of {held} entries exceeds the cap of {held - 1}$"
+        with pytest.raises(ValueError, match=message):
+            curvature_from_potential(gh, b)
+    finally:
+        MAX_TABLE_ENTRIES.reset(token)
+    token = set_max_table_entries(held)
+    try:
+        d, pairs = curvature_from_potential(gh, b)
+        blocks = list(pairs)
+    finally:
+        MAX_TABLE_ENTRIES.reset(token)
+    assert assembled((d, blocks), b.group, b.total_size) == expected
+
+
 def test_cap_fires_before_a_kernel_allocates_its_output():
     # a degree-1 map on 80 points over Z2: its curvature has 80³·2 > 10⁶
-    # entries, its point tuples 80³ fit under the cap, so only the guard on
-    # the full table can stop it, and it must do so before a list of that
-    # size (8 MB of pointers) exists
+    # entries, a list of 8 MB of pointers.  ⋆ and d of it would make that
+    # list, so their guards must stop them before it exists.  The three
+    # curvature routes hold one pair's rows at a time, and route 2 the
+    # 40³·2 rows of its 40 base points, so they run under the cap and
+    # drain far below that list
     g = GROUPS["Z2"]
     n = 80
     theta = map_of(g, n, 1, [ZERO] * (n * n * 2))
-    # the potential route computes on the 40 base points, 40³·2 entries,
-    # and gathers the total-space table only once the guard has passed
     b = make_product(40, g)
     base = map_of(g, 40, 1, [ZERO] * (40 * 40 * 2))
+    tm = TransitionMap(g, [[0] * 40 for _ in range(40)])
     token = set_max_table_entries(600_000)
     try:
-        for work in (
-            lambda: curvature(theta),
-            lambda: star_delta(theta, theta),
-            lambda: differential(theta),
-            lambda: curvature_from_potential(base, b),
-        ):
+        for work in (lambda: star_delta(theta, theta), lambda: differential(theta)):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=r"^table of 1024000 entries exceeds the cap"):
                     work()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
+        for route in (
+            lambda: curvature_rows(theta),
+            lambda: curvature_from_potential(base, b),
+            lambda: curvature_classical(tm, b),
+        ):
+            tracemalloc.start()
+            try:
+                _, pairs = route()
+                assert sum(1 for _ in pairs) == n * n
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

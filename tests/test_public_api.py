@@ -143,8 +143,8 @@ def _cli_calls(directory) -> list[tuple[list[str], int]]:
         (["check", gauss, "--format", "json"], 0),
         (["check", broken, "--format", "json"], 1),
         (["curvature", unframed, "--connection", "cls"], 0),
-        # the splitting matrix of fix_prod's classical connection is one entry over this cap
-        (["check", prod, "--suite", "connection:cls", "--max-entries", "359"], 1),
+        # the connection form of fix_prod's classical connection is one entry over this cap
+        (["check", prod, "--suite", "connection:cls", "--max-entries", "107"], 1),
         (["check", z2, "--suite", "bogus"], 2),
         (["fixtures", "--dir", z2], 2),
     ]
