@@ -4,6 +4,10 @@ The total space is {0, ..., N-1} with a right action of a finite group;
 the base is the orbit set.  The coaction dualizes the action, the
 canonical map decides freeness by an exact rank, and trivializations
 (when present) give the product picture through psi and the section.
+A function on P, on the base or on B x G is its bare int view
+(`views`), and the coaction, psi, its inverse and the base injection
+are pullbacks: each gathers a view's entries into a view with list
+parts, so two results compare with `==` or `first_difference`.
 The bundle itself, `BundleSpec` with its `BaseSpace`, is data and lives
 in `groups`, so parsing a document or dumping a curvature never loads
 this module; densities over the bundle, frame maps included, live in
@@ -14,10 +18,12 @@ builds no matrix loads neither.
 
 from __future__ import annotations
 
-from .funcs import Func, first_difference
+import itertools
+
+from .funcs import first_difference, guard_table_size
 from .groups import BundleSpec, fixed_point_witness
 from .report import CheckResult, Report
-from .views import gathered, take
+from .views import gathered, indicator, mul_views
 
 # only for the annotations: the functions that use them import them
 TYPE_CHECKING = False
@@ -38,11 +44,10 @@ __all__ = [
 ]
 
 
-def coaction(b: BundleSpec, f: Func) -> Func:
-    """[coaction(f)](p, a) = f(p acted by a), a table on P x G."""
-    _check_total(b, f)
-    points = [q for row in b.action.table for q in row]
-    return Func((b.total_size, b.group.order), view=gathered(f.view, take(points)))
+def coaction(b: BundleSpec, f):
+    """[coaction(f)](p, a) = f(p acted by a): the view on P x G, with
+    (p, a) at p·m + a, of a view on the total space."""
+    return _pulled_back(f, list(itertools.chain.from_iterable(b.action.table)))
 
 
 def check_comodule_algebra(b: BundleSpec) -> Report:
@@ -56,19 +61,20 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
         return report
 
     # each indicator and its coaction, built once for all three checks
-    indicators = [Func.indicator((n,), (q,)) for q in range(n)]
+    indicators = [indicator(n, q) for q in range(n)]
     coactions = [coaction(b, f) for f in indicators]
 
     # t(p.a, c) against t(p, ac) over (p, a, c), t the coaction of an
-    # indicator, as flat gathers of t's (point, group element) rows
+    # indicator, as flat gathers of t's (point, group element) rows; the
+    # positions of each gather and each side are lists of n·m² entries
+    guard_table_size(n * m * m)
     act, mul = b.action.table, g.table
-    moved = take([x * m + c for row in act for x in row for c in range(m)])
-    multiplied = take([p * m + ac for p in range(n) for row in mul for ac in row])
+    moved = [x * m + c for row in act for x in row for c in range(m)]
+    multiplied = [p * m + ac for p in range(n) for row in mul for ac in row]
     coassoc_witness = None
     for tq in coactions:
-        lhs = Func((n, m, m), view=gathered(tq.view, moved))
-        rhs = Func((n, m, m), view=gathered(tq.view, multiplied))
-        coassoc_witness = first_difference(lhs.view, rhs.view, lhs.shape)
+        lhs, rhs = _pulled_back(tq, moved), _pulled_back(tq, multiplied)
+        coassoc_witness = first_difference(lhs, rhs, (n, m, m))
         if coassoc_witness is not None:
             break
     report.add(CheckResult("comodule.coassociativity", coassoc_witness is None, coassoc_witness))
@@ -76,8 +82,7 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     counit_witness = None
     for f, tq in zip(indicators, coactions):
         # the coaction at the identity: every row's entry e
-        at_identity = gathered(tq.view, lambda part: part[e::m])
-        counit_witness = first_difference(at_identity, f.view, f.shape)
+        counit_witness = first_difference(gathered(tq, lambda part: part[e::m]), f, (n,))
         if counit_witness is not None:
             break
     report.add(CheckResult("comodule.counit", counit_witness is None, counit_witness))
@@ -85,16 +90,17 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     mult_witness = None
     for fq, tq in zip(indicators, coactions):
         for fr, tr in zip(indicators, coactions):
-            lhs = coaction(b, fq * fr)
-            mult_witness = first_difference(lhs.view, (tq * tr).view, lhs.shape)
+            lhs = coaction(b, mul_views(fq, fr))
+            mult_witness = first_difference(lhs, mul_views(tq, tr), (n, m))
             if mult_witness is not None:
                 break
         if mult_witness is not None:
             break
     report.add(CheckResult("comodule.multiplicativity", mult_witness is None, mult_witness))
 
-    unit_ok = coaction(b, Func.ones((n,))) == Func.ones((n, m))
-    report.add(CheckResult("comodule.unit", unit_ok))
+    ones = (1, [1] * n, None)
+    unit_witness = first_difference(coaction(b, ones), (1, [1] * (n * m), None), (n, m))
+    report.add(CheckResult("comodule.unit", unit_witness is None, unit_witness))
     return report
 
 
@@ -142,11 +148,9 @@ def invariants_basis(b: BundleSpec) -> SubspaceBasis:
     return SubspaceBasis(b.total_size, vectors, list(b.base.reps))
 
 
-def inject_base(b: BundleSpec, h: Func) -> Func:
-    """Pull a function on the base back to the total space along the projection."""
-    if h.shape != (b.base.size,):
-        raise ValueError(f"expected a table on the base of size {b.base.size}, got {h.shape}")
-    return Func((b.total_size,), view=gathered(h.view, take(b.base.projection)))
+def inject_base(b: BundleSpec, h):
+    """Pull a view on the base back to the total space along the projection."""
+    return _pulled_back(h, b.base.projection)
 
 
 def validate_trivialization(b: BundleSpec) -> Report:
@@ -224,31 +228,20 @@ def synthesize_trivialization(b: BundleSpec, free: Report) -> list[int]:
     return phi
 
 
-def psi_apply(b: BundleSpec, f_times: Func) -> Func:
-    """Turn a table on B x G into one on P via (pi, phi)."""
+def psi_apply(b: BundleSpec, f_times):
+    """Turn a view on B x G, with (x, a) at x·m + a, into one on P via (pi, phi)."""
     if b.phi is None:
         raise ValueError("bundle has no trivialization")
-    if f_times.shape != (b.base.size, b.group.order):
-        raise ValueError(
-            f"expected a table on B x G of shape {(b.base.size, b.group.order)}, got {f_times.shape}"
-        )
     proj, m = b.base.projection, b.group.order
-    positions = [proj[p] * m + a for p, a in enumerate(b.phi)]
-    return Func((b.total_size,), view=gathered(f_times.view, take(positions)))
+    return _pulled_back(f_times, [proj[p] * m + a for p, a in enumerate(b.phi)])
 
 
-def psi_inverse(b: BundleSpec, f: Func) -> Func:
-    """Turn a table on P into one on B x G via the section."""
-    _check_total(b, f)
-    if b.phi is None:
-        raise ValueError("bundle has no trivialization")
-    sec = section_table(b)
-    points = [b.act(s, a) for s in sec for a in range(b.group.order)]
-    return Func((b.base.size, b.group.order), view=gathered(f.view, take(points)))
+def psi_inverse(b: BundleSpec, f):
+    """Turn a view on P into one on B x G via the section."""
+    m = b.group.order
+    return _pulled_back(f, [b.act(s, a) for s in section_table(b) for a in range(m)])
 
 
-def _check_total(b: BundleSpec, f: Func) -> None:
-    if f.shape != (b.total_size,):
-        raise ValueError(
-            f"expected a table on the total space of size {b.total_size}, got shape {f.shape}"
-        )
+def _pulled_back(view, points: list[int]):
+    """The view whose entry k is entry points[k] of `view`, as lists."""
+    return gathered(view, lambda part: list(map(part.__getitem__, points)))

@@ -20,8 +20,8 @@ transforms, live in `potentials`, which builds on this module.
 
 Every connection is a FormValuedMap: a density over (point tuple) x
 (group element) whose degree is the form degree and whose size is the
-number of points.  FormValuedMap lives in `funcs` with
-the other table types and TransitionMap in `groups`, so a parsed
+number of points.  FormValuedMap, the one table type, lives in
+`funcs` and TransitionMap in `groups`, so a parsed
 document holds both without loading this module.  The int-view kernels
 of d, ⋆ and the curvature rows, and the density scans that the
 connection-form and potential validators share, live in `kernels`, so
@@ -282,16 +282,28 @@ def curvature_from_potential(gamma: FormValuedMap, b: BundleSpec):
     potential pulled back to the total space.
 
     A potential on the total space reads each point directly, so its
-    rows are read in the order they come.  A base potential's rows are
-    read once per pair over them, so its nb³·m entries are held.
+    rows are read in the order they come.  A base potential's rows from
+    πp, its nb pairs (πp, y), are held while p's pairs are read, nb²·m
+    entries, and computed again where πp changes; on a product bundle
+    the points over a base point are consecutive, so each is computed
+    once.
     """
     read = _points_read(gamma, b)
-    d, rows = curvature_rows(gamma)
     n, size = b.total_size, gamma.size
-    if size != n:
-        guard_table_size(size**3 * b.group.order)
-        held = list(rows)
-        rows = (held[read[p] * size + read[q]] for p in range(n) for q in range(n))
+    if size == n:
+        d, rows = curvature_rows(gamma)
+    else:
+        guard_table_size(size**2 * b.group.order)
+        runs = [(x, len(list(ps))) for x, ps in itertools.groupby(read)]
+        d, from_base = curvature_rows(gamma, [x for x, _ in runs])
+
+        def pulled_back():
+            for _x, count in runs:
+                held = list(itertools.islice(from_base, size))
+                for _ in range(count):
+                    yield from (held[y] for y in read)
+
+        rows = pulled_back()
     frame = _frame_gathers(b.group, b.phi, read)
 
     def blocks():

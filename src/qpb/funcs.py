@@ -3,18 +3,16 @@
 Every object qpb computes with is a function on a finite set, stored as
 the common-denominator int view (d, re, im) of its flat row-major
 entries (`views`): plain int lists over one denominator, in lowest
-terms.  The two table types live here: Func (a shape) and FormValuedMap
-(group, points and degree); a universal form is a FormValuedMap over
-the one-element group.  `calculus` and `connection` compute with them,
-and a document holds them without loading either.  They share one
-guarded base, Table: it holds the shape and the view, checks the entry
-cap before it reads an input, and owns the bounds-checked lookup and
-equality, so each type only states its layout.  A table is made from
-a view and read as one: equality compares ints, and no table makes a
-Scalar.  Func's product is the one
-arithmetic operator; a kernel that sums tables adds their views with
-`views.add_views`.  The entry cap makes degree blowups fail loudly
-instead of exhausting memory.
+terms.  A function on the total space, on the base or on B x G is its
+bare view; the one table type, FormValuedMap, adds a group, points and
+a degree, and a universal form is a FormValuedMap over the one-element
+group.  `calculus` and `connection` compute with it, and a document
+holds it without loading either.  It checks the entry cap before it
+reads an input, keeps its view canonical and compares by layout and
+view, so equality compares ints, and no table makes a Scalar.  A
+kernel that sums tables adds their views with `views.add_views`, and
+an entrywise product is `views.mul_views`.  The entry cap makes degree
+blowups fail loudly instead of exhausting memory.
 
 The row-major layout is decoded here too: `unravel` turns a flat
 position back into its index tuple, and `first_difference` names the
@@ -31,11 +29,9 @@ from contextvars import ContextVar, Token
 from math import prod
 
 from .groups import FiniteGroup
-from .views import canonical, gathered, lowest_terms, mul_views
+from .views import canonical, gathered, lowest_terms
 
 __all__ = [
-    "Table",
-    "Func",
     "FormValuedMap",
     "MAX_TABLE_ENTRIES",
     "set_max_table_entries",
@@ -64,30 +60,38 @@ def guard_table_size(entries: int) -> None:
         raise TableCapError(f"table of {entries} entries exceeds the cap of {cap}")
 
 
-class Table:
-    """A flat row-major table of exact values, stored as its canonical int
-    view `view` = (d, re, im); a subclass fixes its layout.
+class FormValuedMap:
+    """A linear map from the group function algebra into degree-n forms,
+    stored as its density over (point tuple) x (group element), the flat
+    row-major table of shape `shape`, as its canonical int view `view`.
 
-    A subclass sets its layout attributes, then calls this constructor
-    with the shape they give.  It defines `_layout()`, those attributes,
-    which `==` compares along with the view, and the message
-    `_length_error(got, need)` for a view of the wrong length.
+    `size` counts the points the forms live on and `degree` fixes the
+    tuple length at degree + 1.  Degree 0 holds frame maps and their
+    convolution algebra; degree 1 holds connection forms and potentials,
+    on the total space or on the base; degree 2 holds curvature.  Over
+    the one-element group it is a scalar form, and `star_delta` is the
+    product that concatenates point tuples over their shared endpoint.
     """
 
-    __slots__ = ("shape", "view")
+    __slots__ = ("group", "size", "degree", "shape", "view")
 
-    def __init__(self, shape: tuple[int, ...], *, view):
+    def __init__(self, group: FiniteGroup, size: int, degree: int, *, view):
         """The entries are given as an int view whose parts may be any
         iterables.  They are read only after the size guard, so a generator
         never runs past the table cap; a view in lowest terms whose parts
         are lists is kept without a copy."""
-        self.shape = shape
-        entries = prod(shape)
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        self.group = group
+        self.size = size
+        self.degree = degree
+        self.shape = (size,) * (degree + 1) + (group.order,)
+        entries = prod(self.shape)
         guard_table_size(entries)
         d, re, im = gathered(view, lambda part: part if isinstance(part, list) else list(part))
         for part in (re,) if im is None else (re, im):
             if len(part) != entries:
-                raise ValueError(self._length_error(len(part), entries))
+                raise ValueError(f"density has {len(part)} entries, expected {entries}")
         self.view = canonical(d, re, im)
 
     @property
@@ -99,89 +103,15 @@ class Table:
         imag = itertools.repeat(0) if im is None else im
         return list(map(lowest_terms, re, imag, itertools.repeat(d)))
 
-    def flat_index(self, idx: tuple[int, ...]) -> int:
-        if len(idx) != len(self.shape):
-            raise ValueError(f"index {idx} does not match shape {self.shape}")
-        flat = 0
-        for i, n in zip(idx, self.shape):
-            if not 0 <= i < n:
-                raise ValueError(f"index {idx} out of range for shape {self.shape}")
-            flat = flat * n + i
-        return flat
+    # the density is the table's values, read through the same property
+    density = values
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and other._layout() == self._layout()
+            and (other.group, other.size, other.degree) == (self.group, self.size, self.degree)
             and self.view == other.view
         )
-
-
-class Func(Table):
-    """An exact-valued function on a product of index ranges."""
-
-    __slots__ = ()
-
-    def __init__(self, shape: tuple[int, ...], *, view):
-        super().__init__(tuple(shape), view=view)
-
-    def _layout(self) -> tuple:
-        return (self.shape,)
-
-    def _length_error(self, got: int, need: int) -> str:
-        return f"got {got} values for shape {self.shape} (need {need})"
-
-    @classmethod
-    def zeros(cls, shape: tuple[int, ...]) -> Func:
-        return cls(shape, view=(1, itertools.repeat(0, prod(shape)), None))
-
-    @classmethod
-    def ones(cls, shape: tuple[int, ...]) -> Func:
-        return cls(shape, view=(1, itertools.repeat(1, prod(shape)), None))
-
-    @classmethod
-    def indicator(cls, shape: tuple[int, ...], idx: tuple[int, ...]) -> Func:
-        f = cls.zeros(shape)
-        # a single 1 over the denominator 1 keeps the view in lowest terms
-        f.view[1][f.flat_index(idx)] = 1
-        return f
-
-    def __mul__(self, other: Func) -> Func:
-        if type(other) is not Func or other.shape != self.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Func(self.shape, view=mul_views(self.view, other.view))
-
-
-class FormValuedMap(Table):
-    """A linear map from the group function algebra into degree-n forms,
-    stored as its density over (point tuple) x (group element).
-
-    `size` counts the points the forms live on and `degree` fixes the
-    tuple length at degree + 1.  Degree 0 holds frame maps and their
-    convolution algebra; degree 1 holds connection forms and potentials,
-    on the total space or on the base; degree 2 holds curvature.  Over
-    the one-element group it is a scalar form, and `star_delta` is the
-    product that concatenates point tuples over their shared endpoint.
-    """
-
-    __slots__ = ("group", "size", "degree")
-
-    # the density is the table's values, read through the same slot
-    density = Table.values
-
-    def __init__(self, group: FiniteGroup, size: int, degree: int, *, view):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.group = group
-        self.size = size
-        self.degree = degree
-        super().__init__((size,) * (degree + 1) + (group.order,), view=view)
-
-    def _layout(self) -> tuple:
-        return (self.group, self.size, self.degree)
-
-    def _length_error(self, got: int, need: int) -> str:
-        return f"density has {got} entries, expected {need}"
 
     @classmethod
     def from_point_table(cls, group: FiniteGroup, table: list[int]) -> FormValuedMap:
@@ -213,6 +143,9 @@ def first_difference(lhs, rhs, shape: tuple[int, ...]) -> tuple[int, ...] | None
     difference and the imaginary parts no further than that, so every
     entry before the witness is compared in both parts.
     """
+    if lhs == rhs:
+        # equal views hold equal values, and lists compare in one C loop
+        return None
     (dl, rl, il), (dr, rr, ir) = lhs, rhs
     if dl != dr:
         rl, rr = _scaled(rl, dr), _scaled(rr, dl)

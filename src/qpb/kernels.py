@@ -127,17 +127,22 @@ def _convolve(entries: int, terms, group: FiniteGroup, size: int, ny: int):
 # curvature rows
 
 
-def curvature_rows(theta: FormValuedMap):
+def curvature_rows(theta: FormValuedMap, points: Iterable[int] | None = None):
     """dθ·d + θ⋆θ over d², the denominator of θ's view squared, a point
     pair at a time: returns d² and an iterator that gives, for each
     (p, q) in row-major order, the rows (p, q, r) for r = 0..n−1 end to
     end, as the pair (re, im) of int lists, im None when θ is real.
+    Given `points`, it gives the pairs from each of them in turn instead
+    of from every point.
 
     No cap is checked: the iterator holds copies of θ, which met the cap
     when it was built, and one pair's rows, which read θ from p, θ from
     q and θ at (p, q).
     """
-    return theta.view[0] ** 2, _curvature_blocks(theta.group, theta.size, theta.view)
+    n = theta.size
+    return theta.view[0] ** 2, _curvature_blocks(
+        theta.group, n, theta.view, range(n) if points is None else points
+    )
 
 
 # (part of θ(p, q), part of θ(q, r), part of the product, sign) for
@@ -145,11 +150,11 @@ def curvature_rows(theta: FormValuedMap):
 _PRODUCT_TERMS = ((0, 0, 0, 1), (1, 1, 0, -1), (0, 1, 1, 1), (1, 0, 1, 1))
 
 
-def _curvature_blocks(g: FiniteGroup, n: int, view):
+def _curvature_blocks(g: FiniteGroup, n: int, view, points: Iterable[int]):
     """dθ·d + θ⋆θ over d² for the int view (d, re, im) of a degree-1
-    density θ on n points, a point pair at a time: for each (p, q) in
-    row-major order, the rows (p, q, r), r = 0..n−1, end to end, as the
-    pair (re, im) of int lists, im None when θ is real.
+    density θ on n points, a point pair at a time: for each p of
+    `points` and each q in turn, the rows (p, q, r), r = 0..n−1, end to
+    end, as the pair (re, im) of int lists, im None when θ is real.
 
     A pair's rows read only θ from p, θ from q and θ at (p, q): the
     differential is three list passes, and the product adds each nonzero
@@ -165,7 +170,7 @@ def _curvature_blocks(g: FiniteGroup, n: int, view):
     froms = [[part[q * w : (q + 1) * w] for q in range(n)] for part in parts]
     scaled = froms if d == 1 else [[[d * v for v in f] for f in fs] for fs in froms]
     nonzero = [[[(k - k % m, k % m, v) for k, v in enumerate(f) if v] for f in fs] for fs in froms]
-    for p in range(n):
+    for p in points:
         for q in range(n):
             rows = [part[(p * n + q) * m : (p * n + q + 1) * m] for part in parts]
             # d·dθ(p, q, r) = d·(θ(q, r) − θ(p, r) + θ(p, q))

@@ -32,6 +32,7 @@ __all__ = [
     "canonical",
     "gathered",
     "take",
+    "indicator",
     "add_views",
     "mul_views",
     "ratio_text",
@@ -113,6 +114,13 @@ def gathered(view, gather):
 def take(positions: list[int]):
     """The gather that reads `positions` of a part, in order, as it is iterated."""
     return lambda part: map(part.__getitem__, positions)
+
+
+def indicator(size: int, k: int):
+    """The view of the indicator of position k among `size` entries."""
+    re = [0] * size
+    re[k] = 1
+    return 1, re, None
 
 
 def add_views(x, y):

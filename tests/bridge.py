@@ -1,16 +1,18 @@
 """Scalars in and out of tables, and the reference groups and maps, for
 the tests.
 
-qpb's tables take and give only their int view (d, re, im).  The tests
-keep `Scalar` as their reference arithmetic, so they build tables from
-Scalars and read entries back as Scalars through this module:
-`to_ints` and `from_ints` turn a list of Scalars into a view and back,
-`func_of`, `map_of` and `build` make tables, `plus` adds or subtracts
-two through their views, `scalars_of` and `scalar_at` read them,
-`is_zero` tests them, `parts` splits a Scalar into its Fractions,
-`indices` walks a shape in row-major order, and `named` finds a check
-of a report by its name.  A table is built from Scalars only after the
-size guard, as the library reads a view.
+qpb's tables take and give only their int view (d, re, im), and a
+function on the total space, the base, B x G or a group is that bare
+view.  The tests keep `Scalar` as their reference arithmetic, so they
+build views and tables from Scalars and read entries back as Scalars
+through this module: `to_ints` and `from_ints` turn a list of Scalars
+into a view and back, `view_of` makes a canonical view, `map_of` and
+`build` make tables, `plus` adds or subtracts two views or tables,
+`scalars_of` reads either and `scalar_at` reads a table's entry by its
+index, `is_zero` tests either, `parts` splits a Scalar into its
+Fractions, `indices` walks a shape in row-major order, and `named`
+finds a check of a report by its name.  A table is built from Scalars
+only after the size guard, as the library reads a view.
 
 The library compares its curvature routes a point pair at a time and
 holds no whole table; the tests keep the whole-table path as their
@@ -27,9 +29,10 @@ them: the groups `cyclic` and `direct_product` and the element names
 `apply` of a form with a group table, `trivial_connection`, the
 connection of a frame by the convolution route φ⁻¹⋆dφ, the composition
 and inverse of bundle automorphisms, and the Hopf structure maps of a
-group's function algebra.  Its coproduct is the library's `coaction` of
-the group acting on itself by right multiplication; the counit, the
-antipode and the adjoint coaction read a table's view.
+group's function algebra, on views: the indicators `basis`, and the
+coproduct, which is the library's `coaction` of the group acting on
+itself by right multiplication; the counit, the antipode and the
+adjoint coaction read a view's entries.
 """
 
 from __future__ import annotations
@@ -43,14 +46,14 @@ from qpb import connection
 from qpb.bundle import coaction
 from qpb.calculus import differential
 from qpb.connection import star_delta
-from qpb.funcs import FormValuedMap, Func, guard_table_size, unravel
+from qpb.funcs import FormValuedMap, guard_table_size, unravel
 from qpb.gauge import BundleAutomorphism
 from qpb.groups import BundleSpec, FiniteGroup, RightAction
 from qpb.kernels import curvature_rows
 from qpb.potentials import _phi_form_valued
 from qpb.report import CheckResult, Report
 from qpb.scalars import ZERO, Scalar, _reduced
-from qpb.views import add_views, gathered, lowest_terms, mul_views, take
+from qpb.views import add_views, canonical, gathered, indicator, lowest_terms, mul_views, take
 
 _nums, _imags, _dens = attrgetter("_a"), attrgetter("_b"), attrgetter("_d")
 
@@ -91,9 +94,9 @@ def _view(shape: tuple[int, ...], values):
     return to_ints(values if isinstance(values, list) else list(values))
 
 
-def func_of(shape: tuple[int, ...], values) -> Func:
-    """The Func of shape `shape` whose row-major entries are the Scalars `values`."""
-    return Func(shape, view=_view(tuple(shape), values))
+def view_of(values):
+    """The canonical view of a list of Scalars, as the library keeps one."""
+    return canonical(*to_ints(values if isinstance(values, list) else list(values)))
 
 
 def map_of(group: FiniteGroup, size: int, degree: int, values) -> FormValuedMap:
@@ -108,33 +111,44 @@ def build(group: FiniteGroup, size: int, degree: int, fn) -> FormValuedMap:
     return map_of(group, size, degree, (fn(*idx) for idx in indices(shape)))
 
 
-def scalars_of(table) -> list[Scalar]:
-    """A table's entries as Scalars, row-major."""
-    return from_ints(*table.view)
+def _view_of(x):
+    """The view of a table, or the view itself."""
+    return x.view if isinstance(x, FormValuedMap) else x
 
 
-def scalar_at(table, *idx: int) -> Scalar:
-    """One entry of a table as a Scalar, through its bounds-checked lookup."""
-    k = table.flat_index(idx)
+def scalars_of(x) -> list[Scalar]:
+    """The entries of a table or a view as Scalars, row-major."""
+    return from_ints(*_view_of(x))
+
+
+def scalar_at(table: FormValuedMap, *idx: int) -> Scalar:
+    """One entry of a table as a Scalar, at an index checked against its shape."""
+    if len(idx) != len(table.shape) or not all(0 <= i < n for i, n in zip(idx, table.shape)):
+        raise ValueError(f"index {idx} out of range for shape {table.shape}")
+    k = 0
+    for i, n in zip(idx, table.shape):
+        k = k * n + i
     d, re, im = table.view
     return from_ints(d, re[k : k + 1], im and im[k : k + 1])[0]
 
 
 def plus(x, y, sign: int = 1):
-    """The table x + sign·y, sign ±1, of two tables of one kind and
-    layout, made from the sum of their views: the library's tables have
-    no sum or difference."""
-    y_view = y.view if sign > 0 else gathered(y.view, lambda part: [-v for v in part])
-    view = add_views(x.view, y_view)
-    if type(x) is Func:
-        return Func(x.shape, view=view)
-    return FormValuedMap(x.group, x.size, x.degree, view=view)
+    """x + sign·y, sign ±1, of two tables of one layout or two views of
+    one length, made from the sum of their views: the library has no
+    sum or difference of tables."""
+    y_view = _view_of(y)
+    if sign < 0:
+        y_view = gathered(y_view, lambda part: [-v for v in part])
+    view = add_views(_view_of(x), y_view)
+    if isinstance(x, FormValuedMap):
+        return FormValuedMap(x.group, x.size, x.degree, view=view)
+    return canonical(*view)
 
 
-def is_zero(table) -> bool:
-    """Whether every entry of a table is zero."""
-    _d, re, im = table.view
-    return im is None and not any(re)
+def is_zero(x) -> bool:
+    """Whether every entry of a table or a view is zero."""
+    _d, re, im = _view_of(x)
+    return (im is None or not any(im)) and not any(re)
 
 
 def scalar(triple: tuple[int, int, int]) -> Scalar:
@@ -251,27 +265,26 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, labels)
 
 
-def tensor_identify(f: Func, g: Func) -> Func:
-    """C(X) tensor C(Y) = C(X x Y): the elementary tensor as a table, each
-    entry of f repeated against the whole of g."""
-    nf, ng = prod(f.shape), prod(g.shape)
+def tensor_identify(f, g):
+    """C(X) tensor C(Y) = C(X x Y): the elementary tensor of two views as
+    the view on X x Y, each entry of f repeated against the whole of g."""
+    nf, ng = len(f[1]), len(g[1])
     guard_table_size(nf * ng)
-    left = gathered(f.view, lambda part: [a for a in part for _ in range(ng)])
-    right = gathered(g.view, lambda part: part * nf)
-    return Func(f.shape + g.shape, view=mul_views(left, right))
+    left = gathered(f, lambda part: [a for a in part for _ in range(ng)])
+    right = gathered(g, lambda part: part * nf)
+    return canonical(*mul_views(left, right))
 
 
-def apply(form: FormValuedMap, alpha: Func) -> Func:
-    """The form paired with a group-algebra element, as a table on point
-    tuples."""
+def apply(form: FormValuedMap, alpha):
+    """The form paired with a group-algebra element, given as a view on
+    the group, as the view on point tuples, row-major."""
     m = form.group.order
-    if alpha.shape != (m,):
-        raise ValueError(f"expected a group table, got shape {alpha.shape}")
+    if len(alpha[1]) != m:
+        raise ValueError(f"expected a view of {m} entries, got {len(alpha[1])}")
     # the group table tiled over the point tuples, then a sum per tuple
     npts = form.size ** (form.degree + 1)
-    products = mul_views(form.view, gathered(alpha.view, lambda part: part * npts))
-    rows = gathered(products, lambda part: map(sum, zip(*[iter(part)] * m)))
-    return Func((form.size,) * (form.degree + 1), view=rows)
+    products = mul_views(form.view, gathered(alpha, lambda part: part * npts))
+    return canonical(*gathered(products, lambda part: list(map(sum, zip(*[iter(part)] * m)))))
 
 
 def trivial_connection(b: BundleSpec) -> FormValuedMap:
@@ -285,35 +298,36 @@ def trivial_connection(b: BundleSpec) -> FormValuedMap:
 
 
 def basis(g: FiniteGroup):
-    """The indicators of the group's elements."""
-    return (Func.indicator((g.order,), (a,)) for a in range(g.order))
+    """The indicators of the group's elements, as views."""
+    return (indicator(g.order, a) for a in range(g.order))
 
 
-def coproduct(g: FiniteGroup, alpha: Func) -> Func:
-    """[coproduct(a)](x, y) = a(xy), a table on G x G: the coaction of G
-    acting on itself by right multiplication."""
+def coproduct(g: FiniteGroup, alpha):
+    """[coproduct(a)](x, y) = a(xy), the view on G x G with (x, y) at
+    x·n + y: the coaction of G acting on itself by right multiplication."""
     return coaction(BundleSpec(g, RightAction(g, g.table)), alpha)
 
 
-def counit(g: FiniteGroup, alpha: Func) -> tuple[int, int, int]:
+def counit(g: FiniteGroup, alpha) -> tuple[int, int, int]:
     """a(e) as its canonical triple (a, b, d)."""
     if g.identity is None:
         raise ValueError("the counit needs a group with an identity")
-    d, re, im = alpha.view
+    d, re, im = alpha
     return lowest_terms(re[g.identity], 0 if im is None else im[g.identity], d)
 
 
-def antipode(g: FiniteGroup, alpha: Func) -> Func:
+def antipode(g: FiniteGroup, alpha):
     """[antipode(a)](x) = a(x^-1)."""
     inverses = [g.inv(x) for x in range(g.order)]
-    return Func((g.order,), view=gathered(alpha.view, take(inverses)))
+    return gathered(alpha, lambda part: list(take(inverses)(part)))
 
 
-def adjoint_coaction(g: FiniteGroup, alpha: Func) -> Func:
-    """[adjoint(a)](x, y) = a(y^-1 x y), a table on G x G."""
+def adjoint_coaction(g: FiniteGroup, alpha):
+    """[adjoint(a)](x, y) = a(y^-1 x y), the view on G x G with (x, y)
+    at x·n + y."""
     n = g.order
     positions = [g.conj(x, y) for x in range(n) for y in range(n)]
-    return Func((n, n), view=gathered(alpha.view, take(positions)))
+    return gathered(alpha, lambda part: list(take(positions)(part)))
 
 
 # ---------------------------------------------------------------------------

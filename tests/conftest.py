@@ -32,9 +32,10 @@ _POOL = [
 ]
 
 
-def support(f) -> list[tuple[int, ...]]:
-    """The index tuples of a table's nonzero entries, in row-major order."""
-    return [idx for idx, v in zip(indices(f.shape), scalars_of(f)) if v]
+def support(view, shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The index tuples of the nonzero entries of a view of a shape, in
+    row-major order."""
+    return [idx for idx, v in zip(indices(shape), scalars_of(view)) if v]
 
 
 def random_scalar(rng: Random) -> Scalar:

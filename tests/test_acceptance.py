@@ -22,7 +22,6 @@ from bridge import (
     curvature,
     cyclic,
     direct_product,
-    func_of,
     inverse,
     is_zero,
     map_of,
@@ -33,6 +32,7 @@ from bridge import (
     scalar_at,
     scalars_of,
     trivial_connection,
+    view_of,
 )
 from conftest import (
     all_gauge_maps,
@@ -90,31 +90,33 @@ def test_criterion_01_hopf_suite():
     for g in groups:
         n, e = g.order, g.identity
         for k, alpha in enumerate(basis(g)):
-            cop = coproduct(g, alpha)
+            # entry (x, y) of a view on G x G is at x·n + y
+            cop = scalars_of(coproduct(g, alpha))
+            values = scalars_of(alpha)
 
             # coassociativity: expanding either leg gives the same triple table
             first_leg = [
-                coproduct(g, func_of((n,), [scalar_at(cop, w, z) for w in range(n)]))
+                scalars_of(coproduct(g, view_of(cop[w * n + z] for w in range(n))))
                 for z in range(n)
             ]
             second_leg = [
-                coproduct(g, func_of((n,), [scalar_at(cop, x, w) for w in range(n)]))
+                scalars_of(coproduct(g, view_of(cop[x * n + w] for w in range(n))))
                 for x in range(n)
             ]
             for x in range(n):
                 for y in range(n):
                     for z in range(n):
-                        lhs = scalar_at(first_leg[z], x, y)
-                        rhs = scalar_at(second_leg[x], y, z)
-                        want = scalars_of(alpha)[g.table[g.table[x][y]][z]]
+                        lhs = first_leg[z][x * n + y]
+                        rhs = second_leg[x][y * n + z]
+                        want = values[g.table[g.table[x][y]][z]]
                         if lhs != rhs or lhs != want:
                             problems.append(("coassociativity", n, k, x, y, z))
 
             # counit laws on both legs
             for x in range(n):
-                row = func_of((n,), [scalar_at(cop, x, w) for w in range(n)])
-                col = func_of((n,), [scalar_at(cop, w, x) for w in range(n)])
-                want = scalars_of(alpha)[x]
+                row = view_of(cop[x * n + w] for w in range(n))
+                col = view_of(cop[w * n + x] for w in range(n))
+                want = values[x]
                 if scalar(counit(g, row)) != want or scalar(counit(g, col)) != want:
                     problems.append(("counit", n, k, x))
 
@@ -122,22 +124,22 @@ def test_criterion_01_hopf_suite():
             # composite evaluates the coproduct at inverse pairs
             eps = scalar(counit(g, alpha))
             for z in range(n):
-                if scalar_at(cop, g.inv(z), z) != eps or scalar_at(cop, z, g.inv(z)) != eps:
+                if cop[g.inv(z) * n + z] != eps or cop[z * n + g.inv(z)] != eps:
                     problems.append(("antipode", n, k, z))
             if antipode(g, antipode(g, alpha)) != alpha:
                 problems.append(("antipode_involution", n, k))
 
             # right adjoint coaction: counit leg and iterated-coaction law
-            ad = adjoint_coaction(g, alpha)
+            ad = scalars_of(adjoint_coaction(g, alpha))
             for x in range(n):
-                if scalar_at(ad, x, e) != scalars_of(alpha)[x]:
+                if ad[x * n + e] != values[x]:
                     problems.append(("adjoint_counit", n, k, x))
             for y in range(n):
-                slice_y = func_of((n,), [scalar_at(ad, w, y) for w in range(n)])
-                ad2 = adjoint_coaction(g, slice_y)
+                slice_y = view_of(ad[w * n + y] for w in range(n))
+                ad2 = scalars_of(adjoint_coaction(g, slice_y))
                 for x in range(n):
                     for z in range(n):
-                        if scalar_at(ad2, x, z) != scalars_of(alpha)[g.conj(x, g.table[z][y])]:
+                        if ad2[x * n + z] != values[g.conj(x, g.table[z][y])]:
                             problems.append(("adjoint_iterate", n, k, x, y, z))
     verdict(1, "hopf suite", problems)
 
@@ -254,12 +256,13 @@ def test_criterion_06_convolution_suite():
         for alpha in basis(g):
             ca = coaction(b, apply(ph, alpha))
             ca_inv = coaction(b, apply(ph_inv, alpha))
+            ca, ca_inv = scalars_of(ca), scalars_of(ca_inv)
             for p in range(n):
                 for a in range(m):
-                    if scalar_at(ca, p, a) != scalars_of(alpha)[g.table[phi[p]][a]]:
+                    if ca[p * m + a] != scalars_of(alpha)[g.table[phi[p]][a]]:
                         problems.append((b.name, "frame coaction", p, a))
                     word = g.table[g.inv(a)][g.inv(phi[p])]
-                    if scalar_at(ca_inv, p, a) != scalars_of(alpha)[word]:
+                    if ca_inv[p * m + a] != scalars_of(alpha)[word]:
                         problems.append((b.name, "inverse coaction", p, a))
     verdict(6, "convolution suite", problems)
 

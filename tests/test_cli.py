@@ -1188,10 +1188,12 @@ def test_cli_curvature_exit_codes_match_check(tmp_path, capsys):
 )
 def test_curvature_cap_window_is_the_connection_forms_entries(key, name, tmp_path, capsys):
     # no route holds a table of the curvature's n³·m entries, so the dump
-    # and the suite run at the n²·m entries of the connection form, 108
-    # on fix_prod (n = 6, m = 3) and 32 on fix_z2 (n = 4, m = 2).  One
-    # entry less stops the form: as a failed build (exit 1) where it is
-    # derived, and as the parsed density (exit 2) where it is declared
+    # and the curvature and connection suites run at the n²·m entries of
+    # the connection form, 108 on fix_prod (n = 6, m = 3) and 32 on fix_z2
+    # (n = 4, m = 2).  One entry less stops the form: as a failed build
+    # (exit 1) where it is derived, a gamma_hat potential's lift to the
+    # total space included, and as the parsed density (exit 2) where it
+    # is declared
     documents = {
         **fixture_documents(),
         "z2_theta.json": theta_payload(),
@@ -1203,8 +1205,11 @@ def test_curvature_cap_window_is_the_connection_forms_entries(key, name, tmp_pat
     entries = b.total_size**2 * b.group.order
     message = f"table of {entries} entries exceeds the cap of {entries - 1}"
     dump = ["curvature", str(path), "--connection", name]
-    suite = ["check", str(path), "--suite", f"curvature:{name}", "--format", "json"]
-    for cmd in (dump, suite):
+    suites = {
+        f"{family}:{name}": ["check", str(path), "--suite", f"{family}:{name}", "--format", "json"]
+        for family in ("curvature", "connection")
+    }
+    for cmd in (dump, *suites.values()):
         status = main(cmd)
         full = capsys.readouterr()
         assert (status, full.err) == (0, "")
@@ -1214,14 +1219,15 @@ def test_curvature_cap_window_is_the_connection_forms_entries(key, name, tmp_pat
     assert main(dump + ["--max-entries", str(entries - 1)]) == 1 + declared
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"qpb: {message}\n")
-    assert main(suite + ["--max-entries", str(entries - 1)]) == 1 + declared
-    out = capsys.readouterr()
-    if declared:
-        assert (out.out, out.err) == ("", f"qpb: {message}\n")
-    else:
-        check = json.loads(out.out)["checks"][0]
-        reason = check["data"]["reason"]
-        assert (check["name"], reason) == (f"curvature:{name}.canonicalized", message)
+    for suite, cmd in suites.items():
+        assert main(cmd + ["--max-entries", str(entries - 1)]) == 1 + declared
+        out = capsys.readouterr()
+        if declared:
+            assert (out.out, out.err) == ("", f"qpb: {message}\n")
+        else:
+            checks = json.loads(out.out)["checks"]
+            failed = [(c["name"], c["data"]["reason"]) for c in checks if c["status"] == "fail"]
+            assert failed == [(f"{suite}.canonicalized", message)]
 
 
 def test_cli_max_entries_cap(tmp_path, capsys):
@@ -1301,12 +1307,47 @@ def test_freeness_and_exactness_caps_bind_at_their_guards(key, tmp_path, capsys)
     assert (status, out.err) == (0, "")
 
 
-@pytest.mark.parametrize("key", [*sorted(fixture_documents()), "s3x2.json"])
+# bench/gen.py's product_doc(0, "Z2", 5): more base points than m², so
+# route 2's held base rows, nb²·m, would exceed n²·m if it held all nb³·m
+Z2X5 = {
+    "format_version": 1,
+    "name": "Z2x5",
+    "group": {"mul": [[0, 1], [1, 0]]},
+    "product_bundle": {"base_size": 5},
+    "connections": [
+        {
+            "name": "cls",
+            "kind": "classical",
+            "transition": [
+                [0, 0, 1, 0, 1],
+                [1, 0, 0, 0, 1],
+                [0, 1, 0, 1, 1],
+                [1, 1, 0, 0, 0],
+                [1, 1, 1, 0, 0],
+            ],
+        },
+        {
+            "name": "rat",
+            "kind": "gamma_hat",
+            "density": [
+                [["0", "0"], ["1/2", "-1/2"], ["1/3", "-1/3"], ["2/3", "-2/3"], ["-1/2", "1/2"]],
+                [["2/3", "-2/3"], ["0", "0"], ["-2/3", "2/3"], ["1/3", "-1/3"], ["2/3", "-2/3"]],
+                [["-1/3", "1/3"], ["-2/3", "2/3"], ["0", "0"], ["-2/3", "2/3"], ["1/2", "-1/2"]],
+                [["-1/2", "1/2"], ["-2/3", "2/3"], ["2/3", "-2/3"], ["0", "0"], ["1/3", "-1/3"]],
+                [["1/3", "-1/3"], ["2/3", "-2/3"], ["2/3", "-2/3"], ["1/2", "-1/2"], ["0", "0"]],
+            ],
+        },
+    ],
+    "gauges": [{"name": "tau", "tau_hat": [0, 1, 0, 1, 0]}],
+}
+
+
+@pytest.mark.parametrize("key", [*sorted(fixture_documents()), "s3x2.json", "z2x5.json"])
 def test_full_check_runs_at_the_connection_forms_entries(key, tmp_path, capsys):
     # no table a full check holds is larger than a connection form's
     # n²·m entries: 108 on fix_prod, 32 on fix_z2, 864 on the S3 x 2
-    # ladder document; one entry less changes the report
-    payload = {**fixture_documents(), "s3x2.json": S3X2_LADDER}[key]
+    # ladder document, 200 on Z2 x 5; one entry less changes the report
+    payload = {**fixture_documents(), "s3x2.json": S3X2_LADDER, "z2x5.json": Z2X5}[key]
     path = tmp_path / key
     path.write_text(json.dumps(payload))
     b = parse_spec(json.dumps(payload)).bundle

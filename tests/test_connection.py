@@ -15,7 +15,6 @@ from bridge import (
     classical_curvature,
     curvature,
     cyclic,
-    func_of,
     is_zero,
     map_of,
     named,
@@ -24,6 +23,7 @@ from bridge import (
     scalars_of,
     to_ints,
     trivial_connection,
+    view_of,
 )
 from conftest import (
     all_gauge_maps,
@@ -46,7 +46,7 @@ from qpb.connection import (
     validate_splitting,
 )
 from qpb.document import parse_spec
-from qpb.funcs import FormValuedMap, Func
+from qpb.funcs import FormValuedMap
 from qpb.gauge import gauge_compose, gauge_inverse
 from qpb.groups import (
     BundleSpec,
@@ -74,7 +74,7 @@ from qpb.potentials import (
 from qpb.report import rejection
 from qpb.runner import run_checks
 from qpb.scalars import ONE, ZERO, Scalar
-from qpb.views import take
+from qpb.views import indicator, take
 from test_golden import S3X2, _gaussian
 
 FRAMED = [fix_z2, fix_s3, fix_prod]
@@ -108,7 +108,7 @@ def test_from_point_table_and_apply():
     assert scalar_at(fv, 2, 0) == ZERO
     assert scalars_of(fv)[1::2] == [ZERO, ZERO, ONE, ONE]
     # pairing against a group table evaluates the frame pointwise
-    out = apply(fv, func_of((2,), [Scalar(3), Scalar(5)]))
+    out = apply(fv, view_of([Scalar(3), Scalar(5)]))
     assert scalars_of(out) == [Scalar(3), Scalar(3), Scalar(5), Scalar(5)]
 
 
@@ -174,8 +174,8 @@ def test_form_valued_map_shape_guards():
     c = FormValuedMap.from_point_table(g, [0, 1, 0])
     with pytest.raises(ValueError, match="different spaces"):
         star_delta(a, c)
-    with pytest.raises(ValueError, match="group table"):
-        apply(a, func_of((3,), [ZERO] * 3))
+    with pytest.raises(ValueError, match="expected a view of 2 entries"):
+        apply(a, view_of([ZERO] * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,8 @@ def test_trivial_connection_hand_values():
     assert scalar_at(theta, 0, 3, 0) == -ONE
     for c in range(2):
         assert scalar_at(theta, 0, 1, c) == ZERO
-    ind_g = Func.indicator((2,), (1,))
-    assert scalar_at(apply(theta, ind_g), 0, 3) == ONE
+    # the pairing's view on point pairs holds (0, 3) at 0·4 + 3
+    assert scalars_of(apply(theta, indicator(2, 1)))[3] == ONE
 
 
 @pytest.mark.parametrize("make", FRAMED)
@@ -441,9 +441,7 @@ def test_splitting_columns_and_apply():
     b = fix_z2()
     sigma = splitting_from_theta(trivial_connection(b), b)
     col = column_form(sigma, 0, 1)
-    assert scalar_at(col, 0, 1) == ZERO
-    assert scalar_at(col, 0, 2) == ONE
-    assert scalar_at(col, 0, 3) == ONE
+    assert col[:4] == [ZERO, ZERO, ONE, ONE]
 
 
 def test_theta_from_splitting_rejects_corrupt_matrix():
@@ -594,16 +592,17 @@ def splitting_of_rows(b, rows: list[list[Scalar]]) -> Splitting:
     return Splitting(b, d, columns)
 
 
-def column_form(sigma, p: int, a: int, rows=None) -> Func:
-    """Column (p, a) of a splitting as its one-form's (n, n) table, zero
-    on the diagonal; `rows` is the splitting's `dense_rows`, read once by
-    a caller that takes many columns."""
+def column_form(sigma, p: int, a: int, rows=None) -> list[Scalar]:
+    """Column (p, a) of a splitting as its one-form's entries on the point
+    pairs, (p0, q0) at p0·n + q0, zero on the diagonal; `rows` is the
+    splitting's `dense_rows`, read once by a caller that takes many
+    columns."""
     n = sigma.bundle.total_size
     k = sigma.cols.index((p, a))
     values = [ZERO] * (n * n)
     for (p0, q0), row in zip(sigma.pairs, dense_rows(sigma) if rows is None else rows):
         values[p0 * n + q0] = row[k]
-    return func_of((n, n), values)
+    return values
 
 
 def reference_splitting_checks(sigma, b):
@@ -641,7 +640,7 @@ def reference_splitting_checks(sigma, b):
         for bb in range(m):
             lhs = column_form(sigma, b.act(p1, g.inv(bb)), g.conj(a1, g.inv(bb)), rows)
             if any(
-                scalar_at(lhs, p, q) != scalar_at(lhs_base, b.act(p, bb), b.act(q, bb))
+                lhs[p * n + q] != lhs_base[b.act(p, bb) * n + b.act(q, bb)]
                 for p in range(n)
                 for q in range(n)
             ):
@@ -777,8 +776,8 @@ def test_curvature_hand_values_classical():
     assert scalar_at(f, 0, 1, 0, 1) == ONE
     assert scalar_at(f, 0, 1, 0, 0) == -ONE
     assert scalar_at(f, 0, 3, 0, 1) == ONE
-    ind_g = Func.indicator((2,), (1,))
-    assert scalar_at(apply(f, ind_g), 0, 1, 0) == ONE
+    # the pairing's view on point triples holds (0, 1, 0) at (0·4 + 1)·4 + 0
+    assert scalars_of(apply(f, indicator(2, 1)))[4] == ONE
 
 
 @pytest.mark.parametrize("make", FRAMED)

@@ -9,36 +9,26 @@ from hypothesis import strategies as st
 from bridge import (
     build,
     cyclic,
-    func_of,
     indices,
     is_zero,
     map_of,
     parts,
     plus,
-    scalar_at,
     scalars_of,
     tensor_identify,
+    view_of,
 )
 from conftest import fix_z2
 from qpb.connection import star_delta
 from qpb.funcs import (
     FormValuedMap,
-    Func,
-    Table,
     first_difference,
     guard_table_size,
     set_max_table_entries,
     unravel,
 )
 from qpb.scalars import ONE, ZERO, Scalar
-
-
-def test_indicator_and_flat_index():
-    f = Func.indicator((2, 3), (1, 2))
-    assert scalar_at(f, 1, 2) == ONE
-    assert scalar_at(f, 0, 0) == ZERO
-    assert sum(1 for v in scalars_of(f) if v) == 1
-    assert f.flat_index((1, 2)) == 5
+from qpb.views import canonical, mul_views
 
 
 def test_indices_row_major():
@@ -46,47 +36,28 @@ def test_indices_row_major():
 
 
 def test_algebra_operations():
-    a = func_of((2,), [Scalar(1), Scalar(2)])
-    b = func_of((2,), [Scalar(3), Scalar(-1)])
+    a = view_of([Scalar(1), Scalar(2)])
+    b = view_of([Scalar(3), Scalar(-1)])
     assert scalars_of(plus(a, b)) == [Scalar(4), Scalar(1)]
     assert scalars_of(plus(a, b, -1)) == [Scalar(-2), Scalar(3)]
-    assert scalars_of(a * b) == [Scalar(3), Scalar(-2)]
-
-
-def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        Func.zeros((2,)) * Func.zeros((3,))
-    with pytest.raises(ValueError, match="does not match shape"):
-        scalar_at(Func.zeros((2, 2)), 1)
-    # one checked lookup for every table kind: a degree-1 map over fix_z2
-    # has shape (4, 4, 2), a degree-1 form on 2 points shape (2, 2, 1)
-    b = fix_z2()
-    theta = map_of(b.group, 4, 1, [ZERO] * 32)
-    assert theta.shape == (4, 4, 2)
-    with pytest.raises(ValueError, match=r"^index \(0, 1\) does not match shape \(4, 4, 2\)$"):
-        scalar_at(theta, 0, 1)
-    for idx in ((0, 4, 0), (-1, 0, 0), (0, 0, 2)):
-        with pytest.raises(ValueError, match="out of range for shape"):
-            scalar_at(theta, *idx)
-    form = map_of(cyclic(1), 2, 1, [ZERO] * 4)
-    assert form.shape == (2, 2, 1)
-    with pytest.raises(ValueError, match=r"^index \(0, 3, 0\) out of range for shape \(2, 2, 1\)$"):
-        scalar_at(form, 0, 3, 0)
+    assert scalars_of(mul_views(a, b)) == [Scalar(3), Scalar(-2)]
 
 
 def test_support():
-    f = func_of((2, 2), [ZERO, ONE, ZERO, Scalar(-1)])
+    f = view_of([ZERO, ONE, ZERO, Scalar(-1)])
     assert not is_zero(f)
-    assert is_zero(Func.zeros((3,)))
+    assert is_zero(view_of([ZERO] * 3))
+    assert is_zero(map_of(cyclic(1), 3, 0, [ZERO] * 3))
 
 
 def test_tensor_identify():
-    a = func_of((2,), [Scalar(1), Scalar(2)])
-    b = func_of((2,), [Scalar(3), Scalar(4)])
-    t = tensor_identify(a, b)
-    assert t.shape == (2, 2)
-    assert scalar_at(t, 1, 0) == Scalar(6)
-    assert scalar_at(t, 0, 1) == Scalar(4)
+    a = view_of([Scalar(1), Scalar(2)])
+    b = view_of([Scalar(3), Scalar(4)])
+    # entry (x, y) of the tensor on X x Y is at x·2 + y
+    t = scalars_of(tensor_identify(a, b))
+    assert len(t) == 4
+    assert t[1 * 2 + 0] == Scalar(6)
+    assert t[0 * 2 + 1] == Scalar(4)
 
 
 def test_entry_cap_guard():
@@ -96,7 +67,7 @@ def test_entry_cap_guard():
     token = set_max_table_entries(10)
     try:
         with pytest.raises(ValueError, match="exceeds the cap"):
-            Func.zeros((11,))
+            FormValuedMap(cyclic(1), 11, 0, view=(1, [0] * 11, None))
         with pytest.raises(ValueError, match="exceeds the cap"):
             guard_table_size(11)
         guard_table_size(10)
@@ -111,7 +82,7 @@ def test_entry_cap_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
-# the shared table base: Func and FormValuedMap
+# the one table type, FormValuedMap
 
 
 @pytest.fixture
@@ -136,15 +107,13 @@ def test_cap_checked_before_values_are_read(cap):
     g = cyclic(2)
     cap(8)
     attempts = [
-        lambda: Func((3, 3), view=(1, _unread(), None)),
+        lambda: FormValuedMap(cyclic(1), 3, 1, view=(1, _unread(), None)),
         lambda: FormValuedMap(g, 3, 1, view=(1, _unread(), None)),
         lambda: build(g, 3, 1, _never),
-        lambda: Func.zeros((9,)),
-        lambda: Func.ones((9,)),
         lambda: star_delta(
             map_of(cyclic(1), 2, 1, [ZERO] * 4), map_of(cyclic(1), 2, 2, [ZERO] * 8)
         ),
-        lambda: tensor_identify(func_of((3,), [ONE] * 3), func_of((3,), [ONE] * 3)),
+        lambda: tensor_identify(view_of([ONE] * 3), view_of([ONE] * 3)),
     ]
     for attempt in attempts:
         with pytest.raises(ValueError, match=r"^table of \d+ entries exceeds the cap of 8$"):
@@ -153,23 +122,18 @@ def test_cap_checked_before_values_are_read(cap):
 
 def test_each_table_keeps_its_messages():
     g = cyclic(2)
-    with pytest.raises(ValueError, match=r"^got 3 values for shape \(2, 2\) \(need 4\)$"):
-        func_of((2, 2), [ONE] * 3)
     with pytest.raises(ValueError, match="^density has 3 entries, expected 8$"):
         map_of(g, 2, 1, [ONE] * 3)
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(2,\) vs \(3,\)$"):
-        Func.zeros((2,)) * Func.zeros((3,))
     with pytest.raises(ValueError, match="^degree must be nonnegative$"):
         map_of(g, 3, -1, [ONE, ONE])
 
 
 def _tables(rng: Random):
-    """Pairs of same-layout tables of each kind, many entries zero."""
+    """Pairs of same-layout tables, many entries zero."""
     pool = [ZERO, ZERO, ZERO, ONE, -ONE, Scalar(Fraction(3, 2)), Scalar(0, 1)]
     g = cyclic(2)
     draw = lambda k: [rng.choice(pool) for _ in range(k)]
     return [
-        (func_of((3, 4), draw(12)), func_of((3, 4), draw(12))),
         (map_of(cyclic(1), 3, 1, draw(9)), map_of(cyclic(1), 3, 1, draw(9))),
         (map_of(g, 3, 1, draw(18)), map_of(g, 3, 1, draw(18))),
     ]
@@ -183,7 +147,7 @@ def test_zero_skipping_sums_match_plain_pointwise_results():
                 got = plus(a, b, sign)
                 plain = [x + sign * y for x, y in zip(scalars_of(a), scalars_of(b))]
                 assert type(got) is type(a)
-                assert got._layout() == a._layout()
+                assert (got.group, got.size, got.degree) == (a.group, a.size, a.degree)
                 assert scalars_of(got) == plain
                 assert [str(v) for v in scalars_of(got)] == [str(v) for v in plain]
             assert is_zero(plus(a, a, -1))
@@ -191,23 +155,24 @@ def test_zero_skipping_sums_match_plain_pointwise_results():
 
 def test_equality_is_type_exact():
     values = [ONE, ZERO, ZERO, ONE]
-    func = func_of((2, 2, 1), list(values))
     fv = map_of(cyclic(1), 2, 1, list(values))
-    assert fv.shape == func.shape
-    assert fv != func and func != fv
-    assert func == func_of((2, 2, 1), list(values))
+    # a degree-1 form on 2 points has shape (2, 2, 1), a degree-1 map
+    # over fix_z2's group on its 4 points (4, 4, 2)
+    assert fv.shape == (2, 2, 1)
+    assert map_of(fix_z2().group, 4, 1, [ZERO] * 32).shape == (4, 4, 2)
+    # a map never equals its own view, nor a map of another layout
+    assert fv != fv.view and fv.view != fv
     assert fv == map_of(cyclic(1), 2, 1, list(values))
     assert fv != map_of(cyclic(1), 4, 0, list(values))
     # a map's density is its values, read through the same property, one
     # canonical triple (a, b, d) per entry
-    assert FormValuedMap.density is Table.values
+    assert FormValuedMap.density is FormValuedMap.values
     assert fv.density == fv.values == [(1, 0, 1), (0, 0, 1), (0, 0, 1), (1, 0, 1)]
     assert scalars_of(fv) == values
 
 
 def test_a_view_is_kept_without_a_copy():
     re, im = [1, 0], [0, 2]
-    assert Func((2,), view=(1, re, None)).view[1] is re
     fv = FormValuedMap(cyclic(2), 1, 0, view=(3, re, im))
     assert fv.view[1] is re and fv.view[2] is im
     assert scalars_of(fv) == [Scalar(Fraction(1, 3)), Scalar(0, Fraction(2, 3))]
@@ -233,8 +198,7 @@ def _pairs(draw):
 
 
 def _brute_first_difference(shape, lhs, rhs):
-    f, g = func_of(shape, lhs), func_of(shape, rhs)
-    return next((i for i in indices(shape) if scalar_at(f, *i) != scalar_at(g, *i)), None)
+    return next((i for i, x, y in zip(indices(shape), lhs, rhs) if x != y), None)
 
 
 @PROPERTIES
@@ -249,7 +213,7 @@ def test_first_difference_matches_a_brute_force_scan(case):
     # iterators are read up to the first difference and no further
     left, right = iter(lhs), iter(rhs)
     assert first_difference((1, left, None), (1, right, None), shape) == expected
-    stop = len(lhs) if expected is None else Func(shape, view=(1, lhs, None)).flat_index(expected) + 1
+    stop = len(lhs) if expected is None else list(indices(shape)).index(expected) + 1
     assert list(left) == lhs[stop:]
     assert list(right) == rhs[stop:]
 
@@ -288,7 +252,8 @@ def _scalar_tables(draw):
 @example(((1, 2), [Scalar(0, 1), ONE], [Scalar(0, 1), Scalar(1, 1)]))  # only im differs
 def test_property_the_view_decides_equality_and_witnesses_and_gives_the_values(case):
     shape, lhs, rhs = case
-    a, b = func_of(shape, lhs), func_of(shape, rhs)
+    # the entries as a degree-0 map over the one-element group
+    a, b = (map_of(cyclic(1), len(values), 0, values) for values in (lhs, rhs))
     assert (a == b) == (lhs == rhs)
     expected = next((unravel(k, shape) for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
     assert first_difference(a.view, b.view, shape) == expected
@@ -307,15 +272,15 @@ def test_property_the_view_decides_equality_and_witnesses_and_gives_the_values(c
 @example(((2,), [Scalar(0, 1), Scalar(Fraction(1, 6))], [Scalar(0, 1), Scalar(Fraction(-1, 10), 2)]))
 def test_property_view_arithmetic_matches_scalar_arithmetic(case):
     shape, lhs, rhs = case
-    a, b = func_of(shape, lhs), func_of(shape, rhs)
+    a, b = view_of(lhs), view_of(rhs)
     for got, want in (
         (plus(a, b), [x + y for x, y in zip(lhs, rhs)]),
         (plus(a, b, -1), [x - y for x, y in zip(lhs, rhs)]),
-        (a * b, [x * y for x, y in zip(lhs, rhs)]),
+        (mul_views(a, b), [x * y for x, y in zip(lhs, rhs)]),
     ):
         assert scalars_of(got) == want
         assert [str(v) for v in scalars_of(got)] == [str(v) for v in want]
-        assert got == func_of(shape, want)
+        assert canonical(*got) == view_of(want)
 
 
 @PROPERTIES
@@ -323,10 +288,8 @@ def test_property_view_arithmetic_matches_scalar_arithmetic(case):
 @example([1, 3, 1])
 def test_unravel_inverts_the_row_major_order(dims):
     shape = tuple(dims)
-    table = Func.zeros(shape)
     for flat, idx in enumerate(indices(shape)):
         assert unravel(flat, shape) == idx
-        assert table.flat_index(idx) == flat
     for flat in (-1, prod(shape)):
         with pytest.raises(ValueError, match="out of range"):
             unravel(flat, shape)

@@ -26,6 +26,7 @@ from bridge import (
     curvature,
     cyclic,
     from_ints,
+    indices,
     is_zero,
     map_of,
     parts,
@@ -54,13 +55,15 @@ def reference_differential(f: FormValuedMap) -> FormValuedMap:
     time, on a form over the one-element group."""
     assert f.group.order == 1
     values = scalars_of(f)
+    # each point tuple's row-major position; the group axis has length 1
+    position = {idx: k for k, idx in enumerate(indices(f.shape[:-1]))}
 
     def fn(*idx):
         points = idx[:-1]
         acc = ZERO
         sign = 1
         for j in range(len(points)):
-            v = values[f.flat_index(points[:j] + points[j + 1 :] + (0,))]
+            v = values[position[points[:j] + points[j + 1 :]]]
             if v:
                 acc = acc + v if sign > 0 else acc - v
             sign = -sign
@@ -410,11 +413,11 @@ def test_property_int_view_round_trip(values):
 
 
 def test_a_base_potentials_held_rows_are_guarded_at_their_entries():
-    # route 2 reads a base potential's curvature rows once per pair of
-    # points over them, so it holds them: nb³·m = 24 entries on fix_prod
+    # route 2 holds a base potential's curvature rows from πp while p's
+    # pairs are read: nb²·m = 12 entries on fix_prod
     b = fix_prod()
     gh = random_base_potential(b.group, b.base.size, Random(3))
-    held = b.base.size**3 * b.group.order
+    held = b.base.size**2 * b.group.order
     expected = potential_curvature(gh, b)
     token = set_max_table_entries(held - 1)
     try:
@@ -437,8 +440,8 @@ def test_cap_fires_before_a_kernel_allocates_its_output():
     # entries, a list of 8 MB of pointers.  ⋆ and d of it would make that
     # list, so their guards must stop them before it exists.  The three
     # curvature routes hold one pair's rows at a time, and route 2 the
-    # 40³·2 rows of its 40 base points, so they run under the cap and
-    # drain far below that list
+    # rows from one of its 40 base points, 40²·2 entries, so they run
+    # under the cap and drain far below that list
     g = GROUPS["Z2"]
     n = 80
     theta = map_of(g, n, 1, [ZERO] * (n * n * 2))

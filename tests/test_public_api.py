@@ -54,9 +54,7 @@ KEEP = {
 }
 
 KEEP_METHODS = {
-    "qpb.funcs.Table.values": "bench: layertrace counts differential's output entries by it",
-    "qpb.funcs.Func._length_error": "input: a view of the wrong length",
-    "qpb.funcs.FormValuedMap._length_error": "input: a density of the wrong length",
+    "qpb.funcs.FormValuedMap.values": "bench: layertrace counts differential's output entries by it",
     "qpb.gauge.BundleAutomorphism.__eq__": "item 5: its composition check compares automorphisms",
     "qpb.linalg.SubspaceBasis.contains": "item 5: the abstract's claim that the coinvariants are C(B)",
     "qpb.scalars.Scalar.__init__": "bench: a Scalar dunder; in process it runs at import only",
