@@ -18,8 +18,6 @@ builds no matrix loads neither.
 
 from __future__ import annotations
 
-import itertools
-
 from .funcs import first_difference, guard_table_size
 from .groups import BundleSpec, fixed_point_witness
 from .report import CheckResult, Report
@@ -47,7 +45,7 @@ __all__ = [
 def coaction(b: BundleSpec, f):
     """[coaction(f)](p, a) = f(p acted by a): the view on P x G, with
     (p, a) at p·m + a, of a view on the total space."""
-    return _pulled_back(f, list(itertools.chain.from_iterable(b.action.table)))
+    return _pulled_back(f, b.action.flat)
 
 
 def check_comodule_algebra(b: BundleSpec) -> Report:
@@ -68,9 +66,8 @@ def check_comodule_algebra(b: BundleSpec) -> Report:
     # indicator, as flat gathers of t's (point, group element) rows; the
     # positions of each gather and each side are lists of n·m² entries
     guard_table_size(n * m * m)
-    act, mul = b.action.table, g.table
-    moved = [x * m + c for row in act for x in row for c in range(m)]
-    multiplied = [p * m + ac for p in range(n) for row in mul for ac in row]
+    moved = [x * m + c for x in b.action.flat for c in range(m)]
+    multiplied = [p * m + ac for p in range(n) for row in g.table for ac in row]
     coassoc_witness = None
     for tq in coactions:
         lhs, rhs = _pulled_back(tq, moved), _pulled_back(tq, multiplied)

@@ -24,7 +24,8 @@ except ImportError:
         from hashlib import sha256
 
 from .funcs import FormValuedMap
-from .groups import BundleSpec, FiniteGroup, GaugeMap, RightAction, TransitionMap, make_product
+from .groups import BundleSpec, FiniteGroup, GaugeMap, IndexTableError, RightAction
+from .groups import TransitionMap, make_product
 from .views import parse_scalar
 
 __all__ = ["SpecDocument", "ConnectionDecl", "GaugeDecl", "SpecError", "parse_spec"]
@@ -121,10 +122,16 @@ def parse_spec(text: str) -> SpecDocument:
     return SpecDocument(name, group, bundle, connections, gauges, digest)
 
 
-def _index(v, bound: int, path: str) -> None:
-    """Raise unless v is an int (not a bool) in range(bound)."""
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
-        raise SpecError("index out of range", path)
+def _built(path: str, row_message: str | None, build, *args):
+    """build(*args), whose constructor checks its index table; the table's
+    IndexTableError becomes a SpecError at the path of the bad row, with
+    `row_message`, or of the bad entry.  A flat table passes no
+    row_message, as its length is checked before it is built."""
+    try:
+        return build(*args)
+    except IndexTableError as exc:
+        message = row_message if row_message and len(exc.at) == 1 else "index out of range"
+        raise SpecError(message, path + "".join(f"[{k}]" for k in exc.at)) from None
 
 
 def _no_extra_keys(spec: dict, allowed: set[str], prefix: str) -> None:
@@ -142,11 +149,7 @@ def _parse_group(raw: dict) -> FiniteGroup:
     if not isinstance(mul, list) or not mul:
         raise SpecError("group needs a non-empty mul table", "group.mul")
     order = len(mul)
-    for i, row in enumerate(mul):
-        if not isinstance(row, list) or len(row) != order:
-            raise SpecError(f"mul row must have {order} entries", f"group.mul[{i}]")
-        for j, v in enumerate(row):
-            _index(v, order, f"group.mul[{i}][{j}]")
+    group = _built("group.mul", f"mul row must have {order} entries", FiniteGroup, mul)
     labels = spec.get("labels")
     if labels is not None:
         if (
@@ -159,7 +162,8 @@ def _parse_group(raw: dict) -> FiniteGroup:
     declared = spec.get("order")
     if declared is not None and declared != order:
         raise SpecError(f"declared order {declared} but mul table has {order} rows", "group.order")
-    return FiniteGroup([list(r) for r in mul], labels)
+    group.labels = labels
+    return group
 
 
 def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
@@ -183,13 +187,9 @@ def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
         if not isinstance(act, list) or not act:
             raise SpecError("action needs a non-empty act table", "action.act")
         n = len(act)
-        for p, row in enumerate(act):
-            if not isinstance(row, list) or len(row) != group.order:
-                raise SpecError(
-                    f"act row must have {group.order} entries", f"action[{p}]"
-                )
-            for a, q in enumerate(row):
-                _index(q, n, f"action[{p}][{a}]")
+        action = _built(
+            "action.act", f"act row must have {group.order} entries", RightAction, group, act
+        )
         declared = action_spec.get("total_size")
         if declared is not None and declared != n:
             raise SpecError(
@@ -197,7 +197,7 @@ def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
                 "action.total_size",
             )
         _no_extra_keys(action_spec, {"act", "total_size"}, "action")
-        bundle = BundleSpec(group, RightAction(group, [list(r) for r in act]))
+        bundle = BundleSpec(group, action)
 
     triv = raw.get("trivialization")
     if triv is not None:
@@ -208,10 +208,8 @@ def _parse_bundle(raw: dict, group: FiniteGroup) -> BundleSpec:
             raise SpecError(
                 f"phi must list {bundle.total_size} group indices", "trivialization.phi"
             )
-        for p, a in enumerate(phi):
-            _index(a, group.order, f"trivialization.phi[{p}]")
+        bundle = _built("trivialization.phi", None, bundle.with_phi, phi)
         _no_extra_keys(triv, {"phi"}, "trivialization")
-        bundle = bundle.with_phi(list(phi))
 
     bundle.name = raw.get("name")
     return bundle
@@ -295,15 +293,9 @@ def _parse_connections(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> lis
             nb = bundle.base.size
             if not isinstance(table, list) or len(table) != nb:
                 raise SpecError(f"transition must have {nb} rows", f"{path}.transition")
-            for x, row in enumerate(table):
-                if not isinstance(row, list) or len(row) != nb:
-                    raise SpecError(
-                        f"transition row must have {nb} entries", f"{path}.transition[{x}]"
-                    )
-                for y, v in enumerate(row):
-                    _index(v, group.order, f"{path}.transition[{x}][{y}]")
+            row = f"transition row must have {nb} entries"
             payload: FormValuedMap | TransitionMap
-            payload = TransitionMap(group, [list(r) for r in table])
+            payload = _built(f"{path}.transition", row, TransitionMap, group, table)
         else:
             # gamma_hat lives on the base; gamma and theta on the total space
             size = bundle.base.size if kind == "gamma_hat" else bundle.total_size
@@ -330,8 +322,7 @@ def _parse_gauges(raw: dict, group: FiniteGroup, bundle: BundleSpec) -> list[Gau
         nb = bundle.base.size
         if not isinstance(table, list) or len(table) != nb:
             raise SpecError(f"tau_hat must list {nb} group indices", f"{path}.tau_hat")
-        for x, v in enumerate(table):
-            _index(v, group.order, f"{path}.tau_hat[{x}]")
+        gauge = _built(f"{path}.tau_hat", None, GaugeMap, group, table)
         _no_extra_keys(spec, {"name", "tau_hat"}, path)
-        out.append(GaugeDecl(gname, GaugeMap(group, list(table))))
+        out.append(GaugeDecl(gname, gauge))
     return out

@@ -10,7 +10,7 @@ a document that declares one does not load this module.
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, GaugeMap
+from .groups import FiniteGroup, GaugeMap, check_table
 from .report import CheckResult, Report
 
 __all__ = [
@@ -40,16 +40,7 @@ class BundleAutomorphism:
     """A base-fixing point map on B x G: (x, a) -> (x, trans[x][a])."""
 
     def __init__(self, group: FiniteGroup, trans: list[list[int]]):
-        for x, row in enumerate(trans):
-            if len(row) != group.order:
-                raise ValueError(
-                    f"translation row {x} has length {len(row)}, expected {group.order}"
-                )
-            for a, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < group.order:
-                    raise ValueError(
-                        f"translation entry out of range at ({x}, {a}): {v!r}"
-                    )
+        check_table(trans, group.order, group.order, "translation")
         self.group = group
         self.base_size = len(trans)
         self.trans = [list(row) for row in trans]

@@ -2,8 +2,9 @@
 and the tables a document builds over them.
 
 Elements are integer indices into the table.  Construction validates
-shape only; the group axioms themselves are checked by validate_group,
-which reports witnesses instead of raising.  A bundle (`BundleSpec`,
+shape only, each index table once by `check_table` or `check_indices`;
+the group axioms themselves are checked by validate_group, which
+reports witnesses instead of raising.  A bundle (`BundleSpec`,
 its `BaseSpace` and `make_product`), a transition map and a gauge map
 are data over a group and an action, so they live here too: a parsed
 document holds them without loading the checkers of `bundle` and
@@ -17,6 +18,9 @@ import itertools
 from .report import CheckResult, Report
 
 __all__ = [
+    "IndexTableError",
+    "check_table",
+    "check_indices",
     "FiniteGroup",
     "RightAction",
     "TransitionMap",
@@ -31,6 +35,40 @@ __all__ = [
 ]
 
 
+class IndexTableError(ValueError):
+    """A malformed index table; `at` locates the bad row as (i,) or the bad
+    entry as (i, j), or as (j,) in a flat table."""
+
+    def __init__(self, message: str, at: tuple[int, ...]):
+        self.at = at
+        super().__init__(f"{message} at " + "".join(f"[{k}]" for k in at))
+
+
+def check_table(rows, width: int, bound: int, what: str) -> None:
+    """Raise unless every row is a list of `width` indices in range(bound),
+    rows checked in order, each before its entries."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            raise IndexTableError(f"{what} row is not a list of {width} indices", (i,))
+        j = _first_bad(row, bound)
+        if j is not None:
+            raise IndexTableError(f"{what} entry {row[j]!r} out of range({bound})", (i, j))
+
+
+def check_indices(values, bound: int, what: str) -> None:
+    """Raise unless every value is an index in range(bound)."""
+    j = _first_bad(values, bound)
+    if j is not None:
+        raise IndexTableError(f"{what} entry {values[j]!r} out of range({bound})", (j,))
+
+
+def _first_bad(values, bound: int) -> int | None:
+    # an index is an int in range, never a bool
+    return next(
+        (j for j, v in enumerate(values) if type(v) is not int or not 0 <= v < bound), None
+    )
+
+
 class FiniteGroup:
     """A finite group presented by its full multiplication table."""
 
@@ -38,12 +76,7 @@ class FiniteGroup:
         n = len(mul_table)
         if n == 0:
             raise ValueError("multiplication table is empty")
-        for i, row in enumerate(mul_table):
-            if len(row) != n:
-                raise ValueError(f"mul table row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise ValueError(f"mul table entry out of range at row {i}, column {j}: {v!r}")
+        check_table(mul_table, n, n, "mul")
         if labels is not None and len(labels) != n:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
         self.order = n
@@ -161,19 +194,12 @@ class RightAction:
         n = len(act_table)
         if n == 0:
             raise ValueError("action table is empty")
-        for p, row in enumerate(act_table):
-            if len(row) != group.order:
-                raise ValueError(
-                    f"action table row {p} has length {len(row)}, expected {group.order}"
-                )
-            for a, q in enumerate(row):
-                if not isinstance(q, int) or not 0 <= q < n:
-                    raise ValueError(
-                        f"action table entry out of range at row {p}, column {a}: {q!r}"
-                    )
+        check_table(act_table, group.order, n, "act")
         self.group = group
         self.total_size = n
         self.table = [list(row) for row in act_table]
+        # p acted by a at p·m + a, gathered by every coaction
+        self.flat = [q for row in self.table for q in row]
 
 
 class TransitionMap:
@@ -181,14 +207,7 @@ class TransitionMap:
 
     def __init__(self, group: FiniteGroup, table: list[list[int]]):
         nb = len(table)
-        for x, row in enumerate(table):
-            if len(row) != nb:
-                raise ValueError(f"transition row {x} has length {len(row)}, expected {nb}")
-            for y, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < group.order:
-                    raise ValueError(
-                        f"transition entry out of range at ({x}, {y}): {v!r}"
-                    )
+        check_table(table, nb, group.order, "transition")
         self.group = group
         self.base_size = nb
         self.table = [list(row) for row in table]
@@ -234,9 +253,7 @@ class BundleSpec:
                 raise ValueError(
                     f"phi has {len(phi)} entries for {action.total_size} points"
                 )
-            for p, a in enumerate(phi):
-                if not isinstance(a, int) or not 0 <= a < group.order:
-                    raise ValueError(f"phi entry out of range at point {p}: {a!r}")
+            check_indices(phi, group.order, "phi")
         self.group = group
         self.action = action
         self.total_size = action.total_size
@@ -270,9 +287,7 @@ class GaugeMap:
     """A table of group elements indexed by base points."""
 
     def __init__(self, group: FiniteGroup, table: list[int]):
-        for x, a in enumerate(table):
-            if not isinstance(a, int) or not 0 <= a < group.order:
-                raise ValueError(f"gauge entry out of range at base point {x}: {a!r}")
+        check_indices(table, group.order, "tau_hat")
         self.group = group
         self.base_size = len(table)
         self.table = list(table)

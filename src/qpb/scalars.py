@@ -42,10 +42,6 @@ class Scalar:
             if other is NotImplemented:
                 return NotImplemented
         d, e = self._d, other._d
-        if d == 1 and e == 1:
-            return _make(self._a + other._a, self._b + other._b, 1)
-        if d == e:
-            return _reduced(self._a + other._a, self._b + other._b, d)
         return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
@@ -56,10 +52,6 @@ class Scalar:
             if other is NotImplemented:
                 return NotImplemented
         d, e = self._d, other._d
-        if d == 1 and e == 1:
-            return _make(self._a - other._a, self._b - other._b, 1)
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
         return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
@@ -74,14 +66,7 @@ class Scalar:
             if other is NotImplemented:
                 return NotImplemented
         a, b, x, y = self._a, self._b, other._a, other._b
-        if not b and not y:
-            re, im = a * x, 0
-        else:
-            re, im = a * x - b * y, a * y + b * x
-        d = self._d * other._d
-        if d == 1:
-            return _make(re, im, 1)
-        return _reduced(re, im, d)
+        return _reduced(a * x - b * y, a * y + b * x, self._d * other._d)
 
     __rmul__ = __mul__
 

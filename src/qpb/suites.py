@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from math import gcd
 
 from . import connection, potentials
 from .bundle import psi_apply, psi_inverse, validate_trivialization
@@ -213,7 +212,9 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
                 for c in itertools.compress(range(m), hits):
                     first[c] = first[c] or (c, p, q, r)
         for (name, dk, _), other in zip(routes, compared):
-            agree[name] = agree[name] and _same_values(d, block, dk, other)
+            agree[name] = agree[name] and (
+                first_difference((d, *block), (dk, *other), (n, m)) is None
+            )
 
     witness = next(filter(None, first), None)
     out = [CheckResult(f"{suite}.form_validity", witness is None, witness)]
@@ -230,18 +231,6 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
         )
     out.append(CheckResult(f"{suite}.computed", True, data={"nonzero": not flat}))
     return out
-
-
-def _same_values(dx: int, x, dy: int, y) -> bool:
-    """Whether two pairs' rows (re, im) over the denominators dx and dy
-    hold the same values, compared cross-multiplied; an absent part is zero."""
-    g = gcd(dx, dy)
-    zeros = [0] * len(x[0])
-
-    def scaled(part, k):
-        return zeros if part is None else part if k == 1 else [k * v for v in part]
-
-    return all(scaled(u, dy // g) == scaled(v, dx // g) for u, v in zip(x, y))
 
 
 def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> list[CheckResult]:

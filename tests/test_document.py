@@ -94,8 +94,8 @@ def test_action_entry_diagnostic():
     payload = doc_payload("fix_z2.json")
     payload["action"]["act"][3][1] = 7
     err = parse_error(payload)
-    assert str(err) == "index out of range at action[3][1]"
-    assert err.path == "action[3][1]"
+    assert str(err) == "index out of range at action.act[3][1]"
+    assert err.path == "action.act[3][1]"
 
 
 def test_invalid_json_reports_position():
@@ -189,7 +189,7 @@ def test_product_bundle_errors():
 def test_action_shape_errors():
     payload = doc_payload("fix_z2.json")
     payload["action"]["act"][1] = [1]
-    assert parse_error(payload).path == "action[1]"
+    assert parse_error(payload).path == "action.act[1]"
 
     payload = doc_payload("fix_z2.json")
     payload["action"]["total_size"] = 5
@@ -379,3 +379,108 @@ def test_gauge_declaration_errors():
     payload = doc_payload("fix_z2.json")
     payload["gauges"] = "flip"
     assert parse_error(payload).path == "gauges"
+
+
+# ---------------------------------------------------------------------------
+# index tables: every fault of every table, as the command line reports it
+
+
+def _set(path: tuple, value):
+    """A change to fix_z2.json setting the entry at `path` to `value`."""
+
+    def change(payload):
+        *head, last = path
+        node = payload
+        for key in head:
+            node = node[key]
+        node[last] = value
+
+    return change
+
+
+_TABLES = {
+    # table: (its path in fix_z2.json, the message of a row or length fault)
+    "mul": (("group", "mul"), "mul row must have 2 entries"),
+    "act": (("action", "act"), "act row must have 2 entries"),
+    "transition": (("connections", 0, "transition"), "transition row must have 2 entries"),
+    "phi": (("trivialization", "phi"), "phi must list 4 group indices"),
+    "tau_hat": (("gauges", 0, "tau_hat"), "tau_hat must list 2 group indices"),
+}
+
+
+def _where(path: tuple) -> str:
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def _index_cases():
+    for table, (path, shape_message) in _TABLES.items():
+        flat = table in ("phi", "tau_hat")
+        # a ragged row, or for a flat table a wrong length
+        if flat:
+            yield table, "ragged", _set(path, [0]), f"{shape_message} at {_where(path)}"
+        else:
+            yield table, "ragged", _set((*path, 1), [0]), f"{shape_message} at {_where((*path, 1))}"
+        # the bound of act is the 4 points, of every other table the 2 elements
+        bound = 4 if table == "act" else 2
+        for fault, value in (("range", bound), ("negative", -1), ("bool", True), ("string", "0")):
+            at = (*path, 1) if flat else (*path, 1, 0)
+            yield table, fault, _set(at, value), f"index out of range at {_where(at)}"
+
+
+def _both(first, second):
+    def change(payload):
+        first(payload)
+        second(payload)
+
+    return change
+
+
+_FIRST_OF_TWO = {
+    # a bad mul entry is reported before bad labels
+    "mul-then-labels": (
+        _both(_set(("group", "mul", 0, 1), 5), _set(("group", "labels"), ["e"])),
+        "index out of range at group.mul[0][1]",
+    ),
+    # a bad act entry is reported before a wrong total_size
+    "act-then-total_size": (
+        _both(_set(("action", "act", 3, 1), 9), _set(("action", "total_size"), 5)),
+        "index out of range at action.act[3][1]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [pytest.param(change, line, id=f"{table}-{fault}") for table, fault, change, line in _index_cases()]
+    + [pytest.param(change, line, id=name) for name, (change, line) in _FIRST_OF_TWO.items()],
+)
+def test_each_index_table_fault_is_one_stderr_line(change, line, tmp_path, capsys):
+    from qpb.cli import main
+
+    payload = doc_payload("fix_z2.json")
+    change(payload)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"qpb: {line}\n")
+
+
+def test_parsing_checks_each_index_table_once(monkeypatch):
+    import qpb.groups as groups
+
+    text = json.dumps(doc_payload("fix_z2.json"))
+    seen = []
+    for name in ("check_table", "check_indices"):
+        checker = getattr(groups, name)
+
+        def counted(values, *args, _checker=checker):
+            seen.append(args[-1])
+            return _checker(values, *args)
+
+        monkeypatch.setattr(groups, name, counted)
+    parse_spec(text)
+    assert sorted(seen) == ["act", "mul", "phi", "tau_hat", "transition"]

@@ -293,3 +293,32 @@ def test_unravel_inverts_the_row_major_order(dims):
     for flat in (-1, prod(shape)):
         with pytest.raises(ValueError, match="out of range"):
             unravel(flat, shape)
+
+
+def _unreduced(view, k: int, explicit_zeros: bool):
+    """The view with every part and its denominator scaled by k, an absent
+    imaginary part written as zeros when `explicit_zeros`."""
+    d, re, im = view
+    if im is None and explicit_zeros:
+        im = [0] * len(re)
+    return d * k, [k * v for v in re], None if im is None else [k * v for v in im]
+
+
+@VIEW_PROPERTIES
+@given(
+    _scalar_tables(),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.booleans(), st.booleans()),
+)
+@example(((2,), [ONE, ZERO], [ONE, ZERO]), (2, 3), (True, False))  # equal, scaled apart
+@example(((2,), [ONE, ZERO], [ONE, Scalar(0, 1)]), (1, 4), (True, False))  # im only
+def test_property_first_difference_reads_unreduced_views(case, scales, zeros):
+    # the curvature routes compare a point pair's rows over their own
+    # denominators, with or without an imaginary part written out
+    shape, lhs, rhs = case
+    views = [
+        _unreduced(view_of(values), k, z) for values, k, z in zip((lhs, rhs), scales, zeros)
+    ]
+    expected = next((unravel(k, shape) for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+    assert first_difference(*views, shape) == expected
+    assert (expected is None) == (lhs == rhs)

@@ -101,7 +101,7 @@ def test_non_bijective_fiber_map_rejected():
 
 def test_automorphism_constructor_guards():
     g = fix_z2().group
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match="translation row is not a list of 2 indices"):
         BundleAutomorphism(g, [[0]])
     with pytest.raises(ValueError, match="out of range"):
         BundleAutomorphism(g, [[0, 5]])

@@ -5,7 +5,10 @@ import pytest
 from bridge import cyclic, direct_product, label, named
 from qpb.groups import (
     FiniteGroup,
+    IndexTableError,
     RightAction,
+    check_indices,
+    check_table,
     symmetric,
     validate_action,
     validate_group,
@@ -104,12 +107,47 @@ def test_group_without_identity_reported():
 
 
 def test_group_constructor_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="row 1 has length"):
+    with pytest.raises(IndexTableError, match=r"^mul row is not a list of 2 indices at \[1\]$"):
         FiniteGroup([[0, 1], [1]])
-    with pytest.raises(ValueError, match="out of range at row 0, column 1"):
+    with pytest.raises(IndexTableError, match=r"^mul entry 7 out of range\(2\) at \[0\]\[1\]$"):
         FiniteGroup([[0, 7], [1, 0]])
     with pytest.raises(ValueError, match="empty"):
         FiniteGroup([])
+
+
+@pytest.mark.parametrize(
+    "rows, at",
+    [
+        ([[0, 1], [1]], (1,)),
+        ([[0, 1], (1, 0)], (1,)),
+        ([[0, 1], None], (1,)),
+        ([[0, 2], [1, 0]], (0, 1)),
+        ([[0, 1], [-1, 0]], (1, 0)),
+        ([[0, 1], [1, True]], (1, 1)),
+        ([[0, "1"], [1, 0]], (0, 1)),
+        ([[0, 1.0], [1, 0]], (0, 1)),
+        # a row is checked before the next row's shape
+        ([[0, 5], [1]], (0, 1)),
+    ],
+)
+def test_check_table_locates_the_first_bad_row_or_entry(rows, at):
+    with pytest.raises(IndexTableError) as err:
+        check_table(rows, 2, 2, "mul")
+    assert err.value.at == at
+    assert str(err.value).endswith(" at " + "".join(f"[{k}]" for k in at))
+
+
+@pytest.mark.parametrize("values, at", [([0, 2], (1,)), ([-1], (0,)), ([0, False], (1,)), (["0"], (0,))])
+def test_check_indices_locates_the_first_bad_entry(values, at):
+    with pytest.raises(IndexTableError) as err:
+        check_indices(values, 2, "phi")
+    assert err.value.at == at
+
+
+def test_the_checkers_accept_every_table_of_indices_in_range():
+    check_table([[0, 1], [1, 0]], 2, 2, "mul")
+    check_table([], 2, 2, "mul")
+    check_indices([1, 0, 1], 2, "phi")
 
 
 def test_conjugation_convention():
@@ -154,7 +192,7 @@ def test_right_action_freeness_witness():
 
 def test_action_constructor_rejects_bad_shapes():
     g = cyclic(2)
-    with pytest.raises(ValueError, match="row 0 has length"):
+    with pytest.raises(IndexTableError, match=r"^act row is not a list of 2 indices at \[0\]$"):
         RightAction(g, [[0], [1, 0]])
-    with pytest.raises(ValueError, match="out of range at row 1, column 1"):
+    with pytest.raises(IndexTableError, match=r"^act entry 9 out of range\(2\) at \[1\]\[1\]$"):
         RightAction(g, [[0, 1], [1, 9]])

@@ -49,7 +49,6 @@ KEEP = {
     "qpb.gauge.gauge_compose": "item 5: the gauge group laws of acceptance criterion 10",
     "qpb.gauge.gauge_inverse": "item 5: the gauge group laws of acceptance criterion 10",
     "qpb.gauge._check_same": "item 5: gauge_compose's operand check",
-    "qpb.scalars._reduced": "bench: the Scalar dunders that layertrace wraps reduce through it",
     "qpb.scalars._coerce": "bench: the Scalar dunders that layertrace wraps take ints through it",
 }
 
