@@ -19,7 +19,7 @@ builds no matrix loads neither.
 from __future__ import annotations
 
 from .funcs import first_difference, guard_table_size
-from .groups import BundleSpec, fixed_point_witness
+from .groups import BundleSpec, _composed, fixed_point_witness
 from .report import CheckResult, Report
 from .views import gathered, indicator, mul_views
 
@@ -168,15 +168,9 @@ def validate_trivialization(b: BundleSpec) -> Report:
         )
         return report
     phi = b.phi
-    equiv_witness = next(
-        (
-            (p, a)
-            for p in range(b.total_size)
-            for a in range(g.order)
-            if phi[b.act(p, a)] != g.table[phi[p]][a]
-        ),
-        None,
-    )
+    # phi(p)·a against phi(p·a) over (p, a)
+    framed, moved = _composed(phi, g.table, b.action.flat)
+    equiv_witness = first_difference((1, framed, None), (1, moved, None), (b.total_size, g.order))
     report.add(CheckResult("trivialization.equivariance", equiv_witness is None, equiv_witness))
 
     section_witness = None

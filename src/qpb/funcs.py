@@ -16,8 +16,9 @@ blowups fail loudly instead of exhausting memory.
 
 The row-major layout is decoded here too: `unravel` turns a flat
 position back into its index tuple, and `first_difference` names the
-first entry where two views disagree, which is how every density and
-comodule check names a witness.
+first entry where two views disagree, which is how every check that
+compares two tables names its witness; `first_block_difference` takes
+two int tables a block of the first axis at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from collections.abc import Iterable
 from contextvars import ContextVar, Token
 from math import prod
 
-from .groups import FiniteGroup
 from .views import canonical, gathered, lowest_terms
+
+# only for the annotations: groups imports this module's witness scans
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 __all__ = [
     "FormValuedMap",
@@ -160,6 +165,17 @@ def first_difference(lhs, rhs, shape: tuple[int, ...]) -> tuple[int, ...] | None
         if k is not None:
             flat = k
     return None if flat is None else unravel(flat, shape)
+
+
+def first_block_difference(blocks, shape: tuple[int, ...]) -> tuple[int, ...] | None:
+    """`first_difference` of two int tables of a shape, given as the pairs
+    of int lists that `blocks` yields for each index of the first axis in
+    turn, so neither side is held whole."""
+    for i, (lhs, rhs) in enumerate(blocks):
+        witness = first_difference((1, lhs, None), (1, rhs, None), shape[1:])
+        if witness is not None:
+            return (i, *witness)
+    return None
 
 
 def _first_ne(lhs: Iterable[int], rhs: Iterable[int]) -> int | None:

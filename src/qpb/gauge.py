@@ -10,7 +10,8 @@ a document that declares one does not load this module.
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, GaugeMap, check_table
+from .funcs import first_block_difference
+from .groups import FiniteGroup, GaugeMap, _composed, check_table
 from .report import CheckResult, Report
 
 __all__ = [
@@ -65,16 +66,9 @@ def validate_automorphism(xi: BundleAutomorphism) -> Report:
             break
     report.add(CheckResult("automorphism.bijective", bij_witness is None, bij_witness))
 
-    equiv_witness = next(
-        (
-            (x, a, c)
-            for x in range(xi.base_size)
-            for a in range(m)
-            for c in range(m)
-            if xi.trans[x][g.table[a][c]] != g.table[xi.trans[x][a]][c]
-        ),
-        None,
-    )
+    # trans[x](a)·c against trans[x](ac) over (x, a, c)
+    blocks = (_composed(row, g.table, g.flat) for row in xi.trans)
+    equiv_witness = first_block_difference(blocks, (xi.base_size, m, m))
     report.add(CheckResult("automorphism.equivariance", equiv_witness is None, equiv_witness))
     return report
 
@@ -94,13 +88,13 @@ def tau_extract(xi: BundleAutomorphism) -> GaugeMap:
     if e is None:
         raise ValueError("group has no identity")
     table = [xi.trans[x][e] for x in range(xi.base_size)]
-    for x, t in enumerate(table):
-        for a in range(g.order):
-            if xi.trans[x][a] != g.table[t][a]:
-                raise ValueError(
-                    f"fiber map at base point {x} is not a left translation"
-                    f" (mismatch at fiber coordinate {a})"
-                )
+    blocks = ((row, g.table[t]) for row, t in zip(xi.trans, table))
+    bad = first_block_difference(blocks, (xi.base_size, g.order))
+    if bad is not None:
+        raise ValueError(
+            f"fiber map at base point {bad[0]} is not a left translation"
+            f" (mismatch at fiber coordinate {bad[1]})"
+        )
     return GaugeMap(g, table)
 
 

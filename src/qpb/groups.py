@@ -14,7 +14,9 @@ document holds them without loading the checkers of `bundle` and
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
+from .funcs import first_block_difference, first_difference
 from .report import CheckResult, Report
 
 __all__ = [
@@ -81,6 +83,8 @@ class FiniteGroup:
             raise ValueError(f"got {len(labels)} labels for {n} elements")
         self.order = n
         self.table = [list(row) for row in mul_table]
+        # a·b at a·n + b
+        self.flat = [c for row in self.table for c in row]
         self.labels = list(labels) if labels is not None else None
         self.identity = self._find_identity()
         self.inv_table = self._find_inverses()
@@ -122,23 +126,21 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self.table == other.table
 
 
+def _composed(row: list[int], table: list[list[int]], flat: list[int]):
+    """The rows of `table` at the entries of `row`, end to end, and `row`
+    read at each entry of `flat`: the two sides of an associativity law
+    at one row, as int lists."""
+    rows = itertools.chain.from_iterable(map(table.__getitem__, row))
+    return list(rows), list(map(row.__getitem__, flat))
+
+
 def validate_group(g: FiniteGroup) -> Report:
     """Check associativity, identity, inverses; witnesses are index tuples."""
     report = Report()
     n = g.order
-    assoc_witness = None
-    for a in range(n):
-        for b in range(n):
-            ab = g.table[a][b]
-            row_a = g.table[a]
-            for c in range(n):
-                if g.table[ab][c] != row_a[g.table[b][c]]:
-                    assoc_witness = (a, b, c)
-                    break
-            if assoc_witness:
-                break
-        if assoc_witness:
-            break
+    # (ab)c against a(bc) over (a, b, c)
+    blocks = (_composed(row, g.table, g.flat) for row in g.table)
+    assoc_witness = first_block_difference(blocks, (n, n, n))
     report.add(CheckResult("group.associativity", assoc_witness is None, assoc_witness))
 
     if g.identity is not None:
@@ -201,6 +203,11 @@ class RightAction:
         # p acted by a at p·m + a, gathered by every coaction
         self.flat = [q for row in self.table for q in row]
 
+    @cached_property
+    def base(self) -> BaseSpace:
+        """The orbit space, scanned once for every bundle over this action."""
+        return BaseSpace(self)
+
 
 class TransitionMap:
     """A group element for every ordered pair of base points."""
@@ -259,7 +266,7 @@ class BundleSpec:
         self.total_size = action.total_size
         self.phi = list(phi) if phi is not None else None
         self.name = name
-        self.base = BaseSpace(action)
+        self.base = action.base
 
     def act(self, p: int, a: int) -> int:
         return self.action.table[p][a]
@@ -292,13 +299,6 @@ class GaugeMap:
         self.base_size = len(table)
         self.table = list(table)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaugeMap)
-            and self.group == other.group
-            and self.table == other.table
-        )
-
 
 def validate_action(action: RightAction) -> Report:
     """Check the unit law, compatibility with multiplication, and freeness."""
@@ -308,24 +308,14 @@ def validate_action(action: RightAction) -> Report:
         for name in ("action.unit", "action.compatibility", "action.freeness"):
             report.add(CheckResult(name, False, data={"reason": "group has no identity"}))
         return report
-    e = g.identity
-    unit_witness = next(
-        ((p,) for p in range(action.total_size) if action.table[p][e] != p), None
-    )
+    e, n = g.identity, action.total_size
+    acted = [row[e] for row in action.table]
+    unit_witness = first_difference((1, acted, None), (1, list(range(n)), None), (n,))
     report.add(CheckResult("action.unit", unit_witness is None, unit_witness))
 
-    compat_witness = None
-    for p in range(action.total_size):
-        for a in range(g.order):
-            pa = action.table[p][a]
-            for b in range(g.order):
-                if action.table[pa][b] != action.table[p][g.table[a][b]]:
-                    compat_witness = (p, a, b)
-                    break
-            if compat_witness:
-                break
-        if compat_witness:
-            break
+    # (p·a)·b against p·(ab) over (p, a, b)
+    blocks = (_composed(row, action.table, g.flat) for row in action.table)
+    compat_witness = first_block_difference(blocks, (n, g.order, g.order))
     report.add(CheckResult("action.compatibility", compat_witness is None, compat_witness))
 
     free_witness = fixed_point_witness(action)

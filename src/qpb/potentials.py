@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .funcs import FormValuedMap, first_difference
+from .funcs import FormValuedMap, first_block_difference, first_difference
 from .groups import BundleSpec, FiniteGroup, GaugeMap, TransitionMap
 from .kernels import (
     _covariance_witness,
@@ -165,28 +165,20 @@ def validate_base_potential(gh: FormValuedMap) -> Report:
 def validate_transition(tm: TransitionMap) -> Report:
     """Diagonal entries must be the group identity."""
     report = Report()
-    e = tm.group.identity
-    witness = next(
-        ((x,) for x in range(tm.base_size) if e is None or tm.table[x][x] != e), None
-    )
+    nb = tm.base_size
+    diagonal = [row[x] for x, row in enumerate(tm.table)]
+    # without an identity (None) every diagonal entry fails
+    witness = first_difference((1, diagonal, None), (1, [tm.group.identity] * nb, None), (nb,))
     report.add(CheckResult("transition.diagonal_identity", witness is None, witness))
     return report
 
 
 def is_cocycle(tm: TransitionMap) -> tuple[bool, tuple | None]:
     """Whether the two-step composition collapses to the one-step table."""
-    g = tm.group
-    nb = tm.base_size
-    witness = next(
-        (
-            (x, y, z)
-            for x in range(nb)
-            for y in range(nb)
-            for z in range(nb)
-            if g.table[tm.table[x][y]][tm.table[y][z]] != tm.table[x][z]
-        ),
-        None,
-    )
+    mul, t = tm.group.table, tm.table
+    # t(x, y)·t(y, z) against t(x, z) over (x, y, z)
+    blocks = (([mul[a][c] for a, row in zip(tx, t) for c in row], tx * len(t)) for tx in t)
+    witness = first_block_difference(blocks, (len(t),) * 3)
     return witness is None, witness
 
 

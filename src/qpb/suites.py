@@ -147,18 +147,15 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
 
     if decl.kind in ("gamma", "gamma_hat"):
         check = "route_agreement" if decl.kind == "gamma" else "strong_route_agreement"
-        direct = potentials.strong_connection_direct(decl.payload, b)
-        out.append(CheckResult(f"{suite}.{check}", direct.view == theta.view))
+        other = potentials.strong_connection_direct(decl.payload, b)
     elif decl.kind == "classical":
         # the lift of a base potential that passed base_report meets the
         # three potential invariants by construction
-        via_potential = potentials.connection_from_potential(ctx.inputs_for(decl).potential, b)
-        out.append(
-            CheckResult(
-                f"{suite}.classical_route_agreement",
-                via_potential.view == theta.view,
-            )
-        )
+        check = "classical_route_agreement"
+        other = potentials.connection_from_potential(ctx.inputs_for(decl).potential, b)
+    if decl.kind != "theta":
+        witness = first_difference(other.view, theta.view, theta.shape)
+        out.append(CheckResult(f"{suite}.{check}", witness is None, witness))
 
     rep = connection.validate_connection_form(theta, b)
     out.extend(_renamed(rep.checks, suite, {"connection": "form"}))
@@ -170,9 +167,12 @@ def _suite_connection(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     srep = connection.validate_splitting(sp, b)
     out.extend(_renamed(srep.checks, suite))
     reason = rejection("splitting", srep)
-    ok = reason is None and connection.theta_from_splitting(sp, b).view == theta.view
-    data = None if reason is None else {"reason": reason}
-    out.append(CheckResult(f"{suite}.splitting_roundtrip", ok, data=data))
+    if reason is not None:
+        out.append(CheckResult(f"{suite}.splitting_roundtrip", False, data={"reason": reason}))
+        return out
+    rebuilt = connection.theta_from_splitting(sp, b)
+    witness = first_difference(rebuilt.view, theta.view, theta.shape)
+    out.append(CheckResult(f"{suite}.splitting_roundtrip", witness is None, witness))
     return out
 
 
@@ -200,7 +200,8 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
     # (p = q or q = r) where F is nonzero, in row-major order
     first: list[tuple | None] = [None] * m
     flat = True
-    agree = {name: True for name, _, _ in routes}
+    # per route, the (p, q, r, c) of its first disagreement
+    disagree: dict[str, tuple | None] = {name: None for name, _, _ in routes}
     for t, (block, *compared) in enumerate(zip(pairs, *(rows for _, _, rows in routes))):
         re, im = block
         if any(re) or im is not None and any(im):
@@ -212,13 +213,13 @@ def _suite_curvature(ctx: _Context, decl: ConnectionDecl) -> list[CheckResult]:
                 for c in itertools.compress(range(m), hits):
                     first[c] = first[c] or (c, p, q, r)
         for (name, dk, _), other in zip(routes, compared):
-            agree[name] = agree[name] and (
-                first_difference((d, *block), (dk, *other), (n, m)) is None
-            )
+            if disagree[name] is None:
+                rc = first_difference((d, *block), (dk, *other), (n, m))
+                disagree[name] = None if rc is None else divmod(t, n) + rc
 
     witness = next(filter(None, first), None)
     out = [CheckResult(f"{suite}.form_validity", witness is None, witness)]
-    out += [CheckResult(f"{suite}.{name}", ok) for name, ok in agree.items()]
+    out += [CheckResult(f"{suite}.{name}", w is None, w) for name, w in disagree.items()]
     if decl.kind == "classical":
         cocycle, cw = potentials.is_cocycle(tm)
         out.append(
@@ -251,7 +252,9 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
     xi = xi_from_tau(tau)
     out.extend(_renamed(validate_automorphism(xi).checks, suite))
     # xi left-translates each fiber, so tau_extract reads tau back
-    out.append(CheckResult(f"{suite}.automorphism_roundtrip", tau_extract(xi) == tau))
+    read_back = (1, tau_extract(xi).table, None)
+    witness = first_difference(read_back, (1, tau.table, None), (tau.base_size,))
+    out.append(CheckResult(f"{suite}.automorphism_roundtrip", witness is None, witness))
 
     transformed_tm = None
     try:
@@ -287,6 +290,7 @@ def _suite_gauge(ctx: _Context, gdecl, cdecl: ConnectionDecl, suite: str) -> lis
         )
     )
     if cdecl.kind == "classical":
-        agree = potentials.potential_from_transition(transformed_tm) == transformed
-        out.append(CheckResult(f"{suite}.classical_agreement", agree))
+        derived = potentials.potential_from_transition(transformed_tm)
+        witness = first_difference(derived.view, transformed.view, transformed.shape)
+        out.append(CheckResult(f"{suite}.classical_agreement", witness is None, witness))
     return out

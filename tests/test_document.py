@@ -484,3 +484,27 @@ def test_parsing_checks_each_index_table_once(monkeypatch):
         monkeypatch.setattr(groups, name, counted)
     parse_spec(text)
     assert sorted(seen) == ["act", "mul", "phi", "tau_hat", "transition"]
+
+
+@pytest.mark.parametrize("key", ["fix_z2.json", "fix_s3.json"])
+def test_a_bundle_scans_its_orbits_once(key, monkeypatch):
+    import qpb.groups as groups
+    from qpb.runner import run_checks
+
+    scans = []
+    real = groups.BaseSpace.__init__
+
+    def counted(self, action):
+        scans.append(action)
+        real(self, action)
+
+    monkeypatch.setattr(groups.BaseSpace, "__init__", counted)
+    framed = parse_spec(json.dumps(doc_payload(key)))
+    assert len(scans) == 1 and framed.bundle.base is scans[0].base
+    # a synthesized frame shares the parsed bundle's orbits
+    unframed = doc_payload(key)
+    del unframed["trivialization"]
+    doc = parse_spec(json.dumps(unframed))
+    report = run_checks(doc, ["trivialization"])
+    assert report.passed and "trivialization.synthesized" in {c.name for c in report.checks}
+    assert len(scans) == 2

@@ -25,7 +25,7 @@ def test_gauge_map_constructor_guards():
 
 def test_gauge_compose_hand_value():
     g = fix_z2().group
-    assert gauge_compose(GaugeMap(g, [1, 0]), GaugeMap(g, [1, 1])) == GaugeMap(g, [0, 1])
+    assert gauge_compose(GaugeMap(g, [1, 0]), GaugeMap(g, [1, 1])).table == [0, 1]
 
 
 def test_gauge_group_laws_exhaustive():
@@ -34,14 +34,15 @@ def test_gauge_group_laws_exhaustive():
         taus = list(all_gauge_maps(g, base_size))
         neutral = GaugeMap(g, [g.identity] * base_size)
         for t1 in taus:
-            assert gauge_compose(neutral, t1) == t1
-            assert gauge_compose(t1, neutral) == t1
-            assert gauge_compose(t1, gauge_inverse(t1)) == neutral
-            assert gauge_compose(gauge_inverse(t1), t1) == neutral
+            assert gauge_compose(neutral, t1).table == t1.table
+            assert gauge_compose(t1, neutral).table == t1.table
+            assert gauge_compose(t1, gauge_inverse(t1)).table == neutral.table
+            assert gauge_compose(gauge_inverse(t1), t1).table == neutral.table
             for t2 in taus:
                 for t3 in taus:
-                    assert gauge_compose(gauge_compose(t1, t2), t3) == gauge_compose(
-                        t1, gauge_compose(t2, t3)
+                    assert (
+                        gauge_compose(gauge_compose(t1, t2), t3).table
+                        == gauge_compose(t1, gauge_compose(t2, t3)).table
                     )
 
 
@@ -60,7 +61,7 @@ def test_automorphisms_respect_gauge_group():
         taus = list(all_gauge_maps(g, base_size))
         for t1 in taus:
             assert xi_from_tau(gauge_inverse(t1)) == inverse(xi_from_tau(t1))
-            assert tau_extract(xi_from_tau(t1)) == t1
+            assert tau_extract(xi_from_tau(t1)).table == t1.table
             for t2 in taus:
                 assert xi_from_tau(gauge_compose(t1, t2)) == compose(
                     xi_from_tau(t1), xi_from_tau(t2)

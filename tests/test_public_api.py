@@ -53,6 +53,7 @@ KEEP = {
 }
 
 KEEP_METHODS = {
+    "qpb.funcs.FormValuedMap.__eq__": "criterion: the acceptance tests compare whole tables by it",
     "qpb.funcs.FormValuedMap.values": "bench: layertrace counts differential's output entries by it",
     "qpb.gauge.BundleAutomorphism.__eq__": "item 5: its composition check compares automorphisms",
     "qpb.linalg.SubspaceBasis.contains": "item 5: the abstract's claim that the coinvariants are C(B)",
